@@ -5,7 +5,7 @@ peak -5.6%/-5.5% — with the reduction shrinking toward the tail, because
 saturated sockets are demand-bound either way.
 """
 
-from repro.fleet import AblationStudy, Fleet, PLATFORM_1, PLATFORM_2
+from repro.fleet import AblationStudy, PLATFORM_1, PLATFORM_2
 
 
 def run_experiment():
@@ -13,9 +13,8 @@ def run_experiment():
     for label, platform in (("platform 1", PLATFORM_1),
                             ("platform 2", PLATFORM_2)):
         study = AblationStudy(
-            mode="off", epochs=60, warmup_epochs=20, seed=11,
-            fleet_factory=lambda seed, p=platform: Fleet(
-                machines=16, platform=p, seed=seed))
+            mode="off", machines=16, epochs=60, warmup_epochs=20, seed=11,
+            platform=platform.name)
         rows[label] = study.run().bandwidth_reduction()
     return rows
 

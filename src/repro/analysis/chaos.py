@@ -145,12 +145,10 @@ class ChaosStudy:
 
         ``obs_dir`` (or ``$REPRO_OBS_DIR``) traces the *faulted* study —
         the run whose incidents and fail-safe engagements the report
-        renders; the inert twin stays untraced.
+        renders; the inert twin stays untraced. ``""`` traces neither.
         """
-        from repro.obs.session import resolve_obs_dir
-
         faulted = self._faulted.run(workers=workers, cache_dir=cache_dir,
-                                    obs_dir=resolve_obs_dir(obs_dir))
+                                    obs_dir=obs_dir)
         baseline = self._baseline.run(workers=workers, cache_dir=cache_dir,
                                       obs_dir="")
         return ChaosOutcome(plan=self.plan, faulted=faulted,

@@ -277,9 +277,10 @@ def run_ablation(args) -> int:
             mode=args.mode, machines=args.machines, epochs=args.epochs,
             warmup_epochs=args.warmup, seed=args.seed,
             shard_size=shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="")
+                workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
         # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded entry or the shard journal.
+        # replay the sharded entry or the shard journal. Nor may it
+        # overwrite the user's run directory.
         sharded_digest = result_digest(result)
         serial_digest = result_digest(serial)
         match = sharded_digest == serial_digest
@@ -493,7 +494,7 @@ def run_chaos(args) -> int:
     ])
 
     if args.compare_serial:
-        serial = ChaosStudy(fault_plan, **kwargs).run(workers=1)
+        serial = ChaosStudy(fault_plan, **kwargs).run(workers=1, obs_dir="")
         sharded_digest = result_digest(outcome.faulted)
         serial_digest = result_digest(serial.faulted)
         match = sharded_digest == serial_digest
@@ -783,9 +784,10 @@ def run_policy_compare(args) -> int:
             specs, machines=args.machines, epochs=args.epochs,
             warmup_epochs=args.warmup, seed=args.seed,
             shard_size=args.shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="")
+                workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
         # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded legs or the shard journal.
+        # replay the sharded legs or the shard journal. Nor may it
+        # overwrite the user's run directory.
         serial_digest = comparison_digest(serial)
         match = digest == serial_digest
         print(f"serial-equivalence check: "
@@ -846,10 +848,10 @@ def run_scenario_callgraph(args) -> int:
     _print_queue_stats(scenario.queue_stats, resolved_ckpt)
 
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
+        # Batching off, one worker, cache, journal and obs disabled:
+        # the oracle leg.
         serial = CallGraphScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
+            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
         serial_digest = callgraph_digest(serial)
         match = digest == serial_digest
         print(f"serial-equivalence check: "
@@ -941,7 +943,7 @@ def run_scenario_noisy(args) -> int:
 
     if args.baseline:
         baseline = scenario.baseline_twin().run(
-            workers=args.workers, cache_dir=args.cache_dir)
+            workers=args.workers, cache_dir=args.cache_dir, obs_dir="")
         comparison = scenario.compare_to_baseline(result, baseline)
         print("\nversus always-enabled twin (negative = faster):")
         _table(("tenant", "p50", "p90", "p99", "mean"), [
@@ -950,10 +952,10 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
+        # Batching off, one worker, cache, journal and obs disabled:
+        # the oracle leg.
         serial = NoisyNeighborScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
+            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
         serial_digest = noisy_digest(serial)
         match = digest == serial_digest
         print(f"serial-equivalence check: "

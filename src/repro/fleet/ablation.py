@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig, RetryPolicy
 from repro.errors import ConfigError
 from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
 from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
-from repro.fleet.parallel import resolve_workers
-from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.fleet.platform import PLATFORM_1, platform_by_name
+from repro.fleet.shard import DEFAULT_SHARD_SIZE
+from repro.fleet.study import FleetStudy, run_study, run_traced
+from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
 from repro.profiling.profile_data import ProfileData
 from repro.serialization import canonical_json
@@ -119,6 +119,12 @@ class AblationResult:
             self.policy_metrics.merge(other.policy_metrics)
         return self
 
+    def to_dict(self) -> Dict:
+        """Lossless plain-data form (cache and journal payloads)."""
+        from repro.serialization import ablation_result_to_dict
+
+        return ablation_result_to_dict(self)
+
     def bandwidth_reduction(self) -> Dict[str, float]:
         """Fractional socket-bandwidth change, experiment vs control —
         negative values are reductions (Table 1 / Figure 18)."""
@@ -178,81 +184,33 @@ class AblationShardSpec:
     config: Optional[LimoncelloConfig]
     profile_sample_rate: float
     fault_plan: Optional[FaultPlan] = None
-    #: Position in the shard plan; carried so a traced worker can stamp
-    #: its events without the parent re-deriving the mapping.
+    #: Position in the shard plan; carried so the worker can stamp its
+    #: events without the parent re-deriving the mapping.
     shard_index: int = 0
     #: Canonical JSON of the injected control policy, or ``None`` for
     #: the stock hysteresis deployment. A string (not a Policy object)
     #: so the spec stays hashable and picklable across pool workers.
     policy_json: Optional[str] = None
+    #: :data:`~repro.fleet.platform.PLATFORM_CATALOG` name of every
+    #: machine's platform, or ``None`` for the default platform.
+    platform: Optional[str] = None
 
 
-def run_ablation_shard(spec: AblationShardSpec) -> AblationResult:
-    """Run one shard (both arms) to completion. Pure function of the
-    spec — the process-pool worker entry point."""
-    study = AblationStudy(
-        mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
-        warmup_epochs=spec.warmup_epochs, seed=spec.seed,
-        config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, policy=spec.policy_json)
-    return study._run_single()
-
-
-def _traced_single(study, tracer: Tracer, index: int, machines: int,
-                   seed: int, epochs: int):
-    """Run a study's single-fleet path under ``tracer``, bracketed by
-    shard-start/shard-finish events. The finish timestamp is the latest
-    simulated time any event observed — a pure function of the shard
-    parameters, like every other ``t_ns`` in the log."""
-    tracer.event("shard-start", 0.0, index=index, machines=machines,
-                 seed=seed)
-    result = study._run_single(tracer)
-    t_end = max((event["t_ns"] for event in tracer.events), default=0.0)
-    tracer.event("shard-finish", t_end, index=index, epochs=epochs)
-    return result
-
-
-def obs_shard_payload(output: Tuple) -> Dict:
-    """Serialize one traced shard output — ``(result, events, wall)`` —
-    for the checkpoint journal. Events are already plain dicts; the wall
-    time rides along so a resumed run's manifest reports the original
-    compute cost rather than the (near-zero) restore cost."""
-    from repro.serialization import ablation_result_to_dict
-
-    result, events, wall = output
-    return {"result": ablation_result_to_dict(result),
-            "events": list(events), "wall": wall}
-
-
-def obs_shard_from_payload(payload: Dict) -> Tuple:
-    """Inverse of :func:`obs_shard_payload`."""
-    from repro.serialization import ablation_result_from_dict
-
-    return (ablation_result_from_dict(payload["result"]),
-            list(payload["events"]), float(payload["wall"]))
-
-
-def run_ablation_shard_obs(
+def run_ablation_shard(
         spec: AblationShardSpec) -> Tuple[AblationResult, List[Dict], float]:
-    """Traced worker twin of :func:`run_ablation_shard`.
-
-    Builds the tracer *inside* the worker (tracers never cross process
-    boundaries) and returns ``(result, events, wall_seconds)``; the
-    parent splices the events into the merged log in plan order.
-    """
-    start = time.monotonic()
+    """Run one shard (both arms) to completion under an in-process
+    tracer; returns ``(result, events, wall_seconds)``. Pure function of
+    the spec — the process-pool worker entry point."""
     study = AblationStudy(
         mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
         warmup_epochs=spec.warmup_epochs, seed=spec.seed,
         config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, policy=spec.policy_json)
-    tracer = Tracer()
-    result = _traced_single(study, tracer, spec.shard_index, spec.machines,
-                            spec.seed, spec.epochs)
-    return result, tracer.events, time.monotonic() - start
+        fault_plan=spec.fault_plan, policy=spec.policy_json,
+        platform=spec.platform)
+    return run_traced(study, spec)
 
 
-class AblationStudy:
+class AblationStudy(FleetStudy):
     """Builds and runs a paired control/experiment fleet comparison.
 
     Args:
@@ -266,17 +224,22 @@ class AblationStudy:
             dict, or canonical JSON. Requires a daemon-running mode
             (``hard``/``hard+soft``). Enters cache and shard-task keys
             only when set, so policy-free study keys are unchanged.
+        platform: :data:`~repro.fleet.platform.PLATFORM_CATALOG` name of
+            every machine's platform (Table 1 compares two). ``None``
+            keeps the default platform; like the policy, it enters cache
+            and shard-task keys only when set.
     """
+
+    STUDY = "ablation"
 
     def __init__(self, mode: str = "off", machines: int = 30,
                  epochs: int = 100, seed: int = 11,
                  warmup_epochs: int = 20,
                  config: Optional[LimoncelloConfig] = None,
-                 fleet_factory: Optional[Callable[[int], Fleet]] = None,
                  profile_sample_rate: float = 0.25,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None,
-                 policy=None) -> None:
+                 policy=None, platform: Optional[str] = None) -> None:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         if epochs <= 0:
@@ -285,6 +248,8 @@ class AblationStudy:
             raise ConfigError("warmup cannot be negative")
         if shard_size <= 0:
             raise ConfigError("shard size must be positive")
+        self._platform_spec = (platform_by_name(platform)
+                               if platform is not None else PLATFORM_1)
         self.policy_json: Optional[str] = None
         if policy is not None:
             if mode not in ("hard", "hard+soft"):
@@ -302,17 +267,13 @@ class AblationStudy:
         self.config = config
         self.shard_size = shard_size
         self.fault_plan = fault_plan
-        self._fleet_factory = fleet_factory
+        self.platform = platform
         self._sample_rate = profile_sample_rate
         #: Work-queue disposition of the last :meth:`run` (a
         #: :class:`~repro.fleet.queue.QueueStats`), or ``None``.
         self.queue_stats = None
 
     # --- sharding -----------------------------------------------------------
-
-    def shard_plan(self) -> ShardPlan:
-        """How this study's machines split across shards."""
-        return plan_shards(self.machines, self.shard_size)
 
     def shard_specs(self) -> List[AblationShardSpec]:
         """Per-shard specs (plan order), ready for any worker."""
@@ -324,7 +285,7 @@ class AblationStudy:
                 config=self.config,
                 profile_sample_rate=self._sample_rate,
                 fault_plan=self.fault_plan, shard_index=index,
-                policy_json=self.policy_json)
+                policy_json=self.policy_json, platform=self.platform)
             for index, (size, seed)
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
         ]
@@ -354,31 +315,9 @@ class AblationStudy:
             material["fault_plan"] = self.fault_plan.to_key_material()
         if self.policy_json is not None:
             material["policy"] = json.loads(self.policy_json)
+        if self.platform is not None:
+            material["platform"] = self.platform
         return material
-
-    def shard_task_materials(self, traced: bool = False) -> List[Dict]:
-        """Work-queue key material per shard (plan order).
-
-        Each key covers the whole study identity (mode, epochs, config
-        signature, fault plan — via :meth:`cache_key_material`) plus the
-        shard's own population, seed, and plan position, so a shard
-        journaled by one study can never be restored into a different
-        one. ``traced`` keys traced (obs) payloads separately from plain
-        ones — they journal different payload shapes.
-        """
-        from repro.fleet.queue import shard_task_material
-
-        base = self.cache_key_material()
-        return [
-            shard_task_material("ablation", {
-                **base,
-                "shard_machines": spec.machines,
-                "shard_seed": spec.seed,
-                "shard_index": spec.shard_index,
-                "traced": traced,
-            })
-            for spec in self.shard_specs()
-        ]
 
     # --- the trace-driven companion ------------------------------------------
 
@@ -407,16 +346,8 @@ class AblationStudy:
     # --- execution -----------------------------------------------------------
 
     def _build_fleet(self, seed: int, tracer=None) -> Fleet:
-        if self._fleet_factory is not None:
-            fleet = self._fleet_factory(seed)
-            if tracer:
-                # Factory fleets still join the event stream: daemons are
-                # deployed by _apply_mode, after this attribute lands.
-                for machine in fleet.machines:
-                    machine.tracer = tracer
-            return fleet
-        return Fleet(machines=self.machines, seed=seed,
-                     fault_plan=self.fault_plan,
+        return Fleet(machines=self.machines, platform=self._platform_spec,
+                     seed=seed, fault_plan=self.fault_plan,
                      tracer=tracer if tracer else None)
 
     def _apply_mode(self, fleet: Fleet) -> None:
@@ -493,132 +424,18 @@ class AblationStudy:
             resume: bool = True) -> AblationResult:
         """Run both arms and collect the paired result.
 
-        Args:
-            workers: Process-pool size for sharded execution. ``None``
-                reads ``$REPRO_WORKERS`` (default 1, serial); ``0``
-                means all CPUs. The result is identical at any value.
-            cache_dir: Directory for the on-disk result cache. ``None``
-                reads ``$REPRO_CACHE_DIR``; empty/unset disables
-                caching. A hit skips the computation entirely.
-            obs_dir: Run directory for the observability layer. ``None``
-                reads ``$REPRO_OBS_DIR``; empty/unset disables it. When
-                set, the study writes ``events.jsonl`` and
-                ``manifest.json`` there; a cold run's event log is
-                byte-identical at any worker count.
-            checkpoint_dir: Shard-journal directory for the work queue.
-                ``None`` reads ``$REPRO_CHECKPOINT``; empty/unset
-                disables checkpointing. When set, every finished shard
-                is journaled the moment it completes and a re-run
-                restores finished shards instead of recomputing — the
-                merged result stays bit-identical either way.
-            resume: With a checkpoint directory, whether to restore
-                journaled shards (``True``, the default) or recompute
-                everything while still journaling (``False``).
+        The arguments follow :func:`~repro.fleet.study.run_study`: the
+        result is identical at any worker count, a cache hit skips the
+        computation, journaled shards restore on a re-run, and an obs
+        run's event log is byte-identical at any worker count.
 
         After the call, :attr:`queue_stats` holds the work-queue
-        disposition (``None`` when the sharded path did not run).
+        disposition (``None`` on a whole-study cache hit).
         """
-        from repro.fleet.queue import run_checkpointed, shard_checkpoint
-        from repro.fleet.result_cache import study_cache
-        from repro.obs.session import ObsSession, resolve_obs_dir
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
+        from repro.serialization import ablation_result_from_dict
 
-        workers = resolve_workers(workers)
-        obs_dir = resolve_obs_dir(obs_dir)
-        session = (ObsSession(obs_dir, "ablation", workers=workers)
-                   if obs_dir is not None else None)
-        if session is not None:
-            session.event("study-start", study="ablation")
-        self.queue_stats = None
-
-        cache = None
-        checkpoint = None
-        if self._fleet_factory is None:
-            # A custom factory is opaque: it cannot be content-hashed
-            # (no cache key) nor resized per shard, so those studies run
-            # unsharded, uncached, and uncheckpointed.
-            cache = study_cache(cache_dir)
-            checkpoint = shard_checkpoint(checkpoint_dir)
-
-        result = None
-        hit = False
-        if cache is not None:
-            material = self.cache_key_material()
-            result = cache.load_ablation(material)
-            hit = result is not None
-            if session is not None:
-                session.cache_probe(hit, cache.key_for(material))
-
-        if result is None:
-            if self._fleet_factory is not None:
-                if session is not None:
-                    with session.phase("execute"):
-                        tracer = session.shard_tracer()
-                        result = _traced_single(
-                            self, tracer, 0, self.machines, self.seed,
-                            self.epochs)
-                    session.add_shard(0, tracer.events)
-                else:
-                    result = self._run_single()
-            else:
-                specs = self.shard_specs()
-                if session is not None:
-                    materials = self.shard_task_materials(traced=True)
-                    with session.phase("execute"):
-                        outputs, stats = run_checkpointed(
-                            run_ablation_shard_obs, specs, materials,
-                            workers, checkpoint=checkpoint,
-                            to_payload=obs_shard_payload,
-                            from_payload=obs_shard_from_payload,
-                            resume=resume)
-                    self.queue_stats = stats
-                    if checkpoint is not None:
-                        session.queue_stats(stats)
-                    results = []
-                    for spec, (shard, events, wall) in zip(specs, outputs):
-                        session.add_shard(spec.shard_index, events, wall)
-                        results.append(shard)
-                    if checkpoint is not None:
-                        restored = set(stats.restored_indexes)
-                        for spec in specs:
-                            session.event(
-                                "shard-restored"
-                                if spec.shard_index in restored
-                                else "shard-checkpoint",
-                                index=spec.shard_index)
-                    with session.phase("merge"):
-                        result = results[0]
-                        for index, shard in enumerate(results[1:], start=1):
-                            session.event("merge-step", index=index)
-                            result.merge(shard)
-                else:
-                    materials = self.shard_task_materials(traced=False)
-                    shards, stats = run_checkpointed(
-                        run_ablation_shard, specs, materials, workers,
-                        checkpoint=checkpoint,
-                        to_payload=ablation_result_to_dict,
-                        from_payload=ablation_result_from_dict,
-                        resume=resume)
-                    self.queue_stats = stats
-                    result = shards[0]
-                    for shard in shards[1:]:
-                        result.merge(shard)
-
-            if cache is not None:
-                material = self.cache_key_material()
-                cache.store_ablation(material, result)
-                if session is not None:
-                    session.event("cache-store", key=cache.key_for(material))
-
-        if session is not None:
-            session.event("study-finish", study="ablation")
-            plan = (self.shard_plan() if self._fleet_factory is None
-                    else None)
-            session.finalize(
-                self.cache_key_material(),
-                shard_seeds=(plan.seeds(self.seed) if plan is not None
-                             else [self.seed]),
-                fault_plan=(self.fault_plan.spec()
-                            if self.fault_plan is not None else None))
+        result, self.queue_stats = run_study(
+            self, run_ablation_shard, ablation_result_from_dict,
+            workers=workers, cache_dir=cache_dir,
+            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
         return result

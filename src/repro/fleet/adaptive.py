@@ -50,6 +50,7 @@ from repro.fleet.ablation import (
 )
 from repro.fleet.parallel import resolve_workers
 from repro.fleet.shard import plan_rounds
+from repro.fleet.study import shard_from_payload, shard_payload
 
 #: Two-sided 95% normal quantile — the fixed confidence level for arm
 #: intervals (configurability here would just be another way to p-hack
@@ -296,8 +297,7 @@ class AdaptiveAblation:
         """
         from repro.fleet.queue import run_checkpointed, shard_checkpoint
         from repro.obs.session import ObsSession, resolve_obs_dir
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
+        from repro.serialization import ablation_result_from_dict
 
         workers = resolve_workers(workers)
         checkpoint = shard_checkpoint(checkpoint_dir)
@@ -329,12 +329,14 @@ class AdaptiveAblation:
                 outputs, stats = run_checkpointed(
                     run_ablation_shard, specs[mode][start:stop],
                     materials[mode][start:stop], workers,
-                    checkpoint=checkpoint,
-                    to_payload=ablation_result_to_dict,
-                    from_payload=ablation_result_from_dict,
+                    checkpoint=checkpoint, to_payload=shard_payload,
+                    from_payload=shard_from_payload(
+                        ablation_result_from_dict),
                     resume=resume)
                 arm = arms[mode]
-                for spec, result in zip(specs[mode][start:stop], outputs):
+                # The arms' shard events stay out of the adaptive log.
+                for spec, (result, _, _) in zip(specs[mode][start:stop],
+                                                outputs):
                     shard_results[mode].append(result)
                     arm.metrics.append(self.metric(result))
                     arm.shards_run += 1

@@ -65,8 +65,13 @@ ABORT_ENV_VAR = "REPRO_QUEUE_ABORT_AFTER"
 
 #: Part of every shard-task key; bumped whenever shard semantics or
 #: payload layout change meaning, so journals written by older code
-#: never resolve.
-QUEUE_SCHEMA_VERSION = 1
+#: never resolve. Version 2: every payload is ``{result, events, wall}``.
+QUEUE_SCHEMA_VERSION = 2
+
+#: What a payload stored under matching keys raises when it no longer
+#: deserializes (e.g. layout drift without a schema bump); such an entry
+#: is recomputed, never trusted.
+STALE_PAYLOAD_ERRORS = (TraceError, KeyError, TypeError, ValueError)
 
 _Spec = TypeVar("_Spec")
 _Result = TypeVar("_Result")
@@ -266,11 +271,8 @@ def run_checkpointed(
                 continue
             try:
                 results[index] = from_payload(payload)
-            except (TraceError, KeyError, TypeError, ValueError):
-                # Journaled under matching keys but no longer
-                # deserializable (e.g. payload layout drift without a
-                # schema bump): recompute rather than crash.
-                continue
+            except STALE_PAYLOAD_ERRORS:
+                continue  # recompute rather than crash
             restored_indexes.append(index)
     restored = len(restored_indexes)
 

@@ -13,18 +13,17 @@ to regenerate Figures 16 through 20.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError
 from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
 from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
-from repro.fleet.parallel import resolve_workers
-from repro.fleet.shard import DEFAULT_SHARD_SIZE, plan_shards
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.fleet.shard import DEFAULT_SHARD_SIZE
+from repro.fleet.study import FleetStudy, run_study, run_traced
+from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.profiler import FleetProfiler
 from repro.workloads.base import FunctionCategory, TAX_CATEGORIES
@@ -74,6 +73,12 @@ class RolloutResult:
                 self.chaos = ChaosMetrics()
             self.chaos.merge(other.chaos)
         return self
+
+    def to_dict(self) -> Dict:
+        """Lossless plain-data form (cache and journal payloads)."""
+        from repro.serialization import rollout_result_to_dict
+
+        return rollout_result_to_dict(self)
 
     # --- Figure 16 ------------------------------------------------------------
 
@@ -157,70 +162,24 @@ class RolloutShardSpec:
     config: Optional[LimoncelloConfig]
     profile_sample_rate: float
     fault_plan: Optional[FaultPlan] = None
-    #: Position in the shard plan, for event stamping in traced workers.
+    #: Position in the shard plan, for stamping the worker's events.
     shard_index: int = 0
 
 
-def run_rollout_shard(spec: RolloutShardSpec) -> RolloutResult:
-    """Run one shard's four arms. Pure function of the spec — the
+def run_rollout_shard(
+        spec: RolloutShardSpec) -> Tuple[RolloutResult, List[Dict], float]:
+    """Run one shard's four arms under an in-process tracer; returns
+    ``(result, events, wall_seconds)``. Pure function of the spec — the
     process-pool worker entry point."""
     study = RolloutStudy(
         machines=spec.machines, epochs=spec.epochs,
         warmup_epochs=spec.warmup_epochs, seed=spec.seed,
         config=spec.config, profile_sample_rate=spec.profile_sample_rate,
         fault_plan=spec.fault_plan)
-    return study._run_single()
+    return run_traced(study, spec)
 
 
-def _traced_single(study: "RolloutStudy", tracer: Tracer, index: int,
-                   machines: int, seed: int,
-                   epochs: int) -> "RolloutResult":
-    """Run a rollout's single-fleet path under ``tracer``, bracketed by
-    shard-start/shard-finish events (see the ablation twin)."""
-    tracer.event("shard-start", 0.0, index=index, machines=machines,
-                 seed=seed)
-    result = study._run_single(tracer)
-    t_end = max((event["t_ns"] for event in tracer.events), default=0.0)
-    tracer.event("shard-finish", t_end, index=index, epochs=epochs)
-    return result
-
-
-def obs_shard_payload(output: Tuple) -> Dict:
-    """Serialize one traced rollout shard output — ``(result, events,
-    wall)`` — for the checkpoint journal (see the ablation twin)."""
-    from repro.serialization import rollout_result_to_dict
-
-    result, events, wall = output
-    return {"result": rollout_result_to_dict(result),
-            "events": list(events), "wall": wall}
-
-
-def obs_shard_from_payload(payload: Dict) -> Tuple:
-    """Inverse of :func:`obs_shard_payload`."""
-    from repro.serialization import rollout_result_from_dict
-
-    return (rollout_result_from_dict(payload["result"]),
-            list(payload["events"]), float(payload["wall"]))
-
-
-def run_rollout_shard_obs(
-        spec: RolloutShardSpec) -> Tuple[RolloutResult, List[Dict], float]:
-    """Traced worker twin of :func:`run_rollout_shard`; returns
-    ``(result, events, wall_seconds)`` — the tracer is built inside the
-    worker and only its plain-dict events cross the process boundary."""
-    start = time.monotonic()
-    study = RolloutStudy(
-        machines=spec.machines, epochs=spec.epochs,
-        warmup_epochs=spec.warmup_epochs, seed=spec.seed,
-        config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan)
-    tracer = Tracer()
-    result = _traced_single(study, tracer, spec.shard_index, spec.machines,
-                            spec.seed, spec.epochs)
-    return result, tracer.events, time.monotonic() - start
-
-
-class RolloutStudy:
+class RolloutStudy(FleetStudy):
     """Runs the before / Hard-only / full-Limoncello arms.
 
     Populations above ``shard_size`` machines split into deterministic
@@ -229,10 +188,11 @@ class RolloutStudy:
     :mod:`repro.fleet.shard`.
     """
 
+    STUDY = "rollout"
+
     def __init__(self, machines: int = 30, epochs: int = 100, seed: int = 5,
                  warmup_epochs: int = 20,
                  config: Optional[LimoncelloConfig] = None,
-                 fleet_factory: Optional[Callable[[int], Fleet]] = None,
                  profile_sample_rate: float = 0.25,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None) -> None:
@@ -249,20 +209,12 @@ class RolloutStudy:
         self.config = config
         self.shard_size = shard_size
         self.fault_plan = fault_plan
-        self._fleet_factory = fleet_factory
         self._sample_rate = profile_sample_rate
         #: Work-queue disposition of the last :meth:`run` (a
         #: :class:`~repro.fleet.queue.QueueStats`), or ``None``.
         self.queue_stats = None
 
     def _build(self, prefetch_aware: bool = False, tracer=None) -> Fleet:
-        if self._fleet_factory is not None:
-            fleet = self._fleet_factory(self.seed)
-            if tracer:
-                # Deploy hooks run after this, so daemons pick it up.
-                for machine in fleet.machines:
-                    machine.tracer = tracer
-            return fleet
         from repro.fleet.scheduler import BandwidthAwareScheduler
         return Fleet(
             machines=self.machines, seed=self.seed,
@@ -282,7 +234,7 @@ class RolloutStudy:
 
     def shard_specs(self) -> list:
         """Per-shard specs (plan order), ready for any worker."""
-        plan = plan_shards(self.machines, self.shard_size)
+        plan = self.shard_plan()
         return [
             RolloutShardSpec(
                 machines=size, epochs=self.epochs,
@@ -317,9 +269,10 @@ class RolloutStudy:
 
         return {"before": stage("control"), "after": stage("off")}
 
-    def run_material(self) -> Dict:
+    def cache_key_material(self) -> Dict:
         """Everything the study's result depends on, as plain data (the
-        manifest ``run`` block; worker count deliberately excluded)."""
+        cache key and manifest ``run`` block; worker count deliberately
+        excluded)."""
         from repro.fleet.ablation import _config_key_material
 
         material = {
@@ -336,23 +289,6 @@ class RolloutStudy:
             material["fault_plan"] = self.fault_plan.to_key_material()
         return material
 
-    def shard_task_materials(self, traced: bool = False) -> List[Dict]:
-        """Work-queue key material per shard (plan order; see the
-        ablation twin for the key-coverage argument)."""
-        from repro.fleet.queue import shard_task_material
-
-        base = self.run_material()
-        return [
-            shard_task_material("rollout", {
-                **base,
-                "shard_machines": spec.machines,
-                "shard_seed": spec.seed,
-                "shard_index": spec.shard_index,
-                "traced": traced,
-            })
-            for spec in self.shard_specs()
-        ]
-
     def run(self, workers: Optional[int] = None,
             obs_dir: Optional[str] = None,
             cache_dir: Optional[str] = None,
@@ -360,129 +296,17 @@ class RolloutStudy:
             resume: bool = True) -> RolloutResult:
         """Run all arms across every shard and collect the result.
 
-        Args:
-            workers: Process-pool size for sharded execution. ``None``
-                reads ``$REPRO_WORKERS`` (default 1, serial); ``0``
-                means all CPUs. The result is identical at any value.
-            obs_dir: Run directory for the observability layer. ``None``
-                reads ``$REPRO_OBS_DIR``; empty/unset disables it.
-            cache_dir: Whole-study result-cache directory (``None``
-                reads ``$REPRO_CACHE_DIR``; empty/unset disables it).
-            checkpoint_dir: Shard-journal directory (``None`` reads
-                ``$REPRO_CHECKPOINT``; empty/unset disables it). See
-                :meth:`AblationStudy.run
-                <repro.fleet.ablation.AblationStudy.run>`.
-            resume: Whether to restore journaled shards (default) or
-                recompute while still journaling.
-
-        After the call, :attr:`queue_stats` holds the work-queue
-        disposition (``None`` when the sharded path did not run).
+        The arguments follow :func:`~repro.fleet.study.run_study`; the
+        result is identical at any worker count. After the call,
+        :attr:`queue_stats` holds the work-queue disposition (``None``
+        on a whole-study cache hit).
         """
-        from repro.fleet.queue import run_checkpointed, shard_checkpoint
-        from repro.fleet.result_cache import study_cache
-        from repro.obs.session import ObsSession, resolve_obs_dir
-        from repro.serialization import (rollout_result_from_dict,
-                                         rollout_result_to_dict)
+        from repro.serialization import rollout_result_from_dict
 
-        workers = resolve_workers(workers)
-        obs_dir = resolve_obs_dir(obs_dir)
-        session = (ObsSession(obs_dir, "rollout", workers=workers)
-                   if obs_dir is not None else None)
-        if session is not None:
-            session.event("study-start", study="rollout")
-        self.queue_stats = None
-
-        cache = None
-        checkpoint = None
-        if self._fleet_factory is None:
-            cache = study_cache(cache_dir)
-            checkpoint = shard_checkpoint(checkpoint_dir)
-
-        result = None
-        if cache is not None:
-            material = self.run_material()
-            payload = cache.load(material)
-            if payload is not None:
-                try:
-                    result = rollout_result_from_dict(payload)
-                except TraceError:
-                    result = None  # stale payload: recompute, overwrite
-            if session is not None:
-                session.cache_probe(result is not None,
-                                    cache.key_for(material))
-
-        if result is not None:
-            pass
-        elif self._fleet_factory is not None:
-            # A custom factory cannot be resized per shard; run unsharded.
-            if session is not None:
-                with session.phase("execute"):
-                    tracer = session.shard_tracer()
-                    result = _traced_single(self, tracer, 0, self.machines,
-                                            self.seed, self.epochs)
-                session.add_shard(0, tracer.events)
-            else:
-                result = self._run_single()
-        else:
-            specs = self.shard_specs()
-            if session is not None:
-                materials = self.shard_task_materials(traced=True)
-                with session.phase("execute"):
-                    outputs, stats = run_checkpointed(
-                        run_rollout_shard_obs, specs, materials, workers,
-                        checkpoint=checkpoint,
-                        to_payload=obs_shard_payload,
-                        from_payload=obs_shard_from_payload,
-                        resume=resume)
-                self.queue_stats = stats
-                if checkpoint is not None:
-                    session.queue_stats(stats)
-                results = []
-                for spec, (shard, events, wall) in zip(specs, outputs):
-                    session.add_shard(spec.shard_index, events, wall)
-                    results.append(shard)
-                if checkpoint is not None:
-                    restored = set(stats.restored_indexes)
-                    for spec in specs:
-                        session.event(
-                            "shard-restored"
-                            if spec.shard_index in restored
-                            else "shard-checkpoint",
-                            index=spec.shard_index)
-                with session.phase("merge"):
-                    result = results[0]
-                    for index, shard in enumerate(results[1:], start=1):
-                        session.event("merge-step", index=index)
-                        result.merge(shard)
-            else:
-                materials = self.shard_task_materials(traced=False)
-                shards, stats = run_checkpointed(
-                    run_rollout_shard, specs, materials, workers,
-                    checkpoint=checkpoint,
-                    to_payload=rollout_result_to_dict,
-                    from_payload=rollout_result_from_dict,
-                    resume=resume)
-                self.queue_stats = stats
-                result = shards[0]
-                for shard in shards[1:]:
-                    result.merge(shard)
-            if cache is not None:
-                material = self.run_material()
-                cache.store(material, rollout_result_to_dict(result))
-                if session is not None:
-                    session.event("cache-store",
-                                  key=cache.key_for(material))
-
-        if session is not None:
-            session.event("study-finish", study="rollout")
-            plan = (plan_shards(self.machines, self.shard_size)
-                    if self._fleet_factory is None else None)
-            session.finalize(
-                self.run_material(),
-                shard_seeds=(plan.seeds(self.seed) if plan is not None
-                             else [self.seed]),
-                fault_plan=(self.fault_plan.spec()
-                            if self.fault_plan is not None else None))
+        result, self.queue_stats = run_study(
+            self, run_rollout_shard, rollout_result_from_dict,
+            workers=workers, cache_dir=cache_dir,
+            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
         return result
 
     def _run_single(self, tracer=None) -> RolloutResult:

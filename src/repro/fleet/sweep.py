@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
-from repro.fleet.parallel import resolve_workers
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
+from repro.fleet.study import run_study
 from repro.serialization import canonical_json
 
 #: Sweep arm configurations: ``off`` ablates every hardware prefetcher;
@@ -337,6 +337,8 @@ class MicroFleetSweep:
             unchanged.
     """
 
+    STUDY = "micro-sweep"
+
     def __init__(self, mode: str = "off", machines: int = 64,
                  seed: int = 17, scale: float = 1.0,
                  crash_rate: float = 0.0,
@@ -418,7 +420,7 @@ class MicroFleetSweep:
         hit when read back under ``REPRO_BATCH=64``, and does.
         """
         material = {
-            "study": "micro-sweep",
+            "study": self.STUDY,
             "mode": self.mode,
             "machines": self.machines,
             "seed": self.seed,
@@ -460,7 +462,7 @@ class MicroFleetSweep:
             }
             if spec.prefetchers is not None:
                 body["prefetchers"] = list(spec.prefetchers)
-            materials.append(shard_task_material("micro-sweep", body))
+            materials.append(shard_task_material(self.STUDY, body))
         return materials
 
     # --- execution ---------------------------------------------------------------
@@ -471,50 +473,16 @@ class MicroFleetSweep:
             resume: bool = True) -> MicroSweepResult:
         """Run every shard and merge the rows in plan order.
 
-        Args:
-            workers: Process-pool size. ``None`` reads ``$REPRO_WORKERS``
-                (default 1, serial); ``0`` means all CPUs. The result is
-                identical at any value.
-            cache_dir: Result-cache directory (``None`` reads
-                ``$REPRO_CACHE_DIR``; empty/unset disables caching).
-            checkpoint_dir: Shard-journal directory (``None`` reads
-                ``$REPRO_CHECKPOINT``; empty/unset disables
-                checkpointing). Finished shards journal as they land
-                and a re-run restores them; the merged result — and
-                :func:`sweep_digest` — is bit-identical either way.
-            resume: Whether to restore journaled shards (default) or
-                recompute while still journaling.
+        The arguments follow :func:`~repro.fleet.study.run_study`; the
+        merged result — and :func:`sweep_digest` — is bit-identical at
+        any worker count and checkpoint/resume disposition. The sweep
+        writes no run directory.
 
         After the call, :attr:`queue_stats` holds the work-queue
         disposition (``None`` on a whole-study cache hit).
         """
-        from repro.fleet.queue import run_checkpointed, shard_checkpoint
-        from repro.fleet.result_cache import study_cache
-
-        workers = resolve_workers(workers)
-        cache = study_cache(cache_dir)
-        checkpoint = shard_checkpoint(checkpoint_dir)
-        self.queue_stats = None
-        material = None
-        if cache is not None:
-            material = self.cache_key_material()
-            payload = cache.load(material)
-            if payload is not None:
-                try:
-                    return MicroSweepResult.from_dict(payload)
-                except (KeyError, TypeError):
-                    pass  # stale/foreign payload: recompute, overwrite
-        specs = self.shard_specs()
-        shards, stats = run_checkpointed(
-            run_sweep_shard, specs, self.shard_task_materials(), workers,
-            checkpoint=checkpoint,
-            to_payload=MicroSweepResult.to_dict,
-            from_payload=MicroSweepResult.from_dict,
-            resume=resume)
-        self.queue_stats = stats
-        result = shards[0]
-        for shard in shards[1:]:
-            result.merge(shard)
-        if cache is not None:
-            cache.store(material, result.to_dict())
+        result, self.queue_stats = run_study(
+            self, run_sweep_shard, MicroSweepResult.from_dict,
+            workers=workers, cache_dir=cache_dir,
+            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir="")
         return result

@@ -1,6 +1,7 @@
 """Study-level observability sessions and the run manifest.
 
-An :class:`ObsSession` is owned by a study's ``run()`` call. It collects
+An :class:`ObsSession` is owned by the study driver
+(:func:`~repro.fleet.study.run_study`) or a study's ``run()``. It collects
 study-level events (cache probes, merge steps), splices in each shard's
 event list in plan order, times wall-clock phases, and finally writes
 the run directory:
@@ -34,7 +35,6 @@ from repro.obs.events import (
     canonical_event_line,
     write_events_jsonl,
 )
-from repro.obs.tracer import Tracer
 
 #: Environment override for the default run-directory location; unset or
 #: empty leaves observability off.
@@ -126,11 +126,6 @@ class ObsSession:
         finally:
             self._phases.append(
                 {"name": name, "wall_s": time.monotonic() - start})
-
-    def shard_tracer(self) -> Tracer:
-        """A tracer for an in-process (unsharded) execution; pair with
-        :meth:`add_shard` once it completes."""
-        return Tracer()
 
     # --- output ----------------------------------------------------------------
 

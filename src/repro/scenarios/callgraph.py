@@ -450,6 +450,12 @@ class CallGraphScenario:
             "crash_rate": self.crash_rate,
         }
 
+    def shard_meta(self, spec: CallGraphShardSpec) -> Dict:
+        """The shard's plan-order ``shard-start``/``shard-finish`` event
+        fields (see :func:`~repro.fleet.study.run_study`)."""
+        return {"machines": spec.replicas, "seed": spec.study_seed,
+                "epochs": spec.requests}
+
     def shard_task_materials(self) -> List[Dict]:
         """Work-queue key material per shard (plan order); excludes the
         batch size so journals restore across ``REPRO_BATCH`` settings."""
@@ -521,20 +527,15 @@ class CallGraphScenario:
             obs_dir: Optional[str] = None) -> CallGraphResult:
         """Run every service shard and merge rows in plan order.
 
-        Same contract as :meth:`MicroFleetSweep.run
-        <repro.fleet.sweep.MicroFleetSweep.run>`: the result is
-        bit-identical at any worker count, batch size, and
+        The arguments follow :func:`~repro.fleet.study.run_study`: the
+        result is bit-identical at any worker count, batch size, and
         checkpoint/resume disposition. After the call,
         :attr:`queue_stats` holds the work-queue disposition.
         """
-        from repro.scenarios.study import run_scenario_study
+        from repro.fleet.study import run_study
 
-        result, stats = run_scenario_study(
+        result, self.queue_stats = run_study(
             self, run_callgraph_shard, CallGraphResult.from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir,
-            shard_meta=lambda spec: {"machines": spec.replicas,
-                                     "seed": spec.study_seed,
-                                     "epochs": spec.requests})
-        self.queue_stats = stats
+            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
         return result

@@ -555,6 +555,12 @@ class NoisyNeighborScenario:
             material["policy"] = self.policy
         return material
 
+    def shard_meta(self, spec: NoisyShardSpec) -> Dict:
+        """The shard's plan-order ``shard-start``/``shard-finish`` event
+        fields (see :func:`~repro.fleet.study.run_study`)."""
+        return {"machines": spec.machines, "seed": spec.study_seed,
+                "epochs": spec.epochs}
+
     def shard_task_materials(self) -> List[Dict]:
         """Work-queue key material per shard (plan order)."""
         from repro.fleet.queue import shard_task_material
@@ -588,20 +594,16 @@ class NoisyNeighborScenario:
             obs_dir: Optional[str] = None) -> NoisyNeighborResult:
         """Run every machine shard and merge rows in plan order.
 
-        Same contract as :meth:`MicroFleetSweep.run
-        <repro.fleet.sweep.MicroFleetSweep.run>`; after the call,
-        :attr:`queue_stats` holds the work-queue disposition.
+        The arguments follow :func:`~repro.fleet.study.run_study`;
+        after the call, :attr:`queue_stats` holds the work-queue
+        disposition.
         """
-        from repro.scenarios.study import run_scenario_study
+        from repro.fleet.study import run_study
 
-        result, stats = run_scenario_study(
+        result, self.queue_stats = run_study(
             self, run_noisy_shard, NoisyNeighborResult.from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir,
-            shard_meta=lambda spec: {"machines": spec.machines,
-                                     "seed": spec.study_seed,
-                                     "epochs": spec.epochs})
-        self.queue_stats = stats
+            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
         return result
 
     def baseline_twin(self) -> "NoisyNeighborScenario":

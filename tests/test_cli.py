@@ -220,3 +220,35 @@ class TestScenarioCommands:
         assert main(["sweep", "--machines", "2", "--scale", "0.25",
                      "--trace", "scenario", "--compare-serial"]) == 0
         assert "serial-equivalence check: OK" in capsys.readouterr().out
+
+
+class TestSecondaryLegsStayDark:
+    """With ``$REPRO_OBS_DIR`` exported, only the requested run may write
+    the run directory: the ``--compare-serial`` oracle legs and the noisy
+    ``--baseline`` twin pass ``obs_dir=""``, so the manifest describes
+    the run at the requested worker count."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ablation", "--machines", "6", "--epochs", "6", "--warmup", "2",
+         "--mode", "hard", "--shard-size", "3"],
+        ["chaos", "--machines", "4", "--epochs", "6", "--warmup", "2",
+         "--shard-size", "2", "--fault-plan", "seed=2;msr-transient:rate=0.2"],
+        ["policy", "compare", "--policies", "hysteresis,single-threshold",
+         "--machines", "4", "--epochs", "6", "--warmup", "2",
+         "--shard-size", "2"],
+        TestScenarioCommands.CALLGRAPH,
+        TestScenarioCommands.NOISY + ["--shard-size", "2", "--baseline"],
+    ], ids=["ablation", "chaos", "policy-compare", "callgraph", "noisy"])
+    def test_manifest_describes_the_requested_run(self, argv, tmp_path,
+                                                  monkeypatch, capsys):
+        from repro.obs import read_manifest
+        from repro.obs.session import OBS_ENV_VAR
+
+        out = tmp_path / "run"
+        monkeypatch.setenv(OBS_ENV_VAR, str(out))
+        assert main(argv + ["--workers", "2", "--cache-dir",
+                            str(tmp_path / "cache"), "--compare-serial"]) == 0
+        assert "serial-equivalence check: OK" in capsys.readouterr().out
+        execution = read_manifest(out)["execution"]
+        assert execution["workers"] == 2
+        assert execution["cache"] == "miss"

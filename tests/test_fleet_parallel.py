@@ -5,7 +5,8 @@ to serial results for the same seed."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.fleet import AblationStudy, Fleet, RolloutStudy
+from repro.analysis import result_digest
+from repro.fleet import AblationStudy, RolloutStudy, StudyResultCache
 from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.parallel import (
     BATCH_ENV_VAR,
@@ -155,7 +156,7 @@ class TestShardedAblation:
         study = AblationStudy(mode="off", machines=24, epochs=8,
                               warmup_epochs=2, seed=7, shard_size=8)
         merged = study.run()
-        parts = [run_ablation_shard(spec) for spec in study.shard_specs()]
+        parts = [run_ablation_shard(spec)[0] for spec in study.shard_specs()]
         total_epochs = sum(part.control.epochs for part in parts)
         assert merged.control.epochs == total_epochs
         assert len(merged.control.socket_bandwidth) == sum(
@@ -180,12 +181,28 @@ class TestShardedAblation:
         assert (ablation_result_to_dict(sharded)
                 == ablation_result_to_dict(unsharded))
 
-    def test_custom_fleet_factory_still_supported(self):
-        study = AblationStudy(
-            mode="off", machines=6, epochs=8, warmup_epochs=2, seed=3,
-            fleet_factory=lambda seed: Fleet(machines=6, seed=seed))
-        result = study.run()
-        assert result.control.epochs == 8
+    @pytest.mark.parametrize("platform, digest", [
+        ("gen-2020",
+         "38bfddc0d50ccc7a674e80f447325dcbb0cd961078b8a596c047e2643efdbe3a"),
+        ("gen-2022",
+         "2373e1011758b78d51dc637380f3e1e1c03364354c4d016643ff0c765ecfc4f6"),
+    ], ids=["gen-2020", "gen-2022"])
+    def test_platform_study(self, platform, digest):
+        """A catalog platform reproduces the Table 1 fleet of that
+        generation; the pinned digests are those of a hand-built
+        ``Fleet(machines=6, platform=..., seed=11)`` pair."""
+        kw = dict(mode="off", machines=6, epochs=8, warmup_epochs=2, seed=11)
+        study = AblationStudy(platform=platform, **kw)
+        assert result_digest(study.run(cache_dir="")) == digest
+        assert study.cache_key_material()["platform"] == platform
+        # An unset platform keeps the key every earlier revision wrote.
+        assert StudyResultCache("unused").key_for(
+            AblationStudy(**kw).cache_key_material()) == (
+            "469e33e8fbb3a2c28d193fa9f10fd9532a12e9a1a299a91efd6b5dcc203d93b6")
+
+    def test_unknown_platform_rejected(self):
+        with pytest.raises(ConfigError):
+            AblationStudy(platform="gen-1999")
 
     def test_shard_size_validation(self):
         with pytest.raises(ConfigError):

@@ -26,9 +26,11 @@ from repro.fleet import (
     shard_task_material,
     sweep_digest,
 )
+from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.queue import (
     ABORT_ENV_VAR,
     CHECKPOINT_ENV_VAR,
+    QUEUE_SCHEMA_VERSION,
     resolve_abort_after,
     resolve_checkpoint_dir,
 )
@@ -256,6 +258,24 @@ class TestAblationKillAndResume:
         other.run(checkpoint_dir=str(tmp_path))
         assert other.queue_stats.restored == 0
 
+    def test_schema_1_journal_entry_recomputed(self, tmp_path):
+        """Schema 1 journaled a bare result dict, keyed apart for traced
+        and plain shards; schema 2 journals ``{result, events, wall}``
+        and must never restore the older entries."""
+        assert QUEUE_SCHEMA_VERSION == 2
+        study = AblationStudy(**self.KW)
+        journal = ShardCheckpoint(tmp_path)
+        materials = study.shard_task_materials()
+        for spec, material in zip(study.shard_specs(), materials):
+            old = {**material, "queue_schema": 1,
+                   "spec": {**material["spec"], "traced": False}}
+            journal.journal(old, run_ablation_shard(spec)[0].to_dict())
+        study.run(checkpoint_dir=str(tmp_path))
+        assert study.queue_stats.restored == 0
+        assert study.queue_stats.computed == len(materials)
+        for material in materials:
+            assert set(journal.load(material)) == {"result", "events", "wall"}
+
 
 class TestRolloutKillAndResume:
     KW = dict(machines=8, epochs=10, warmup_epochs=3, seed=5)
@@ -364,8 +384,6 @@ class TestShardTaskKeyProperties:
         materials = (
             AblationStudy(mode="off", **kw).shard_task_materials()
             + AblationStudy(mode="hard", **kw).shard_task_materials()
-            + AblationStudy(mode="off", **kw).shard_task_materials(
-                traced=True)
             + AblationStudy(mode="off", seed=4, **{k: v for k, v
                             in kw.items() if k != "seed"}
                             ).shard_task_materials()

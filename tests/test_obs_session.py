@@ -9,6 +9,7 @@ from repro.obs import (
     EVENTS_NAME,
     MANIFEST_NAME,
     ObsSession,
+    Tracer,
     manifest_run_digest,
     read_events_jsonl,
     read_manifest,
@@ -44,7 +45,7 @@ def _run_session(out_dir, study="ablation", workers=1):
     """A tiny but complete session: one shard plus study-level events."""
     session = ObsSession(out_dir, study, workers=workers)
     session.event("study-start", study=study)
-    tracer = session.shard_tracer()
+    tracer = Tracer()
     tracer.event("shard-start", 0.0, index=0, machines=2, seed=7)
     tracer.event("shard-finish", 9.0, index=0, epochs=4)
     with session.phase("execute"):
