@@ -348,13 +348,17 @@ def run_sweep(args) -> int:
 
 def run_rollout(args) -> int:
     """``repro rollout``: the Figures 16-20 study."""
-    from repro.fleet import RolloutStudy
+    from repro.fleet import DEFAULT_SHARD_SIZE, RolloutStudy, rollout_digest
 
+    shard_size = getattr(args, "shard_size", None)
+    if shard_size is None:
+        shard_size = DEFAULT_SHARD_SIZE
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    study = RolloutStudy(machines=args.machines, epochs=args.epochs,
-                         warmup_epochs=args.warmup, seed=args.seed,
-                         fault_plan=fault_plan)
+    kwargs = dict(machines=args.machines, epochs=args.epochs,
+                  warmup_epochs=args.warmup, seed=args.seed,
+                  shard_size=shard_size, fault_plan=fault_plan)
+    study = RolloutStudy(**kwargs)
     result = study.run(workers=args.workers,
                        obs_dir=getattr(args, "obs_dir", None),
                        cache_dir=args.cache_dir,
@@ -380,7 +384,22 @@ def run_rollout(args) -> int:
     if result.chaos is not None:
         print(f"\nfault plan: {fault_plan.spec()}")
         _print_chaos_summary(result.chaos)
+    digest = rollout_digest(result)
+    print(f"\nresult digest: {digest}")
     _print_queue_stats(study.queue_stats, resolved_ckpt)
+    if getattr(args, "compare_serial", False):
+        # "" disables the cache, journal and run directory: the oracle
+        # leg recomputes in-process and leaves the user's run alone.
+        serial = RolloutStudy(**kwargs).run(
+            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
+        serial_digest = rollout_digest(serial)
+        match = digest == serial_digest
+        print(f"serial-equivalence check: "
+              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
+        if not match:
+            raise ReproError(
+                f"sharded result diverged from serial run: "
+                f"{digest} != {serial_digest}")
     return 0
 
 

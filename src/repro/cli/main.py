@@ -189,6 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--epochs", type=int, default=70)
     rollout.add_argument("--warmup", type=int, default=25)
     rollout.add_argument("--seed", type=int, default=5)
+    rollout.add_argument("--shard-size", type=int, default=None,
+                         help="max machines per shard (default 32)")
+    rollout.add_argument(
+        "--compare-serial", action="store_true",
+        help="also run serially and fail unless the sharded result is "
+             "bit-identical (determinism check)")
     _add_execution_flags(rollout)
     _add_checkpoint_flags(rollout)
     _add_fault_plan_flag(rollout)

@@ -74,7 +74,12 @@ from repro.fleet.ablation import (
     AblationShardSpec,
     AblationStudy,
 )
-from repro.fleet.rollout import RolloutResult, RolloutShardSpec, RolloutStudy
+from repro.fleet.rollout import (
+    RolloutResult,
+    RolloutShardSpec,
+    RolloutStudy,
+    rollout_digest,
+)
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -133,4 +138,5 @@ __all__ = [
     "RolloutStudy",
     "RolloutResult",
     "RolloutShardSpec",
+    "rollout_digest",
 ]

@@ -12,6 +12,7 @@ to regenerate Figures 16 through 20.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -149,6 +150,19 @@ class RolloutResult:
             }
             out[arm]["all targeted DC tax"] = sum(out[arm].values())
         return out
+
+
+def rollout_digest(result: RolloutResult) -> str:
+    """A stable content hash of a rollout result.
+
+    Two results digest equal iff every arm's raw samples, profile and
+    chaos counter match bit-for-bit. The CLI's ``--compare-serial`` and
+    the CI rollout leg diff it across worker counts and shard sizes.
+    """
+    from repro.serialization import canonical_json, rollout_result_to_dict
+
+    return hashlib.sha256(
+        canonical_json(rollout_result_to_dict(result)).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

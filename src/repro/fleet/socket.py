@@ -67,8 +67,9 @@ class SimulatedSocket:
     #: for the hysteresis design (Section 3).
     TOGGLE_PENALTY = 0.05
 
-    def __init__(self, platform: PlatformSpec, index: int = 0,
-                 dram: Optional[DRAMConfig] = None) -> None:
+    def __init__(
+        self, platform: PlatformSpec, index: int = 0, dram: Optional[DRAMConfig] = None
+    ) -> None:
         self.platform = platform
         self.index = index
         self.tasks: List[Task] = []
@@ -76,26 +77,47 @@ class SimulatedSocket:
         self.msrs = MSRFile()
         self.msr_map = msr_map_for_vendor(platform.vendor)
         self.msr_map.declare_registers(self.msrs)
-        dram_config = dram or DRAMConfig(
-            saturation_bandwidth=platform.saturation_bandwidth)
+        dram_config = dram or DRAMConfig(saturation_bandwidth=platform.saturation_bandwidth)
         if dram_config.saturation_bandwidth != platform.saturation_bandwidth:
-            raise ConfigError(
-                "DRAM config saturation must match the platform's")
+            raise ConfigError("DRAM config saturation must match the platform's")
         self._dram = DRAMModel(dram_config)
         self._unloaded_latency = dram_config.unloaded_latency_ns
+        self._saturation_bandwidth = (
+            dram_config.max_utilization * platform.saturation_bandwidth
+        )
         self.history: List[SocketEpoch] = []
         self._last_bandwidth = 0.0
         self._last_utilization = 0.0
         self._last_hw_state: Optional[bool] = None
         self.toggles = 0
+        # Prefetcher state as last read from ``_hw_msrs`` when its
+        # ``write_count`` was ``_hw_writes`` (see hw_prefetchers_on).
+        self._hw_msrs: Optional[MSRFile] = None
+        self._hw_writes = -1
+        self._hw_on = True
+        self._retotal()
 
     # --- prefetcher state (via MSRs) ---------------------------------------------
 
     @property
     def hw_prefetchers_on(self) -> bool:
         """True unless *all* prefetchers are disabled (the paper's actuator
-        always disables the full set)."""
-        return not self.msr_map.all_disabled(self.msrs)
+        always disables the full set).
+
+        The register readback is cached, stamped by the MSR file's
+        identity and its ``write_count``: every successful ``wrmsr``
+        moves the count (failed ones raise first), and reassigning
+        ``self.msrs`` changes the identity. A stamp rather than a write
+        observer, because a subscription would make the socket and its
+        MSR file a reference cycle that outlives the fleet until the
+        cyclic collector runs.
+        """
+        msrs = self.msrs
+        if msrs is not self._hw_msrs or msrs.write_count != self._hw_writes:
+            self._hw_on = not self.msr_map.all_disabled(msrs)
+            self._hw_msrs = msrs
+            self._hw_writes = msrs.write_count
+        return self._hw_on
 
     def force_prefetchers(self, enabled: bool) -> None:
         """Directly set prefetcher state (for always-on/off study arms)."""
@@ -116,8 +138,7 @@ class SimulatedSocket:
         (and every utilization this simulator reports) are expressed
         relative to this value, as in the paper.
         """
-        return (self._dram.config.max_utilization
-                * self.platform.saturation_bandwidth)
+        return self._saturation_bandwidth
 
     @property
     def raw_capacity(self) -> float:
@@ -138,12 +159,12 @@ class SimulatedSocket:
     @property
     def cores_used(self) -> float:
         """Cores occupied by placed tasks."""
-        return sum(task.cores for task in self.tasks)
+        return self._cores_used
 
     @property
     def cores_free(self) -> float:
         """Cores not yet occupied by tasks."""
-        return self.cores - self.cores_used
+        return self.cores - self._cores_used
 
     def estimated_bandwidth(self, prefetch_aware: bool = False) -> float:
         """Full-speed bandwidth estimate — the scheduler's admission view.
@@ -155,20 +176,31 @@ class SimulatedSocket:
         scheduler packs more cores onto the socket (Figure 19). A
         pre-Limoncello scheduler (ablation studies) estimates as if
         prefetchers were always on."""
-        hw_on = self.hw_prefetchers_on if prefetch_aware else True
-        return sum(task.estimated_bandwidth(hw_on) for task in self.tasks)
+        if prefetch_aware and not self.hw_prefetchers_on:
+            return self._estimated_off
+        return self._estimated_on
 
     def add_task(self, task: Task) -> None:
         """Place a task on this socket (validates core capacity)."""
         if task.cores > self.cores_free + 1e-9:
             raise ConfigError(
                 f"socket has {self.cores_free:.1f} free cores; task "
-                f"{task.name} needs {task.cores:.1f}")
+                f"{task.name} needs {task.cores:.1f}"
+            )
         self.tasks.append(task)
+        self._retotal()
 
     def remove_task(self, task: Task) -> None:
         """Remove a placed task."""
         self.tasks.remove(task)
+        self._retotal()
+
+    def _retotal(self) -> None:
+        """Recompute the task sums admission reads, in task order."""
+        tasks = self.tasks
+        self._cores_used = sum([task.cores for task in tasks])
+        self._estimated_on = sum([task.estimated_bandwidth(True) for task in tasks])
+        self._estimated_off = sum([task.estimated_bandwidth(False) for task in tasks])
 
     # --- the epoch fixed point --------------------------------------------------------
 
@@ -176,35 +208,82 @@ class SimulatedSocket:
         """Loaded DRAM latency (ns) at a raw-capacity utilization."""
         return self._dram.latency_at_utilization(utilization)
 
-    def step(self, now_ns: float, duration_ns: float = SECOND,
-             demand_factor: float = 1.0) -> SocketEpoch:
+    def step(
+        self, now_ns: float, duration_ns: float = SECOND, demand_factor: float = 1.0
+    ) -> SocketEpoch:
         """Solve this epoch's operating point and record it.
 
         ``demand_factor`` is a machine-level multiplier on bandwidth
         demand this epoch (shared volatility across the socket's tasks —
         the minute-scale swings of Figure 7).
+
+        The iterations evaluate :meth:`Task.speed` and
+        :meth:`Task.offered_bandwidth` inline, from one row per task
+        built before the loop, and the DRAM curve inline from its config.
+        Every float operation happens in the order those methods use, so
+        the result is bit-identical to calling them (DESIGN.md §6).
         """
         hw_on = self.hw_prefetchers_on
-        load = self._last_utilization  # fraction of raw capacity
+        tasks = self.tasks
+        if hw_on:
+            rows = [
+                (
+                    task.memory_boundedness,
+                    task.bandwidth_demand * task.noise,
+                    1.0 + task.overfetch,
+                )
+                for task in tasks
+            ]
+        else:
+            soft = self.soft_deployed
+            rows = [
+                (
+                    task.memory_boundedness,
+                    task.bandwidth_demand * task.noise,
+                    task.penalty_off(soft),
+                )
+                for task in tasks
+            ]
+        config = self._dram.config
+        unloaded = self._unloaded_latency
+        umax = config.max_utilization
+        gain = config.queue_gain
+        exponent = config.queue_exponent
+        overload = config.overload_gain
+        damping = self.DAMPING
         capacity = self.platform.saturation_bandwidth
+        load = self._last_utilization  # fraction of raw capacity
         bandwidth = 0.0
         for _ in range(self.ITERATIONS):
-            latency_ratio = (self.latency_at(load)
-                             / self._unloaded_latency)
-            bandwidth = demand_factor * sum(
-                task.offered_bandwidth(
-                    task.speed(latency_ratio, hw_on, self.soft_deployed),
-                    hw_on)
-                for task in self.tasks)
-            load += self.DAMPING * (bandwidth / capacity - load)
+            # DRAMModel.latency_at_utilization, with max/min spelled as
+            # the comparisons they perform (NaN included).
+            u = 0.0 if 0.0 > load else load
+            clamped = umax if umax < u else u
+            latency = unloaded * (1.0 + gain * (clamped**exponent) / (1.0 - clamped))
+            if u > umax:
+                latency *= 1.0 + overload * (u - umax)
+            excess = latency / unloaded - 1.0
+            # Task.offered_bandwidth(Task.speed(...)): (d * speed) * o.
+            if hw_on:
+                offered = [
+                    (d * (1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess) else sl))) * o
+                    for m, d, o in rows
+                ]
+            else:
+                offered = [
+                    d * (1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess + p) else sl))
+                    for m, d, p in rows
+                ]
+            bandwidth = demand_factor * sum(offered)
+            load += damping * (bandwidth / capacity - load)
         bandwidth = load * capacity
 
         latency_ns = self.latency_at(load)
-        latency_ratio = latency_ns / self._unloaded_latency
+        latency_ratio = latency_ns / unloaded
+        soft = self.soft_deployed
         qps = sum(
-            task.base_qps
-            * task.speed(latency_ratio, hw_on, self.soft_deployed)
-            for task in self.tasks) * (duration_ns / SECOND)
+            [task.base_qps * task.speed(latency_ratio, hw_on, soft) for task in tasks]
+        ) * (duration_ns / SECOND)
         if self._last_hw_state is not None and hw_on != self._last_hw_state:
             self.toggles += 1
             qps *= 1.0 - self.TOGGLE_PENALTY
@@ -212,10 +291,10 @@ class SimulatedSocket:
         epoch = SocketEpoch(
             time_ns=now_ns,
             bandwidth=bandwidth,
-            utilization=bandwidth / self.saturation_bandwidth,
+            utilization=bandwidth / self._saturation_bandwidth,
             latency_ns=latency_ns,
             qps=qps,
-            cores_used=self.cores_used,
+            cores_used=self._cores_used,
             hw_prefetchers_on=hw_on,
         )
         self.history.append(epoch)

@@ -11,7 +11,7 @@ the target-identification pipeline consumes directly.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
@@ -45,6 +45,7 @@ class FleetProfiler:
         self.responses = responses
         self.data = ProfileData()
         self._rng = rng or random.Random(0x9F1E7)
+        self._tables: Dict[Tuple[bool, bool], Dict[str, Tuple[float, float]]] = {}
 
     def __call__(self, now_ns: float, machines: Sequence[Machine],
                  rng: random.Random) -> None:
@@ -66,33 +67,43 @@ class FleetProfiler:
                 self._sample_task(task, latency_ratio, hw_on, soft)
         self.data.samples += 1
 
+    def _coefficients(self, hw_on: bool, soft: bool) -> Dict[str, Tuple[float, float]]:
+        """``function -> (effective penalty, MPKI)`` under one prefetcher
+        configuration, filled in as functions are first sampled."""
+        key = (hw_on, soft)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {}
+        return table
+
     def _sample_task(self, task, latency_ratio: float, hw_on: bool,
                      soft: bool) -> None:
         base_slowdown = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)
+        coefficients = self._coefficients(hw_on, soft)
         # Per-function slowdowns first: a function that regresses takes a
         # larger share of the task's (fixed) CPU time, which is exactly
         # what moves the Figure 12/20 cycle-share bars.
-        slowdowns = {}
+        sampled = []
         for function, share in task.function_shares.items():
             if share <= 0.0:
                 continue
+            entry = coefficients.get(function)
+            if entry is None:
+                response = self.responses[function]
+                entry = coefficients[function] = (
+                    response.effective_penalty(soft), response.mpki(hw_on, soft))
             slowdown = base_slowdown
             if not hw_on:
-                slowdown += self.responses[function].effective_penalty(soft)
-            slowdowns[function] = max(slowdown, 1e-6)
-        weight_total = sum(task.function_shares[fn] * s
-                           for fn, s in slowdowns.items())
+                slowdown += entry[0]
+            sampled.append((function, share,
+                            1e-6 if 1e-6 > slowdown else slowdown, entry[1]))
+        weight_total = sum([share * slowdown
+                            for _, share, slowdown, _ in sampled])
         if weight_total <= 0.0:
             return
         task_cycles = task.cores * _CYCLES_PER_CORE_SAMPLE
-        for function, slowdown in slowdowns.items():
-            share = task.function_shares[function]
+        record = self.data.record
+        for function, share, slowdown, mpki in sampled:
             cycles = task_cycles * share * slowdown / weight_total
             instructions = cycles / slowdown
-            mpki = self.responses[function].mpki(hw_on, soft)
-            self.data.record(
-                function=function,
-                instructions=instructions,
-                cycles=cycles,
-                llc_misses=mpki * instructions / 1000.0,
-            )
+            record(function, instructions, cycles, mpki * instructions / 1000.0)

@@ -107,6 +107,39 @@ class TestReport:
         assert "wrote" in capsys.readouterr().out
 
 
+class TestRolloutCompareSerial:
+    ROLLOUT = ["rollout", "--machines", "6", "--epochs", "6", "--warmup", "2",
+               "--shard-size", "3"]
+
+    def test_sharded_run_matches_serial(self, capsys):
+        assert main(self.ROLLOUT + ["--workers", "2", "--compare-serial"]) == 0
+        out = capsys.readouterr().out
+        assert "result digest:" in out
+        assert "serial-equivalence check: OK" in out
+
+    def test_mismatch_fails_loudly(self, monkeypatch, capsys):
+        import repro.fleet
+        from repro.fleet import RolloutStudy
+
+        calls = []
+        real_run = RolloutStudy.run
+
+        def recording_run(study, **kwargs):
+            calls.append((study.shard_size, kwargs))
+            return real_run(study, **kwargs)
+
+        digests = iter(["a" * 64, "b" * 64])
+        monkeypatch.setattr(RolloutStudy, "run", recording_run)
+        monkeypatch.setattr(repro.fleet, "rollout_digest",
+                            lambda result: next(digests))
+        with pytest.raises(ReproError, match="diverged"):
+            main(self.ROLLOUT + ["--compare-serial"])
+        assert "serial-equivalence check: MISMATCH" in capsys.readouterr().out
+        # The oracle leg: same shard plan, one worker, nothing persisted.
+        assert calls[1] == (3, dict(workers=1, cache_dir="",
+                                    checkpoint_dir="", obs_dir=""))
+
+
 class TestCheckpointCommands:
     SWEEP = ["sweep", "--machines", "9", "--shard-size", "3"]
 
@@ -238,7 +271,10 @@ class TestSecondaryLegsStayDark:
          "--shard-size", "2"],
         TestScenarioCommands.CALLGRAPH,
         TestScenarioCommands.NOISY + ["--shard-size", "2", "--baseline"],
-    ], ids=["ablation", "chaos", "policy-compare", "callgraph", "noisy"])
+        ["rollout", "--machines", "4", "--epochs", "6", "--warmup", "2",
+         "--shard-size", "2"],
+    ], ids=["ablation", "chaos", "policy-compare", "callgraph", "noisy",
+            "rollout"])
     def test_manifest_describes_the_requested_run(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         from repro.obs import read_manifest
