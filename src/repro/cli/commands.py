@@ -78,14 +78,6 @@ def _print_engine_occupancy(result) -> None:
     print(line)
 
 
-def _resolve_engine_batch(args):
-    """The effective lockstep batch size from ``--engine``/``--batch-size``."""
-    from repro.fleet.parallel import resolve_engine
-
-    return resolve_engine(getattr(args, "engine", None),
-                          getattr(args, "batch_size", None))
-
-
 def _resolve_fault_plan(args):
     """The study's fault plan: ``--fault-plan``, else $REPRO_FAULT_PLAN,
     else None (fault-free)."""
@@ -225,16 +217,6 @@ def run_ablation(args) -> int:
     """``repro ablation``: a paired fleet ablation study."""
     from repro.fleet import DEFAULT_SHARD_SIZE, AblationStudy
 
-    engine = getattr(args, "engine", None)
-    if engine and engine != "auto":
-        # The ablation study itself is analytic; the engine choice maps
-        # onto $REPRO_BATCH so every trace-driven companion this process
-        # runs (calibration, micro-sweep bridges) honours it.
-        import os
-
-        from repro.fleet.parallel import BATCH_ENV_VAR, resolve_engine
-
-        os.environ[BATCH_ENV_VAR] = str(resolve_engine(engine, None))
     shard_size = getattr(args, "shard_size", None)
     if shard_size is None:
         shard_size = DEFAULT_SHARD_SIZE
@@ -307,8 +289,7 @@ def run_sweep(args) -> int:
                   scale=args.scale, crash_rate=args.crash_rate,
                   shard_size=shard_size, fault_plan=fault_plan,
                   workload=getattr(args, "trace", None))
-    sweep = MicroFleetSweep(batch_size=_resolve_engine_batch(args),
-                            **kwargs)
+    sweep = MicroFleetSweep(batch_size=args.batch_size, **kwargs)
     result = sweep.run(workers=args.workers, cache_dir=args.cache_dir,
                        checkpoint_dir=checkpoint_dir)
 
@@ -829,8 +810,7 @@ def run_scenario_callgraph(args) -> int:
                   requests=args.requests, seed=args.seed, mode=args.mode,
                   rpc_overhead_ns=args.rpc_overhead_ns,
                   crash_rate=args.crash_rate, fault_plan=fault_plan)
-    scenario = CallGraphScenario(batch_size=_resolve_engine_batch(args),
-                                 **kwargs)
+    scenario = CallGraphScenario(batch_size=args.batch_size, **kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
                           obs_dir=getattr(args, "obs_dir", None))
@@ -924,8 +904,7 @@ def run_scenario_noisy(args) -> int:
                   upper=args.upper, lower=args.lower,
                   sustain_ns=args.sustain_ns, crash_rate=args.crash_rate,
                   shard_size=shard_size, fault_plan=fault_plan)
-    scenario = NoisyNeighborScenario(batch_size=_resolve_engine_batch(args),
-                                     **kwargs)
+    scenario = NoisyNeighborScenario(batch_size=args.batch_size, **kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
                           obs_dir=getattr(args, "obs_dir", None))

@@ -45,19 +45,6 @@ def _add_obs_flag(subparser: argparse.ArgumentParser) -> None:
              "observability); inspect with 'repro report <run-dir>'")
 
 
-def _add_engine_flag(subparser: argparse.ArgumentParser) -> None:
-    """The shared engine-selection flag for trace-driven subcommands."""
-    from repro.fleet.parallel import ENGINE_CHOICES
-
-    subparser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default=None,
-        help="memsys engine: 'auto' (default) follows --batch-size / "
-             "$REPRO_BATCH, 'batched' forces the lockstep engine on, "
-             "'scalar' forces it off; contradicting an explicit "
-             "--batch-size is an error, and results are identical "
-             "either way")
-
-
 def _add_fault_plan_flag(subparser: argparse.ArgumentParser) -> None:
     """The shared fault-injection flag for the fleet-study subcommands."""
     subparser.add_argument(
@@ -115,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument(
         "--compare-serial", action="store_true",
         help="also run serially and fail unless the sharded result is "
-             "bit-identical (determinism check; CI runs it with "
-             "REPRO_BATCH set to pin the batched engine too)")
+             "bit-identical (sharding determinism check)")
     ablation.add_argument(
         "--adaptive", action="store_true",
         help="compare several arms with CI-based early stopping instead "
@@ -138,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-rounds", type=int, default=None, metavar="N",
         help="with --adaptive: rounds before any arm may stop "
              "(default 2)")
-    _add_engine_flag(ablation)
     _add_execution_flags(ablation)
     _add_checkpoint_flags(ablation)
     _add_fault_plan_flag(ablation)
@@ -177,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run serially with batching off and fail unless the "
              "result is bit-identical (engine + sharding determinism "
              "check)")
-    _add_engine_flag(sweep)
     _add_execution_flags(sweep)
     _add_checkpoint_flags(sweep)
     _add_fault_plan_flag(sweep)
@@ -380,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run serially with batching off and fail unless the "
              "result is bit-identical (engine + sharding determinism "
              "check)")
-    _add_engine_flag(callgraph)
     _add_execution_flags(callgraph)
     _add_checkpoint_flags(callgraph)
     _add_fault_plan_flag(callgraph)
@@ -444,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run serially with batching off and fail unless the "
              "result is bit-identical (engine + sharding determinism "
              "check)")
-    _add_engine_flag(noisy)
     _add_execution_flags(noisy)
     _add_checkpoint_flags(noisy)
     _add_fault_plan_flag(noisy)

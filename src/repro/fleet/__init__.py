@@ -39,9 +39,7 @@ from repro.fleet.shard import (
 )
 from repro.fleet.parallel import (
     DEFAULT_BATCH_SIZE,
-    ENGINE_CHOICES,
     resolve_batch_size,
-    resolve_engine,
     resolve_workers,
     run_sharded,
     run_sharded_incremental,
@@ -89,9 +87,7 @@ __all__ = [
     "plan_rounds",
     "plan_shards",
     "shard_seed",
-    "ENGINE_CHOICES",
     "resolve_batch_size",
-    "resolve_engine",
     "resolve_workers",
     "run_sharded",
     "run_sharded_incremental",

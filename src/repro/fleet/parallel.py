@@ -21,20 +21,17 @@ import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
+from repro.memsys.hierarchy import DEFAULT_BATCH_SIZE
 
 #: Environment override for the default worker count, honoured by every
 #: study entry point when the caller does not pass ``workers`` explicitly.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Environment override for the lockstep batch size. ``0`` (or ``off``)
-#: disables batching so every arm runs the scalar compiled engine — the
-#: oracle configuration CI diffs against.
+#: Environment override for the lockstep batch size, read once per study
+#: by :func:`resolve_batch_size`. ``0`` (or ``off``) disables batching so
+#: every arm runs the scalar compiled engine — the oracle configuration
+#: CI diffs against.
 BATCH_ENV_VAR = "REPRO_BATCH"
-
-#: Arms per lockstep batch when nobody chooses. Matches
-#: :data:`~repro.fleet.shard.DEFAULT_SHARD_SIZE` so one default shard
-#: becomes exactly one default batch.
-DEFAULT_BATCH_SIZE = 32
 
 _Spec = TypeVar("_Spec")
 _Result = TypeVar("_Result")
@@ -106,49 +103,6 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     if batch_size < 0:
         raise ConfigError(f"batch size cannot be negative, got {batch_size}")
     return batch_size
-
-
-#: CLI values for ``--engine``: ``auto`` keeps the layered defaults
-#: (explicit batch size, else ``$REPRO_BATCH``, else the default),
-#: ``batched`` forces the lockstep engine on, ``scalar`` forces it off.
-ENGINE_CHOICES = ("auto", "batched", "scalar")
-
-
-def resolve_engine(engine: Optional[str],
-                   batch_size: Optional[int] = None) -> Optional[int]:
-    """Fold an ``--engine`` choice into the effective batch size.
-
-    Returns the ``batch_size`` to hand to the study/``run_many`` chain:
-
-    * ``auto`` (or ``None``): pass ``batch_size`` through untouched, so
-      the existing precedence (explicit flag, else ``$REPRO_BATCH``,
-      else :data:`DEFAULT_BATCH_SIZE`) applies unchanged.
-    * ``scalar``: returns ``0`` — batching off. A contradictory explicit
-      ``batch_size`` raises a :class:`ConfigError` rather than silently
-      picking a side.
-    * ``batched``: guarantees a positive batch size. An explicit
-      positive ``batch_size`` wins; otherwise ``$REPRO_BATCH`` is
-      consulted, with ``0``/``off`` overridden back to
-      :data:`DEFAULT_BATCH_SIZE` (the flag outranks the environment);
-      an explicit ``batch_size=0`` is contradictory and raises.
-    """
-    if engine is None or engine == "auto":
-        return batch_size
-    if engine == "scalar":
-        if batch_size:
-            raise ConfigError(
-                f"--engine scalar contradicts --batch-size {batch_size}")
-        return 0
-    if engine == "batched":
-        if batch_size is not None:
-            if batch_size == 0:
-                raise ConfigError(
-                    "--engine batched contradicts --batch-size 0")
-            return batch_size
-        resolved = resolve_batch_size(None)
-        return resolved if resolved > 0 else DEFAULT_BATCH_SIZE
-    raise ConfigError(
-        f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
 
 
 def run_sharded(worker: Callable[[_Spec], _Result],

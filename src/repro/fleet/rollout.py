@@ -260,29 +260,6 @@ class RolloutStudy(FleetStudy):
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
         ]
 
-    def micro_sweep_stages(self, scale: float = 1.0,
-                           batch_size: Optional[int] = None) -> Dict:
-        """Trace-driven companions for the rollout's before/after arms.
-
-        Returns ``{"before": sweep, "after": sweep}`` over this study's
-        population and seed: ``before`` keeps the default prefetcher
-        bank (the pre-rollout fleet, scalar engine), ``after`` ablates
-        it (the post-rollout steady state under Hard Limoncello's
-        throttling — the lockstep-eligible shape). Staging mirrors the
-        paper's weeks-long rollout: compare the two sweeps' digests and
-        stall totals to see the rollout's trace-level effect at batch
-        throughput.
-        """
-        from repro.fleet.sweep import MicroFleetSweep
-
-        def stage(mode: str) -> MicroFleetSweep:
-            return MicroFleetSweep(
-                mode=mode, machines=self.machines, seed=self.seed,
-                scale=scale, shard_size=self.shard_size,
-                batch_size=batch_size, fault_plan=self.fault_plan)
-
-        return {"before": stage("control"), "after": stage("off")}
-
     def cache_key_material(self) -> Dict:
         """Everything the study's result depends on, as plain data (the
         cache key and manifest ``run`` block; worker count deliberately

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
+from repro.fleet.parallel import resolve_batch_size
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 from repro.fleet.study import run_study
 from repro.serialization import canonical_json
@@ -205,7 +206,7 @@ class MicroSweepShardSpec:
     scale: float
     crash_rate: float
     shard_index: int
-    batch_size: Optional[int] = None
+    batch_size: int
     #: Restrict the arm's hardware bank to these prefetchers (policy
     #: trainer probes); ``None`` keeps the mode's stock bank. Rows gain
     #: the :data:`_PREFETCH_FIELDS` counters when set.
@@ -322,8 +323,9 @@ class MicroFleetSweep:
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
         batch_size: Lockstep batch size forwarded to
             :func:`~repro.memsys.hierarchy.run_many`; ``None`` defers to
-            ``$REPRO_BATCH``. Never affects results, only throughput —
-            which is why it is excluded from the cache key.
+            ``$REPRO_BATCH``, resolved here, once. Never affects results,
+            only throughput — which is why it is excluded from the cache
+            key.
         prefetchers: Restrict every arm's hardware bank to these
             prefetchers (by name) — the policy trainer's per-prefetcher
             accuracy/coverage probes. Requires mode ``control``; arm
@@ -384,7 +386,7 @@ class MicroFleetSweep:
         self.scale = scale
         self.crash_rate = crash_rate
         self.shard_size = shard_size
-        self.batch_size = batch_size
+        self.batch_size = resolve_batch_size(batch_size)
         self.prefetchers = prefetchers
         self.workload = workload
         #: Work-queue disposition of the last :meth:`run` (a

@@ -47,6 +47,11 @@ from repro.units import CACHE_LINE_BYTES
 #: Set to "1" (or "true"/"yes"/"on") to force the reference interpreter.
 SLOW_ENGINE_ENV = "REPRO_SLOW_ENGINE"
 
+#: Arms per lockstep batch when nobody chooses. Matches
+#: :data:`~repro.fleet.shard.DEFAULT_SHARD_SIZE` so one default shard
+#: becomes exactly one default batch.
+DEFAULT_BATCH_SIZE = 32
+
 
 def _slow_engine_requested() -> bool:
     return os.environ.get(SLOW_ENGINE_ENV, "").strip().lower() in (
@@ -829,7 +834,7 @@ class MemoryHierarchy:
 
 
 def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
-             batch_size: Optional[int] = None,
+             batch_size: int = DEFAULT_BATCH_SIZE,
              export_state: bool = True,
              occupancy=None) -> List[RunResult]:
     """Run ``trace`` through many independent hierarchies, batching where
@@ -853,12 +858,10 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     Args:
         hierarchies: The arms; mutated in place exactly as ``run`` would.
         trace: One trace shared by every arm.
-        batch_size: Arms per lockstep batch. ``None`` defers to the
-            ``REPRO_BATCH`` environment variable (default
-            :data:`~repro.fleet.parallel.DEFAULT_BATCH_SIZE`); ``0``
-            disables batching entirely. ``REPRO_SLOW_ENGINE`` also
-            disables batching (the reference interpreter *is* the
-            oracle chain's far end).
+        batch_size: Arms per lockstep batch; ``0`` disables batching
+            entirely. Studies resolve it once, at construction, and pass
+            the int down. ``REPRO_SLOW_ENGINE`` also disables batching
+            (the reference interpreter *is* the oracle chain's far end).
         export_state: When False, skip rebuilding batched arms' cache
             contents and prefetcher training after the run — the arms
             come back with counters, clock, and window intact but caches
@@ -868,12 +871,10 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
             accumulating where each arm ran (lockstep vs scalar) and the
             per-reason scalar-fallback counts for this call.
     """
-    from repro.fleet.parallel import resolve_batch_size
     from repro.fleet.shard import plan_batches
     from repro.memsys import batched
 
     hierarchies = list(hierarchies)
-    resolved = resolve_batch_size(batch_size)
 
     def note_scalar(count: int, reason: str) -> None:
         if occupancy is not None and count:
@@ -881,7 +882,7 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
 
     results: List[Optional[RunResult]] = [None] * len(hierarchies)
     scalar_arms: List[int] = []
-    if resolved <= 0:
+    if batch_size <= 0:
         scalar_arms = list(range(len(hierarchies)))
         note_scalar(len(scalar_arms), "batching-off")
     elif _slow_engine_requested():
@@ -925,7 +926,7 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
                 scalar_arms.extend(arms)
                 note_scalar(len(arms), "prune-bound")
                 continue
-            for start, stop in plan_batches(len(arms), resolved):
+            for start, stop in plan_batches(len(arms), batch_size):
                 chunk = arms[start:stop]
                 try:
                     batch_results = batched.run_lockstep(

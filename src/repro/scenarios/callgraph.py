@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
+from repro.fleet.parallel import resolve_batch_size
 from repro.scenarios.workload import (check_kind, emit_request,
                                       request_label, scenario_rng)
 from repro.serialization import canonical_json
@@ -241,7 +242,7 @@ class CallGraphShardSpec:
     mode: str
     crash_rate: float
     shard_index: int
-    batch_size: Optional[int] = None
+    batch_size: int
 
 
 def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
@@ -339,7 +340,8 @@ class CallGraphScenario:
             ``machine-crash`` clause in ``fault_plan`` supplies it when
             the explicit rate is 0.
         batch_size: Lockstep batch size forwarded to ``run_many``;
-            never affects results, only throughput — excluded from keys.
+            ``None`` defers to ``$REPRO_BATCH``, resolved here, once.
+            Never affects results, only throughput — excluded from keys.
     """
 
     STUDY = "scenario-callgraph"
@@ -390,7 +392,7 @@ class CallGraphScenario:
         self.mode = mode
         self.rpc_overhead_ns = rpc_overhead_ns
         self.crash_rate = crash_rate
-        self.batch_size = batch_size
+        self.batch_size = resolve_batch_size(batch_size)
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
 

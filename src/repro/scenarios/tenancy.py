@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
+from repro.fleet.parallel import resolve_batch_size
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, plan_shards
 from repro.scenarios.workload import (check_kind, emit_request,
                                       scenario_rng)
@@ -283,11 +284,11 @@ class NoisyShardSpec:
     lower: float
     sustain_ns: float
     shard_index: int
-    #: Serialized :mod:`repro.policy` policy (mode ``policy`` only).
-    policy: Optional[str] = None
     #: Lockstep batch size forwarded to ``run_many``; never affects
     #: results, only throughput — excluded from cache and task keys.
-    batch_size: Optional[int] = None
+    batch_size: int
+    #: Serialized :mod:`repro.policy` policy (mode ``policy`` only).
+    policy: Optional[str] = None
 
 
 def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
@@ -440,7 +441,8 @@ class NoisyNeighborScenario:
             key off *global* indices, so the merged result is invariant
             to the shard size too (it is excluded from cache keys).
         batch_size: Lockstep batch size forwarded to ``run_many``;
-            never affects results, only throughput — excluded from
+            ``None`` defers to ``$REPRO_BATCH``, resolved here, once.
+            Never affects results, only throughput — excluded from
             cache and task keys.
     """
 
@@ -510,7 +512,7 @@ class NoisyNeighborScenario:
         self.sustain_ns = sustain_ns
         self.crash_rate = crash_rate
         self.shard_size = shard_size
-        self.batch_size = batch_size
+        self.batch_size = resolve_batch_size(batch_size)
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
 

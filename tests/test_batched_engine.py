@@ -8,14 +8,17 @@ counter, and the full post-run hierarchy state. These tests drive both
 paths over heterogeneous arm fleets and compare everything, including
 the dispatch decisions (which arms batched, which fell back to scalar).
 
-The batched leg passes ``batch_size=None`` wherever the batch size is
-not itself under test, so CI's ``batched-equivalence`` matrix can pin
-it through ``REPRO_BATCH``.
+Wherever the batch size is not itself under test, the batched leg
+passes ``resolve_batch_size()`` explicitly — ``run_many`` never reads
+the environment — so CI's ``batched-equivalence`` matrix can pin it
+through ``REPRO_BATCH``.
 """
 
 import pytest
 
 from repro.access import AccessKind, MemoryAccess, Trace
+from repro.errors import ConfigError
+from repro.fleet import MicroFleetSweep, resolve_batch_size
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -30,6 +33,7 @@ from repro.memsys.prefetchers.feedback import FeedbackThrottledPrefetcher
 from repro.memsys.prefetchers.hinted import HintedRegionPrefetcher
 from repro.memsys.prefetchers.nextline import NextLinePrefetcher
 from repro.memsys.prefetchers.stream import StreamPrefetcher
+from repro.scenarios import CallGraphScenario, NoisyNeighborScenario
 
 pytestmark = pytest.mark.skipif(not batched.HAVE_NUMPY,
                                 reason="lockstep engine needs numpy")
@@ -153,8 +157,11 @@ def assert_batched_matches_scalar(records, loads=ARM_LOADS,
     """Both paths over the same arms must agree on everything.
 
     ``split`` optionally cuts the records into two back-to-back
-    ``run_many`` calls to exercise warm-state continuation.
+    ``run_many`` calls to exercise warm-state continuation. ``None``
+    resolves the batch size the way a study does (``$REPRO_BATCH``,
+    else the default).
     """
+    batch_size = resolve_batch_size(batch_size)
     if split is None:
         traces = [Trace(records)]
     else:
@@ -327,14 +334,52 @@ class TestDispatch:
     def test_batch_env_zero_disables_lockstep(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "0")
         calls = spy_lockstep(monkeypatch)
-        run_many(build_arms((None, 0.5)), Trace(make_records()[:100]))
+        result = MicroFleetSweep(machines=2, scale=0.05).run(workers=1)
         assert calls == []
+        assert result.occupancy.reasons == {"batching-off": 2}
 
     def test_batch_env_sets_chunking(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "5")
         calls = spy_lockstep(monkeypatch)
-        run_many(build_arms(), Trace(make_records()[:100]))
+        MicroFleetSweep(machines=13, scale=0.05).run(workers=1)
         assert sorted(calls) == [4, 4, 5]  # 13 arms, balanced batches of <=5
+
+    def test_run_many_ignores_batch_env(self, monkeypatch):
+        """memsys never reads ``$REPRO_BATCH``: studies resolve it once
+        and pass the int down."""
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        calls = spy_lockstep(monkeypatch)
+        run_many(build_arms((None, 0.5)), Trace(make_records()[:100]))
+        assert calls == [2]
+
+    def test_helper_honours_batch_env(self, monkeypatch):
+        """The golden helper resolves ``$REPRO_BATCH`` itself, so CI's
+        batch-size matrix reaches the lockstep engine."""
+        monkeypatch.setenv("REPRO_BATCH", "5")
+        calls = spy_lockstep(monkeypatch)
+        assert_batched_matches_scalar(make_records())
+        assert sorted(calls) == [4, 4, 5]
+
+    @pytest.mark.parametrize(
+        "make_study",
+        [
+            lambda: MicroFleetSweep(machines=9, shard_size=4),
+            CallGraphScenario,
+            lambda: NoisyNeighborScenario(machines=9, shard_size=4),
+        ],
+        ids=["sweep", "callgraph", "noisy"],
+    )
+    def test_studies_resolve_batch_env_once(self, monkeypatch, make_study):
+        monkeypatch.setenv("REPRO_BATCH", "5")
+        study = make_study()
+        assert study.batch_size == 5
+        specs = study.shard_specs()
+        assert len(specs) > 1
+        assert all(spec.batch_size == 5 for spec in specs)
+        monkeypatch.setenv("REPRO_BATCH", "lots")
+        assert study.shard_specs()[0].batch_size == 5  # resolved already
+        with pytest.raises(ConfigError):
+            make_study()
 
     def test_slow_engine_env_disables_lockstep(self, monkeypatch):
         monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
@@ -385,6 +430,7 @@ class TestEnabledGolden:
 
     def assert_enabled_fleet_agrees(self, bank_factory, batch_size=None,
                                     split=None):
+        batch_size = resolve_batch_size(batch_size)
         records = make_records()
         if split is None:
             traces = [Trace(records)]

@@ -12,6 +12,7 @@ from tests.hypothesis_profiles import scaled
 from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessKind, MemoryAccess, Trace
+from repro.fleet import resolve_batch_size
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -111,9 +112,9 @@ class TestPropertyEquivalence:
                           min_size=2, max_size=5))
     @settings(max_examples=scaled(20), deadline=None)
     def test_env_default_batch(self, records, loads):
-        """batch_size=None (the study-layer default) also agrees —
-        under whatever REPRO_BATCH the environment pins."""
-        assert_fleet_agrees(records, loads, None)
+        """The study-layer default also agrees — under whatever
+        REPRO_BATCH the environment pins."""
+        assert_fleet_agrees(records, loads, resolve_batch_size())
 
 
 #: One (load, bank-shape) pair per arm, so fleets mix ablated and

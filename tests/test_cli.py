@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.cli.commands import _parse_profile, _table
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.units import SECOND
 
 
@@ -169,6 +169,33 @@ class TestCheckpointCommands:
         monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
         with pytest.raises(ReproError):
             main(["queue"])
+
+
+class TestBatchSizeFlag:
+    """``--batch-size`` is the one engine knob: 0 runs the scalar engine,
+    N > 0 lockstep groups of at most N arms; results never change."""
+
+    SWEEP = ["sweep", "--machines", "6", "--scale", "0.1",
+             "--shard-size", "3"]
+
+    def test_digest_identical_at_any_batch_size(self, monkeypatch, capsys):
+        from repro.fleet.queue import CHECKPOINT_ENV_VAR
+        from repro.fleet.result_cache import CACHE_ENV_VAR
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
+        lines = []
+        for extra in ([], ["--batch-size", "0"], ["--batch-size", "4"]):
+            assert main(self.SWEEP + extra) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+        digests = {line for out in lines for line in out
+                   if line.startswith("result digest:")}
+        assert len(digests) == 1
+        engine = [line for line in lines[1] if line.startswith("engine:")]
+        assert len(engine) == 1 and "batching-off=" in engine[0]
+
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(ConfigError):
+            main(self.SWEEP + ["--batch-size", "-1"])
 
 
 class TestCacheCommand:
