@@ -140,17 +140,22 @@ class ChaosStudy:
 
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
-            obs_dir: Optional[str] = None) -> ChaosOutcome:
+            obs_dir: Optional[str] = None,
+            checkpoint_dir: Optional[str] = None) -> ChaosOutcome:
         """Run both the faulted study and its fault-free twin.
 
-        ``obs_dir`` (or ``$REPRO_OBS_DIR``) traces the *faulted* study —
-        the run whose incidents and fail-safe engagements the report
-        renders; the inert twin stays untraced. ``""`` traces neither.
+        ``workers``, ``cache_dir`` and ``checkpoint_dir`` reach both
+        legs. ``obs_dir`` (or ``$REPRO_OBS_DIR``) traces the *faulted*
+        study — the run whose incidents and fail-safe engagements the
+        report renders; the inert twin stays untraced. ``""`` traces
+        neither.
         """
         faulted = self._faulted.run(workers=workers, cache_dir=cache_dir,
-                                    obs_dir=obs_dir)
+                                    obs_dir=obs_dir,
+                                    checkpoint_dir=checkpoint_dir)
         baseline = self._baseline.run(workers=workers, cache_dir=cache_dir,
-                                      obs_dir="")
+                                      obs_dir="",
+                                      checkpoint_dir=checkpoint_dir)
         return ChaosOutcome(plan=self.plan, faulted=faulted,
                             baseline=baseline)
 

@@ -56,26 +56,48 @@ def _print_queue_stats(stats, resolved_dir) -> None:
           f"{stats.computed} computed (journal: {resolved_dir})")
 
 
-def _print_engine_occupancy(result) -> None:
-    """One-line batched-engine disposition after a trace-driven study.
+def _print_digest_footer(result, digest, queue_stats, resolved_dir) -> None:
+    """The closing lines of a digested study: the batched-engine
+    disposition, ``result digest:`` and the work-queue disposition.
 
-    Silent on results restored from a cache or checkpoint payload (no
+    The engine line is silent for studies without an engine (rollout)
+    and for results restored from a cache or checkpoint payload (no
     engine ran, so there is nothing to report).
     """
     occupancy = getattr(result, "occupancy", None)
-    if occupancy is None:
-        return
-    stats = occupancy.to_dict()
-    total = stats["batched_arms"] + stats["scalar_arms"]
-    if total == 0:
-        return
-    line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
-            f"({stats['groups']} lockstep groups)")
-    if stats["scalar_arms"]:
-        reasons = ", ".join(f"{reason}={count}" for reason, count
-                            in stats["fallback_reasons"].items())
-        line += f"; {stats['scalar_arms']} scalar: {reasons}"
-    print(line)
+    stats = occupancy.to_dict() if occupancy is not None else None
+    total = stats["batched_arms"] + stats["scalar_arms"] if stats else 0
+    if total:
+        line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
+                f"({stats['groups']} lockstep groups)")
+        if stats["scalar_arms"]:
+            reasons = ", ".join(f"{reason}={count}" for reason, count
+                                in stats["fallback_reasons"].items())
+            line += f"; {stats['scalar_arms']} scalar: {reasons}"
+        print(line)
+    print(f"\nresult digest: {digest}")
+    _print_queue_stats(queue_stats, resolved_dir)
+
+
+#: How every ``--compare-serial`` oracle runs: one worker, and neither
+#: the result cache nor the shard journal, so the oracle recomputes the
+#: study instead of replaying the requested run. Studies that batch are
+#: rebuilt with ``batch_size=0`` (the scalar engine), and studies whose
+#: ``run()`` can write a run directory also pass ``obs_dir=""``, so the
+#: oracle never overwrites the requested run's manifest.
+SERIAL_ORACLE = dict(workers=1, cache_dir="", checkpoint_dir="")
+
+
+def _check_serial(digest: str, serial_digest: str) -> None:
+    """Print the ``--compare-serial`` verdict for a study digest against
+    its serial oracle's; raise :class:`ReproError` on a mismatch."""
+    match = digest == serial_digest
+    print(f"\nserial-equivalence check: "
+          f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
+    if not match:
+        raise ReproError(
+            f"result diverged from the serial oracle: "
+            f"{digest} != {serial_digest}")
 
 
 def _resolve_fault_plan(args):
@@ -170,13 +192,12 @@ def run_latency_curve(args) -> int:
     return 0
 
 
-def _run_adaptive_ablation(args, shard_size, fault_plan,
-                           resolved_ckpt) -> int:
+def _run_adaptive_ablation(args, fault_plan, resolved_ckpt) -> int:
     """``repro ablation --adaptive``: multi-arm CI early stopping."""
     from repro.fleet import AdaptiveAblation
 
     modes = tuple(m.strip() for m in args.arms.split(",") if m.strip())
-    kwargs = dict(shard_size=shard_size)
+    kwargs = dict(shard_size=args.shard_size)
     if args.margin is not None:
         kwargs["margin"] = args.margin
     if args.quantum is not None:
@@ -215,20 +236,20 @@ def _run_adaptive_ablation(args, shard_size, fault_plan,
 
 def run_ablation(args) -> int:
     """``repro ablation``: a paired fleet ablation study."""
-    from repro.fleet import DEFAULT_SHARD_SIZE, AblationStudy
+    from repro.fleet import AblationStudy
 
-    shard_size = getattr(args, "shard_size", None)
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    if getattr(args, "adaptive", False):
-        return _run_adaptive_ablation(args, shard_size, fault_plan,
-                                      resolved_ckpt)
-    study = AblationStudy(mode=args.mode, machines=args.machines,
-                          epochs=args.epochs, warmup_epochs=args.warmup,
-                          seed=args.seed, shard_size=shard_size,
-                          fault_plan=fault_plan)
+    if args.adaptive:
+        if args.compare_serial:
+            raise ReproError(
+                "--compare-serial does not apply to --adaptive")
+        return _run_adaptive_ablation(args, fault_plan, resolved_ckpt)
+    kwargs = dict(mode=args.mode, machines=args.machines,
+                  epochs=args.epochs, warmup_epochs=args.warmup,
+                  seed=args.seed, shard_size=args.shard_size,
+                  fault_plan=fault_plan)
+    study = AblationStudy(**kwargs)
     result = study.run(workers=args.workers,
                        cache_dir=args.cache_dir,
                        obs_dir=getattr(args, "obs_dir", None),
@@ -252,43 +273,24 @@ def run_ablation(args) -> int:
         print(f"\nfault plan: {fault_plan.spec()}")
         _print_chaos_summary(result.chaos)
     _print_queue_stats(study.queue_stats, resolved_ckpt)
-    if getattr(args, "compare_serial", False):
+    if args.compare_serial:
         from repro.analysis import result_digest
 
-        serial = AblationStudy(
-            mode=args.mode, machines=args.machines, epochs=args.epochs,
-            warmup_epochs=args.warmup, seed=args.seed,
-            shard_size=shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
-        # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded entry or the shard journal. Nor may it
-        # overwrite the user's run directory.
-        sharded_digest = result_digest(result)
-        serial_digest = result_digest(serial)
-        match = sharded_digest == serial_digest
-        print(f"\nserial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} "
-              f"(digest {sharded_digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded result diverged from serial run: "
-                f"{sharded_digest} != {serial_digest}")
+        serial = AblationStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
+        _check_serial(result_digest(result), result_digest(serial))
     return 0
 
 
 def run_sweep(args) -> int:
     """``repro sweep``: the trace-driven micro-fleet sweep."""
-    from repro.fleet import DEFAULT_SHARD_SIZE, MicroFleetSweep, sweep_digest
+    from repro.fleet import MicroFleetSweep, sweep_digest
 
-    shard_size = getattr(args, "shard_size", None)
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     kwargs = dict(mode=args.mode, machines=args.machines, seed=args.seed,
                   scale=args.scale, crash_rate=args.crash_rate,
-                  shard_size=shard_size, fault_plan=fault_plan,
-                  workload=getattr(args, "trace", None))
+                  shard_size=args.shard_size, fault_plan=fault_plan,
+                  workload=args.trace)
     sweep = MicroFleetSweep(batch_size=args.batch_size, **kwargs)
     result = sweep.run(workers=args.workers, cache_dir=args.cache_dir,
                        checkpoint_dir=checkpoint_dir)
@@ -306,39 +308,24 @@ def run_sweep(args) -> int:
     ]
     if live:
         _table(("sweep metric", "value"), rows)
-    _print_engine_occupancy(result)
     digest = sweep_digest(result)
-    print(f"\nresult digest: {digest}")
-    _print_queue_stats(sweep.queue_stats, resolved_ckpt)
-
+    _print_digest_footer(result, digest, sweep.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
-        serial = MicroFleetSweep(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
-        serial_digest = sweep_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+        # MicroFleetSweep.run writes no run directory.
+        serial = MicroFleetSweep(batch_size=0, **kwargs).run(**SERIAL_ORACLE)
+        _check_serial(digest, sweep_digest(serial))
     return 0
 
 
 def run_rollout(args) -> int:
     """``repro rollout``: the Figures 16-20 study."""
-    from repro.fleet import DEFAULT_SHARD_SIZE, RolloutStudy, rollout_digest
+    from repro.fleet import RolloutStudy, rollout_digest
 
-    shard_size = getattr(args, "shard_size", None)
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     kwargs = dict(machines=args.machines, epochs=args.epochs,
                   warmup_epochs=args.warmup, seed=args.seed,
-                  shard_size=shard_size, fault_plan=fault_plan)
+                  shard_size=args.shard_size, fault_plan=fault_plan)
     study = RolloutStudy(**kwargs)
     result = study.run(workers=args.workers,
                        obs_dir=getattr(args, "obs_dir", None),
@@ -366,21 +353,10 @@ def run_rollout(args) -> int:
         print(f"\nfault plan: {fault_plan.spec()}")
         _print_chaos_summary(result.chaos)
     digest = rollout_digest(result)
-    print(f"\nresult digest: {digest}")
-    _print_queue_stats(study.queue_stats, resolved_ckpt)
-    if getattr(args, "compare_serial", False):
-        # "" disables the cache, journal and run directory: the oracle
-        # leg recomputes in-process and leaves the user's run alone.
-        serial = RolloutStudy(**kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
-        serial_digest = rollout_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded result diverged from serial run: "
-                f"{digest} != {serial_digest}")
+    _print_digest_footer(result, digest, study.queue_stats, resolved_ckpt)
+    if args.compare_serial:
+        serial = RolloutStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
+        _check_serial(digest, rollout_digest(serial))
     return 0
 
 
@@ -474,10 +450,9 @@ def run_chaos(args) -> int:
         raise ReproError(
             "chaos needs a fault plan: pass --fault-plan or set "
             "$REPRO_FAULT_PLAN")
-    shard_size = getattr(args, "shard_size", None)
     kwargs = dict(machines=args.machines, epochs=args.epochs,
                   seed=args.seed, warmup_epochs=args.warmup,
-                  mode=args.mode, shard_size=shard_size)
+                  mode=args.mode, shard_size=args.shard_size)
     outcome = ChaosStudy(fault_plan, **kwargs).run(
         workers=args.workers, cache_dir=args.cache_dir,
         obs_dir=getattr(args, "obs_dir", None))
@@ -494,17 +469,10 @@ def run_chaos(args) -> int:
     ])
 
     if args.compare_serial:
-        serial = ChaosStudy(fault_plan, **kwargs).run(workers=1, obs_dir="")
-        sharded_digest = result_digest(outcome.faulted)
-        serial_digest = result_digest(serial.faulted)
-        match = sharded_digest == serial_digest
-        print(f"\nserial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} "
-              f"(digest {sharded_digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded result diverged from serial run: "
-                f"{sharded_digest} != {serial_digest}")
+        serial = ChaosStudy(fault_plan, **kwargs).run(obs_dir="",
+                                                      **SERIAL_ORACLE)
+        _check_serial(result_digest(outcome.faulted),
+                      result_digest(serial.faulted))
     return 0
 
 
@@ -738,13 +706,13 @@ def run_policy_compare(args) -> int:
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     specs = _policy_specs(args)
-    comparison = PolicyComparison(
-        specs, machines=args.machines, epochs=args.epochs,
-        warmup_epochs=args.warmup, seed=args.seed,
-        shard_size=args.shard_size, fault_plan=fault_plan)
-    report = comparison.run(workers=args.workers, cache_dir=args.cache_dir,
-                            obs_dir=getattr(args, "obs_dir", None),
-                            checkpoint_dir=checkpoint_dir)
+    kwargs = dict(machines=args.machines, epochs=args.epochs,
+                  warmup_epochs=args.warmup, seed=args.seed,
+                  shard_size=args.shard_size, fault_plan=fault_plan)
+    report = PolicyComparison(specs, **kwargs).run(
+        workers=args.workers, cache_dir=args.cache_dir,
+        obs_dir=getattr(args, "obs_dir", None),
+        checkpoint_dir=checkpoint_dir)
     digest = comparison_digest(report)
 
     rows = []
@@ -779,23 +747,10 @@ def run_policy_compare(args) -> int:
         atomic_write_text(args.out, canonical_json(report) + "\n")
         print(f"wrote {args.out}")
 
-    if getattr(args, "compare_serial", False):
-        serial = PolicyComparison(
-            specs, machines=args.machines, epochs=args.epochs,
-            warmup_epochs=args.warmup, seed=args.seed,
-            shard_size=args.shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
-        # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded legs or the shard journal. Nor may it
-        # overwrite the user's run directory.
-        serial_digest = comparison_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded comparison diverged from serial run: "
-                f"{digest} != {serial_digest}")
+    if args.compare_serial:
+        serial = PolicyComparison(specs, **kwargs).run(obs_dir="",
+                                                       **SERIAL_ORACLE)
+        _check_serial(digest, comparison_digest(serial))
     return 0
 
 
@@ -841,24 +796,12 @@ def run_scenario_callgraph(args) -> int:
           f"{slo.count} requests)")
     if fault_plan is not None:
         print(f"\nfault plan: {fault_plan.spec()}")
-    _print_engine_occupancy(result)
     digest = callgraph_digest(result)
-    print(f"\nresult digest: {digest}")
-    _print_queue_stats(scenario.queue_stats, resolved_ckpt)
-
+    _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        # Batching off, one worker, cache, journal and obs disabled:
-        # the oracle leg.
         serial = CallGraphScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
-        serial_digest = callgraph_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+            obs_dir="", **SERIAL_ORACLE)
+        _check_serial(digest, callgraph_digest(serial))
     return 0
 
 
@@ -886,13 +829,9 @@ def _noisy_policy(args):
 
 def run_scenario_noisy(args) -> int:
     """``repro scenario noisy``: the multi-tenant interference study."""
-    from repro.fleet import DEFAULT_SHARD_SIZE
     from repro.scenarios import (DEFAULT_TENANTS, NoisyNeighborScenario,
                                  noisy_digest)
 
-    shard_size = getattr(args, "shard_size", None)
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     policy = _noisy_policy(args) if args.mode == "policy" else None
@@ -903,7 +842,7 @@ def run_scenario_noisy(args) -> int:
                   seed=args.seed, mode=args.mode, policy=policy,
                   upper=args.upper, lower=args.lower,
                   sustain_ns=args.sustain_ns, crash_rate=args.crash_rate,
-                  shard_size=shard_size, fault_plan=fault_plan)
+                  shard_size=args.shard_size, fault_plan=fault_plan)
     scenario = NoisyNeighborScenario(batch_size=args.batch_size, **kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
@@ -934,10 +873,8 @@ def run_scenario_noisy(args) -> int:
           f"(controller flips: {result.transitions()})")
     if fault_plan is not None:
         print(f"\nfault plan: {fault_plan.spec()}")
-    _print_engine_occupancy(result)
     digest = noisy_digest(result)
-    print(f"\nresult digest: {digest}")
-    _print_queue_stats(scenario.queue_stats, resolved_ckpt)
+    _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
 
     if args.baseline:
         baseline = scenario.baseline_twin().run(
@@ -950,16 +887,7 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
-        # Batching off, one worker, cache, journal and obs disabled:
-        # the oracle leg.
         serial = NoisyNeighborScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
-        serial_digest = noisy_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+            obs_dir="", **SERIAL_ORACLE)
+        _check_serial(digest, noisy_digest(serial))
     return 0

@@ -7,6 +7,7 @@ import sys
 from typing import List, Optional
 
 from repro.cli import commands
+from repro.fleet.shard import DEFAULT_SHARD_SIZE
 
 
 def _add_execution_flags(subparser: argparse.ArgumentParser) -> None:
@@ -43,6 +44,31 @@ def _add_obs_flag(subparser: argparse.ArgumentParser) -> None:
         help="write a run manifest and merged event log under this "
              "directory (default: $REPRO_OBS_DIR; unset disables "
              "observability); inspect with 'repro report <run-dir>'")
+
+
+def _add_shard_size_flag(subparser: argparse.ArgumentParser) -> None:
+    """The shared shard-plan flag for the sharded fleet studies."""
+    subparser.add_argument(
+        "--shard-size", type=int, default=DEFAULT_SHARD_SIZE, metavar="M",
+        help="max machines per shard (default %(default)s)")
+
+
+def _add_batch_size_flag(subparser: argparse.ArgumentParser) -> None:
+    """The shared engine flag for the trace-driven studies."""
+    subparser.add_argument(
+        "--batch-size", type=int, default=None, metavar="N",
+        help="arms per lockstep batch (default: $REPRO_BATCH or 32; "
+             "0 runs every arm on the scalar engine); results are "
+             "identical at any value")
+
+
+def _add_compare_serial_flag(subparser: argparse.ArgumentParser) -> None:
+    """The shared ``--compare-serial`` determinism-check flag."""
+    subparser.add_argument(
+        "--compare-serial", action="store_true",
+        help="also rerun the study as the serial oracle (one worker, "
+             "scalar engine, no cache, journal or run directory) and "
+             "fail unless its digest is bit-identical")
 
 
 def _add_fault_plan_flag(subparser: argparse.ArgumentParser) -> None:
@@ -97,12 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("--epochs", type=int, default=60)
     ablation.add_argument("--warmup", type=int, default=20)
     ablation.add_argument("--seed", type=int, default=9)
-    ablation.add_argument("--shard-size", type=int, default=None,
-                          help="max machines per shard (default 32)")
-    ablation.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially and fail unless the sharded result is "
-             "bit-identical (sharding determinism check)")
+    _add_shard_size_flag(ablation)
+    _add_compare_serial_flag(ablation)
     ablation.add_argument(
         "--adaptive", action="store_true",
         help="compare several arms with CI-based early stopping instead "
@@ -144,24 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--crash-rate", type=float, default=0.0,
                        help="chaos: fraction of arms marked down for the "
                             "whole replay (deterministic per-arm draw)")
-    sweep.add_argument("--shard-size", type=int, default=None,
-                       help="max machines per shard (default 32)")
+    _add_shard_size_flag(sweep)
     sweep.add_argument(
         "--trace", choices=("fleetbench", "scenario"),
         default="fleetbench",
         help="shared trace every arm replays: the fleetbench-style mix "
              "(default) or the scenario subsystem's two-tenant "
              "noisy-neighbor interleave")
-    sweep.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="arms per lockstep batch (default: $REPRO_BATCH or 32; "
-             "0 runs every arm on the scalar engine); results are "
-             "identical at any value")
-    sweep.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially with batching off and fail unless the "
-             "result is bit-identical (engine + sharding determinism "
-             "check)")
+    _add_batch_size_flag(sweep)
+    _add_compare_serial_flag(sweep)
     _add_execution_flags(sweep)
     _add_checkpoint_flags(sweep)
     _add_fault_plan_flag(sweep)
@@ -173,12 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--epochs", type=int, default=70)
     rollout.add_argument("--warmup", type=int, default=25)
     rollout.add_argument("--seed", type=int, default=5)
-    rollout.add_argument("--shard-size", type=int, default=None,
-                         help="max machines per shard (default 32)")
-    rollout.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially and fail unless the sharded result is "
-             "bit-identical (determinism check)")
+    _add_shard_size_flag(rollout)
+    _add_compare_serial_flag(rollout)
     _add_execution_flags(rollout)
     _add_checkpoint_flags(rollout)
     _add_fault_plan_flag(rollout)
@@ -215,12 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--epochs", type=int, default=60)
     chaos.add_argument("--warmup", type=int, default=15)
     chaos.add_argument("--seed", type=int, default=11)
-    chaos.add_argument("--shard-size", type=int, default=None,
-                       help="max machines per shard (default 32)")
-    chaos.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially and fail unless the sharded result is "
-             "bit-identical (determinism check)")
+    _add_shard_size_flag(chaos)
+    _add_compare_serial_flag(chaos)
     _add_execution_flags(chaos)
     _add_fault_plan_flag(chaos)
     _add_obs_flag(chaos)
@@ -299,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--epochs", type=int, default=40)
     compare.add_argument("--warmup", type=int, default=10)
     compare.add_argument("--seed", type=int, default=11)
-    compare.add_argument("--shard-size", type=int, default=None,
-                         help="max machines per shard (default 32)")
+    _add_shard_size_flag(compare)
     compare.add_argument("--threshold", type=float, default=0.8,
                          help="the single-threshold policy's cutoff")
     compare.add_argument("--bandit-seed", type=int, default=3,
@@ -314,10 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--probe-scale", type=float, default=0.5)
     compare.add_argument("--out", type=str, default="", metavar="FILE",
                          help="also write the report as canonical JSON")
-    compare.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially and fail unless the report digest is "
-             "bit-identical (determinism check)")
+    _add_compare_serial_flag(compare)
     _add_execution_flags(compare)
     _add_checkpoint_flags(compare)
     _add_fault_plan_flag(compare)
@@ -354,16 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     callgraph.add_argument("--crash-rate", type=float, default=0.0,
                            help="chaos: fraction of replicas marked down "
                                 "for the whole replay")
-    callgraph.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="arms per lockstep batch (default: $REPRO_BATCH or 32; "
-             "0 forces the scalar engine); results are identical at "
-             "any value")
-    callgraph.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially with batching off and fail unless the "
-             "result is bit-identical (engine + sharding determinism "
-             "check)")
+    _add_batch_size_flag(callgraph)
+    _add_compare_serial_flag(callgraph)
     _add_execution_flags(callgraph)
     _add_checkpoint_flags(callgraph)
     _add_fault_plan_flag(callgraph)
@@ -410,23 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "never expires inside a microsecond replay)")
     noisy.add_argument("--crash-rate", type=float, default=0.0,
                        help="chaos: fraction of machines marked down")
-    noisy.add_argument("--shard-size", type=int, default=None,
-                       help="max machines per shard (default 32); never "
-                            "affects results")
-    noisy.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="machines per lockstep batch within each epoch (default: "
-             "$REPRO_BATCH or 32; 0 forces the scalar engine); results "
-             "are identical at any value")
+    _add_shard_size_flag(noisy)
+    _add_batch_size_flag(noisy)
     noisy.add_argument(
         "--baseline", action="store_true",
         help="also run the paired always-enabled twin over identical "
              "traffic and report per-tenant relative changes")
-    noisy.add_argument(
-        "--compare-serial", action="store_true",
-        help="also run serially with batching off and fail unless the "
-             "result is bit-identical (engine + sharding determinism "
-             "check)")
+    _add_compare_serial_flag(noisy)
     _add_execution_flags(noisy)
     _add_checkpoint_flags(noisy)
     _add_fault_plan_flag(noisy)

@@ -42,7 +42,6 @@ from repro.fleet.parallel import (
     resolve_batch_size,
     resolve_workers,
     run_sharded,
-    run_sharded_incremental,
 )
 from repro.fleet.result_cache import StudyResultCache, study_cache
 from repro.fleet.queue import (
@@ -90,7 +89,6 @@ __all__ = [
     "resolve_batch_size",
     "resolve_workers",
     "run_sharded",
-    "run_sharded_incremental",
     "StudyResultCache",
     "study_cache",
     "QueueStats",

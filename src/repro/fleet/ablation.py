@@ -396,8 +396,7 @@ class AblationStudy(FleetStudy):
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             obs_dir: Optional[str] = None,
-            checkpoint_dir: Optional[str] = None,
-            resume: bool = True) -> AblationResult:
+            checkpoint_dir: Optional[str] = None) -> AblationResult:
         """Run both arms and collect the paired result.
 
         The arguments follow :func:`~repro.fleet.study.run_study`: the
@@ -413,5 +412,5 @@ class AblationStudy(FleetStudy):
         result, self.queue_stats = run_study(
             self, run_ablation_shard, ablation_result_from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
+            checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result

@@ -285,8 +285,7 @@ class AdaptiveAblation:
 
     def run(self, workers: Optional[int] = None,
             checkpoint_dir: Optional[str] = None,
-            obs_dir: Optional[str] = None,
-            resume: bool = True) -> AdaptiveResult:
+            obs_dir: Optional[str] = None) -> AdaptiveResult:
         """Run the arms round by round with early stopping.
 
         Shards execute through the checkpointed work queue when a
@@ -331,8 +330,7 @@ class AdaptiveAblation:
                     materials[mode][start:stop], workers,
                     checkpoint=checkpoint, to_payload=shard_payload,
                     from_payload=shard_from_payload(
-                        ablation_result_from_dict),
-                    resume=resume)
+                        ablation_result_from_dict))
                 arm = arms[mode]
                 # The arms' shard events stay out of the adaptive log.
                 for spec, (result, _, _) in zip(specs[mode][start:stop],

@@ -105,36 +105,10 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     return batch_size
 
 
-def run_sharded(worker: Callable[[_Spec], _Result],
-                specs: Sequence[_Spec],
-                workers: int = 1) -> List[_Result]:
-    """Map ``worker`` over ``specs``; results come back in spec order.
-
-    With ``workers <= 1`` (or a single spec) this is a plain serial loop.
-    Otherwise the specs are fanned out over a process pool — ``worker``
-    and every spec must be picklable (module-level function, dataclass
-    spec). If the pool cannot be created or dies mid-flight the whole
-    map is recomputed serially; workers are pure functions of their spec,
-    so recomputation cannot change the answer.
-    """
-    if workers <= 1 or len(specs) <= 1:
-        return [worker(spec) for spec in specs]
-    try:
-        max_workers = min(workers, len(specs))
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers) as pool:
-            return list(pool.map(worker, specs))
-    except (OSError, ImportError, PermissionError,
-            concurrent.futures.process.BrokenProcessPool):
-        # No usable process pool here (restricted sandbox, missing
-        # semaphores, killed worker): fall back to the serial path.
-        return [worker(spec) for spec in specs]
-
-
 class _CallbackError(Exception):
     """Wraps an exception raised by an ``on_result`` callback.
 
-    The incremental runner must tell *pool* failures (degrade to serial,
+    :func:`run_sharded` must tell *pool* failures (degrade to serial,
     results unaffected) apart from *callback* failures (the caller's
     journal raised, or deliberately interrupted the queue — propagate).
     Since both surface inside the same ``try``, callback exceptions are
@@ -147,68 +121,67 @@ class _CallbackError(Exception):
         self.cause = cause
 
 
-def run_sharded_incremental(
+def run_sharded(
         worker: Callable[[_Spec], _Result],
         specs: Sequence[_Spec],
         workers: int = 1,
         on_result: Optional[Callable[[int, _Result], None]] = None,
 ) -> List[_Result]:
-    """Like :func:`run_sharded`, but reports each result as it lands.
+    """Map ``worker`` over ``specs``; results come back in spec order.
 
-    ``on_result(index, result)`` fires exactly once per spec, in
-    *completion* order (which under a pool differs from spec order), as
-    soon as that shard's result exists — this is the hook the checkpoint
-    journal writes through, so a study killed mid-run keeps every shard
-    that finished. The returned list is still in spec order, so the
-    downstream merge is unaffected.
+    With ``workers <= 1`` (or a single spec) this is a plain serial loop.
+    Otherwise the specs are fanned out over a process pool — ``worker``
+    and every spec must be picklable (module-level function, dataclass
+    spec).
+
+    ``on_result(index, result)``, when given, fires exactly once per
+    spec, in *completion* order (which under a pool differs from spec
+    order), as soon as that shard's result exists — this is the hook the
+    checkpoint journal writes through, so a study killed mid-run keeps
+    every shard that finished.
 
     Failure contract:
 
-    * Pool infrastructure failing (no semaphores, broken pool) degrades
-      to serial — but only the positions whose callback has *not* fired
+    * Pool infrastructure failing (no semaphores, broken pool, killed
+      worker) degrades to serial. Only the positions without a result
       are recomputed, so ``on_result`` still fires exactly once per spec
-      and nothing already journaled is recomputed or re-reported.
+      and nothing already journaled is recomputed or re-reported;
+      workers are pure functions of their spec, so recomputation cannot
+      change the answer.
     * An exception raised *by the callback* (including a deliberate
       :class:`~repro.errors.QueueInterrupted`) propagates to the caller
       unchanged; it is never mistaken for a pool failure.
     """
-    if on_result is None:
-        return run_sharded(worker, specs, workers)
     results: List[Optional[_Result]] = [None] * len(specs)
     done = [False] * len(specs)
 
     def finish(index: int, result: _Result) -> None:
         results[index] = result
         done[index] = True
-        try:
+        if on_result is not None:
             on_result(index, result)
-        except BaseException as exc:
-            raise _CallbackError(exc) from exc
 
-    try:
-        if workers <= 1 or len(specs) <= 1:
-            for index, spec in enumerate(specs):
-                finish(index, worker(spec))
-        else:
-            max_workers = min(workers, len(specs))
+    if workers > 1 and len(specs) > 1:
+        try:
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=max_workers) as pool:
+                    max_workers=min(workers, len(specs))) as pool:
                 futures = {pool.submit(worker, spec): index
                            for index, spec in enumerate(specs)}
                 for future in concurrent.futures.as_completed(futures):
-                    finish(futures[future], future.result())
-    except _CallbackError as exc:
-        raise exc.cause
-    except (OSError, ImportError, PermissionError,
-            concurrent.futures.process.BrokenProcessPool):
-        # Pool infrastructure failed. Recompute only the shards whose
-        # callback has not fired, so ``on_result`` still fires exactly
-        # once per spec; callback exceptions from this serial pass are
-        # unwrapped below.
-        try:
-            for index, spec in enumerate(specs):
-                if not done[index]:
-                    finish(index, worker(spec))
+                    result = future.result()
+                    try:
+                        finish(futures[future], result)
+                    except BaseException as exc:
+                        raise _CallbackError(exc) from exc
         except _CallbackError as exc:
             raise exc.cause
+        except (OSError, ImportError, PermissionError,
+                concurrent.futures.process.BrokenProcessPool):
+            # No usable process pool here (restricted sandbox, missing
+            # semaphores, killed worker): the serial pass below computes
+            # whatever the pool did not finish.
+            pass
+    for index, spec in enumerate(specs):
+        if not done[index]:
+            finish(index, worker(spec))
     return results  # type: ignore[return-value]

@@ -51,7 +51,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 import pathlib
 
 from repro.errors import ConfigError, QueueInterrupted, TraceError
-from repro.fleet.parallel import run_sharded_incremental
+from repro.fleet.parallel import run_sharded
 from repro.fleet.result_cache import StudyResultCache
 
 #: Environment override for the default checkpoint directory; unset or
@@ -220,7 +220,6 @@ def run_checkpointed(
         checkpoint: Optional[ShardCheckpoint] = None,
         to_payload: Optional[Callable[[_Result], Dict]] = None,
         from_payload: Optional[Callable[[Dict], _Result]] = None,
-        resume: bool = True,
         abort_after: Optional[int] = None,
 ) -> Tuple[List[_Result], QueueStats]:
     """Map ``worker`` over ``specs`` through the checkpoint journal.
@@ -228,8 +227,7 @@ def run_checkpointed(
     ``materials[i]`` is the shard-task key material for ``specs[i]``
     (build it with :func:`shard_task_material`). With a ``checkpoint``,
     every journaled shard whose key matches is restored via
-    ``from_payload`` instead of computed (unless ``resume=False``, which
-    still journals but never reads), and every computed shard is
+    ``from_payload`` instead of computed, and every computed shard is
     journaled via ``to_payload`` the moment it lands — in completion
     order, so an interrupted run keeps all finished work.
 
@@ -257,23 +255,22 @@ def run_checkpointed(
             raise QueueInterrupted(
                 f"aborting after {abort_after} of {len(specs)} shards "
                 f"(no checkpoint directory configured)")
-        outputs = run_sharded_incremental(worker, specs, workers)
+        outputs = run_sharded(worker, specs, workers)
         return outputs, QueueStats(
             total=len(specs), restored=0,
             computed=len(specs), journaled=0)
 
     results: List[Optional[_Result]] = [None] * len(specs)
     restored_indexes: List[int] = []
-    if resume:
-        for index, material in enumerate(materials):
-            payload = checkpoint.load(material)
-            if payload is None:
-                continue
-            try:
-                results[index] = from_payload(payload)
-            except STALE_PAYLOAD_ERRORS:
-                continue  # recompute rather than crash
-            restored_indexes.append(index)
+    for index, material in enumerate(materials):
+        payload = checkpoint.load(material)
+        if payload is None:
+            continue
+        try:
+            results[index] = from_payload(payload)
+        except STALE_PAYLOAD_ERRORS:
+            continue  # recompute rather than crash
+        restored_indexes.append(index)
     restored = len(restored_indexes)
 
     pending = [index for index in range(len(specs))
@@ -292,7 +289,7 @@ def run_checkpointed(
                 f"({restored} restored, {len(specs)} total); "
                 f"journal: {checkpoint.root}")
 
-    run_sharded_incremental(
+    run_sharded(
         worker, [specs[index] for index in pending], workers,
         on_result=journal_result)
     outputs: List[_Result] = results  # type: ignore[assignment]

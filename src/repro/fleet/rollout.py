@@ -283,8 +283,7 @@ class RolloutStudy(FleetStudy):
     def run(self, workers: Optional[int] = None,
             obs_dir: Optional[str] = None,
             cache_dir: Optional[str] = None,
-            checkpoint_dir: Optional[str] = None,
-            resume: bool = True) -> RolloutResult:
+            checkpoint_dir: Optional[str] = None) -> RolloutResult:
         """Run all arms across every shard and collect the result.
 
         The arguments follow :func:`~repro.fleet.study.run_study`; the
@@ -297,7 +296,7 @@ class RolloutStudy(FleetStudy):
         result, self.queue_stats = run_study(
             self, run_rollout_shard, rollout_result_from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
+            checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result
 
     def _run_single(self, tracer=None) -> RolloutResult:

@@ -144,7 +144,6 @@ def run_study(
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
     obs_dir: Optional[str] = None,
 ) -> Tuple:
     """Run a study's shards; returns ``(result, queue_stats)``.
@@ -163,8 +162,6 @@ def run_study(
             ``$REPRO_CHECKPOINT``; empty/unset disables it. Finished
             shards journal as they land and a re-run restores them; the
             merged result is bit-identical either way.
-        resume: Whether to restore journaled shards (the default) or
-            recompute while still journaling.
         obs_dir: Observability run directory. ``None`` reads
             ``$REPRO_OBS_DIR``; empty/unset disables it. When set, the
             run writes ``events.jsonl`` and ``manifest.json`` there.
@@ -203,7 +200,6 @@ def run_study(
                 checkpoint=checkpoint,
                 to_payload=shard_payload,
                 from_payload=shard_from_payload(from_payload),
-                resume=resume,
             )
         outputs = [shard_output(output) for output in outputs]
         if session is not None:

@@ -471,8 +471,7 @@ class MicroFleetSweep:
 
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
-            checkpoint_dir: Optional[str] = None,
-            resume: bool = True) -> MicroSweepResult:
+            checkpoint_dir: Optional[str] = None) -> MicroSweepResult:
         """Run every shard and merge the rows in plan order.
 
         The arguments follow :func:`~repro.fleet.study.run_study`; the
@@ -486,5 +485,5 @@ class MicroFleetSweep:
         result, self.queue_stats = run_study(
             self, run_sweep_shard, MicroSweepResult.from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir="")
+            checkpoint_dir=checkpoint_dir, obs_dir="")
         return result

@@ -83,17 +83,12 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 from repro.memsys.cache import _LineState
 from repro.memsys.dram import ConstantExternalLoad
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.units import CACHE_LINE_BYTES
-
-HAVE_NUMPY = _np is not None
 
 #: Initial per-arm bandwidth-window ring capacity (grows on demand).
 _WINDOW_CAP = 1024
@@ -158,12 +153,10 @@ class BatchOccupancy:
 def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot join a lockstep batch (``None`` = it can).
 
-    Checks: NumPy present, no tracer attached, every *enabled* hardware
-    prefetcher lockstep-safe (the enabled snapshot is kept fresh through
-    MSR-write watchers), and external DRAM load absent or constant.
+    Checks: no tracer attached, every *enabled* hardware prefetcher
+    lockstep-safe (the enabled snapshot is kept fresh through MSR-write
+    watchers), and external DRAM load absent or constant.
     """
-    if not HAVE_NUMPY:
-        return "no-numpy"
     if hierarchy.obs is not None and hierarchy.obs:
         return "tracer"
     if not hierarchy.prefetchers.lockstep_safe():

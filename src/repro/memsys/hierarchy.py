@@ -891,9 +891,6 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     elif not isinstance(trace, Trace):
         scalar_arms = list(range(len(hierarchies)))
         note_scalar(len(scalar_arms), "uncompiled-trace")
-    elif not batched.HAVE_NUMPY:
-        scalar_arms = list(range(len(hierarchies)))
-        note_scalar(len(scalar_arms), "no-numpy")
     else:
         compiled = trace.compile()
         sw_lines = batched.software_prefetch_lines(compiled)

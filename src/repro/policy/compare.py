@@ -92,15 +92,14 @@ class PolicyComparison:
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             obs_dir: Optional[str] = None,
-            checkpoint_dir: Optional[str] = None,
-            resume: bool = True) -> Dict:
+            checkpoint_dir: Optional[str] = None) -> Dict:
         """Run every policy leg and build the report dict."""
         entries: Dict[str, Dict] = {}
         for name, spec in self.policies:
             study = self._study(spec, fault_plan=None)
             result = study.run(workers=workers, cache_dir=cache_dir,
                                obs_dir=obs_dir,
-                               checkpoint_dir=checkpoint_dir, resume=resume)
+                               checkpoint_dir=checkpoint_dir)
             pm = result.policy_metrics
             if pm is None:
                 raise ConfigError(
@@ -123,8 +122,7 @@ class PolicyComparison:
                 faulted = self._study(spec, fault_plan=self.fault_plan)
                 fresult = faulted.run(workers=workers, cache_dir=cache_dir,
                                       obs_dir=obs_dir,
-                                      checkpoint_dir=checkpoint_dir,
-                                      resume=resume)
+                                      checkpoint_dir=checkpoint_dir)
                 fpm = fresult.policy_metrics
                 chaos = fresult.chaos
                 entry["faulted"] = {

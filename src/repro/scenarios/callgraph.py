@@ -525,7 +525,6 @@ class CallGraphScenario:
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
-            resume: bool = True,
             obs_dir: Optional[str] = None) -> CallGraphResult:
         """Run every service shard and merge rows in plan order.
 
@@ -539,5 +538,5 @@ class CallGraphScenario:
         result, self.queue_stats = run_study(
             self, run_callgraph_shard, CallGraphResult.from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
+            checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result

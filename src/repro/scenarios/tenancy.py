@@ -592,7 +592,6 @@ class NoisyNeighborScenario:
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
-            resume: bool = True,
             obs_dir: Optional[str] = None) -> NoisyNeighborResult:
         """Run every machine shard and merge rows in plan order.
 
@@ -605,7 +604,7 @@ class NoisyNeighborScenario:
         result, self.queue_stats = run_study(
             self, run_noisy_shard, NoisyNeighborResult.from_dict,
             workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir)
+            checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result
 
     def baseline_twin(self) -> "NoisyNeighborScenario":

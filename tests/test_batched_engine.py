@@ -14,8 +14,13 @@ the environment — so CI's ``batched-equivalence`` matrix can pin it
 through ``REPRO_BATCH``.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.errors import ConfigError
 from repro.fleet import MicroFleetSweep, resolve_batch_size
@@ -34,9 +39,6 @@ from repro.memsys.prefetchers.hinted import HintedRegionPrefetcher
 from repro.memsys.prefetchers.nextline import NextLinePrefetcher
 from repro.memsys.prefetchers.stream import StreamPrefetcher
 from repro.scenarios import CallGraphScenario, NoisyNeighborScenario
-
-pytestmark = pytest.mark.skipif(not batched.HAVE_NUMPY,
-                                reason="lockstep engine needs numpy")
 
 STAT_FIELDS = (
     "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
@@ -640,3 +642,32 @@ class TestExportState:
             assert (tuple(getattr(rerun[arm].total, f) for f in count_stats)
                     == tuple(getattr(cold_results[arm].total, f)
                              for f in count_stats))
+
+
+#: Imports ``repro``, runs a 2-machine rollout, and prints whether NumPy
+#: was loaded after each step.
+ROLLOUT_PROBE = (
+    "import sys\n"
+    "import repro\n"
+    "print('numpy' in sys.modules)\n"
+    "from repro.fleet import RolloutStudy\n"
+    "RolloutStudy(machines=2, epochs=4, warmup_epochs=1, seed=5).run(\n"
+    "    workers=1, cache_dir='', checkpoint_dir='', obs_dir='')\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+class TestNumpyStaysLazy:
+    """Only :func:`~repro.memsys.run_many` imports the lockstep engine,
+    and with it NumPy. The analytic fleet studies never call it, so a
+    rollout process stays free of NumPy's memory footprint."""
+
+    def test_import_and_rollout_leave_numpy_unloaded(self):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", ROLLOUT_PROBE], env=env,
+            capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]

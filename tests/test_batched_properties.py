@@ -7,7 +7,6 @@ comparison the golden suite makes, minimized automatically when a
 counterexample exists.
 """
 
-import pytest
 from tests.hypothesis_profiles import scaled
 from hypothesis import given, settings, strategies as st
 
@@ -19,12 +18,8 @@ from repro.memsys import (
     PrefetcherBank,
     run_many,
 )
-from repro.memsys import batched
 
 from tests.test_batched_engine import exotic_bank, snapshot
-
-pytestmark = pytest.mark.skipif(not batched.HAVE_NUMPY,
-                                reason="lockstep engine needs numpy")
 
 record_strategy = st.builds(
     MemoryAccess,

@@ -231,6 +231,12 @@ class TestAdaptiveCommand:
         with pytest.raises(ReproError):
             main(["ablation", "--adaptive", "--arms", "off"])
 
+    def test_adaptive_rejects_compare_serial(self):
+        """The adaptive path has no serial oracle; accepting the flag
+        would exit 0 without ever running the check."""
+        with pytest.raises(ReproError, match="--compare-serial.*--adaptive"):
+            main(["ablation", "--adaptive", "--compare-serial"])
+
 
 class TestScenarioCommands:
     CALLGRAPH = ["scenario", "callgraph",
@@ -282,26 +288,32 @@ class TestScenarioCommands:
         assert "serial-equivalence check: OK" in capsys.readouterr().out
 
 
+#: One small sharded run per study command that writes a run directory.
+OBS_STUDIES = {
+    "ablation": ["ablation", "--machines", "6", "--epochs", "6",
+                 "--warmup", "2", "--mode", "hard", "--shard-size", "3"],
+    "chaos": ["chaos", "--machines", "4", "--epochs", "6", "--warmup", "2",
+              "--shard-size", "2", "--fault-plan",
+              "seed=2;msr-transient:rate=0.2"],
+    "policy-compare": ["policy", "compare", "--policies",
+                       "hysteresis,single-threshold", "--machines", "4",
+                       "--epochs", "6", "--warmup", "2", "--shard-size", "2"],
+    "callgraph": TestScenarioCommands.CALLGRAPH,
+    "noisy": TestScenarioCommands.NOISY + ["--shard-size", "2",
+                                           "--baseline"],
+    "rollout": ["rollout", "--machines", "4", "--epochs", "6", "--warmup",
+                "2", "--shard-size", "2"],
+}
+
+
 class TestSecondaryLegsStayDark:
     """With ``$REPRO_OBS_DIR`` exported, only the requested run may write
     the run directory: the ``--compare-serial`` oracle legs and the noisy
     ``--baseline`` twin pass ``obs_dir=""``, so the manifest describes
     the run at the requested worker count."""
 
-    @pytest.mark.parametrize("argv", [
-        ["ablation", "--machines", "6", "--epochs", "6", "--warmup", "2",
-         "--mode", "hard", "--shard-size", "3"],
-        ["chaos", "--machines", "4", "--epochs", "6", "--warmup", "2",
-         "--shard-size", "2", "--fault-plan", "seed=2;msr-transient:rate=0.2"],
-        ["policy", "compare", "--policies", "hysteresis,single-threshold",
-         "--machines", "4", "--epochs", "6", "--warmup", "2",
-         "--shard-size", "2"],
-        TestScenarioCommands.CALLGRAPH,
-        TestScenarioCommands.NOISY + ["--shard-size", "2", "--baseline"],
-        ["rollout", "--machines", "4", "--epochs", "6", "--warmup", "2",
-         "--shard-size", "2"],
-    ], ids=["ablation", "chaos", "policy-compare", "callgraph", "noisy",
-            "rollout"])
+    @pytest.mark.parametrize("argv", list(OBS_STUDIES.values()),
+                             ids=list(OBS_STUDIES))
     def test_manifest_describes_the_requested_run(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         from repro.obs import read_manifest
@@ -315,3 +327,32 @@ class TestSecondaryLegsStayDark:
         execution = read_manifest(out)["execution"]
         assert execution["workers"] == 2
         assert execution["cache"] == "miss"
+
+
+class TestOracleRecomputes:
+    """With ``$REPRO_CACHE_DIR`` and ``$REPRO_CHECKPOINT`` exported, the
+    ``--compare-serial`` oracle must still recompute: it runs with no
+    result cache and no shard journal. The requested run is cold, so any
+    cache or journal hit means the oracle replayed it and the check
+    compared a result with itself."""
+
+    STUDIES = {**OBS_STUDIES,
+               "sweep": ["sweep", "--machines", "6", "--scale", "0.1",
+                         "--shard-size", "3"]}
+
+    @pytest.mark.parametrize("argv", list(STUDIES.values()),
+                             ids=list(STUDIES))
+    def test_oracle_never_hits_a_store(self, argv, tmp_path, monkeypatch,
+                                       capsys):
+        from repro.fleet.queue import CHECKPOINT_ENV_VAR, ShardCheckpoint
+        from repro.fleet.result_cache import CACHE_ENV_VAR, StudyResultCache
+        from repro.obs.session import OBS_ENV_VAR
+
+        cache, journal = tmp_path / "cache", tmp_path / "journal"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        monkeypatch.setenv(CHECKPOINT_ENV_VAR, str(journal))
+        monkeypatch.delenv(OBS_ENV_VAR, raising=False)
+        assert main(argv + ["--workers", "2", "--compare-serial"]) == 0
+        assert "serial-equivalence check: OK" in capsys.readouterr().out
+        assert StudyResultCache(cache).stats()["hits"] == 0
+        assert ShardCheckpoint(journal).stats()["hits"] == 0

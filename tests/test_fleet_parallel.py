@@ -2,9 +2,11 @@
 runner, and — the engine's core guarantee — parallel results identical
 to serial results for the same seed."""
 
+import concurrent.futures
+
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueueInterrupted
 from repro.analysis import result_digest
 from repro.fleet import AblationStudy, RolloutStudy, StudyResultCache
 from repro.fleet.ablation import run_ablation_shard
@@ -87,6 +89,91 @@ class TestRunSharded:
 
     def test_single_spec_runs_inline(self):
         assert run_sharded(_square, [6], workers=8) == [36]
+
+
+def _no_pool(*args, **kwargs):
+    raise OSError("no process semaphores here")
+
+
+class _InlinePool:
+    """A process-pool stand-in that runs each task at submit time, so a
+    test can count worker calls in-process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestRunShardedPoolFailure:
+    """A pool that cannot start degrades to the serial path; a failing
+    ``on_result`` callback is never mistaken for a pool failure."""
+
+    @pytest.fixture
+    def calls(self):
+        return []
+
+    @pytest.fixture
+    def counted_square(self, calls):
+        def worker(value):
+            calls.append(value)
+            return value * value
+        return worker
+
+    def test_results_in_spec_order(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
+        assert run_sharded(_square, [3, 1, 2], workers=2) == [9, 1, 4]
+
+    def test_on_result_fires_once_per_spec(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
+        seen = []
+        results = run_sharded(_square, [3, 1, 2], workers=2,
+                              on_result=lambda i, r: seen.append((i, r)))
+        assert results == [9, 1, 4]
+        assert sorted(seen) == [(0, 9), (1, 1), (2, 4)]
+
+    def test_callback_interrupt_propagates_without_fallback(
+            self, monkeypatch, calls, counted_square):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
+        stop = QueueInterrupted("stop after the first shard")
+
+        def interrupt(index, result):
+            raise stop
+
+        with pytest.raises(QueueInterrupted) as excinfo:
+            run_sharded(counted_square, [3, 1, 2], workers=2,
+                        on_result=interrupt)
+        assert excinfo.value is stop
+        assert calls == [3]
+
+    def test_callback_os_error_under_a_pool_is_not_a_pool_failure(
+            self, monkeypatch, calls, counted_square):
+        """A journal write failing inside the pool loop propagates; it
+        does not send the map to the serial fallback."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _InlinePool)
+        disk_full = OSError("disk full")
+
+        def journal(index, result):
+            raise disk_full
+
+        with pytest.raises(OSError) as excinfo:
+            run_sharded(counted_square, [3, 1, 2], workers=2,
+                        on_result=journal)
+        assert excinfo.value is disk_full
+        assert calls == [3, 1, 2]
 
 
 def _ablation_dict(study, workers):

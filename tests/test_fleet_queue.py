@@ -116,12 +116,6 @@ class TestRunCheckpointed:
         assert stats.restored == 3 and stats.computed == 0
         assert stats.restored_indexes == (0, 1, 2)
 
-    def test_resume_false_recomputes_but_journals(self, tmp_path):
-        checkpoint = ShardCheckpoint(tmp_path)
-        self._run([1, 2], checkpoint)
-        _, stats = self._run([1, 2], checkpoint, resume=False)
-        assert stats.restored == 0 and stats.journaled == 2
-
     def test_abort_after_keeps_journaled_progress(self, tmp_path):
         checkpoint = ShardCheckpoint(tmp_path)
         with pytest.raises(QueueInterrupted):
