@@ -50,10 +50,6 @@ class TraceError(ReproError):
     """A memory trace was malformed or internally inconsistent."""
 
 
-class SimulationError(ReproError):
-    """The simulator reached an internally inconsistent state."""
-
-
 class QueueInterrupted(ReproError):
     """A checkpointed work-queue stopped before computing every shard.
 

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigError
-
-#: Machines per shard when the caller does not choose. Sized so the
-#: repository's historical study sizes (<= 32 machines) stay single-shard
-#: — and therefore numerically identical to the pre-sharding engine —
-#: while paper-scale populations split into enough shards to keep every
-#: worker busy.
-DEFAULT_SHARD_SIZE = 32
+from repro.memsys.hierarchy import DEFAULT_SHARD_SIZE
 
 
 def shard_seed(master_seed: int, index: int) -> int:

@@ -60,22 +60,23 @@ before export — :func:`~repro.memsys.hierarchy.run_many` just reruns
 that chunk on the scalar engine.
 
 Batching eligibility has two layers. :func:`lockstep_eligible` is
-per-arm: every *enabled* hardware prefetcher must be lockstep-safe
+per-arm: the arm must be *cold* (not run since construction or
+``reset()``), every *enabled* hardware prefetcher must be lockstep-safe
 (:attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.lockstep_safe`),
 the external DRAM load absent or a
 :class:`~repro.memsys.dram.ConstantExternalLoad`, and no tracer
-attached. :func:`state_fingerprint` then groups eligible arms by
-starting cache/in-flight/recent-miss state *and* bank state (enabled
-mask + per-prefetcher training fingerprints; cold arms all share one
-fingerprint), because uniformity is an invariant only when it holds at
-entry. Control-mode arms whose daemons toggled MSRs between trace
-slices regroup dynamically: each :func:`~repro.memsys.hierarchy.run_many`
-call re-fingerprints, so arms that diverged fall into smaller lockstep
-sub-batches instead of all the way to scalar. Arms that fail either
-test — a custom prefetcher without the lockstep protocol, a callable
-load profile, a divergent warm state — simply run the scalar engine
-inside the same call, and :class:`BatchOccupancy` reports who ran
-where and why.
+attached. Cold arms start with empty caches, in-flight tables,
+recent-miss histories and DRAM windows, so a batch starts from empty
+state, and :func:`config_signature` plus :func:`cached_state_fingerprint`
+(the enabled mask, with any training the bank arrived with) is the
+whole grouping key. Warm arms (an epoch loop's second call onward) run
+scalar under the ``warm-state`` reason: regrouping them by a walk of
+their caches, and copying that state into and back out of every batch,
+cost more than the scalar engine on every workload measured (DESIGN.md
+§11). Arms that fail either test — a custom prefetcher without the
+lockstep protocol, a callable load profile, a warm state — simply run
+the scalar engine inside the same call, and :class:`BatchOccupancy`
+reports who ran where and why.
 """
 
 from __future__ import annotations
@@ -153,10 +154,13 @@ class BatchOccupancy:
 def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot join a lockstep batch (``None`` = it can).
 
-    Checks: no tracer attached, every *enabled* hardware prefetcher
+    Checks: the arm is cold (not run since construction or ``reset()``),
+    no tracer attached, every *enabled* hardware prefetcher
     lockstep-safe (the enabled snapshot is kept fresh through MSR-write
     watchers), and external DRAM load absent or constant.
     """
+    if not hierarchy._cold:
+        return "warm-state"
     if hierarchy.obs is not None and hierarchy.obs:
         return "tracer"
     if not hierarchy.prefetchers.lockstep_safe():
@@ -194,35 +198,6 @@ def config_signature(hierarchy) -> Tuple:
     )
 
 
-def state_fingerprint(hierarchy) -> Tuple:
-    """Hashable summary of the arm state that steers cache evolution.
-
-    Arms whose fingerprints match start from identical cache contents
-    (lines, LRU order, prefetch provenance), in-flight line sets,
-    recent-miss histories, and prefetcher-bank state (enabled mask plus
-    per-prefetcher training) — so, being timing-independent, their
-    cache evolution stays identical for the whole run. Cold arms all
-    fingerprint to the same (cheap, empty) value. Clocks, windows,
-    counters, and in-flight *arrival times* are deliberately excluded:
-    they are per-arm floats/deltas that never influence a probe's
-    outcome — which is also what lets a batch stamp one shared
-    post-run fingerprint onto every arm.
-    """
-
-    def level_fp(cache):
-        return tuple(sorted(
-            (index,
-             tuple((line, state.prefetched, state.referenced)
-                   for line, state in cache_set.items()))
-            for index, cache_set in cache._sets.items() if cache_set))
-
-    return (level_fp(hierarchy.l1), level_fp(hierarchy.l2),
-            level_fp(hierarchy.llc),
-            tuple(sorted(hierarchy._in_flight)),
-            tuple(hierarchy._recent_miss_lines),
-            hierarchy.prefetchers.state_fingerprint())
-
-
 def cached_config_signature(hierarchy) -> Tuple:
     """The arm's :func:`config_signature`, cached for its lifetime.
 
@@ -236,20 +211,17 @@ def cached_config_signature(hierarchy) -> Tuple:
 
 
 def cached_state_fingerprint(hierarchy) -> Tuple:
-    """The arm's :func:`state_fingerprint`, cached between state changes.
+    """The grouping key's state half: the arm's enabled mask.
 
-    The hierarchy invalidates on every scalar ``run()``/``reset()`` and
-    — through the prefetchers' enabled-watcher hooks, which MSR writes
-    and ``set_hardware_prefetchers`` both fire — on every enabled-mask
-    flip; a lockstep batch stamps the shared post-run fingerprint
-    instead of invalidating. Repeated ``run_many`` grouping (the
-    control-mode scenario loop calls it every epoch) therefore stops
-    recomputing fingerprints for arms whose state a batch just wrote.
+    Only cold arms batch, and a cold arm's caches, in-flight table,
+    recent-miss history and DRAM window are empty, so the prefetcher
+    bank is the only state that can differ between two of them. The key
+    is :meth:`~repro.memsys.prefetchers.bank.PrefetcherBank.state_fingerprint`:
+    the enabled mask, plus the enabled prefetchers' training, which is
+    empty unless the bank arrived trained. It walks no cache and is
+    cheap enough to recompute on every call, so nothing is cached.
     """
-    fingerprint = hierarchy._state_fp_cache
-    if fingerprint is None:
-        fingerprint = hierarchy._state_fp_cache = state_fingerprint(hierarchy)
-    return fingerprint
+    return hierarchy.prefetchers.state_fingerprint()
 
 
 def software_prefetch_lines(compiled) -> int:
@@ -364,12 +336,11 @@ class _LockstepBatch:
             if external is not None:
                 self.ext[arm] = external.bytes_per_ns
 
-        # Shared cache state: deep copies of the (uniform) starting
-        # state, evolved once for the whole batch with the scalar
-        # engine's own structures.
-        self.l1_sets = _copy_sets(reference.l1._sets)
-        self.l2_sets = _copy_sets(reference.l2._sets)
-        self.llc_sets = _copy_sets(reference.llc._sets)
+        # Shared cache state: cold arms start empty, so the batch evolves
+        # fresh sets with the scalar engine's own structures.
+        self.l1_sets: Dict[int, OrderedDict] = {}
+        self.l2_sets: Dict[int, OrderedDict] = {}
+        self.llc_sets: Dict[int, OrderedDict] = {}
         # Shared counter deltas (cache behavior is uniform).
         self.l1_hits = self.l1_misses = self.l1_pref_hits = 0
         self.l1_wasted = self.l1_sized = 0
@@ -385,35 +356,21 @@ class _LockstepBatch:
         # Bandwidth window as a per-arm ring: (time, bytes) columns plus
         # the running sum, updated with the scalar engine's exact op
         # sequence (sequential pops subtract, each append adds).
-        cap = _WINDOW_CAP
-        for h in hierarchies:
-            cap = max(cap, 2 * len(h.dram._window._points) + 8)
-        self.wtimes = _np.zeros((arms, cap))
-        self.wbytes = _np.zeros((arms, cap))
+        self.wtimes = _np.zeros((arms, _WINDOW_CAP))
+        self.wbytes = _np.zeros((arms, _WINDOW_CAP))
         self.whead = _np.zeros(arms, _np.int64)
         self.wtail = _np.zeros(arms, _np.int64)
         self.win_sum = _np.zeros(arms)
-        for arm, h in enumerate(hierarchies):
-            points = list(h.dram._window._points)
-            for slot, (t_ns, value) in enumerate(points):
-                self.wtimes[arm, slot] = t_ns
-                self.wbytes[arm, slot] = value
-            self.wtail[arm] = len(points)
-            self.win_sum[arm] = h.dram._window._sum
 
-        # In-flight prefetches: membership is uniform (a fingerprint
-        # precondition), arrival times are per-arm.
-        self.in_flight: Dict[int, _np.ndarray] = {
-            line: _np.array([h._in_flight[line] for h in hierarchies])
-            for line in reference._in_flight
-        }
+        # In-flight prefetches (membership shared, arrival times per
+        # arm) and the recent demand-miss lines (a maxlen-8 deque as a
+        # list, exactly the scalar engine's in-loop shadow); both start
+        # empty.
+        self.in_flight: Dict[int, _np.ndarray] = {}
+        self.recent: List[int] = []
 
-        # Recent demand-miss lines: shared (maxlen-8 deque as a list,
-        # exactly the scalar engine's in-loop shadow).
-        self.recent: List[int] = list(reference._recent_miss_lines)
-
-        # Enabled-prefetcher clones: bank training is arm-uniform (a
-        # fingerprint precondition), so the batch trains one clone set
+        # Enabled-prefetcher clones: bank training is arm-uniform (the
+        # grouping key covers it), so the batch trains one clone set
         # and every arm adopts the result at export. Clones start with
         # zeroed counters — their post-run counter signatures *are* the
         # batch deltas.
@@ -952,16 +909,14 @@ class _LockstepBatch:
         the clones' counter signatures). Cache *contents* and prefetcher
         *training* are copied back per arm only when ``export_state`` is
         true — a sweep that discards its arms after reading results can
-        skip the copies, in which case the caches come back flushed and
-        the training reset (counters intact), the same post-run shape a
-        scalar arm has after ``reset()``-style disposal. The last arm is
-        donated the batch's working cache dicts outright (they alias
-        nothing once every other arm holds a copy), which makes a batch
-        of one — the CI equivalence matrix's ``batch_size=1`` leg —
-        export for free. Finally the shared post-run state fingerprint
-        (computed once: it is arm-invariant by construction) is stamped
-        onto every arm's cache, so the next ``run_many`` regroups these
-        arms without re-walking their caches.
+        skip the copies, in which case the (cold, hence empty) caches
+        stay empty and the training is reset (counters intact), the same
+        post-run shape a scalar arm has after ``reset()``-style disposal.
+        The last arm is donated the batch's working cache dicts outright
+        (they alias nothing once every other arm holds a copy), which
+        makes a batch of one — the CI equivalence matrix's
+        ``batch_size=1`` leg — export for free. Either way every arm
+        leaves warm: a later ``run_many`` runs it scalar.
         """
         counter_deltas = (
             ("l1", self.l1_hits, self.l1_misses, self.l1_pref_hits,
@@ -981,15 +936,9 @@ class _LockstepBatch:
                 cache.misses += misses
                 cache.prefetch_hits += pref_hits
                 cache.wasted_prefetches += wasted
-                if not export_state:
-                    cache._sets.clear()
-                    cache._size = 0
-                elif arm == last:
-                    cache._sets = sets
-                    cache._size += sized
-                else:
-                    cache._sets = _copy_sets(sets)
-                    cache._size += sized
+                if export_state:
+                    cache._sets = sets if arm == last else _copy_sets(sets)
+                    cache._size = sized
             dram = h.dram
             dram.demand_fills += self.d_fills
             dram.demand_bytes += self.d_fills * CACHE_LINE_BYTES
@@ -1013,21 +962,16 @@ class _LockstepBatch:
                     target.adopt_training(clone)
                 else:
                     target.reset()
-        if export_state:
-            shared_fp = state_fingerprint(self.hierarchies[last])
-            for h in self.hierarchies:
-                h._state_fp_cache = shared_fp
-        else:
-            for h in self.hierarchies:
-                h._state_fp_cache = None
+            h._cold = False
 
 
 def run_lockstep(hierarchies, compiled,
                  export_state: bool = True) -> List[RunResult]:
     """Run ``compiled`` through every hierarchy in lockstep.
 
-    All hierarchies must satisfy :func:`lockstep_eligible` and share one
-    :func:`config_signature` *and* one :func:`state_fingerprint`
+    All hierarchies must satisfy :func:`lockstep_eligible` (so they are
+    cold) and share one :func:`config_signature` *and* one
+    :func:`cached_state_fingerprint`
     (:func:`~repro.memsys.hierarchy.run_many` groups arms so these hold),
     and the trace's software-prefetch volume must stay under the scalar
     engine's in-flight prune threshold (see

@@ -47,10 +47,18 @@ from repro.units import CACHE_LINE_BYTES
 #: Set to "1" (or "true"/"yes"/"on") to force the reference interpreter.
 SLOW_ENGINE_ENV = "REPRO_SLOW_ENGINE"
 
-#: Arms per lockstep batch when nobody chooses. Matches
-#: :data:`~repro.fleet.shard.DEFAULT_SHARD_SIZE` so one default shard
+#: Machines per shard when the caller does not choose. Sized so the
+#: repository's historical study sizes (<= 32 machines) stay single-shard
+#: — and therefore numerically identical to the pre-sharding engine —
+#: while paper-scale populations split into enough shards to keep every
+#: worker busy. It lives here, not in :mod:`repro.fleet.shard` (which
+#: re-exports it), so the CLI parser can read it without loading the
+#: fleet package.
+DEFAULT_SHARD_SIZE = 32
+
+#: Arms per lockstep batch when nobody chooses: one default shard
 #: becomes exactly one default batch.
-DEFAULT_BATCH_SIZE = 32
+DEFAULT_BATCH_SIZE = DEFAULT_SHARD_SIZE
 
 
 def _slow_engine_requested() -> bool:
@@ -94,17 +102,12 @@ class MemoryHierarchy:
         #: one costs a single ``sim-run`` event per trace replay and
         #: leaving it ``None`` costs one attribute test.
         self.obs = None
-        #: Lockstep grouping caches (:mod:`repro.memsys.batched`). The
-        #: config signature is immutable for the hierarchy's lifetime;
-        #: the state fingerprint is invalidated by scalar runs, resets,
-        #: and enabled-mask flips (via the prefetchers' enabled-watcher
-        #: hooks, which MSR writes also fire) and re-stamped wholesale
-        #: by batch export.
+        #: Lockstep grouping state (:mod:`repro.memsys.batched`). The
+        #: config signature is immutable for the hierarchy's lifetime.
+        #: ``_cold`` holds from construction or :meth:`reset` until the
+        #: next run (scalar or batched); only cold arms batch.
         self._config_sig_cache = None
-        self._state_fp_cache = None
-        for prefetcher in self.prefetchers:
-            prefetcher._enabled_watchers.append(
-                self._invalidate_state_fingerprint)
+        self._cold = True
 
     # --- public controls -------------------------------------------------------
 
@@ -121,10 +124,7 @@ class MemoryHierarchy:
         self.dram.reset_window()
         self._in_flight.clear()
         self._recent_miss_lines.clear()
-        self._state_fp_cache = None
-
-    def _invalidate_state_fingerprint(self) -> None:
-        self._state_fp_cache = None
+        self._cold = True
 
     # --- execution ---------------------------------------------------------------
 
@@ -146,9 +146,7 @@ class MemoryHierarchy:
                     f"cannot start at {start_ns}ns; clock is at {self.now_ns}ns")
             self.now_ns = start_ns
 
-        # A scalar run mutates cache/prefetcher/in-flight state directly;
-        # the lockstep grouping fingerprint must be recomputed after it.
-        self._state_fp_cache = None
+        self._cold = False
         result = RunResult()
         begin_ns = self.now_ns
         dram_demand0 = self.dram.demand_fills
@@ -840,20 +838,20 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     """Run ``trace`` through many independent hierarchies, batching where
     it is provably safe.
 
-    The fleet's dominant shape — hundreds of machine-arms replaying one
-    shared trace — goes through the NumPy lockstep engine
-    (:mod:`repro.memsys.batched`): arms that qualify (every *enabled*
-    hardware prefetcher lockstep-safe, constant or absent external load,
-    no tracer) are grouped by config signature *and* state fingerprint,
-    chunked into batches of ``batch_size``, and executed simultaneously.
-    Grouping happens afresh on every call, which is what lets
-    control-mode fleets — daemons toggling MSRs between trace slices —
-    regroup into smaller lockstep sub-batches as their enabled masks and
-    training diverge, instead of falling all the way to scalar. Arms
-    that do not qualify — or everything, when batching is off — run
-    through :meth:`MemoryHierarchy.run` unchanged. Either way, every
-    arm's result and post-run state is bit-identical to a scalar
-    ``run(trace)``; results come back in input order.
+    The fleet's dominant shape — hundreds of fresh machine-arms
+    replaying one shared trace — goes through the NumPy lockstep engine
+    (:mod:`repro.memsys.batched`): arms that qualify (cold, every
+    *enabled* hardware prefetcher lockstep-safe, constant or absent
+    external load, no tracer) are grouped by config signature and
+    enabled mask, chunked into batches of ``batch_size``, and executed
+    simultaneously. An arm is cold from construction or
+    :meth:`MemoryHierarchy.reset` until its first run; a warm arm — one
+    an earlier call already ran, as in an epoch loop — runs scalar under
+    the ``warm-state`` reason. Arms that do not qualify — or everything,
+    when batching is off — run through :meth:`MemoryHierarchy.run`
+    unchanged. Either way, every arm's result and post-run state is
+    bit-identical to a scalar ``run(trace)``; results come back in input
+    order.
 
     Args:
         hierarchies: The arms; mutated in place exactly as ``run`` would.
@@ -898,12 +896,10 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
         for arm, hierarchy in enumerate(hierarchies):
             reason = batched.lockstep_fallback_reason(hierarchy)
             if reason is None:
-                # Arms batch together only when both the config and the
-                # starting cache/in-flight/recent/prefetcher state match
-                # — state uniformity is what makes lockstep evolution
-                # exact. The fingerprints are cached on the arm: a batch
-                # stamps the shared post-run value, so epoch-loop
-                # callers regroup without re-walking every cache.
+                # Cold arms start with empty caches, in-flight tables and
+                # windows, so the config and the prefetcher bank state
+                # are all that can split them — state uniformity is what
+                # makes lockstep evolution exact.
                 key = (batched.cached_config_signature(hierarchy),
                        batched.cached_state_fingerprint(hierarchy))
                 groups.setdefault(key, []).append(arm)
@@ -917,9 +913,7 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
             # would let cache behavior diverge inside a batch) never
             # enters lockstep. Hardware issue volume has no static
             # bound; the batch itself bails out dynamically instead.
-            in_flight = len(hierarchies[arms[0]]._in_flight)
-            if (in_flight + sw_lines
-                    > MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD):
+            if sw_lines > MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD:
                 scalar_arms.extend(arms)
                 note_scalar(len(arms), "prune-bound")
                 continue

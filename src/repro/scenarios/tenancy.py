@@ -13,13 +13,13 @@ tenant (less pollution, shorter queues) and hurts the streaming tenant
 
 Every machine in a shard replays the *same* epoch trace (the shared
 fleet-wide slice the paper's daemons observe), so the epoch loop runs
-all live machines through :func:`~repro.memsys.hierarchy.run_many` in
-lockstep: at each epoch boundary arms regroup by prefetcher-bank
-enabled mask and training fingerprint, so machines whose controllers
-currently agree batch together while disagreeing machines split into
-sub-batches — the control-mode batching shape of ``DESIGN.md`` §11.
-Machines differ only in their constant background load (a float array
-lane) and their controller trajectory, never in cache-visible traffic.
+all live machines through :func:`~repro.memsys.hierarchy.run_many`
+together. Epoch 0 batches the cold machines in lockstep, grouped by
+enabled mask; from epoch 1 on every machine is warm and runs on the
+scalar engine (reason ``warm-state``), which is faster than regrouping
+warm state (``DESIGN.md`` §11). Machines differ only in their constant
+background load (a float array lane) and their controller trajectory,
+never in cache-visible traffic.
 
 Attribution needs no extra bookkeeping: the simulator's per-function
 statistics, keyed by tenant label, yield per-tenant per-epoch latency
@@ -298,9 +298,9 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     Every machine replays the *same* interleaved tenant trace each epoch
     (tenant streams key off study seed, tenant name, and epoch — never
     the machine), so the epoch loop runs all live machines through
-    :func:`~repro.memsys.hierarchy.run_many` together: arms group by
-    prefetcher enabled-mask and training fingerprint, and regroup at
-    every epoch boundary as controllers toggle socket state. Controller
+    :func:`~repro.memsys.hierarchy.run_many` together: epoch 0 batches
+    the cold arms by enabled mask, and later epochs run the warm arms
+    scalar, carrying the state epoch 0 exported. Controller
     modes sample DRAM utilization at epoch boundaries and actuate the
     socket-level prefetcher state for the *next* epoch (telemetry acts
     with one epoch of lag, like the daemon's sampling loop).

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.units import CACHE_LINE_BYTES
@@ -152,12 +151,3 @@ def request_label(index: int) -> str:
     """The per-request function label (``req0042``) used for per-request
     latency attribution inside one service's concatenated trace."""
     return f"req{index:04d}"
-
-
-def parse_kind_field(text: str, what: str) -> Tuple[str, str]:
-    """Split a ``name:kind...`` spec head, validating both parts."""
-    name, _, rest = text.partition(":")
-    name = name.strip()
-    if not name:
-        raise ConfigError(f"{what} spec {text!r} is missing a name")
-    return name, rest

@@ -14,9 +14,11 @@ the environment — so CI's ``batched-equivalence`` matrix can pin it
 through ``REPRO_BATCH``.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -280,9 +282,10 @@ class TestDispatch:
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
 
     def test_msr_flip_regroups_one_arm(self, monkeypatch):
-        """An MSR-style prefetcher flip between runs moves only that arm
-        into its own lockstep sub-batch; its batch-mates keep batching
-        together."""
+        """An MSR-style prefetcher flip between runs does not bring an
+        arm back into lockstep: after the first call every arm is warm,
+        so the second call runs all of them scalar under ``warm-state``
+        — and every arm still agrees with the scalar oracle."""
         records = make_records()
         traces = [Trace(records[:500]), Trace(records[500:])]
 
@@ -303,8 +306,12 @@ class TestDispatch:
         assert sum(calls) == 6  # everyone batched while the bank was off
         calls.clear()
         flipper.set_hardware_prefetchers(True)
-        batched_b = run_many(batched_arms, traces[1])
-        assert sorted(calls) == [1, 5]  # flipped arm regrouped, alone
+        occupancy = batched.BatchOccupancy()
+        batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
+        assert calls == []
+        assert occupancy.to_dict() == {
+            "batched_arms": 0, "scalar_arms": 6, "groups": 0,
+            "fallback_reasons": {"warm-state": 6}}
 
         scalar_arms, scalar_flipper = fleet()
         scalar_a = run_many(scalar_arms, traces[0], batch_size=0)
@@ -462,7 +469,8 @@ class TestEnabledGolden:
         self.assert_enabled_fleet_agrees(exotic_bank)
 
     def test_warm_enabled_continuation(self):
-        """Trained banks regroup and keep batching across calls."""
+        """After a batched first call, the trained (warm) arms continue
+        on the scalar engine and still agree."""
         self.assert_enabled_fleet_agrees(default_prefetcher_bank, split=500)
 
     def test_enabled_small_batches(self):
@@ -479,8 +487,9 @@ class TestEnabledGolden:
 class TestEligibilityEdges:
     def test_epoch_regrouping_sub_batches(self, monkeypatch):
         """Control-mode shape: daemons re-enable some arms' banks
-        between trace slices; the next call forms lockstep sub-batches
-        keyed by the enabled mask instead of dropping anyone to scalar."""
+        between trace slices. The first call batches the cold fleet;
+        the next call finds every arm warm and runs it scalar
+        (``warm-state``) rather than regrouping by enabled mask."""
         records = make_records()
         traces = [Trace(records[:400]), Trace(records[400:])]
 
@@ -499,10 +508,10 @@ class TestEligibilityEdges:
             arm.set_hardware_prefetchers(True)  # the MSR daemon acted
         occupancy = batched.BatchOccupancy()
         batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
-        assert sorted(calls) == [2, 2]  # two sub-batches, nothing scalar
+        assert calls == []
         assert occupancy.to_dict() == {
-            "batched_arms": 4, "scalar_arms": 0, "groups": 2,
-            "fallback_reasons": {}}
+            "batched_arms": 0, "scalar_arms": 4, "groups": 0,
+            "fallback_reasons": {"warm-state": 4}}
 
         scalar_arms = fleet()
         run_many(scalar_arms, traces[0], batch_size=0)
@@ -514,8 +523,10 @@ class TestEligibilityEdges:
                     == snapshot(scalar_arms[arm], scalar_b[arm]))
 
     def test_tracer_attached_mid_study(self, monkeypatch):
-        """An arm that gains a recording tracer between calls falls back
-        to scalar for subsequent calls only — and still agrees."""
+        """An arm that gains a recording tracer between calls is warm by
+        then, like its batch-mates, so the second call runs all three
+        scalar under ``warm-state`` (the first applicable reason) — and
+        still agrees."""
         from repro.obs import Tracer
 
         records = make_records()
@@ -528,8 +539,8 @@ class TestEligibilityEdges:
         arms[1].obs = Tracer()
         occupancy = batched.BatchOccupancy()
         batched_b = run_many(arms, traces[1], occupancy=occupancy)
-        assert sum(calls) == 2
-        assert occupancy.to_dict()["fallback_reasons"] == {"tracer": 1}
+        assert calls == []
+        assert occupancy.to_dict()["fallback_reasons"] == {"warm-state": 3}
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
         run_many(scalar_arms, traces[0], batch_size=0)
@@ -573,26 +584,96 @@ class TestEligibilityEdges:
             assert (snapshot(arms[arm], results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
 
-    def test_fingerprint_cache_stamped_and_invalidated(self):
-        """Satellite 1: batch export stamps the shared fingerprint;
-        MSR flips, scalar runs, and resets all invalidate it."""
+    def test_cold_lifecycle(self, monkeypatch):
+        """Arms are cold from construction until their first run, by
+        either engine and under either ``export_state``; an MSR-style
+        flip keeps a cold arm cold but moves it to another group; and
+        ``reset()`` makes a warm arm cold again, so it batches again and
+        still agrees with the scalar oracle."""
         trace = Trace(make_records()[:300])
-        arms = build_enabled_arms((None, 0.5))
-        run_many(arms, trace)
-        for arm in arms:
-            assert arm._state_fp_cache is not None
-            assert (batched.cached_state_fingerprint(arm)
-                    == batched.state_fingerprint(arm))
+        arms = build_enabled_arms((None, 0.5, 1.0))
+        assert all(arm._cold for arm in arms)
+        assert all(batched.lockstep_fallback_reason(arm) is None
+                   for arm in arms)
         sig = batched.cached_config_signature(arms[0])
-        assert arms[0]._config_sig_cache is sig
+        key = batched.cached_state_fingerprint(arms[0])
         arms[0].set_hardware_prefetchers(False)  # MSR-style flip
-        assert arms[0]._state_fp_cache is None
-        arms[1].run(trace)  # scalar run mutates state directly
-        assert arms[1]._state_fp_cache is None
+        assert arms[0]._cold
+        assert batched.cached_state_fingerprint(arms[0]) != key
+        assert (batched.cached_state_fingerprint(arms[0])
+                != batched.cached_state_fingerprint(arms[1]))
+
+        calls = spy_lockstep(monkeypatch)
+        run_many(arms[:1], trace)
+        run_many(arms[1:2], trace, export_state=False)
+        assert calls == [1, 1]  # both left warm by a lockstep export
+        arms[2].run(trace)  # scalar
+        for arm in arms:
+            assert not arm._cold
+            assert batched.lockstep_fallback_reason(arm) == "warm-state"
+
+        calls.clear()
         arms[0].reset()
-        assert arms[0]._state_fp_cache is None
+        assert arms[0]._cold
+        occupancy = batched.BatchOccupancy()
+        rerun = run_many(arms[:1], trace, occupancy=occupancy)
+        assert calls == [1]
+        assert occupancy.to_dict()["batched_arms"] == 1
+        assert not arms[0]._cold
+
+        scalar_arm = build_enabled_arms((None,))[0]
+        scalar_arm.set_hardware_prefetchers(False)
+        scalar_arm.run(trace)
+        scalar_arm.reset()
+        scalar_rerun = scalar_arm.run(trace)
+        assert (snapshot(arms[0], rerun[0])
+                == snapshot(scalar_arm, scalar_rerun))
         # Config is lifetime-immutable: the cache survives everything.
         assert arms[0]._config_sig_cache is sig
+
+    def test_noisy_batches_epoch_zero_only(self):
+        """The noisy-neighbor epoch loop hands its arms back to
+        ``run_many`` every epoch: epoch 0 batches the cold fleet in one
+        group, and every later epoch runs scalar under ``warm-state``,
+        with the scalar engine's digest."""
+        from repro.scenarios import noisy_digest
+
+        stores = dict(workers=1, cache_dir="", checkpoint_dir="",
+                      obs_dir="")
+        result = NoisyNeighborScenario(machines=3, epochs=4,
+                                       batch_size=32).run(**stores)
+        assert result.occupancy.to_dict() == {
+            "batched_arms": 3, "scalar_arms": 9, "groups": 1,
+            "fallback_reasons": {"warm-state": 9}}
+        scalar = NoisyNeighborScenario(machines=3, epochs=4,
+                                       batch_size=0).run(**stores)
+        assert noisy_digest(result) == noisy_digest(scalar)
+
+
+class TestNoReferenceCycle:
+    """A hierarchy is freed by reference counting alone: nothing it owns
+    (bank, prefetchers, watchers) points back at it, so a discarded arm
+    does not wait for the cyclic garbage collector."""
+
+    @staticmethod
+    def assert_freed_without_gc(run):
+        gc.disable()
+        try:
+            hierarchy = MemoryHierarchy()  # the default bank
+            run(hierarchy)
+            ref = weakref.ref(hierarchy)
+            del hierarchy
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_fresh_hierarchy(self):
+        self.assert_freed_without_gc(lambda hierarchy: None)
+
+    def test_after_run_many(self):
+        trace = Trace(make_records()[:300])
+        self.assert_freed_without_gc(
+            lambda hierarchy: run_many([hierarchy], trace))
 
 
 class TestExportState:
@@ -623,9 +704,10 @@ class TestExportState:
                         == getattr(scalar_arms[arm], level).misses)
 
     def test_flushed_arms_can_still_run_again(self):
-        """export_state=False leaves arms cold but usable.
+        """export_state=False leaves arms with empty caches but usable.
 
-        Only the cache-behaviour integers can match a truly cold arm:
+        The arms are warm, so the rerun is scalar. Only the
+        cache-behaviour integers can match a fresh arm:
         the clock and DRAM window survive the flush, so timing floats
         legitimately differ on the rerun.
         """

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.cli.commands import _parse_profile, _table
 from repro.errors import ConfigError, ReproError
@@ -356,3 +361,21 @@ class TestOracleRecomputes:
         assert "serial-equivalence check: OK" in capsys.readouterr().out
         assert StudyResultCache(cache).stats()["hits"] == 0
         assert ShardCheckpoint(journal).stats()["hits"] == 0
+
+
+class TestParserImportCost:
+    """Building the parser must not load the fleet package: commands
+    that never touch the fleet (``daemon``, ``latency-curve``,
+    ``microbench``) should not pay for importing it."""
+
+    def test_cli_main_leaves_fleet_unloaded(self):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = ("import sys\n"
+                 "import repro.cli.main\n"
+                 "print('repro.fleet' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False"]
