@@ -10,8 +10,9 @@ P99 tension versus the always-enabled twin).
 The gate metric is the batched-vs-scalar wall-clock ``speedup`` of the
 call-graph replay; ``check_throughput_regression.py`` diffs it against
 ``benchmarks/baselines/BENCH_scenarios.baseline.json`` with the
-standard tolerance. Everything else in the payload (digests, duty
-cycle, P99 deltas) is deterministic: identical on every runner.
+standard tolerance, and fails when either digest differs from the
+baseline's. Everything else in the payload (digests, duty cycle, P99
+deltas) is deterministic: identical on every runner.
 Results go to ``benchmarks/results/BENCH_scenarios.json``.
 """
 

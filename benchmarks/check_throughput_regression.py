@@ -3,7 +3,10 @@
 Compares freshly generated ``BENCH_*.json`` results against the
 committed baselines in ``benchmarks/baselines/`` and fails when any
 arm's *speedup ratio* regressed by more than the allowed fraction
-(default 20%). With no flags it gates every known benchmark
+(default 20%), or when a result digest (any top-level ``*_digest``
+field present in both files) differs from the committed one — a
+throughput number only counts if the run still computes the same
+results. With no flags it gates every known benchmark
 (:data:`KNOWN_BENCHMARKS`); ``--current``/``--baseline`` narrow it to
 one explicit pair.
 
@@ -17,8 +20,9 @@ Usage (CI runs this after the benchmarks themselves)::
     python benchmarks/check_throughput_regression.py
 
 Exit codes are distinct so CI can tell setup problems from real
-regressions: ``0`` all gates pass, ``1`` at least one metric regressed,
-``2`` a results or baseline file is missing or malformed (run the
+regressions: ``0`` all gates pass, ``1`` at least one metric regressed
+or digest differs, ``2`` a results or baseline file is missing or
+malformed (run the
 benchmark / commit the baseline first — that is not a perf regression).
 
 Refresh the baselines intentionally with ``--update`` (or
@@ -98,6 +102,15 @@ def compare(name, current, baseline, tolerance):
         lines.append(
             f"{arm_name:>10} {base:8.2f}x {observed:7.2f}x {change:+7.1%} "
             f"{'REGRESS' if regressed else 'ok':>8}")
+    for key in sorted(baseline):
+        if not key.endswith("_digest") or key not in current:
+            continue
+        same = current[key] == baseline[key]
+        if not same:
+            failures.append(
+                f"{name}: {key} {str(current[key])[:16]}... differs from "
+                f"baseline {str(baseline[key])[:16]}...")
+        lines.append(f"{key:>18} {'ok' if same else 'DIFFERS':>8}")
     return lines, failures
 
 

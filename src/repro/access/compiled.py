@@ -49,8 +49,7 @@ class CompiledTrace:
     """
 
     __slots__ = ("length", "kinds", "lines", "extras", "pcs", "gaps",
-                 "fids", "addrs", "sizes", "functions", "packed",
-                 "_arrays")
+                 "fids", "addrs", "sizes", "functions", "packed")
 
     def __init__(self, records: Iterable[MemoryAccess]) -> None:
         kinds: List[int] = []
@@ -95,32 +94,6 @@ class CompiledTrace:
         self.functions = functions
         self.packed: List[Tuple[int, int, int, int, int, int, int, int]] = \
             list(zip(kinds, lines, extras, pcs, gaps, fids, addrs, sizes))
-        self._arrays = None
-
-    def arrays(self):
-        """NumPy views of the columns, built once and cached.
-
-        Returns ``{"kinds", "lines", "extras", "pcs", "gaps", "fids",
-        "addrs", "sizes"}`` mapped to int64 arrays. The batched lockstep
-        path uses these for whole-trace column scans (e.g. bounding the
-        software-prefetch volume before committing to a batch) without
-        re-walking the packed tuples per call. Raises ``ImportError``
-        when NumPy is unavailable — callers on the pure-Python path
-        should stick to the list columns.
-        """
-        if self._arrays is None:
-            import numpy as np
-            self._arrays = {
-                "kinds": np.asarray(self.kinds, np.int64),
-                "lines": np.asarray(self.lines, np.int64),
-                "extras": np.asarray(self.extras, np.int64),
-                "pcs": np.asarray(self.pcs, np.int64),
-                "gaps": np.asarray(self.gaps, np.int64),
-                "fids": np.asarray(self.fids, np.int64),
-                "addrs": np.asarray(self.addrs, np.int64),
-                "sizes": np.asarray(self.sizes, np.int64),
-            }
-        return self._arrays
 
     @classmethod
     def from_columns(cls, kinds: List[int], lines: List[int],
@@ -149,7 +122,6 @@ class CompiledTrace:
         compiled.functions = functions
         compiled.packed = packed if packed is not None else \
             list(zip(kinds, lines, extras, pcs, gaps, fids, addrs, sizes))
-        compiled._arrays = None
         return compiled
 
     @classmethod

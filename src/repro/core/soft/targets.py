@@ -10,7 +10,7 @@ cycles and its LLC MPKI both rose, and it is hot enough to matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from repro.errors import ConfigError
 from repro.memsys.stats import FunctionStats
@@ -104,18 +104,3 @@ def selected_functions(selections: List[TargetSelection]) -> List[str]:
     """Names of the selected targets, preserving rank order."""
     return [s.function for s in selections if s.selected]
 
-
-def category_rollup(selections: List[TargetSelection]) -> Dict[FunctionCategory, float]:
-    """Cycle-share-weighted cycle delta per category — the Figure 12 view."""
-    totals: Dict[FunctionCategory, float] = {}
-    weights: Dict[FunctionCategory, float] = {}
-    for selection in selections:
-        if selection.cycle_delta == float("inf"):
-            continue
-        totals[selection.category] = (
-            totals.get(selection.category, 0.0)
-            + selection.cycle_delta * selection.cycle_share)
-        weights[selection.category] = (
-            weights.get(selection.category, 0.0) + selection.cycle_share)
-    return {category: totals[category] / weights[category]
-            for category in totals if weights[category] > 0}

@@ -119,7 +119,7 @@ def plan_batches(count: int, batch_size: int) -> List[Tuple[int, int]]:
     Like :func:`plan_shards` the split is balanced — ``ceil(count /
     batch_size)`` batches whose sizes differ by at most one — so a
     population one arm over a batch boundary doesn't leave a degenerate
-    single-arm batch paying full vectorization overhead. Arms are
+    single-arm batch paying a whole cache pass for one replay. Arms are
     independent, so batch geometry can never change results; it only
     shapes throughput and peak memory.
     """

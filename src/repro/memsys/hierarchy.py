@@ -13,33 +13,39 @@ arrives too early stalls for the residual; this is what makes prefetch
 Two engines execute that model:
 
 * the **compiled engine** (default): the trace is lowered once into flat
-  int columns (:meth:`~repro.access.trace.Trace.compile`) and replayed by
-  a hot loop that binds every hot attribute to a local, probes the L1
-  inline, skips the prefetcher bank entirely when every prefetcher is
-  disabled (the most common ablation arm), and accumulates per-function
-  statistics in locals that flush at function boundaries;
+  int columns (:meth:`~repro.access.trace.Trace.compile`) and run in two
+  steps. A **cache pass** (:meth:`MemoryHierarchy._cache_pass`) does the
+  dict and prefetcher work — probes, LRU, installs, evictions, training,
+  in-flight membership — and records every float operation on a timing
+  tape (:class:`_Tape`) instead of doing it. A **replay**
+  (:meth:`MemoryHierarchy._replay`) then performs the tape in plain
+  floats on one arm's clock and DRAM window. Cache behaviour never reads
+  the clock, so the same tape serves every arm that starts from the same
+  cache state: a scalar run is one pass and one replay, and a lockstep
+  batch (:mod:`repro.memsys.batched`) is one pass and one replay per arm;
 * the **reference interpreter**: the original record-at-a-time loop, kept
   verbatim as the correctness oracle. Set ``REPRO_SLOW_ENGINE=1`` to force
   it.
 
 The two are **bit-identical** — same :class:`RunResult` down to the last
-float, same cache/DRAM counters — because the compiled loop performs the
-exact same arithmetic in the exact same order; the golden-equivalence
-suite (``tests/test_engine_equivalence.py``) enforces this on random
-traces.
+float, same cache/DRAM counters — because the replay performs the
+interpreter's float operations in the interpreter's order; the
+golden-equivalence suite (``tests/test_engine_equivalence.py``) enforces
+this on random traces.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict, deque
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
 from repro.memsys.cache import SetAssociativeCache, _LineState
 from repro.memsys.config import HierarchyConfig
-from repro.memsys.dram import DRAMModel
+from repro.memsys.dram import ConstantExternalLoad, DRAMModel
 from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.units import CACHE_LINE_BYTES
@@ -64,6 +70,65 @@ DEFAULT_BATCH_SIZE = DEFAULT_SHARD_SIZE
 def _slow_engine_requested() -> bool:
     return os.environ.get(SLOW_ENGINE_ENV, "").strip().lower() in (
         "1", "true", "yes", "on")
+
+
+#: Timing-tape opcodes. A bare number ``ns`` advances the clock (the
+#: commonest event, so it skips the dispatch); every other event is a
+#: tuple led by one of these: ``(_STALL, gap_ns, first_ns,
+#: hit_ns, hit_cycles)`` is a cache-hit stall; ``(_CONSUME, gap_ns,
+#: first_ns, slot, scale, hit_ns)`` is a hit on an in-flight prefetch,
+#: which may pay a late residual; ``(_FN, fid)`` switches the function
+#: the float statistics accrue to; ``(_DFILL, gap_ns, first_ns, scale,
+#: llc_hit_ns * scale, sequential)`` is a demand DRAM fill and
+#: ``(_PFILL, gap_ns, first_ns)`` a prefetch fill, whose arrival takes
+#: the next slot. ``gap_ns``/``first_ns`` are the record's own clock
+#: advances on its first timing event and ``0.0`` otherwise.
+_STALL, _CONSUME, _FN, _DFILL, _PFILL = range(5)
+
+_ZERO_FLOATS = (0.0, 0.0, 0.0, 0)
+
+
+class _Tape:
+    """One cache pass's output: the timing events every arm replays, and
+    everything that is the same on every arm — per-function integer
+    statistics (``fid -> [instructions, compute_cycles, loads, stores,
+    software_prefetches, l1_misses, l2_misses, llc_misses,
+    prefetch_covered]``, first-seen order), per-level cache counter
+    deltas ``(hits, misses, prefetch_hits, wasted, sized)``, DRAM fill
+    counts ``(demand, prefetch)``, the in-flight table as ``line ->
+    slot`` and the recent-miss lines."""
+
+    __slots__ = ("events", "names", "functions", "caches", "fills",
+                 "sw_issued", "useful", "in_flight", "recent")
+
+
+class _Clock:
+    """One arm's replay state: its clock, the arrival time of every
+    in-flight slot, per-function float statistics (``fid ->
+    (stall_cycles, dram_wait_ns, late_prefetch_wait_ns,
+    late_prefetch_hits)``) and its external load: ``external_load`` is
+    the callable to call on every fill, or None when the load is absent
+    or a :class:`~repro.memsys.dram.ConstantExternalLoad` — then it is
+    the constant ``external`` and a fill's latency depends on the window
+    alone.
+    """
+
+    __slots__ = ("now", "arrivals", "stats", "fid", "external_load",
+                 "external")
+
+    def __init__(self, hierarchy: "MemoryHierarchy",
+                 arrivals: List[float]) -> None:
+        self.now = hierarchy.now_ns
+        self.arrivals = arrivals
+        self.stats: Dict[int, tuple] = {}
+        self.fid = -1
+        load = hierarchy.dram._external_load
+        if load is None or isinstance(load, ConstantExternalLoad):
+            self.external_load = None
+            self.external = 0.0 if load is None else load.bytes_per_ns
+        else:
+            self.external_load = load
+            self.external = 0.0
 
 
 class MemoryHierarchy:
@@ -146,6 +211,13 @@ class MemoryHierarchy:
                     f"cannot start at {start_ns}ns; clock is at {self.now_ns}ns")
             self.now_ns = start_ns
 
+        if not isinstance(trace, Trace) or _slow_engine_requested():
+            return self._measured(self._run_interpreted, trace)
+        return self._measured(self._run_compiled, trace.compile())
+
+    def _measured(self, body, *args) -> RunResult:
+        """Call ``body(*args, result)`` on a fresh result and fill in its
+        whole-run fields from this arm's counter and clock deltas."""
         self._cold = False
         result = RunResult()
         begin_ns = self.now_ns
@@ -158,10 +230,7 @@ class MemoryHierarchy:
         wasted0 = (self.l1.wasted_prefetches + self.l2.wasted_prefetches
                    + self.llc.wasted_prefetches)
 
-        if not isinstance(trace, Trace) or _slow_engine_requested():
-            self._run_interpreted(trace, result)
-        else:
-            self._run_compiled(trace.compile(), result)
+        body(*args, result)
 
         result.elapsed_ns = self.now_ns - begin_ns
         result.dram_demand_fills = self.dram.demand_fills - dram_demand0
@@ -228,161 +297,149 @@ class MemoryHierarchy:
             for line in record.lines_touched():
                 self._demand_access(line, record.pc, stats, is_store)
 
-    # --- the compiled fast engine -----------------------------------------------
+    # --- the compiled engine: one cache pass, then a timing replay -------------
 
     def _run_compiled(self, compiled, result: RunResult) -> None:
-        """One pass over pre-lowered int columns; see the module docstring.
+        """The one-arm case: a cache pass over this arm's own state, then
+        one replay of its tape on this arm's own clock and window.
 
-        Bit-identity with :meth:`_run_interpreted` rests on performing the
-        same float operations in the same order: per-function float stats
-        are loaded into locals at a function boundary and flushed at the
-        next, so each accumulation sequence is unchanged; adding a zero
-        stall (the L1-hit case) is skipped because ``x + 0.0 == x`` for
-        the non-negative values these accumulators hold.
+        The in-flight table enters the pass as ``line -> slot``, pending
+        entries numbered first, and leaves it as ``line -> arrival``.
+        """
+        in_flight = self._in_flight
+        clock = _Clock(self, list(in_flight.values()))
+        tape = self._cache_pass(
+            compiled, (self.l1._sets, self.l2._sets, self.llc._sets),
+            self.prefetchers, dict(zip(in_flight, range(len(in_flight)))),
+            list(self._recent_miss_lines), clock)
+        self._replay_tape(tape, clock, result)
+
+    def _cache_pass(self, compiled, sets, bank, in_flight, recent_list,
+                    clock) -> "_Tape":
+        """Do a run's dict and prefetcher work once and record its timing.
+
+        This is the scalar engine's work in its own order — cache probes,
+        LRU updates, installs and evictions, prefetcher training and
+        proposals, in-flight membership, the recent-miss history — on the
+        dicts in ``sets`` (L1, L2, LLC) and the prefetchers of ``bank``.
+        None of it reads the clock, so it is the same on every arm. Each
+        float operation becomes a tape event instead (see :class:`_Tape`)
+        and :meth:`_replay` performs it per arm.
+
+        ``in_flight`` maps a pending line to its arrival slot; new slots
+        are numbered in issue order after the existing ones. The scalar
+        engine prunes the table by arrival time once it grows past
+        :attr:`_IN_FLIGHT_PRUNE_THRESHOLD`. Given the arm's ``clock``,
+        the pass replays the tape so far and prunes exactly; without one
+        (a lockstep batch, whose clocks differ) it raises
+        :class:`~repro.memsys.batched.LockstepBailout`, having touched
+        only its own working state.
         """
         config = self.config
         cycle_ns = config.cycle_ns
         sw_cost_cycles = config.software_prefetch_cost_cycles
         sw_cost_ns = sw_cost_cycles * cycle_ns
         store_scale = config.store_stall_fraction
-        seq_mlp = config.sequential_mlp
         l2_hit_ns = config.l2.hit_latency_cycles * cycle_ns
+        l2_cycles = l2_hit_ns / cycle_ns
         llc_hit_ns = config.llc.hit_latency_cycles * cycle_ns
+        llc_cycles = llc_hit_ns / cycle_ns
         line_bytes = CACHE_LINE_BYTES
-
-        # Per-cache hot state: sets dict, geometry, and local delta counters
-        # flushed to the cache objects at the end of the loop. ``_sets`` is
-        # never rebound (only cleared), so binding it here is safe.
-        l1 = self.l1
-        l1_shift = l1._line_shift
-        l1_mask = l1._set_mask
-        l1_nsets = l1.config.num_sets
-        l1_assoc = l1.config.associativity
-        l1_sets = l1._sets
-        l1_sets_get = l1_sets.get
-        l1_hits = l1_misses = l1_pref_hits = 0
-        l1_wasted = l1_sized = 0
-        l2 = self.l2
-        l2_shift = l2._line_shift
-        l2_mask = l2._set_mask
-        l2_nsets = l2.config.num_sets
-        l2_assoc = l2.config.associativity
-        l2_sets = l2._sets
-        l2_sets_get = l2_sets.get
-        l2_hits = l2_misses = l2_pref_hits = 0
-        l2_wasted = l2_sized = 0
-        llc = self.llc
-        llc_shift = llc._line_shift
-        llc_mask = llc._set_mask
-        llc_nsets = llc.config.num_sets
-        llc_assoc = llc.config.associativity
-        llc_sets = llc._sets
-        llc_sets_get = llc_sets.get
-        llc_hits = llc_misses = llc_pref_hits = 0
-        llc_wasted = llc_sized = 0
-        line_state = _LineState
-        # DRAM demand-fill state, inlined from DRAMModel.request: the
-        # latency curve and sliding-window parameters are immutable for
-        # the life of the model, so they can live in locals; the window's
-        # running sum is read-modify-written per fill (never cached across
-        # records) because prefetch issues mutate it through the normal
-        # method path in between.
-        dram = self.dram
-        dram_cfg = dram.config
-        sat_bw = dram_cfg.saturation_bandwidth
-        max_util = dram_cfg.max_utilization
-        queue_gain = dram_cfg.queue_gain
-        queue_exp = dram_cfg.queue_exponent
-        unloaded_ns = dram_cfg.unloaded_latency_ns
-        overload_gain = dram_cfg.overload_gain
-        external_load = dram._external_load
-        window = dram._window
-        win_span = window.span_ns
-        win_points = window._points
-        win_append = win_points.append
-        win_popleft = win_points.popleft
-        line_bytes_f = float(line_bytes)
-        d_fills = 0
-        p_fills = 0
-        sw_issued = 0
         prune_threshold = self._IN_FLIGHT_PRUNE_THRESHOLD
-        bank = self.prefetchers
+
+        l1_sets, l2_sets, llc_sets = sets
+        l1_sets_get = l1_sets.get
+        l2_sets_get = l2_sets.get
+        llc_sets_get = llc_sets.get
+        l1_shift = self.l1._line_shift
+        l1_mask = self.l1._set_mask
+        l1_nsets = self.l1.config.num_sets
+        l1_assoc = self.l1.config.associativity
+        l2_shift = self.l2._line_shift
+        l2_mask = self.l2._set_mask
+        l2_nsets = self.l2.config.num_sets
+        l2_assoc = self.l2.config.associativity
+        llc_shift = self.llc._line_shift
+        llc_mask = self.llc._set_mask
+        llc_nsets = self.llc.config.num_sets
+        llc_assoc = self.llc.config.associativity
+        l1_hits = l1_misses = l1_pref_hits = l1_wasted = l1_sized = 0
+        l2_hits = l2_misses = l2_pref_hits = l2_wasted = l2_sized = 0
+        llc_hits = llc_misses = llc_pref_hits = llc_wasted = llc_sized = 0
+        d_fills = p_fills = sw_issued = useful = 0
+        line_state = _LineState
+
         bank_snapshot = bank.enabled_prefetchers
-        accept_hint = bank.accept_hint
-        issue_prefetch = self._issue_prefetch_at
-        in_flight = self._in_flight
-        # Shadow the recent-miss deque in a plain list for the duration of
-        # the loop (nothing else reads it mid-run); two C-level ``in``
-        # scans replace the per-miss Python loop over the deque. The
-        # adjacency test ``any(abs(line - r) == CACHE_LINE_BYTES)`` is
-        # exactly ``line - 64 in recent or line + 64 in recent``.
-        recent = self._recent_miss_lines
-        recent_cap = recent.maxlen
-        recent_list = list(recent)
+        # The adjacency test ``any(abs(line - r) == CACHE_LINE_BYTES)``
+        # over the recent misses is exactly ``line - 64 in recent or
+        # line + 64 in recent``: two C-level scans.
+        recent_cap = self._recent_miss_lines.maxlen
         recent_append = recent_list.append
-        useful = 0
+        next_slot = len(in_flight)
 
-        functions = result.functions
-        fnames = compiled.functions
-        now = self.now_ns
+        # Events recur (the same stall, the same fill after the same
+        # gap), so each is interned: the tape holds one shared tuple per
+        # distinct event, and a long trace's tape stays small. CONSUME
+        # events name a unique slot and are not interned.
+        events: List[tuple] = []
+        emit = events.append
+        intern = {}.setdefault
+        stall_l2 = (_STALL, 0.0, 0.0, l2_hit_ns, l2_cycles)
+        stall_llc = (_STALL, 0.0, 0.0, llc_hit_ns, llc_cycles)
+        pfill = (_PFILL, 0.0, 0.0)
 
-        stats: Optional[FunctionStats] = None
+        functions: Dict[int, list] = {}
+        ints = None
         cur_fid = -1
         s_instr = s_comp = s_loads = s_stores = s_swpf = 0
-        s_l1m = s_l2m = s_llcm = s_cov = s_late = 0
-        s_stall = s_dram_w = s_late_w = 0.0
+        s_l1m = s_l2m = s_llcm = s_cov = 0
 
         for kind, line, extra, pc, gap, fid, addr, size in compiled.packed:
             if fid != cur_fid:
-                if stats is not None:
-                    stats.instructions = s_instr
-                    stats.compute_cycles = s_comp
-                    stats.stall_cycles = s_stall
-                    stats.loads = s_loads
-                    stats.stores = s_stores
-                    stats.software_prefetches = s_swpf
-                    stats.l1_misses = s_l1m
-                    stats.l2_misses = s_l2m
-                    stats.llc_misses = s_llcm
-                    stats.prefetch_covered = s_cov
-                    stats.late_prefetch_hits = s_late
-                    stats.dram_wait_ns = s_dram_w
-                    stats.late_prefetch_wait_ns = s_late_w
-                fname = fnames[fid]
-                stats = functions.get(fname)
-                if stats is None:
-                    stats = functions[fname] = FunctionStats()
-                s_instr = stats.instructions
-                s_comp = stats.compute_cycles
-                s_stall = stats.stall_cycles
-                s_loads = stats.loads
-                s_stores = stats.stores
-                s_swpf = stats.software_prefetches
-                s_l1m = stats.l1_misses
-                s_l2m = stats.l2_misses
-                s_llcm = stats.llc_misses
-                s_cov = stats.prefetch_covered
-                s_late = stats.late_prefetch_hits
-                s_dram_w = stats.dram_wait_ns
-                s_late_w = stats.late_prefetch_wait_ns
+                if ints is not None:
+                    ints[:] = (s_instr, s_comp, s_loads, s_stores, s_swpf,
+                               s_l1m, s_l2m, s_llcm, s_cov)
+                ints = functions.get(fid)
+                if ints is None:
+                    ints = functions[fid] = [0] * 9
+                (s_instr, s_comp, s_loads, s_stores, s_swpf,
+                 s_l1m, s_l2m, s_llcm, s_cov) = ints
+                emit((_FN, fid))
                 cur_fid = fid
 
+            # The record's clock advances — ``gap * cycle_ns``, then its
+            # own cycles — fold into its first timing event while
+            # ``pending``, or become plain advances after the record if it
+            # has none (``0 * cycle_ns`` is 0.0: no gap adds nothing).
+            pending = True
             if gap:
-                now += gap * cycle_ns
                 s_instr += gap
                 s_comp += gap
-
-            if kind <= 1:  # LOAD (0) / STORE (1): the demand fast path
-                s_instr += 1
+            s_instr += 1
+            if kind <= 1:  # LOAD (0) / STORE (1): the demand path
                 s_comp += 1
-                now += cycle_ns
+                advance = cycle_ns
                 if kind:
                     s_stores += 1
                     scale = store_scale
                 else:
                     s_loads += 1
                     scale = 1.0
-                while True:
+            else:
+                s_comp += sw_cost_cycles
+                s_swpf += 1
+                advance = sw_cost_ns
+                if kind == 3:  # STREAM_HINT: hand the extent to hardware
+                    bank.accept_hint(addr, size)
+                    if gap:
+                        emit(gap * cycle_ns)
+                    emit(advance)
+                    continue
+
+            while True:
+                if kind == 2:  # SOFTWARE_PREFETCH: issue each line
+                    issue = (line,)
+                else:
                     tag = line >> l1_shift
                     if l1_mask is None:
                         cache_set = l1_sets_get(tag % l1_nsets)
@@ -403,11 +460,11 @@ class MemoryHierarchy:
                     if snapshot is None:
                         snapshot = bank_snapshot()
                     if snapshot:
-                        hw_lines = []
+                        issue = []
                         for prefetcher in snapshot:
-                            hw_lines.extend(prefetcher.observe(line, pc, hit))
+                            issue.extend(prefetcher.observe(line, pc, hit))
                     else:
-                        hw_lines = None
+                        issue = None
                     if not hit:
                         s_l1m += 1
                         tag = line >> l2_shift
@@ -415,24 +472,30 @@ class MemoryHierarchy:
                             tag & l2_mask if l2_mask is not None
                             else tag % l2_nsets)
                         if cache_set is not None and line in cache_set:
-                            # L2 hit (inlined demand lookup).
                             state = cache_set[line]
                             cache_set.move_to_end(line)
                             l2_hits += 1
                             if state.prefetched and not state.referenced:
                                 l2_pref_hits += 1
                             state.referenced = True
-                            stall = l2_hit_ns
-                            arrival = in_flight.pop(line, None)
-                            if arrival is not None:
+                            slot = in_flight.pop(line, None)
+                            if slot is not None:
                                 s_cov += 1
                                 useful += 1
-                                residual = (arrival - now) * scale
-                                if residual > 0.0:
-                                    s_late += 1
-                                    s_late_w += residual
-                                    stall += residual
-                            # Install into L1 (line just missed there).
+                                if pending:
+                                    emit((_CONSUME, gap * cycle_ns, cycle_ns,
+                                          slot, scale, l2_hit_ns))
+                                else:
+                                    emit((_CONSUME, 0.0, 0.0, slot, scale,
+                                          l2_hit_ns))
+                            elif pending:
+                                event = (_STALL, gap * cycle_ns, cycle_ns,
+                                         l2_hit_ns, l2_cycles)
+                                emit(intern(event, event))
+                            else:
+                                emit(stall_l2)
+                            pending = False
+                            # Install into L1 (the line just missed there).
                             tag = line >> l1_shift
                             index = tag & l1_mask if l1_mask is not None \
                                 else tag % l1_nsets
@@ -454,63 +517,49 @@ class MemoryHierarchy:
                                 tag & llc_mask if llc_mask is not None
                                 else tag % llc_nsets)
                             if cache_set is not None and line in cache_set:
-                                # LLC hit (inlined demand lookup).
                                 state = cache_set[line]
                                 cache_set.move_to_end(line)
                                 llc_hits += 1
                                 if state.prefetched and not state.referenced:
                                     llc_pref_hits += 1
                                 state.referenced = True
-                                stall = llc_hit_ns
-                                arrival = in_flight.pop(line, None)
-                                if arrival is not None:
+                                slot = in_flight.pop(line, None)
+                                if slot is not None:
                                     s_cov += 1
                                     useful += 1
-                                    residual = (arrival - now) * scale
-                                    if residual > 0.0:
-                                        s_late += 1
-                                        s_late_w += residual
-                                        stall += residual
+                                    if pending:
+                                        emit((_CONSUME, gap * cycle_ns,
+                                              cycle_ns, slot, scale,
+                                              llc_hit_ns))
+                                    else:
+                                        emit((_CONSUME, 0.0, 0.0, slot,
+                                              scale, llc_hit_ns))
+                                elif pending:
+                                    event = (_STALL, gap * cycle_ns,
+                                             cycle_ns, llc_hit_ns, llc_cycles)
+                                    emit(intern(event, event))
+                                else:
+                                    emit(stall_llc)
                             else:
-                                # Full miss: DRAM fill (inlined
-                                # DRAMModel.request, demand path). The
-                                # fill's latency uses the utilization
-                                # *before* its own bytes join the window.
+                                # Full miss: a demand DRAM fill. A stale
+                                # in-flight entry (its line since evicted
+                                # everywhere) is dropped.
                                 llc_misses += 1
                                 in_flight.pop(line, None)
-                                horizon = now - win_span
-                                win_sum = window._sum
-                                while win_points \
-                                        and win_points[0][0] <= horizon:
-                                    win_sum -= win_popleft()[1]
-                                if external_load is not None:
-                                    raw = (win_sum / win_span
-                                           + external_load(now)) / sat_bw
-                                else:
-                                    raw = (win_sum / win_span) / sat_bw
-                                u = raw if raw > 0.0 else 0.0
-                                clamped = u if u < max_util else max_util
-                                queue = (queue_gain
-                                         * (clamped ** queue_exp)
-                                         / (1.0 - clamped))
-                                latency = unloaded_ns * (1.0 + queue)
-                                if u > max_util:
-                                    latency *= 1.0 + overload_gain \
-                                        * (u - max_util)
-                                win_append((now, line_bytes_f))
-                                window._sum = win_sum + line_bytes_f
                                 d_fills += 1
-                                completion = now + latency
-                                wait = (completion - now) * scale
-                                if line - line_bytes in recent_list \
-                                        or line + line_bytes in recent_list:
-                                    wait /= seq_mlp
+                                s_llcm += 1
+                                seq = (line - line_bytes in recent_list
+                                       or line + line_bytes in recent_list)
                                 if len(recent_list) >= recent_cap:
                                     del recent_list[0]
                                 recent_append(line)
-                                s_llcm += 1
-                                s_dram_w += wait
-                                stall = llc_hit_ns * scale + wait
+                                if pending:
+                                    event = (_DFILL, gap * cycle_ns, cycle_ns,
+                                             scale, llc_hit_ns * scale, seq)
+                                else:
+                                    event = (_DFILL, 0.0, 0.0, scale,
+                                             llc_hit_ns * scale, seq)
+                                emit(intern(event, event))
                                 # Install into LLC.
                                 index = tag & llc_mask if llc_mask is not None \
                                     else tag % llc_nsets
@@ -525,7 +574,8 @@ class MemoryHierarchy:
                                         llc_wasted += 1
                                 cache_set[line] = line_state(False)
                                 llc_sized += 1
-                            # Install into L2 (line just missed there).
+                            pending = False
+                            # Install into L2 (the line just missed there).
                             tag = line >> l2_shift
                             index = tag & l2_mask if l2_mask is not None \
                                 else tag % l2_nsets
@@ -553,154 +603,278 @@ class MemoryHierarchy:
                                     l1_wasted += 1
                             cache_set[line] = line_state(False)
                             l1_sized += 1
-                        now += stall
-                        s_stall += stall / cycle_ns
-                    if hw_lines:
-                        for hw_line in hw_lines:
-                            if hw_line >= 0 and hw_line not in in_flight:
-                                issue_prefetch(hw_line, False, now)
-                                in_flight = self._in_flight
-                    if not extra:
-                        break
-                    extra -= 1
-                    line += line_bytes
 
-            elif kind == 2:  # SOFTWARE_PREFETCH
-                s_instr += 1
-                s_comp += sw_cost_cycles
-                s_swpf += 1
-                now += sw_cost_ns
-                # Inlined _issue_prefetch_at (software path): same checks
-                # in the same order — in-flight dedup, prune, presence in
-                # any level, then a DRAM prefetch fill and a prefetched
-                # install into LLC and L2.
-                while True:
-                    if line not in in_flight:
+                # Prefetch issue (software lines, or the hardware
+                # proposals after the demand's stall): in-flight dedup,
+                # prune, presence in any level, then a DRAM prefetch fill
+                # and prefetched installs into LLC and L2.
+                if issue:
+                    for pf_line in issue:
+                        if pf_line < 0 or pf_line in in_flight:
+                            continue
                         if len(in_flight) > prune_threshold:
-                            in_flight = self._in_flight = {
-                                pending: arrival
-                                for pending, arrival in in_flight.items()
-                                if arrival > now
-                            }
-                        tag = line >> l1_shift
+                            if pending:
+                                if gap:
+                                    emit(gap * cycle_ns)
+                                emit(advance)
+                                pending = False
+                            in_flight = self._prune(events, clock, in_flight)
+                        tag = pf_line >> l1_shift
                         cache_set = l1_sets_get(
                             tag & l1_mask if l1_mask is not None
                             else tag % l1_nsets)
-                        present = cache_set is not None and line in cache_set
-                        if not present:
-                            tag = line >> l2_shift
-                            l2_index = tag & l2_mask if l2_mask is not None \
-                                else tag % l2_nsets
-                            cache_set = l2_sets_get(l2_index)
-                            present = cache_set is not None \
-                                and line in cache_set
-                        if not present:
-                            tag = line >> llc_shift
-                            llc_index = tag & llc_mask \
-                                if llc_mask is not None else tag % llc_nsets
-                            cache_set = llc_sets_get(llc_index)
-                            present = cache_set is not None \
-                                and line in cache_set
-                        if not present:
-                            # DRAM prefetch fill (inlined DRAMModel.request).
-                            horizon = now - win_span
-                            win_sum = window._sum
-                            while win_points \
-                                    and win_points[0][0] <= horizon:
-                                win_sum -= win_popleft()[1]
-                            if external_load is not None:
-                                raw = (win_sum / win_span
-                                       + external_load(now)) / sat_bw
-                            else:
-                                raw = (win_sum / win_span) / sat_bw
-                            u = raw if raw > 0.0 else 0.0
-                            clamped = u if u < max_util else max_util
-                            queue = (queue_gain
-                                     * (clamped ** queue_exp)
-                                     / (1.0 - clamped))
-                            latency = unloaded_ns * (1.0 + queue)
-                            if u > max_util:
-                                latency *= 1.0 + overload_gain \
-                                    * (u - max_util)
-                            win_append((now, line_bytes_f))
-                            window._sum = win_sum + line_bytes_f
-                            p_fills += 1
-                            in_flight[line] = now + latency
-                            # Install into LLC, tagged prefetched.
-                            cache_set = llc_sets_get(llc_index)
-                            if cache_set is None:
-                                cache_set = llc_sets[llc_index] = OrderedDict()
-                            if len(cache_set) >= llc_assoc:
-                                _, victim = cache_set.popitem(False)
-                                llc_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
-                                    llc_wasted += 1
-                            cache_set[line] = line_state(True)
-                            llc_sized += 1
-                            # Install into L2, tagged prefetched.
-                            cache_set = l2_sets_get(l2_index)
-                            if cache_set is None:
-                                cache_set = l2_sets[l2_index] = OrderedDict()
-                            if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
-                                l2_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
-                                    l2_wasted += 1
-                            cache_set[line] = line_state(True)
-                            l2_sized += 1
+                        if cache_set is not None and pf_line in cache_set:
+                            continue
+                        tag = pf_line >> l2_shift
+                        l2_index = tag & l2_mask if l2_mask is not None \
+                            else tag % l2_nsets
+                        cache_set = l2_sets_get(l2_index)
+                        if cache_set is not None and pf_line in cache_set:
+                            continue
+                        tag = pf_line >> llc_shift
+                        llc_index = tag & llc_mask if llc_mask is not None \
+                            else tag % llc_nsets
+                        cache_set = llc_sets_get(llc_index)
+                        if cache_set is not None and pf_line in cache_set:
+                            continue
+                        p_fills += 1
+                        in_flight[pf_line] = next_slot
+                        next_slot += 1
+                        if pending:
+                            event = (_PFILL, gap * cycle_ns, advance)
+                            emit(intern(event, event))
+                            pending = False
+                        else:
+                            emit(pfill)
+                        # Install into LLC, tagged prefetched.
+                        if cache_set is None:
+                            cache_set = llc_sets[llc_index] = OrderedDict()
+                        if len(cache_set) >= llc_assoc:
+                            _, victim = cache_set.popitem(False)
+                            llc_sized -= 1
+                            if victim.prefetched and not victim.referenced:
+                                llc_wasted += 1
+                        cache_set[pf_line] = line_state(True)
+                        llc_sized += 1
+                        # Install into L2, tagged prefetched.
+                        cache_set = l2_sets_get(l2_index)
+                        if cache_set is None:
+                            cache_set = l2_sets[l2_index] = OrderedDict()
+                        if len(cache_set) >= l2_assoc:
+                            _, victim = cache_set.popitem(False)
+                            l2_sized -= 1
+                            if victim.prefetched and not victim.referenced:
+                                l2_wasted += 1
+                        cache_set[pf_line] = line_state(True)
+                        l2_sized += 1
+                        if kind == 2:
                             sw_issued += 1
-                    if not extra:
-                        break
-                    extra -= 1
-                    line += line_bytes
+                if not extra:
+                    break
+                extra -= 1
+                line += line_bytes
 
-            else:  # STREAM_HINT
-                s_instr += 1
-                s_comp += sw_cost_cycles
-                s_swpf += 1
-                now += sw_cost_ns
-                accept_hint(addr, size)
+            if pending:
+                if gap:
+                    emit(gap * cycle_ns)
+                emit(advance)
 
-        if stats is not None:
-            stats.instructions = s_instr
-            stats.compute_cycles = s_comp
-            stats.stall_cycles = s_stall
-            stats.loads = s_loads
-            stats.stores = s_stores
-            stats.software_prefetches = s_swpf
-            stats.l1_misses = s_l1m
-            stats.l2_misses = s_l2m
-            stats.llc_misses = s_llcm
-            stats.prefetch_covered = s_cov
-            stats.late_prefetch_hits = s_late
-            stats.dram_wait_ns = s_dram_w
-            stats.late_prefetch_wait_ns = s_late_w
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l1.prefetch_hits += l1_pref_hits
-        l1.wasted_prefetches += l1_wasted
-        l1._size += l1_sized
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        l2.prefetch_hits += l2_pref_hits
-        l2.wasted_prefetches += l2_wasted
-        l2._size += l2_sized
-        llc.hits += llc_hits
-        llc.misses += llc_misses
-        llc.prefetch_hits += llc_pref_hits
-        llc.wasted_prefetches += llc_wasted
-        llc._size += llc_sized
+        if ints is not None:
+            ints[:] = (s_instr, s_comp, s_loads, s_stores, s_swpf,
+                       s_l1m, s_l2m, s_llcm, s_cov)
+        tape = _Tape()
+        tape.events = events
+        tape.names = compiled.functions
+        tape.functions = functions
+        tape.caches = ((l1_hits, l1_misses, l1_pref_hits, l1_wasted, l1_sized),
+                       (l2_hits, l2_misses, l2_pref_hits, l2_wasted, l2_sized),
+                       (llc_hits, llc_misses, llc_pref_hits, llc_wasted,
+                        llc_sized))
+        tape.fills = (d_fills, p_fills)
+        tape.sw_issued = sw_issued
+        tape.useful = useful
+        tape.in_flight = in_flight
+        tape.recent = recent_list
+        return tape
+
+    def _prune(self, events: List[tuple], clock, in_flight: Dict[int, int]
+               ) -> Dict[int, int]:
+        """The scalar engine's in-flight prune, inside a cache pass: keep
+        only the prefetches that have not yet arrived at the arm's clock.
+        Replays (and consumes) the tape so far to learn that clock."""
+        if clock is None:
+            from repro.memsys.batched import LockstepBailout
+            raise LockstepBailout
+        self._replay(events, clock)
+        del events[:]
+        now = clock.now
+        arrivals = clock.arrivals
+        return {line: slot for line, slot in in_flight.items()
+                if arrivals[slot] > now}
+
+    def _replay(self, events: List[tuple], clock: "_Clock") -> None:
+        """Perform a tape's float operations on one arm, in the scalar
+        engine's order: the clock, the DRAM window, the prefetch
+        arrivals and the per-function float statistics.
+
+        Three facts keep every bit (DESIGN.md §11). A folded event first
+        adds its record's gap and cycle advances, which are ``0.0`` when
+        there are none, and ``now + 0.0 == now`` for the non-negative
+        clock. Every window point holds one line's 64.0 bytes, so the
+        window sum — an exact integer far below 2**53, however it was
+        accumulated — is 64.0 times the live point count. And with no
+        external load or a
+        :class:`~repro.memsys.dram.ConstantExternalLoad`, a fill's
+        latency is a pure function of that sum, so it is memoized per
+        call; a callable load is called on every fill.
+        """
+        config = self.config
+        cycle_ns = config.cycle_ns
+        seq_mlp = config.sequential_mlp
+        dram_cfg = config.dram
+        sat_bw = dram_cfg.saturation_bandwidth
+        max_util = dram_cfg.max_utilization
+        queue_gain = dram_cfg.queue_gain
+        queue_exp = dram_cfg.queue_exponent
+        unloaded_ns = dram_cfg.unloaded_latency_ns
+        overload_gain = dram_cfg.overload_gain
+        line_bytes_f = float(CACHE_LINE_BYTES)
+        window = self.dram._window
+        win_span = window.span_ns
+        # The window as a list of point times, with room for every fill
+        # the events can hold: ``head`` is the oldest live point and
+        # ``tail`` one past the newest. Arrival slots get the same room.
+        times = [time for time, _ in window._points]
+        head = 0
+        tail = len(times)
+        times.extend(repeat(0.0, len(events)))
+        external_load = clock.external_load
+        external = clock.external
+        # Fill latency by live point count, memoized unless the load is
+        # a callable (then it stays empty).
+        latency_of = [None] * (tail + len(events) + 1)
+        arrivals = clock.arrivals
+        next_slot = len(arrivals)
+        arrivals.extend(repeat(0.0, len(events)))
+        stats = clock.stats
+        cur_fid = clock.fid
+        s_stall, s_dram_w, s_late_w, s_late = stats.get(cur_fid, _ZERO_FLOATS)
+        now = clock.now
+        fill_op = _DFILL
+        pfill_op = _PFILL
+        event_type = tuple
+        stall_op = _STALL
+        consume_op = _CONSUME
+
+        for ev in events:
+            if ev.__class__ is not event_type:  # a clock advance
+                now += ev
+                continue
+            op = ev[0]
+            if op >= fill_op:
+                now = now + ev[1] + ev[2]
+                # Evict points at or before the horizon. The new point
+                # (never evicted: it is ``span`` younger than the
+                # horizon) is stored first and bounds the scan.
+                times[tail] = now
+                horizon = now - win_span
+                while times[head] <= horizon:
+                    head += 1
+                live = tail - head
+                tail += 1
+                # The fill's latency uses the utilization *before* its
+                # own bytes join the window.
+                latency = latency_of[live]
+                if latency is None:
+                    if external_load is not None:
+                        external = external_load(now)
+                    raw = (live * line_bytes_f / win_span + external) / sat_bw
+                    u = raw if raw > 0.0 else 0.0
+                    clamped = u if u < max_util else max_util
+                    queue = (queue_gain * (clamped ** queue_exp)
+                             / (1.0 - clamped))
+                    latency = unloaded_ns * (1.0 + queue)
+                    if u > max_util:
+                        latency *= 1.0 + overload_gain * (u - max_util)
+                    if external_load is None:
+                        latency_of[live] = latency
+                if op == pfill_op:
+                    arrivals[next_slot] = now + latency
+                    next_slot += 1
+                else:
+                    wait = ((now + latency) - now) * ev[3]
+                    if ev[5]:
+                        wait /= seq_mlp
+                    s_dram_w += wait
+                    stall = ev[4] + wait
+                    now += stall
+                    s_stall += stall / cycle_ns
+            elif op == consume_op:
+                now = now + ev[1] + ev[2]
+                stall = ev[5]
+                residual = (arrivals[ev[3]] - now) * ev[4]
+                if residual > 0.0:
+                    s_late += 1
+                    s_late_w += residual
+                    stall += residual
+                now += stall
+                s_stall += stall / cycle_ns
+            elif op == stall_op:
+                now = now + ev[1] + ev[2] + ev[3]
+                s_stall += ev[4]
+            else:  # _FN
+                if cur_fid >= 0:
+                    stats[cur_fid] = (s_stall, s_dram_w, s_late_w, s_late)
+                cur_fid = ev[1]
+                s_stall, s_dram_w, s_late_w, s_late = \
+                    stats.get(cur_fid, _ZERO_FLOATS)
+
+        if cur_fid >= 0:
+            stats[cur_fid] = (s_stall, s_dram_w, s_late_w, s_late)
+        clock.fid = cur_fid
+        clock.now = now
+        del arrivals[next_slot:]
+        window._points = deque(zip(times[head:tail], repeat(line_bytes_f)))
+        window._sum = (tail - head) * line_bytes_f
+
+    def _replay_tape(self, tape: "_Tape", clock: "_Clock",
+                     result: RunResult) -> None:
+        """Replay the rest of ``tape`` on this arm and take in its counts:
+        the per-function statistics (ints from the pass, floats from the
+        replay), the cache, DRAM and prefetch counters, the in-flight
+        table at its arrival times, the recent misses and the clock."""
+        self._replay(tape.events, clock)
+        names = tape.names
+        floats = clock.stats
+        functions = result.functions
+        for fid, (instr, comp, loads, stores, swpf, l1m, l2m, llcm,
+                  cov) in tape.functions.items():
+            stall, dram_w, late_w, late = floats[fid]
+            functions[names[fid]] = FunctionStats(
+                instr, comp, stall, loads, stores, swpf, l1m, l2m, llcm,
+                cov, late, dram_w, late_w)
+        for cache, (hits, misses, pref_hits, wasted, sized) in zip(
+                (self.l1, self.l2, self.llc), tape.caches):
+            cache.hits += hits
+            cache.misses += misses
+            cache.prefetch_hits += pref_hits
+            cache.wasted_prefetches += wasted
+            cache._size += sized
+        dram = self.dram
+        d_fills, p_fills = tape.fills
         dram.demand_fills += d_fills
-        dram.demand_bytes += d_fills * line_bytes
+        dram.demand_bytes += d_fills * CACHE_LINE_BYTES
         dram.prefetch_fills += p_fills
-        dram.prefetch_bytes += p_fills * line_bytes
-        self._sw_issued += sw_issued
+        dram.prefetch_bytes += p_fills * CACHE_LINE_BYTES
+        self._sw_issued += tape.sw_issued
+        self._useful += tape.useful
+        slots = tape.in_flight
+        self._in_flight = dict(zip(
+            slots, map(clock.arrivals.__getitem__, slots.values())))
+        recent = self._recent_miss_lines
         recent.clear()
-        recent.extend(recent_list)
-        self._useful += useful
-        self.now_ns = now
+        recent.extend(tape.recent)
+        self.now_ns = clock.now
 
     # --- internals -------------------------------------------------------------------
 
@@ -787,15 +961,8 @@ class MemoryHierarchy:
     _IN_FLIGHT_PRUNE_THRESHOLD = 1 << 18
 
     def _issue_prefetch(self, line: int, software: bool) -> None:
-        self._issue_prefetch_at(line, software, self.now_ns)
-
-    def _issue_prefetch_at(self, line: int, software: bool,
-                           now_ns: float) -> None:
-        """Issue one prefetch line at time ``now_ns``.
-
-        Shared by both engines (the compiled loop keeps the clock in a
-        local and passes it explicitly).
-        """
+        """Issue one prefetch line at the current clock (the interpreter's
+        path; the cache pass inlines the same checks in the same order)."""
         if line < 0:
             return
         if line in self._in_flight:
@@ -804,12 +971,12 @@ class MemoryHierarchy:
             self._in_flight = {
                 pending: arrival
                 for pending, arrival in self._in_flight.items()
-                if arrival > now_ns
+                if arrival > self.now_ns
             }
         if self.l1.contains(line) or self.l2.contains(line) \
                 or self.llc.contains(line):
             return
-        completion = self.dram.request(now_ns, is_prefetch=True)
+        completion = self.dram.request(self.now_ns, is_prefetch=True)
         self._in_flight[line] = completion
         # Install immediately (tagged prefetched) so pollution is modelled;
         # the in-flight entry makes early demand hits pay the residual.
@@ -839,8 +1006,9 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     it is provably safe.
 
     The fleet's dominant shape — hundreds of fresh machine-arms
-    replaying one shared trace — goes through the NumPy lockstep engine
-    (:mod:`repro.memsys.batched`): arms that qualify (cold, every
+    replaying one shared trace — goes through the lockstep engine
+    (:mod:`repro.memsys.batched`), which does the cache pass once per
+    batch and only the timing replay per arm: arms that qualify (cold, every
     *enabled* hardware prefetcher lockstep-safe, constant or absent
     external load, no tracer) are grouped by config signature and
     enabled mask, chunked into batches of ``batch_size``, and executed
@@ -891,7 +1059,6 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
         note_scalar(len(scalar_arms), "uncompiled-trace")
     else:
         compiled = trace.compile()
-        sw_lines = batched.software_prefetch_lines(compiled)
         groups: Dict[tuple, List[int]] = {}
         for arm, hierarchy in enumerate(hierarchies):
             reason = batched.lockstep_fallback_reason(hierarchy)
@@ -907,16 +1074,6 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
                 scalar_arms.append(arm)
                 note_scalar(1, reason)
         for arms in groups.values():
-            # Static half of the prune guard: a trace whose software
-            # prefetches alone could cross the scalar engine's in-flight
-            # threshold (the prune compares per-arm clocks, so firing it
-            # would let cache behavior diverge inside a batch) never
-            # enters lockstep. Hardware issue volume has no static
-            # bound; the batch itself bails out dynamically instead.
-            if sw_lines > MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD:
-                scalar_arms.extend(arms)
-                note_scalar(len(arms), "prune-bound")
-                continue
             for start, stop in plan_batches(len(arms), batch_size):
                 chunk = arms[start:stop]
                 try:

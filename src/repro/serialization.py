@@ -12,7 +12,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, Iterable, List, Union
+from typing import Dict, List, Union
 
 from repro.access.record import AccessKind, MemoryAccess
 from repro.access.trace import Trace
@@ -93,11 +93,6 @@ def access_from_dict(data: Dict) -> MemoryAccess:
 def trace_to_dicts(trace: Trace) -> List[Dict]:
     """A whole trace as a list of plain dicts."""
     return [access_to_dict(record) for record in trace]
-
-
-def trace_from_dicts(records: Iterable[Dict]) -> Trace:
-    """Inverse of :func:`trace_to_dicts`."""
-    return Trace(access_from_dict(record) for record in records)
 
 
 def save_trace_jsonl(trace: Trace, path: _PathLike) -> None:

@@ -32,12 +32,11 @@ class SlidingWindow:
     timer, which treats a threshold crossing that has lasted *exactly*
     ``sustain_duration_ns`` as sustained (``elapsed >= duration`` in
     ``HardLimoncelloController._maybe_expire``): in both, an interval of
-    exactly S "has elapsed". The DRAM model's two inlined copies of the
-    eviction loop (demand and software-prefetch paths in
-    ``repro.memsys.hierarchy``) and the batched lockstep engine encode
-    the same ``<=`` — changing any one of them would break the
-    bit-identity invariant between engines, so the boundary is pinned by
-    tests at exactly-``span_ns`` age.
+    exactly S "has elapsed". The compiled engine's timing replay
+    (``MemoryHierarchy._replay`` in ``repro.memsys.hierarchy``) inlines
+    the eviction loop once, with the same ``<=`` — changing either copy
+    would break the bit-identity invariant between engines, so the
+    boundary is pinned by tests at exactly-``span_ns`` age.
 
     The running sum uses Kahan (compensated) summation: a daemon that
     ticks once per simulated second for a fleet-year performs ~3e7
@@ -95,8 +94,8 @@ class SlidingWindow:
 
     def _evict(self, now: float) -> None:
         # Half-open (now - span, now]: a point exactly span_ns old falls
-        # on the horizon and is evicted. Keep in lockstep with the
-        # inlined copies in repro.memsys.hierarchy / repro.memsys.batched.
+        # on the horizon and is evicted. Keep in step with the inlined
+        # copy in MemoryHierarchy._replay (repro.memsys.hierarchy).
         horizon = now - self.span_ns
         while self._points and self._points[0][0] <= horizon:
             _, value = self._points.popleft()

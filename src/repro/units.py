@@ -36,28 +36,6 @@ def seconds(value: float) -> float:
     return value * SECOND
 
 
-def to_seconds(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / SECOND
-
-
-# --- bandwidth --------------------------------------------------------------
-
-
-def gb_per_s(value: float) -> float:
-    """Convert GB/s to the canonical bandwidth unit (bytes/ns).
-
-    Numerically the identity (1 GB/s == 1 byte/ns with decimal GB); this
-    function exists so call sites document their intent.
-    """
-    return float(value)
-
-
-def to_gb_per_s(bytes_per_ns: float) -> float:
-    """Convert bytes/ns to GB/s (numerically the identity)."""
-    return float(bytes_per_ns)
-
-
 def cache_lines(num_bytes: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
     """Number of cache lines needed to hold ``num_bytes`` bytes (ceiling)."""
     if num_bytes < 0:

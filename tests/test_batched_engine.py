@@ -1,12 +1,17 @@
 """Golden-equivalence tests: the batched lockstep engine vs scalar runs.
 
-:func:`repro.memsys.run_many` batches eligible arms through the NumPy
+:func:`repro.memsys.run_many` batches eligible arms through the
 lockstep engine (``repro.memsys.batched``) and must stay **bit-identical**
 to running every arm through ``MemoryHierarchy.run`` — every
 ``RunResult`` float, every per-function stat, every cache and DRAM
 counter, and the full post-run hierarchy state. These tests drive both
 paths over heterogeneous arm fleets and compare everything, including
 the dispatch decisions (which arms batched, which fell back to scalar).
+
+The scalar reference leg runs the record-at-a-time interpreter
+(``REPRO_SLOW_ENGINE=1``, see :func:`run_reference`): the compiled
+scalar engine is the same cache pass and replay a batch runs, so
+comparing against it would compare the code with itself.
 
 Wherever the batch size is not itself under test, the batched leg
 passes ``resolve_batch_size()`` explicitly — ``run_many`` never reads
@@ -156,6 +161,20 @@ def make_records():
     return records
 
 
+def run_reference(arms, trace):
+    """The scalar reference leg: every arm through the record-at-a-time
+    interpreter, the oracle independent of the cache pass and replay."""
+    saved = os.environ.get(SLOW_ENGINE_ENV)
+    os.environ[SLOW_ENGINE_ENV] = "1"
+    try:
+        return run_many(arms, trace, batch_size=0)
+    finally:
+        if saved is None:
+            os.environ.pop(SLOW_ENGINE_ENV, None)
+        else:
+            os.environ[SLOW_ENGINE_ENV] = saved
+
+
 def assert_batched_matches_scalar(records, loads=ARM_LOADS,
                                   batch_size=None, split=None):
     """Both paths over the same arms must agree on everything.
@@ -173,7 +192,7 @@ def assert_batched_matches_scalar(records, loads=ARM_LOADS,
     scalar_arms = build_arms(loads)
     batched_arms = build_arms(loads)
     for trace in traces:
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         batched_results = run_many(batched_arms, trace,
                                    batch_size=batch_size)
         for arm in range(len(scalar_arms)):
@@ -243,7 +262,7 @@ class TestDispatch:
         assert sorted(calls) == [1, len(loads)]  # own group, not scalar
 
         scalar_arms = fleet()
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         for arm in range(len(scalar_arms)):
             assert (snapshot(batched_arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
@@ -276,7 +295,7 @@ class TestDispatch:
         assert summary["fallback_reasons"] == {"unsafe-prefetcher": 1}
 
         scalar_arms = fleet()
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         for arm in range(len(scalar_arms)):
             assert (snapshot(batched_arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
@@ -314,9 +333,9 @@ class TestDispatch:
             "fallback_reasons": {"warm-state": 6}}
 
         scalar_arms, scalar_flipper = fleet()
-        scalar_a = run_many(scalar_arms, traces[0], batch_size=0)
+        scalar_a = run_reference(scalar_arms, traces[0])
         scalar_flipper.set_hardware_prefetchers(True)
-        scalar_b = run_many(scalar_arms, traces[1], batch_size=0)
+        scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(len(scalar_arms)):
             assert (snapshot(batched_arms[arm], batched_a[arm])
                     == snapshot(scalar_arms[arm], scalar_a[arm]))
@@ -335,7 +354,7 @@ class TestDispatch:
         assert sum(calls) == 2  # the recording tracer forced one arm scalar
 
         scalar_arms = build_arms((None, 0.5, 1.0))
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         for arm in range(3):
             assert (snapshot(arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
@@ -397,17 +416,30 @@ class TestDispatch:
         assert calls == []
 
     def test_prune_bound_forces_scalar(self, monkeypatch):
-        """When the trace could trip the scalar engine's in-flight
-        prune (a per-arm-clock comparison lockstep cannot replicate),
-        the whole group falls back to scalar — and still agrees."""
+        """A trace whose software prefetches alone cross the scalar
+        engine's in-flight prune threshold (a comparison with each arm's
+        clock, which lockstep cannot share) enters lockstep once, bails
+        out of the cache pass before any arm is touched, and runs every
+        arm scalar under ``prune-bailout`` — still agreeing."""
         monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 4)
         calls = spy_lockstep(monkeypatch)
         records = [MemoryAccess(
             address=(6 << 20) + i * 64, size=64,
             kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
             for i in range(64)]
-        assert_batched_matches_scalar(records, loads=(None, 0.5, 1.0))
-        assert calls == []
+        loads = (None, 0.5, 1.0)
+        occupancy = batched.BatchOccupancy()
+        arms = build_arms(loads)
+        results = run_many(arms, Trace(records), occupancy=occupancy)
+        assert calls == [3]
+        assert occupancy.to_dict() == {
+            "batched_arms": 0, "scalar_arms": 3, "groups": 0,
+            "fallback_reasons": {"prune-bailout": 3}}
+        scalar_arms = build_arms(loads)
+        scalar_results = run_reference(scalar_arms, Trace(records))
+        for arm in range(len(loads)):
+            assert (snapshot(arms[arm], results[arm])
+                    == snapshot(scalar_arms[arm], scalar_results[arm]))
 
 
 def build_enabled_arms(loads=(None, 0.5, 1.0, 0.25)):
@@ -453,7 +485,7 @@ class TestEnabledGolden:
 
         scalar_arms, batched_arms = fleet(), fleet()
         for trace in traces:
-            scalar_results = run_many(scalar_arms, trace, batch_size=0)
+            scalar_results = run_reference(scalar_arms, trace)
             batched_results = run_many(batched_arms, trace,
                                        batch_size=batch_size)
             for arm in range(len(scalar_arms)):
@@ -514,10 +546,10 @@ class TestEligibilityEdges:
             "fallback_reasons": {"warm-state": 4}}
 
         scalar_arms = fleet()
-        run_many(scalar_arms, traces[0], batch_size=0)
+        run_reference(scalar_arms, traces[0])
         for arm in scalar_arms[2:]:
             arm.set_hardware_prefetchers(True)
-        scalar_b = run_many(scalar_arms, traces[1], batch_size=0)
+        scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(4):
             assert (snapshot(batched_arms[arm], batched_b[arm])
                     == snapshot(scalar_arms[arm], scalar_b[arm]))
@@ -543,8 +575,8 @@ class TestEligibilityEdges:
         assert occupancy.to_dict()["fallback_reasons"] == {"warm-state": 3}
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
-        run_many(scalar_arms, traces[0], batch_size=0)
-        scalar_b = run_many(scalar_arms, traces[1], batch_size=0)
+        run_reference(scalar_arms, traces[0])
+        scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(3):
             assert (snapshot(arms[arm], batched_b[arm])
                     == snapshot(scalar_arms[arm], scalar_b[arm]))
@@ -568,8 +600,8 @@ class TestEligibilityEdges:
         aborts lockstep (the prune keys on per-arm clocks); the chunk
         reruns scalar, with no state leaked from the aborted batch."""
         monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 4)
-        # Pure demand loads: no software prefetches, so the static prune
-        # bound passes and only the dynamic bailout can catch this.
+        # Pure demand loads: only hardware prefetch issues fill the
+        # in-flight table.
         trace = Trace(make_records()[:400])
         occupancy = batched.BatchOccupancy()
         arms = build_enabled_arms((None, 0.5, 1.0))
@@ -579,7 +611,7 @@ class TestEligibilityEdges:
         assert summary["batched_arms"] == 0
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         for arm in range(3):
             assert (snapshot(arms[arm], results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
@@ -623,15 +655,15 @@ class TestEligibilityEdges:
 
         scalar_arm = build_enabled_arms((None,))[0]
         scalar_arm.set_hardware_prefetchers(False)
-        scalar_arm.run(trace)
+        run_reference([scalar_arm], trace)
         scalar_arm.reset()
-        scalar_rerun = scalar_arm.run(trace)
+        scalar_rerun = run_reference([scalar_arm], trace)[0]
         assert (snapshot(arms[0], rerun[0])
                 == snapshot(scalar_arm, scalar_rerun))
         # Config is lifetime-immutable: the cache survives everything.
         assert arms[0]._config_sig_cache is sig
 
-    def test_noisy_batches_epoch_zero_only(self):
+    def test_noisy_batches_epoch_zero_only(self, monkeypatch):
         """The noisy-neighbor epoch loop hands its arms back to
         ``run_many`` every epoch: epoch 0 batches the cold fleet in one
         group, and every later epoch runs scalar under ``warm-state``,
@@ -645,6 +677,7 @@ class TestEligibilityEdges:
         assert result.occupancy.to_dict() == {
             "batched_arms": 3, "scalar_arms": 9, "groups": 1,
             "fallback_reasons": {"warm-state": 9}}
+        monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
         scalar = NoisyNeighborScenario(machines=3, epochs=4,
                                        batch_size=0).run(**stores)
         assert noisy_digest(result) == noisy_digest(scalar)
@@ -682,7 +715,7 @@ class TestExportState:
         rebuild."""
         trace = Trace(make_records())
         scalar_arms = build_arms()
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         arms = build_arms()
         results = run_many(arms, trace, export_state=False)
         for arm in range(len(arms)):
@@ -719,7 +752,7 @@ class TestExportState:
         run_many(arms, trace, export_state=False)
         rerun = run_many(arms, trace)  # cold caches again: same misses
         cold = build_arms((None, 0.5))
-        cold_results = run_many(cold, trace, batch_size=0)
+        cold_results = run_reference(cold, trace)
         for arm in range(2):
             assert (tuple(getattr(rerun[arm].total, f) for f in count_stats)
                     == tuple(getattr(cold_results[arm].total, f)
@@ -740,9 +773,8 @@ ROLLOUT_PROBE = (
 
 
 class TestNumpyStaysLazy:
-    """Only :func:`~repro.memsys.run_many` imports the lockstep engine,
-    and with it NumPy. The analytic fleet studies never call it, so a
-    rollout process stays free of NumPy's memory footprint."""
+    """No part of the package imports NumPy, so a rollout process stays
+    free of NumPy's memory footprint."""
 
     def test_import_and_rollout_leave_numpy_unloaded(self):
         env = {name: value for name, value in os.environ.items()
@@ -753,3 +785,36 @@ class TestNumpyStaysLazy:
             [sys.executable, "-c", ROLLOUT_PROBE], env=env,
             capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "False"]
+
+
+#: Blocks NumPy (any ``import numpy`` raises ImportError), then runs a
+#: lockstep-batched control sweep and a noisy-neighbor study.
+NO_NUMPY_PROBE = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from repro.fleet import MicroFleetSweep\n"
+    "from repro.scenarios import NoisyNeighborScenario\n"
+    "sweep = MicroFleetSweep(mode='control', machines=8, scale=0.25,\n"
+    "                        shard_size=4).run(workers=1, cache_dir='',\n"
+    "                                          checkpoint_dir='')\n"
+    "NoisyNeighborScenario(machines=2, epochs=4).run(\n"
+    "    workers=1, cache_dir='', checkpoint_dir='', obs_dir='')\n"
+    "print(sweep.occupancy.batched_arms > 0)\n"
+    "print(sys.modules['numpy'] is None)\n"
+)
+
+
+class TestRuntimeWithoutNumpy:
+    """The package's runtime needs nothing beyond the standard library:
+    the lockstep engine batches in plain floats."""
+
+    def test_sweep_and_noisy_run_with_numpy_blocked(self):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_PROBE], env=env,
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "True"]

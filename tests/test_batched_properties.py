@@ -2,9 +2,9 @@
 
 Hypothesis drives :func:`repro.memsys.run_many` with random record
 mixes, arm fleets, and batch sizes, and asserts the batched path is
-bit-identical to per-arm scalar runs — the same everything-observable
-comparison the golden suite makes, minimized automatically when a
-counterexample exists.
+bit-identical to per-arm runs of the record-at-a-time interpreter — the
+same everything-observable comparison the golden suite makes, minimized
+automatically when a counterexample exists.
 """
 
 from tests.hypothesis_profiles import scaled
@@ -19,7 +19,7 @@ from repro.memsys import (
     run_many,
 )
 
-from tests.test_batched_engine import exotic_bank, snapshot
+from tests.test_batched_engine import exotic_bank, run_reference, snapshot
 
 record_strategy = st.builds(
     MemoryAccess,
@@ -78,7 +78,7 @@ def assert_fleet_agrees(records, loads, batch_size, split=None,
     scalar_arms = build_arms(loads, banks)
     batched_arms = build_arms(loads, banks)
     for trace in traces:
-        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        scalar_results = run_reference(scalar_arms, trace)
         batched_results = run_many(batched_arms, trace,
                                    batch_size=batch_size)
         for arm in range(len(loads)):

@@ -14,7 +14,7 @@ from tests.hypothesis_profiles import scaled
 from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessKind, MemoryAccess, Trace
-from repro.memsys import MemoryHierarchy, PrefetcherBank
+from repro.memsys import ConstantExternalLoad, MemoryHierarchy, PrefetcherBank
 from repro.memsys.hierarchy import SLOW_ENGINE_ENV
 from repro.memsys.prefetchers.bank import default_prefetcher_bank
 
@@ -184,6 +184,68 @@ class TestDeterministicEquivalence:
         fast_h, fast_a, fast_b = run(False)
         assert snapshot(slow_h, slow_a) == snapshot(fast_h, fast_a)
         assert snapshot(slow_h, slow_b) == snapshot(fast_h, fast_b)
+
+
+def varying_load(now_ns):
+    """A co-tenant draw that changes with time: a callable load, which
+    the compiled engine must call on every fill."""
+    return 0.2 + (now_ns % 7919.0) / 7919.0
+
+
+def prune_traces():
+    """Three traces for one arm, run back to back: hardware-prefetch
+    heavy demand traffic, a 64-line software-prefetch spray with loads
+    consuming part of it, and a revisit with gaps. With a tiny prune
+    threshold the in-flight table crosses it again and again, holding
+    both arrived and still-pending entries."""
+    stream = [MemoryAccess(address=i * 64, size=8, pc=1, function="walk",
+                           gap_cycles=i % 3)
+              for i in range(300)]
+    spray = [MemoryAccess(address=4 << 20, size=64 * 64,
+                          kind=AccessKind.SOFTWARE_PREFETCH, pc=2,
+                          function="spray")]
+    spray += [MemoryAccess(address=(4 << 20) + i * 128, size=8, pc=3,
+                           function="spray", gap_cycles=5)
+              for i in range(32)]
+    revisit = [MemoryAccess(address=(i * 7919 % 512) * 64, size=16,
+                            kind=AccessKind.STORE if i % 4 else
+                            AccessKind.LOAD, pc=4, function="revisit",
+                            gap_cycles=i % 7)
+               for i in range(200)]
+    return [Trace(stream), Trace(spray), Trace(revisit)]
+
+
+class TestPrunePath:
+    """The one-arm in-flight prune: when the table outgrows the
+    threshold, the cache pass replays its tape so far to learn the
+    arm's clock and drops the prefetches that have arrived — exactly
+    the interpreter's prune, with every load shape."""
+
+    @pytest.mark.parametrize("threshold", (4, 16))
+    @pytest.mark.parametrize(
+        "load", (None, ConstantExternalLoad(0.7), varying_load),
+        ids=("no-load", "constant-load", "callable-load"))
+    def test_compiled_prune_matches_interpreter(self, monkeypatch,
+                                                threshold, load):
+        monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD",
+                            threshold)
+        traces = prune_traces()
+
+        def run(slow):
+            if slow:
+                monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
+            else:
+                monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
+            hierarchy = MemoryHierarchy(external_load=load)
+            snapshots = []
+            for trace in traces:
+                result = hierarchy.run(trace)
+                snapshots.append(snapshot(hierarchy, result))
+            return snapshots
+
+        slow = run(True)
+        assert run(False) == slow
+        assert len(slow[-1]["in_flight"]) > 0
 
 
 class TestEngineDispatch:

@@ -15,7 +15,6 @@ from repro.serialization import (
     run_result_to_dict,
     save_run_result,
     save_trace_jsonl,
-    trace_from_dicts,
     trace_to_dicts,
 )
 from repro.workloads import memcpy_trace
@@ -54,7 +53,8 @@ class TestAccessRoundTrip:
 class TestTraceRoundTrip:
     def test_dicts_round_trip(self):
         trace = sample_trace()
-        assert trace_from_dicts(trace_to_dicts(trace)) == trace
+        assert Trace(access_from_dict(record)
+                     for record in trace_to_dicts(trace)) == trace
 
     def test_jsonl_round_trip(self, tmp_path):
         trace = sample_trace()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PrefetchDescriptor, PrefetchTuner, identify_targets
-from repro.core.soft.targets import category_rollup, selected_functions
+from repro.core.soft.targets import selected_functions
 from repro.errors import ConfigError
 from repro.memsys.stats import FunctionStats
 from repro.workloads import FunctionCategory
@@ -75,12 +75,6 @@ class TestIdentifyTargets:
         assert by_name["memcpy"].category is FunctionCategory.DATA_MOVEMENT
         assert by_name["memcpy"].is_tax
         assert by_name["pointer_chase"].category is FunctionCategory.NON_TAX
-
-    def test_category_rollup(self):
-        control, experiment = self.make_profiles()
-        rollup = category_rollup(identify_targets(control, experiment))
-        assert rollup[FunctionCategory.DATA_MOVEMENT] > 0
-        assert rollup[FunctionCategory.NON_TAX] < 0.2
 
 
 class TestTuner:
