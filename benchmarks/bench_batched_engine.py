@@ -1,9 +1,9 @@
 """Batched lockstep engine throughput: 256-arm sweep vs scalar engine.
 
 The fleet-batched engine (DESIGN.md §11) runs hundreds of independent
-machine-arms over one shared trace in NumPy lockstep: cache behaviour is
-arm-invariant across a batch, so the engine evolves one shared cache
-state and vectorizes only the per-arm float timing. This benchmark times
+machine-arms over one shared trace in lockstep: cache behaviour is
+arm-invariant across a group, so the engine does one cache pass and
+replays only the per-arm float timing. This benchmark times
 the sweep-path shape that motivates it — ``run_many`` over ``ARMS``
 hierarchies with ``export_state=False``, exactly what
 :class:`repro.fleet.sweep.MicroFleetSweep` executes per shard — against
@@ -48,7 +48,6 @@ SCALAR_SAMPLE = 8
 MIXED_SEED = 7
 MIXED_SCALE = 1.0
 DEFAULT_ROUNDS = 2
-DEFAULT_BATCH = 256
 
 STAT_FIELDS = (
     "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
@@ -92,15 +91,14 @@ def fingerprint(result):
     )
 
 
-def time_batched(trace, arm_count, batch_size, rounds):
+def time_batched(trace, arm_count, rounds):
     """Best-of-``rounds`` sweep-path wall time, plus the last results."""
     best = float("inf")
     results = None
     for _ in range(rounds):
         arms = [build_arm(i) for i in range(arm_count)]
         start = time.perf_counter()
-        results = run_many(arms, trace, batch_size=batch_size,
-                           export_state=False)
+        results = run_many(arms, trace, export_state=False)
         best = min(best, time.perf_counter() - start)
     return best, results
 
@@ -124,8 +122,8 @@ def time_scalar_sample(trace, sample_indices, rounds):
     return best, results
 
 
-def run_experiment(arm_count=ARMS, batch_size=DEFAULT_BATCH,
-                   rounds=DEFAULT_ROUNDS, sample=SCALAR_SAMPLE):
+def run_experiment(arm_count=ARMS, rounds=DEFAULT_ROUNDS,
+                   sample=SCALAR_SAMPLE):
     if os.environ.get(SLOW_ENGINE_ENV):
         raise SystemExit(
             f"{SLOW_ENGINE_ENV} is set; it disables the batched engine, "
@@ -138,8 +136,7 @@ def run_experiment(arm_count=ARMS, batch_size=DEFAULT_BATCH,
     step = max(1, arm_count // sample)
     sample_indices = list(range(0, arm_count, step))[:sample]
 
-    batched_s, batched_results = time_batched(trace, arm_count,
-                                              batch_size, rounds)
+    batched_s, batched_results = time_batched(trace, arm_count, rounds)
     scalar_s, scalar_results = time_scalar_sample(trace, sample_indices,
                                                   rounds)
 
@@ -157,7 +154,6 @@ def run_experiment(arm_count=ARMS, batch_size=DEFAULT_BATCH,
         "benchmark": "batched_engine",
         "rounds": rounds,
         "machines": arm_count,
-        "batch_size": batch_size,
         "scalar_sample": len(sample_indices),
         "trace_seed": MIXED_SEED,
         "trace_scale": MIXED_SCALE,
@@ -188,8 +184,8 @@ def write_output(data, path=OUTPUT_PATH):
 def summary_lines(data):
     arm = data["arms"]["sweep"]
     return [
-        f"{data['machines']} arms x {data['accesses_per_arm']} accesses, "
-        f"batch size {data['batch_size']}",
+        f"{data['machines']} arms x {data['accesses_per_arm']} accesses "
+        f"(one lockstep group)",
         f"scalar (compiled engine): {arm['scalar_s_per_arm']:.3f} s/arm "
         f"-> {arm['scalar_s_extrapolated']:.1f} s extrapolated "
         f"({data['scalar_sample']}-arm sample)",
@@ -221,8 +217,6 @@ def main(argv=None):
                     "sweep-path shape against the scalar engine.")
     parser.add_argument("--arms", type=int, default=ARMS,
                         help="machine-arms in the sweep")
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH,
-                        help="arms per lockstep batch")
     parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
                         help="timing rounds per engine (best-of)")
     parser.add_argument("--sample", type=int, default=SCALAR_SAMPLE,
@@ -235,8 +229,8 @@ def main(argv=None):
                              "batched/scalar speedup")
     args = parser.parse_args(argv)
 
-    data = run_experiment(arm_count=args.arms, batch_size=args.batch_size,
-                          rounds=args.rounds, sample=args.sample)
+    data = run_experiment(arm_count=args.arms, rounds=args.rounds,
+                          sample=args.sample)
     path = write_output(data, args.output)
     print("\n".join(summary_lines(data)))
     print(f"wrote {path}")

@@ -1,8 +1,10 @@
 """Scenario-subsystem benchmark: call-graph batching and noisy tenants.
 
 Times the SLOFetch-style call-graph study on the lockstep-batched
-engine against the scalar oracle (bit-identity asserted via digests —
-the speedup is only reportable because the results are provably equal),
+engine against the scalar compiled engine — the same study with a
+per-arm ``arm.run(trace)`` loop standing in for ``run_many`` —
+(bit-identity asserted via digests — the speedup is only reportable
+because the results are provably equal),
 and runs the noisy-neighbor interference study to pin its headline
 deterministic figures (disable duty cycle, controller flips, per-tenant
 P99 tension versus the always-enabled twin).
@@ -17,6 +19,7 @@ Results go to ``benchmarks/results/BENCH_scenarios.json``.
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -45,18 +48,36 @@ NOISY_SEED = 23
 SUSTAIN_NS = 30_000.0
 
 
-def _time_callgraph(batch_size):
+@contextlib.contextmanager
+def _scalar_run_many():
+    """Run every arm on the scalar compiled engine: a per-arm
+    ``arm.run(trace)`` loop stands in for
+    ``repro.memsys.hierarchy.run_many`` for the scope."""
+    from repro.memsys import hierarchy
+
+    def run_each(hierarchies, trace, export_state=True, occupancy=None):
+        return [arm.run(trace) for arm in hierarchies]
+
+    original = hierarchy.run_many
+    hierarchy.run_many = run_each
+    try:
+        yield
+    finally:
+        hierarchy.run_many = original
+
+
+def _time_callgraph():
     scenario = CallGraphScenario(services=SERVICES, requests=REQUESTS,
-                                 seed=CALLGRAPH_SEED, mode="off",
-                                 batch_size=batch_size)
+                                 seed=CALLGRAPH_SEED, mode="off")
     start = time.perf_counter()
     result = scenario.run(workers=1, cache_dir="", checkpoint_dir="")
     return time.perf_counter() - start, scenario, result
 
 
 def run_experiment():
-    batched_s, scenario, batched = _time_callgraph(batch_size=64)
-    scalar_s, _, scalar = _time_callgraph(batch_size=0)
+    batched_s, scenario, batched = _time_callgraph()
+    with _scalar_run_many():
+        scalar_s, _, scalar = _time_callgraph()
     digest = callgraph_digest(batched)
     if digest != callgraph_digest(scalar):
         raise AssertionError(

@@ -22,6 +22,7 @@ runs the CLI with ``--min-stream-speedup`` as a regression gate.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -36,7 +37,7 @@ except ImportError:  # CLI use without PYTHONPATH=src
 
 from repro.access import MemoryAccess, Trace
 from repro.memsys import MemoryHierarchy, PrefetcherBank
-from repro.memsys.hierarchy import SLOW_ENGINE_ENV
+from repro.memsys.hierarchy import SLOW_ENGINE_ENV, reference_engine
 from repro.memsys.prefetchers.bank import default_prefetcher_bank
 from repro.workloads.memo import memoized_fleet_mix
 
@@ -97,12 +98,7 @@ def fingerprint(result):
 
 def run_engine(arm, slow, rounds):
     """Best-of-``rounds`` wall time on fresh hierarchies, plus a result."""
-    saved = os.environ.get(SLOW_ENGINE_ENV)
-    try:
-        if slow:
-            os.environ[SLOW_ENGINE_ENV] = "1"
-        else:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
+    with reference_engine() if slow else contextlib.nullcontext():
         best = float("inf")
         result = None
         for _ in range(rounds):
@@ -112,11 +108,6 @@ def run_engine(arm, slow, rounds):
             result = hierarchy.run(arm["trace"])
             best = min(best, time.perf_counter() - start)
         return best, result
-    finally:
-        if saved is None:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
-        else:
-            os.environ[SLOW_ENGINE_ENV] = saved
 
 
 def run_tracer_overhead(rounds=DEFAULT_ROUNDS):
@@ -172,6 +163,11 @@ def run_tracer_overhead(rounds=DEFAULT_ROUNDS):
 
 
 def run_experiment(rounds=DEFAULT_ROUNDS):
+    if os.environ.get(SLOW_ENGINE_ENV):
+        raise SystemExit(
+            f"{SLOW_ENGINE_ENV} is set; the compiled leg would run the "
+            "interpreter, so this benchmark would measure nothing — unset "
+            "it first")
     arms = {}
     for arm in build_arms():
         # Lowering is one-time per trace (cached on the Trace object and

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import ReproError
+from repro.memsys.hierarchy import reference_engine
 from repro.telemetry import format_relative_change as _pct
 from repro.units import KB, SECOND
 
@@ -65,15 +66,8 @@ def _print_digest_footer(result, digest, queue_stats, resolved_dir) -> None:
     engine ran, so there is nothing to report).
     """
     occupancy = getattr(result, "occupancy", None)
-    stats = occupancy.to_dict() if occupancy is not None else None
-    total = stats["batched_arms"] + stats["scalar_arms"] if stats else 0
-    if total:
-        line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
-                f"({stats['groups']} lockstep groups)")
-        if stats["scalar_arms"]:
-            reasons = ", ".join(f"{reason}={count}" for reason, count
-                                in stats["fallback_reasons"].items())
-            line += f"; {stats['scalar_arms']} scalar: {reasons}"
+    line = occupancy and occupancy.summary(occupancy.to_dict())
+    if line:
         print(line)
     print(f"\nresult digest: {digest}")
     _print_queue_stats(queue_stats, resolved_dir)
@@ -81,10 +75,10 @@ def _print_digest_footer(result, digest, queue_stats, resolved_dir) -> None:
 
 #: How every ``--compare-serial`` oracle runs: one worker, and neither
 #: the result cache nor the shard journal, so the oracle recomputes the
-#: study instead of replaying the requested run. Studies that batch are
-#: rebuilt with ``batch_size=0`` (the scalar engine), and studies whose
-#: ``run()`` can write a run directory also pass ``obs_dir=""``, so the
-#: oracle never overwrites the requested run's manifest.
+#: study instead of replaying the requested run. Trace-driven studies
+#: rerun under :func:`~repro.memsys.hierarchy.reference_engine`; studies
+#: whose ``run()`` can write a run directory also pass ``obs_dir=""``, so
+#: the oracle never overwrites the requested run's manifest.
 SERIAL_ORACLE = dict(workers=1, cache_dir="", checkpoint_dir="")
 
 
@@ -291,7 +285,7 @@ def run_sweep(args) -> int:
                   scale=args.scale, crash_rate=args.crash_rate,
                   shard_size=args.shard_size, fault_plan=fault_plan,
                   workload=args.trace)
-    sweep = MicroFleetSweep(batch_size=args.batch_size, **kwargs)
+    sweep = MicroFleetSweep(**kwargs)
     result = sweep.run(workers=args.workers, cache_dir=args.cache_dir,
                        checkpoint_dir=checkpoint_dir)
 
@@ -312,7 +306,8 @@ def run_sweep(args) -> int:
     _print_digest_footer(result, digest, sweep.queue_stats, resolved_ckpt)
     if args.compare_serial:
         # MicroFleetSweep.run writes no run directory.
-        serial = MicroFleetSweep(batch_size=0, **kwargs).run(**SERIAL_ORACLE)
+        with reference_engine():
+            serial = MicroFleetSweep(**kwargs).run(**SERIAL_ORACLE)
         _check_serial(digest, sweep_digest(serial))
     return 0
 
@@ -765,7 +760,7 @@ def run_scenario_callgraph(args) -> int:
                   requests=args.requests, seed=args.seed, mode=args.mode,
                   rpc_overhead_ns=args.rpc_overhead_ns,
                   crash_rate=args.crash_rate, fault_plan=fault_plan)
-    scenario = CallGraphScenario(batch_size=args.batch_size, **kwargs)
+    scenario = CallGraphScenario(**kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
                           obs_dir=getattr(args, "obs_dir", None))
@@ -799,8 +794,9 @@ def run_scenario_callgraph(args) -> int:
     digest = callgraph_digest(result)
     _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        serial = CallGraphScenario(batch_size=0, **kwargs).run(
-            obs_dir="", **SERIAL_ORACLE)
+        with reference_engine():
+            serial = CallGraphScenario(**kwargs).run(obs_dir="",
+                                                     **SERIAL_ORACLE)
         _check_serial(digest, callgraph_digest(serial))
     return 0
 
@@ -843,7 +839,7 @@ def run_scenario_noisy(args) -> int:
                   upper=args.upper, lower=args.lower,
                   sustain_ns=args.sustain_ns, crash_rate=args.crash_rate,
                   shard_size=args.shard_size, fault_plan=fault_plan)
-    scenario = NoisyNeighborScenario(batch_size=args.batch_size, **kwargs)
+    scenario = NoisyNeighborScenario(**kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
                           obs_dir=getattr(args, "obs_dir", None))
@@ -887,7 +883,8 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
-        serial = NoisyNeighborScenario(batch_size=0, **kwargs).run(
-            obs_dir="", **SERIAL_ORACLE)
+        with reference_engine():
+            serial = NoisyNeighborScenario(**kwargs).run(obs_dir="",
+                                                         **SERIAL_ORACLE)
         _check_serial(digest, noisy_digest(serial))
     return 0

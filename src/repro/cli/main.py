@@ -53,22 +53,14 @@ def _add_shard_size_flag(subparser: argparse.ArgumentParser) -> None:
         help="max machines per shard (default %(default)s)")
 
 
-def _add_batch_size_flag(subparser: argparse.ArgumentParser) -> None:
-    """The shared engine flag for the trace-driven studies."""
-    subparser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="arms per lockstep batch (default: $REPRO_BATCH or 32; "
-             "0 runs every arm on the scalar engine); results are "
-             "identical at any value")
-
-
 def _add_compare_serial_flag(subparser: argparse.ArgumentParser) -> None:
     """The shared ``--compare-serial`` determinism-check flag."""
     subparser.add_argument(
         "--compare-serial", action="store_true",
         help="also rerun the study as the serial oracle (one worker, "
-             "scalar engine, no cache, journal or run directory) and "
-             "fail unless its digest is bit-identical")
+             "no cache, journal or run directory; trace-driven studies "
+             "on the reference interpreter) and fail unless its digest "
+             "is bit-identical")
 
 
 def _add_fault_plan_flag(subparser: argparse.ArgumentParser) -> None:
@@ -173,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared trace every arm replays: the fleetbench-style mix "
              "(default) or the scenario subsystem's two-tenant "
              "noisy-neighbor interleave")
-    _add_batch_size_flag(sweep)
     _add_compare_serial_flag(sweep)
     _add_execution_flags(sweep)
     _add_checkpoint_flags(sweep)
@@ -355,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     callgraph.add_argument("--crash-rate", type=float, default=0.0,
                            help="chaos: fraction of replicas marked down "
                                 "for the whole replay")
-    _add_batch_size_flag(callgraph)
     _add_compare_serial_flag(callgraph)
     _add_execution_flags(callgraph)
     _add_checkpoint_flags(callgraph)
@@ -404,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     noisy.add_argument("--crash-rate", type=float, default=0.0,
                        help="chaos: fraction of machines marked down")
     _add_shard_size_flag(noisy)
-    _add_batch_size_flag(noisy)
     noisy.add_argument(
         "--baseline", action="store_true",
         help="also run the paired always-enabled twin over identical "

@@ -32,14 +32,11 @@ from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.shard import (
     DEFAULT_SHARD_SIZE,
     ShardPlan,
-    plan_batches,
     plan_rounds,
     plan_shards,
     shard_seed,
 )
 from repro.fleet.parallel import (
-    DEFAULT_BATCH_SIZE,
-    resolve_batch_size,
     resolve_workers,
     run_sharded,
 )
@@ -80,13 +77,10 @@ from repro.fleet.rollout import (
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "DEFAULT_BATCH_SIZE",
     "ShardPlan",
-    "plan_batches",
     "plan_rounds",
     "plan_shards",
     "shard_seed",
-    "resolve_batch_size",
     "resolve_workers",
     "run_sharded",
     "StudyResultCache",

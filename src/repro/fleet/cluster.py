@@ -236,7 +236,7 @@ class Fleet:
         wrapped in a :class:`~repro.policy.PolicyController`, bound to
         the socket ident at construction — so learning policies draw
         from per-socket seed streams that are independent of worker
-        count, batch size, and whether a tracer is attached. The config
+        count, engine, and whether a tracer is attached. The config
         defaults match :meth:`deploy_hard_limoncello` (epoch-period
         sampling, three-epoch sustain window).
         """

@@ -21,17 +21,10 @@ import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
-from repro.memsys.hierarchy import DEFAULT_BATCH_SIZE
 
 #: Environment override for the default worker count, honoured by every
 #: study entry point when the caller does not pass ``workers`` explicitly.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment override for the lockstep batch size, read once per study
-#: by :func:`resolve_batch_size`. ``0`` (or ``off``) disables batching so
-#: every arm runs the scalar compiled engine — the oracle configuration
-#: CI diffs against.
-BATCH_ENV_VAR = "REPRO_BATCH"
 
 _Spec = TypeVar("_Spec")
 _Result = TypeVar("_Result")
@@ -69,40 +62,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers == 0:
         return os.cpu_count() or 1
     return workers
-
-
-def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """The lockstep batch size to use: explicit arg, else ``$REPRO_BATCH``,
-    else :data:`DEFAULT_BATCH_SIZE`.
-
-    ``0`` — explicit or via the environment (which also accepts ``off``)
-    — disables batching: every arm runs the scalar compiled engine.
-    Any other environment value must be a positive integer; junk raises
-    a :class:`ConfigError` naming the variable, mirroring
-    :func:`resolve_workers` — a mistyped ``REPRO_BATCH`` silently
-    running scalar would quietly forfeit the engine an equivalence CI
-    run is trying to exercise.
-    """
-    if batch_size is None:
-        env = os.environ.get(BATCH_ENV_VAR, "").strip()
-        if not env:
-            return DEFAULT_BATCH_SIZE
-        if env.lower() == "off":
-            return 0
-        try:
-            batch_size = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"{BATCH_ENV_VAR} must be a non-negative integer or 'off', "
-                f"got {env!r}") from None
-        if batch_size < 0:
-            raise ConfigError(
-                f"{BATCH_ENV_VAR} must be a non-negative integer or 'off', "
-                f"got {batch_size}")
-        return batch_size
-    if batch_size < 0:
-        raise ConfigError(f"batch size cannot be negative, got {batch_size}")
-    return batch_size
 
 
 class _CallbackError(Exception):

@@ -93,7 +93,7 @@ def plan_rounds(count: int, quantum: int) -> List[Tuple[int, int]]:
 
     Returns ``(start, stop)`` slices covering ``range(count)`` in order:
     every round takes exactly ``quantum`` shards except the last, which
-    takes the remainder. Unlike :func:`plan_batches` the rounds are
+    takes the remainder. Unlike :func:`plan_shards` the rounds are
     *not* balanced — adaptive early stopping re-evaluates after each
     round, and its decisions must depend only on the study parameters,
     so the schedule has to be a pure function of ``(count, quantum)``
@@ -107,32 +107,6 @@ def plan_rounds(count: int, quantum: int) -> List[Tuple[int, int]]:
     start = 0
     while start < count:
         stop = min(start + quantum, count)
-        slices.append((start, stop))
-        start = stop
-    return slices
-
-
-def plan_batches(count: int, batch_size: int) -> List[Tuple[int, int]]:
-    """Split ``count`` arms into contiguous lockstep batches.
-
-    Returns ``(start, stop)`` slices covering ``range(count)`` in order.
-    Like :func:`plan_shards` the split is balanced — ``ceil(count /
-    batch_size)`` batches whose sizes differ by at most one — so a
-    population one arm over a batch boundary doesn't leave a degenerate
-    single-arm batch paying a whole cache pass for one replay. Arms are
-    independent, so batch geometry can never change results; it only
-    shapes throughput and peak memory.
-    """
-    if count <= 0:
-        raise ConfigError("need at least one arm")
-    if batch_size <= 0:
-        raise ConfigError(f"batch size must be positive, got {batch_size}")
-    batches = -(-count // batch_size)  # ceil division
-    base, extra = divmod(count, batches)
-    slices: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(batches):
-        stop = start + base + (1 if index < extra else 0)
         slices.append((start, stop))
         start = stop
     return slices

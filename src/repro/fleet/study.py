@@ -217,7 +217,8 @@ def run_study(
 
     if session is not None:
         session.event("study-finish", study=study.STUDY)
-        session.finalize(material, **getattr(study, "manifest_fields", dict)())
+        fields = getattr(study, "manifest_fields", dict)()
+        session.finalize(material, occupancy=getattr(result, "occupancy", None), **fields)
     return result, stats
 
 

@@ -11,11 +11,11 @@ BLAKE2b stream). That shape — hundreds of arms, one trace — is exactly
 what the batched lockstep engine (:mod:`repro.memsys.batched`)
 accelerates, and the sweep runs every shard through
 :func:`~repro.memsys.hierarchy.run_many` so eligible arms batch
-automatically. Both modes batch: ``off`` arms share empty-bank groups,
-``control`` arms group by prefetcher-bank configuration and training
-fingerprint (see ``DESIGN.md`` §11). Each shard also records a
-:class:`~repro.memsys.batched.BatchOccupancy` — how many arms actually
-batched, how many fell back to scalar and why — surfaced through
+automatically, one lockstep call per group. ``off`` arms share one
+empty-bank group, ``control`` arms group by prefetcher-bank
+configuration and training fingerprint (``DESIGN.md`` §11). Each shard
+also records a :class:`~repro.memsys.batched.BatchOccupancy` — how many
+arms batched, how many fell back to scalar and why — surfaced through
 ``repro sweep`` reports.
 
 Determinism mirrors the other fleet studies:
@@ -25,11 +25,11 @@ Determinism mirrors the other fleet studies:
 * per-arm draws (background load, chaos crashes) come from
   :func:`~repro.faults.plan.fault_rng` streams keyed by study seed,
   shard index, and machine name — never from shared RNG state — so the
-  result is independent of worker count and batch size;
+  result is independent of worker count and engine;
 * shard results merge by concatenation in plan order, so serial and
   sharded runs are bit-identical and :func:`sweep_digest` can prove it
-  (the CI equivalence job also diffs digests across ``REPRO_BATCH``
-  settings, pinning the batched engine to the scalar one end-to-end).
+  (``repro sweep --compare-serial`` also recomputes the sweep on the
+  reference interpreter, pinning the batched engine to it end-to-end).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
-from repro.fleet.parallel import resolve_batch_size
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 from repro.fleet.study import run_study
 from repro.serialization import canonical_json
@@ -79,7 +78,7 @@ def background_load(study_seed: int, shard_index: int,
 
     A pure function of ``(study seed, shard index, machine name)`` via a
     BLAKE2b-seeded stream, so it is identical across worker counts,
-    batch sizes, and hosts.
+    engines, and hosts.
     """
     rng = fault_rng(study_seed, "sweep-load", shard_index, machine)
     return rng.uniform(0.0, _MAX_BACKGROUND_LOAD)
@@ -129,12 +128,10 @@ class MicroSweepResult:
         self.machines += other.machines
         self.down += other.down
         self.arms.extend(other.arms)
-        theirs = getattr(other, "occupancy", None)
-        if theirs is not None:
-            if self.occupancy is None:
-                self.occupancy = theirs
-            else:
-                self.occupancy.merge(theirs)
+        if self.occupancy is None:
+            self.occupancy = other.occupancy
+        elif other.occupancy is not None:
+            self.occupancy.merge(other.occupancy)
         return self
 
     # --- aggregates ------------------------------------------------------------
@@ -189,7 +186,7 @@ def sweep_digest(result: MicroSweepResult) -> str:
     including each arm's float stall/elapsed values, which is what makes
     the digest a proof of engine equivalence: the CLI's
     ``--compare-serial`` and the CI batched-equivalence job diff digests
-    across worker counts and ``REPRO_BATCH`` settings.
+    across worker counts and against the reference interpreter.
     """
     return hashlib.sha256(
         canonical_json(result.to_dict()).encode()).hexdigest()
@@ -206,7 +203,6 @@ class MicroSweepShardSpec:
     scale: float
     crash_rate: float
     shard_index: int
-    batch_size: int
     #: Restrict the arm's hardware bank to these prefetchers (policy
     #: trainer probes); ``None`` keeps the mode's stock bank. Rows gain
     #: the :data:`_PREFETCH_FIELDS` counters when set.
@@ -289,8 +285,8 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
 
     occupancy = BatchOccupancy()
     if live_arms:
-        results = run_many(live_arms, trace, batch_size=spec.batch_size,
-                           export_state=False, occupancy=occupancy)
+        results = run_many(live_arms, trace, export_state=False,
+                           occupancy=occupancy)
         for row, result in zip(live_rows, results):
             row["elapsed_ns"] = result.elapsed_ns
             row["stall_cycles"] = result.total.stall_cycles
@@ -321,11 +317,6 @@ class MicroFleetSweep:
         crash_rate: Fraction of arms a chaos sweep marks down (drawn
             per-arm from the study's fault stream; 0 disables chaos).
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
-        batch_size: Lockstep batch size forwarded to
-            :func:`~repro.memsys.hierarchy.run_many`; ``None`` defers to
-            ``$REPRO_BATCH``, resolved here, once. Never affects results,
-            only throughput — which is why it is excluded from the cache
-            key.
         prefetchers: Restrict every arm's hardware bank to these
             prefetchers (by name) — the policy trainer's per-prefetcher
             accuracy/coverage probes. Requires mode ``control``; arm
@@ -345,7 +336,6 @@ class MicroFleetSweep:
                  seed: int = 17, scale: float = 1.0,
                  crash_rate: float = 0.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 batch_size: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  prefetchers: Optional[Tuple[str, ...]] = None,
                  workload: Optional[str] = None) -> None:
@@ -386,7 +376,6 @@ class MicroFleetSweep:
         self.scale = scale
         self.crash_rate = crash_rate
         self.shard_size = shard_size
-        self.batch_size = resolve_batch_size(batch_size)
         self.prefetchers = prefetchers
         self.workload = workload
         #: Work-queue disposition of the last :meth:`run` (a
@@ -407,7 +396,7 @@ class MicroFleetSweep:
                 mode=self.mode, machines=size, study_seed=self.seed,
                 trace_seed=trace_seed, scale=self.scale,
                 crash_rate=self.crash_rate, shard_index=index,
-                batch_size=self.batch_size, prefetchers=self.prefetchers,
+                prefetchers=self.prefetchers,
                 workload=self.workload)
             for index, (size, trace_seed)
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
@@ -416,10 +405,10 @@ class MicroFleetSweep:
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data.
 
-        Excludes the worker count *and* the batch size: the lockstep
-        engine is bit-identical to the scalar one, so neither can change
-        the result — a cache entry written under ``REPRO_BATCH=0`` must
-        hit when read back under ``REPRO_BATCH=64``, and does.
+        Excludes the worker count and the engine: every engine is
+        bit-identical, so neither can change the result — a cache entry
+        written under ``REPRO_SLOW_ENGINE=1`` must hit when read back by
+        the compiled engine, and does.
         """
         material = {
             "study": self.STUDY,
@@ -442,9 +431,9 @@ class MicroFleetSweep:
         Each key covers the shard spec plus the trace fingerprint — the
         trace memo's own content key, ``("fleetbench_mix", trace_seed,
         scale)`` — and, like the study cache key, deliberately excludes
-        the batch size (the lockstep engine is bit-identical to the
-        scalar one, so a shard journaled under ``REPRO_BATCH=0`` must
-        restore under ``REPRO_BATCH=64``, and does).
+        the engine (every engine is bit-identical, so a shard journaled
+        under ``REPRO_SLOW_ENGINE=1`` must restore under the compiled
+        engine, and does).
         """
         from repro.fleet.queue import shard_task_material
 

@@ -41,11 +41,11 @@ clones' training plus a shared counter delta. The only uniformity
 breaker is the scalar engine's in-flight prune (it compares the table's
 arrival times with the arm's clock): crossing its threshold in a batch's
 cache pass raises :class:`LockstepBailout` before any arm is touched,
-and :func:`~repro.memsys.hierarchy.run_many` reruns that chunk on the
+and :func:`~repro.memsys.hierarchy.run_many` reruns that group on the
 scalar engine.
 
-Batching eligibility has two layers. :func:`lockstep_eligible` is
-per-arm: the arm must be *cold* (not run since construction or
+Batching eligibility has two layers. :func:`lockstep_fallback_reason`
+is per-arm: the arm must be *cold* (not run since construction or
 ``reset()``), every *enabled* hardware prefetcher must be lockstep-safe
 (:attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.lockstep_safe`),
 the external DRAM load absent or a
@@ -54,14 +54,15 @@ attached. Cold arms start with empty caches, in-flight tables,
 recent-miss histories and DRAM windows, so a batch starts from empty
 state, and :func:`config_signature` plus :func:`cached_state_fingerprint`
 (the enabled mask, with any training the bank arrived with) is the
-whole grouping key. Warm arms (an epoch loop's second call onward) run
-scalar under the ``warm-state`` reason: regrouping them by a walk of
-their caches, and copying that state into and back out of every batch,
-cost more than the scalar engine on every workload measured (DESIGN.md
-§11). Arms that fail either test — a custom prefetcher without the
-lockstep protocol, a callable load profile, a warm state — simply run
-the scalar engine inside the same call, and :class:`BatchOccupancy`
-reports who ran where and why.
+whole grouping key; each group runs as one :func:`run_lockstep` call.
+Warm arms (an epoch loop's second call onward) run scalar under the
+``warm-state`` reason: regrouping them by a walk of their caches, and
+copying that state into and back out of every batch, cost more than
+the scalar engine on every workload measured (DESIGN.md §11). Arms
+that fail either test — a custom prefetcher without the lockstep
+protocol, a callable load profile, a warm state — simply run the scalar
+engine inside the same call, and :class:`BatchOccupancy` reports who
+ran where and why.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class LockstepBailout(Exception):
     arm's clock, so it would let cache behavior diverge inside a batch.
     The cache pass works on its own dicts and clones and raises before
     any arm is touched, so the caller
-    (:func:`~repro.memsys.hierarchy.run_many`) simply reruns the chunk
+    (:func:`~repro.memsys.hierarchy.run_many`) simply reruns the group
     through the scalar engine — bit-identity preserved, only throughput
     lost.
     """
@@ -107,9 +108,9 @@ class BatchOccupancy:
         self.groups = 0
         self.reasons: Dict[str, int] = {}
 
-    def record_batched(self, arms: int, groups: int = 0) -> None:
+    def record_batched(self, arms: int) -> None:
         self.batched_arms += arms
-        self.groups += groups
+        self.groups += 1
 
     def record_scalar(self, arms: int, reason: str) -> None:
         self.scalar_arms += arms
@@ -132,6 +133,22 @@ class BatchOccupancy:
                                  for reason in sorted(self.reasons)},
         }
 
+    @staticmethod
+    def summary(stats: Optional[Dict]) -> Optional[str]:
+        """The ``engine: N/M arm-runs batched …`` line for a
+        :meth:`to_dict` payload, as the CLI footer and ``repro report``
+        print it; ``None`` when no arm ran."""
+        total = stats and stats["batched_arms"] + stats["scalar_arms"]
+        if not total:
+            return None
+        line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
+                f"({stats['groups']} lockstep groups)")
+        if stats["scalar_arms"]:
+            reasons = ", ".join(f"{reason}={count}" for reason, count
+                                in stats["fallback_reasons"].items())
+            line += f"; {stats['scalar_arms']} scalar: {reasons}"
+        return line
+
 
 def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot join a lockstep batch (``None`` = it can).
@@ -151,11 +168,6 @@ def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     if external is not None and not isinstance(external, ConstantExternalLoad):
         return "external-load"
     return None
-
-
-def lockstep_eligible(hierarchy) -> bool:
-    """Whether ``hierarchy`` can run in a lockstep batch."""
-    return lockstep_fallback_reason(hierarchy) is None
 
 
 def config_signature(hierarchy) -> Tuple:
@@ -233,8 +245,8 @@ def run_lockstep(hierarchies, compiled,
                  export_state: bool = True) -> List[RunResult]:
     """Run ``compiled`` through every hierarchy in lockstep.
 
-    All hierarchies must satisfy :func:`lockstep_eligible` (so they are
-    cold) and share one :func:`config_signature` *and* one
+    All hierarchies must pass :func:`lockstep_fallback_reason` (so they
+    are cold) and share one :func:`config_signature` *and* one
     :func:`cached_state_fingerprint`
     (:func:`~repro.memsys.hierarchy.run_many` groups arms so these hold).
     One cache pass runs on fresh dicts with the bank's lockstep clones;
@@ -252,7 +264,7 @@ def run_lockstep(hierarchies, compiled,
     arm leaves warm, so a later ``run_many`` runs it scalar.
 
     Raises :class:`LockstepBailout` — with every arm untouched — if the
-    in-flight table crosses the scalar prune threshold; rerun the chunk
+    in-flight table crosses the scalar prune threshold; rerun the group
     scalar.
     """
     hierarchies = list(hierarchies)

@@ -25,7 +25,7 @@ Two engines execute that model:
   batch (:mod:`repro.memsys.batched`) is one pass and one replay per arm;
 * the **reference interpreter**: the original record-at-a-time loop, kept
   verbatim as the correctness oracle. Set ``REPRO_SLOW_ENGINE=1`` to force
-  it.
+  it, or run code under :func:`reference_engine`.
 
 The two are **bit-identical** — same :class:`RunResult` down to the last
 float, same cache/DRAM counters — because the replay performs the
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
@@ -62,14 +63,26 @@ SLOW_ENGINE_ENV = "REPRO_SLOW_ENGINE"
 #: fleet package.
 DEFAULT_SHARD_SIZE = 32
 
-#: Arms per lockstep batch when nobody chooses: one default shard
-#: becomes exactly one default batch.
-DEFAULT_BATCH_SIZE = DEFAULT_SHARD_SIZE
-
 
 def _slow_engine_requested() -> bool:
     return os.environ.get(SLOW_ENGINE_ENV, "").strip().lower() in (
         "1", "true", "yes", "on")
+
+
+@contextmanager
+def reference_engine() -> Iterator[None]:
+    """Run the enclosed code on the reference interpreter: sets
+    ``REPRO_SLOW_ENGINE=1`` for the scope, then restores the previous
+    value (or its absence)."""
+    previous = os.environ.get(SLOW_ENGINE_ENV)
+    os.environ[SLOW_ENGINE_ENV] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(SLOW_ENGINE_ENV, None)
+        else:
+            os.environ[SLOW_ENGINE_ENV] = previous
 
 
 #: Timing-tape opcodes. A bare number ``ns`` advances the clock (the
@@ -999,7 +1012,6 @@ class MemoryHierarchy:
 
 
 def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
-             batch_size: int = DEFAULT_BATCH_SIZE,
              export_state: bool = True,
              occupancy=None) -> List[RunResult]:
     """Run ``trace`` through many independent hierarchies, batching where
@@ -1008,15 +1020,15 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     The fleet's dominant shape — hundreds of fresh machine-arms
     replaying one shared trace — goes through the lockstep engine
     (:mod:`repro.memsys.batched`), which does the cache pass once per
-    batch and only the timing replay per arm: arms that qualify (cold, every
-    *enabled* hardware prefetcher lockstep-safe, constant or absent
-    external load, no tracer) are grouped by config signature and
-    enabled mask, chunked into batches of ``batch_size``, and executed
-    simultaneously. An arm is cold from construction or
-    :meth:`MemoryHierarchy.reset` until its first run; a warm arm — one
-    an earlier call already ran, as in an epoch loop — runs scalar under
-    the ``warm-state`` reason. Arms that do not qualify — or everything,
-    when batching is off — run through :meth:`MemoryHierarchy.run`
+    group and only the timing replay per arm: arms that qualify (cold,
+    every *enabled* hardware prefetcher lockstep-safe, constant or
+    absent external load, no tracer) are grouped by config signature
+    and enabled mask, and each group runs as one lockstep call. An arm
+    is cold from construction or :meth:`MemoryHierarchy.reset` until its
+    first run; a warm arm — one an earlier call already ran, as in an
+    epoch loop — runs scalar under the ``warm-state`` reason. Arms that
+    do not qualify — or everything, under ``REPRO_SLOW_ENGINE`` or for
+    an uncompiled trace — run through :meth:`MemoryHierarchy.run`
     unchanged. Either way, every arm's result and post-run state is
     bit-identical to a scalar ``run(trace)``; results come back in input
     order.
@@ -1024,10 +1036,6 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     Args:
         hierarchies: The arms; mutated in place exactly as ``run`` would.
         trace: One trace shared by every arm.
-        batch_size: Arms per lockstep batch; ``0`` disables batching
-            entirely. Studies resolve it once, at construction, and pass
-            the int down. ``REPRO_SLOW_ENGINE`` also disables batching
-            (the reference interpreter *is* the oracle chain's far end).
         export_state: When False, skip rebuilding batched arms' cache
             contents and prefetcher training after the run — the arms
             come back with counters, clock, and window intact but caches
@@ -1037,59 +1045,47 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
             accumulating where each arm ran (lockstep vs scalar) and the
             per-reason scalar-fallback counts for this call.
     """
-    from repro.fleet.shard import plan_batches
     from repro.memsys import batched
 
     hierarchies = list(hierarchies)
-
-    def note_scalar(count: int, reason: str) -> None:
-        if occupancy is not None and count:
-            occupancy.record_scalar(count, reason)
-
+    if occupancy is None:
+        occupancy = batched.BatchOccupancy()
+    if _slow_engine_requested():
+        everyone = "slow-engine"
+    elif not isinstance(trace, Trace):
+        everyone = "uncompiled-trace"
+    else:
+        everyone, compiled = None, trace.compile()
     results: List[Optional[RunResult]] = [None] * len(hierarchies)
     scalar_arms: List[int] = []
-    if batch_size <= 0:
-        scalar_arms = list(range(len(hierarchies)))
-        note_scalar(len(scalar_arms), "batching-off")
-    elif _slow_engine_requested():
-        scalar_arms = list(range(len(hierarchies)))
-        note_scalar(len(scalar_arms), "slow-engine")
-    elif not isinstance(trace, Trace):
-        scalar_arms = list(range(len(hierarchies)))
-        note_scalar(len(scalar_arms), "uncompiled-trace")
-    else:
-        compiled = trace.compile()
-        groups: Dict[tuple, List[int]] = {}
-        for arm, hierarchy in enumerate(hierarchies):
-            reason = batched.lockstep_fallback_reason(hierarchy)
-            if reason is None:
-                # Cold arms start with empty caches, in-flight tables and
-                # windows, so the config and the prefetcher bank state
-                # are all that can split them — state uniformity is what
-                # makes lockstep evolution exact.
-                key = (batched.cached_config_signature(hierarchy),
-                       batched.cached_state_fingerprint(hierarchy))
-                groups.setdefault(key, []).append(arm)
-            else:
-                scalar_arms.append(arm)
-                note_scalar(1, reason)
-        for arms in groups.values():
-            for start, stop in plan_batches(len(arms), batch_size):
-                chunk = arms[start:stop]
-                try:
-                    batch_results = batched.run_lockstep(
-                        [hierarchies[arm] for arm in chunk], compiled,
-                        export_state=export_state)
-                except batched.LockstepBailout:
-                    # The batch touched no arm state before export, so
-                    # the chunk reruns scalar, bit-identically.
-                    scalar_arms.extend(chunk)
-                    note_scalar(len(chunk), "prune-bailout")
-                    continue
-                if occupancy is not None:
-                    occupancy.record_batched(len(chunk), 1)
-                for arm, result in zip(chunk, batch_results):
-                    results[arm] = result
+    groups: Dict[tuple, List[int]] = {}
+    for arm, hierarchy in enumerate(hierarchies):
+        reason = everyone or batched.lockstep_fallback_reason(hierarchy)
+        if reason is None:
+            # Cold arms start with empty caches, in-flight tables and
+            # windows, so the config and the prefetcher bank state are
+            # all that can split them — state uniformity is what makes
+            # lockstep evolution exact.
+            key = (batched.cached_config_signature(hierarchy),
+                   batched.cached_state_fingerprint(hierarchy))
+            groups.setdefault(key, []).append(arm)
+        else:
+            scalar_arms.append(arm)
+            occupancy.record_scalar(1, reason)
+    for arms in groups.values():
+        try:
+            group_results = batched.run_lockstep(
+                [hierarchies[arm] for arm in arms], compiled,
+                export_state=export_state)
+        except batched.LockstepBailout:
+            # The group touched no arm state before export, so it reruns
+            # scalar, bit-identically.
+            scalar_arms.extend(arms)
+            occupancy.record_scalar(len(arms), "prune-bailout")
+            continue
+        occupancy.record_batched(len(arms))
+        for arm, result in zip(arms, group_results):
+            results[arm] = result
 
     for arm in scalar_arms:
         results[arm] = hierarchies[arm].run(trace)

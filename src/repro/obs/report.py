@@ -3,11 +3,12 @@
 ``repro report <run-dir>`` lands here. The human rendering shows the
 run identity (study, engine, shards, cache disposition), the wall-clock
 phase breakdown, per-shard simulated spans and wall times, result-cache
-effectiveness, the incident ledger with MTTR, and a chronological
-timeline of notable events — with an ASCII chart of disabled sockets
-over simulated time when the run has controller activity. ``--json``
-emits the same material as one machine-readable object; every event is
-validated against the schema on load either way.
+effectiveness, the CLI footer's ``engine:`` line (where each arm ran,
+from ``execution.occupancy``), the incident ledger with MTTR, and a
+chronological timeline of notable events — with an ASCII chart of
+disabled sockets over simulated time when the run has controller
+activity. ``--json`` emits the same material as one machine-readable
+object; every event is validated against the schema on load either way.
 """
 
 from __future__ import annotations
@@ -235,6 +236,10 @@ def render_report(run_dir: _PathLike,
     lines.append(f"result cache: {cache['disposition']} "
                  f"(hits={cache['hits']} misses={cache['misses']} "
                  f"stores={cache['stores']})")
+    from repro.memsys.batched import BatchOccupancy
+    engine = BatchOccupancy.summary(execution.get("occupancy"))
+    if engine:
+        lines.append(engine)
 
     incidents = report["incidents"]
     if incidents["count"]:

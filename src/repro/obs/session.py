@@ -14,8 +14,9 @@ the run directory:
 * ``manifest.json`` — a ``run`` block (deterministic identity: study
   kind, cache-key material, fault plan, shard seeds, engine choice,
   event count and digest) plus an ``execution`` block (wall-clock
-  overlay: worker count, phase and shard timings, cache disposition)
-  that is explicitly outside the determinism contract.
+  overlay: worker count, phase and shard timings, cache disposition,
+  and where the memsys engine ran each arm) that is explicitly outside
+  the determinism contract.
 """
 
 from __future__ import annotations
@@ -131,9 +132,12 @@ class ObsSession:
 
     def finalize(self, material: Dict,
                  shard_seeds: Optional[Sequence[int]] = None,
-                 fault_plan: Optional[str] = None) -> pathlib.Path:
+                 fault_plan: Optional[str] = None,
+                 occupancy: Optional[Dict] = None) -> pathlib.Path:
         """Assign sequence numbers, write ``events.jsonl`` and
-        ``manifest.json``; returns the run directory."""
+        ``manifest.json``; returns the run directory. ``occupancy`` is
+        the study's merged ``BatchOccupancy``, or ``None`` when no memsys
+        engine ran."""
         self.dir.mkdir(parents=True, exist_ok=True)
         for seq, event in enumerate(self._events):
             event["seq"] = seq
@@ -165,6 +169,8 @@ class ObsSession:
                                  in sorted(self._shard_walls.items())},
                 "cache": self._cache,
                 "queue": self._queue,
+                "occupancy": (occupancy.to_dict()
+                              if occupancy is not None else None),
             },
         }
         atomic_write_text(

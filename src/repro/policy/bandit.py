@@ -13,7 +13,7 @@ Determinism: exploration draws come from a private
 :func:`repro.fleet.machine.machine_seed` and the fault planner.
 The stream is bound to the socket identity at deploy time, consumes
 zero fleet-RNG draws, and is byte-for-byte identical at any worker
-count, batch size, or hash seed.
+count, engine, or hash seed.
 """
 
 from __future__ import annotations

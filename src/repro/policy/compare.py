@@ -18,7 +18,7 @@ fleet metrics to one plain-data report:
 Every leg reuses the ablation machinery end-to-end — sharding, result
 cache, checkpoints, obs — so the whole report is a pure function of
 the comparison parameters, and :func:`comparison_digest` proves
-determinism across reruns, worker counts, and batch sizes.
+determinism across reruns, worker counts, and engines.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ policy compare`` reports.
 Like :class:`~repro.faults.metrics.ChaosMetrics`, every field is a plain
 additive accumulator, so :meth:`PolicyMetrics.merge` is associative and
 order-independent — merged shard metrics are bit-identical at any worker
-count or batch size.
+count or engine.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ concatenated columnar trace — request ``i``'s records labelled
 :func:`~repro.memsys.hierarchy.run_many`, so arms batch through the
 lockstep engine exactly like the micro-fleet sweep — ``off`` arms in
 empty-bank groups, ``control`` arms grouped by prefetcher-bank
-configuration and training fingerprint. Each shard records a
-:class:`~repro.memsys.batched.BatchOccupancy` surfaced through the
-``repro scenario`` report.
+configuration and training fingerprint, each group one lockstep call.
+Each shard records a :class:`~repro.memsys.batched.BatchOccupancy`
+surfaced through the ``repro scenario`` report.
 Per-request per-replica latency falls out of the simulator's
 per-function statistics; end-to-end request latency is assembled over
 the DAG (request ``i`` routes to replica ``i % live``) and reported as
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
-from repro.fleet.parallel import resolve_batch_size
 from repro.scenarios.workload import (check_kind, emit_request,
                                       request_label, scenario_rng)
 from repro.serialization import canonical_json
@@ -177,12 +176,10 @@ class CallGraphResult:
         self.replicas += other.replicas
         self.down += other.down
         self.rows.extend(other.rows)
-        theirs = getattr(other, "occupancy", None)
-        if theirs is not None:
-            if self.occupancy is None:
-                self.occupancy = theirs
-            else:
-                self.occupancy.merge(theirs)
+        if self.occupancy is None:
+            self.occupancy = other.occupancy
+        elif other.occupancy is not None:
+            self.occupancy.merge(other.occupancy)
         return self
 
     # --- lookups ---------------------------------------------------------------
@@ -223,7 +220,8 @@ def callgraph_digest(result: CallGraphResult) -> str:
     """Stable content hash; equal iff every row matches bit-for-bit.
 
     The CLI's ``--compare-serial`` and the CI scenario-smoke job diff
-    these digests across worker counts and ``REPRO_BATCH`` settings.
+    these digests across worker counts and against the reference
+    interpreter.
     """
     return hashlib.sha256(
         canonical_json(result.to_dict()).encode()).hexdigest()
@@ -242,7 +240,6 @@ class CallGraphShardSpec:
     mode: str
     crash_rate: float
     shard_index: int
-    batch_size: int
 
 
 def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
@@ -304,8 +301,8 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
     occupancy = BatchOccupancy()
     if live_arms:
         cycle_ns = live_arms[0].config.cycle_ns
-        results = run_many(live_arms, trace, batch_size=spec.batch_size,
-                           export_state=False, occupancy=occupancy)
+        results = run_many(live_arms, trace, export_state=False,
+                           occupancy=occupancy)
         for row, result in zip(live_rows, results):
             row["elapsed_ns"] = result.elapsed_ns
             row["llc_misses"] = result.total.llc_misses
@@ -339,9 +336,6 @@ class CallGraphScenario:
             whole replay (deterministic per-replica draw). A
             ``machine-crash`` clause in ``fault_plan`` supplies it when
             the explicit rate is 0.
-        batch_size: Lockstep batch size forwarded to ``run_many``;
-            ``None`` defers to ``$REPRO_BATCH``, resolved here, once.
-            Never affects results, only throughput — excluded from keys.
     """
 
     STUDY = "scenario-callgraph"
@@ -350,7 +344,6 @@ class CallGraphScenario:
                  seed: int = 21, mode: str = "off",
                  rpc_overhead_ns: float = 500.0,
                  crash_rate: float = 0.0,
-                 batch_size: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         if services is None:
             services = parse_services(DEFAULT_SERVICES)
@@ -392,7 +385,6 @@ class CallGraphScenario:
         self.mode = mode
         self.rpc_overhead_ns = rpc_overhead_ns
         self.crash_rate = crash_rate
-        self.batch_size = resolve_batch_size(batch_size)
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
 
@@ -430,15 +422,15 @@ class CallGraphScenario:
                 request_lines=service.request_lines,
                 requests=self.requests, study_seed=self.seed,
                 mode=self.mode, crash_rate=self.crash_rate,
-                shard_index=index, batch_size=self.batch_size)
+                shard_index=index)
             for index, service in enumerate(self.services)
         ]
 
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data.
 
-        Excludes the worker count and the batch size (the lockstep
-        engine is bit-identical to the scalar one; see
+        Excludes the worker count and the engine (every engine is
+        bit-identical; see
         :meth:`MicroFleetSweep.cache_key_material
         <repro.fleet.sweep.MicroFleetSweep.cache_key_material>`).
         """
@@ -460,7 +452,7 @@ class CallGraphScenario:
 
     def shard_task_materials(self) -> List[Dict]:
         """Work-queue key material per shard (plan order); excludes the
-        batch size so journals restore across ``REPRO_BATCH`` settings."""
+        engine so journals restore under any engine."""
         from repro.fleet.queue import shard_task_material
 
         materials = []
@@ -529,7 +521,7 @@ class CallGraphScenario:
         """Run every service shard and merge rows in plan order.
 
         The arguments follow :func:`~repro.fleet.study.run_study`: the
-        result is bit-identical at any worker count, batch size, and
+        result is bit-identical at any worker count, engine, and
         checkpoint/resume disposition. After the call,
         :attr:`queue_stats` holds the work-queue disposition.
         """

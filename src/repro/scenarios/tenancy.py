@@ -14,8 +14,8 @@ tenant (less pollution, shorter queues) and hurts the streaming tenant
 Every machine in a shard replays the *same* epoch trace (the shared
 fleet-wide slice the paper's daemons observe), so the epoch loop runs
 all live machines through :func:`~repro.memsys.hierarchy.run_many`
-together. Epoch 0 batches the cold machines in lockstep, grouped by
-enabled mask; from epoch 1 on every machine is warm and runs on the
+together. Epoch 0 batches the cold machines in lockstep, one call per
+enabled-mask group; from epoch 1 on every machine is warm and runs on the
 scalar engine (reason ``warm-state``), which is faster than regrouping
 warm state (``DESIGN.md`` §11). Machines differ only in their constant
 background load (a float array lane) and their controller trajectory,
@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
-from repro.fleet.parallel import resolve_batch_size
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, plan_shards
 from repro.scenarios.workload import (check_kind, emit_request,
                                       scenario_rng)
@@ -181,12 +180,10 @@ class NoisyNeighborResult:
         self.machines += other.machines
         self.down += other.down
         self.rows.extend(other.rows)
-        theirs = getattr(other, "occupancy", None)
-        if theirs is not None:
-            if self.occupancy is None:
-                self.occupancy = theirs
-            else:
-                self.occupancy.merge(theirs)
+        if self.occupancy is None:
+            self.occupancy = other.occupancy
+        elif other.occupancy is not None:
+            self.occupancy.merge(other.occupancy)
         return self
 
     # --- per-tenant attribution --------------------------------------------------
@@ -284,9 +281,6 @@ class NoisyShardSpec:
     lower: float
     sustain_ns: float
     shard_index: int
-    #: Lockstep batch size forwarded to ``run_many``; never affects
-    #: results, only throughput — excluded from cache and task keys.
-    batch_size: int
     #: Serialized :mod:`repro.policy` policy (mode ``policy`` only).
     policy: Optional[str] = None
 
@@ -383,7 +377,6 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
             if not hierarchy.prefetchers.enabled_prefetchers():
                 row["epochs_disabled"] += 1
         results = run_many([arm for _, arm, _ in live], epoch_trace,
-                           batch_size=spec.batch_size,
                            occupancy=occupancy)
         for (row, hierarchy, controller), result in zip(live, results):
             cycle_ns = hierarchy.config.cycle_ns
@@ -440,10 +433,6 @@ class NoisyNeighborScenario:
         shard_size: Machines per shard. Machine identities and draws
             key off *global* indices, so the merged result is invariant
             to the shard size too (it is excluded from cache keys).
-        batch_size: Lockstep batch size forwarded to ``run_many``;
-            ``None`` defers to ``$REPRO_BATCH``, resolved here, once.
-            Never affects results, only throughput — excluded from
-            cache and task keys.
     """
 
     STUDY = "scenario-noisy"
@@ -454,7 +443,6 @@ class NoisyNeighborScenario:
                  sustain_ns: float = 30_000.0,
                  crash_rate: float = 0.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 batch_size: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         if tenants is None:
             tenants = parse_tenants(DEFAULT_TENANTS)
@@ -512,7 +500,6 @@ class NoisyNeighborScenario:
         self.sustain_ns = sustain_ns
         self.crash_rate = crash_rate
         self.shard_size = shard_size
-        self.batch_size = resolve_batch_size(batch_size)
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
 
@@ -529,15 +516,14 @@ class NoisyNeighborScenario:
                 epochs=self.epochs, study_seed=self.seed, mode=self.mode,
                 crash_rate=self.crash_rate, upper=self.upper,
                 lower=self.lower, sustain_ns=self.sustain_ns,
-                shard_index=index, policy=self.policy,
-                batch_size=self.batch_size))
+                shard_index=index, policy=self.policy))
             start += size
         return specs
 
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data.
 
-        Excludes workers, batch size, *and* shard size (machine draws
+        Excludes workers, the engine, *and* shard size (machine draws
         key off global indices). The policy payload enters only when
         set, so policy-free keys are unchanged.
         """
@@ -615,7 +601,7 @@ class NoisyNeighborScenario:
             epochs=self.epochs, seed=self.seed, mode="enabled",
             upper=self.upper, lower=self.lower,
             sustain_ns=self.sustain_ns, crash_rate=self.crash_rate,
-            shard_size=self.shard_size, batch_size=self.batch_size)
+            shard_size=self.shard_size)
 
     def compare_to_baseline(self, result: NoisyNeighborResult,
                             baseline: NoisyNeighborResult) -> Dict[str, Dict]:

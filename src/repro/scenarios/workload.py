@@ -11,7 +11,7 @@ Determinism mirrors :func:`repro.faults.plan.fault_rng`: every random
 draw comes from a BLAKE2b-namespaced stream keyed by the scenario seed
 and the entity (service, tenant, request, epoch) it belongs to — never
 from shared RNG state — so traces are identical across worker counts,
-shard sizes, and batch sizes.
+shard sizes, and engines.
 """
 
 from __future__ import annotations

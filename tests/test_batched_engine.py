@@ -9,14 +9,11 @@ paths over heterogeneous arm fleets and compare everything, including
 the dispatch decisions (which arms batched, which fell back to scalar).
 
 The scalar reference leg runs the record-at-a-time interpreter
-(``REPRO_SLOW_ENGINE=1``, see :func:`run_reference`): the compiled
-scalar engine is the same cache pass and replay a batch runs, so
-comparing against it would compare the code with itself.
-
-Wherever the batch size is not itself under test, the batched leg
-passes ``resolve_batch_size()`` explicitly — ``run_many`` never reads
-the environment — so CI's ``batched-equivalence`` matrix can pin it
-through ``REPRO_BATCH``.
+(:func:`~repro.memsys.hierarchy.reference_engine`, see
+:func:`run_reference`): the compiled scalar engine is the same cache
+pass and replay a batch runs, so comparing against it would compare the
+code with itself. ``run_many`` sends each group of cold eligible arms to
+one lockstep call, whole.
 """
 
 import gc
@@ -29,8 +26,7 @@ import pytest
 
 import repro
 from repro.access import AccessKind, MemoryAccess, Trace
-from repro.errors import ConfigError
-from repro.fleet import MicroFleetSweep, resolve_batch_size
+from repro.fleet import MicroFleetSweep
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -38,14 +34,14 @@ from repro.memsys import (
     run_many,
 )
 from repro.memsys import batched
-from repro.memsys.hierarchy import SLOW_ENGINE_ENV
+from repro.memsys.hierarchy import SLOW_ENGINE_ENV, reference_engine
 from repro.memsys.prefetchers.bank import default_prefetcher_bank
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 from repro.memsys.prefetchers.feedback import FeedbackThrottledPrefetcher
 from repro.memsys.prefetchers.hinted import HintedRegionPrefetcher
 from repro.memsys.prefetchers.nextline import NextLinePrefetcher
 from repro.memsys.prefetchers.stream import StreamPrefetcher
-from repro.scenarios import CallGraphScenario, NoisyNeighborScenario
+from repro.scenarios import NoisyNeighborScenario
 
 STAT_FIELDS = (
     "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
@@ -164,27 +160,16 @@ def make_records():
 def run_reference(arms, trace):
     """The scalar reference leg: every arm through the record-at-a-time
     interpreter, the oracle independent of the cache pass and replay."""
-    saved = os.environ.get(SLOW_ENGINE_ENV)
-    os.environ[SLOW_ENGINE_ENV] = "1"
-    try:
-        return run_many(arms, trace, batch_size=0)
-    finally:
-        if saved is None:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
-        else:
-            os.environ[SLOW_ENGINE_ENV] = saved
+    with reference_engine():
+        return run_many(arms, trace)
 
 
-def assert_batched_matches_scalar(records, loads=ARM_LOADS,
-                                  batch_size=None, split=None):
+def assert_batched_matches_scalar(records, loads=ARM_LOADS, split=None):
     """Both paths over the same arms must agree on everything.
 
     ``split`` optionally cuts the records into two back-to-back
-    ``run_many`` calls to exercise warm-state continuation. ``None``
-    resolves the batch size the way a study does (``$REPRO_BATCH``,
-    else the default).
+    ``run_many`` calls to exercise warm-state continuation.
     """
-    batch_size = resolve_batch_size(batch_size)
     if split is None:
         traces = [Trace(records)]
     else:
@@ -193,12 +178,18 @@ def assert_batched_matches_scalar(records, loads=ARM_LOADS,
     batched_arms = build_arms(loads)
     for trace in traces:
         scalar_results = run_reference(scalar_arms, trace)
-        batched_results = run_many(batched_arms, trace,
-                                   batch_size=batch_size)
-        for arm in range(len(scalar_arms)):
-            assert (snapshot(batched_arms[arm], batched_results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm])), (
-                f"arm {arm} diverged")
+        batched_results = run_many(batched_arms, trace)
+        assert_arms_agree(batched_arms, batched_results, scalar_arms,
+                          scalar_results)
+
+
+def assert_arms_agree(arms, results, scalar_arms, scalar_results):
+    """Every arm's result and post-run state equals the oracle's."""
+    assert len(results) == len(scalar_results)
+    for arm in range(len(scalar_arms)):
+        assert (snapshot(arms[arm], results[arm])
+                == snapshot(scalar_arms[arm], scalar_results[arm])), (
+            f"arm {arm} diverged")
 
 
 def spy_lockstep(monkeypatch):
@@ -218,16 +209,35 @@ class TestGoldenEquivalence:
     def test_mixed_arms_match_scalar(self):
         assert_batched_matches_scalar(make_records())
 
-    def test_batch_size_one_equals_scalar(self):
-        """The lockstep engine's degenerate case: one-arm batches."""
-        assert_batched_matches_scalar(make_records(), batch_size=1)
+    def test_batch_size_one_equals_scalar(self, monkeypatch):
+        """The lockstep engine's degenerate case: one-arm batches, each
+        arm in its own ``run_many`` call."""
+        calls = spy_lockstep(monkeypatch)
+        trace = Trace(make_records())
+        arms = build_arms()
+        results = [run_many([arm], trace)[0] for arm in arms]
+        assert calls == [1] * len(ARM_LOADS)
+        scalar_arms = build_arms()
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, trace))
 
-    def test_uneven_final_batch(self):
-        """13 arms at batch size 4: three full batches plus a remainder."""
-        assert_batched_matches_scalar(make_records(), batch_size=4)
+    def test_one_arm_run_lockstep_matches_interpreter(self):
+        """``run_lockstep`` called directly on one enabled-bank arm: one
+        cache pass, one replay, and the arm donated the pass's state."""
+        trace = Trace(make_records())
+        arm = MemoryHierarchy(prefetchers=exotic_bank(),
+                              external_load=ConstantExternalLoad(0.5))
+        result = batched.run_lockstep([arm], trace.compile())[0]
+        scalar_arm = MemoryHierarchy(prefetchers=exotic_bank(),
+                                     external_load=ConstantExternalLoad(0.5))
+        assert_arms_agree([arm], [result], [scalar_arm],
+                          run_reference([scalar_arm], trace))
 
-    def test_batch_larger_than_fleet(self):
-        assert_batched_matches_scalar(make_records(), batch_size=512)
+    def test_batch_larger_than_fleet(self, monkeypatch):
+        """However large the group, it runs as one lockstep call."""
+        calls = spy_lockstep(monkeypatch)
+        assert_batched_matches_scalar(make_records())
+        assert calls == [len(ARM_LOADS)]
 
     def test_warm_state_continuation(self):
         """Back-to-back run_many calls on the same arms agree."""
@@ -359,55 +369,25 @@ class TestDispatch:
             assert (snapshot(arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
 
-    def test_batch_env_zero_disables_lockstep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
+    def test_sweep_group_is_one_lockstep_call(self, monkeypatch):
+        """A 40-arm one-shard sweep is one group, so it makes exactly one
+        ``run_lockstep`` call of 40 arms — no chunking."""
         calls = spy_lockstep(monkeypatch)
-        result = MicroFleetSweep(machines=2, scale=0.05).run(workers=1)
-        assert calls == []
-        assert result.occupancy.reasons == {"batching-off": 2}
-
-    def test_batch_env_sets_chunking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        calls = spy_lockstep(monkeypatch)
-        MicroFleetSweep(machines=13, scale=0.05).run(workers=1)
-        assert sorted(calls) == [4, 4, 5]  # 13 arms, balanced batches of <=5
+        result = MicroFleetSweep(machines=40, shard_size=40,
+                                 scale=0.05).run(workers=1, cache_dir="",
+                                                 checkpoint_dir="")
+        assert calls == [40]
+        assert result.occupancy.to_dict() == {
+            "batched_arms": 40, "scalar_arms": 0, "groups": 1,
+            "fallback_reasons": {}}
 
     def test_run_many_ignores_batch_env(self, monkeypatch):
-        """memsys never reads ``$REPRO_BATCH``: studies resolve it once
-        and pass the int down."""
+        """memsys has no batch size: a stale ``$REPRO_BATCH`` export,
+        even one that used to turn batching off, changes nothing."""
         monkeypatch.setenv("REPRO_BATCH", "0")
         calls = spy_lockstep(monkeypatch)
         run_many(build_arms((None, 0.5)), Trace(make_records()[:100]))
         assert calls == [2]
-
-    def test_helper_honours_batch_env(self, monkeypatch):
-        """The golden helper resolves ``$REPRO_BATCH`` itself, so CI's
-        batch-size matrix reaches the lockstep engine."""
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        calls = spy_lockstep(monkeypatch)
-        assert_batched_matches_scalar(make_records())
-        assert sorted(calls) == [4, 4, 5]
-
-    @pytest.mark.parametrize(
-        "make_study",
-        [
-            lambda: MicroFleetSweep(machines=9, shard_size=4),
-            CallGraphScenario,
-            lambda: NoisyNeighborScenario(machines=9, shard_size=4),
-        ],
-        ids=["sweep", "callgraph", "noisy"],
-    )
-    def test_studies_resolve_batch_env_once(self, monkeypatch, make_study):
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        study = make_study()
-        assert study.batch_size == 5
-        specs = study.shard_specs()
-        assert len(specs) > 1
-        assert all(spec.batch_size == 5 for spec in specs)
-        monkeypatch.setenv("REPRO_BATCH", "lots")
-        assert study.shard_specs()[0].batch_size == 5  # resolved already
-        with pytest.raises(ConfigError):
-            make_study()
 
     def test_slow_engine_env_disables_lockstep(self, monkeypatch):
         monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
@@ -469,9 +449,7 @@ def exotic_bank():
 class TestEnabledGolden:
     """Bit-identity with hardware prefetchers live — the tentpole."""
 
-    def assert_enabled_fleet_agrees(self, bank_factory, batch_size=None,
-                                    split=None):
-        batch_size = resolve_batch_size(batch_size)
+    def assert_enabled_fleet_agrees(self, bank_factory, split=None):
         records = make_records()
         if split is None:
             traces = [Trace(records)]
@@ -486,13 +464,9 @@ class TestEnabledGolden:
         scalar_arms, batched_arms = fleet(), fleet()
         for trace in traces:
             scalar_results = run_reference(scalar_arms, trace)
-            batched_results = run_many(batched_arms, trace,
-                                       batch_size=batch_size)
-            for arm in range(len(scalar_arms)):
-                assert (snapshot(batched_arms[arm], batched_results[arm])
-                        == snapshot(scalar_arms[arm],
-                                    scalar_results[arm])), (
-                    f"arm {arm} diverged")
+            batched_results = run_many(batched_arms, trace)
+            assert_arms_agree(batched_arms, batched_results, scalar_arms,
+                              scalar_results)
 
     def test_default_banks_match_scalar(self):
         self.assert_enabled_fleet_agrees(default_prefetcher_bank)
@@ -505,8 +479,25 @@ class TestEnabledGolden:
         on the scalar engine and still agree."""
         self.assert_enabled_fleet_agrees(default_prefetcher_bank, split=500)
 
-    def test_enabled_small_batches(self):
-        self.assert_enabled_fleet_agrees(exotic_bank, batch_size=2)
+    def test_enabled_small_batches(self, monkeypatch):
+        """Two-arm groups: a pair of exotic banks and a pair of default
+        banks each run as one small lockstep call."""
+        def fleet():
+            return [MemoryHierarchy(prefetchers=factory(),
+                                    external_load=ConstantExternalLoad(load))
+                    for factory, load in ((exotic_bank, 0.5),
+                                          (default_prefetcher_bank, 0.25),
+                                          (exotic_bank, 1.0),
+                                          (default_prefetcher_bank, 1.5))]
+
+        calls = spy_lockstep(monkeypatch)
+        trace = Trace(make_records())
+        arms = fleet()
+        results = run_many(arms, trace)
+        assert calls == [2, 2]
+        scalar_arms = fleet()
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, trace))
 
     def test_hw_prefetches_issued_reported(self):
         arms = build_enabled_arms((None, 0.5))
@@ -672,15 +663,16 @@ class TestEligibilityEdges:
 
         stores = dict(workers=1, cache_dir="", checkpoint_dir="",
                       obs_dir="")
-        result = NoisyNeighborScenario(machines=3, epochs=4,
-                                       batch_size=32).run(**stores)
+        result = NoisyNeighborScenario(machines=3, epochs=4).run(**stores)
         assert result.occupancy.to_dict() == {
             "batched_arms": 3, "scalar_arms": 9, "groups": 1,
             "fallback_reasons": {"warm-state": 9}}
-        monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
-        scalar = NoisyNeighborScenario(machines=3, epochs=4,
-                                       batch_size=0).run(**stores)
-        assert noisy_digest(result) == noisy_digest(scalar)
+        with reference_engine():
+            reference = NoisyNeighborScenario(machines=3,
+                                              epochs=4).run(**stores)
+        assert reference.occupancy.to_dict()["fallback_reasons"] == {
+            "slow-engine": 12}
+        assert noisy_digest(result) == noisy_digest(reference)
 
 
 class TestNoReferenceCycle:

@@ -1,7 +1,7 @@
 """Property-based equivalence: the lockstep engine on arbitrary traces.
 
 Hypothesis drives :func:`repro.memsys.run_many` with random record
-mixes, arm fleets, and batch sizes, and asserts the batched path is
+mixes and arm fleets, and asserts the batched path is
 bit-identical to per-arm runs of the record-at-a-time interpreter — the
 same everything-observable comparison the golden suite makes, minimized
 automatically when a counterexample exists.
@@ -11,7 +11,6 @@ from tests.hypothesis_profiles import scaled
 from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessKind, MemoryAccess, Trace
-from repro.fleet import resolve_batch_size
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -19,6 +18,7 @@ from repro.memsys import (
     run_many,
 )
 
+from repro.memsys import batched
 from tests.test_batched_engine import exotic_bank, run_reference, snapshot
 
 record_strategy = st.builds(
@@ -69,8 +69,7 @@ def build_arms(loads, banks=None):
     ]
 
 
-def assert_fleet_agrees(records, loads, batch_size, split=None,
-                        banks=None):
+def assert_fleet_agrees(records, loads, split=None, banks=None):
     if split is None:
         traces = [Trace(records)]
     else:
@@ -79,27 +78,23 @@ def assert_fleet_agrees(records, loads, batch_size, split=None,
     batched_arms = build_arms(loads, banks)
     for trace in traces:
         scalar_results = run_reference(scalar_arms, trace)
-        batched_results = run_many(batched_arms, trace,
-                                   batch_size=batch_size)
+        batched_results = run_many(batched_arms, trace)
         for arm in range(len(loads)):
             assert (snapshot(batched_arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
 
 
 class TestPropertyEquivalence:
-    @given(records=records_strategy, loads=loads_strategy,
-           batch_size=st.integers(min_value=1, max_value=8))
+    @given(records=records_strategy, loads=loads_strategy)
     @settings(max_examples=scaled(40), deadline=None)
-    def test_random_fleets(self, records, loads, batch_size):
-        assert_fleet_agrees(records, loads, batch_size)
+    def test_random_fleets(self, records, loads):
+        assert_fleet_agrees(records, loads)
 
     @given(records=records_strategy, loads=loads_strategy,
-           batch_size=st.integers(min_value=1, max_value=8),
            split=st.integers(min_value=0, max_value=100))
     @settings(max_examples=scaled(25), deadline=None)
-    def test_warm_continuation(self, records, loads, batch_size, split):
-        assert_fleet_agrees(records, loads, batch_size,
-                            split=min(split, len(records)))
+    def test_warm_continuation(self, records, loads, split):
+        assert_fleet_agrees(records, loads, split=min(split, len(records)))
 
     @given(records=records_strategy,
            loads=st.lists(st.floats(min_value=0.0, max_value=2.0,
@@ -107,9 +102,21 @@ class TestPropertyEquivalence:
                           min_size=2, max_size=5))
     @settings(max_examples=scaled(20), deadline=None)
     def test_env_default_batch(self, records, loads):
-        """The study-layer default also agrees — under whatever
-        REPRO_BATCH the environment pins."""
-        assert_fleet_agrees(records, loads, resolve_batch_size())
+        """The default dispatch batches a constant-load fleet whole: one
+        group, one lockstep call of every arm, still agreeing."""
+        calls = []
+        original = batched.run_lockstep
+
+        def spy(hierarchies, compiled, export_state=True):
+            calls.append(len(hierarchies))
+            return original(hierarchies, compiled, export_state=export_state)
+
+        batched.run_lockstep = spy
+        try:
+            assert_fleet_agrees(records, loads)
+        finally:
+            batched.run_lockstep = original
+        assert calls == [len(loads)]
 
 
 #: One (load, bank-shape) pair per arm, so fleets mix ablated and
@@ -131,23 +138,20 @@ class TestEnabledBankProperties:
     group's clone-trained prefetcher state must match the scalar oracle.
     """
 
-    @given(records=records_strategy, arms=enabled_arms_strategy,
-           batch_size=st.integers(min_value=1, max_value=8))
+    @given(records=records_strategy, arms=enabled_arms_strategy)
     @settings(max_examples=scaled(30), deadline=None)
-    def test_random_enabled_fleets(self, records, arms, batch_size):
+    def test_random_enabled_fleets(self, records, arms):
         loads = [load for load, _ in arms]
         banks = [bank for _, bank in arms]
-        assert_fleet_agrees(records, loads, batch_size, banks=banks)
+        assert_fleet_agrees(records, loads, banks=banks)
 
     @given(records=records_strategy, arms=enabled_arms_strategy,
-           batch_size=st.integers(min_value=1, max_value=8),
            split=st.integers(min_value=0, max_value=100))
     @settings(max_examples=scaled(20), deadline=None)
-    def test_warm_enabled_continuation(self, records, arms, batch_size,
-                                       split):
+    def test_warm_enabled_continuation(self, records, arms, split):
         """Epoch two regroups on *trained* fingerprints; warm prefetcher
         state exported from epoch one must still match scalar."""
         loads = [load for load, _ in arms]
         banks = [bank for _, bank in arms]
-        assert_fleet_agrees(records, loads, batch_size,
-                            split=min(split, len(records)), banks=banks)
+        assert_fleet_agrees(records, loads, split=min(split, len(records)),
+                            banks=banks)

@@ -177,8 +177,9 @@ class TestCheckpointCommands:
 
 
 class TestBatchSizeFlag:
-    """``--batch-size`` is the one engine knob: 0 runs the scalar engine,
-    N > 0 lockstep groups of at most N arms; results never change."""
+    """There is no ``--batch-size``: every cold lockstep group runs
+    whole, and only ``REPRO_SLOW_ENGINE`` picks the engine. Results
+    never change."""
 
     SWEEP = ["sweep", "--machines", "6", "--scale", "0.1",
              "--shard-size", "3"]
@@ -186,21 +187,33 @@ class TestBatchSizeFlag:
     def test_digest_identical_at_any_batch_size(self, monkeypatch, capsys):
         from repro.fleet.queue import CHECKPOINT_ENV_VAR
         from repro.fleet.result_cache import CACHE_ENV_VAR
+        from repro.memsys.hierarchy import SLOW_ENGINE_ENV
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
         lines = []
-        for extra in ([], ["--batch-size", "0"], ["--batch-size", "4"]):
-            assert main(self.SWEEP + extra) == 0
+        for slow in ("", "1"):
+            monkeypatch.setenv(SLOW_ENGINE_ENV, slow)
+            assert main(self.SWEEP) == 0
             lines.append(capsys.readouterr().out.splitlines())
         digests = {line for out in lines for line in out
                    if line.startswith("result digest:")}
         assert len(digests) == 1
-        engine = [line for line in lines[1] if line.startswith("engine:")]
-        assert len(engine) == 1 and "batching-off=" in engine[0]
+        engines = [[line for line in out if line.startswith("engine:")]
+                   for out in lines]
+        assert engines[0] == ["engine: 6/6 arm-runs batched "
+                              "(2 lockstep groups)"]
+        assert len(engines[1]) == 1 and "slow-engine=6" in engines[1][0]
 
-    def test_negative_batch_size_rejected(self):
-        with pytest.raises(ConfigError):
-            main(self.SWEEP + ["--batch-size", "-1"])
+    def test_negative_batch_size_rejected(self, capsys):
+        """The flag is gone, so any value is an argparse usage error."""
+        for argv in (self.SWEEP,
+                     ["scenario", "callgraph", "--requests", "4"],
+                     ["scenario", "noisy", "--machines", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--batch-size", "-1"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --batch-size" in (
+                capsys.readouterr().err)
 
 
 class TestCacheCommand:
@@ -361,6 +374,42 @@ class TestOracleRecomputes:
         assert "serial-equivalence check: OK" in capsys.readouterr().out
         assert StudyResultCache(cache).stats()["hits"] == 0
         assert ShardCheckpoint(journal).stats()["hits"] == 0
+
+
+class TestOracleEngine:
+    """The trace-driven ``--compare-serial`` legs recompute on the
+    reference interpreter, the one engine that shares no code with the
+    cache pass and replay; the requested run stays compiled, and the
+    environment is restored afterwards."""
+
+    @pytest.mark.parametrize("study, argv", [
+        ("repro.fleet.MicroFleetSweep",
+         ["sweep", "--machines", "4", "--scale", "0.1"]),
+        ("repro.scenarios.CallGraphScenario", TestScenarioCommands.CALLGRAPH),
+        ("repro.scenarios.NoisyNeighborScenario", TestScenarioCommands.NOISY),
+    ], ids=["sweep", "callgraph", "noisy"])
+    def test_oracle_runs_the_interpreter(self, study, argv, monkeypatch,
+                                         capsys):
+        import importlib
+
+        from repro.memsys.hierarchy import (SLOW_ENGINE_ENV,
+                                            _slow_engine_requested)
+
+        module, _, name = study.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        engines = []
+        real_run = cls.run
+
+        def recording_run(self, **kwargs):
+            engines.append(_slow_engine_requested())
+            return real_run(self, **kwargs)
+
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
+        monkeypatch.setattr(cls, "run", recording_run)
+        assert main(argv + ["--compare-serial"]) == 0
+        assert "serial-equivalence check: OK" in capsys.readouterr().out
+        assert engines == [False, True]
+        assert SLOW_ENGINE_ENV not in os.environ
 
 
 class TestParserImportCost:

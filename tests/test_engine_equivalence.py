@@ -8,6 +8,7 @@ hypothesis-generated traces and compare everything.
 """
 
 import os
+from contextlib import nullcontext
 
 import pytest
 from tests.hypothesis_profiles import scaled
@@ -15,8 +16,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.memsys import ConstantExternalLoad, MemoryHierarchy, PrefetcherBank
-from repro.memsys.hierarchy import SLOW_ENGINE_ENV
+from repro.memsys.hierarchy import SLOW_ENGINE_ENV, reference_engine
 from repro.memsys.prefetchers.bank import default_prefetcher_bank
+
+
+
+@pytest.fixture(autouse=True, scope="module")
+def compiled_by_default():
+    """The fast legs run whatever engine the environment selects, so an
+    exported ``REPRO_SLOW_ENGINE`` is cleared for this module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(SLOW_ENGINE_ENV, raising=False)
+        yield
+
 
 STAT_FIELDS = (
     "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
@@ -66,18 +78,8 @@ def run_one(traces, slow, bank_factory, prefetchers_enabled=True):
     """Run ``traces`` in sequence on one hierarchy with a chosen engine."""
     hierarchy = MemoryHierarchy(prefetchers=bank_factory())
     hierarchy.set_hardware_prefetchers(prefetchers_enabled)
-    saved = os.environ.get(SLOW_ENGINE_ENV)
-    try:
-        if slow:
-            os.environ[SLOW_ENGINE_ENV] = "1"
-        else:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
+    with reference_engine() if slow else nullcontext():
         results = [hierarchy.run(trace) for trace in traces]
-    finally:
-        if saved is None:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
-        else:
-            os.environ[SLOW_ENGINE_ENV] = saved
     return hierarchy, results
 
 
@@ -164,20 +166,10 @@ class TestDeterministicEquivalence:
 
         def run(slow):
             hierarchy = MemoryHierarchy()
-            saved = os.environ.get(SLOW_ENGINE_ENV)
-            try:
-                if slow:
-                    os.environ[SLOW_ENGINE_ENV] = "1"
-                else:
-                    os.environ.pop(SLOW_ENGINE_ENV, None)
+            with reference_engine() if slow else nullcontext():
                 first = hierarchy.run(traces[0])
                 hierarchy.set_hardware_prefetchers(False)
                 second = hierarchy.run(traces[1])
-            finally:
-                if saved is None:
-                    os.environ.pop(SLOW_ENGINE_ENV, None)
-                else:
-                    os.environ[SLOW_ENGINE_ENV] = saved
             return hierarchy, first, second
 
         slow_h, slow_a, slow_b = run(True)
@@ -246,6 +238,40 @@ class TestPrunePath:
         slow = run(True)
         assert run(False) == slow
         assert len(slow[-1]["in_flight"]) > 0
+
+
+class TestReferenceEngine:
+    """``reference_engine()`` sets ``REPRO_SLOW_ENGINE=1`` for its scope
+    and puts back exactly what was there before."""
+
+    def test_restores_unset_variable(self, monkeypatch):
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
+        with reference_engine():
+            assert os.environ[SLOW_ENGINE_ENV] == "1"
+        assert SLOW_ENGINE_ENV not in os.environ
+
+    def test_restores_set_variable(self, monkeypatch):
+        monkeypatch.setenv(SLOW_ENGINE_ENV, "off")
+        with reference_engine():
+            assert os.environ[SLOW_ENGINE_ENV] == "1"
+        assert os.environ[SLOW_ENGINE_ENV] == "off"
+
+    def test_restores_after_an_exception(self, monkeypatch):
+        monkeypatch.setenv(SLOW_ENGINE_ENV, "0")
+        with pytest.raises(RuntimeError):
+            with reference_engine():
+                raise RuntimeError("boom")
+        assert os.environ[SLOW_ENGINE_ENV] == "0"
+
+    def test_scope_runs_the_interpreter(self, monkeypatch):
+        def boom(self, compiled, result):
+            raise AssertionError("compiled engine used inside the scope")
+
+        monkeypatch.setattr(MemoryHierarchy, "_run_compiled", boom)
+        hierarchy = MemoryHierarchy(prefetchers=PrefetcherBank([]))
+        with reference_engine():
+            result = hierarchy.run(Trace([MemoryAccess(address=0)]))
+        assert result.total.loads == 1
 
 
 class TestEngineDispatch:

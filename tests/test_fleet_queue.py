@@ -223,12 +223,22 @@ class TestSweepKillAndResume:
             checkpoint_dir=str(tmp_path)))
         assert checkpointed == plain
 
-    def test_batch_size_excluded_from_task_key(self):
-        """Lockstep batching cannot change shard results, so a journal
-        written under one batch size must resolve under another."""
-        a = MicroFleetSweep(batch_size=0, **self.KW).shard_task_materials()
-        b = MicroFleetSweep(batch_size=8, **self.KW).shard_task_materials()
-        assert a == b
+    def test_batch_size_excluded_from_task_key(self, tmp_path):
+        """No engine setting enters a shard key — there is no batch size,
+        and the engine cannot change shard results — so a journal the
+        reference interpreter wrote restores under the compiled engine."""
+        from repro.memsys.hierarchy import reference_engine
+
+        materials = MicroFleetSweep(**self.KW).shard_task_materials()
+        assert not any("batch_size" in repr(material)
+                       for material in materials)
+        with reference_engine():
+            journaled = MicroFleetSweep(**self.KW).run(
+                checkpoint_dir=str(tmp_path))
+        sweep = MicroFleetSweep(**self.KW)
+        restored = sweep.run(checkpoint_dir=str(tmp_path))
+        assert sweep.queue_stats.restored == 3
+        assert sweep_digest(restored) == sweep_digest(journaled)
 
 
 class TestAblationKillAndResume:

@@ -1,10 +1,9 @@
 """The micro-fleet sweep study and its batching plumbing.
 
-Covers the determinism contract (serial == sharded == any batch size,
-proven by digest), the result cache (batch size and worker count are
+Covers the determinism contract (serial == sharded == the reference
+interpreter, proven by digest), the result cache (the worker count is
 excluded from the key), chaos arms inside batches, the fault-plan
-bridge, and the :func:`plan_batches` / :func:`resolve_batch_size`
-edge cases the study layer leans on.
+bridge, and the absence of any batch-size knob.
 """
 
 import pytest
@@ -12,22 +11,20 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.fleet import (
-    DEFAULT_BATCH_SIZE,
     MicroFleetSweep,
     MicroSweepResult,
-    plan_batches,
-    resolve_batch_size,
     sweep_digest,
 )
-from repro.fleet.parallel import BATCH_ENV_VAR
 from repro.fleet.sweep import background_load, crashed
+from repro.memsys.hierarchy import reference_engine
+from repro.scenarios import CallGraphScenario, NoisyNeighborScenario
 
 SCALE = 0.05  # tiny shared traces keep each sweep run fast
 
 
 def small_sweep(**overrides):
     kwargs = dict(mode="off", machines=9, seed=3, scale=SCALE,
-                  shard_size=4, batch_size=3)
+                  shard_size=4)
     kwargs.update(overrides)
     return MicroFleetSweep(**kwargs)
 
@@ -39,12 +36,14 @@ class TestDeterminism:
         assert sweep_digest(serial) == sweep_digest(sharded)
 
     def test_batched_equals_scalar(self):
-        """The whole point: REPRO_BATCH can never change a digest."""
-        batched = small_sweep(batch_size=3).run(workers=1)
-        scalar = small_sweep(batch_size=0).run(workers=1)
-        single = small_sweep(batch_size=1).run(workers=1)
+        """The whole point: the lockstep engine never changes a digest
+        the reference interpreter computes."""
+        batched = small_sweep().run(workers=1)
+        with reference_engine():
+            scalar = small_sweep().run(workers=1)
+        assert batched.occupancy.batched_arms == 9
+        assert scalar.occupancy.reasons == {"slow-engine": 9}
         assert sweep_digest(batched) == sweep_digest(scalar)
-        assert sweep_digest(single) == sweep_digest(scalar)
 
     def test_modes_differ(self):
         off = small_sweep(mode="off").run(workers=1)
@@ -72,10 +71,11 @@ class TestChaosArms:
             assert arm["llc_misses"] == 0
 
     def test_chaos_arms_inside_batches_keep_digest(self):
-        """Crashing arms out of a shard reshapes the surviving batch
-        geometry; results must not notice."""
-        batched = small_sweep(crash_rate=0.4, batch_size=4).run(workers=1)
-        scalar = small_sweep(crash_rate=0.4, batch_size=0).run(workers=1)
+        """Crashing arms out of a shard reshapes the surviving lockstep
+        groups; results must not notice."""
+        batched = small_sweep(crash_rate=0.4).run(workers=1)
+        with reference_engine():
+            scalar = small_sweep(crash_rate=0.4).run(workers=1)
         assert sweep_digest(batched) == sweep_digest(scalar)
 
     def test_crash_rate_from_fault_plan(self):
@@ -113,11 +113,16 @@ class TestResultCache:
         assert sweep_digest(first) == sweep_digest(second)
 
     def test_key_excludes_batch_size_and_workers(self, tmp_path):
-        small_sweep(batch_size=0).run(workers=2, cache_dir=str(tmp_path))
-        material = small_sweep(batch_size=7).cache_key_material()
-        assert material == small_sweep(batch_size=0).cache_key_material()
+        """An entry written by two workers is hit by one: a hit carries
+        no engine occupancy, because no engine ran."""
+        written = small_sweep().run(workers=2, cache_dir=str(tmp_path))
+        material = small_sweep().cache_key_material()
         assert "batch_size" not in material
         assert "workers" not in material
+        hit = small_sweep().run(workers=1, cache_dir=str(tmp_path))
+        assert written.occupancy is not None
+        assert hit.occupancy is None
+        assert sweep_digest(hit) == sweep_digest(written)
 
     def test_key_includes_the_physics(self):
         base = small_sweep().cache_key_material()
@@ -164,47 +169,26 @@ class TestResultObject:
 
 
 class TestBatchPlumbing:
-    def test_plan_batches_balanced(self):
-        assert plan_batches(13, 5) == [(0, 5), (5, 9), (9, 13)]
-        assert plan_batches(8, 4) == [(0, 4), (4, 8)]
-        assert plan_batches(3, 64) == [(0, 3)]
-        assert plan_batches(1, 1) == [(0, 1)]
-
-    def test_plan_batches_covers_every_arm_once(self):
-        for count in (1, 7, 13, 64, 257):
-            for size in (1, 3, 32):
-                slices = plan_batches(count, size)
-                seen = [i for start, stop in slices
-                        for i in range(start, stop)]
-                assert seen == list(range(count))
-                widths = {stop - start for start, stop in slices}
-                assert max(widths) - min(widths) <= 1
-                assert max(widths) <= size
-
-    def test_plan_batches_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            plan_batches(0, 4)
-        with pytest.raises(ConfigError):
-            plan_batches(4, 0)
+    """The lockstep batch size is gone: every cold group runs whole."""
 
     def test_resolve_explicit(self):
-        assert resolve_batch_size(0) == 0
-        assert resolve_batch_size(7) == 7
-        with pytest.raises(ConfigError):
-            resolve_batch_size(-1)
+        """No trace-driven study takes a batch size, and no shard spec
+        carries one."""
+        for study in (MicroFleetSweep, CallGraphScenario,
+                      NoisyNeighborScenario):
+            with pytest.raises(TypeError):
+                study(batch_size=4)
+            assert not any(hasattr(spec, "batch_size")
+                           for spec in study().shard_specs())
 
     def test_resolve_env(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV_VAR, raising=False)
-        assert resolve_batch_size(None) == DEFAULT_BATCH_SIZE
-        monkeypatch.setenv(BATCH_ENV_VAR, "64")
-        assert resolve_batch_size(None) == 64
-        monkeypatch.setenv(BATCH_ENV_VAR, "0")
-        assert resolve_batch_size(None) == 0
-        monkeypatch.setenv(BATCH_ENV_VAR, "off")
-        assert resolve_batch_size(None) == 0
-        monkeypatch.setenv(BATCH_ENV_VAR, "lots")
-        with pytest.raises(ConfigError):
-            resolve_batch_size(None)
-        monkeypatch.setenv(BATCH_ENV_VAR, "-3")
-        with pytest.raises(ConfigError):
-            resolve_batch_size(None)
+        """A stale ``$REPRO_BATCH`` — even junk, even the old ``0`` — is
+        never read: the sweep still batches each shard's group whole."""
+        baseline = small_sweep().run(workers=1)
+        for value in ("lots", "0"):
+            monkeypatch.setenv("REPRO_BATCH", value)
+            result = small_sweep().run(workers=1)
+            assert result.occupancy.to_dict() == {
+                "batched_arms": 9, "scalar_arms": 0, "groups": 3,
+                "fallback_reasons": {}}
+            assert sweep_digest(result) == sweep_digest(baseline)

@@ -83,6 +83,52 @@ class TestSerialEqualsSharded:
         assert read_manifest(parallel)["execution"]["workers"] == 2
 
 
+class TestEngineOverlay:
+    """The memsys engine is invisible to the ``run`` digest too: the
+    merged engine occupancy lands in the ``execution`` overlay, where a
+    compiled run and a reference-interpreter run differ."""
+
+    @staticmethod
+    def _manifest(out_dir, workers):
+        from repro.scenarios import CallGraphScenario
+
+        CallGraphScenario(requests=8, seed=21, mode="control").run(
+            workers=workers, cache_dir="", checkpoint_dir="",
+            obs_dir=str(out_dir))
+        return read_manifest(out_dir)
+
+    def test_run_digest_equal_overlay_shows_engine(self, tmp_path):
+        from repro.memsys.hierarchy import reference_engine
+
+        compiled = self._manifest(tmp_path / "compiled", workers=1)
+        sharded = self._manifest(tmp_path / "sharded", workers=2)
+        with reference_engine():
+            interpreted = self._manifest(tmp_path / "interpreted", workers=1)
+
+        assert manifest_run_digest(compiled) == manifest_run_digest(sharded)
+        # The run block names the process's engine and nothing else
+        # about it: every other field, events digest included, agrees.
+        assert compiled["run"]["engine"] == "compiled"
+        assert interpreted["run"]["engine"] == "interpreter"
+        assert (manifest_run_digest({"run": {**interpreted["run"],
+                                             "engine": "compiled"}})
+                == manifest_run_digest(compiled))
+
+        occupancy = compiled["execution"]["occupancy"]
+        assert occupancy["batched_arms"] > 0
+        assert occupancy["fallback_reasons"] == {}
+        assert sharded["execution"]["occupancy"] == occupancy
+        arms = occupancy["batched_arms"] + occupancy["scalar_arms"]
+        assert interpreted["execution"]["occupancy"] == {
+            "batched_arms": 0, "scalar_arms": arms, "groups": 0,
+            "fallback_reasons": {"slow-engine": arms}}
+
+    def test_analytic_study_has_no_occupancy(self, tmp_path):
+        run_dir = _run_ablation(tmp_path / "run", workers=1, machines=4,
+                                seed=3)
+        assert read_manifest(run_dir)["execution"]["occupancy"] is None
+
+
 class TestChaosObservability:
     def test_chaos_run_writes_incident_events(self, tmp_path):
         from repro.analysis import ChaosStudy

@@ -66,6 +66,19 @@ class TestRenderReport:
         assert "incident" in text
         assert "failsafe-engaged" in text or "incident-open" in text
 
+    def test_engine_occupancy_line(self, ablation_run, tmp_path, capsys):
+        """A trace-driven run prints the CLI footer's engine line; an
+        analytic study, which runs no memsys engine, prints none."""
+        from repro.scenarios import CallGraphScenario
+
+        out = tmp_path / "callgraph"
+        result = CallGraphScenario(requests=4, seed=21).run(
+            workers=1, cache_dir="", checkpoint_dir="", obs_dir=str(out))
+        line = result.occupancy.summary(result.occupancy.to_dict())
+        assert "arm-runs batched" in line
+        assert line in render_report(str(out)).splitlines()
+        assert "arm-runs batched" not in render_report(str(ablation_run))
+
     def test_timeline_is_capped(self, ablation_run):
         text = render_report(str(ablation_run), timeline_limit=3)
         assert "more" in text

@@ -142,8 +142,13 @@ class TestCallGraphDeterminism:
         assert callgraph_digest(serial) == callgraph_digest(sharded)
 
     def test_batched_equals_scalar(self):
-        batched = small_callgraph(batch_size=16).run()
-        scalar = small_callgraph(batch_size=0).run()
+        from repro.memsys.hierarchy import reference_engine
+
+        batched = small_callgraph().run()
+        with reference_engine():
+            scalar = small_callgraph().run()
+        assert batched.occupancy.batched_arms > 0
+        assert scalar.occupancy.batched_arms == 0
         assert callgraph_digest(batched) == callgraph_digest(scalar)
 
     def test_seed_changes_result(self):
