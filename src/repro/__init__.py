@@ -33,42 +33,19 @@ Quickstart::
     daemon.run(duration_ns=60 * SECOND)
 """
 
-from repro.core import (
-    CallbackActuator,
-    ControllerState,
-    HardLimoncelloController,
-    LimoncelloConfig,
-    LimoncelloDaemon,
-    MSRPrefetcherActuator,
-    PrefetchDescriptor,
-    PrefetchTuner,
-    SingleThresholdController,
-    SoftwarePrefetchInjector,
-    identify_targets,
-)
-from repro.telemetry import PerfBandwidthSampler
-from repro.memsys import MemoryHierarchy, HierarchyConfig
-from repro.access import AddressSpace, MemoryAccess, Trace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "LimoncelloConfig",
-    "LimoncelloDaemon",
-    "HardLimoncelloController",
-    "SingleThresholdController",
-    "ControllerState",
-    "MSRPrefetcherActuator",
-    "CallbackActuator",
-    "PerfBandwidthSampler",
-    "PrefetchDescriptor",
-    "SoftwarePrefetchInjector",
-    "PrefetchTuner",
-    "identify_targets",
-    "MemoryHierarchy",
-    "HierarchyConfig",
-    "AddressSpace",
-    "MemoryAccess",
-    "Trace",
-    "__version__",
-]
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "core": (
+        "CallbackActuator", "ControllerState", "HardLimoncelloController",
+        "LimoncelloConfig", "LimoncelloDaemon", "MSRPrefetcherActuator",
+        "PrefetchDescriptor", "PrefetchTuner", "SingleThresholdController",
+        "SoftwarePrefetchInjector", "identify_targets",
+    ),
+    "telemetry": ("PerfBandwidthSampler",),
+    "memsys": ("MemoryHierarchy", "HierarchyConfig"),
+    "access": ("AddressSpace", "MemoryAccess", "Trace"),
+})
+__all__ = ["__version__", *_lazy_names]

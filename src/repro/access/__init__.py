@@ -7,27 +7,18 @@ an ordered sequence of :class:`MemoryAccess` records, each optionally
 separated from its predecessor by a number of pure-compute cycles.
 """
 
-from repro.access.record import AccessKind, MemoryAccess
+from repro._lazy import lazy_exports
+# Eager: the end-to-end benchmark's span probes look ``interleave`` up
+# in ``vars(repro.access)`` and wrap it in place (benchmarks/e2e/spans.py).
 from repro.access.trace import Trace, interleave
-from repro.access.compiled import CompiledTrace, concat_compiled
-from repro.access.builder import (
-    RecordTraceBuilder,
-    SLOW_BUILDER_ENV,
-    TraceBuilder,
-    trace_builder,
-)
-from repro.access.address import AddressSpace
 
-__all__ = [
-    "AccessKind",
-    "MemoryAccess",
-    "Trace",
-    "CompiledTrace",
-    "concat_compiled",
-    "TraceBuilder",
-    "RecordTraceBuilder",
-    "trace_builder",
-    "SLOW_BUILDER_ENV",
-    "interleave",
-    "AddressSpace",
-]
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "record": ("AccessKind", "MemoryAccess"),
+    "compiled": ("CompiledTrace", "concat_compiled"),
+    "builder": (
+        "RecordTraceBuilder", "SLOW_BUILDER_ENV", "TraceBuilder",
+        "trace_builder",
+    ),
+    "address": ("AddressSpace",),
+})
+__all__ = ["Trace", "interleave", *_lazy_names]

@@ -9,46 +9,21 @@
   availability, MTTR, and duty-cycle drift vs a fault-free twin.
 """
 
-from repro.analysis.chaos import (
-    ChaosOutcome,
-    ChaosStudy,
-    chaos_default_config,
-    result_digest,
-)
+from repro._lazy import lazy_exports
 
-from repro.analysis.latency_curves import (
-    LatencyCurve,
-    LatencyPoint,
-    limoncello_envelope,
-    measure_latency_curve,
-)
-from repro.analysis.ablation_analysis import (
-    FunctionAblation,
-    MicroAblationStudy,
-    aggregate_by_category,
-)
-from repro.analysis.thresholds import ThresholdStudy, ThresholdOutcome
-from repro.analysis.access_patterns import (
-    FunctionPattern,
-    analyze_trace,
-    propose_descriptors,
-)
-
-__all__ = [
-    "FunctionPattern",
-    "analyze_trace",
-    "propose_descriptors",
-    "LatencyCurve",
-    "LatencyPoint",
-    "measure_latency_curve",
-    "limoncello_envelope",
-    "FunctionAblation",
-    "MicroAblationStudy",
-    "aggregate_by_category",
-    "ThresholdStudy",
-    "ThresholdOutcome",
-    "ChaosStudy",
-    "ChaosOutcome",
-    "chaos_default_config",
-    "result_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": (
+        "ChaosOutcome", "ChaosStudy", "chaos_default_config", "result_digest",
+    ),
+    "latency_curves": (
+        "LatencyCurve", "LatencyPoint", "limoncello_envelope",
+        "measure_latency_curve",
+    ),
+    "ablation_analysis": (
+        "FunctionAblation", "MicroAblationStudy", "aggregate_by_category",
+    ),
+    "thresholds": ("ThresholdStudy", "ThresholdOutcome"),
+    "access_patterns": (
+        "FunctionPattern", "analyze_trace", "propose_descriptors",
+    ),
+})

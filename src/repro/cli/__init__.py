@@ -12,6 +12,8 @@ Exposes the main harnesses without writing any code:
   cycle-level simulator
 """
 
+# Eager: ``main`` shares its submodule's name, and the ``repro`` console
+# script is ``repro.cli:main``, so it must never be the module object.
 from repro.cli.main import main
 
 __all__ = ["main"]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.errors import ReproError
-from repro.memsys.hierarchy import reference_engine
 from repro.telemetry import format_relative_change as _pct
 from repro.units import KB, SECOND
 
@@ -305,6 +304,8 @@ def run_sweep(args) -> int:
     digest = sweep_digest(result)
     _print_digest_footer(result, digest, sweep.queue_stats, resolved_ckpt)
     if args.compare_serial:
+        from repro.memsys.hierarchy import reference_engine
+
         # MicroFleetSweep.run writes no run directory.
         with reference_engine():
             serial = MicroFleetSweep(**kwargs).run(**SERIAL_ORACLE)
@@ -794,6 +795,8 @@ def run_scenario_callgraph(args) -> int:
     digest = callgraph_digest(result)
     _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
     if args.compare_serial:
+        from repro.memsys.hierarchy import reference_engine
+
         with reference_engine():
             serial = CallGraphScenario(**kwargs).run(obs_dir="",
                                                      **SERIAL_ORACLE)
@@ -883,6 +886,8 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
+        from repro.memsys.hierarchy import reference_engine
+
         with reference_engine():
             serial = NoisyNeighborScenario(**kwargs).run(obs_dir="",
                                                          **SERIAL_ORACLE)

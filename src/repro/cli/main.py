@@ -7,7 +7,7 @@ import sys
 from typing import List, Optional
 
 from repro.cli import commands
-from repro.memsys.hierarchy import DEFAULT_SHARD_SIZE
+from repro.units import DEFAULT_SHARD_SIZE
 
 
 def _add_execution_flags(subparser: argparse.ArgumentParser) -> None:

@@ -12,43 +12,20 @@
   ablation profiles, and the distance/degree tuning loop.
 """
 
-from repro.core.config import LimoncelloConfig, RetryPolicy
-from repro.core.controller import (
-    ControllerState,
-    HardLimoncelloController,
-    SingleThresholdController,
-)
-from repro.core.actuator import (
-    CallbackActuator,
-    MSRPrefetcherActuator,
-    PrefetcherActuator,
-)
-from repro.core.daemon import DaemonReport, Incident, LimoncelloDaemon
-from repro.core.soft import (
-    PrefetchDescriptor,
-    SoftwarePrefetchInjector,
-    TargetSelection,
-    TuningResult,
-    PrefetchTuner,
-    identify_targets,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LimoncelloConfig",
-    "RetryPolicy",
-    "ControllerState",
-    "HardLimoncelloController",
-    "SingleThresholdController",
-    "PrefetcherActuator",
-    "MSRPrefetcherActuator",
-    "CallbackActuator",
-    "LimoncelloDaemon",
-    "DaemonReport",
-    "Incident",
-    "PrefetchDescriptor",
-    "SoftwarePrefetchInjector",
-    "TargetSelection",
-    "identify_targets",
-    "PrefetchTuner",
-    "TuningResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("LimoncelloConfig", "RetryPolicy"),
+    "controller": (
+        "ControllerState", "HardLimoncelloController",
+        "SingleThresholdController",
+    ),
+    "actuator": (
+        "CallbackActuator", "MSRPrefetcherActuator", "PrefetcherActuator",
+    ),
+    "daemon": ("DaemonReport", "Incident", "LimoncelloDaemon"),
+    "soft": (
+        "PrefetchDescriptor", "SoftwarePrefetchInjector", "TargetSelection",
+        "TuningResult", "PrefetchTuner", "identify_targets",
+    ),
+})

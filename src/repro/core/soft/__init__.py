@@ -14,17 +14,11 @@ The workflow mirrors the paper's:
    microbenchmarks and validates winners on load tests (Figure 15).
 """
 
-from repro.core.soft.descriptor import PrefetchDescriptor
-from repro.core.soft.injector import SoftwarePrefetchInjector
-from repro.core.soft.targets import TargetSelection, identify_targets
-from repro.core.soft.tuner import PrefetchTuner, SweepPoint, TuningResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrefetchDescriptor",
-    "SoftwarePrefetchInjector",
-    "TargetSelection",
-    "identify_targets",
-    "PrefetchTuner",
-    "SweepPoint",
-    "TuningResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "descriptor": ("PrefetchDescriptor",),
+    "injector": ("SoftwarePrefetchInjector",),
+    "targets": ("TargetSelection", "identify_targets"),
+    "tuner": ("PrefetchTuner", "SweepPoint", "TuningResult"),
+})

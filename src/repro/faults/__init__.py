@@ -17,31 +17,13 @@ exponential backoff, the telemetry fail-safe, structured incident
 logs — lives in :mod:`repro.core.daemon`.
 """
 
-from repro.faults.plan import (
-    FAULT_PLAN_ENV_VAR,
-    RESTART_POLICIES,
-    FaultClause,
-    FaultPlan,
-    fault_rng,
-    fault_seed,
-)
-from repro.faults.injectors import (
-    FaultyActuation,
-    FaultyTelemetry,
-    MachineChaos,
-)
-from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_PLAN_ENV_VAR",
-    "RESTART_POLICIES",
-    "FaultClause",
-    "FaultPlan",
-    "fault_seed",
-    "fault_rng",
-    "FaultyTelemetry",
-    "FaultyActuation",
-    "MachineChaos",
-    "ChaosMetrics",
-    "collect_chaos_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "plan": (
+        "FAULT_PLAN_ENV_VAR", "RESTART_POLICIES", "FaultClause", "FaultPlan",
+        "fault_rng", "fault_seed",
+    ),
+    "injectors": ("FaultyActuation", "FaultyTelemetry", "MachineChaos"),
+    "metrics": ("ChaosMetrics", "collect_chaos_metrics"),
+})

@@ -11,120 +11,42 @@ which is what couples memory bandwidth headroom to achievable CPU
 utilization (Figures 4 and 19).
 """
 
-from repro.fleet.platform import (
-    PLATFORM_1,
-    PLATFORM_2,
-    PLATFORM_CATALOG,
-    PlatformSpec,
-)
-from repro.fleet.calibration import (
-    DEFAULT_RESPONSES,
-    FunctionResponse,
-    ResponseTable,
-    calibrate_from_simulator,
-)
-from repro.fleet.task import Task, TaskTemplate, sample_task
-from repro.fleet.socket import SimulatedSocket, SocketEpoch
-from repro.fleet.machine import Machine
-from repro.fleet.scheduler import BandwidthAwareScheduler
-from repro.fleet.traffic import DiurnalTraffic, VolatileTraffic
-from repro.fleet.cluster import Fleet, FleetMetrics
-from repro.fleet.shard import (
-    DEFAULT_SHARD_SIZE,
-    ShardPlan,
-    plan_rounds,
-    plan_shards,
-    shard_seed,
-)
-from repro.fleet.parallel import (
-    resolve_workers,
-    run_sharded,
-)
-from repro.fleet.result_cache import StudyResultCache, study_cache
-from repro.fleet.queue import (
-    QueueStats,
-    ShardCheckpoint,
-    queue_status,
-    run_checkpointed,
-    shard_checkpoint,
-    shard_task_material,
-)
-from repro.fleet.adaptive import (
-    AdaptiveAblation,
-    AdaptiveResult,
-    ArmState,
-    arm_interval,
-    arms_separated,
-)
-from repro.fleet.sweep import (
-    MicroFleetSweep,
-    MicroSweepResult,
-    MicroSweepShardSpec,
-    SWEEP_WORKLOADS,
-    sweep_digest,
-)
-from repro.fleet.ablation import (
-    AblationResult,
-    AblationShardSpec,
-    AblationStudy,
-)
-from repro.fleet.rollout import (
-    RolloutResult,
-    RolloutShardSpec,
-    RolloutStudy,
-    rollout_digest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SHARD_SIZE",
-    "ShardPlan",
-    "plan_rounds",
-    "plan_shards",
-    "shard_seed",
-    "resolve_workers",
-    "run_sharded",
-    "StudyResultCache",
-    "study_cache",
-    "QueueStats",
-    "ShardCheckpoint",
-    "queue_status",
-    "run_checkpointed",
-    "shard_checkpoint",
-    "shard_task_material",
-    "AdaptiveAblation",
-    "AdaptiveResult",
-    "ArmState",
-    "arm_interval",
-    "arms_separated",
-    "MicroFleetSweep",
-    "MicroSweepResult",
-    "MicroSweepShardSpec",
-    "SWEEP_WORKLOADS",
-    "sweep_digest",
-    "PlatformSpec",
-    "PLATFORM_1",
-    "PLATFORM_2",
-    "PLATFORM_CATALOG",
-    "FunctionResponse",
-    "ResponseTable",
-    "DEFAULT_RESPONSES",
-    "calibrate_from_simulator",
-    "Task",
-    "TaskTemplate",
-    "sample_task",
-    "SimulatedSocket",
-    "SocketEpoch",
-    "Machine",
-    "BandwidthAwareScheduler",
-    "DiurnalTraffic",
-    "VolatileTraffic",
-    "Fleet",
-    "FleetMetrics",
-    "AblationStudy",
-    "AblationResult",
-    "AblationShardSpec",
-    "RolloutStudy",
-    "RolloutResult",
-    "RolloutShardSpec",
-    "rollout_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "platform": (
+        "PLATFORM_1", "PLATFORM_2", "PLATFORM_CATALOG", "PlatformSpec",
+    ),
+    "calibration": (
+        "DEFAULT_RESPONSES", "FunctionResponse", "ResponseTable",
+        "calibrate_from_simulator",
+    ),
+    "task": ("Task", "TaskTemplate", "sample_task"),
+    "socket": ("SimulatedSocket", "SocketEpoch"),
+    "machine": ("Machine",),
+    "scheduler": ("BandwidthAwareScheduler",),
+    "traffic": ("DiurnalTraffic", "VolatileTraffic"),
+    "cluster": ("Fleet", "FleetMetrics"),
+    "shard": (
+        "DEFAULT_SHARD_SIZE", "ShardPlan", "plan_rounds", "plan_shards",
+        "shard_seed",
+    ),
+    "parallel": ("resolve_workers", "run_sharded"),
+    "result_cache": ("StudyResultCache", "study_cache"),
+    "queue": (
+        "QueueStats", "ShardCheckpoint", "queue_status", "run_checkpointed",
+        "shard_checkpoint", "shard_task_material",
+    ),
+    "adaptive": (
+        "AdaptiveAblation", "AdaptiveResult", "ArmState", "arm_interval",
+        "arms_separated",
+    ),
+    "sweep": (
+        "MicroFleetSweep", "MicroSweepResult", "MicroSweepShardSpec",
+        "SWEEP_WORKLOADS", "sweep_digest",
+    ),
+    "ablation": ("AblationResult", "AblationShardSpec", "AblationStudy"),
+    "rollout": (
+        "RolloutResult", "RolloutShardSpec", "RolloutStudy", "rollout_digest",
+    ),
+})

@@ -256,7 +256,7 @@ class AblationStudy(FleetStudy):
                 raise ConfigError(
                     "a control policy needs a daemon-running mode "
                     f"('hard' or 'hard+soft'), got {mode!r}")
-            from repro.policy import policy_from_spec
+            from repro.policy.base import policy_from_spec
             self.policy_json = canonical_json(
                 policy_from_spec(policy).to_dict())
         self.mode = mode

@@ -240,7 +240,7 @@ class Fleet:
         defaults match :meth:`deploy_hard_limoncello` (epoch-period
         sampling, three-epoch sustain window).
         """
-        from repro.policy import PolicyController, policy_from_spec
+        from repro.policy.base import PolicyController, policy_from_spec
 
         config = config or LimoncelloConfig(
             sample_period_ns=self.epoch_ns,

@@ -15,8 +15,6 @@ degrades to the serial path rather than failing the study.
 
 from __future__ import annotations
 
-import concurrent.futures
-import concurrent.futures.process
 import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -121,6 +119,11 @@ def run_sharded(
             on_result(index, result)
 
     if workers > 1 and len(specs) > 1:
+        # Imported here so a serial study never loads the pool machinery
+        # (``concurrent.futures`` pulls in ``multiprocessing``).
+        import concurrent.futures
+        import concurrent.futures.process
+
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=min(workers, len(specs))) as pool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigError
-from repro.memsys.hierarchy import DEFAULT_SHARD_SIZE
+from repro.units import DEFAULT_SHARD_SIZE
 
 
 def shard_seed(master_seed: int, index: int) -> int:

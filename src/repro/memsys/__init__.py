@@ -11,35 +11,16 @@ per-function cycles, MPKI, and DRAM traffic — the quantities every
 experiment in the paper is expressed in.
 """
 
-from repro.memsys.config import CacheConfig, DRAMConfig, HierarchyConfig
-from repro.memsys.cache import SetAssociativeCache
-from repro.memsys.dram import ConstantExternalLoad, DRAMModel
-from repro.memsys.stats import FunctionStats, RunResult
-from repro.memsys.hierarchy import MemoryHierarchy, run_many
-from repro.memsys.prefetchers import (
-    HardwarePrefetcher,
-    NextLinePrefetcher,
-    StridePrefetcher,
-    StreamPrefetcher,
-    PrefetcherBank,
-    default_prefetcher_bank,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "DRAMConfig",
-    "HierarchyConfig",
-    "SetAssociativeCache",
-    "ConstantExternalLoad",
-    "DRAMModel",
-    "FunctionStats",
-    "RunResult",
-    "MemoryHierarchy",
-    "run_many",
-    "HardwarePrefetcher",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
-    "StreamPrefetcher",
-    "PrefetcherBank",
-    "default_prefetcher_bank",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("CacheConfig", "DRAMConfig", "HierarchyConfig"),
+    "cache": ("SetAssociativeCache",),
+    "dram": ("ConstantExternalLoad", "DRAMModel"),
+    "stats": ("FunctionStats", "RunResult"),
+    "hierarchy": ("MemoryHierarchy", "run_many"),
+    "prefetchers": (
+        "HardwarePrefetcher", "NextLinePrefetcher", "StridePrefetcher",
+        "StreamPrefetcher", "PrefetcherBank", "default_prefetcher_bank",
+    ),
+})

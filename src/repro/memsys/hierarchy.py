@@ -54,15 +54,6 @@ from repro.units import CACHE_LINE_BYTES
 #: Set to "1" (or "true"/"yes"/"on") to force the reference interpreter.
 SLOW_ENGINE_ENV = "REPRO_SLOW_ENGINE"
 
-#: Machines per shard when the caller does not choose. Sized so the
-#: repository's historical study sizes (<= 32 machines) stay single-shard
-#: — and therefore numerically identical to the pre-sharding engine —
-#: while paper-scale populations split into enough shards to keep every
-#: worker busy. It lives here, not in :mod:`repro.fleet.shard` (which
-#: re-exports it), so the CLI parser can read it without loading the
-#: fleet package.
-DEFAULT_SHARD_SIZE = 32
-
 
 def _slow_engine_requested() -> bool:
     return os.environ.get(SLOW_ENGINE_ENV, "").strip().lower() in (

@@ -15,18 +15,12 @@ returns line addresses to fetch. The hierarchy issues those fetches and
 charges them to DRAM bandwidth.
 """
 
-from repro.memsys.prefetchers.base import HardwarePrefetcher
-from repro.memsys.prefetchers.nextline import AdjacentLinePrefetcher, NextLinePrefetcher
-from repro.memsys.prefetchers.stride import StridePrefetcher
-from repro.memsys.prefetchers.stream import StreamPrefetcher
-from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HardwarePrefetcher",
-    "NextLinePrefetcher",
-    "AdjacentLinePrefetcher",
-    "StridePrefetcher",
-    "StreamPrefetcher",
-    "PrefetcherBank",
-    "default_prefetcher_bank",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("HardwarePrefetcher",),
+    "nextline": ("AdjacentLinePrefetcher", "NextLinePrefetcher"),
+    "stride": ("StridePrefetcher",),
+    "stream": ("StreamPrefetcher",),
+    "bank": ("PrefetcherBank", "default_prefetcher_bank"),
+})

@@ -6,16 +6,11 @@ cycle-level simulator under configurable background memory load, measuring
 the speedup of candidate prefetch descriptors.
 """
 
-from repro.microbench.memcpy_bench import (
-    MemcpyMicrobenchmark,
-    MicrobenchResult,
-    PAPER_SIZES,
-)
-from repro.microbench.loadtest import FleetMixLoadTest
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemcpyMicrobenchmark",
-    "MicrobenchResult",
-    "PAPER_SIZES",
-    "FleetMixLoadTest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "memcpy_bench": (
+        "MemcpyMicrobenchmark", "MicrobenchResult", "PAPER_SIZES",
+    ),
+    "loadtest": ("FleetMixLoadTest",),
+})

@@ -8,22 +8,12 @@ bits disable which prefetchers — but backed by a simulated register file
 that the simulated cache hierarchy honours.
 """
 
-from repro.msr.registers import DegradingMSRFile, FaultyMSRFile, MSRFile
-from repro.msr.platform_defs import (
-    PrefetcherControl,
-    PlatformMSRMap,
-    INTEL_LIKE_MAP,
-    AMD_LIKE_MAP,
-    msr_map_for_vendor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MSRFile",
-    "FaultyMSRFile",
-    "DegradingMSRFile",
-    "PrefetcherControl",
-    "PlatformMSRMap",
-    "INTEL_LIKE_MAP",
-    "AMD_LIKE_MAP",
-    "msr_map_for_vendor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "registers": ("DegradingMSRFile", "FaultyMSRFile", "MSRFile"),
+    "platform_defs": (
+        "PrefetcherControl", "PlatformMSRMap", "INTEL_LIKE_MAP",
+        "AMD_LIKE_MAP", "msr_map_for_vendor",
+    ),
+})

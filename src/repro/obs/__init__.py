@@ -15,39 +15,17 @@ Every fleet study can emit, next to its result, a *run directory*:
 breakdown; see :mod:`repro.obs.report`.
 """
 
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENT_TYPES,
-    read_events_jsonl,
-    validate_event,
-    write_events_jsonl,
-)
-from repro.obs.session import (
-    MANIFEST_NAME,
-    EVENTS_NAME,
-    OBS_ENV_VAR,
-    ObsSession,
-    manifest_run_digest,
-    read_manifest,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.report import build_report, render_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "EVENTS_NAME",
-    "MANIFEST_NAME",
-    "NULL_TRACER",
-    "NullTracer",
-    "OBS_ENV_VAR",
-    "ObsSession",
-    "Tracer",
-    "build_report",
-    "manifest_run_digest",
-    "read_events_jsonl",
-    "read_manifest",
-    "render_report",
-    "validate_event",
-    "write_events_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": (
+        "EVENT_SCHEMA_VERSION", "EVENT_TYPES", "read_events_jsonl",
+        "validate_event", "write_events_jsonl",
+    ),
+    "session": (
+        "MANIFEST_NAME", "EVENTS_NAME", "OBS_ENV_VAR", "ObsSession",
+        "manifest_run_digest", "read_manifest",
+    ),
+    "tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+    "report": ("build_report", "render_report"),
+})

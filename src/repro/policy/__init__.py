@@ -3,58 +3,35 @@
 The public surface: the :class:`Policy` protocol and its reference
 implementations, the :class:`PolicyController` daemon adapter, feature
 extraction, offline training, and head-to-head comparison studies.
-Importing this package populates the policy registry, which is what
-:func:`policy_from_dict` dispatches on.
+The policy registry that :func:`policy_from_dict` dispatches on fills
+as policy modules load; :func:`policy_from_dict` loads the built-in
+kinds itself before it calls a kind unknown.
 """
 
-from repro.policy.bandit import (EpsilonGreedyBanditPolicy, policy_rng,
-                                 policy_seed)
-from repro.policy.base import (DEFAULT_PREFETCHERS, POLICY_SCHEMA_VERSION,
-                               HysteresisPolicy, Policy, PolicyController,
-                               SingleThresholdPolicy, policy_digest,
-                               policy_from_dict, policy_from_spec,
-                               register_policy)
-from repro.policy.compare import (COMPARE_SCHEMA_VERSION, PolicyComparison,
-                                  comparison_digest)
-from repro.policy.features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION,
-                                   FeatureExtractor, feature_vector)
-from repro.policy.metrics import PolicyMetrics, collect_policy_metrics
-from repro.policy.trainer import (load_policy, prefetcher_stats, save_policy,
-                                  train_decision_tree_policy, training_rows)
-from repro.policy.tree import (DecisionTreePolicy, predict_tree, train_tree,
-                               tree_depth, tree_leaves)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COMPARE_SCHEMA_VERSION",
-    "DEFAULT_PREFETCHERS",
-    "DecisionTreePolicy",
-    "EpsilonGreedyBanditPolicy",
-    "FEATURE_NAMES",
-    "FEATURE_SCHEMA_VERSION",
-    "FeatureExtractor",
-    "HysteresisPolicy",
-    "POLICY_SCHEMA_VERSION",
-    "Policy",
-    "PolicyComparison",
-    "PolicyController",
-    "PolicyMetrics",
-    "SingleThresholdPolicy",
-    "collect_policy_metrics",
-    "comparison_digest",
-    "feature_vector",
-    "load_policy",
-    "policy_digest",
-    "policy_from_dict",
-    "policy_from_spec",
-    "policy_rng",
-    "policy_seed",
-    "predict_tree",
-    "prefetcher_stats",
-    "register_policy",
-    "save_policy",
-    "train_decision_tree_policy",
-    "train_tree",
-    "training_rows",
-    "tree_depth",
-    "tree_leaves",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bandit": ("EpsilonGreedyBanditPolicy", "policy_rng", "policy_seed"),
+    "base": (
+        "DEFAULT_PREFETCHERS", "POLICY_SCHEMA_VERSION", "HysteresisPolicy",
+        "Policy", "PolicyController", "SingleThresholdPolicy",
+        "policy_digest", "policy_from_dict", "policy_from_spec",
+        "register_policy",
+    ),
+    "compare": (
+        "COMPARE_SCHEMA_VERSION", "PolicyComparison", "comparison_digest",
+    ),
+    "features": (
+        "FEATURE_NAMES", "FEATURE_SCHEMA_VERSION", "FeatureExtractor",
+        "feature_vector",
+    ),
+    "metrics": ("PolicyMetrics", "collect_policy_metrics"),
+    "trainer": (
+        "load_policy", "prefetcher_stats", "save_policy",
+        "train_decision_tree_policy", "training_rows",
+    ),
+    "tree": (
+        "DecisionTreePolicy", "predict_tree", "train_tree", "tree_depth",
+        "tree_leaves",
+    ),
+})

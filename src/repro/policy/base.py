@@ -32,13 +32,14 @@ hash their results.
 from __future__ import annotations
 
 import hashlib
+import importlib
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.config import LimoncelloConfig
 from repro.core.controller import (ControllerState, Decision,
                                    HardLimoncelloController)
 from repro.errors import ConfigError, TelemetryError
-from repro.policy.features import FEATURE_SCHEMA_VERSION, FeatureExtractor
+from repro.policy.features import FeatureExtractor
 from repro.serialization import canonical_json
 
 #: Serialized-policy schema; bumped on incompatible changes.
@@ -109,6 +110,12 @@ def policy_from_dict(payload: dict) -> Policy:
             f"(this build reads {POLICY_SCHEMA_VERSION})")
     kind = payload.get("kind")
     cls = _REGISTRY.get(kind)
+    if cls is None:
+        # Kinds register when their module loads; the built-in ones live
+        # in modules nothing else may have imported yet.
+        for module in ("repro.policy.bandit", "repro.policy.tree"):
+            importlib.import_module(module)
+        cls = _REGISTRY.get(kind)
     if cls is None:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
         raise ConfigError(f"unknown policy kind {kind!r} (known: {known})")

@@ -7,7 +7,9 @@ misses. Aggregated over enough machine-epochs, the samples expose the
 per-function impact of prefetcher configuration changes.
 """
 
-from repro.profiling.profile_data import ProfileData
-from repro.profiling.profiler import FleetProfiler
+from repro._lazy import lazy_exports
 
-__all__ = ["ProfileData", "FleetProfiler"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "profile_data": ("ProfileData",),
+    "profiler": ("FleetProfiler",),
+})

@@ -8,43 +8,21 @@ threaded through the same sharded/cached/checkpointed execution
 machinery as the fleet studies.
 """
 
-from repro.scenarios.callgraph import (CALLGRAPH_MODES, CallGraphResult,
-                                       CallGraphScenario,
-                                       CallGraphShardSpec, DEFAULT_SERVICES,
-                                       ServiceSpec, callgraph_digest,
-                                       parse_services, run_callgraph_shard)
-from repro.scenarios.tenancy import (DEFAULT_TENANTS, NOISY_MODES,
-                                     NoisyNeighborResult,
-                                     NoisyNeighborScenario, NoisyShardSpec,
-                                     TenantSpec, noisy_digest,
-                                     parse_tenants, run_noisy_shard)
-from repro.scenarios.workload import (WORKLOAD_KINDS, emit_request,
-                                      request_label, scenario_mix_trace,
-                                      scenario_rng, scenario_seed)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CALLGRAPH_MODES",
-    "CallGraphResult",
-    "CallGraphScenario",
-    "CallGraphShardSpec",
-    "DEFAULT_SERVICES",
-    "DEFAULT_TENANTS",
-    "NOISY_MODES",
-    "NoisyNeighborResult",
-    "NoisyNeighborScenario",
-    "NoisyShardSpec",
-    "ServiceSpec",
-    "TenantSpec",
-    "WORKLOAD_KINDS",
-    "callgraph_digest",
-    "emit_request",
-    "noisy_digest",
-    "parse_services",
-    "parse_tenants",
-    "request_label",
-    "run_callgraph_shard",
-    "run_noisy_shard",
-    "scenario_mix_trace",
-    "scenario_rng",
-    "scenario_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "callgraph": (
+        "CALLGRAPH_MODES", "CallGraphResult", "CallGraphScenario",
+        "CallGraphShardSpec", "DEFAULT_SERVICES", "ServiceSpec",
+        "callgraph_digest", "parse_services", "run_callgraph_shard",
+    ),
+    "tenancy": (
+        "DEFAULT_TENANTS", "NOISY_MODES", "NoisyNeighborResult",
+        "NoisyNeighborScenario", "NoisyShardSpec", "TenantSpec",
+        "noisy_digest", "parse_tenants", "run_noisy_shard",
+    ),
+    "workload": (
+        "WORKLOAD_KINDS", "emit_request", "request_label",
+        "scenario_mix_trace", "scenario_rng", "scenario_seed",
+    ),
+})

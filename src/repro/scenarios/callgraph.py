@@ -42,7 +42,7 @@ from repro.faults.plan import FaultPlan
 from repro.scenarios.workload import (check_kind, emit_request,
                                       request_label, scenario_rng)
 from repro.serialization import canonical_json
-from repro.telemetry import PercentileSummary
+from repro.telemetry.percentile import PercentileSummary
 
 #: Arm configurations, mirroring the sweep: ``off`` ablates every
 #: hardware prefetcher, ``control`` keeps the default aggressive bank.
@@ -251,7 +251,8 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
     it through :func:`~repro.memsys.hierarchy.run_many`, so arms in both
     modes batch through the lockstep engine.
     """
-    from repro.access import AddressSpace, trace_builder
+    from repro.access.address import AddressSpace
+    from repro.access.builder import trace_builder
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many

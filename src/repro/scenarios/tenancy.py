@@ -51,7 +51,7 @@ from repro.fleet.shard import DEFAULT_SHARD_SIZE, plan_shards
 from repro.scenarios.workload import (check_kind, emit_request,
                                       scenario_rng)
 from repro.serialization import canonical_json
-from repro.telemetry import PercentileSummary
+from repro.telemetry.percentile import PercentileSummary
 from repro.units import CACHE_LINE_BYTES
 
 #: Arm configurations: fixed prefetcher states (``enabled`` /
@@ -299,8 +299,10 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     socket-level prefetcher state for the *next* epoch (telemetry acts
     with one epoch of lag, like the daemon's sampling loop).
     """
+    # Through the package: the end-to-end benchmark's span probes wrap
+    # ``repro.access.interleave`` there.
     from repro.access import AddressSpace, interleave, trace_builder
-    from repro.core import LimoncelloConfig
+    from repro.core.config import LimoncelloConfig
     from repro.core.controller import HardLimoncelloController
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad

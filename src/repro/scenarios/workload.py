@@ -126,6 +126,8 @@ def scenario_mix_trace(seed: int, scale: float = 1.0):
     :func:`repro.workloads.memo.memoized_scenario_mix`.
     """
     # Imported lazily: tenancy imports this module at load time.
+    # Through the package: the end-to-end benchmark's span probes wrap
+    # ``repro.access.interleave`` there.
     from repro.access import AddressSpace, interleave, trace_builder
     from repro.scenarios.tenancy import (DEFAULT_TENANTS, _INTERLEAVE_CHUNK,
                                          parse_tenants)

@@ -386,7 +386,7 @@ def policy_to_dict(policy) -> Dict:
 
 def policy_from_dict(data: Dict):
     """Inverse of :func:`policy_to_dict` (dispatches on ``kind``)."""
-    from repro.policy import policy_from_dict as rebuild
+    from repro.policy.base import policy_from_dict as rebuild
 
     return rebuild(data)
 

@@ -6,31 +6,22 @@ controller, and the fleetwide percentile summaries (P50/P90/P99 latency,
 average/P99/peak bandwidth) reported throughout the evaluation.
 """
 
-from repro.telemetry.timeseries import TimeSeries, TimePoint
-from repro.telemetry.window import SlidingWindow
+from repro._lazy import lazy_exports
+# Eager: ``percentile`` shares its submodule's name, so importing
+# ``repro.telemetry.percentile`` would bind the module over a lazy name.
 from repro.telemetry.percentile import (
     PercentileSummary,
     format_relative_change,
     percentile,
 )
-from repro.telemetry.counters import CounterSet
-from repro.telemetry.sampler import (
-    BandwidthSample,
-    BandwidthSampler,
-    PerfBandwidthSampler,
-    ScriptedBandwidthSource,
-)
 
-__all__ = [
-    "TimeSeries",
-    "TimePoint",
-    "SlidingWindow",
-    "PercentileSummary",
-    "format_relative_change",
-    "percentile",
-    "CounterSet",
-    "BandwidthSample",
-    "BandwidthSampler",
-    "PerfBandwidthSampler",
-    "ScriptedBandwidthSource",
-]
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "timeseries": ("TimeSeries", "TimePoint"),
+    "window": ("SlidingWindow",),
+    "counters": ("CounterSet",),
+    "sampler": (
+        "BandwidthSample", "BandwidthSampler", "PerfBandwidthSampler",
+        "ScriptedBandwidthSource",
+    ),
+})
+__all__ = ["PercentileSummary", "format_relative_change", "percentile", *_lazy_names]

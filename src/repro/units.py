@@ -46,3 +46,16 @@ def cache_lines(num_bytes: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
 def line_address(address: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
     """Round ``address`` down to the start of its cache line."""
     return address & ~(line_bytes - 1)
+
+
+# --- study sharding -------------------------------------------------------
+
+#: Machines per shard when the caller does not choose. Sized so the
+#: repository's historical study sizes (<= 32 machines) stay single-shard
+#: — and therefore numerically identical to the pre-sharding engine —
+#: while paper-scale populations split into enough shards to keep every
+#: worker busy. It lives in this leaf module, not in
+#: :mod:`repro.fleet.shard` (which re-exports it), so the CLI parser and
+#: the studies can read it without loading the fleet package or the cache
+#: simulator.
+DEFAULT_SHARD_SIZE = 32

@@ -11,76 +11,30 @@ SPEC-like suite, and Fleetbench-like machine mixes.
 All generators are deterministic given a seeded ``random.Random``.
 """
 
-from repro.workloads.base import (
-    FunctionCategory,
-    TAX_CATEGORIES,
-    Workload,
-    category_of_function,
-)
-from repro.workloads.sizes import MemcpySizeDistribution, size_histogram
-from repro.workloads.tax import (
-    compress_trace,
-    crc32_trace,
-    decompress_trace,
-    deserialize_trace,
-    hashing_trace,
-    memcpy_call_trace,
-    memcpy_trace,
-    memmove_trace,
-    memset_trace,
-    serialize_trace,
-)
-from repro.workloads.irregular import (
-    btree_lookup_trace,
-    hashmap_probe_trace,
-    pointer_chase_trace,
-    random_access_trace,
-)
-from repro.workloads.functions import (
-    FUNCTION_ROSTER,
-    FunctionProfile,
-    generate_function_trace,
-)
-from repro.workloads.apps import (
-    ApplicationModel,
-    database_server,
-    ml_model_server,
-    search_backend,
-)
-from repro.workloads.spec import SPEC_SUITE, SpecBenchmark, suite_trace
-from repro.workloads.mixes import fleet_mix_trace, fleetbench_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FunctionCategory",
-    "TAX_CATEGORIES",
-    "Workload",
-    "category_of_function",
-    "MemcpySizeDistribution",
-    "size_histogram",
-    "memcpy_trace",
-    "memcpy_call_trace",
-    "memmove_trace",
-    "memset_trace",
-    "compress_trace",
-    "crc32_trace",
-    "decompress_trace",
-    "hashing_trace",
-    "serialize_trace",
-    "deserialize_trace",
-    "pointer_chase_trace",
-    "random_access_trace",
-    "btree_lookup_trace",
-    "hashmap_probe_trace",
-    "FUNCTION_ROSTER",
-    "FunctionProfile",
-    "generate_function_trace",
-    "ApplicationModel",
-    "search_backend",
-    "ml_model_server",
-    "database_server",
-    "SPEC_SUITE",
-    "SpecBenchmark",
-    "suite_trace",
-    "fleet_mix_trace",
-    "fleetbench_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": (
+        "FunctionCategory", "TAX_CATEGORIES", "Workload",
+        "category_of_function",
+    ),
+    "sizes": ("MemcpySizeDistribution", "size_histogram"),
+    "tax": (
+        "compress_trace", "crc32_trace", "decompress_trace",
+        "deserialize_trace", "hashing_trace", "memcpy_call_trace",
+        "memcpy_trace", "memmove_trace", "memset_trace", "serialize_trace",
+    ),
+    "irregular": (
+        "btree_lookup_trace", "hashmap_probe_trace", "pointer_chase_trace",
+        "random_access_trace",
+    ),
+    "functions": (
+        "FUNCTION_ROSTER", "FunctionProfile", "generate_function_trace",
+    ),
+    "apps": (
+        "ApplicationModel", "database_server", "ml_model_server",
+        "search_backend",
+    ),
+    "spec": ("SPEC_SUITE", "SpecBenchmark", "suite_trace"),
+    "mixes": ("fleet_mix_trace", "fleetbench_trace"),
+})

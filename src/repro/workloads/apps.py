@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.access import AddressSpace, Trace
-from repro.access.trace import interleave
+from repro.access.address import AddressSpace
+from repro.access.trace import Trace, interleave
 from repro.errors import ConfigError
 from repro.workloads.functions import FUNCTION_ROSTER
 

@@ -6,7 +6,8 @@ import enum
 import random
 from typing import Protocol
 
-from repro.access import AddressSpace, Trace
+from repro.access.address import AddressSpace
+from repro.access.trace import Trace
 
 
 class FunctionCategory(enum.Enum):
@@ -31,13 +32,21 @@ TAX_CATEGORIES = frozenset({
     FunctionCategory.DATA_MOVEMENT,
 })
 
-#: Function-name -> category map, extended by the function roster module.
-_FUNCTION_CATEGORIES = {}
-
-
-def register_function(name: str, category: FunctionCategory) -> None:
-    """Associate a trace function name with its taxonomy category."""
-    _FUNCTION_CATEGORIES[name] = category
+#: Function-name -> category for the tax functions :mod:`repro.workloads.tax`
+#: generates. Declared here, not registered by that module on import, so
+#: a process that never imports it (a pool parent, a cache or checkpoint
+#: restore) still categorizes profiles correctly.
+_FUNCTION_CATEGORIES = {
+    "memcpy": FunctionCategory.DATA_MOVEMENT,
+    "memmove": FunctionCategory.DATA_MOVEMENT,
+    "memset": FunctionCategory.DATA_MOVEMENT,
+    "compress": FunctionCategory.COMPRESSION,
+    "decompress": FunctionCategory.COMPRESSION,
+    "hash": FunctionCategory.HASHING,
+    "crc32": FunctionCategory.HASHING,
+    "serialize": FunctionCategory.DATA_TRANSMISSION,
+    "deserialize": FunctionCategory.DATA_TRANSMISSION,
+}
 
 
 def category_of_function(name: str) -> FunctionCategory:

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.access import AddressSpace, Trace
+from repro.access.address import AddressSpace
+from repro.access.trace import Trace
 from repro.errors import ConfigError
 from repro.units import KB
 from repro.workloads import irregular, tax

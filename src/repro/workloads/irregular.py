@@ -16,7 +16,10 @@ import hashlib
 import random
 from typing import List, Optional
 
-from repro.access import AccessKind, AddressSpace, Trace, trace_builder
+from repro.access.address import AddressSpace
+from repro.access.builder import trace_builder
+from repro.access.record import AccessKind
+from repro.access.trace import Trace
 from repro.units import CACHE_LINE_BYTES
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.access import AddressSpace, Trace
-from repro.access.trace import interleave
+from repro.access.address import AddressSpace
+from repro.access.trace import Trace, interleave
 from repro.errors import ConfigError
 from repro.workloads.functions import FUNCTION_ROSTER
 

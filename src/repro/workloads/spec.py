@@ -15,7 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.access import AddressSpace, Trace, trace_builder
+from repro.access.address import AddressSpace
+from repro.access.builder import trace_builder
+from repro.access.trace import Trace
 from repro.errors import ConfigError
 from repro.units import CACHE_LINE_BYTES, KB
 from repro.workloads import irregular

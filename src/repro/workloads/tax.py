@@ -21,9 +21,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.access import AccessKind, AddressSpace, Trace, trace_builder
+from repro.access.address import AddressSpace
+from repro.access.builder import trace_builder
+from repro.access.record import AccessKind
+from repro.access.trace import Trace
 from repro.units import CACHE_LINE_BYTES, cache_lines
-from repro.workloads.base import FunctionCategory, register_function
 
 # Stable synthetic PCs per logical instruction site.
 _PC_MEMCPY_LOAD = 0x4000_0010
@@ -38,16 +40,6 @@ _PC_SERIALIZE_IN = 0x4000_0410
 _PC_SERIALIZE_OUT = 0x4000_0418
 _PC_DESERIALIZE_IN = 0x4000_0430
 _PC_DESERIALIZE_OUT = 0x4000_0438
-
-register_function("memcpy", FunctionCategory.DATA_MOVEMENT)
-register_function("memmove", FunctionCategory.DATA_MOVEMENT)
-register_function("memset", FunctionCategory.DATA_MOVEMENT)
-register_function("compress", FunctionCategory.COMPRESSION)
-register_function("decompress", FunctionCategory.COMPRESSION)
-register_function("hash", FunctionCategory.HASHING)
-register_function("crc32", FunctionCategory.HASHING)
-register_function("serialize", FunctionCategory.DATA_TRANSMISSION)
-register_function("deserialize", FunctionCategory.DATA_TRANSMISSION)
 
 
 def _emit_memcpy(builder, src: int, dst: int, size: int, gap_cycles: int,

@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.cli.commands import _parse_profile, _table
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.units import SECOND
 
 
@@ -428,3 +428,23 @@ class TestParserImportCost:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False"]
+
+
+class TestParserLoadsNoSimulator:
+    """Building the parser must not load a simulator either: the cache
+    simulator is only needed once a trace-driven study (or its
+    ``--compare-serial`` oracle) runs, and the fleet model only once a
+    fleet study does."""
+
+    def test_cli_main_leaves_simulators_unloaded(self):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = ("import sys\n"
+                 "import repro.cli.main\n"
+                 "print('repro.memsys.hierarchy' in sys.modules,\n"
+                 "      'repro.fleet.cluster' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]
