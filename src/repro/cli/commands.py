@@ -74,10 +74,12 @@ def _print_digest_footer(result, digest, queue_stats, resolved_dir) -> None:
 
 #: How every ``--compare-serial`` oracle runs: one worker, and neither
 #: the result cache nor the shard journal, so the oracle recomputes the
-#: study instead of replaying the requested run. Trace-driven studies
-#: rerun under :func:`~repro.memsys.hierarchy.reference_engine`; studies
-#: whose ``run()`` can write a run directory also pass ``obs_dir=""``, so
-#: the oracle never overwrites the requested run's manifest.
+#: study instead of replaying the requested run. Trace-driven studies,
+#: and the fleet studies whose arms share a driver tape, rerun under
+#: :func:`~repro.engine.reference_engine` (the interpreter; every arm
+#: driving itself); studies whose ``run()`` can write a run directory
+#: also pass ``obs_dir=""``, so the oracle never overwrites the
+#: requested run's manifest.
 SERIAL_ORACLE = dict(workers=1, cache_dir="", checkpoint_dir="")
 
 
@@ -268,8 +270,10 @@ def run_ablation(args) -> int:
     _print_queue_stats(study.queue_stats, resolved_ckpt)
     if args.compare_serial:
         from repro.analysis import result_digest
+        from repro.engine import reference_engine
 
-        serial = AblationStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
+        with reference_engine():
+            serial = AblationStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
         _check_serial(result_digest(result), result_digest(serial))
     return 0
 
@@ -304,7 +308,7 @@ def run_sweep(args) -> int:
     digest = sweep_digest(result)
     _print_digest_footer(result, digest, sweep.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        from repro.memsys.hierarchy import reference_engine
+        from repro.engine import reference_engine
 
         # MicroFleetSweep.run writes no run directory.
         with reference_engine():
@@ -351,7 +355,10 @@ def run_rollout(args) -> int:
     digest = rollout_digest(result)
     _print_digest_footer(result, digest, study.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        serial = RolloutStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
+        from repro.engine import reference_engine
+
+        with reference_engine():
+            serial = RolloutStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
         _check_serial(digest, rollout_digest(serial))
     return 0
 
@@ -465,8 +472,11 @@ def run_chaos(args) -> int:
     ])
 
     if args.compare_serial:
-        serial = ChaosStudy(fault_plan, **kwargs).run(obs_dir="",
-                                                      **SERIAL_ORACLE)
+        from repro.engine import reference_engine
+
+        with reference_engine():
+            serial = ChaosStudy(fault_plan, **kwargs).run(obs_dir="",
+                                                          **SERIAL_ORACLE)
         _check_serial(result_digest(outcome.faulted),
                       result_digest(serial.faulted))
     return 0
@@ -795,7 +805,7 @@ def run_scenario_callgraph(args) -> int:
     digest = callgraph_digest(result)
     _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        from repro.memsys.hierarchy import reference_engine
+        from repro.engine import reference_engine
 
         with reference_engine():
             serial = CallGraphScenario(**kwargs).run(obs_dir="",
@@ -886,7 +896,7 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
-        from repro.memsys.hierarchy import reference_engine
+        from repro.engine import reference_engine
 
         with reference_engine():
             serial = NoisyNeighborScenario(**kwargs).run(obs_dir="",

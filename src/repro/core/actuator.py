@@ -42,6 +42,10 @@ class MSRPrefetcherActuator:
         msr_map.declare_registers(msr_file)
         self.actuations = 0
         self.failed_actuations = 0
+        # is_enabled's cached readback, and the register file's
+        # ``write_count`` when it was read.
+        self._stamp = -1
+        self._enabled = True
 
     def set_enabled(self, enabled: bool) -> bool:
         """Write the disable bits, verifying by readback; retries transient
@@ -65,8 +69,17 @@ class MSRPrefetcherActuator:
 
         A socket with a partial (mixed) state reports disabled, which
         makes the daemon re-actuate toward a consistent state.
+
+        The readback is cached, stamped by the register file's
+        ``write_count``: every successful write (and every re-declared
+        register) moves it, and failed writes raise before changing
+        anything. A daemon tick reads the state several times.
         """
-        return self._map.all_enabled(self._msrs)
+        msrs = self._msrs
+        if msrs.write_count != self._stamp:
+            self._enabled = self._map.all_enabled(msrs)
+            self._stamp = msrs.write_count
+        return self._enabled
 
 
 class CallbackActuator:

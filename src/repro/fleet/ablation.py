@@ -31,6 +31,7 @@ from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.platform import PLATFORM_1, platform_by_name
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
 from repro.fleet.study import FleetStudy, run_study, run_traced
+from repro.fleet.tape import new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
 from repro.profiling.profile_data import ProfileData
@@ -352,6 +353,13 @@ class AblationStudy(FleetStudy):
         tracer = tracer or NULL_TRACER
         control_fleet = self._build_fleet(self.seed, tracer)
         experiment_fleet = self._build_fleet(self.seed, tracer)
+        # Both arms see the same placements and noise: the control arm
+        # records its driver, the experiment arm replays it (DESIGN.md
+        # §6). The fleets, and with them the tape, go when this returns.
+        tape = new_tape()
+        if tape is not None:
+            control_fleet.use_tape(tape)
+            experiment_fleet.use_tape(tape, replay=True)
         self._apply_mode(experiment_fleet)
 
         control_profiler = FleetProfiler(

@@ -23,7 +23,7 @@ agree in sign and ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import ConfigError
 from repro.workloads.base import FunctionCategory, TAX_CATEGORIES
@@ -99,6 +99,9 @@ class ResponseTable:
             self._responses[response.name] = response
         if not self._responses:
             raise ConfigError("response table cannot be empty")
+        #: ``shares items -> (plain penalty, soft penalty, overfetch)``;
+        #: every task drawn from one template has the same shares.
+        self._weighted: Dict[tuple, Tuple[float, float, float]] = {}
 
     def __getitem__(self, name: str) -> FunctionResponse:
         try:
@@ -119,13 +122,33 @@ class ResponseTable:
     def weighted_penalty(self, shares: Dict[str, float],
                          soft_deployed: bool) -> float:
         """Cycle-share-weighted prefetchers-off penalty for a share mix."""
-        return sum(share * self[name].effective_penalty(soft_deployed)
-                   for name, share in shares.items())
+        return self.weighted(tuple(shares.items()))[1 if soft_deployed else 0]
 
     def weighted_overfetch(self, shares: Dict[str, float]) -> float:
         """Cycle-share-weighted hardware-prefetch traffic overhead."""
-        return sum(share * self[name].overfetch
-                   for name, share in shares.items())
+        return self.weighted(tuple(shares.items()))[2]
+
+    def weighted(self, key: Tuple[Tuple[str, float], ...]
+                 ) -> Tuple[float, float, float]:
+        """``(plain penalty, soft penalty, overfetch)`` for a share mix
+        given as its ``(function, share)`` items in order, memoized per
+        mix."""
+        weighted = self._weighted.get(key)
+        if weighted is None:
+            if len(self._weighted) >= _WEIGHTED_MEMO_LIMIT:
+                self._weighted.clear()
+            weighted = self._weighted[key] = (
+                sum(share * self[name].effective_penalty(False)
+                    for name, share in key),
+                sum(share * self[name].effective_penalty(True)
+                    for name, share in key),
+                sum(share * self[name].overfetch for name, share in key),
+            )
+        return weighted
+
+
+#: Distinct share mixes one table memoizes before it starts over.
+_WEIGHTED_MEMO_LIMIT = 1024
 
 
 _C = FunctionCategory

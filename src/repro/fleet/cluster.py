@@ -13,6 +13,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.machine import Machine
 from repro.fleet.platform import PLATFORM_1, PlatformSpec
 from repro.fleet.scheduler import BandwidthAwareScheduler
+from repro.fleet.tape import DriverTape, TapeEpoch
 from repro.fleet.task import TaskTemplate, sample_task
 from repro.fleet.traffic import DiurnalTraffic
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
@@ -191,6 +192,17 @@ class Fleet:
         self.responses = responses
         self.scheduler = scheduler or BandwidthAwareScheduler()
         self.now_ns = 0.0
+        # Driver tape (see use_tape): the tape, whether this fleet
+        # replays it, and the next epoch to replay.
+        self._tape: Optional[DriverTape] = None
+        self._replay = False
+        self._cursor = 0
+        #: Each socket's position in machine-major order (a tape's
+        #: socket ordinal).
+        self._sockets = [socket for machine in self.machines
+                         for socket in machine.sockets]
+        self._ordinals = {socket: ordinal
+                          for ordinal, socket in enumerate(self._sockets)}
 
     @staticmethod
     def _assign_platforms(count: int, default: PlatformSpec,
@@ -275,6 +287,33 @@ class Fleet:
         """Cores occupied by placed tasks."""
         return sum(machine.cores_used for machine in self.machines)
 
+    # --- driver tape ---------------------------------------------------------------------
+
+    def use_tape(self, tape: DriverTape, replay: bool = False) -> None:
+        """Record this fleet's driver on ``tape``, or replay it from there.
+
+        The recorder runs exactly as an untaped fleet and logs each
+        epoch's traffic target, placements, drains, rejections, noise
+        draws and prefetchers-on socket solves. A replaying fleet,
+        built like the recorder (same seed, machines and template),
+        applies those placements and drains to its own sockets and
+        takes the noise from the tape: it samples, places, drains and
+        draws nothing (DESIGN.md §6, "Driver tape"). Both need a
+        prefetch-unaware scheduler, whose decisions never read
+        prefetcher state, so every arm would have made the same ones.
+        Observers still receive the fleet's RNG, but a replaying fleet
+        never advances it.
+        """
+        if self.scheduler.prefetch_aware:
+            raise ConfigError(
+                "a prefetch-aware scheduler places by prefetcher state; "
+                "its driver cannot be shared through a tape")
+        if self.now_ns or (not replay and tape.epochs):
+            raise ConfigError("a tape must start with the fleet's first epoch")
+        self._tape = tape
+        self._replay = replay
+        self._cursor = 0
+
     # --- simulation --------------------------------------------------------------------
 
     def run(self, epochs: int, metrics: Optional[FleetMetrics] = None,
@@ -287,17 +326,30 @@ class Fleet:
         if epochs <= 0:
             raise ConfigError("epochs must be positive")
         metrics = metrics or FleetMetrics()
+        tape = self._tape
+        replaying = tape is not None and self._replay
+        duration_s = self.epoch_ns / SECOND
         for _ in range(epochs):
-            target = self._reconcile_load()
+            taped = None
+            if replaying:
+                taped = tape.epochs[self._cursor]
+                self._cursor += 1
+                target = self._replay_load(taped)
+            else:
+                if tape is not None:
+                    taped = TapeEpoch()
+                    tape.epochs.append(taped)
+                target = self._reconcile_load(taped)
             # At peak traffic, placed tasks serve more requests and pull
             # more bandwidth than their placement-time estimate assumed.
             demand_scale = 0.75 + 0.5 * target
-            for machine in self.machines:
+            for index, machine in enumerate(self.machines):
                 epochs_data = machine.step(self.now_ns, self.epoch_ns,
                                            rng=self.rng,
-                                           demand_scale=demand_scale)
-                self._record(metrics, machine, epochs_data,
-                             self.epoch_ns / SECOND)
+                                           demand_scale=demand_scale,
+                                           tape=taped,
+                                           slot=index if replaying else None)
+                self._record(metrics, machine, epochs_data, duration_s)
             for observer in observers:
                 observer(self.now_ns, self.machines, self.rng)
             metrics.epochs += 1
@@ -307,12 +359,29 @@ class Fleet:
 
     # --- internals ------------------------------------------------------------------------
 
-    def _reconcile_load(self) -> float:
-        """Spawn or drain tasks to track the traffic target.
+    def _replay_load(self, taped: TapeEpoch) -> float:
+        """:meth:`_reconcile_load` from a tape: apply the recorded
+        placements and drains to this fleet's sockets; returns the
+        recorded target."""
+        sockets = self._sockets
+        for ordinal, task in taped.placed:
+            sockets[ordinal].add_task(task)
+        for ordinal, task in taped.drained:
+            sockets[ordinal].remove_task(task)
+        self.scheduler.placements += len(taped.placed)
+        self.scheduler.rejections += taped.rejections
+        return taped.target
+
+    def _reconcile_load(self, taped: Optional[TapeEpoch] = None) -> float:
+        """Spawn or drain tasks to track the traffic target, recording
+        the target and every decision in ``taped`` when given.
 
         Returns the target load fraction for this epoch.
         """
         target = self.traffic.target(self.now_ns)
+        if taped is not None:
+            taped.target = target
+            rejections = self.scheduler.rejections
         target_cores = target * self.total_cores
         deficit = target_cores - self.cores_used
         guard = 64  # placement attempts per epoch, so a full fleet can't spin
@@ -322,7 +391,8 @@ class Fleet:
                                responses=self.responses)
             if task.cores > deficit + 4.0:
                 break
-            if self.scheduler.try_place(task, self.machines) is None:
+            socket = self.scheduler.try_place(task, self.machines)
+            if socket is None:
                 # Fleet looks bandwidth-bound for this task; a smaller or
                 # lighter draw may still fit, so don't give up on the
                 # first rejection.
@@ -330,12 +400,20 @@ class Fleet:
             else:
                 consecutive_failures = 0
                 deficit -= task.cores
+                if taped is not None:
+                    taped.placed.append((self._ordinals[socket], task))
             guard -= 1
         if deficit < 0:
             overshoot_tasks = int(-deficit
                                   / max(task_mean_cores(self.template), 1.0))
             if overshoot_tasks > 0:
-                self.scheduler.drain(self.machines, overshoot_tasks, self.rng)
+                drained = self.scheduler.drain_sockets(
+                    self.machines, overshoot_tasks, self.rng)
+                if taped is not None:
+                    taped.drained = [(self._ordinals[socket], task)
+                                     for socket, task in drained]
+        if taped is not None:
+            taped.rejections = self.scheduler.rejections - rejections
         return target
 
     @staticmethod
@@ -349,7 +427,8 @@ class Fleet:
             metrics.socket_latency.append(epoch.latency_ns)
             bw_utils.append(epoch.utilization)
             qps += epoch.qps
-        ideal = sum(task.base_qps for task in machine.tasks) * duration_s
+        ideal = sum([task.base_qps for socket in machine.sockets
+                     for task in socket.tasks]) * duration_s
         metrics.machine_points.append((
             machine.cpu_utilization,
             sum(bw_utils) / len(bw_utils) if bw_utils else 0.0,

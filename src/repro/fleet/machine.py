@@ -11,7 +11,7 @@ from typing import List, Optional
 from repro.core.actuator import MSRPrefetcherActuator
 from repro.core.config import LimoncelloConfig
 from repro.core.daemon import LimoncelloDaemon
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.fleet.platform import PlatformSpec
 from repro.fleet.socket import SimulatedSocket, SocketEpoch
 from repro.fleet.task import Task
@@ -149,7 +149,8 @@ class Machine:
 
     def step(self, now_ns: float, duration_ns: float = SECOND,
              rng: Optional[random.Random] = None,
-             demand_scale: float = 1.0) -> List[SocketEpoch]:
+             demand_scale: float = 1.0, tape=None,
+             slot: Optional[int] = None) -> List[SocketEpoch]:
         """Advance one epoch: resample noise, run daemons, solve sockets.
 
         ``demand_scale`` is the fleet-level demand multiplier: at peak
@@ -157,8 +158,18 @@ class Machine:
         pulls more bandwidth, than its placement-time estimate — which is
         how real machines end up past the saturation threshold the
         scheduler tried to respect.
+
+        ``tape`` is the epoch of a driver tape (a
+        :class:`~repro.fleet.tape.TapeEpoch`, DESIGN.md §6). With ``slot``
+        unset the machine records into it: its noise slot (the demand
+        factor, then every task's noise) and its sockets' solves. With
+        ``slot`` set it replays that machine slot instead of drawing:
+        it sets each task's noise and takes the demand factor from the
+        tape, and its sockets may reuse the recorded solves. Chaos,
+        restarts and daemons run either way.
         """
-        rng = rng or self._rng
+        solves = None if tape is None else tape.solves
+        at = None if slot is None else slot * len(self.sockets) * 4
         if self.chaos is not None:
             status = self.chaos.advance()
             if status == "down":
@@ -166,14 +177,43 @@ class Machine:
                 # no demand — sockets idle at zero offered load. No RNG
                 # draws are consumed, so the crash schedule (which has
                 # its own stream) is the only thing that perturbs the
-                # run's randomness.
-                return [socket.step(now_ns, duration_ns, demand_factor=0.0)
-                        for socket in self.sockets]
+                # run's randomness. A recording leaves an empty slot (and
+                # logs the idle solves); a replay solves them afresh.
+                if slot is not None:
+                    if tape.slots[slot] != tape.slots[slot + 1]:
+                        raise ReproError(
+                            f"driver tape out of step: {self.name} is down "
+                            "but was up when the tape was recorded")
+                    return self._step_sockets(now_ns, duration_ns, 0.0, None, None)
+                if tape is not None:
+                    tape.slots.append(len(tape.noise))
+                return self._step_sockets(now_ns, duration_ns, 0.0, solves, None)
             if status == "restart":
                 self._restart(now_ns)
+        if slot is None:
+            demand_factor = self._draw_noise(rng or self._rng) * demand_scale
+            if tape is not None:
+                noise = tape.noise
+                noise.append(demand_factor)
+                for socket in self.sockets:
+                    noise.extend([task.noise for task in socket.tasks])
+                tape.slots.append(len(noise))
+        else:
+            demand_factor = self._replay_noise(tape, slot)
+        # Daemons act on the *previous* epoch's telemetry, as real
+        # controllers do — they cannot see the epoch being computed.
+        for daemon in self.daemons:
+            daemon.step(now_ns)
+        return self._step_sockets(now_ns, duration_ns, demand_factor, solves, at)
+
+    def _draw_noise(self, rng: random.Random) -> float:
+        """Redraw every task's noise (:meth:`Task.resample_noise`,
+        inline) and the machine's demand factor, before scaling."""
+        lognormvariate = rng.lognormvariate
         for socket in self.sockets:
             for task in socket.tasks:
-                task.resample_noise(rng)
+                sigma = task.noise_sigma
+                task.noise = lognormvariate(0.0, sigma) if sigma > 0 else 1.0
         # Machine-level volatility, shared by co-located tasks (bursts of
         # correlated traffic are what make Figure 7's trace swing). An
         # AR(1) process in log space: persistent bursts, stationary
@@ -183,16 +223,37 @@ class Machine:
             innovation_sigma = self.demand_noise_sigma * (1 - rho * rho) ** 0.5
             self._log_demand_noise = (rho * self._log_demand_noise
                                       + rng.gauss(0.0, innovation_sigma))
-            demand_factor = math.exp(self._log_demand_noise)
-        else:
-            demand_factor = 1.0
-        demand_factor *= demand_scale
-        # Daemons act on the *previous* epoch's telemetry, as real
-        # controllers do — they cannot see the epoch being computed.
-        for daemon in self.daemons:
-            daemon.step(now_ns)
-        return [socket.step(now_ns, duration_ns, demand_factor)
-                for socket in self.sockets]
+            return math.exp(self._log_demand_noise)
+        return 1.0
+
+    def _replay_noise(self, tape, slot: int) -> float:
+        """Set every task's noise from a recorded machine slot; returns
+        the slot's (scaled) demand factor."""
+        noise = tape.noise
+        index, end = tape.slots[slot], tape.slots[slot + 1]
+        if index == end:
+            raise ReproError(
+                f"driver tape out of step: {self.name} is up but was down "
+                "when the tape was recorded")
+        demand_factor = noise[index]
+        for socket in self.sockets:
+            for task in socket.tasks:
+                index += 1
+                task.noise = noise[index]
+        if index + 1 != end:
+            raise ReproError(
+                f"driver tape out of step: {self.name} holds "
+                "different tasks than when the tape was recorded")
+        return demand_factor
+
+    def _step_sockets(self, now_ns: float, duration_ns: float,
+                      demand_factor: float, solves, at) -> List[SocketEpoch]:
+        if at is None:
+            return [socket.step(now_ns, duration_ns, demand_factor, solves)
+                    for socket in self.sockets]
+        return [socket.step(now_ns, duration_ns, demand_factor, solves,
+                            at + 4 * index)
+                for index, socket in enumerate(self.sockets)]
 
     def _restart(self, now_ns: float) -> None:
         """Bring the machine back after a chaos-injected crash.

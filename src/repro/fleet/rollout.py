@@ -24,6 +24,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
 from repro.fleet.study import FleetStudy, run_study, run_traced
+from repro.fleet.tape import DriverTape, new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.profiler import FleetProfiler
@@ -236,12 +237,21 @@ class RolloutStudy(FleetStudy):
             fault_plan=self.fault_plan,
             tracer=tracer if tracer else None)
 
-    def _run_arm(self, deploy, prefetch_aware: bool = False,
-                 tracer=None) -> tuple:
+    def _run_arm(self, deploy, prefetch_aware: bool = False, tracer=None,
+                 tape: Optional[DriverTape] = None, replay: bool = False,
+                 profile: bool = True) -> tuple:
+        """Build, deploy and run one arm; returns ``(metrics, profile,
+        fleet)``. With a ``tape`` the arm records its driver there, or
+        (``replay``) drives from it; with ``profile`` off it runs no
+        profiler and returns ``None`` for the profile."""
         fleet = self._build(prefetch_aware, tracer)
+        if tape is not None:
+            fleet.use_tape(tape, replay)
         deploy(fleet)
         if self.warmup_epochs:
             fleet.run(self.warmup_epochs)
+        if not profile:
+            return fleet.run(self.epochs), None, fleet
         profiler = FleetProfiler(self._sample_rate, rng=random.Random(37))
         metrics = fleet.run(self.epochs, observers=[profiler])
         return metrics, profiler.data, fleet
@@ -302,9 +312,12 @@ class RolloutStudy(FleetStudy):
     def _run_single(self, tracer=None) -> RolloutResult:
         """Run the whole population as one fleet (no sharding)."""
         tracer = tracer or NULL_TRACER
+        # The three prefetch-unaware arms share one driver: "before"
+        # records it, "hard" and "full" replay it (DESIGN.md §6).
+        tape = new_tape()
         with tracer.context(arm="before"):
             before, before_profile, _ = self._run_arm(
-                lambda fleet: None, tracer=tracer)
+                lambda fleet: None, tracer=tracer, tape=tape)
 
         def hard(fleet: Fleet) -> None:
             """Deploy Hard Limoncello only."""
@@ -317,17 +330,21 @@ class RolloutStudy(FleetStudy):
 
         with tracer.context(arm="hard"):
             hard_metrics, hard_profile, _ = self._run_arm(
-                hard, tracer=tracer)
+                hard, tracer=tracer, tape=tape, replay=True)
         with tracer.context(arm="full"):
             full_metrics, full_profile, full_fleet = self._run_arm(
-                full, tracer=tracer)
-        with tracer.context(arm="full+scheduler"):
-            integrated_metrics, _, _ = self._run_arm(
-                full, prefetch_aware=True, tracer=tracer)
+                full, tracer=tracer, tape=tape, replay=True)
         # Chaos metrics track the controller under fault, so they come
-        # from the full-Limoncello arm (the deployment end-state).
+        # from the full-Limoncello arm (the deployment end-state). Then
+        # the arm's fleet and the tape go before the last arm runs.
         chaos = (collect_chaos_metrics(full_fleet.machines)
                  if self.fault_plan is not None else None)
+        tape = full_fleet = None
+        # The prefetch-aware scheduler places differently, so this arm
+        # drives itself; its profile would be discarded, so it runs none.
+        with tracer.context(arm="full+scheduler"):
+            integrated_metrics, _, _ = self._run_arm(
+                full, prefetch_aware=True, tracer=tracer, profile=False)
         return RolloutResult(
             before=before,
             hard_only=hard_metrics,

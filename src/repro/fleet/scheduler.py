@@ -49,28 +49,37 @@ class BandwidthAwareScheduler:
 
         Returns the chosen socket, or None when no socket can admit the
         task (stranded demand — idle cores the fleet cannot sell).
+
+        Reads the task's estimates once and each socket's running sums
+        directly (:meth:`SimulatedSocket.estimated_bandwidth`, inline).
         """
-        best: Optional[Tuple[float, SimulatedSocket]] = None
+        cores = task.cores
+        aware = self.prefetch_aware
+        incoming_on = task.estimated_bandwidth(True)
+        incoming_off = task.estimated_bandwidth(False)
+        headroom = self.bandwidth_headroom
+        best_score = 0.0
+        best: Optional[SimulatedSocket] = None
         for machine in machines:
             for socket in machine.sockets:
-                if socket.cores_free < task.cores:
+                if socket.cores - socket._cores_used < cores:
                     continue
-                hw_view = (socket.hw_prefetchers_on if self.prefetch_aware
-                           else True)
-                projected = (socket.estimated_bandwidth(self.prefetch_aware)
-                             + task.estimated_bandwidth(hw_view))
-                limit = self.bandwidth_headroom * socket.saturation_bandwidth
-                if projected > limit:
+                if aware and not socket.hw_prefetchers_on:
+                    projected = socket._estimated_off + incoming_off
+                else:
+                    projected = socket._estimated_on + incoming_on
+                saturation = socket._saturation_bandwidth
+                if projected > headroom * saturation:
                     continue
-                score = projected / socket.saturation_bandwidth
-                if best is None or score < best[0]:
-                    best = (score, socket)
+                score = projected / saturation
+                if best is None or score < best_score:
+                    best_score, best = score, socket
         if best is None:
             self.rejections += 1
             return None
-        best[1].add_task(task)
+        best.add_task(task)
         self.placements += 1
-        return best[1]
+        return best
 
     def place(self, task: Task, machines: Sequence[Machine]) -> SimulatedSocket:
         """Like :meth:`try_place` but raises when placement fails."""
@@ -85,13 +94,20 @@ class BandwidthAwareScheduler:
     @staticmethod
     def drain(machines: Sequence[Machine], count: int, rng) -> List[Task]:
         """Remove up to ``count`` randomly chosen tasks (load decrease)."""
-        victims: List[Task] = []
+        return [task for _, task in
+                BandwidthAwareScheduler.drain_sockets(machines, count, rng)]
+
+    @staticmethod
+    def drain_sockets(machines: Sequence[Machine], count: int, rng
+                      ) -> List[Tuple[SimulatedSocket, Task]]:
+        """Like :meth:`drain`, but returns each victim with the socket it
+        left, in removal order."""
         candidates = [(socket, task)
                       for machine in machines
                       for socket in machine.sockets
                       for task in socket.tasks]
         rng.shuffle(candidates)
-        for socket, task in candidates[:count]:
+        victims = candidates[:count]
+        for socket, task in victims:
             socket.remove_task(task)
-            victims.append(task)
         return victims

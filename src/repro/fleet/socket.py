@@ -12,6 +12,7 @@ Limoncello daemon actuates the socket exactly as it would real hardware.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,6 +24,8 @@ from repro.memsys.dram import DRAMModel
 from repro.msr.platform_defs import msr_map_for_vendor
 from repro.msr.registers import MSRFile
 from repro.units import SECOND
+
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,12 @@ class SimulatedSocket:
         return self._dram.latency_at_utilization(utilization)
 
     def step(
-        self, now_ns: float, duration_ns: float = SECOND, demand_factor: float = 1.0
+        self,
+        now_ns: float,
+        duration_ns: float = SECOND,
+        demand_factor: float = 1.0,
+        solves: Optional[array] = None,
+        at: Optional[int] = None,
     ) -> SocketEpoch:
         """Solve this epoch's operating point and record it.
 
@@ -222,8 +230,47 @@ class SimulatedSocket:
         built before the loop, and the DRAM curve inline from its config.
         Every float operation happens in the order those methods use, so
         the result is bit-identical to calling them (DESIGN.md §6).
+
+        ``solves`` is a driver tape's solve log for the epoch (DESIGN.md
+        §6, "Driver tape"). With ``at`` unset the socket appends its
+        solve to it: start load, end load, latency and qps before the
+        toggle penalty, with a NaN start load when its prefetchers are
+        off. With ``at`` set, the socket is replaying the tape and reuses
+        the solve recorded there when its prefetchers are on and its
+        start load equals the recorded one. Its tasks, their noise and
+        the demand factor then match the recorder's, and ``soft`` is not
+        read with prefetchers on, so the solve would be the same.
         """
         hw_on = self.hw_prefetchers_on
+        start = self._last_utilization
+        if at is not None and hw_on and solves[at] == start:
+            load, latency_ns, qps = solves[at + 1], solves[at + 2], solves[at + 3]
+        else:
+            load, latency_ns, qps = self._solve(hw_on, demand_factor, duration_ns)
+            if solves is not None and at is None:
+                solves.extend((start if hw_on else _NAN, load, latency_ns, qps))
+        bandwidth = load * self.platform.saturation_bandwidth
+        if self._last_hw_state is not None and hw_on != self._last_hw_state:
+            self.toggles += 1
+            qps *= 1.0 - self.TOGGLE_PENALTY
+        self._last_hw_state = hw_on
+        epoch = SocketEpoch(
+            time_ns=now_ns,
+            bandwidth=bandwidth,
+            utilization=bandwidth / self._saturation_bandwidth,
+            latency_ns=latency_ns,
+            qps=qps,
+            cores_used=self._cores_used,
+            hw_prefetchers_on=hw_on,
+        )
+        self.history.append(epoch)
+        self._last_bandwidth = bandwidth
+        self._last_utilization = load
+        return epoch
+
+    def _solve(self, hw_on: bool, demand_factor: float, duration_ns: float) -> tuple:
+        """The epoch's fixed point from ``_last_utilization``: returns
+        ``(load, latency_ns, qps before the toggle penalty)``."""
         tasks = self.tasks
         if hw_on:
             rows = [
@@ -253,7 +300,6 @@ class SimulatedSocket:
         damping = self.DAMPING
         capacity = self.platform.saturation_bandwidth
         load = self._last_utilization  # fraction of raw capacity
-        bandwidth = 0.0
         for _ in range(self.ITERATIONS):
             # DRAMModel.latency_at_utilization, with max/min spelled as
             # the comparisons they perform (NaN included).
@@ -274,30 +320,18 @@ class SimulatedSocket:
                     d * (1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess + p) else sl))
                     for m, d, p in rows
                 ]
-            bandwidth = demand_factor * sum(offered)
-            load += damping * (bandwidth / capacity - load)
-        bandwidth = load * capacity
+            load += damping * (demand_factor * sum(offered) / capacity - load)
 
         latency_ns = self.latency_at(load)
-        latency_ratio = latency_ns / unloaded
-        soft = self.soft_deployed
-        qps = sum(
-            [task.base_qps * task.speed(latency_ratio, hw_on, soft) for task in tasks]
-        ) * (duration_ns / SECOND)
-        if self._last_hw_state is not None and hw_on != self._last_hw_state:
-            self.toggles += 1
-            qps *= 1.0 - self.TOGGLE_PENALTY
-        self._last_hw_state = hw_on
-        epoch = SocketEpoch(
-            time_ns=now_ns,
-            bandwidth=bandwidth,
-            utilization=bandwidth / self._saturation_bandwidth,
-            latency_ns=latency_ns,
-            qps=qps,
-            cores_used=self._cores_used,
-            hw_prefetchers_on=hw_on,
+        # Task.speed at the solved latency, from the same rows.
+        excess = latency_ns / unloaded - 1.0
+        if hw_on:
+            speeds = [1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess) else sl) for m, _, _ in rows]
+        else:
+            speeds = [
+                1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess + p) else sl) for m, _, p in rows
+            ]
+        qps = sum([task.base_qps * speed for task, speed in zip(tasks, speeds)]) * (
+            duration_ns / SECOND
         )
-        self.history.append(epoch)
-        self._last_bandwidth = bandwidth
-        self._last_utilization = load
-        return epoch
+        return load, latency_ns, qps

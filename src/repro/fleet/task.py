@@ -64,13 +64,13 @@ class Task:
             raise ConfigError(f"task {self.name}: non-positive share total")
         self.function_shares = {
             fn: share / total for fn, share in self.function_shares.items()}
+        #: The normalized mix as a hashable key: tasks drawn from one
+        #: template share it, and so share the memoized coefficients
+        #: below and the profiler's per-mix rows.
+        self.shares_key = tuple(self.function_shares.items())
         #: Cached coefficients, derived once from the response table.
-        self._penalty_plain = self.responses.weighted_penalty(
-            self.function_shares, soft_deployed=False)
-        self._penalty_soft = self.responses.weighted_penalty(
-            self.function_shares, soft_deployed=True)
-        self._overfetch = self.responses.weighted_overfetch(
-            self.function_shares)
+        (self._penalty_plain, self._penalty_soft,
+         self._overfetch) = self.responses.weighted(self.shares_key)
         self.noise = 1.0
 
     # --- per-epoch dynamics --------------------------------------------------
@@ -136,11 +136,16 @@ class TaskTemplate:
     noise_sigma: float = 0.10
 
 
+_FLEET_SHARES: Dict[str, float] = {}
+
+
 #: A generic fleet service, shares taken from the roster's fleet profile.
 def _fleet_shares() -> Dict[str, float]:
-    from repro.workloads.functions import FUNCTION_ROSTER
-    return {name: profile.cycle_share
-            for name, profile in FUNCTION_ROSTER.items()}
+    if not _FLEET_SHARES:
+        from repro.workloads.functions import FUNCTION_ROSTER
+        _FLEET_SHARES.update((name, profile.cycle_share)
+                             for name, profile in FUNCTION_ROSTER.items())
+    return _FLEET_SHARES
 
 
 DEFAULT_TEMPLATE = TaskTemplate(name="fleet_service",

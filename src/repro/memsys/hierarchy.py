@@ -36,45 +36,23 @@ this on random traces.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
+
+# The engine switch lives in a leaf module (the fleet reads it too);
+# re-exported here under its historical names.
+from repro.engine import SLOW_ENGINE_ENV, reference_engine  # noqa: F401
+from repro.engine import slow_engine_requested as _slow_engine_requested
 from repro.memsys.cache import SetAssociativeCache, _LineState
 from repro.memsys.config import HierarchyConfig
 from repro.memsys.dram import ConstantExternalLoad, DRAMModel
 from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.units import CACHE_LINE_BYTES
-
-#: Set to "1" (or "true"/"yes"/"on") to force the reference interpreter.
-SLOW_ENGINE_ENV = "REPRO_SLOW_ENGINE"
-
-
-def _slow_engine_requested() -> bool:
-    return os.environ.get(SLOW_ENGINE_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-@contextmanager
-def reference_engine() -> Iterator[None]:
-    """Run the enclosed code on the reference interpreter: sets
-    ``REPRO_SLOW_ENGINE=1`` for the scope, then restores the previous
-    value (or its absence)."""
-    previous = os.environ.get(SLOW_ENGINE_ENV)
-    os.environ[SLOW_ENGINE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SLOW_ENGINE_ENV, None)
-        else:
-            os.environ[SLOW_ENGINE_ENV] = previous
-
 
 #: Timing-tape opcodes. A bare number ``ns`` advances the clock (the
 #: commonest event, so it skips the dispatch); every other event is a

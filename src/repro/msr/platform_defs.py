@@ -46,11 +46,17 @@ class PlatformMSRMap:
             raise ConfigError(f"duplicate prefetcher names in MSR map: {names}")
         self.vendor = vendor
         self.controls = controls
+        self._registers = tuple(sorted({control.register for control in controls}))
+        #: ``(register, combined disable mask)`` per register, for the
+        #: all-enabled / all-disabled readbacks.
+        self._masks = tuple(
+            (register, self._register_mask(register)) for register in self._registers
+        )
 
     @property
     def registers(self) -> Tuple[int, ...]:
         """Distinct register addresses used by this map, sorted."""
-        return tuple(sorted({control.register for control in self.controls}))
+        return self._registers
 
     def control(self, name: str) -> PrefetcherControl:
         """Look up a prefetcher control by name."""
@@ -75,14 +81,12 @@ class PlatformMSRMap:
 
     def disable_all(self, msr_file: MSRFile) -> None:
         """Set every disable bit — the actuation Hard Limoncello performs."""
-        for register in self.registers:
-            mask = self._register_mask(register)
+        for register, mask in self._masks:
             msr_file.set_bits(register, mask)
 
     def enable_all(self, msr_file: MSRFile) -> None:
         """Clear every disable bit."""
-        for register in self.registers:
-            mask = self._register_mask(register)
+        for register, mask in self._masks:
             msr_file.clear_bits(register, mask)
 
     def disable_one(self, msr_file: MSRFile, name: str) -> None:
@@ -104,12 +108,14 @@ class PlatformMSRMap:
         return state
 
     def all_enabled(self, msr_file: MSRFile) -> bool:
-        """True iff every prefetcher reads back enabled."""
-        return all(self.enabled_prefetchers(msr_file).values())
+        """True iff every prefetcher reads back enabled: no disable bit
+        set in any register (one read per register)."""
+        return not any([msr_file.rdmsr(register) & mask for register, mask in self._masks])
 
     def all_disabled(self, msr_file: MSRFile) -> bool:
-        """True iff every prefetcher reads back disabled."""
-        return not any(self.enabled_prefetchers(msr_file).values())
+        """True iff every prefetcher reads back disabled: every disable
+        bit set in every register (one read per register)."""
+        return all([msr_file.rdmsr(register) & mask == mask for register, mask in self._masks])
 
     def _register_mask(self, register: int) -> int:
         mask = 0

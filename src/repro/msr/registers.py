@@ -30,9 +30,17 @@ class MSRFile:
         self.read_count = 0
 
     def declare(self, address: int, reset_value: int = 0) -> None:
-        """Make ``address`` a valid register with the given reset value."""
+        """Make ``address`` a valid register with the given reset value.
+
+        Re-declaring a declared address overwrites its value, so it
+        counts as a write: ``write_count`` stamps (the socket's and the
+        actuator's cached readback) must see it. A first declaration is
+        not a write.
+        """
         if not 0 <= reset_value <= self._MASK:
             raise ValueError(f"reset value out of 64-bit range: {reset_value:#x}")
+        if address in self._registers:
+            self.write_count += 1
         self._registers[address] = reset_value
 
     def declared(self, address: int) -> bool:

@@ -60,9 +60,9 @@ def resolve_obs_dir(obs_dir: Optional[str] = None) -> Optional[str]:
 
 def engine_choice() -> str:
     """Which simulation engine this process would use (manifest field)."""
-    from repro.memsys.hierarchy import _slow_engine_requested
+    from repro.engine import slow_engine_requested
 
-    return "interpreter" if _slow_engine_requested() else "compiled"
+    return "interpreter" if slow_engine_requested() else "compiled"
 
 
 class ObsSession:

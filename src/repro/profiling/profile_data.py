@@ -75,8 +75,9 @@ class ProfileData:
         return dict(self._functions)
 
     def total_cycles(self) -> float:
-        """Total cycles across all profiled functions."""
-        return sum(stats.cycles for stats in self._functions.values())
+        """Total cycles across all profiled functions, summed in sorted
+        function order (see :meth:`category_cycle_shares`)."""
+        return sum([stats.cycles for _, stats in sorted(self._functions.items())])
 
     def cycle_share(self, function: str) -> float:
         """One function's share of total profiled cycles."""
@@ -86,12 +87,16 @@ class ProfileData:
         return self.function(function).cycles / total
 
     def category_cycle_shares(self) -> Dict[FunctionCategory, float]:
-        """Cycle share per taxonomy category — the Figure 20 y-axis."""
+        """Cycle share per taxonomy category — the Figure 20 y-axis.
+
+        Sums functions in sorted order, as the serialized form stores
+        them, so a restored profile reports the same shares to the bit.
+        """
         total = self.total_cycles()
         shares: Dict[FunctionCategory, float] = {}
         if total <= 0:
             return shares
-        for function, stats in self._functions.items():
+        for function, stats in sorted(self._functions.items()):
             category = category_of_function(function)
             shares[category] = shares.get(category, 0.0) + stats.cycles / total
         return shares

@@ -11,11 +11,12 @@ the target-identification pipeline consumes directly.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
 from repro.fleet.machine import Machine
+from repro.memsys.stats import FunctionStats
 from repro.profiling.profile_data import ProfileData
 
 #: Abstract cycles one core contributes per sampled epoch. Only ratios
@@ -45,7 +46,7 @@ class FleetProfiler:
         self.responses = responses
         self.data = ProfileData()
         self._rng = rng or random.Random(0x9F1E7)
-        self._tables: Dict[Tuple[bool, bool], Dict[str, Tuple[float, float]]] = {}
+        self._mix_rows: Dict[tuple, list] = {}
 
     def __call__(self, now_ns: float, machines: Sequence[Machine],
                  rng: random.Random) -> None:
@@ -67,43 +68,54 @@ class FleetProfiler:
                 self._sample_task(task, latency_ratio, hw_on, soft)
         self.data.samples += 1
 
-    def _coefficients(self, hw_on: bool, soft: bool) -> Dict[str, Tuple[float, float]]:
-        """``function -> (effective penalty, MPKI)`` under one prefetcher
-        configuration, filled in as functions are first sampled."""
-        key = (hw_on, soft)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = {}
-        return table
+    def _rows(self, task, hw_on: bool, soft: bool) -> list:
+        """``(stats, share, penalty, MPKI)`` per function the task runs,
+        under one prefetcher configuration. Built once per share mix
+        (every task drawn from one template has the same mix) and
+        configuration; ``stats`` is the function's record in
+        :attr:`data`, created in first-sample order."""
+        key = (task.shares_key, hw_on, soft)
+        rows = self._mix_rows.get(key)
+        if rows is None:
+            functions = self.data._functions
+            rows = self._mix_rows[key] = []
+            for function, share in key[0]:
+                if share <= 0.0:
+                    continue
+                stats = functions.get(function)
+                if stats is None:
+                    stats = functions[function] = FunctionStats()
+                response = self.responses[function]
+                rows.append((stats, share, response.effective_penalty(soft),
+                             response.mpki(hw_on, soft)))
+        return rows
 
     def _sample_task(self, task, latency_ratio: float, hw_on: bool,
                      soft: bool) -> None:
+        """Attribute one sampled epoch of a task across its functions
+        (:meth:`ProfileData.record`, inline)."""
         base_slowdown = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)
-        coefficients = self._coefficients(hw_on, soft)
+        rows = self._rows(task, hw_on, soft)
         # Per-function slowdowns first: a function that regresses takes a
         # larger share of the task's (fixed) CPU time, which is exactly
         # what moves the Figure 12/20 cycle-share bars.
-        sampled = []
-        for function, share in task.function_shares.items():
-            if share <= 0.0:
-                continue
-            entry = coefficients.get(function)
-            if entry is None:
-                response = self.responses[function]
-                entry = coefficients[function] = (
-                    response.effective_penalty(soft), response.mpki(hw_on, soft))
-            slowdown = base_slowdown
-            if not hw_on:
-                slowdown += entry[0]
-            sampled.append((function, share,
-                            1e-6 if 1e-6 > slowdown else slowdown, entry[1]))
-        weight_total = sum([share * slowdown
-                            for _, share, slowdown, _ in sampled])
+        if hw_on:
+            slowdown = 1e-6 if 1e-6 > base_slowdown else base_slowdown
+            slowdowns = [slowdown] * len(rows)
+        else:
+            slowdowns = [1e-6 if 1e-6 > (slowdown := base_slowdown + penalty)
+                         else slowdown for _, _, penalty, _ in rows]
+        weight_total = sum([row[1] * slowdown
+                            for row, slowdown in zip(rows, slowdowns)])
         if weight_total <= 0.0:
             return
         task_cycles = task.cores * _CYCLES_PER_CORE_SAMPLE
-        record = self.data.record
-        for function, share, slowdown, mpki in sampled:
+        for (stats, share, _, mpki), slowdown in zip(rows, slowdowns):
             cycles = task_cycles * share * slowdown / weight_total
             instructions = cycles / slowdown
-            record(function, instructions, cycles, mpki * instructions / 1000.0)
+            whole_instructions = int(round(instructions))
+            stats.instructions += whole_instructions
+            stats.compute_cycles += whole_instructions
+            stall = cycles - instructions
+            stats.stall_cycles += 0.0 if 0.0 > stall else stall
+            stats.llc_misses += int(round(mpki * instructions / 1000.0))

@@ -387,13 +387,22 @@ class TestOracleEngine:
          ["sweep", "--machines", "4", "--scale", "0.1"]),
         ("repro.scenarios.CallGraphScenario", TestScenarioCommands.CALLGRAPH),
         ("repro.scenarios.NoisyNeighborScenario", TestScenarioCommands.NOISY),
-    ], ids=["sweep", "callgraph", "noisy"])
+        ("repro.fleet.AblationStudy",
+         ["ablation", "--mode", "hard", "--machines", "4", "--epochs", "3",
+          "--warmup", "1"]),
+        ("repro.fleet.RolloutStudy",
+         ["rollout", "--machines", "4", "--epochs", "3", "--warmup", "1"]),
+        ("repro.analysis.ChaosStudy",
+         ["chaos", "--machines", "4", "--epochs", "3", "--warmup", "1",
+          "--fault-plan", "seed=2;machine-crash:rate=0.3"]),
+    ], ids=["sweep", "callgraph", "noisy", "ablation", "rollout", "chaos"])
     def test_oracle_runs_the_interpreter(self, study, argv, monkeypatch,
                                          capsys):
+        """The oracle recomputes on the reference path: the interpreter
+        for trace-driven studies, untaped arms for the fleet studies."""
         import importlib
 
-        from repro.memsys.hierarchy import (SLOW_ENGINE_ENV,
-                                            _slow_engine_requested)
+        from repro.engine import SLOW_ENGINE_ENV, slow_engine_requested
 
         module, _, name = study.rpartition(".")
         cls = getattr(importlib.import_module(module), name)
@@ -401,7 +410,7 @@ class TestOracleEngine:
         real_run = cls.run
 
         def recording_run(self, **kwargs):
-            engines.append(_slow_engine_requested())
+            engines.append(slow_engine_requested())
             return real_run(self, **kwargs)
 
         monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)

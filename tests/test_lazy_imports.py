@@ -145,8 +145,7 @@ class TestLazyTables:
             "print(json.dumps('repro.workloads.tax' in sys.modules))\n")
         pooled, cached, loaded = map(json.loads, out.splitlines())
         assert pooled == expected
-        # A restored profile sums its functions in another order.
-        assert cached == pytest.approx(expected, rel=1e-12)
+        assert cached == expected
         assert loaded is False
 
 
@@ -190,3 +189,11 @@ class TestImportBudget:
         loaded = _loaded_after_study("fleet-rollout",
                                      ["repro.memsys.hierarchy"])
         assert loaded == {"repro.memsys.hierarchy": False}
+
+    def test_ablation_with_obs_dir_never_loads_the_cache_simulator(self):
+        """The fleet reads the engine switch (tape or reference path),
+        and the run manifest records it, from a leaf module."""
+        loaded = _loaded_after_study("ablation-journaled",
+                                     ["repro.memsys.hierarchy", "repro.engine"])
+        assert loaded == {"repro.memsys.hierarchy": False,
+                          "repro.engine": True}

@@ -370,6 +370,19 @@ class TestPrefetcherStateCache:
         socket.force_prefetchers(True)
         assert socket.hw_prefetchers_on
 
+    def test_redeclared_registers_are_reread(self):
+        """Re-declaring a register overwrites its value, so it moves
+        ``write_count``: the socket's and the actuator's cached readbacks
+        both follow it."""
+        socket = SimulatedSocket(PLATFORM_1)
+        actuator = MSRPrefetcherActuator(socket.msrs, socket.msr_map)
+        assert socket.hw_prefetchers_on
+        assert actuator.is_enabled()
+        for register in socket.msr_map.registers:
+            socket.msrs.declare(register, reset_value=socket.msr_map.register_mask(register))
+        assert not socket.hw_prefetchers_on
+        assert not actuator.is_enabled()
+
 
 class TestReclamation:
     def test_stepped_fleet_is_freed_without_the_cycle_collector(self):
