@@ -12,7 +12,9 @@ Integrity is verified on every read: each entry embeds its key and a
 SHA-256 digest of the canonical payload, so a truncated file, a stale
 entry written under an older schema, or any bit-rot hashes wrong and is
 treated as a miss — the study recomputes and overwrites the bad entry
-rather than crashing or returning garbage. Writes are atomic
+rather than crashing or returning garbage. The payload is encoded once,
+as the entry's leading ``"payload"`` member, and a read hashes those
+stored bytes instead of re-encoding what it parsed. Writes are atomic
 (temp-file + ``os.replace`` via
 :func:`repro.serialization.atomic_write_text`) so concurrent study
 processes can share one cache directory and a process killed mid-store
@@ -43,8 +45,20 @@ from repro.serialization import atomic_write_text, canonical_json
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: Bumped whenever the engine or the payload layout changes meaning;
-#: part of the key, so entries from older code never resolve.
-SCHEMA_VERSION = 1
+#: part of the key, so results from older code never resolve.
+KEY_VERSION = 1
+
+#: The entry file's layout, checked on every read, so entries written
+#: in another layout are misses. (2: the payload's canonical text leads
+#: the entry and a read hashes those bytes.)
+SCHEMA_VERSION = 2
+
+#: Every entry starts with this, then the payload's canonical JSON, then
+#: ``,`` and the rest of the entry's members; the whole file is one
+#: JSON object.
+_PAYLOAD_HEAD = '{"payload":'
+
+_DECODER = json.JSONDecoder()
 
 #: Default cap on cached entries per directory; the oldest (by mtime)
 #: are evicted past it. ``None`` disables eviction entirely (the shard
@@ -54,11 +68,6 @@ DEFAULT_MAX_ENTRIES = 256
 #: Sidecar file holding cumulative hit/miss/store counters. Not an
 #: entry: it is excluded from eviction, scans, and entry counts.
 STATS_NAME = "_stats"
-
-
-def _canonical(obj) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return canonical_json(obj)
 
 
 def study_cache(cache_dir: Optional[Union[str, pathlib.Path]] = None
@@ -91,9 +100,9 @@ class StudyResultCache:
     # --- keys -----------------------------------------------------------------
 
     def key_for(self, material: Dict) -> str:
-        """Content hash of the key material (plus the schema version)."""
-        payload = {"schema": SCHEMA_VERSION, "material": material}
-        return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        """Content hash of the key material (plus the key version)."""
+        payload = {"schema": KEY_VERSION, "material": material}
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
     def path_for(self, material: Dict) -> pathlib.Path:
         """Where the entry for ``material`` lives (whether or not it
@@ -163,8 +172,7 @@ class StudyResultCache:
         never an error: the caller recomputes and the next store
         replaces the bad entry.
         """
-        path = self.path_for(material)
-        entry = self._read_entry(path)
+        entry = self._read_entry(self.path_for(material))
         if entry is None or entry.get("key") != self.key_for(material):
             self._bump(misses=1)
             return None
@@ -172,22 +180,27 @@ class StudyResultCache:
         return entry["payload"]
 
     def _read_entry(self, path: pathlib.Path) -> Optional[Dict]:
-        """One verified entry (schema + digest), or ``None``."""
+        """One verified entry (schema + digest), or ``None``; the digest
+        covers the payload's stored bytes, so nothing is re-encoded."""
+        start = len(_PAYLOAD_HEAD)
         try:
-            entry = json.loads(path.read_text())
+            data = path.read_bytes()
+            text = data.decode("ascii")  # canonical JSON is pure ASCII
+            if not text.startswith(_PAYLOAD_HEAD):
+                return None
+            payload, end = _DECODER.raw_decode(text, start)
+            if text[end:end + 1] != ",":
+                return None
+            entry = json.loads("{" + text[end + 1:])
         except (OSError, ValueError, UnicodeDecodeError):
             return None
-        if not isinstance(entry, dict):
+        if not isinstance(entry, dict) \
+                or entry.get("schema") != SCHEMA_VERSION:
             return None
-        if entry.get("schema") != SCHEMA_VERSION:
+        digest = hashlib.sha256(memoryview(data)[start:end]).hexdigest()
+        if entry.get("digest") != digest:
             return None
-        payload = entry.get("payload")
-        digest = entry.get("digest")
-        if payload is None or digest is None:
-            return None
-        if hashlib.sha256(
-                _canonical(payload).encode()).hexdigest() != digest:
-            return None
+        entry["payload"] = payload
         return entry
 
     def store(self, material: Dict, payload: Dict,
@@ -199,17 +212,16 @@ class StudyResultCache:
         group entries by study without re-deriving keys.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(material)
+        text = canonical_json(payload)
         entry = {
             "schema": SCHEMA_VERSION,
             "key": self.key_for(material),
-            "digest": hashlib.sha256(
-                _canonical(payload).encode()).hexdigest(),
-            "payload": payload,
+            "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
         if embed_material:
             entry["material"] = material
-        atomic_write_text(path, json.dumps(entry))
+        text = "".join((_PAYLOAD_HEAD, text, ",", canonical_json(entry)[1:]))
+        path = atomic_write_text(self.path_for(material), text)
         self._bump(stores=1)
         self.prune()
         return path

@@ -220,7 +220,10 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
     Arms are built cold, run through
     :func:`~repro.memsys.hierarchy.run_many` (which batches the eligible
     ones), and discarded; only their result rows survive, so the engine
-    runs with ``export_state=False``.
+    runs with ``export_state=False``: no arm takes in cache contents, and
+    each drops its caches, training, in-flight table and DRAM window
+    right after its run, so a shard holds one arm's replay state at a
+    time.
     """
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad

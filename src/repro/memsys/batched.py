@@ -67,10 +67,8 @@ ran where and why.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.memsys.cache import _LineState
 from repro.memsys.dram import ConstantExternalLoad
 from repro.memsys.hierarchy import _Clock
 from repro.memsys.prefetchers.bank import PrefetcherBank
@@ -218,29 +216,6 @@ def cached_state_fingerprint(hierarchy) -> Tuple:
     return hierarchy.prefetchers.state_fingerprint()
 
 
-def _copy_sets(cache_sets) -> Dict[int, OrderedDict]:
-    """Deep-copy a cache's sets (shared working state must not alias any
-    arm's own ``_LineState`` objects, and vice versa).
-
-    Hot at high arm counts — export copies every resident line once per
-    arm — so line states are cloned with ``__new__`` plus two slot
-    stores rather than the constructor.
-    """
-    new = _LineState.__new__
-    cls = _LineState
-    copied: Dict[int, OrderedDict] = {}
-    for index, cache_set in cache_sets.items():
-        if not cache_set:
-            continue
-        fresh_set = copied[index] = OrderedDict()
-        for line, state in cache_set.items():
-            fresh = new(cls)
-            fresh.prefetched = state.prefetched
-            fresh.referenced = state.referenced
-            fresh_set[line] = fresh
-    return copied
-
-
 def run_lockstep(hierarchies, compiled,
                  export_state: bool = True) -> List[RunResult]:
     """Run ``compiled`` through every hierarchy in lockstep.
@@ -255,13 +230,16 @@ def run_lockstep(hierarchies, compiled,
     and every arm's post-run state is bit-identical to the scalar
     compiled engine's.
 
-    Cache *contents* and prefetcher *training* are copied into each arm
-    only when ``export_state`` is true; the last arm is donated the
-    pass's dicts outright (they alias nothing once every other arm holds
-    a copy), so a batch of one exports for free. A sweep that discards
-    its arms can skip the copies: the (cold, hence empty) caches stay
-    empty and the training is reset, counters intact. Either way every
-    arm leaves warm, so a later ``run_many`` runs it scalar.
+    With ``export_state``, each arm takes in the pass's cache contents
+    (a copy of each set dict; the last arm is donated the pass's dicts
+    outright, since they alias nothing once every other arm holds a
+    copy, so a batch of one exports for free) and the clones' training.
+    Without it the arms are about to be discarded, so they keep nothing:
+    the pass's dicts are emptied before the first replay, and right
+    after its replay each arm drops its caches, training, in-flight
+    table, recent misses and DRAM window, keeping its result, counters
+    and clock. Either way every arm leaves warm, so a later
+    ``run_many`` runs it scalar.
 
     Raises :class:`LockstepBailout` — with every arm untouched — if the
     in-flight table crosses the scalar prune threshold; rerun the group
@@ -272,23 +250,25 @@ def run_lockstep(hierarchies, compiled,
     sets = ({}, {}, {})
     tape = hierarchies[0]._cache_pass(compiled, sets, PrefetcherBank(clones),
                                       {}, [], None)
+    if not export_state:
+        for cache_sets in sets:
+            cache_sets.clear()
     last = len(hierarchies) - 1
 
     def replay(hierarchy, donate: bool, result: RunResult) -> None:
         hierarchy._replay_tape(tape, _Clock(hierarchy, []), result)
-        for cache, fresh in zip((hierarchy.l1, hierarchy.l2, hierarchy.llc),
-                                sets):
-            if export_state:
-                cache._sets = fresh if donate else _copy_sets(fresh)
-            else:
-                cache.flush()
         for target, clone in zip(hierarchy.prefetchers.enabled_prefetchers(),
                                  clones):
             target.apply_counter_delta(clone.counter_signature())
             if export_state:
                 target.adopt_training(clone)
-            else:
-                target.reset()
+        if not export_state:
+            hierarchy._drop_state()
+            return
+        for cache, fresh in zip((hierarchy.l1, hierarchy.l2, hierarchy.llc),
+                                sets):
+            cache._sets = fresh if donate else {
+                index: dict(lines) for index, lines in fresh.items()}
 
     return [hierarchy._measured(replay, hierarchy, arm == last)
             for arm, hierarchy in enumerate(hierarchies)]

@@ -1,15 +1,17 @@
 """A set-associative cache with true-LRU replacement.
 
-Each line carries a ``prefetched`` flag so the simulator can account
-prefetch usefulness: a prefetched line that is evicted before any demand
-touch was a wasted fetch (the bandwidth cost the paper blames for the
-latency penalty of aggressive prefetching), while a demand hit on a
-prefetched line is a covered miss.
+Each cache set is a plain ``dict`` of ``line -> bool`` in LRU order,
+oldest first: a hit re-inserts its line at the end and an eviction pops
+the first key. The value is True only for a prefetched line that no
+demand has touched yet, which is all the simulator needs to account
+prefetch usefulness: such a line evicted untouched was a wasted fetch
+(the bandwidth cost the paper blames for the latency penalty of
+aggressive prefetching), and the first demand hit on it is a covered
+miss. A line costs one dict entry and no object of its own.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -18,24 +20,11 @@ from repro.memsys.config import CacheConfig
 
 @dataclass
 class EvictedLine:
-    """What fell out of the cache on an installation."""
+    """What fell out of the cache on an installation: the line, and
+    whether it was a prefetch that died without a single demand touch."""
 
     line: int
-    prefetched: bool
-    referenced: bool
-
-    @property
-    def wasted_prefetch(self) -> bool:
-        """True when a prefetched line dies without a single demand touch."""
-        return self.prefetched and not self.referenced
-
-
-class _LineState:
-    __slots__ = ("prefetched", "referenced")
-
-    def __init__(self, prefetched: bool) -> None:
-        self.prefetched = prefetched
-        self.referenced = not prefetched
+    wasted_prefetch: bool
 
 
 class SetAssociativeCache:
@@ -53,7 +42,8 @@ class SetAssociativeCache:
         else:
             self._set_mask = num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._sets: Dict[int, OrderedDict] = {}
+        #: set index -> {line: untouched prefetch}, LRU order.
+        self._sets: Dict[int, Dict[int, bool]] = {}
         self._size = 0
         self.hits = 0
         self.misses = 0
@@ -66,27 +56,17 @@ class SetAssociativeCache:
             return tag & self._set_mask
         return tag % self.config.num_sets
 
-    def lookup(self, line: int, demand: bool = True) -> bool:
-        """Probe for ``line``; updates LRU and hit/miss counters.
-
-        Args:
-            line: Line-aligned address.
-            demand: True for demand accesses (counted, marks the line
-                referenced); False for probes by the prefetch path
-                (not counted as hits/misses).
-        """
+    def lookup(self, line: int) -> bool:
+        """Demand probe for ``line`` (line-aligned): counts a hit or a
+        miss, and a hit touches the line and makes it most recent."""
         cache_set = self._sets.get(self._index(line))
         if cache_set is not None and line in cache_set:
-            state = cache_set[line]
-            cache_set.move_to_end(line)
-            if demand:
-                self.hits += 1
-                if state.prefetched and not state.referenced:
-                    self.prefetch_hits += 1
-                state.referenced = True
+            self.hits += 1
+            if cache_set.pop(line):
+                self.prefetch_hits += 1
+            cache_set[line] = False
             return True
-        if demand:
-            self.misses += 1
+        self.misses += 1
         return False
 
     def contains(self, line: int) -> bool:
@@ -98,27 +78,25 @@ class SetAssociativeCache:
         """Insert ``line``; returns the evicted victim, if any.
 
         Installing a line that is already present refreshes its LRU
-        position (and clears nothing); a demand install of a prefetched
-        line keeps its ``prefetched`` provenance.
+        position; a demand install marks it touched, a prefetch install
+        leaves its flag as it was.
         """
         index = self._index(line)
         cache_set = self._sets.get(index)
         if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
+            cache_set = self._sets[index] = {}
         if line in cache_set:
-            cache_set.move_to_end(line)
-            if not prefetched:
-                cache_set[line].referenced = True
+            untouched = cache_set.pop(line)
+            cache_set[line] = untouched and prefetched
             return None
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.config.associativity:
-            victim_line, victim_state = cache_set.popitem(last=False)
+            victim_line = next(iter(cache_set))
+            victim = EvictedLine(victim_line, cache_set.pop(victim_line))
             self._size -= 1
-            victim = EvictedLine(victim_line, victim_state.prefetched,
-                                 victim_state.referenced)
             if victim.wasted_prefetch:
                 self.wasted_prefetches += 1
-        cache_set[line] = _LineState(prefetched)
+        cache_set[line] = prefetched
         self._size += 1
         return victim
 

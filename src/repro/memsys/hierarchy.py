@@ -36,7 +36,7 @@ this on random traces.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -47,7 +47,7 @@ from repro.access.trace import Trace
 # re-exported here under its historical names.
 from repro.engine import SLOW_ENGINE_ENV, reference_engine  # noqa: F401
 from repro.engine import slow_engine_requested as _slow_engine_requested
-from repro.memsys.cache import SetAssociativeCache, _LineState
+from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.config import HierarchyConfig
 from repro.memsys.dram import ConstantExternalLoad, DRAMModel
 from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
@@ -164,6 +164,11 @@ class MemoryHierarchy:
 
     def reset(self) -> None:
         """Flush all state: caches, prefetcher training, bandwidth window."""
+        self._drop_state()
+        self._cold = True
+
+    def _drop_state(self) -> None:
+        """:meth:`reset`, except that the arm stays warm."""
         self.l1.flush()
         self.l2.flush()
         self.llc.flush()
@@ -171,7 +176,6 @@ class MemoryHierarchy:
         self.dram.reset_window()
         self._in_flight.clear()
         self._recent_miss_lines.clear()
-        self._cold = True
 
     # --- execution ---------------------------------------------------------------
 
@@ -349,7 +353,6 @@ class MemoryHierarchy:
         l2_hits = l2_misses = l2_pref_hits = l2_wasted = l2_sized = 0
         llc_hits = llc_misses = llc_pref_hits = llc_wasted = llc_sized = 0
         d_fills = p_fills = sw_issued = useful = 0
-        line_state = _LineState
 
         bank_snapshot = bank.enabled_prefetchers
         # The adjacency test ``any(abs(line - r) == CACHE_LINE_BYTES)``
@@ -428,12 +431,10 @@ class MemoryHierarchy:
                     else:
                         cache_set = l1_sets_get(tag & l1_mask)
                     if cache_set is not None and line in cache_set:
-                        state = cache_set[line]
-                        cache_set.move_to_end(line)
                         l1_hits += 1
-                        if state.prefetched and not state.referenced:
+                        if cache_set.pop(line):
                             l1_pref_hits += 1
-                        state.referenced = True
+                        cache_set[line] = False
                         hit = True
                     else:
                         l1_misses += 1
@@ -454,12 +455,10 @@ class MemoryHierarchy:
                             tag & l2_mask if l2_mask is not None
                             else tag % l2_nsets)
                         if cache_set is not None and line in cache_set:
-                            state = cache_set[line]
-                            cache_set.move_to_end(line)
                             l2_hits += 1
-                            if state.prefetched and not state.referenced:
+                            if cache_set.pop(line):
                                 l2_pref_hits += 1
-                            state.referenced = True
+                            cache_set[line] = False
                             slot = in_flight.pop(line, None)
                             if slot is not None:
                                 s_cov += 1
@@ -483,13 +482,12 @@ class MemoryHierarchy:
                                 else tag % l1_nsets
                             cache_set = l1_sets_get(index)
                             if cache_set is None:
-                                cache_set = l1_sets[index] = OrderedDict()
+                                cache_set = l1_sets[index] = {}
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
                                 l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if cache_set.pop(next(iter(cache_set))):
                                     l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l1_sized += 1
                         else:
                             l2_misses += 1
@@ -499,12 +497,10 @@ class MemoryHierarchy:
                                 tag & llc_mask if llc_mask is not None
                                 else tag % llc_nsets)
                             if cache_set is not None and line in cache_set:
-                                state = cache_set[line]
-                                cache_set.move_to_end(line)
                                 llc_hits += 1
-                                if state.prefetched and not state.referenced:
+                                if cache_set.pop(line):
                                     llc_pref_hits += 1
-                                state.referenced = True
+                                cache_set[line] = False
                                 slot = in_flight.pop(line, None)
                                 if slot is not None:
                                     s_cov += 1
@@ -547,14 +543,12 @@ class MemoryHierarchy:
                                     else tag % llc_nsets
                                 cache_set = llc_sets_get(index)
                                 if cache_set is None:
-                                    cache_set = llc_sets[index] = OrderedDict()
+                                    cache_set = llc_sets[index] = {}
                                 if len(cache_set) >= llc_assoc:
-                                    _, victim = cache_set.popitem(False)
                                     llc_sized -= 1
-                                    if victim.prefetched \
-                                            and not victim.referenced:
+                                    if cache_set.pop(next(iter(cache_set))):
                                         llc_wasted += 1
-                                cache_set[line] = line_state(False)
+                                cache_set[line] = False
                                 llc_sized += 1
                             pending = False
                             # Install into L2 (the line just missed there).
@@ -563,13 +557,12 @@ class MemoryHierarchy:
                                 else tag % l2_nsets
                             cache_set = l2_sets_get(index)
                             if cache_set is None:
-                                cache_set = l2_sets[index] = OrderedDict()
+                                cache_set = l2_sets[index] = {}
                             if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
                                 l2_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if cache_set.pop(next(iter(cache_set))):
                                     l2_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l2_sized += 1
                             # Install into L1.
                             tag = line >> l1_shift
@@ -577,13 +570,12 @@ class MemoryHierarchy:
                                 else tag % l1_nsets
                             cache_set = l1_sets_get(index)
                             if cache_set is None:
-                                cache_set = l1_sets[index] = OrderedDict()
+                                cache_set = l1_sets[index] = {}
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
                                 l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if cache_set.pop(next(iter(cache_set))):
                                     l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l1_sized += 1
 
                 # Prefetch issue (software lines, or the hardware
@@ -630,24 +622,22 @@ class MemoryHierarchy:
                             emit(pfill)
                         # Install into LLC, tagged prefetched.
                         if cache_set is None:
-                            cache_set = llc_sets[llc_index] = OrderedDict()
+                            cache_set = llc_sets[llc_index] = {}
                         if len(cache_set) >= llc_assoc:
-                            _, victim = cache_set.popitem(False)
                             llc_sized -= 1
-                            if victim.prefetched and not victim.referenced:
+                            if cache_set.pop(next(iter(cache_set))):
                                 llc_wasted += 1
-                        cache_set[pf_line] = line_state(True)
+                        cache_set[pf_line] = True
                         llc_sized += 1
                         # Install into L2, tagged prefetched.
                         cache_set = l2_sets_get(l2_index)
                         if cache_set is None:
-                            cache_set = l2_sets[l2_index] = OrderedDict()
+                            cache_set = l2_sets[l2_index] = {}
                         if len(cache_set) >= l2_assoc:
-                            _, victim = cache_set.popitem(False)
                             l2_sized -= 1
-                            if victim.prefetched and not victim.referenced:
+                            if cache_set.pop(next(iter(cache_set))):
                                 l2_wasted += 1
-                        cache_set[pf_line] = line_state(True)
+                        cache_set[pf_line] = True
                         l2_sized += 1
                         if kind == 2:
                             sw_issued += 1
@@ -1005,11 +995,13 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     Args:
         hierarchies: The arms; mutated in place exactly as ``run`` would.
         trace: One trace shared by every arm.
-        export_state: When False, skip rebuilding batched arms' cache
-            contents and prefetcher training after the run — the arms
-            come back with counters, clock, and window intact but caches
-            flushed and training reset. Use only when the arms are
-            discarded afterwards.
+        export_state: When False, the arms are about to be discarded,
+            so each keeps nothing after its run: its caches, prefetcher
+            training, in-flight table, recent misses and DRAM window
+            come back empty, its counters and clock intact, and a
+            lockstep group copies no cache contents into its arms at
+            all. Results are the same either way, and every arm leaves
+            warm either way.
         occupancy: Optional :class:`~repro.memsys.batched.BatchOccupancy`
             accumulating where each arm ran (lockstep vs scalar) and the
             per-reason scalar-fallback counts for this call.
@@ -1058,4 +1050,6 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
 
     for arm in scalar_arms:
         results[arm] = hierarchies[arm].run(trace)
+        if not export_state:
+            hierarchies[arm]._drop_state()
     return results  # type: ignore[return-value]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import weakref
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.msr.platform_defs import PlatformMSRMap
@@ -11,6 +12,20 @@ from repro.memsys.prefetchers.base import HardwarePrefetcher
 from repro.memsys.prefetchers.nextline import AdjacentLinePrefetcher, NextLinePrefetcher
 from repro.memsys.prefetchers.stride import StridePrefetcher
 from repro.memsys.prefetchers.stream import StreamPrefetcher
+
+
+def _weak_callback(method) -> Callable:
+    """``method`` through a weak reference: a bound method registered
+    with an object the bank holds would close a reference cycle. Once
+    the bank is gone the callback does nothing."""
+    ref = weakref.WeakMethod(method)
+
+    def callback(*args) -> None:
+        target = ref()
+        if target is not None:
+            target(*args)
+
+    return callback
 
 
 class PrefetcherBank:
@@ -36,8 +51,9 @@ class PrefetcherBank:
         #: prefetchers' enabled-watcher hooks. The fast engine reads this
         #: so a fully disabled bank costs one truthiness check per access.
         self._snapshot: Optional[List[HardwarePrefetcher]] = None
+        invalidate = _weak_callback(self._invalidate_snapshot)
         for prefetcher in self._prefetchers.values():
-            prefetcher._enabled_watchers.append(self._invalidate_snapshot)
+            prefetcher._enabled_watchers.append(invalidate)
 
     # --- direct control ------------------------------------------------------
 
@@ -172,7 +188,7 @@ class PrefetcherBank:
         msr_map.declare_registers(msr_file)
         self._msr_map = msr_map
         self._msr_file = msr_file
-        msr_file.subscribe(self._on_msr_write)
+        msr_file.subscribe(_weak_callback(self._on_msr_write))
         self._sync_from_msr()
 
     def _on_msr_write(self, address: int, value: int) -> None:

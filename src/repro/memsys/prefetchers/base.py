@@ -109,7 +109,7 @@ class HardwarePrefetcher:
         The clone starts with zeroed counters (so its post-run counter
         signature *is* the batch delta) and no enabled-watchers (it must
         never alias a bank or a hierarchy). ``copy.deepcopy`` is wrong
-        here — ``_enabled_watchers`` holds bound methods of the owning
+        here — ``_enabled_watchers`` holds callbacks into the owning
         bank — hence the explicit constructor-plus-copy shape.
         """
         raise NotImplementedError

@@ -22,8 +22,6 @@ import subprocess
 import sys
 import weakref
 
-import pytest
-
 import repro
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.fleet import MicroFleetSweep
@@ -68,11 +66,10 @@ def stat_tuple(stats):
 
 
 def cache_contents(cache):
-    """Every line in every set, LRU order — state equality, not just
-    counters."""
+    """Every line in every set, LRU order, with its untouched-prefetch
+    flag — state equality, not just counters."""
     return {
-        index: [(line, state.prefetched, state.referenced)
-                for line, state in lines.items()]
+        index: list(lines.items())
         for index, lines in cache._sets.items()
     }
 
@@ -677,8 +674,9 @@ class TestEligibilityEdges:
 
 class TestNoReferenceCycle:
     """A hierarchy is freed by reference counting alone: nothing it owns
-    (bank, prefetchers, watchers) points back at it, so a discarded arm
-    does not wait for the cyclic garbage collector."""
+    (bank, prefetchers, watchers, MSR subscriptions) points back at it
+    or at its bank, so a discarded arm does not wait for the cyclic
+    garbage collector."""
 
     @staticmethod
     def assert_freed_without_gc(run):
@@ -686,9 +684,11 @@ class TestNoReferenceCycle:
         try:
             hierarchy = MemoryHierarchy()  # the default bank
             run(hierarchy)
-            ref = weakref.ref(hierarchy)
+            refs = [weakref.ref(hierarchy),
+                    weakref.ref(hierarchy.prefetchers)]
+            refs.extend(weakref.ref(p) for p in hierarchy.prefetchers)
             del hierarchy
-            assert ref() is None
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
 
@@ -699,6 +699,54 @@ class TestNoReferenceCycle:
         trace = Trace(make_records()[:300])
         self.assert_freed_without_gc(
             lambda hierarchy: run_many([hierarchy], trace))
+
+    def test_after_discarding_run_many(self):
+        trace = Trace(make_records()[:300])
+        self.assert_freed_without_gc(
+            lambda hierarchy: run_many([hierarchy], trace,
+                                       export_state=False))
+
+    def test_msr_bound_bank(self):
+        """The MSR file outlives the arm and still takes writes."""
+        from repro.msr import INTEL_LIKE_MAP, MSRFile
+
+        msrs = MSRFile()
+        trace = Trace(make_records()[:300])
+
+        def run(hierarchy):
+            hierarchy.prefetchers.bind_msr(msrs, INTEL_LIKE_MAP)
+            INTEL_LIKE_MAP.disable_all(msrs)
+            assert not hierarchy.prefetchers.enabled_prefetchers()
+            hierarchy.run(trace)
+
+        self.assert_freed_without_gc(run)
+        INTEL_LIKE_MAP.enable_all(msrs)
+
+    def test_noisy_style_toggling(self):
+        """Epochs of ``run_many`` with the bank flipped between them, as
+        the noisy-neighbor controller does."""
+        trace = Trace(make_records()[:300])
+
+        def run(hierarchy):
+            for epoch in range(4):
+                run_many([hierarchy], trace)
+                hierarchy.set_hardware_prefetchers(epoch % 2 == 1)
+
+        self.assert_freed_without_gc(run)
+
+    def test_lockstep_group_leaves_no_garbage(self):
+        """A lockstep group's clone bank and every arm are freed by
+        reference counting: nothing is left for the collector."""
+        trace = Trace(make_records()[:300])
+        gc.collect()
+        gc.disable()
+        try:
+            arms = build_enabled_arms()
+            run_many(arms, trace, export_state=False)
+            del arms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExportState:
@@ -728,13 +776,59 @@ class TestExportState:
                 assert (cache.misses
                         == getattr(scalar_arms[arm], level).misses)
 
+    def test_discarded_arms_keep_nothing(self):
+        """``export_state=False``, lockstep and scalar arms alike: every
+        arm comes back with empty caches, training, in-flight table,
+        recent misses and DRAM window, and with the counters, clock and
+        results of an exporting run."""
+        trace = Trace(make_records())
+
+        def fleet():
+            arms = build_enabled_arms()
+            arms.append(MemoryHierarchy(external_load=lambda now: 0.5))
+            return arms
+
+        kept = fleet()
+        kept_results = run_many(kept, trace)
+        arms = fleet()
+        occupancy = batched.BatchOccupancy()
+        results = run_many(arms, trace, export_state=False,
+                           occupancy=occupancy)
+        assert occupancy.to_dict()["fallback_reasons"] == {
+            "external-load": 1}
+        fresh_training = default_prefetcher_bank().state_fingerprint()[1]
+        for arm, keeper, got, want in zip(arms, kept, results, kept_results):
+            assert snapshot(arm, got)["result"] == \
+                snapshot(keeper, want)["result"]
+            assert ({n: stat_tuple(s) for n, s in got.functions.items()}
+                    == {n: stat_tuple(s) for n, s in want.functions.items()})
+            assert arm.now_ns == keeper.now_ns
+            assert bank_state(arm)[0] == bank_state(keeper)[0]
+            assert (arm.dram.demand_fills, arm.dram.prefetch_fills) == (
+                keeper.dram.demand_fills, keeper.dram.prefetch_fills)
+            for level in ("l1", "l2", "llc"):
+                cache, kept_cache = getattr(arm, level), getattr(keeper,
+                                                                 level)
+                assert (cache.hits, cache.misses, cache.prefetch_hits,
+                        cache.wasted_prefetches) == (
+                    kept_cache.hits, kept_cache.misses,
+                    kept_cache.prefetch_hits, kept_cache.wasted_prefetches)
+                assert cache._sets == {} and cache.occupancy == 0
+                assert kept_cache.occupancy > 0
+            assert arm._in_flight == {}
+            assert not arm._recent_miss_lines
+            assert not arm.dram._window._points
+            assert arm.dram._window._sum == 0.0
+            assert arm.prefetchers.state_fingerprint()[1] == fresh_training
+            assert not arm._cold
+
     def test_flushed_arms_can_still_run_again(self):
-        """export_state=False leaves arms with empty caches but usable.
+        """export_state=False leaves arms with empty state but usable.
 
         The arms are warm, so the rerun is scalar. Only the
-        cache-behaviour integers can match a fresh arm:
-        the clock and DRAM window survive the flush, so timing floats
-        legitimately differ on the rerun.
+        cache-behaviour integers can match a fresh arm: caches, training
+        and DRAM window are emptied, but the clock survives, and timing
+        floats added at a later clock legitimately round differently.
         """
         count_stats = ("instructions", "loads", "stores",
                        "software_prefetches", "l1_misses", "l2_misses",

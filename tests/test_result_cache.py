@@ -1,12 +1,13 @@
 """Tests for the on-disk study result cache and its corruption guard."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.fleet import AblationStudy, StudyResultCache, study_cache
-from repro.fleet.result_cache import CACHE_ENV_VAR, SCHEMA_VERSION
-from repro.serialization import ablation_result_to_dict
+from repro.fleet.result_cache import CACHE_ENV_VAR, KEY_VERSION, SCHEMA_VERSION
+from repro.serialization import ablation_result_to_dict, canonical_json
 
 MATERIAL = {"study": "demo", "machines": 4, "seed": 1}
 PAYLOAD = {"answer": 42, "rows": [1.5, 2.5]}
@@ -60,6 +61,55 @@ class TestCorruptionGuard:
         entry["schema"] = SCHEMA_VERSION - 1
         path.write_text(json.dumps(entry))
         assert cache.load(MATERIAL) is None
+
+    def test_old_schema_entry_is_a_miss(self, cache):
+        """An entry written by the previous schema (one JSON object,
+        payload last, digest over the payload's re-encoding) is a miss,
+        and so is a current-layout entry that claims an old schema."""
+        path = cache.path_for(MATERIAL)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "schema": 1, "key": cache.key_for(MATERIAL),
+            "digest": hashlib.sha256(
+                canonical_json(PAYLOAD).encode()).hexdigest(),
+            "payload": PAYLOAD}))
+        assert cache.load(MATERIAL) is None
+        cache.store(MATERIAL, PAYLOAD)
+        text = path.read_text()
+        schema = f'"schema":{SCHEMA_VERSION}'
+        assert text.count(schema) == 1
+        path.write_text(text.replace(schema, '"schema":1'))
+        assert cache.load(MATERIAL) is None
+
+    def test_any_flipped_payload_byte_is_a_miss(self, cache):
+        path = cache.store(MATERIAL, PAYLOAD)
+        text = path.read_text()
+        payload_text = canonical_json(PAYLOAD)
+        start = text.index(payload_text)
+        for offset in range(start, start + len(payload_text)):
+            flipped = chr(ord(text[offset]) ^ 0x01)
+            path.write_text(text[:offset] + flipped + text[offset + 1:])
+            assert cache.load(MATERIAL) is None, offset
+        path.write_text(text)
+        assert cache.load(MATERIAL) == PAYLOAD
+
+    def test_load_does_not_reencode_the_payload(self, cache, monkeypatch):
+        """A load verifies the payload by hashing its stored bytes: the
+        only value it encodes is the key material, never the payload."""
+        from repro.fleet import result_cache
+
+        cache.store(MATERIAL, PAYLOAD)
+        encoded = []
+
+        def spy(obj):
+            encoded.append(obj)
+            return canonical_json(obj)
+
+        monkeypatch.setattr(result_cache, "canonical_json", spy)
+        assert cache.load(MATERIAL) == PAYLOAD
+        assert encoded
+        assert all(obj == {"schema": KEY_VERSION, "material": MATERIAL}
+                   for obj in encoded)
 
     def test_entry_under_wrong_name_is_a_miss(self, cache):
         """An entry copied to another key's filename is detected."""
