@@ -41,7 +41,7 @@ RESULTS_DIR = BENCH_DIR / "results"
 BASELINES_DIR = BENCH_DIR / "baselines"
 KNOWN_BENCHMARKS = ("sim_throughput", "trace_pipeline", "batched_engine",
                     "batched_enabled", "resume_overhead",
-                    "adaptive_sampling", "policy_compare", "scenarios")
+                    "adaptive_sampling", "scenarios")
 METRIC = "speedup"
 DEFAULT_TOLERANCE = 0.20
 

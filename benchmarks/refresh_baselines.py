@@ -27,7 +27,6 @@ BENCHMARK_SCRIPTS = {
     "batched_enabled": BENCH_DIR / "bench_batched_enabled.py",
     "resume_overhead": BENCH_DIR / "bench_resume_overhead.py",
     "adaptive_sampling": BENCH_DIR / "bench_adaptive_sampling.py",
-    "policy_compare": BENCH_DIR / "bench_policy_compare.py",
     "scenarios": BENCH_DIR / "bench_scenarios.py",
 }
 

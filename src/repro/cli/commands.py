@@ -637,129 +637,6 @@ def run_calibrate(args) -> int:
     return 0
 
 
-def _policy_specs(args):
-    """Build the named policy specs a ``repro policy compare`` runs.
-
-    The decision-tree entry comes from ``--policy-file`` when given;
-    otherwise it is trained inline from the same study seed (hitting
-    the result cache when the training sweeps already ran).
-    """
-    from repro.policy import (EpsilonGreedyBanditPolicy, HysteresisPolicy,
-                              SingleThresholdPolicy, load_policy,
-                              train_decision_tree_policy)
-
-    names = [name.strip() for name in args.policies.split(",")
-             if name.strip()]
-    if not names:
-        raise ReproError("--policies cannot be empty")
-    specs = {}
-    for name in names:
-        if name == "hysteresis":
-            specs[name] = HysteresisPolicy()
-        elif name == "single-threshold":
-            specs[name] = SingleThresholdPolicy(threshold=args.threshold)
-        elif name == "bandit":
-            specs[name] = EpsilonGreedyBanditPolicy(
-                seed=args.bandit_seed, epsilon=args.epsilon)
-        elif name == "decision-tree":
-            if getattr(args, "policy_file", None):
-                specs[name] = load_policy(args.policy_file)
-            else:
-                specs[name] = train_decision_tree_policy(
-                    machines=args.train_machines, epochs=args.epochs,
-                    warmup_epochs=args.warmup, seed=args.seed,
-                    probe_machines=args.probe_machines,
-                    probe_scale=args.probe_scale,
-                    workers=args.workers, cache_dir=args.cache_dir,
-                    checkpoint_dir=getattr(args, "checkpoint_dir", None))
-        else:
-            raise ReproError(
-                f"unknown policy {name!r}; known: hysteresis, "
-                "single-threshold, decision-tree, bandit")
-    return specs
-
-
-def run_policy_train(args) -> int:
-    """``repro policy train``: fit the decision-tree policy offline."""
-    from repro.policy import (policy_digest, save_policy,
-                              train_decision_tree_policy, tree_depth,
-                              tree_leaves)
-
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    policy = train_decision_tree_policy(
-        machines=args.machines, epochs=args.epochs,
-        warmup_epochs=args.warmup, seed=args.seed,
-        probe_machines=args.probe_machines, probe_scale=args.probe_scale,
-        kappa=args.kappa, max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        workers=args.workers, cache_dir=args.cache_dir,
-        checkpoint_dir=checkpoint_dir)
-    digest = policy_digest(policy)
-    rows = [(name, str(tree_depth(tree)), str(tree_leaves(tree)))
-            for name, tree in sorted(policy.trees.items())]
-    _table(("prefetcher", "depth", "leaves"), rows)
-    print(f"\npolicy digest: {digest}")
-    if args.out:
-        save_policy(policy, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def run_policy_compare(args) -> int:
-    """``repro policy compare``: N policies, one fleet, one report."""
-    from repro.policy import PolicyComparison, comparison_digest
-
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    specs = _policy_specs(args)
-    kwargs = dict(machines=args.machines, epochs=args.epochs,
-                  warmup_epochs=args.warmup, seed=args.seed,
-                  shard_size=args.shard_size, fault_plan=fault_plan)
-    report = PolicyComparison(specs, **kwargs).run(
-        workers=args.workers, cache_dir=args.cache_dir,
-        obs_dir=getattr(args, "obs_dir", None),
-        checkpoint_dir=checkpoint_dir)
-    digest = comparison_digest(report)
-
-    rows = []
-    for name in report["ranking"]:
-        entry = report["policies"][name]
-        rows.append((
-            name,
-            f"{entry['duty_cycle_error']:.4f}",
-            f"{entry['duty_cycle_disabled']:.3f}",
-            str(entry["transitions"]),
-            f"{entry['throughput_gain']:+.2%}",
-            _pct(entry["latency_p99_change"]),
-        ))
-    _table(("policy", "duty err", "off frac", "flips", "throughput",
-            "p99 latency"), rows)
-    if fault_plan is not None:
-        print(f"\nfault plan: {fault_plan.spec()}")
-        frows = []
-        for name in report["ranking"]:
-            faulted = report["policies"][name].get("faulted")
-            if faulted is None:
-                continue
-            frows.append((name, f"{faulted['availability']:.4f}",
-                          f"{faulted['duty_cycle_error']:.4f}",
-                          f"{faulted['duty_cycle_drift']:+.4f}"))
-        if frows:
-            _table(("policy", "availability", "faulted duty err",
-                    "drift"), frows)
-    print(f"\nreport digest: {digest}")
-    if args.out:
-        from repro.serialization import atomic_write_text, canonical_json
-        atomic_write_text(args.out, canonical_json(report) + "\n")
-        print(f"wrote {args.out}")
-
-    if args.compare_serial:
-        serial = PolicyComparison(specs, **kwargs).run(obs_dir="",
-                                                       **SERIAL_ORACLE)
-        _check_serial(digest, comparison_digest(serial))
-    return 0
-
-
 def run_scenario_callgraph(args) -> int:
     """``repro scenario callgraph``: the RPC call-graph SLO study."""
     from repro.scenarios import (CallGraphScenario, DEFAULT_SERVICES,
@@ -816,9 +693,6 @@ def run_scenario_callgraph(args) -> int:
 
 def _noisy_policy(args):
     """The ``repro scenario noisy`` policy from its CLI flags."""
-    if args.policy_file:
-        from repro.policy import load_policy
-        return load_policy(args.policy_file)
     if args.policy == "hysteresis":
         from repro.core import LimoncelloConfig
         from repro.policy import HysteresisPolicy
@@ -829,11 +703,7 @@ def _noisy_policy(args):
     if args.policy == "single-threshold":
         from repro.policy import SingleThresholdPolicy
         return SingleThresholdPolicy(threshold=args.upper)
-    if args.policy == "bandit":
-        from repro.policy import EpsilonGreedyBanditPolicy
-        return EpsilonGreedyBanditPolicy(seed=args.seed)
-    raise ReproError(
-        "--mode policy needs --policy NAME or --policy-file FILE")
+    raise ReproError("--mode policy needs --policy NAME")
 
 
 def run_scenario_noisy(args) -> int:
@@ -844,8 +714,8 @@ def run_scenario_noisy(args) -> int:
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     policy = _noisy_policy(args) if args.mode == "policy" else None
-    if policy is None and (args.policy or args.policy_file):
-        raise ReproError("--policy/--policy-file need --mode policy")
+    if policy is None and args.policy:
+        raise ReproError("--policy needs --mode policy")
     kwargs = dict(tenants=args.tenants or DEFAULT_TENANTS,
                   machines=args.machines, epochs=args.epochs,
                   seed=args.seed, mode=args.mode, policy=policy,

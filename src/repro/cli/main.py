@@ -246,76 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--seed", type=int, default=42)
     calibrate.set_defaults(run=commands.run_calibrate)
 
-    policy = subparsers.add_parser(
-        "policy", help="pluggable controller policies: offline training "
-                       "and head-to-head comparison")
-    policy_sub = policy.add_subparsers(dest="policy_command", required=True)
-
-    train = policy_sub.add_parser(
-        "train", help="fit the per-prefetcher decision-tree policy from "
-                      "cached ablation sweeps (deterministic: same "
-                      "inputs, same digest)")
-    train.add_argument("--machines", type=int, default=24,
-                       help="fleet size of the labelling ablation study")
-    train.add_argument("--epochs", type=int, default=40)
-    train.add_argument("--warmup", type=int, default=10)
-    train.add_argument("--seed", type=int, default=11)
-    train.add_argument("--probe-machines", type=int, default=8,
-                       help="arms per per-prefetcher accuracy/coverage "
-                            "probe sweep")
-    train.add_argument("--probe-scale", type=float, default=0.5,
-                       help="trace scale for the probe sweeps")
-    train.add_argument("--kappa", type=float, default=0.05,
-                       help="in-band labelling slack: keep a prefetcher "
-                            "enabled when throughput cost <= kappa * "
-                            "accuracy * coverage")
-    train.add_argument("--max-depth", type=int, default=4)
-    train.add_argument("--min-samples-leaf", type=int, default=8)
-    train.add_argument("--out", type=str, default="", metavar="FILE",
-                       help="write the trained policy as canonical JSON")
-    _add_execution_flags(train)
-    _add_checkpoint_flags(train)
-    train.set_defaults(run=commands.run_policy_train)
-
-    compare = policy_sub.add_parser(
-        "compare", help="run N policies over the same fleet, trace, and "
-                        "fault plan; report duty-cycle error, throughput, "
-                        "and robustness")
-    compare.add_argument(
-        "--policies", type=str,
-        default="hysteresis,single-threshold,decision-tree,bandit",
-        metavar="NAMES",
-        help="comma-separated policies to compare (hysteresis, "
-             "single-threshold, decision-tree, bandit)")
-    compare.add_argument(
-        "--policy-file", type=str, default="", metavar="FILE",
-        help="load the decision-tree entry from this trained-policy "
-             "JSON instead of training inline")
-    compare.add_argument("--machines", type=int, default=12)
-    compare.add_argument("--epochs", type=int, default=40)
-    compare.add_argument("--warmup", type=int, default=10)
-    compare.add_argument("--seed", type=int, default=11)
-    _add_shard_size_flag(compare)
-    compare.add_argument("--threshold", type=float, default=0.8,
-                         help="the single-threshold policy's cutoff")
-    compare.add_argument("--bandit-seed", type=int, default=3,
-                         help="the bandit policy's exploration seed")
-    compare.add_argument("--epsilon", type=float, default=0.1,
-                         help="the bandit policy's exploration rate")
-    compare.add_argument("--train-machines", type=int, default=24,
-                         help="fleet size for inline decision-tree "
-                              "training (no --policy-file)")
-    compare.add_argument("--probe-machines", type=int, default=8)
-    compare.add_argument("--probe-scale", type=float, default=0.5)
-    compare.add_argument("--out", type=str, default="", metavar="FILE",
-                         help="also write the report as canonical JSON")
-    _add_compare_serial_flag(compare)
-    _add_execution_flags(compare)
-    _add_checkpoint_flags(compare)
-    _add_fault_plan_flag(compare)
-    _add_obs_flag(compare)
-    compare.set_defaults(run=commands.run_policy_compare)
-
     scenario = subparsers.add_parser(
         "scenario", help="microservice call-graph and noisy-neighbor "
                          "scenario studies with P50/P90/P99 SLO metrics")
@@ -372,16 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="hard",
                        help="fixed prefetcher state, the stock "
                             "hysteresis controller, or a pluggable "
-                            "policy (--policy / --policy-file)")
+                            "policy (--policy)")
     noisy.add_argument(
         "--policy", type=str, default="", metavar="NAME",
-        choices=("", "hysteresis", "single-threshold", "bandit"),
+        choices=("", "hysteresis", "single-threshold"),
         help="with --mode policy: build this policy with the scenario's "
-             "thresholds (hysteresis, single-threshold, bandit)")
-    noisy.add_argument(
-        "--policy-file", type=str, default="", metavar="FILE",
-        help="with --mode policy: load a trained policy JSON (e.g. from "
-             "'repro policy train --out')")
+             "thresholds (hysteresis, single-threshold)")
     noisy.add_argument("--upper", type=float, default=0.8,
                        help="controller upper threshold, fraction of "
                             "DRAM saturation")

@@ -245,10 +245,9 @@ class Fleet:
         ``policy_spec`` is anything :func:`repro.policy.policy_from_spec`
         accepts (a :class:`~repro.policy.Policy`, its serialized dict,
         or canonical JSON). Every socket gets its *own* policy instance
-        wrapped in a :class:`~repro.policy.PolicyController`, bound to
-        the socket ident at construction — so learning policies draw
-        from per-socket seed streams that are independent of worker
-        count, engine, and whether a tracer is attached. The config
+        wrapped in a :class:`~repro.policy.PolicyController` that
+        carries the socket ident, so a stateful policy (the hysteresis
+        timer) never shares state across sockets. The config
         defaults match :meth:`deploy_hard_limoncello` (epoch-period
         sampling, three-epoch sustain window).
         """

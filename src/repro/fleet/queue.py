@@ -84,8 +84,8 @@ def resolve_checkpoint_dir(
     ``$REPRO_CHECKPOINT``, else ``None`` (checkpointing disabled).
 
     An explicit empty string disables checkpointing even when the
-    environment variable is set (the CLI uses that to pin down
-    comparison legs).
+    environment variable is set (the CLI's ``--compare-serial`` oracle
+    uses that to recompute instead of restoring journaled shards).
     """
     if checkpoint_dir is None:
         checkpoint_dir = os.environ.get(CHECKPOINT_ENV_VAR, "").strip() or None
@@ -325,7 +325,7 @@ def queue_status(checkpoint: ShardCheckpoint) -> Dict:
             # Policy-injected ablation shards carry the serialized
             # policy in their key material; surface the distinct kinds
             # so `repro queue` shows which controllers a directory's
-            # journaled comparison legs belong to.
+            # journaled policy-driven studies ran.
             policy = spec.get("policy")
             if isinstance(policy, dict) and "kind" in policy:
                 bucket["policies"].add(str(policy["kind"]))

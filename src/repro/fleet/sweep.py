@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
@@ -64,12 +64,6 @@ _MAX_BACKGROUND_LOAD = 2.0
 _ARM_FIELDS = ("machine", "external_load", "down", "elapsed_ns",
                "stall_cycles", "llc_misses", "dram_demand_fills",
                "dram_wait_ns")
-
-#: Extra per-arm fields a prefetcher-restricted sweep adds (policy
-#: trainer probes). Emitted only when present, so plain-sweep payloads
-#: and digests are unchanged.
-_PREFETCH_FIELDS = ("hw_prefetches_issued", "useful_prefetches",
-                    "prefetch_covered")
 
 
 def background_load(study_seed: int, shard_index: int,
@@ -164,12 +158,8 @@ class MicroSweepResult:
             "mode": self.mode,
             "machines": self.machines,
             "down": self.down,
-            "arms": [
-                {name: arm[name]
-                 for name in _ARM_FIELDS + _PREFETCH_FIELDS
-                 if name in arm}
-                for arm in self.arms
-            ],
+            "arms": [{name: arm[name] for name in _ARM_FIELDS}
+                     for arm in self.arms],
         }
 
     @classmethod
@@ -203,10 +193,6 @@ class MicroSweepShardSpec:
     scale: float
     crash_rate: float
     shard_index: int
-    #: Restrict the arm's hardware bank to these prefetchers (policy
-    #: trainer probes); ``None`` keeps the mode's stock bank. Rows gain
-    #: the :data:`_PREFETCH_FIELDS` counters when set.
-    prefetchers: Optional[Tuple[str, ...]] = None
     #: Shared-trace workload; ``None`` means the default fleetbench mix
     #: (kept ``None`` rather than ``"fleetbench"`` so plain-sweep shard
     #: keys are unchanged).
@@ -228,20 +214,9 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
-    from repro.memsys.prefetchers.bank import (PrefetcherBank,
-                                               default_prefetcher_bank)
+    from repro.memsys.prefetchers.bank import PrefetcherBank
     from repro.workloads.memo import memoized_fleet_mix, memoized_scenario_mix
 
-    if spec.prefetchers is not None:
-        if spec.mode == "off":
-            raise ConfigError(
-                "a prefetcher-restricted sweep needs mode 'control' "
-                "(mode 'off' ablates the bank entirely)")
-        known = {p.name for p in default_prefetcher_bank()}
-        unknown = [name for name in spec.prefetchers if name not in known]
-        if unknown:
-            raise ConfigError(
-                f"unknown prefetchers {unknown!r}; known: {sorted(known)}")
     if spec.workload == "scenario":
         trace = memoized_scenario_mix(spec.trace_seed, spec.scale)
     else:
@@ -263,25 +238,14 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
             "dram_demand_fills": 0,
             "dram_wait_ns": 0.0,
         }
-        if spec.prefetchers is not None:
-            for name in _PREFETCH_FIELDS:
-                row[name] = 0
         rows.append(row)
         if crashed(spec.study_seed, spec.shard_index, machine,
                    spec.crash_rate):
             row["down"] = True
             down += 1
             continue
-        if spec.mode == "off":
-            prefetchers = PrefetcherBank([])
-        elif spec.prefetchers is not None:
-            wanted = set(spec.prefetchers)
-            prefetchers = PrefetcherBank(
-                [p for p in default_prefetcher_bank() if p.name in wanted])
-        else:
-            prefetchers = None
         arm = MemoryHierarchy(
-            prefetchers=prefetchers,
+            prefetchers=PrefetcherBank([]) if spec.mode == "off" else None,
             external_load=ConstantExternalLoad(load))
         live_arms.append(arm)
         live_rows.append(row)
@@ -296,10 +260,6 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
             row["llc_misses"] = result.total.llc_misses
             row["dram_demand_fills"] = result.dram_demand_fills
             row["dram_wait_ns"] = result.total.dram_wait_ns
-            if spec.prefetchers is not None:
-                row["hw_prefetches_issued"] = result.hw_prefetches_issued
-                row["useful_prefetches"] = result.useful_prefetches
-                row["prefetch_covered"] = result.total.prefetch_covered
     return MicroSweepResult(mode=spec.mode, machines=spec.machines,
                             down=down, arms=rows, occupancy=occupancy)
 
@@ -320,12 +280,6 @@ class MicroFleetSweep:
         crash_rate: Fraction of arms a chaos sweep marks down (drawn
             per-arm from the study's fault stream; 0 disables chaos).
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
-        prefetchers: Restrict every arm's hardware bank to these
-            prefetchers (by name) — the policy trainer's per-prefetcher
-            accuracy/coverage probes. Requires mode ``control``; arm
-            rows gain issued/useful/covered prefetch counters. Enters
-            cache and shard-task keys only when set, so plain-sweep keys
-            are unchanged.
         workload: Which shared trace the arms replay — ``fleetbench``
             (default) or ``scenario`` (the noisy-neighbor tenant
             interleave from :mod:`repro.scenarios`). Enters cache and
@@ -340,7 +294,6 @@ class MicroFleetSweep:
                  crash_rate: float = 0.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None,
-                 prefetchers: Optional[Tuple[str, ...]] = None,
                  workload: Optional[str] = None) -> None:
         if mode not in SWEEP_MODES:
             raise ConfigError(
@@ -351,14 +304,6 @@ class MicroFleetSweep:
                 f"got {workload!r}")
         if workload == "fleetbench":
             workload = None  # the default; keep keys unchanged
-        if prefetchers is not None:
-            if mode == "off":
-                raise ConfigError(
-                    "a prefetcher-restricted sweep needs mode 'control' "
-                    "(mode 'off' ablates the bank entirely)")
-            prefetchers = tuple(prefetchers)
-            if not prefetchers:
-                raise ConfigError("prefetchers cannot be an empty tuple")
         if machines <= 0:
             raise ConfigError("need at least one machine")
         if scale <= 0:
@@ -379,7 +324,6 @@ class MicroFleetSweep:
         self.scale = scale
         self.crash_rate = crash_rate
         self.shard_size = shard_size
-        self.prefetchers = prefetchers
         self.workload = workload
         #: Work-queue disposition of the last :meth:`run` (a
         #: :class:`~repro.fleet.queue.QueueStats`), or ``None``.
@@ -399,7 +343,6 @@ class MicroFleetSweep:
                 mode=self.mode, machines=size, study_seed=self.seed,
                 trace_seed=trace_seed, scale=self.scale,
                 crash_rate=self.crash_rate, shard_index=index,
-                prefetchers=self.prefetchers,
                 workload=self.workload)
             for index, (size, trace_seed)
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
@@ -422,8 +365,6 @@ class MicroFleetSweep:
             "crash_rate": self.crash_rate,
             "shard_size": self.shard_size,
         }
-        if self.prefetchers is not None:
-            material["prefetchers"] = list(self.prefetchers)
         if self.workload is not None:
             material["workload"] = self.workload
         return material
@@ -454,8 +395,6 @@ class MicroFleetSweep:
                           else "fleetbench_mix",
                           spec.trace_seed, spec.scale],
             }
-            if spec.prefetchers is not None:
-                body["prefetchers"] = list(spec.prefetchers)
             materials.append(shard_task_material(self.STUDY, body))
         return materials
 

@@ -1,6 +1,6 @@
-"""The policy protocol, reference policies, and the daemon adapter.
+"""The policy protocol, the two threshold policies, and the daemon adapter.
 
-A :class:`Policy` maps a telemetry feature vector to per-prefetcher
+A :class:`Policy` maps a bandwidth-utilization sample to per-prefetcher
 enable decisions. Policies are deliberately small, deterministic, and
 JSON-serializable:
 
@@ -8,10 +8,6 @@ JSON-serializable:
   (wrapping :class:`~repro.core.controller.HardLimoncelloController`)
   as the baseline; all prefetchers toggle together.
 * :class:`SingleThresholdPolicy` — the no-hysteresis straw man.
-* :class:`~repro.policy.tree.DecisionTreePolicy` — per-prefetcher CART
-  trees trained offline (see :mod:`repro.policy.trainer`).
-* :class:`~repro.policy.bandit.EpsilonGreedyBanditPolicy` — an online
-  contextual bandit with seed-driven exploration.
 
 :class:`PolicyController` adapts any policy to the controller interface
 :class:`~repro.core.daemon.LimoncelloDaemon` expects (``observe`` /
@@ -32,14 +28,12 @@ hash their results.
 from __future__ import annotations
 
 import hashlib
-import importlib
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.config import LimoncelloConfig
 from repro.core.controller import (ControllerState, Decision,
                                    HardLimoncelloController)
 from repro.errors import ConfigError, TelemetryError
-from repro.policy.features import FeatureExtractor
 from repro.serialization import canonical_json
 
 #: Serialized-policy schema; bumped on incompatible changes.
@@ -57,45 +51,29 @@ class Policy:
     """Base class for prefetcher-control policies.
 
     Subclasses set :attr:`kind`, decide per-prefetcher enables from a
-    feature vector, and serialize to a canonical dict. Policies must be
-    deterministic given their configuration (and, for learning
-    policies, their bound identity): no wall-clock, no ambient RNG.
+    utilization sample, and serialize to a canonical dict. Policies
+    must be deterministic given their configuration: no wall-clock, no
+    ambient RNG.
     """
 
-    #: Stable registry key; also the ``kind`` field of the serialized form.
+    #: The ``kind`` field of the serialized form.
     kind: str = ""
 
     #: The prefetchers this policy decides over, in decision order.
     prefetchers: Tuple[str, ...] = DEFAULT_PREFETCHERS
 
     def decide(self, time_ns: float,
-               features: Dict[str, float]) -> Dict[str, bool]:
+               utilization: float) -> Dict[str, bool]:
         """Per-prefetcher enable decisions for one telemetry sample."""
         raise NotImplementedError
 
     def reset(self) -> None:
         """Return to the boot state (machine restart)."""
 
-    def bind(self, ident: str) -> None:
-        """Bind the policy to a socket identity. Stateless policies
-        ignore it; learning policies derive their private RNG stream
-        from it so exploration never touches fleet RNG."""
-
     def to_dict(self) -> dict:
         """Canonical JSON-serializable form (configuration only, not
         accumulated runtime state)."""
         raise NotImplementedError
-
-
-_REGISTRY: Dict[str, Type[Policy]] = {}
-
-
-def register_policy(cls: Type[Policy]) -> Type[Policy]:
-    """Class decorator adding a policy type to the ``kind`` registry."""
-    if not cls.kind:
-        raise ConfigError(f"policy class {cls.__name__} has no kind")
-    _REGISTRY[cls.kind] = cls
-    return cls
 
 
 def policy_from_dict(payload: dict) -> Policy:
@@ -109,15 +87,9 @@ def policy_from_dict(payload: dict) -> Policy:
             f"unsupported policy schema {schema!r} "
             f"(this build reads {POLICY_SCHEMA_VERSION})")
     kind = payload.get("kind")
-    cls = _REGISTRY.get(kind)
+    cls = _KINDS.get(kind)
     if cls is None:
-        # Kinds register when their module loads; the built-in ones live
-        # in modules nothing else may have imported yet.
-        for module in ("repro.policy.bandit", "repro.policy.tree"):
-            importlib.import_module(module)
-        cls = _REGISTRY.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_KINDS))
         raise ConfigError(f"unknown policy kind {kind!r} (known: {known})")
     return cls.from_dict(payload)
 
@@ -153,7 +125,6 @@ def _coerce_prefetchers(names) -> Tuple[str, ...]:
     return names
 
 
-@register_policy
 class HysteresisPolicy(Policy):
     """The paper's hysteresis controller as a policy (the baseline).
 
@@ -171,8 +142,8 @@ class HysteresisPolicy(Policy):
         self._controller = HardLimoncelloController(self.config)
 
     def decide(self, time_ns: float,
-               features: Dict[str, float]) -> Dict[str, bool]:
-        decision = self._controller.observe(time_ns, features["utilization"])
+               utilization: float) -> Dict[str, bool]:
+        decision = self._controller.observe(time_ns, utilization)
         enabled = decision.prefetchers_enabled
         return {name: enabled for name in self.prefetchers}
 
@@ -200,7 +171,6 @@ class HysteresisPolicy(Policy):
         return cls(config=config, prefetchers=payload["prefetchers"])
 
 
-@register_policy
 class SingleThresholdPolicy(Policy):
     """One threshold, immediate flips — the no-hysteresis straw man."""
 
@@ -214,8 +184,8 @@ class SingleThresholdPolicy(Policy):
         self.prefetchers = _coerce_prefetchers(prefetchers)
 
     def decide(self, time_ns: float,
-               features: Dict[str, float]) -> Dict[str, bool]:
-        enabled = features["utilization"] <= self.threshold
+               utilization: float) -> Dict[str, bool]:
+        enabled = utilization <= self.threshold
         return {name: enabled for name in self.prefetchers}
 
     def to_dict(self) -> dict:
@@ -232,30 +202,28 @@ class SingleThresholdPolicy(Policy):
                    prefetchers=payload["prefetchers"])
 
 
+#: Every policy kind, keyed by its serialized ``kind``.
+_KINDS: Dict[str, Type[Policy]] = {
+    cls.kind: cls for cls in (HysteresisPolicy, SingleThresholdPolicy)}
+
+
 class PolicyController:
     """Adapts a :class:`Policy` to the daemon's controller interface.
 
-    Feeds each validated telemetry sample through the feature extractor
-    and the policy, reduces per-prefetcher decisions to the socket-level
-    state the actuator applies, and accumulates
-    :class:`~repro.policy.metrics.PolicyMetrics` (duty cycle,
-    band-oracle mismatches, per-prefetcher disables, learning
-    activity). For policies exposing ``learn``, each decision is scored
-    against the threshold-band oracle and fed back immediately —
-    deterministic because both the features and the (seed-derived)
-    exploration stream are.
+    Feeds each validated utilization sample to the policy, reduces
+    per-prefetcher decisions to the socket-level state the actuator
+    applies, and accumulates :class:`~repro.policy.metrics.PolicyMetrics`
+    (duty cycle, band-oracle mismatches, per-prefetcher disables).
 
     Args:
         policy: The decision policy (owned by this controller; use
             :func:`policy_from_spec` per socket, never share instances).
-        config: Thresholds for the band oracle and timing for the
-            feature window; defaults match the daemon's.
+        config: Thresholds for the band oracle; defaults match the
+            daemon's.
         tracer: Optional :class:`repro.obs.Tracer`; socket-level flips
             emit ``policy-decision`` events.
-        ident: Stable ``"<machine>/<socket>"`` identity; bound into the
-            policy so learning streams are per-socket. Must be set at
-            construction (not tracer attach) so enabling observability
-            cannot change decisions.
+        ident: Stable ``"<machine>/<socket>"`` identity, carried on the
+            ``policy-decision`` events.
     """
 
     def __init__(self, policy: Policy,
@@ -266,9 +234,6 @@ class PolicyController:
         self.config = config or LimoncelloConfig()
         self.tracer = tracer
         self.ident = ident
-        policy.bind(ident)
-        self.features = FeatureExtractor(
-            span_ns=self.config.sustain_duration_ns)
         self.policy_metrics = PolicyMetrics()
         self._enabled = True
         self._last_decisions: Dict[str, bool] = {
@@ -301,11 +266,7 @@ class PolicyController:
                 f"controller time moved backwards: {time_ns} < {self._last_time}")
         self._last_time = time_ns
 
-        features = self.features.observe(time_ns, utilization)
-        explored_before = getattr(self.policy, "explorations", 0)
-        actions = self.policy.decide(time_ns, features)
-        self.policy_metrics.explorations += (
-            getattr(self.policy, "explorations", 0) - explored_before)
+        actions = self.policy.decide(time_ns, utilization)
         enabled = any(actions.values())
         changed = enabled != self._enabled
 
@@ -329,9 +290,7 @@ class PolicyController:
                 self.tracer.event("policy-decision", time_ns,
                                   ident=self.ident, policy=self.policy.kind,
                                   enabled=enabled)
-        self._learn(features, actions, utilization)
 
-        self.features.note_state(enabled)
         self._enabled = enabled
         self._last_decisions = actions
         decision = Decision(time_ns=time_ns, utilization=utilization,
@@ -341,10 +300,9 @@ class PolicyController:
 
     def reset(self) -> None:
         """Return to the boot state (all prefetchers enabled, fresh
-        policy and window state). Cumulative metrics and the decision
-        history survive, like the daemon's report."""
+        policy state). Cumulative metrics and the decision history
+        survive, like the daemon's report."""
         self.policy.reset()
-        self.features.reset()
         self._enabled = True
         self._last_decisions = {name: True
                                 for name in self.policy.prefetchers}
@@ -359,17 +317,3 @@ class PolicyController:
         if utilization < self.config.lower_threshold:
             return True
         return None
-
-    def _learn(self, features: Dict[str, float],
-               actions: Dict[str, bool], utilization: float) -> None:
-        learn = getattr(self.policy, "learn", None)
-        if learn is None:
-            return
-        rewards = {}
-        oracle = self._band_oracle(utilization)
-        for name, on in actions.items():
-            if oracle is None:
-                rewards[name] = 1.0  # in-band: either action is fine
-            else:
-                rewards[name] = 1.0 if on == oracle else 0.0
-        self.policy_metrics.learn_updates += learn(features, actions, rewards)

@@ -1,10 +1,10 @@
-"""Aggregated per-policy decision metrics for comparison studies.
+"""Aggregated per-policy decision metrics for policy-driven studies.
 
 A fleet running a :class:`~repro.policy.base.PolicyController` on every
 socket accumulates per-sample decision statistics. :class:`PolicyMetrics`
 reduces them — duty cycle, band-oracle mismatches, per-prefetcher
-disable counts, online-learning activity — to the numbers ``repro
-policy compare`` reports.
+disable counts — to the numbers a policy-injected
+:class:`~repro.fleet.ablation.AblationStudy` carries in its result.
 
 Like :class:`~repro.faults.metrics.ChaosMetrics`, every field is a plain
 additive accumulator, so :meth:`PolicyMetrics.merge` is associative and
@@ -36,10 +36,6 @@ class PolicyMetrics:
     band_samples: int = 0
     #: Socket-level prefetcher state flips.
     transitions: int = 0
-    #: Online-learning updates applied (0 for static policies).
-    learn_updates: int = 0
-    #: Exploration (non-greedy) actions taken by learning policies.
-    explorations: int = 0
     #: Per-prefetcher disabled-sample counts, keyed by prefetcher name.
     prefetcher_disabled: Dict[str, int] = field(default_factory=dict)
 
@@ -57,8 +53,6 @@ class PolicyMetrics:
         self.band_mismatches += other.band_mismatches
         self.band_samples += other.band_samples
         self.transitions += other.transitions
-        self.learn_updates += other.learn_updates
-        self.explorations += other.explorations
         for name, count in other.prefetcher_disabled.items():
             self.prefetcher_disabled[name] = (
                 self.prefetcher_disabled.get(name, 0) + count)
@@ -79,12 +73,6 @@ class PolicyMetrics:
         if self.band_samples == 0:
             return 0.0
         return self.band_mismatches / self.band_samples
-
-    def exploration_rate(self) -> float:
-        """Fraction of decided samples that were exploratory."""
-        if self.samples == 0:
-            return 0.0
-        return self.explorations / self.samples
 
 
 def collect_policy_metrics(machines) -> PolicyMetrics:

@@ -350,8 +350,6 @@ def policy_metrics_to_dict(metrics) -> Dict:
         "band_mismatches": metrics.band_mismatches,
         "band_samples": metrics.band_samples,
         "transitions": metrics.transitions,
-        "learn_updates": metrics.learn_updates,
-        "explorations": metrics.explorations,
         "prefetcher_disabled": dict(
             sorted(metrics.prefetcher_disabled.items())),
     }
@@ -368,8 +366,6 @@ def policy_metrics_from_dict(data: Dict):
             band_mismatches=int(data["band_mismatches"]),
             band_samples=int(data["band_samples"]),
             transitions=int(data["transitions"]),
-            learn_updates=int(data["learn_updates"]),
-            explorations=int(data["explorations"]),
             prefetcher_disabled={str(name): int(count) for name, count
                                  in data.get("prefetcher_disabled",
                                              {}).items()},
@@ -377,18 +373,6 @@ def policy_metrics_from_dict(data: Dict):
     except (KeyError, TypeError, ValueError) as error:
         raise TraceError(
             f"malformed policy metrics record: {error}") from error
-
-
-def policy_to_dict(policy) -> Dict:
-    """A control policy's canonical serialized form."""
-    return policy.to_dict()
-
-
-def policy_from_dict(data: Dict):
-    """Inverse of :func:`policy_to_dict` (dispatches on ``kind``)."""
-    from repro.policy.base import policy_from_dict as rebuild
-
-    return rebuild(data)
 
 
 def ablation_result_to_dict(result) -> Dict:

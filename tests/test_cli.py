@@ -288,7 +288,7 @@ class TestScenarioCommands:
 
     def test_noisy_policy_needs_policy_mode(self):
         with pytest.raises(ReproError):
-            main(self.NOISY + ["--policy", "bandit"])
+            main(self.NOISY + ["--policy", "single-threshold"])
         with pytest.raises(ReproError):
             main(self.NOISY + ["--mode", "policy"])
 
@@ -313,12 +313,12 @@ OBS_STUDIES = {
     "chaos": ["chaos", "--machines", "4", "--epochs", "6", "--warmup", "2",
               "--shard-size", "2", "--fault-plan",
               "seed=2;msr-transient:rate=0.2"],
-    "policy-compare": ["policy", "compare", "--policies",
-                       "hysteresis,single-threshold", "--machines", "4",
-                       "--epochs", "6", "--warmup", "2", "--shard-size", "2"],
     "callgraph": TestScenarioCommands.CALLGRAPH,
     "noisy": TestScenarioCommands.NOISY + ["--shard-size", "2",
                                            "--baseline"],
+    "noisy-policy": TestScenarioCommands.NOISY + [
+        "--shard-size", "2", "--mode", "policy", "--policy",
+        "single-threshold"],
     "rollout": ["rollout", "--machines", "4", "--epochs", "6", "--warmup",
                 "2", "--shard-size", "2"],
 }

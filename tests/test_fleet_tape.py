@@ -22,8 +22,7 @@ from repro.fleet.scheduler import BandwidthAwareScheduler
 from repro.fleet.socket import SimulatedSocket
 from repro.fleet.tape import DriverTape, new_tape
 from repro.fleet.task import sample_task
-from repro.policy.bandit import EpsilonGreedyBanditPolicy
-from repro.policy.base import SingleThresholdPolicy
+from repro.policy.base import HysteresisPolicy, SingleThresholdPolicy
 
 SMALL = dict(machines=6, epochs=8, warmup_epochs=3)
 SERIAL = dict(workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
@@ -71,8 +70,8 @@ class TestStudiesMatchTheReferencePath:
 
     @pytest.mark.parametrize(
         "policy",
-        [SingleThresholdPolicy(threshold=0.6), EpsilonGreedyBanditPolicy(seed=3)],
-        ids=["single-threshold", "bandit"],
+        [SingleThresholdPolicy(threshold=0.6), HysteresisPolicy()],
+        ids=["single-threshold", "hysteresis"],
     )
     def test_ablation_with_a_policy(self, policy):
         taped, reference = taped_and_reference(

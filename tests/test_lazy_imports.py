@@ -96,22 +96,15 @@ class TestLazyTables:
         assert out.split() == ["True"]
 
     def test_policy_registry_complete_from_base_alone(self):
-        from repro.policy.bandit import EpsilonGreedyBanditPolicy
         from repro.policy.base import HysteresisPolicy, SingleThresholdPolicy
-        from repro.policy.tree import DecisionTreePolicy
 
-        leaf = {"leaf": True, "value": True}
         payloads = [policy.to_dict() for policy in (
-            HysteresisPolicy(), SingleThresholdPolicy(),
-            DecisionTreePolicy(trees={"l2_stream": leaf},
-                               prefetchers=("l2_stream",)),
-            EpsilonGreedyBanditPolicy())]
+            HysteresisPolicy(), SingleThresholdPolicy())]
         out = _fresh("import json\n"
                      "from repro.policy.base import policy_from_dict\n"
                      f"payloads = json.loads({json.dumps(payloads)!r})\n"
                      "print(*(policy_from_dict(p).kind for p in payloads))\n")
-        assert out.split() == ["hysteresis", "single-threshold",
-                               "decision-tree", "bandit"]
+        assert out.split() == ["hysteresis", "single-threshold"]
 
     def test_tax_categories_without_the_generators(self):
         out = _fresh("import sys\n"

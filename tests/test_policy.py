@@ -1,10 +1,12 @@
 """The policy protocol: serialization, the daemon adapter, baselines.
 
 The headline invariants: every policy round-trips byte-identically
-through canonical JSON, and a fleet running :class:`HysteresisPolicy`
-is numerically indistinguishable from the stock Hard Limoncello
-deployment — the policy layer is a refactor seam, not a behavior
-change.
+through canonical JSON, and a fleet running either policy kind is
+numerically indistinguishable from the same controller deployed
+directly — :class:`HysteresisPolicy` from the stock Hard Limoncello
+deployment, :class:`SingleThresholdPolicy` from
+:class:`~repro.core.controller.SingleThresholdController` — so the
+policy layer is a refactor seam, not a behavior change.
 """
 
 import json
@@ -12,23 +14,17 @@ import json
 import pytest
 
 from repro.core.config import LimoncelloConfig
+from repro.core.controller import SingleThresholdController
 from repro.errors import ConfigError, TelemetryError
-from repro.fleet import AblationStudy
-from repro.policy import (DEFAULT_PREFETCHERS, FEATURE_NAMES,
-                          EpsilonGreedyBanditPolicy, FeatureExtractor,
-                          HysteresisPolicy, PolicyController, PolicyMetrics,
+from repro.fleet import AblationStudy, Fleet
+from repro.policy import (DEFAULT_PREFETCHERS, HysteresisPolicy,
+                          PolicyController, PolicyMetrics,
                           SingleThresholdPolicy, policy_digest,
                           policy_from_dict, policy_from_spec)
 from repro.serialization import (ablation_result_from_dict,
-                                 ablation_result_to_dict, canonical_json)
+                                 ablation_result_to_dict, canonical_json,
+                                 fleet_metrics_to_dict)
 from repro.units import SECOND
-
-
-def _features(util):
-    base = {name: 0.0 for name in FEATURE_NAMES}
-    base["utilization"] = util
-    base["util_mean"] = util
-    return base
 
 
 class TestSerialization:
@@ -36,7 +32,8 @@ class TestSerialization:
         HysteresisPolicy(),
         HysteresisPolicy(LimoncelloConfig.from_percent(50, 90)),
         SingleThresholdPolicy(threshold=0.7),
-        EpsilonGreedyBanditPolicy(seed=5, epsilon=0.2, buckets=4),
+        SingleThresholdPolicy(threshold=0.6,
+                              prefetchers=("l2_stream", "l1_stride")),
     ])
     def test_round_trip_byte_identical(self, policy):
         payload = policy.to_dict()
@@ -53,11 +50,14 @@ class TestSerialization:
             assert rebuilt.to_dict() == policy.to_dict()
 
     def test_from_spec_clones(self):
-        """Shared specs must never share mutable state across sockets."""
-        policy = EpsilonGreedyBanditPolicy(seed=1)
+        """Shared specs must never share mutable state across sockets:
+        a clone's hysteresis timer runs without touching the original's."""
+        policy = HysteresisPolicy()
         clone = policy_from_spec(policy)
-        clone.bind("m0/0")
-        clone.decide(0.0, _features(0.5))
+        for step in range(6):
+            clone.decide(step * SECOND, 0.95)
+        assert not any(clone.decide(6 * SECOND, 0.95).values())
+        assert all(policy.decide(0.0, 0.95).values())
         assert policy.to_dict() == clone.to_dict()  # config-only form
 
     def test_unknown_kind_rejected(self):
@@ -75,27 +75,6 @@ class TestSerialization:
             SingleThresholdPolicy(threshold=0.0)
         with pytest.raises(ConfigError):
             SingleThresholdPolicy(threshold=1.5)
-
-
-class TestFeatureExtractor:
-    def test_feature_vector_complete(self):
-        extractor = FeatureExtractor(span_ns=3 * SECOND)
-        features = extractor.observe(0.0, 0.5)
-        assert set(features) == set(FEATURE_NAMES)
-
-    def test_slope_and_mean(self):
-        extractor = FeatureExtractor(span_ns=10 * SECOND)
-        extractor.observe(0.0, 0.2)
-        extractor.observe(1 * SECOND, 0.4)
-        features = extractor.observe(2 * SECOND, 0.6)
-        assert features["util_mean"] == pytest.approx(0.4)
-        assert features["util_slope"] == pytest.approx(0.2)
-
-    def test_duty_cycle_counts_disabled_states(self):
-        extractor = FeatureExtractor(span_ns=SECOND)
-        for enabled in (True, False, False, True):
-            extractor.note_state(enabled)
-        assert extractor.duty_cycle() == pytest.approx(0.5)
 
 
 class TestPolicyController:
@@ -145,11 +124,11 @@ class TestMetricsMerge:
     def test_merge_is_additive(self):
         left = PolicyMetrics(samples=4, disabled_samples=1,
                              band_mismatches=1, band_samples=3,
-                             transitions=2, learn_updates=5, explorations=1,
+                             transitions=2,
                              prefetcher_disabled={"l1_stride": 1})
         right = PolicyMetrics(samples=6, disabled_samples=2,
                               band_mismatches=0, band_samples=5,
-                              transitions=1, learn_updates=3, explorations=2,
+                              transitions=1,
                               prefetcher_disabled={"l1_stride": 2,
                                                    "l2_stream": 1})
         left.merge(right)
@@ -173,6 +152,32 @@ class TestHysteresisEquivalence:
         assert via_policy.throughput_change() == stock.throughput_change()
         assert via_policy.bandwidth_reduction() == stock.bandwidth_reduction()
         assert via_policy.latency_reduction() == stock.latency_reduction()
+
+
+class TestSingleThresholdEquivalence:
+    def test_policy_fleet_matches_the_single_threshold_controller(self):
+        """SingleThresholdPolicy is SingleThresholdController behind the
+        adapter: same fleet, same metrics, same socket toggles."""
+        config = LimoncelloConfig(sample_period_ns=10 * SECOND,
+                                  sustain_duration_ns=30 * SECOND)
+
+        def run(deploy):
+            fleet = Fleet(machines=8, seed=21)
+            deploy(fleet)
+            fleet.run(10)
+            metrics = fleet.run(30)
+            toggles = sum(socket.toggles for machine in fleet.machines
+                          for socket in machine.sockets)
+            return (canonical_json(fleet_metrics_to_dict(
+                metrics, include_samples=True)), toggles)
+
+        direct = run(lambda fleet: fleet.deploy_hard_limoncello(
+            config, lambda ident: SingleThresholdController(0.8,
+                                                            ident=ident)))
+        via_policy = run(lambda fleet: fleet.deploy_policy(
+            SingleThresholdPolicy(0.8), config))
+        assert via_policy == direct
+        assert direct[1] > 0
 
 
 class TestResultSerialization:
