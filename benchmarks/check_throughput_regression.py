@@ -40,8 +40,7 @@ BENCH_DIR = pathlib.Path(__file__).resolve().parent
 RESULTS_DIR = BENCH_DIR / "results"
 BASELINES_DIR = BENCH_DIR / "baselines"
 KNOWN_BENCHMARKS = ("sim_throughput", "trace_pipeline", "batched_engine",
-                    "batched_enabled", "resume_overhead",
-                    "adaptive_sampling", "scenarios")
+                    "batched_enabled", "resume_overhead", "scenarios")
 METRIC = "speedup"
 DEFAULT_TOLERANCE = 0.20
 

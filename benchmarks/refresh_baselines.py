@@ -26,7 +26,6 @@ BENCHMARK_SCRIPTS = {
     "batched_engine": BENCH_DIR / "bench_batched_engine.py",
     "batched_enabled": BENCH_DIR / "bench_batched_enabled.py",
     "resume_overhead": BENCH_DIR / "bench_resume_overhead.py",
-    "adaptive_sampling": BENCH_DIR / "bench_adaptive_sampling.py",
     "scenarios": BENCH_DIR / "bench_scenarios.py",
 }
 

@@ -5,16 +5,14 @@
 * :mod:`repro.analysis.ablation_analysis` — micro-level (trace-driven)
   per-function ablation, the high-fidelity version of Figures 11/12.
 * :mod:`repro.analysis.thresholds` — the Figure 10 threshold study.
-* :mod:`repro.analysis.chaos` — the control loop under injected faults:
-  availability, MTTR, and duty-cycle drift vs a fault-free twin.
+* :mod:`repro.analysis.chaos` — :func:`result_digest`, the content hash
+  ``--compare-serial`` checks ablation results with.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "chaos": (
-        "ChaosOutcome", "ChaosStudy", "chaos_default_config", "result_digest",
-    ),
+    "chaos": ("result_digest",),
     "latency_curves": (
         "LatencyCurve", "LatencyPoint", "limoncello_envelope",
         "measure_latency_curve",

@@ -111,11 +111,17 @@ def _resolve_fault_plan(args):
 
 
 def _print_chaos_summary(chaos) -> None:
-    """The chaos-metrics block shared by every faulted study printout."""
+    """The chaos-metrics block shared by every faulted study printout.
+
+    Availability reads ``n/a`` when no control tick was scheduled (an
+    arm without daemons, crash faults only): there was no controller to
+    be available.
+    """
     mttr = chaos.mean_time_to_recovery_ns()
     detect = chaos.mean_detection_latency_ns()
     _table(("chaos metric", "value"), [
-        ("controller availability", f"{chaos.availability():.2%}"),
+        ("controller availability",
+         f"{chaos.availability():.2%}" if chaos.scheduled_ticks else "n/a"),
         ("duty cycle disabled", f"{chaos.duty_cycle_disabled():.2%}"),
         ("incidents", str(chaos.incidents)),
         ("  recovered", str(chaos.recovered_incidents)),
@@ -187,59 +193,12 @@ def run_latency_curve(args) -> int:
     return 0
 
 
-def _run_adaptive_ablation(args, fault_plan, resolved_ckpt) -> int:
-    """``repro ablation --adaptive``: multi-arm CI early stopping."""
-    from repro.fleet import AdaptiveAblation
-
-    modes = tuple(m.strip() for m in args.arms.split(",") if m.strip())
-    kwargs = dict(shard_size=args.shard_size)
-    if args.margin is not None:
-        kwargs["margin"] = args.margin
-    if args.quantum is not None:
-        kwargs["quantum"] = args.quantum
-    if args.min_rounds is not None:
-        kwargs["min_rounds"] = args.min_rounds
-    study = AdaptiveAblation(
-        modes=modes, machines=args.machines, epochs=args.epochs,
-        warmup_epochs=args.warmup, seed=args.seed, fault_plan=fault_plan,
-        **kwargs)
-    result = study.run(workers=args.workers,
-                       checkpoint_dir=getattr(args, "checkpoint_dir", None),
-                       obs_dir=getattr(args, "obs_dir", None))
-    print("adaptive ablation over arms: " + ", ".join(result.modes))
-    rows = []
-    for mode in result.modes:
-        verdict = result.verdicts()[mode]
-        halfwidth = verdict["halfwidth"]
-        rows.append((
-            mode, f"{verdict['mean']:+.3%}",
-            "inf" if halfwidth is None else f"±{halfwidth:.3%}",
-            f"{verdict['shards_run']}/{verdict['shards_total']}",
-            verdict["machine_runs"],
-            "-" if verdict["stopped_round"] is None
-            else verdict["stopped_round"]))
-    _table(("arm", "Δthroughput", "CI95", "shards", "machine-runs",
-            "stopped@round"), rows)
-    print(f"\nranking: {' > '.join(result.ranking())}")
-    print(f"machine-runs: {result.machine_runs()} adaptive vs "
-          f"{result.exhaustive_machine_runs()} exhaustive "
-          f"({result.savings():.1f}x savings)")
-    if resolved_ckpt is not None:
-        print(f"journal: {resolved_ckpt}")
-    return 0
-
-
 def run_ablation(args) -> int:
     """``repro ablation``: a paired fleet ablation study."""
     from repro.fleet import AblationStudy
 
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    if args.adaptive:
-        if args.compare_serial:
-            raise ReproError(
-                "--compare-serial does not apply to --adaptive")
-        return _run_adaptive_ablation(args, fault_plan, resolved_ckpt)
     kwargs = dict(mode=args.mode, machines=args.machines,
                   epochs=args.epochs, warmup_epochs=args.warmup,
                   seed=args.seed, shard_size=args.shard_size,
@@ -441,44 +400,6 @@ def run_cache(args) -> int:
         print(f"\npruned {removed} "
               f"entr{'y' if removed == 1 else 'ies'} "
               f"({cache.scan()['entries']} remain)")
-    return 0
-
-
-def run_chaos(args) -> int:
-    """``repro chaos``: the control loop under an injected fault plan."""
-    from repro.analysis import ChaosStudy, result_digest
-
-    fault_plan = _resolve_fault_plan(args)
-    if fault_plan is None:
-        raise ReproError(
-            "chaos needs a fault plan: pass --fault-plan or set "
-            "$REPRO_FAULT_PLAN")
-    kwargs = dict(machines=args.machines, epochs=args.epochs,
-                  seed=args.seed, warmup_epochs=args.warmup,
-                  mode=args.mode, shard_size=args.shard_size)
-    outcome = ChaosStudy(fault_plan, **kwargs).run(
-        workers=args.workers, cache_dir=args.cache_dir,
-        obs_dir=getattr(args, "obs_dir", None))
-
-    print(f"fault plan: {fault_plan.spec()}")
-    print(f"experiment arm: {args.mode}\n")
-    _print_chaos_summary(outcome.chaos)
-    print()
-    _table(("study metric", "value"), [
-        ("duty-cycle error vs fault-free",
-         f"{outcome.duty_cycle_error():.2%}"),
-        ("throughput change vs control",
-         f"{outcome.throughput_change():+.2%}"),
-    ])
-
-    if args.compare_serial:
-        from repro.engine import reference_engine
-
-        with reference_engine():
-            serial = ChaosStudy(fault_plan, **kwargs).run(obs_dir="",
-                                                          **SERIAL_ORACLE)
-        _check_serial(result_digest(outcome.faulted),
-                      result_digest(serial.faulted))
     return 0
 
 

@@ -117,27 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("--seed", type=int, default=9)
     _add_shard_size_flag(ablation)
     _add_compare_serial_flag(ablation)
-    ablation.add_argument(
-        "--adaptive", action="store_true",
-        help="compare several arms with CI-based early stopping instead "
-             "of running one arm exhaustively (deterministic decisions; "
-             "pick a --shard-size smaller than --machines so arms have "
-             "several shards to stop between)")
-    ablation.add_argument(
-        "--arms", type=str, default="off,control", metavar="MODES",
-        help="with --adaptive: comma-separated arms to compare "
-             "(default: off,control)")
-    ablation.add_argument(
-        "--margin", type=float, default=None, metavar="X",
-        help="with --adaptive: CI separation margin on the per-shard "
-             "throughput change (default 0.02)")
-    ablation.add_argument(
-        "--quantum", type=int, default=None, metavar="N",
-        help="with --adaptive: shards per arm per round (default 1)")
-    ablation.add_argument(
-        "--min-rounds", type=int, default=None, metavar="N",
-        help="with --adaptive: rounds before any arm may stop "
-             "(default 2)")
     _add_execution_flags(ablation)
     _add_checkpoint_flags(ablation)
     _add_fault_plan_flag(ablation)
@@ -204,23 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict the oldest entries beyond N (bare --prune uses the "
              "library's default cap)")
     cache.set_defaults(run=commands.run_cache)
-
-    chaos = subparsers.add_parser(
-        "chaos", help="fault-injection study: the control loop under "
-                      "telemetry, MSR, and machine faults")
-    chaos.add_argument("--mode", choices=("hard", "hard+soft"),
-                       default="hard",
-                       help="experiment-arm deployment (must run daemons)")
-    chaos.add_argument("--machines", type=int, default=12)
-    chaos.add_argument("--epochs", type=int, default=60)
-    chaos.add_argument("--warmup", type=int, default=15)
-    chaos.add_argument("--seed", type=int, default=11)
-    _add_shard_size_flag(chaos)
-    _add_compare_serial_flag(chaos)
-    _add_execution_flags(chaos)
-    _add_fault_plan_flag(chaos)
-    _add_obs_flag(chaos)
-    chaos.set_defaults(run=commands.run_chaos)
 
     thresholds = subparsers.add_parser(
         "thresholds", help="threshold configuration sweep (Figure 10)")

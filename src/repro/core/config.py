@@ -15,7 +15,7 @@ class RetryPolicy:
 
     The defaults reproduce the original ad-hoc behaviour — retry on
     every subsequent tick, forever — so existing configurations are
-    unchanged. Hardened deployments (and chaos studies) bound the
+    unchanged. Hardened deployments (and faulted studies) bound the
     attempts and space them out exponentially, which is what keeps a
     daemon from hammering a dead msr driver every second fleetwide.
 

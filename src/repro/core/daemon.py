@@ -20,7 +20,7 @@ state, so every plane is hardened:
 
 Everything the daemon detects and does about a fault is recorded as a
 structured :class:`Incident` in its :class:`DaemonReport`, which is
-what chaos studies aggregate into availability / MTTR numbers.
+what faulted studies aggregate into availability / MTTR numbers.
 """
 
 from __future__ import annotations

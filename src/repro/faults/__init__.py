@@ -10,7 +10,7 @@ a bad state. This package models exactly those environments:
 * :mod:`repro.faults.injectors` — wrappers around the telemetry
   sampler, the MSR actuator, and whole machines.
 * :mod:`repro.faults.metrics` — the mergeable :class:`ChaosMetrics`
-  aggregate (availability, MTTR, duty cycle) chaos studies report.
+  aggregate (availability, MTTR, duty cycle) faulted studies report.
 
 The daemon-side hardening these faults exercise — retry policy with
 exponential backoff, the telemetry fail-safe, structured incident

@@ -201,7 +201,7 @@ class MachineChaos:
 
     Built per machine by the fleet from ``(plan, fleet seed, machine
     name)``; every random stream derives from those three via
-    :func:`~repro.faults.plan.fault_seed`, which is what keeps chaos
+    :func:`~repro.faults.plan.fault_seed`, which is what keeps faulted
     studies bit-identical between serial and sharded execution.
     """
 

@@ -1,4 +1,4 @@
-"""Aggregated controller-robustness metrics for chaos studies.
+"""Aggregated controller-robustness metrics for faulted studies.
 
 A fleet under fault injection produces per-daemon incident logs
 (:class:`~repro.core.daemon.Incident`). :class:`ChaosMetrics` reduces
@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 @dataclass
 class ChaosMetrics:
-    """What a chaos study observed across every daemon in a fleet."""
+    """What a faulted study observed across every daemon in a fleet."""
 
     #: Control ticks the daemons actually ran.
     ticks: int = 0
@@ -80,13 +80,18 @@ class ChaosMetrics:
 
     # --- views ---------------------------------------------------------------
 
+    @property
+    def scheduled_ticks(self) -> int:
+        """Control ticks the fleet's daemons were due to run, including
+        those lost to machine outages."""
+        return self.ticks + self.down_ticks
+
     def availability(self) -> float:
         """Fraction of scheduled control ticks with live, usable
         telemetry — machine-down time counts against it."""
-        scheduled = self.ticks + self.down_ticks
-        if scheduled == 0:
+        if self.scheduled_ticks == 0:
             return 1.0
-        return self.available_ticks / scheduled
+        return self.available_ticks / self.scheduled_ticks
 
     def mean_time_to_recovery_ns(self) -> Optional[float]:
         """Mean incident (detected -> recovered) time; ``None`` when no

@@ -4,7 +4,7 @@ The deployed Hard Limoncello controller ran fleetwide, where partial
 failure is the steady state: telemetry samplers get descheduled, perf
 counters return garbage, ``wrmsr`` races firmware, and machines reboot
 mid-experiment. A :class:`FaultPlan` describes such an environment as
-data — a list of fault clauses plus a seed — so a chaos study can be
+data — a list of fault clauses plus a seed — so a faulted study can be
 replayed bit-for-bit, sharded across workers, and keyed into the
 on-disk result cache like any other study parameter.
 
@@ -46,21 +46,26 @@ RESTART_POLICIES = ("enabled", "disabled", "preserved")
 #: Registry of fault kinds -> {param: (default, validator)}. ``None``
 #: defaults mark required parameters.
 _RATE = ("rate", "probability in [0, 1)")
-_KINDS: Dict[str, Dict[str, Optional[Union[float, str]]]] = {
-    # telemetry plane
+_TELEMETRY_KINDS: Dict[str, Dict[str, Optional[Union[float, str]]]] = {
     "telemetry-drop": {"rate": None},
     "telemetry-nan": {"rate": None},
     "telemetry-stale": {"rate": None},
     "telemetry-latency": {"rate": None, "delay": 2.0},
     "telemetry-skew": {"offset": None},
     "telemetry-blackout": {"start": None, "duration": None},
-    # actuation plane
+}
+_ACTUATION_KINDS: Dict[str, Dict[str, Optional[Union[float, str]]]] = {
     "msr-transient": {"rate": None},
     "msr-permanent": {"after": None},
     "msr-partial": {"rate": None},
-    # machine plane
+}
+_MACHINE_KINDS: Dict[str, Dict[str, Optional[Union[float, str]]]] = {
     "machine-crash": {"rate": None, "outage": 2.0, "restart": "enabled"},
 }
+_KINDS = {**_TELEMETRY_KINDS, **_ACTUATION_KINDS, **_MACHINE_KINDS}
+#: Kinds that fault a daemon's sampler or actuator, so only take effect
+#: where a daemon runs.
+_DAEMON_KINDS = frozenset(_TELEMETRY_KINDS) | frozenset(_ACTUATION_KINDS)
 
 _RATE_PARAMS = {"rate"}
 _TIME_PARAMS = {"delay", "offset", "start", "duration"}
@@ -132,7 +137,7 @@ class FaultPlan:
 
         An empty/whitespace spec is rejected — "no faults" is spelled by
         not passing a plan at all, so a typo'd empty ``--fault-plan``
-        cannot silently run a fault-free chaos study.
+        cannot silently run a fault-free study.
         """
         clauses: List[FaultClause] = []
         chunks = [chunk.strip() for chunk in spec.split(";") if chunk.strip()]
@@ -177,6 +182,12 @@ class FaultPlan:
     def kinds(self) -> Tuple[str, ...]:
         """The fault kinds this plan injects, in clause order."""
         return tuple(clause.kind for clause in self.clauses)
+
+    @property
+    def daemon_kinds(self) -> Tuple[str, ...]:
+        """The telemetry- and actuation-plane kinds of this plan: the
+        faults that need a running daemon to inject into."""
+        return tuple(kind for kind in self.kinds if kind in _DAEMON_KINDS)
 
     def spec(self) -> str:
         """The plan back in compact spec syntax (round-trips parse)."""

@@ -28,18 +28,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "traffic": ("DiurnalTraffic", "VolatileTraffic"),
     "cluster": ("Fleet", "FleetMetrics"),
     "shard": (
-        "DEFAULT_SHARD_SIZE", "ShardPlan", "plan_rounds", "plan_shards",
-        "shard_seed",
+        "DEFAULT_SHARD_SIZE", "ShardPlan", "plan_shards", "shard_seed",
     ),
     "parallel": ("resolve_workers", "run_sharded"),
     "result_cache": ("StudyResultCache", "study_cache"),
     "queue": (
         "QueueStats", "ShardCheckpoint", "queue_status", "run_checkpointed",
         "shard_checkpoint", "shard_task_material",
-    ),
-    "adaptive": (
-        "AdaptiveAblation", "AdaptiveResult", "ArmState", "arm_interval",
-        "arms_separated",
     ),
     "sweep": (
         "MicroFleetSweep", "MicroSweepResult", "MicroSweepShardSpec",

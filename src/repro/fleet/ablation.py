@@ -43,6 +43,10 @@ if TYPE_CHECKING:
 #: Experiment-arm configurations.
 MODES = ("off", "hard", "hard+soft", "soft-only", "control")
 
+#: The arms that run Hard Limoncello daemons: the only ones a control
+#: policy or a telemetry/MSR fault has anything to act on.
+DAEMON_MODES = ("hard", "hard+soft")
+
 #: Seed for the (per-shard) profilers' own random stream. Fixed rather
 #: than derived so a one-shard study reproduces the historical engine
 #: exactly; shards differ through their machine populations.
@@ -220,6 +224,14 @@ class AblationStudy(FleetStudy):
             larger studies split into balanced shards that can run on
             parallel workers. The shard plan — and therefore the result
             — is independent of the worker count.
+        fault_plan: Optional :class:`~repro.faults.plan.FaultPlan` to
+            inject; the result then carries a
+            :class:`~repro.faults.metrics.ChaosMetrics` aggregate.
+            Telemetry and MSR faults act on the daemons, so they need a
+            daemon-running mode; ``machine-crash`` works in any mode.
+            Pair it with a ``config`` that sets ``retry_policy`` and
+            ``telemetry_failsafe_deadline_ns`` to study the hardened
+            controller.
         policy: Optional control policy for the experiment arm's
             daemons — a :class:`~repro.policy.Policy`, its serialized
             dict, or canonical JSON. Requires a daemon-running mode
@@ -249,11 +261,20 @@ class AblationStudy(FleetStudy):
             raise ConfigError("warmup cannot be negative")
         if shard_size <= 0:
             raise ConfigError("shard size must be positive")
+        daemon_faults = (list(fault_plan.daemon_kinds)
+                         if fault_plan is not None else [])
+        if daemon_faults and mode not in DAEMON_MODES:
+            # A daemonless arm has no sampler or actuator to fault, so
+            # the plan would inject nothing and report a vacuous 100%
+            # controller availability.
+            raise ConfigError(
+                f"fault kinds {daemon_faults} need a daemon-running mode "
+                f"('hard' or 'hard+soft'), got {mode!r}")
         self._platform_spec = (platform_by_name(platform)
                                if platform is not None else PLATFORM_1)
         self.policy_json: Optional[str] = None
         if policy is not None:
-            if mode not in ("hard", "hard+soft"):
+            if mode not in DAEMON_MODES:
                 raise ConfigError(
                     "a control policy needs a daemon-running mode "
                     f"('hard' or 'hard+soft'), got {mode!r}")

@@ -86,27 +86,3 @@ def plan_shards(machines: int, shard_size: int = DEFAULT_SHARD_SIZE
     base, extra = divmod(machines, count)
     sizes = tuple(base + 1 if i < extra else base for i in range(count))
     return ShardPlan(machines=machines, sizes=sizes)
-
-
-def plan_rounds(count: int, quantum: int) -> List[Tuple[int, int]]:
-    """Split ``count`` shards into fixed-quantum checkpoint rounds.
-
-    Returns ``(start, stop)`` slices covering ``range(count)`` in order:
-    every round takes exactly ``quantum`` shards except the last, which
-    takes the remainder. Unlike :func:`plan_shards` the rounds are
-    *not* balanced — adaptive early stopping re-evaluates after each
-    round, and its decisions must depend only on the study parameters,
-    so the schedule has to be a pure function of ``(count, quantum)``
-    with every non-final round the same size.
-    """
-    if count <= 0:
-        raise ConfigError("need at least one shard")
-    if quantum <= 0:
-        raise ConfigError(f"round quantum must be positive, got {quantum}")
-    slices: List[Tuple[int, int]] = []
-    start = 0
-    while start < count:
-        stop = min(start + quantum, count)
-        slices.append((start, stop))
-        start = stop
-    return slices

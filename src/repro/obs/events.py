@@ -41,10 +41,6 @@ EVENT_TYPES: Dict[str, tuple] = {
     # this run journaled the shard fresh vs. restored it from the journal
     "shard-checkpoint": ("index",),
     "shard-restored": ("index",),
-    # adaptive sampling (study-level): one event per evaluation round,
-    # plus one per arm the round retires early
-    "adaptive-round": ("round",),
-    "arm-early-stop": ("arm", "round"),
     # result cache
     "cache-hit": ("key",),
     "cache-miss": ("key",),

@@ -400,7 +400,7 @@ def ablation_result_to_dict(result) -> Dict:
 def ablation_result_from_dict(data: Dict):
     """Inverse of :func:`ablation_result_to_dict`.
 
-    Payloads written before chaos studies (or policy studies) existed
+    Payloads written before fault plans (or policy studies) existed
     simply lack the ``chaos``/``policy_metrics`` keys and deserialize
     with those fields ``None``.
     """

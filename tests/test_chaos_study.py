@@ -1,11 +1,13 @@
-"""End-to-end chaos study tests: fail-safe incidents, shard equality,
-metric merge algebra, and serialization."""
+"""Faulted ablation studies: fail-safe incidents, crash counters, shard
+equality, daemon faults on daemonless arms, metric merge algebra, and
+serialization."""
 
 import pytest
 
-from repro.analysis import ChaosStudy, chaos_default_config, result_digest
-from repro.errors import TraceError
+from repro.analysis.chaos import result_digest
+from repro.errors import ConfigError, TraceError
 from repro.faults import ChaosMetrics, FaultPlan
+from repro.fleet import AblationStudy
 from repro.serialization import (
     ablation_result_from_dict,
     ablation_result_to_dict,
@@ -15,59 +17,85 @@ from repro.serialization import (
 from repro.units import SECOND
 
 
-def small_study(spec, **kwargs):
+def faulted_run(spec, mode="hard", workers=None, **kwargs):
+    """A small faulted ablation, run; ``config`` defaults to the stock
+    daemon configuration."""
     kwargs.setdefault("machines", 4)
     kwargs.setdefault("epochs", 30)
     kwargs.setdefault("warmup_epochs", 5)
     kwargs.setdefault("seed", 11)
-    return ChaosStudy(FaultPlan.parse(spec), **kwargs)
+    study = AblationStudy(mode=mode, fault_plan=FaultPlan.parse(spec),
+                          **kwargs)
+    return study.run(workers=workers, cache_dir="", checkpoint_dir="",
+                     obs_dir="")
 
 
 class TestChaosStudy:
-    def test_blackout_triggers_failsafe_incident(self):
-        """The ISSUE acceptance scenario: a telemetry blackout engages
-        the fail-safe within the configured deadline and the incident
-        lands in the merged chaos metrics."""
-        study = small_study("seed=7;telemetry-blackout:start=120,duration=60")
-        outcome = study.run()
-        chaos = outcome.chaos
+    def test_blackout_triggers_failsafe_incident(self, hardened_config):
+        """A telemetry blackout engages the hardened config's fail-safe
+        no earlier than its deadline, and the incident lands in the
+        merged chaos metrics."""
+        chaos = faulted_run("seed=7;telemetry-blackout:start=120,duration=60",
+                            config=hardened_config).chaos
         assert chaos.failsafe_engagements > 0
         assert chaos.incident_kinds.get("telemetry-blackout", 0) > 0
         assert chaos.recovered_incidents > 0
         # Detection happens at the fail-safe deadline, not before.
-        deadline = chaos_default_config().telemetry_failsafe_deadline_ns
+        deadline = hardened_config.telemetry_failsafe_deadline_ns
         blackout_count = chaos.incident_kinds["telemetry-blackout"]
         assert chaos.detection_latency_ns >= blackout_count * deadline
-        assert outcome.mean_time_to_recovery_ns() is not None
-        assert 0.0 < outcome.availability() < 1.0
-        assert outcome.duty_cycle_error() >= 0.0
+        assert chaos.mean_time_to_recovery_ns() is not None
+        assert 0.0 < chaos.availability() < 1.0
 
-    def test_machine_crashes_recorded(self):
-        study = small_study(
-            "seed=3;machine-crash:rate=0.05,outage=1,restart=enabled")
-        outcome = study.run()
-        assert outcome.chaos.machine_crashes > 0
-        assert outcome.chaos.machine_restarts > 0
-        assert outcome.chaos.down_ticks > 0
-        assert outcome.chaos.availability() < 1.0
+    def test_machine_crashes_recorded(self, hardened_config):
+        chaos = faulted_run(
+            "seed=3;machine-crash:rate=0.05,outage=1,restart=enabled",
+            config=hardened_config).chaos
+        assert chaos.machine_crashes > 0
+        assert chaos.machine_restarts > 0
+        assert chaos.down_ticks > 0
+        assert chaos.availability() < 1.0
 
-    def test_serial_and_sharded_runs_are_bit_identical(self):
+    def test_serial_and_sharded_runs_are_bit_identical(self, hardened_config):
         spec = ("seed=5;telemetry-drop:rate=0.1;msr-transient:rate=0.2;"
                 "machine-crash:rate=0.03,outage=1")
-        serial = small_study(spec, shard_size=2).run(workers=1)
-        sharded = small_study(spec, shard_size=2).run(workers=2)
-        assert result_digest(serial.faulted) == result_digest(sharded.faulted)
-        assert result_digest(serial.baseline) == \
-            result_digest(sharded.baseline)
+        serial = faulted_run(spec, shard_size=2, workers=1,
+                             config=hardened_config)
+        sharded = faulted_run(spec, shard_size=2, workers=2,
+                              config=hardened_config)
+        assert result_digest(serial) == result_digest(sharded)
 
-    def test_baseline_is_fault_free(self):
-        study = small_study("seed=9;telemetry-drop:rate=0.3")
-        outcome = study.run()
-        baseline_chaos = outcome.baseline.chaos
-        assert baseline_chaos is not None
-        assert baseline_chaos.dropouts == 0
-        assert baseline_chaos.incidents == 0
-        assert outcome.chaos.dropouts > 0
+    def test_baseline_is_fault_free(self, hardened_config):
+        """A rate-zero clause injects nothing but still collects chaos
+        metrics, so it serves as the fault-free baseline of a plan."""
+        inert = faulted_run("seed=9;telemetry-drop:rate=0",
+                            config=hardened_config).chaos
+        assert inert is not None
+        assert inert.dropouts == 0
+        assert inert.incidents == 0
+        assert inert.availability() == 1.0
+        faulted = faulted_run("seed=9;telemetry-drop:rate=0.3",
+                              config=hardened_config).chaos
+        assert faulted.dropouts > 0
+
+
+class TestDaemonlessArms:
+    """Telemetry and MSR faults act on the daemons; an arm that runs
+    none would inject nothing and report 100% availability."""
+
+    @pytest.mark.parametrize("mode", ["off", "soft-only", "control"])
+    @pytest.mark.parametrize("spec", ["seed=3;telemetry-drop:rate=0.3",
+                                      "msr-transient:rate=0.2"])
+    def test_daemon_faults_need_a_daemon_running_mode(self, mode, spec):
+        with pytest.raises(ConfigError, match="daemon-running mode"):
+            AblationStudy(mode=mode, machines=2, epochs=2, warmup_epochs=0,
+                          fault_plan=FaultPlan.parse(spec))
+
+    def test_machine_crash_runs_without_daemons(self):
+        chaos = faulted_run("seed=2;machine-crash:rate=0.3", mode="off",
+                            epochs=6, warmup_epochs=1).chaos
+        assert chaos.machine_crashes > 0
+        assert chaos.ticks == chaos.down_ticks == 0
 
 
 def metrics(**kwargs):
@@ -141,18 +169,18 @@ class TestChaosSerialization:
         with pytest.raises(TraceError):
             chaos_metrics_from_dict([1, 2, 3])
 
-    def test_ablation_result_roundtrip_with_chaos(self):
-        study = small_study("seed=2;telemetry-drop:rate=0.2")
-        outcome = study.run()
-        payload = ablation_result_to_dict(outcome.faulted)
+    def test_ablation_result_roundtrip_with_chaos(self, hardened_config):
+        result = faulted_run("seed=2;telemetry-drop:rate=0.2",
+                             config=hardened_config)
+        payload = ablation_result_to_dict(result)
         assert "chaos" in payload
         restored = ablation_result_from_dict(payload)
-        assert result_digest(restored) == result_digest(outcome.faulted)
+        assert result_digest(restored) == result_digest(result)
 
-    def test_ablation_result_roundtrip_without_chaos(self):
-        study = small_study("seed=2;telemetry-drop:rate=0.2")
-        outcome = study.run()
-        payload = ablation_result_to_dict(outcome.faulted)
+    def test_ablation_result_roundtrip_without_chaos(self, hardened_config):
+        result = faulted_run("seed=2;telemetry-drop:rate=0.2",
+                             config=hardened_config)
+        payload = ablation_result_to_dict(result)
         del payload["chaos"]
         restored = ablation_result_from_dict(payload)
         assert restored.chaos is None

@@ -235,25 +235,54 @@ class TestCacheCommand:
             main(["cache"])
 
 
-class TestAdaptiveCommand:
-    def test_adaptive_ablation_prints_verdicts(self, capsys):
-        assert main(["ablation", "--adaptive", "--machines", "12",
-                     "--epochs", "10", "--warmup", "3",
-                     "--shard-size", "4", "--margin", "0.001"]) == 0
+class TestRemovedSurface:
+    """The adaptive ablation driver and the chaos subcommand are gone;
+    their spellings are argparse usage errors, not silent no-ops."""
+
+    @pytest.mark.parametrize("flag", [["--adaptive"], ["--arms", "off"],
+                                      ["--margin", "0.1"], ["--quantum", "1"],
+                                      ["--min-rounds", "2"]],
+                             ids=lambda flag: flag[0])
+    def test_adaptive_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablation"] + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_chaos_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--fault-plan", "msr-transient:rate=0.2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err
+
+
+class TestFaultedAblation:
+    FAST = ["ablation", "--machines", "4", "--epochs", "4", "--warmup", "1"]
+
+    def test_daemon_faults_on_a_daemonless_arm_fail(self):
+        """The default ``--mode off`` runs no daemons, so a telemetry
+        plan would inject nothing and report 100% availability."""
+        with pytest.raises(ReproError, match="daemon-running mode"):
+            main(self.FAST + ["--fault-plan",
+                              "seed=3;telemetry-drop:rate=0.3"])
+
+    def test_crash_only_plan_on_a_daemonless_arm(self, capsys):
+        assert main(self.FAST + ["--fault-plan",
+                                 "seed=2;machine-crash:rate=0.3"]) == 0
+        rows = {line.split()[0]: line.split()[-1]
+                for line in capsys.readouterr().out.splitlines()
+                if line.strip().startswith(("controller", "machine"))}
+        assert rows["controller"] == "n/a"
+        assert rows["machine"] != "0"
+
+    def test_hard_arm_reports_availability(self, capsys):
+        assert main(self.FAST + ["--mode", "hard", "--fault-plan",
+                                 "seed=3;telemetry-drop:rate=0.3"]) == 0
         out = capsys.readouterr().out
-        assert "adaptive ablation over arms: off, control" in out
-        assert "ranking:" in out
-        assert "exhaustive" in out
-
-    def test_adaptive_rejects_bad_arms(self):
-        with pytest.raises(ReproError):
-            main(["ablation", "--adaptive", "--arms", "off"])
-
-    def test_adaptive_rejects_compare_serial(self):
-        """The adaptive path has no serial oracle; accepting the flag
-        would exit 0 without ever running the check."""
-        with pytest.raises(ReproError, match="--compare-serial.*--adaptive"):
-            main(["ablation", "--adaptive", "--compare-serial"])
+        line = next(line for line in out.splitlines()
+                    if "controller availability" in line)
+        assert line.split()[-1].endswith("%")
+        assert line.split()[-1] != "100.00%"
 
 
 class TestScenarioCommands:
@@ -310,8 +339,8 @@ class TestScenarioCommands:
 OBS_STUDIES = {
     "ablation": ["ablation", "--machines", "6", "--epochs", "6",
                  "--warmup", "2", "--mode", "hard", "--shard-size", "3"],
-    "chaos": ["chaos", "--machines", "4", "--epochs", "6", "--warmup", "2",
-              "--shard-size", "2", "--fault-plan",
+    "chaos": ["ablation", "--mode", "hard", "--machines", "4", "--epochs",
+              "6", "--warmup", "2", "--shard-size", "2", "--fault-plan",
               "seed=2;msr-transient:rate=0.2"],
     "callgraph": TestScenarioCommands.CALLGRAPH,
     "noisy": TestScenarioCommands.NOISY + ["--shard-size", "2",
@@ -392,9 +421,9 @@ class TestOracleEngine:
           "--warmup", "1"]),
         ("repro.fleet.RolloutStudy",
          ["rollout", "--machines", "4", "--epochs", "3", "--warmup", "1"]),
-        ("repro.analysis.ChaosStudy",
-         ["chaos", "--machines", "4", "--epochs", "3", "--warmup", "1",
-          "--fault-plan", "seed=2;machine-crash:rate=0.3"]),
+        ("repro.fleet.AblationStudy",
+         ["ablation", "--mode", "hard", "--machines", "4", "--epochs", "3",
+          "--warmup", "1", "--fault-plan", "seed=2;machine-crash:rate=0.3"]),
     ], ids=["sweep", "callgraph", "noisy", "ablation", "rollout", "chaos"])
     def test_oracle_runs_the_interpreter(self, study, argv, monkeypatch,
                                          capsys):

@@ -27,6 +27,10 @@ from repro.policy.base import HysteresisPolicy, SingleThresholdPolicy
 SMALL = dict(machines=6, epochs=8, warmup_epochs=3)
 SERIAL = dict(workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
 FAULTS = "seed=4;machine-crash:rate=0.1,outage=2;msr-transient:rate=0.3"
+#: ``FAULTS`` plus a blackout long enough to engage the hardened
+#: config's telemetry fail-safe.
+BLACKOUT_FAULTS = FAULTS + ";telemetry-blackout:start=30,duration=60"
+HARDENED = dict(machines=6, epochs=12, warmup_epochs=3)
 
 
 def taped_and_reference(study_factory, digest, **run):
@@ -68,6 +72,21 @@ class TestStudiesMatchTheReferencePath:
         )
         assert taped == reference
 
+    def test_faulted_sharded_ablation_hardened(self, hardened_config):
+        """The fail-safe and retry backoff change what the experiment
+        arm does, so the hardened config is checked on its own."""
+        plan = FaultPlan.parse(BLACKOUT_FAULTS)
+
+        def factory():
+            return AblationStudy(mode="hard", seed=11, shard_size=3, fault_plan=plan,
+                                 config=hardened_config, **HARDENED)
+
+        result = factory().run(**SERIAL)
+        assert result.chaos.failsafe_engagements > 0
+        with reference_engine():
+            reference = factory().run(**SERIAL)
+        assert result_digest(result) == result_digest(reference)
+
     @pytest.mark.parametrize(
         "policy",
         [SingleThresholdPolicy(threshold=0.6), HysteresisPolicy()],
@@ -100,6 +119,18 @@ class TestStudiesMatchTheReferencePath:
             factory().run(**{**SERIAL, "obs_dir": str(tmp_path / "reference")})
         taped = (tmp_path / "taped" / "events.jsonl").read_bytes()
         assert taped
+        assert taped == (tmp_path / "reference" / "events.jsonl").read_bytes()
+
+    def test_hardened_event_logs_are_byte_identical(self, hardened_config, tmp_path):
+        def factory():
+            return AblationStudy(mode="hard", seed=11, fault_plan=FaultPlan.parse(BLACKOUT_FAULTS),
+                                 config=hardened_config, **HARDENED)
+
+        factory().run(**{**SERIAL, "obs_dir": str(tmp_path / "taped")})
+        with reference_engine():
+            factory().run(**{**SERIAL, "obs_dir": str(tmp_path / "reference")})
+        taped = (tmp_path / "taped" / "events.jsonl").read_bytes()
+        assert b'"failsafe-engaged"' in taped
         assert taped == (tmp_path / "reference" / "events.jsonl").read_bytes()
 
 

@@ -144,8 +144,7 @@ class TestLazyTables:
 
 #: Never needed by a ``workers=1`` study of the four end-to-end kinds.
 _STUDY_NEVER_LOADS = ("concurrent.futures", "multiprocessing", "repro.policy",
-                      "repro.analysis", "repro.fleet.adaptive",
-                      "repro.microbench", "repro.core.soft")
+                      "repro.analysis", "repro.microbench", "repro.core.soft")
 
 
 def _loaded_after_study(workload: str, modules) -> dict:

@@ -130,14 +130,16 @@ class TestEngineOverlay:
 
 
 class TestChaosObservability:
-    def test_chaos_run_writes_incident_events(self, tmp_path):
-        from repro.analysis import ChaosStudy
+    def test_chaos_run_writes_incident_events(self, tmp_path,
+                                              hardened_config):
         from repro.faults import FaultPlan
+        from repro.fleet import AblationStudy
 
         plan = FaultPlan.parse(
             "seed=2;telemetry-blackout:start=200,duration=80")
-        ChaosStudy(plan, machines=4, epochs=30, warmup_epochs=5, seed=11,
-                   ).run(obs_dir=str(tmp_path / "run"))
+        AblationStudy(mode="hard", machines=4, epochs=30, warmup_epochs=5,
+                      seed=11, fault_plan=plan, config=hardened_config,
+                      ).run(obs_dir=str(tmp_path / "run"))
         events = read_events_jsonl(tmp_path / "run" / EVENTS_NAME)
         kinds = {event["kind"] for event in events}
         assert "failsafe-engaged" in kinds
@@ -145,39 +147,20 @@ class TestChaosObservability:
         manifest = read_manifest(tmp_path / "run")
         assert manifest["run"]["fault_plan"] is not None
 
-    def test_chaos_serial_equals_sharded(self, tmp_path):
-        from repro.analysis import ChaosStudy
+    def test_chaos_serial_equals_sharded(self, tmp_path, hardened_config):
         from repro.faults import FaultPlan
+        from repro.fleet import AblationStudy
 
         def run(out_dir, workers):
             plan = FaultPlan.parse(
                 "seed=3;telemetry-drop:rate=0.1;msr-transient:rate=0.3")
-            ChaosStudy(plan, machines=6, epochs=20, warmup_epochs=5,
-                       seed=7, shard_size=3).run(workers=workers,
-                                                 obs_dir=str(out_dir))
+            AblationStudy(mode="hard", machines=6, epochs=20,
+                          warmup_epochs=5, seed=7, shard_size=3,
+                          fault_plan=plan, config=hardened_config,
+                          ).run(workers=workers, obs_dir=str(out_dir))
             return out_dir
 
         serial = run(tmp_path / "serial", workers=1)
         parallel = run(tmp_path / "parallel", workers=2)
         assert ((serial / EVENTS_NAME).read_bytes()
                 == (parallel / EVENTS_NAME).read_bytes())
-
-    def test_baseline_twin_stays_dark(self, tmp_path, monkeypatch):
-        # Even with $REPRO_OBS_DIR exported, only the faulted arm may
-        # write a run directory — the baseline twin passes "".
-        from repro.analysis import ChaosStudy
-        from repro.faults import FaultPlan
-        from repro.obs.session import OBS_ENV_VAR
-
-        out = tmp_path / "env-run"
-        monkeypatch.setenv(OBS_ENV_VAR, str(out))
-        plan = FaultPlan.parse("seed=2;msr-transient:rate=0.2")
-        ChaosStudy(plan, machines=4, epochs=15, warmup_epochs=4,
-                   seed=9).run()
-        events = read_events_jsonl(out / EVENTS_NAME)
-        study_starts = [event for event in events
-                        if event["kind"] == "study-start"]
-        assert len(study_starts) == 1
-        # If the inert twin had written last, its rate-zero plan — not
-        # the injected one — would be in the manifest.
-        assert "msr-transient" in read_manifest(out)["run"]["fault_plan"]

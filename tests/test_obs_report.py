@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis import ChaosStudy
 from repro.cli import main
 from repro.faults import FaultPlan
 from repro.fleet import AblationStudy
@@ -20,11 +19,12 @@ def ablation_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def chaos_run(tmp_path_factory):
+def chaos_run(tmp_path_factory, hardened_config):
     out = tmp_path_factory.mktemp("obs") / "chaos"
     plan = FaultPlan.parse("seed=2;telemetry-blackout:start=200,duration=80")
-    ChaosStudy(plan, machines=4, epochs=30, warmup_epochs=5,
-               seed=11).run(obs_dir=str(out))
+    AblationStudy(mode="hard", machines=4, epochs=30, warmup_epochs=5,
+                  seed=11, fault_plan=plan, config=hardened_config,
+                  ).run(obs_dir=str(out))
     return out
 
 

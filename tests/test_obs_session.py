@@ -31,7 +31,7 @@ class TestResolveObsDir:
         assert resolve_obs_dir("/tmp/arg") == "/tmp/arg"
 
     def test_empty_string_disables_despite_env(self, monkeypatch):
-        # The chaos study's baseline twin passes "" to stay dark even
+        # The --compare-serial oracle passes "" to stay dark even
         # when $REPRO_OBS_DIR is exported.
         monkeypatch.setenv(OBS_ENV_VAR, "/tmp/env")
         assert resolve_obs_dir("") is None

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.fleet import AblationStudy, RolloutStudy, StudyResultCache
-from repro.fleet.adaptive import AdaptiveAblation
 from repro.fleet.queue import shard_task_material
 from repro.fleet.study import run_study
 from repro.obs import EVENTS_NAME, manifest_run_digest, read_manifest
@@ -31,14 +30,11 @@ STUDIES = {
     "noisy": lambda: NoisyNeighborScenario(
         machines=3, epochs=4, seed=23, mode="hard", shard_size=2),
     "callgraph": lambda: CallGraphScenario(requests=8, seed=21, mode="off"),
-    "adaptive": lambda: AdaptiveAblation(
-        modes=("off", "hard"), machines=8, epochs=6, warmup_epochs=2,
-        seed=3, shard_size=2, min_rounds=2),
 }
 
 #: ``(study, stores) -> (events, events.jsonl sha256, manifest run digest)``
 #: where ``stores`` says whether the run had a fresh result cache and
-#: shard journal (the adaptive study takes only the journal).
+#: shard journal.
 GOLDEN = {
     ("ablation", False): (
         54, "dd424127b61e403122289c423950848c18eec1a77fbda552f4c234885d05ee36",
@@ -64,12 +60,6 @@ GOLDEN = {
     ("callgraph", True): (
         19, "80d471a2de731d23dd77bb957c88022a24bd3bd6f51f011381e849df8876ad73",
         "52461c3b5e16ba4c23acd4ad24315fc010846652ccf057524214979cfe504a78"),
-    ("adaptive", False): (
-        6, "743f1f615b05936bb0d503cdf3237ea6d5685987da148166e0e12ddd60b780db",
-        "624c6c9553813e0eed9993bb7c29d5a08e99628ec7ee6bf7d0d36839e8c4bcbb"),
-    ("adaptive", True): (
-        6, "743f1f615b05936bb0d503cdf3237ea6d5685987da148166e0e12ddd60b780db",
-        "624c6c9553813e0eed9993bb7c29d5a08e99628ec7ee6bf7d0d36839e8c4bcbb"),
 }
 
 
@@ -84,11 +74,10 @@ def clean_env(monkeypatch):
                          ids=[f"{name}-{'stores' if stores else 'obs'}"
                               for name, stores in sorted(GOLDEN)])
 def test_cold_run_event_log_is_golden(name, stores, tmp_path, clean_env):
-    kwargs = {"workers": 1, "obs_dir": str(tmp_path / "obs"),
-              "checkpoint_dir": str(tmp_path / "journal") if stores else ""}
-    if name != "adaptive":
-        kwargs["cache_dir"] = str(tmp_path / "cache") if stores else ""
-    STUDIES[name]().run(**kwargs)
+    STUDIES[name]().run(
+        workers=1, obs_dir=str(tmp_path / "obs"),
+        cache_dir=str(tmp_path / "cache") if stores else "",
+        checkpoint_dir=str(tmp_path / "journal") if stores else "")
     log = (tmp_path / "obs" / EVENTS_NAME).read_bytes()
     events, log_digest, run_digest = GOLDEN[name, stores]
     assert len(log.splitlines()) == events
