@@ -189,6 +189,21 @@ class FaultPlan:
         faults that need a running daemon to inject into."""
         return tuple(kind for kind in self.kinds if kind in _DAEMON_KINDS)
 
+    def crash_only_rate(self, study: str) -> float:
+        """The ``machine-crash`` rate (0.0 without that clause) for a
+        study that can only crash machines.
+
+        Such a study has no daemon sampler or actuator to fault, so a
+        telemetry or MSR clause would inject nothing and silently run a
+        fault-free study; it raises :class:`ConfigError` instead.
+        """
+        if self.daemon_kinds:
+            raise ConfigError(
+                f"{study} only injects machine-crash faults; fault kinds "
+                f"{list(self.daemon_kinds)} need an ablation or rollout")
+        clause = self.clause("machine-crash")
+        return float(clause.param("rate")) if clause is not None else 0.0
+
     def spec(self) -> str:
         """The plan back in compact spec syntax (round-trips parse)."""
         parts = [f"seed={self.seed}"] if self.seed else []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.fleet.platform import PlatformSpec
@@ -26,6 +26,86 @@ from repro.msr.registers import MSRFile
 from repro.units import SECOND
 
 _NAN = float("nan")
+
+#: Compiled solve kernels, one per ``(task count, hw_on)``, built on
+#: first use and kept for the life of the process.
+_SOLVE_KERNELS: Dict[Tuple[int, bool], Callable] = {}
+
+
+def solve_kernel(count: int, hw_on: bool) -> Callable:
+    """The epoch fixed point for a socket of ``count`` tasks.
+
+    Called as ``kernel(load, demand_factor, seconds, soft, curve,
+    *tasks)``, with ``curve`` the socket's ``_curve``; returns ``(load,
+    latency_ns, qps before the toggle penalty)``.
+    """
+    kernel = _SOLVE_KERNELS.get((count, hw_on))
+    if kernel is None:
+        kernel = _SOLVE_KERNELS[count, hw_on] = _compile_solve(count, hw_on)
+    return kernel
+
+
+def _compile_solve(count: int, hw_on: bool) -> Callable:
+    """Build the fixed point for one shape as straight-line source, one
+    set of locals per task, the way :func:`collections.namedtuple`
+    builds its classes.
+
+    Per task it reads ``m`` (memory boundedness), ``d`` (demand times
+    noise) and ``o`` (``1 + overfetch``, prefetchers on) or ``p`` (the
+    prefetchers-off penalty). ``max``/``min`` are spelled as the
+    comparisons they perform, NaN included, and each task total is
+    builtin ``sum`` over a tuple in task order (DESIGN.md §6).
+    """
+    ids = range(count)
+    if hw_on:
+        row = "o{i} = 1.0 + t{i}._overfetch"
+        slowdown = "s{i} = 1.0 + m{i} * excess"
+        # Task.offered_bandwidth(Task.speed(...)): (d * speed) * o.
+        offered = "(d{i} * (1.0 / s{i})) * o{i}"
+    else:
+        row = "p{i} = t{i}._penalty_soft if soft else t{i}._penalty_plain"
+        slowdown = "s{i} = 1.0 + m{i} * excess + p{i}"
+        offered = "d{i} * (1.0 / s{i})"
+
+    def per_task(indent: str, *templates: str) -> List[str]:
+        return [indent + line.format(i=i) for i in ids for line in templates]
+
+    def speeds(indent: str, latency: str) -> List[str]:
+        # DRAMModel.latency_at_utilization at ``load``, then each task's
+        # Task.speed slowdown, clamped at 1e-6.
+        curve = [
+            "u = 0.0 if 0.0 > load else load",
+            "clamped = umax if umax < u else u",
+            "queue = gain * (clamped**exponent) / (1.0 - clamped)",
+            f"{latency} = unloaded * (1.0 + queue)",
+            "if u > umax:",
+            f"    {latency} *= 1.0 + overload * (u - umax)",
+            f"excess = {latency} / unloaded - 1.0",
+        ]
+        clamp = per_task(indent, slowdown, "if 1e-6 > s{i}:", "    s{i} = 1e-6")
+        return [indent + line for line in curve] + clamp
+
+    params = "".join(f", t{i}" for i in ids)
+    total = "".join(offered.format(i=i) + ", " for i in ids)
+    qps = "".join(f"t{i}.base_qps * (1.0 / s{i}), " for i in ids)
+    lines = [
+        f"def solve(load, demand_factor, seconds, soft, curve{params}):",
+        "    unloaded, umax, gain, exponent, overload, damping, capacity, iterations = curve",
+        *per_task(
+            "    ",
+            "m{i} = t{i}.memory_boundedness",
+            "d{i} = t{i}.bandwidth_demand * t{i}.noise",
+            row,
+        ),
+        "    for _ in range(iterations):",
+        *speeds("        ", "latency"),
+        f"        load += damping * (demand_factor * sum(({total})) / capacity - load)",
+        *speeds("    ", "latency_ns"),
+        f"    return load, latency_ns, sum(({qps})) * seconds",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<socket solve {count} {hw_on}>", "exec"), namespace)
+    return namespace["solve"]
 
 
 @dataclass(frozen=True)
@@ -84,9 +164,19 @@ class SimulatedSocket:
         if dram_config.saturation_bandwidth != platform.saturation_bandwidth:
             raise ConfigError("DRAM config saturation must match the platform's")
         self._dram = DRAMModel(dram_config)
-        self._unloaded_latency = dram_config.unloaded_latency_ns
         self._saturation_bandwidth = (
             dram_config.max_utilization * platform.saturation_bandwidth
+        )
+        #: The solve kernel's socket constants (see ``_compile_solve``).
+        self._curve = (
+            dram_config.unloaded_latency_ns,
+            dram_config.max_utilization,
+            dram_config.queue_gain,
+            dram_config.queue_exponent,
+            dram_config.overload_gain,
+            self.DAMPING,
+            platform.saturation_bandwidth,
+            self.ITERATIONS,
         )
         self.history: List[SocketEpoch] = []
         self._last_bandwidth = 0.0
@@ -225,11 +315,12 @@ class SimulatedSocket:
         demand this epoch (shared volatility across the socket's tasks —
         the minute-scale swings of Figure 7).
 
-        The iterations evaluate :meth:`Task.speed` and
-        :meth:`Task.offered_bandwidth` inline, from one row per task
-        built before the loop, and the DRAM curve inline from its config.
-        Every float operation happens in the order those methods use, so
-        the result is bit-identical to calling them (DESIGN.md §6).
+        The fixed point runs in the kernel compiled for this socket's
+        task count and prefetcher state (:func:`solve_kernel`), which
+        evaluates :meth:`Task.speed`, :meth:`Task.offered_bandwidth` and
+        the DRAM curve inline. Every float operation happens in the order
+        those methods use, so the result is bit-identical to calling them
+        (DESIGN.md §6).
 
         ``solves`` is a driver tape's solve log for the epoch (DESIGN.md
         §6, "Driver tape"). With ``at`` unset the socket appends its
@@ -246,7 +337,11 @@ class SimulatedSocket:
         if at is not None and hw_on and solves[at] == start:
             load, latency_ns, qps = solves[at + 1], solves[at + 2], solves[at + 3]
         else:
-            load, latency_ns, qps = self._solve(hw_on, demand_factor, duration_ns)
+            kernel = solve_kernel(len(self.tasks), hw_on)
+            seconds = duration_ns / SECOND
+            load, latency_ns, qps = kernel(
+                start, demand_factor, seconds, self.soft_deployed, self._curve, *self.tasks
+            )
             if solves is not None and at is None:
                 solves.extend((start if hw_on else _NAN, load, latency_ns, qps))
         bandwidth = load * self.platform.saturation_bandwidth
@@ -267,71 +362,3 @@ class SimulatedSocket:
         self._last_bandwidth = bandwidth
         self._last_utilization = load
         return epoch
-
-    def _solve(self, hw_on: bool, demand_factor: float, duration_ns: float) -> tuple:
-        """The epoch's fixed point from ``_last_utilization``: returns
-        ``(load, latency_ns, qps before the toggle penalty)``."""
-        tasks = self.tasks
-        if hw_on:
-            rows = [
-                (
-                    task.memory_boundedness,
-                    task.bandwidth_demand * task.noise,
-                    1.0 + task.overfetch,
-                )
-                for task in tasks
-            ]
-        else:
-            soft = self.soft_deployed
-            rows = [
-                (
-                    task.memory_boundedness,
-                    task.bandwidth_demand * task.noise,
-                    task.penalty_off(soft),
-                )
-                for task in tasks
-            ]
-        config = self._dram.config
-        unloaded = self._unloaded_latency
-        umax = config.max_utilization
-        gain = config.queue_gain
-        exponent = config.queue_exponent
-        overload = config.overload_gain
-        damping = self.DAMPING
-        capacity = self.platform.saturation_bandwidth
-        load = self._last_utilization  # fraction of raw capacity
-        for _ in range(self.ITERATIONS):
-            # DRAMModel.latency_at_utilization, with max/min spelled as
-            # the comparisons they perform (NaN included).
-            u = 0.0 if 0.0 > load else load
-            clamped = umax if umax < u else u
-            latency = unloaded * (1.0 + gain * (clamped**exponent) / (1.0 - clamped))
-            if u > umax:
-                latency *= 1.0 + overload * (u - umax)
-            excess = latency / unloaded - 1.0
-            # Task.offered_bandwidth(Task.speed(...)): (d * speed) * o.
-            if hw_on:
-                offered = [
-                    (d * (1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess) else sl))) * o
-                    for m, d, o in rows
-                ]
-            else:
-                offered = [
-                    d * (1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess + p) else sl))
-                    for m, d, p in rows
-                ]
-            load += damping * (demand_factor * sum(offered) / capacity - load)
-
-        latency_ns = self.latency_at(load)
-        # Task.speed at the solved latency, from the same rows.
-        excess = latency_ns / unloaded - 1.0
-        if hw_on:
-            speeds = [1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess) else sl) for m, _, _ in rows]
-        else:
-            speeds = [
-                1.0 / (1e-6 if 1e-6 > (sl := 1.0 + m * excess + p) else sl) for m, _, p in rows
-            ]
-        qps = sum([task.base_qps * speed for task, speed in zip(tasks, speeds)]) * (
-            duration_ns / SECOND
-        )
-        return load, latency_ns, qps

@@ -279,6 +279,9 @@ class MicroFleetSweep:
         scale: Workload scale factor passed to the trace generator.
         crash_rate: Fraction of arms a chaos sweep marks down (drawn
             per-arm from the study's fault stream; 0 disables chaos).
+        fault_plan: Supplies the crash rate from its ``machine-crash``
+            clause when the explicit rate is 0; any other fault kind
+            raises :class:`ConfigError`, as the sweep runs no daemon.
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
         workload: Which shared trace the arms replay — ``fleetbench``
             (default) or ``scenario`` (the noisy-neighbor tenant
@@ -313,11 +316,10 @@ class MicroFleetSweep:
                 f"crash rate must be in [0, 1), got {crash_rate}")
         if shard_size <= 0:
             raise ConfigError(f"shard size must be positive, got {shard_size}")
-        if fault_plan is not None and crash_rate == 0.0:
-            clause = fault_plan.clause("machine-crash")
-            if clause is not None:
-                rate = dict(clause.params).get("rate")
-                crash_rate = float(rate) if rate is not None else 0.0
+        if fault_plan is not None:
+            plan_rate = fault_plan.crash_only_rate("the sweep")
+            if crash_rate == 0.0:
+                crash_rate = plan_rate
         self.mode = mode
         self.machines = machines
         self.seed = seed

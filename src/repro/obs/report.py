@@ -73,7 +73,12 @@ def _shard_rows(events: List[Dict], manifest: Dict) -> List[Dict]:
 
 
 def _incident_stats(events: List[Dict]) -> Dict:
-    """Incident ledger: counts by kind, resolution, MTTR, detection lag."""
+    """Incident ledger: counts by kind, resolution, MTTR, detection lag.
+
+    A daemon logs a machine restart as an incident that opens, is
+    detected and recovers at the restart itself (``ChaosMetrics`` counts
+    it so), and traces it as one ``machine-restart`` event.
+    """
     opened: Dict[str, int] = {}
     resolved = 0
     recovery: List[float] = []
@@ -83,6 +88,11 @@ def _incident_stats(events: List[Dict]) -> Dict:
             opened[event["incident"]] = opened.get(event["incident"], 0) + 1
             detected = event.get("detected_ns", event["t_ns"])
             detection.append(detected - event["onset_ns"])
+        elif event["kind"] == "machine-restart":
+            opened["machine-restart"] = opened.get("machine-restart", 0) + 1
+            detection.append(0.0)
+            resolved += 1
+            recovery.append(0.0)
         elif event["kind"] == "incident-resolved":
             resolved += 1
             recovery.append(event["recovered_ns"] - event["detected_ns"])

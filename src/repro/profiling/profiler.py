@@ -11,7 +11,7 @@ the target-identification pipeline consumes directly.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
@@ -22,6 +22,75 @@ from repro.profiling.profile_data import ProfileData
 #: Abstract cycles one core contributes per sampled epoch. Only ratios
 #: matter downstream; this just keeps instruction counts integral.
 _CYCLES_PER_CORE_SAMPLE = 1_000_000
+
+#: Attribution kernel factories, one per ``(function count, hw_on)``,
+#: compiled on first use and kept for the life of the process.
+_SAMPLE_KERNELS: Dict[Tuple[int, bool], Callable] = {}
+
+
+def sample_kernel(count: int, hw_on: bool) -> Callable:
+    """The factory of the attribution kernel for ``count`` functions.
+
+    Called with ``(stats, share, penalty, mpki)`` per function, flat, it
+    returns ``kernel(task, latency_ratio)``, which attributes one sampled
+    epoch of a task across those functions.
+    """
+    factory = _SAMPLE_KERNELS.get((count, hw_on))
+    if factory is None:
+        factory = _SAMPLE_KERNELS[count, hw_on] = _compile_sample(count, hw_on)
+    return factory
+
+
+def _compile_sample(count: int, hw_on: bool) -> Callable:
+    """Build one shape's attribution as straight-line source, one set of
+    locals per function, bound by name through the factory's closure.
+
+    It is :meth:`ProfileData.record` per function, inline, with every
+    float operation in its order. ``max`` is spelled as the comparison
+    it performs, and a float's ``round`` is already an ``int``. The
+    slowdowns come first: a function that regresses takes a larger
+    share of the task's (fixed) CPU time, which is exactly what moves
+    the Figure 12/20 cycle-share bars.
+    """
+    ids = range(count)
+    lines = [
+        "def make(%s):" % ", ".join(
+            f"stats{i}, share{i}, penalty{i}, mpki{i}" for i in ids),
+        "    def sample(task, latency_ratio):",
+        "        base = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)",
+    ]
+    if hw_on:
+        lines += ["        slowdown = base",
+                  "        if 1e-6 > slowdown:",
+                  "            slowdown = 1e-6"]
+        slowdowns = ["slowdown"] * count
+    else:
+        for i in ids:
+            lines += [f"        slowdown{i} = base + penalty{i}",
+                      f"        if 1e-6 > slowdown{i}:",
+                      f"            slowdown{i} = 1e-6"]
+        slowdowns = [f"slowdown{i}" for i in ids]
+    weights = "".join(f"share{i} * {slowdowns[i]}, " for i in ids)
+    lines += [f"        weight_total = sum(({weights}))",
+              "        if weight_total <= 0.0:",
+              "            return",
+              f"        task_cycles = task.cores * {_CYCLES_PER_CORE_SAMPLE}"]
+    for i, slowdown in zip(ids, slowdowns):
+        lines += [
+            f"        cycles = task_cycles * share{i} * {slowdown} / weight_total",
+            f"        instructions = cycles / {slowdown}",
+            "        whole_instructions = round(instructions)",
+            f"        stats{i}.instructions += whole_instructions",
+            f"        stats{i}.compute_cycles += whole_instructions",
+            "        stall = cycles - instructions",
+            f"        stats{i}.stall_cycles += 0.0 if 0.0 > stall else stall",
+            f"        stats{i}.llc_misses += round(mpki{i} * instructions / 1000.0)",
+        ]
+    lines.append("    return sample")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<profiler sample {count} {hw_on}>",
+                 "exec"), namespace)
+    return namespace["make"]
 
 
 class FleetProfiler:
@@ -46,7 +115,8 @@ class FleetProfiler:
         self.responses = responses
         self.data = ProfileData()
         self._rng = rng or random.Random(0x9F1E7)
-        self._mix_rows: Dict[tuple, list] = {}
+        #: ``(hw_on, soft)`` -> share mix -> attribution kernel.
+        self._kernels: Dict[tuple, Dict[tuple, Callable]] = {}
 
     def __call__(self, now_ns: float, machines: Sequence[Machine],
                  rng: random.Random) -> None:
@@ -64,58 +134,32 @@ class FleetProfiler:
             latency_ratio = epoch.latency_ns / socket.latency_at(0.0)
             hw_on = epoch.hw_prefetchers_on
             soft = socket.soft_deployed
+            kernels = self._kernels.get((hw_on, soft))
+            if kernels is None:
+                kernels = self._kernels[hw_on, soft] = {}
             for task in socket.tasks:
-                self._sample_task(task, latency_ratio, hw_on, soft)
+                kernel = kernels.get(task.shares_key)
+                if kernel is None:
+                    kernel = kernels[task.shares_key] = self._kernel(
+                        task.shares_key, hw_on, soft)
+                kernel(task, latency_ratio)
         self.data.samples += 1
 
-    def _rows(self, task, hw_on: bool, soft: bool) -> list:
-        """``(stats, share, penalty, MPKI)`` per function the task runs,
-        under one prefetcher configuration. Built once per share mix
-        (every task drawn from one template has the same mix) and
-        configuration; ``stats`` is the function's record in
-        :attr:`data`, created in first-sample order."""
-        key = (task.shares_key, hw_on, soft)
-        rows = self._mix_rows.get(key)
-        if rows is None:
-            functions = self.data._functions
-            rows = self._mix_rows[key] = []
-            for function, share in key[0]:
-                if share <= 0.0:
-                    continue
-                stats = functions.get(function)
-                if stats is None:
-                    stats = functions[function] = FunctionStats()
-                response = self.responses[function]
-                rows.append((stats, share, response.effective_penalty(soft),
-                             response.mpki(hw_on, soft)))
-        return rows
-
-    def _sample_task(self, task, latency_ratio: float, hw_on: bool,
-                     soft: bool) -> None:
-        """Attribute one sampled epoch of a task across its functions
-        (:meth:`ProfileData.record`, inline)."""
-        base_slowdown = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)
-        rows = self._rows(task, hw_on, soft)
-        # Per-function slowdowns first: a function that regresses takes a
-        # larger share of the task's (fixed) CPU time, which is exactly
-        # what moves the Figure 12/20 cycle-share bars.
-        if hw_on:
-            slowdown = 1e-6 if 1e-6 > base_slowdown else base_slowdown
-            slowdowns = [slowdown] * len(rows)
-        else:
-            slowdowns = [1e-6 if 1e-6 > (slowdown := base_slowdown + penalty)
-                         else slowdown for _, _, penalty, _ in rows]
-        weight_total = sum([row[1] * slowdown
-                            for row, slowdown in zip(rows, slowdowns)])
-        if weight_total <= 0.0:
-            return
-        task_cycles = task.cores * _CYCLES_PER_CORE_SAMPLE
-        for (stats, share, _, mpki), slowdown in zip(rows, slowdowns):
-            cycles = task_cycles * share * slowdown / weight_total
-            instructions = cycles / slowdown
-            whole_instructions = int(round(instructions))
-            stats.instructions += whole_instructions
-            stats.compute_cycles += whole_instructions
-            stall = cycles - instructions
-            stats.stall_cycles += 0.0 if 0.0 > stall else stall
-            stats.llc_misses += int(round(mpki * instructions / 1000.0))
+    def _kernel(self, shares_key: tuple, hw_on: bool, soft: bool) -> Callable:
+        """The attribution kernel for one share mix under one prefetcher
+        configuration (every task drawn from one template has the same
+        mix). It binds, per function the task runs, its record in
+        :attr:`data` (created in first-sample order), share, effective
+        penalty and MPKI."""
+        functions = self.data._functions
+        bound = []
+        for function, share in shares_key:
+            if share <= 0.0:
+                continue
+            stats = functions.get(function)
+            if stats is None:
+                stats = functions[function] = FunctionStats()
+            response = self.responses[function]
+            bound += (stats, share, response.effective_penalty(soft),
+                      response.mpki(hw_on, soft))
+        return sample_kernel(len(bound) // 4, hw_on)(*bound)

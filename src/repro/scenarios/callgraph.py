@@ -336,7 +336,8 @@ class CallGraphScenario:
         crash_rate: Fraction of replicas a chaos run marks down for the
             whole replay (deterministic per-replica draw). A
             ``machine-crash`` clause in ``fault_plan`` supplies it when
-            the explicit rate is 0.
+            the explicit rate is 0; any other fault kind raises
+            :class:`ConfigError`.
     """
 
     STUDY = "scenario-callgraph"
@@ -374,11 +375,10 @@ class CallGraphScenario:
                         f"service {service.name!r} calls unknown service "
                         f"{child!r}")
         self._check_acyclic(services, by_name)
-        if fault_plan is not None and crash_rate == 0.0:
-            clause = fault_plan.clause("machine-crash")
-            if clause is not None:
-                rate = dict(clause.params).get("rate")
-                crash_rate = float(rate) if rate is not None else 0.0
+        if fault_plan is not None:
+            plan_rate = fault_plan.crash_only_rate("the call-graph scenario")
+            if crash_rate == 0.0:
+                crash_rate = plan_rate
         self.services = services
         self.root = services[0].name
         self.requests = requests

@@ -431,7 +431,8 @@ class NoisyNeighborScenario:
             a microsecond-scale replay).
         crash_rate: Fraction of machines a chaos run marks down
             (deterministic per-machine draw; a ``machine-crash`` clause
-            in ``fault_plan`` supplies it when the explicit rate is 0).
+            in ``fault_plan`` supplies it when the explicit rate is 0;
+            any other fault kind raises :class:`ConfigError`).
         shard_size: Machines per shard. Machine identities and draws
             key off *global* indices, so the merged result is invariant
             to the shard size too (it is excluded from cache keys).
@@ -486,11 +487,10 @@ class NoisyNeighborScenario:
         if shard_size <= 0:
             raise ConfigError(
                 f"shard size must be positive, got {shard_size}")
-        if fault_plan is not None and crash_rate == 0.0:
-            clause = fault_plan.clause("machine-crash")
-            if clause is not None:
-                rate = dict(clause.params).get("rate")
-                crash_rate = float(rate) if rate is not None else 0.0
+        if fault_plan is not None:
+            plan_rate = fault_plan.crash_only_rate("the noisy-neighbor scenario")
+            if crash_rate == 0.0:
+                crash_rate = plan_rate
         self.tenants = tenants
         self.machines = machines
         self.epochs = epochs

@@ -315,6 +315,11 @@ class TestScenarioCommands:
                                   "--policy", "hysteresis"]) == 0
         assert "mode=policy" in capsys.readouterr().out
 
+    def test_noisy_rejects_daemon_fault_kinds(self):
+        with pytest.raises(ReproError, match="telemetry-drop"):
+            main(self.NOISY + ["--fault-plan",
+                               "seed=3;telemetry-drop:rate=0.5"])
+
     def test_noisy_policy_needs_policy_mode(self):
         with pytest.raises(ReproError):
             main(self.NOISY + ["--policy", "single-threshold"])

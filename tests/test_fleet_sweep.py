@@ -87,6 +87,14 @@ class TestChaosArms:
         sweep = small_sweep(crash_rate=0.25, fault_plan=plan)
         assert sweep.crash_rate == 0.25
 
+    @pytest.mark.parametrize("crash_rate", [0.0, 0.25])
+    def test_daemon_fault_kinds_are_rejected(self, crash_rate):
+        """The sweep runs no daemon, so a telemetry or MSR clause would
+        silently inject nothing."""
+        plan = FaultPlan.parse("seed=2;telemetry-drop:rate=0.5;machine-crash:rate=0.5")
+        with pytest.raises(ConfigError, match="telemetry-drop"):
+            small_sweep(crash_rate=crash_rate, fault_plan=plan)
+
     def test_draws_are_per_arm_stable(self):
         assert (background_load(3, 0, "m1")
                 == background_load(3, 0, "m1"))

@@ -49,6 +49,23 @@ class TestBuildReport:
         if incidents["resolved"]:
             assert incidents["mttr_ns"] > 0
 
+    def test_machine_restarts_count_as_incidents(self, tmp_path):
+        """A crash-faulted run's report agrees with the study's own
+        incident ledger, restarts included."""
+        plan = FaultPlan.parse("seed=2;machine-crash:rate=0.1")
+        result = AblationStudy(mode="hard", machines=4, epochs=20,
+                               warmup_epochs=4, seed=2, fault_plan=plan,
+                               ).run(obs_dir=str(tmp_path))
+        chaos = result.chaos
+        assert chaos.machine_restarts > 0
+        incidents = build_report(str(tmp_path))["incidents"]
+        assert incidents["by_kind"] == chaos.incident_kinds
+        assert incidents["count"] == chaos.incidents
+        assert incidents["resolved"] == chaos.recovered_incidents
+        assert incidents["mttr_ns"] == chaos.mean_time_to_recovery_ns()
+        assert (incidents["mean_detection_ns"]
+                == chaos.mean_detection_latency_ns())
+
     def test_payload_is_json_serialisable(self, chaos_run):
         json.dumps(build_report(str(chaos_run)))
 

@@ -1,13 +1,19 @@
 """Tests for the fleetwide profiler and profile data."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.fleet import Fleet, PLATFORM_1, Machine, Task
+from repro.fleet import Fleet, PLATFORM_1, Machine, SocketEpoch, Task
+from repro.fleet.calibration import FunctionResponse, ResponseTable
 from repro.profiling import FleetProfiler, ProfileData
+from repro.profiling import profiler as profiler_module
 from repro.workloads import FunctionCategory
+from tests.hypothesis_profiles import scaled
 
 
 class TestProfileData:
@@ -124,3 +130,133 @@ class TestFleetProfiler:
     def test_bad_sample_rate(self):
         with pytest.raises(ConfigError):
             FleetProfiler(sample_rate=0.0)
+
+
+def reference_sample(data, machine, responses):
+    """:meth:`FleetProfiler.sample_machine` spelled as one
+    :meth:`ProfileData.record` call per sampled function."""
+    for socket in machine.sockets:
+        if not socket.history:
+            continue
+        epoch = socket.history[-1]
+        latency_ratio = epoch.latency_ns / socket.latency_at(0.0)
+        hw_on, soft = epoch.hw_prefetchers_on, socket.soft_deployed
+        for task in socket.tasks:
+            base = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)
+            rows = [(function, share, responses[function])
+                    for function, share in task.shares_key if share > 0.0]
+            slowdowns = [
+                max(base if hw_on else base + response.effective_penalty(soft),
+                    1e-6)
+                for _, _, response in rows]
+            weight_total = sum([share * slowdown for (_, share, _), slowdown
+                                in zip(rows, slowdowns)])
+            if weight_total <= 0.0:
+                continue
+            task_cycles = task.cores * 1_000_000
+            for (function, share, response), slowdown in zip(rows, slowdowns):
+                cycles = task_cycles * share * slowdown / weight_total
+                instructions = cycles / slowdown
+                data.record(function, instructions, cycles,
+                            response.mpki(hw_on, soft) * instructions / 1000.0)
+    data.samples += 1
+
+
+#: Penalties down to -6 push a prefetchers-off slowdown under the 1e-6
+#: clamp.
+@st.composite
+def responses(draw):
+    count = draw(st.integers(1, 5))
+    return ResponseTable(
+        FunctionResponse(
+            name=f"f{index}", category=FunctionCategory.NON_TAX,
+            cycle_share=0.1,
+            cycle_penalty_off=draw(st.floats(-6.0, 3.0)),
+            soft_recovery=draw(st.floats(0.0, 1.05)),
+            mpki_on=draw(st.floats(0.0, 20.0)),
+            mpki_off=draw(st.floats(0.0, 40.0)),
+            overfetch=0.1)
+        for index in range(count))
+
+
+@st.composite
+def sampled_task(draw, table, name):
+    """A task whose mix may give some functions a zero share."""
+    shares = {function: draw(st.sampled_from((0.0, 0.3, 1.0))
+                             | st.floats(0.01, 1.0))
+              for function in table.names()}
+    if not any(shares.values()):
+        shares[table.names()[0]] = 1.0
+    return Task(name=name, cores=draw(st.floats(0.1, 2.0)), base_qps=100.0,
+                bandwidth_demand=10.0,
+                memory_boundedness=draw(st.floats(0.0, 1.0)),
+                function_shares=shares, noise_sigma=0.0, responses=table)
+
+
+@st.composite
+def profiled_machines(draw):
+    """A table, a machine and per-sample epochs. A latency ratio under
+    one (a zero latency with full memory boundedness) puts the
+    prefetchers-on slowdown under the 1e-6 clamp too."""
+    table = draw(responses())
+    machine = Machine("m", PLATFORM_1, sockets=draw(st.integers(1, 2)),
+                      demand_noise_sigma=0.0)
+    templates = [draw(sampled_task(table, f"template{index}"))
+                 for index in range(draw(st.integers(1, 3)))]
+    for index, socket in enumerate(machine.sockets):
+        for slot in range(draw(st.integers(0, 6))):
+            template = draw(st.sampled_from(templates))
+            socket.add_task(dataclasses.replace(
+                template, name=f"t{index}.{slot}",
+                cores=draw(st.floats(0.1, 2.0)),
+                memory_boundedness=draw(st.sampled_from((0.0, 1.0))
+                                        | st.floats(0.0, 1.0))))
+    unloaded = machine.sockets[0].latency_at(0.0)
+    samples = [
+        [(draw(st.booleans()), draw(st.booleans()),
+          draw(st.just(0.0) | st.floats(0.0, 6.0)) * unloaded)
+         for _ in machine.sockets]
+        for _ in range(draw(st.integers(1, 4)))]
+    return table, machine, samples
+
+
+def stats_bits(data):
+    return {name: repr(dataclasses.astuple(stats)) for name, stats in data}
+
+
+class TestProfilerOracle:
+    @given(case=profiled_machines())
+    @settings(max_examples=scaled(100), deadline=None)
+    def test_sample_machine_matches_record(self, case):
+        table, machine, samples = case
+        profiler = FleetProfiler(sample_rate=1.0, responses=table)
+        reference = ProfileData()
+        for states in samples:
+            for socket, (hw_on, soft, latency_ns) in zip(machine.sockets,
+                                                         states):
+                socket.soft_deployed = soft
+                socket.history.append(SocketEpoch(
+                    time_ns=0.0, bandwidth=0.0, utilization=0.0,
+                    latency_ns=latency_ns, qps=0.0, cores_used=0.0,
+                    hw_prefetchers_on=hw_on))
+            profiler.sample_machine(machine)
+            reference_sample(reference, machine, table)
+        assert stats_bits(profiler.data) == stats_bits(reference)
+        assert profiler.data.samples == reference.samples
+
+    def test_kernels_compile_once_per_shape(self, monkeypatch):
+        compiled = []
+        compile_sample = profiler_module._compile_sample
+
+        def counting(count, hw_on):
+            compiled.append((count, hw_on))
+            return compile_sample(count, hw_on)
+
+        monkeypatch.setattr(profiler_module, "_compile_sample", counting)
+        monkeypatch.setattr(profiler_module, "_SAMPLE_KERNELS", {})
+        machine = TestFleetProfiler().loaded_machine()
+        for _ in range(2):
+            profiler = FleetProfiler(sample_rate=1.0)
+            profiler.sample_machine(machine)
+            profiler.sample_machine(machine)
+        assert compiled == [(2, True)]

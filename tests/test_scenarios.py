@@ -221,6 +221,25 @@ class TestCallGraphSLO:
         explicit = small_callgraph(crash_rate=0.25, fault_plan=plan)
         assert explicit.crash_rate == 0.25
 
+    def test_daemon_fault_kinds_are_rejected(self):
+        plan = FaultPlan.parse("seed=3;msr-transient:rate=0.5")
+        with pytest.raises(ConfigError, match="msr-transient"):
+            small_callgraph(fault_plan=plan)
+
+
+class TestNoisyFaultPlan:
+    def test_fault_plan_supplies_crash_rate(self):
+        plan = FaultPlan.parse("seed=3;machine-crash:rate=0.5")
+        assert small_noisy(fault_plan=plan).crash_rate == 0.5
+        assert small_noisy(crash_rate=0.25, fault_plan=plan).crash_rate == 0.25
+
+    def test_daemon_fault_kinds_are_rejected(self):
+        """The scenario injects only machine crashes, so a telemetry
+        clause would silently inject nothing."""
+        plan = FaultPlan.parse("seed=3;telemetry-blackout:start=1,duration=2")
+        with pytest.raises(ConfigError, match="telemetry-blackout"):
+            small_noisy(fault_plan=plan)
+
 
 class TestNoisyDeterminism:
     def test_shard_size_invariance(self):

@@ -1,10 +1,11 @@
 """Bit-identity and cache tests for the socket epoch solve.
 
-``SimulatedSocket.step`` evaluates the per-task speed and offered
-bandwidth inline, from rows built once per epoch, and caches its task
-sums and its prefetcher state. ``ReferenceSocket`` keeps the per-task
-loop that the inline solve replaced, verbatim, as the oracle: every
-epoch either socket solves must agree to the last bit.
+``SimulatedSocket.step`` solves the fixed point in a kernel compiled
+once per ``(task count, hw_on)``, which evaluates the per-task speed and
+offered bandwidth inline, and caches its task sums and its prefetcher
+state. ``ReferenceSocket`` keeps the per-task loop that the kernels
+replaced, verbatim, as the oracle: every epoch either socket solves
+must agree to the last bit.
 """
 
 import gc
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.actuator import MSRPrefetcherActuator
 from repro.errors import MSRAccessError
 from repro.fleet import PLATFORM_1, PLATFORM_CATALOG, Fleet, SimulatedSocket, SocketEpoch, Task
+from repro.fleet import socket as socket_module
 from repro.fleet.calibration import FunctionResponse, ResponseTable
 from repro.msr import FaultyMSRFile, MSRFile
 from repro.units import SECOND
@@ -57,12 +59,13 @@ class ReferenceSocket(SimulatedSocket):
         return sum(task.cores for task in self.tasks)
 
     def step(self, now_ns, duration_ns=SECOND, demand_factor=1.0):
+        unloaded = self._dram.config.unloaded_latency_ns
         hw_on = self.hw_prefetchers_on
         load = self._last_utilization  # fraction of raw capacity
         capacity = self.platform.saturation_bandwidth
         bandwidth = 0.0
         for _ in range(self.ITERATIONS):
-            latency_ratio = self.latency_at(load) / self._unloaded_latency
+            latency_ratio = self.latency_at(load) / unloaded
             bandwidth = demand_factor * sum(
                 task.offered_bandwidth(task.speed(latency_ratio, hw_on, self.soft_deployed), hw_on)
                 for task in self.tasks
@@ -71,7 +74,7 @@ class ReferenceSocket(SimulatedSocket):
         bandwidth = load * capacity
 
         latency_ns = self.latency_at(load)
-        latency_ratio = latency_ns / self._unloaded_latency
+        latency_ratio = latency_ns / unloaded
         qps = sum(
             task.base_qps * task.speed(latency_ratio, hw_on, self.soft_deployed)
             for task in self.tasks
@@ -264,6 +267,62 @@ class TestBitIdentity:
         reference, socket = paired(PLATFORM_1, [])
         assert socket.step(0.0) == reference.step(0.0)
         assert socket.cores_used == 0
+
+
+class TestKernelShapes:
+    """Kernel shapes the property test rarely draws: no task, one task,
+    and a crowded socket, each under every prefetcher configuration."""
+
+    @pytest.mark.parametrize("hw_on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("soft", [False, True], ids=["plain", "soft"])
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_shape_matches_the_per_task_loop(self, count, hw_on, soft):
+        table = response_table([0.4, -3.0, 1.5], [0.2, 0.0, 0.6], [0.9, 0.5, 0.0])
+        rng = random.Random(count)
+        placed = [
+            make_task(
+                f"t{index}",
+                table,
+                cores=0.5,
+                bandwidth=rng.uniform(0.0, 12.0),
+                boundedness=rng.random(),
+                shares={name: rng.uniform(0.01, 1.0) for name in table.names()},
+            )
+            for index in range(count)
+        ]
+        reference, socket = paired(PLATFORM_1, placed, hw_on, soft, load=0.3)
+        for tick in range(4):
+            for task in reference.tasks:
+                task.noise = rng.uniform(0.5, 2.0)
+            demand = rng.uniform(0.5, 3.0)
+            expected = reference.step(tick * SECOND, demand_factor=demand)
+            assert socket.step(tick * SECOND, demand_factor=demand) == expected
+            assert_same_state(reference, socket)
+
+    def test_kernels_are_cached_by_shape(self, monkeypatch):
+        compiled = []
+        compile_solve = socket_module._compile_solve
+
+        def counting(count, hw_on):
+            compiled.append((count, hw_on))
+            return compile_solve(count, hw_on)
+
+        monkeypatch.setattr(socket_module, "_compile_solve", counting)
+        monkeypatch.setattr(socket_module, "_SOLVE_KERNELS", {})
+        table = response_table([0.4], [0.2], [0.9])
+        first, second = SimulatedSocket(PLATFORM_1), SimulatedSocket(PLATFORM_1)
+        for socket in (first, second):
+            for index in range(3):
+                socket.add_task(make_task(f"t{index}", table))
+        first.step(0.0)
+        assert compiled == [(3, True)]
+        first.step(SECOND)
+        second.step(0.0)
+        assert compiled == [(3, True)]
+        second.force_prefetchers(False)
+        second.step(SECOND)
+        second.step(2 * SECOND)
+        assert compiled == [(3, True), (3, False)]
 
 
 class TestAdmissionSums:
