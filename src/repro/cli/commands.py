@@ -195,6 +195,7 @@ def run_latency_curve(args) -> int:
 
 def run_ablation(args) -> int:
     """``repro ablation``: a paired fleet ablation study."""
+    from repro.analysis import result_digest
     from repro.fleet import AblationStudy
 
     fault_plan = _resolve_fault_plan(args)
@@ -226,14 +227,14 @@ def run_ablation(args) -> int:
     if result.chaos is not None:
         print(f"\nfault plan: {fault_plan.spec()}")
         _print_chaos_summary(result.chaos)
-    _print_queue_stats(study.queue_stats, resolved_ckpt)
+    digest = result_digest(result)
+    _print_digest_footer(result, digest, study.queue_stats, resolved_ckpt)
     if args.compare_serial:
-        from repro.analysis import result_digest
         from repro.engine import reference_engine
 
         with reference_engine():
             serial = AblationStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
-        _check_serial(result_digest(result), result_digest(serial))
+        _check_serial(digest, result_digest(serial))
     return 0
 
 
@@ -348,6 +349,7 @@ def run_queue(args) -> int:
     _table(("journal metric", "value"), [
         ("entries", str(status["entries"])),
         ("valid", str(status["valid"])),
+        ("stale", str(status["stale"])),
         ("corrupt", str(status["corrupt"])),
         ("size", _human_bytes(status["bytes"])),
         ("shard tasks", str(status["shard_tasks"])),
@@ -387,6 +389,7 @@ def run_cache(args) -> int:
     _table(("cache metric", "value"), [
         ("entries", str(scan["entries"])),
         ("valid", str(scan["valid"])),
+        ("stale", str(scan["stale"])),
         ("corrupt", str(scan["corrupt"])),
         ("size", _human_bytes(scan["bytes"])),
         ("hits", str(stats["hits"])),

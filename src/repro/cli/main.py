@@ -72,6 +72,19 @@ def _add_fault_plan_flag(subparser: argparse.ArgumentParser) -> None:
              "(default: $REPRO_FAULT_PLAN; unset runs fault-free)")
 
 
+def _prune_cap(text: str) -> int:
+    """``--prune N``: a non-negative entry cap. Negative caps are usage
+    errors, not the bare flag (which the parser marks with ``-1``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -178,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="cache directory to inspect (default: $REPRO_CACHE_DIR)")
     cache.add_argument(
-        "--prune", nargs="?", type=int, const=-1, default=None,
+        "--prune", nargs="?", type=_prune_cap, const=-1, default=None,
         metavar="N",
         help="evict the oldest entries beyond N (bare --prune uses the "
              "library's default cap)")

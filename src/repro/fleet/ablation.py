@@ -125,10 +125,11 @@ class AblationResult:
         return self
 
     def to_dict(self) -> Dict:
-        """Lossless plain-data form (cache and journal payloads)."""
-        from repro.serialization import ablation_result_to_dict
+        """The stored form (cache and journal payloads, packed samples);
+        digests hash :func:`~repro.serialization.ablation_result_to_dict`."""
+        from repro.serialization import ablation_result_to_payload
 
-        return ablation_result_to_dict(self)
+        return ablation_result_to_payload(self)
 
     def bandwidth_reduction(self) -> Dict[str, float]:
         """Fractional socket-bandwidth change, experiment vs control —
@@ -436,10 +437,10 @@ class AblationStudy(FleetStudy):
         After the call, :attr:`queue_stats` holds the work-queue
         disposition (``None`` on a whole-study cache hit).
         """
-        from repro.serialization import ablation_result_from_dict
+        from repro.serialization import ablation_result_from_payload
 
         result, self.queue_stats = run_study(
-            self, run_ablation_shard, ablation_result_from_dict,
+            self, run_ablation_shard, ablation_result_from_payload,
             workers=workers, cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result

@@ -142,7 +142,7 @@ class ShardCheckpoint(StudyResultCache):
         """Key material of every valid journaled shard (unordered)."""
         found: List[Dict] = []
         for path in self._entries():
-            entry = self._read_entry(path)
+            entry, _ = self._read_entry(path)
             if entry is None:
                 continue
             material = entry.get("material")
@@ -302,8 +302,9 @@ def run_checkpointed(
 def queue_status(checkpoint: ShardCheckpoint) -> Dict:
     """Per-study progress summary of a checkpoint directory.
 
-    Groups valid journal entries by study kind; corrupt entries and
-    entries without embedded material are counted but not grouped. The
+    Groups valid journal entries by study kind; stale entries (written
+    under another entry schema), corrupt entries and entries without
+    embedded material are counted but not grouped. The
     journal does not know a study's *total* shard count (that lives in
     the study parameters), so this reports what is journaled, not a
     completion percentage.
@@ -339,6 +340,7 @@ def queue_status(checkpoint: ShardCheckpoint) -> Dict:
         "entries": scan["entries"],
         "bytes": scan["bytes"],
         "valid": scan["valid"],
+        "stale": scan["stale"],
         "corrupt": scan["corrupt"],
         "shard_tasks": grouped,
         "studies": studies,

@@ -10,11 +10,18 @@ produced (studies are pure functions of those parameters).
 
 Integrity is verified on every read: each entry embeds its key and a
 SHA-256 digest of the canonical payload, so a truncated file, a stale
-entry written under an older schema, or any bit-rot hashes wrong and is
+entry written under another schema, or any bit-rot hashes wrong and is
 treated as a miss — the study recomputes and overwrites the bad entry
 rather than crashing or returning garbage. The payload is encoded once,
 as the entry's leading ``"payload"`` member, and a read hashes those
-stored bytes instead of re-encoding what it parsed. Writes are atomic
+stored bytes instead of re-encoding what it parsed. Fleet studies store
+the compact form of their results
+(:func:`repro.serialization.ablation_result_to_payload` and its rollout
+twin): each sample column is one base64 string of little-endian
+doubles, and the derived summaries are left out because a load rebuilds
+them from the samples. Digests hash a different form, the one
+:func:`repro.serialization.ablation_result_to_dict` gives, so the
+stored layout can change without moving a digest. Writes are atomic
 (temp-file + ``os.replace`` via
 :func:`repro.serialization.atomic_write_text`) so concurrent study
 processes can share one cache directory and a process killed mid-store
@@ -36,7 +43,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.serialization import atomic_write_text, canonical_json
 
@@ -49,9 +56,10 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 KEY_VERSION = 1
 
 #: The entry file's layout, checked on every read, so entries written
-#: in another layout are misses. (2: the payload's canonical text leads
-#: the entry and a read hashes those bytes.)
-SCHEMA_VERSION = 2
+#: in another layout are misses (and ``scan`` counts them as stale).
+#: (2: the payload's canonical text leads the entry and a read hashes
+#: those bytes. 3: packed float columns, no derived summaries.)
+SCHEMA_VERSION = 3
 
 #: Every entry starts with this, then the payload's canonical JSON, then
 #: ``,`` and the rest of the entry's members; the whole file is one
@@ -81,6 +89,15 @@ def study_cache(cache_dir: Optional[Union[str, pathlib.Path]] = None
     if not cache_dir:
         return None
     return StudyResultCache(cache_dir)
+
+
+def _schema_status(entry) -> str:
+    """``"stale"`` for a parsed entry that names another integer schema,
+    ``"corrupt"`` for anything else."""
+    schema = entry.get("schema") if isinstance(entry, dict) else None
+    if isinstance(schema, int) and schema != SCHEMA_VERSION:
+        return "stale"
+    return "corrupt"
 
 
 class StudyResultCache:
@@ -172,36 +189,45 @@ class StudyResultCache:
         never an error: the caller recomputes and the next store
         replaces the bad entry.
         """
-        entry = self._read_entry(self.path_for(material))
+        entry, _ = self._read_entry(self.path_for(material))
         if entry is None or entry.get("key") != self.key_for(material):
             self._bump(misses=1)
             return None
         self._bump(hits=1)
         return entry["payload"]
 
-    def _read_entry(self, path: pathlib.Path) -> Optional[Dict]:
-        """One verified entry (schema + digest), or ``None``; the digest
-        covers the payload's stored bytes, so nothing is re-encoded."""
+    def _read_entry(self, path: pathlib.Path) -> Tuple[Optional[Dict], str]:
+        """``(entry, "valid")`` for a verified entry, else ``(None,
+        "stale")`` for a well-formed entry written under another
+        ``SCHEMA_VERSION``, or ``(None, "corrupt")`` for one that does
+        not parse or fails its digest. The digest covers the payload's
+        stored bytes, so nothing is re-encoded."""
         start = len(_PAYLOAD_HEAD)
         try:
             data = path.read_bytes()
             text = data.decode("ascii")  # canonical JSON is pure ASCII
+        except (OSError, UnicodeDecodeError):
+            return None, "corrupt"
+        try:
             if not text.startswith(_PAYLOAD_HEAD):
-                return None
+                raise ValueError("not the current entry layout")
             payload, end = _DECODER.raw_decode(text, start)
             if text[end:end + 1] != ",":
-                return None
+                raise ValueError("no members after the payload")
             entry = json.loads("{" + text[end + 1:])
-        except (OSError, ValueError, UnicodeDecodeError):
-            return None
+        except ValueError:
+            try:  # an older layout (schema 1 put the payload last)?
+                return None, _schema_status(json.loads(text))
+            except ValueError:
+                return None, "corrupt"
         if not isinstance(entry, dict) \
                 or entry.get("schema") != SCHEMA_VERSION:
-            return None
+            return None, _schema_status(entry)
         digest = hashlib.sha256(memoryview(data)[start:end]).hexdigest()
         if entry.get("digest") != digest:
-            return None
+            return None, "corrupt"
         entry["payload"] = payload
-        return entry
+        return entry, "valid"
 
     def store(self, material: Dict, payload: Dict,
               embed_material: bool = False) -> pathlib.Path:
@@ -255,27 +281,19 @@ class StudyResultCache:
 
     def scan(self) -> Dict:
         """Integrity summary of the directory: entry count, bytes on
-        disk, and how many entries verify (schema + digest) vs. are
+        disk, and how many entries verify (schema + digest), are stale
+        (well-formed, written under another ``SCHEMA_VERSION``) or are
         corrupt. Never raises; a missing directory scans as empty."""
         entries = self._entries()
-        total_bytes = 0
-        valid = 0
-        corrupt = 0
+        counts = {"entries": len(entries), "bytes": 0, "valid": 0,
+                  "stale": 0, "corrupt": 0}
         for path in entries:
             try:
-                total_bytes += path.stat().st_size
+                counts["bytes"] += path.stat().st_size
             except OSError:
                 pass
-            if self._read_entry(path) is None:
-                corrupt += 1
-            else:
-                valid += 1
-        return {
-            "entries": len(entries),
-            "bytes": total_bytes,
-            "valid": valid,
-            "corrupt": corrupt,
-        }
+            counts[self._read_entry(path)[1]] += 1
+        return counts
 
     # --- typed study entry points --------------------------------------------------
 
@@ -284,18 +302,18 @@ class StudyResultCache:
         ``None``. A payload that no longer deserializes (e.g. written by
         a different code version despite matching keys) is a miss."""
         from repro.errors import TraceError
-        from repro.serialization import ablation_result_from_dict
+        from repro.serialization import ablation_result_from_payload
 
         payload = self.load(material)
         if payload is None:
             return None
         try:
-            return ablation_result_from_dict(payload)
+            return ablation_result_from_payload(payload)
         except TraceError:
             return None
 
     def store_ablation(self, material: Dict, result) -> pathlib.Path:
         """Archive one ablation result under ``material``'s key."""
-        from repro.serialization import ablation_result_to_dict
+        from repro.serialization import ablation_result_to_payload
 
-        return self.store(material, ablation_result_to_dict(result))
+        return self.store(material, ablation_result_to_payload(result))

@@ -77,10 +77,11 @@ class RolloutResult:
         return self
 
     def to_dict(self) -> Dict:
-        """Lossless plain-data form (cache and journal payloads)."""
-        from repro.serialization import rollout_result_to_dict
+        """The stored form (cache and journal payloads, packed samples);
+        digests hash :func:`~repro.serialization.rollout_result_to_dict`."""
+        from repro.serialization import rollout_result_to_payload
 
-        return rollout_result_to_dict(self)
+        return rollout_result_to_payload(self)
 
     # --- Figure 16 ------------------------------------------------------------
 
@@ -301,10 +302,10 @@ class RolloutStudy(FleetStudy):
         :attr:`queue_stats` holds the work-queue disposition (``None``
         on a whole-study cache hit).
         """
-        from repro.serialization import rollout_result_from_dict
+        from repro.serialization import rollout_result_from_payload
 
         result, self.queue_stats = run_study(
-            self, run_rollout_shard, rollout_result_from_dict,
+            self, run_rollout_shard, rollout_result_from_payload,
             workers=workers, cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result

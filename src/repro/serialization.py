@@ -3,7 +3,10 @@
 Traces round-trip losslessly through JSON Lines (one record per line), so
 workloads captured once can be replayed across simulator versions and
 shared alongside results. Experiment results flatten to plain dicts for
-archiving next to the benchmark outputs.
+archiving next to the benchmark outputs. Fleet study results have a
+second, compact form for the result cache and the shard journal, with
+each sample column packed as base64 doubles (see the study-results
+section below).
 """
 
 from __future__ import annotations
@@ -11,8 +14,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import tempfile
-from typing import Dict, List, Union
+from array import array
+from base64 import b64decode, b64encode
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.access.record import AccessKind, MemoryAccess
 from repro.access.trace import Trace
@@ -241,18 +248,23 @@ def fleet_metrics_from_dict(data: Dict):
     JSON round-trips floats exactly, so a reloaded object reproduces
     every percentile bit-for-bit.
     """
+    return _fleet_metrics_from(
+        data, lambda values: [float(x) for x in values],
+        lambda points: [tuple(float(v) for v in point) for point in points])
+
+
+def _fleet_metrics_from(data: Dict, column: Callable, points: Callable):
+    """A :class:`~repro.fleet.cluster.FleetMetrics` from the digest or
+    the stored form; ``column`` and ``points`` decode its samples."""
     from repro.fleet.cluster import FleetMetrics
 
     try:
         samples = data["samples"]
         return FleetMetrics(
-            socket_bandwidth=[float(x)
-                              for x in samples["socket_bandwidth"]],
-            socket_utilization=[float(x)
-                                for x in samples["socket_utilization"]],
-            socket_latency=[float(x) for x in samples["socket_latency"]],
-            machine_points=[tuple(float(v) for v in point)
-                            for point in samples["machine_points"]],
+            socket_bandwidth=column(samples["socket_bandwidth"]),
+            socket_utilization=column(samples["socket_utilization"]),
+            socket_latency=column(samples["socket_latency"]),
+            machine_points=points(samples["machine_points"]),
             total_qps=float(data["total_qps"]),
             ideal_qps=float(data["ideal_qps"]),
             rejections=int(data["rejections"]),
@@ -261,6 +273,72 @@ def fleet_metrics_from_dict(data: Dict):
     except (KeyError, TypeError, ValueError) as error:
         raise TraceError(
             f"malformed fleet metrics record: {error}") from error
+
+
+# --- packed sample columns (cache and journal payloads) ---------------------
+
+#: Floats per :attr:`~repro.fleet.cluster.FleetMetrics.machine_points`
+#: entry: cpu utilization, bandwidth utilization, achieved and ideal qps.
+_POINT_WIDTH = 4
+
+
+def pack_floats(values: Iterable[float]) -> str:
+    """Floats as little-endian IEEE-754 doubles in base64 text.
+
+    Bit-exact for every double (NaN payloads, signed zeros, infinities,
+    subnormals), and roughly half the size of the values' ``repr`` text.
+    """
+    column = array("d", values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return b64encode(column.tobytes()).decode("ascii")
+
+
+def unpack_floats(text: str) -> List[float]:
+    """Inverse of :func:`pack_floats`; anything that is not whole
+    base64 doubles raises :class:`~repro.errors.TraceError`."""
+    column = array("d")
+    try:
+        column.frombytes(b64decode(text, validate=True))
+    except (TypeError, ValueError) as error:  # binascii.Error included
+        raise TraceError(f"malformed packed column: {error}") from error
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
+def unpack_points(text: str) -> List[Tuple[float, ...]]:
+    """Machine points from one packed column, four floats per point."""
+    flat = unpack_floats(text)
+    if len(flat) % _POINT_WIDTH:
+        raise TraceError(f"packed machine points hold {len(flat)} floats, "
+                         f"not a multiple of {_POINT_WIDTH}")
+    return list(zip(*[iter(flat)] * _POINT_WIDTH))
+
+
+def fleet_metrics_to_payload(metrics) -> Dict:
+    """A fleet run's metrics in the stored form: the scalar totals and
+    the four sample columns packed by :func:`pack_floats`. The derived
+    summaries are left out, since :func:`fleet_metrics_from_payload`
+    rebuilds every view from the samples."""
+    return {
+        "epochs": metrics.epochs,
+        "rejections": metrics.rejections,
+        "total_qps": metrics.total_qps,
+        "ideal_qps": metrics.ideal_qps,
+        "samples": {
+            "socket_bandwidth": pack_floats(metrics.socket_bandwidth),
+            "socket_utilization": pack_floats(metrics.socket_utilization),
+            "socket_latency": pack_floats(metrics.socket_latency),
+            "machine_points": pack_floats(
+                chain.from_iterable(metrics.machine_points)),
+        },
+    }
+
+
+def fleet_metrics_from_payload(data: Dict):
+    """Inverse of :func:`fleet_metrics_to_payload`, bit for bit."""
+    return _fleet_metrics_from(data, unpack_floats, unpack_points)
 
 
 def profile_data_to_dict(profile) -> Dict:
@@ -375,26 +453,75 @@ def policy_metrics_from_dict(data: Dict):
             f"malformed policy metrics record: {error}") from error
 
 
-def ablation_result_to_dict(result) -> Dict:
-    """A paired ablation result as a plain dict (lossless: includes the
-    raw samples needed to rebuild every view)."""
-    data = {
-        "mode": result.mode,
-        "control": fleet_metrics_to_dict(result.control,
-                                         include_samples=True),
-        "experiment": fleet_metrics_to_dict(result.experiment,
-                                            include_samples=True),
-        "control_profile": profile_data_to_dict(result.control_profile),
-        "experiment_profile": profile_data_to_dict(
-            result.experiment_profile),
-    }
+# --- study results: the digest form and the stored form ----------------------
+#
+# ``*_to_dict``/``*_from_dict`` are the digest form: every sample as JSON
+# floats plus the derived summaries, hashed by ``result_digest`` and
+# ``rollout_digest``. ``*_to_payload``/``*_from_payload`` are the stored
+# form the result cache and the shard journal hold: the same fields with
+# packed sample columns and no summaries. Both rebuild the same result.
+
+_ABLATION_ARMS = ("control", "experiment")
+_ABLATION_PROFILES = ("control_profile", "experiment_profile")
+_ROLLOUT_ARMS = ("before", "hard_only", "full", "full_integrated")
+_ROLLOUT_PROFILES = ("before_profile", "hard_profile", "full_profile")
+
+
+def _digest_metrics(metrics) -> Dict:
+    return fleet_metrics_to_dict(metrics, include_samples=True)
+
+
+def _arms_to_dict(result, arms, profiles, metrics_to_dict) -> Dict:
+    """A study result's arms, profiles and chaos block as a plain dict."""
+    data = {arm: metrics_to_dict(getattr(result, arm)) for arm in arms}
+    for name in profiles:
+        data[name] = profile_data_to_dict(getattr(result, name))
     chaos = getattr(result, "chaos", None)
     if chaos is not None:
         data["chaos"] = chaos_metrics_to_dict(chaos)
+    return data
+
+
+def _arms_from_dict(data: Dict, arms, profiles, metrics_from_dict) -> Dict:
+    """Inverse of :func:`_arms_to_dict`, as result constructor fields."""
+    fields = {arm: metrics_from_dict(data[arm]) for arm in arms}
+    for name in profiles:
+        fields[name] = profile_data_from_dict(data[name])
+    chaos = data.get("chaos")
+    fields["chaos"] = None if chaos is None else chaos_metrics_from_dict(chaos)
+    return fields
+
+
+def _ablation_to(result, metrics_to_dict) -> Dict:
+    data = {"mode": result.mode,
+            **_arms_to_dict(result, _ABLATION_ARMS, _ABLATION_PROFILES,
+                            metrics_to_dict)}
     policy_metrics = getattr(result, "policy_metrics", None)
     if policy_metrics is not None:
         data["policy_metrics"] = policy_metrics_to_dict(policy_metrics)
     return data
+
+
+def _ablation_from(data: Dict, metrics_from_dict):
+    from repro.fleet.ablation import AblationResult
+
+    try:
+        policy_metrics = data.get("policy_metrics")
+        return AblationResult(
+            mode=data["mode"],
+            policy_metrics=(None if policy_metrics is None
+                            else policy_metrics_from_dict(policy_metrics)),
+            **_arms_from_dict(data, _ABLATION_ARMS, _ABLATION_PROFILES,
+                              metrics_from_dict))
+    except (KeyError, TypeError, AttributeError) as error:
+        raise TraceError(
+            f"malformed ablation result record: {error}") from error
+
+
+def ablation_result_to_dict(result) -> Dict:
+    """A paired ablation result in the digest form (lossless: includes
+    the raw samples needed to rebuild every view)."""
+    return _ablation_to(result, _digest_metrics)
 
 
 def ablation_result_from_dict(data: Dict):
@@ -404,64 +531,49 @@ def ablation_result_from_dict(data: Dict):
     simply lack the ``chaos``/``policy_metrics`` keys and deserialize
     with those fields ``None``.
     """
-    from repro.fleet.ablation import AblationResult
+    return _ablation_from(data, fleet_metrics_from_dict)
+
+
+def ablation_result_to_payload(result) -> Dict:
+    """A paired ablation result in the stored form (packed samples)."""
+    return _ablation_to(result, fleet_metrics_to_payload)
+
+
+def ablation_result_from_payload(data: Dict):
+    """Inverse of :func:`ablation_result_to_payload`."""
+    return _ablation_from(data, fleet_metrics_from_payload)
+
+
+def _rollout_from(data: Dict, metrics_from_dict):
+    from repro.fleet.rollout import RolloutResult
 
     try:
-        chaos = data.get("chaos")
-        policy_metrics = data.get("policy_metrics")
-        return AblationResult(
-            mode=data["mode"],
-            control=fleet_metrics_from_dict(data["control"]),
-            experiment=fleet_metrics_from_dict(data["experiment"]),
-            control_profile=profile_data_from_dict(data["control_profile"]),
-            experiment_profile=profile_data_from_dict(
-                data["experiment_profile"]),
-            chaos=None if chaos is None else chaos_metrics_from_dict(chaos),
-            policy_metrics=(None if policy_metrics is None
-                            else policy_metrics_from_dict(policy_metrics)),
-        )
-    except (KeyError, TypeError) as error:
+        return RolloutResult(**_arms_from_dict(
+            data, _ROLLOUT_ARMS, _ROLLOUT_PROFILES, metrics_from_dict))
+    except (KeyError, TypeError, AttributeError) as error:
         raise TraceError(
-            f"malformed ablation result record: {error}") from error
+            f"malformed rollout result record: {error}") from error
 
 
 def rollout_result_to_dict(result) -> Dict:
-    """A rollout shard result as a plain dict (lossless: raw samples
-    included, so a checkpointed shard restores bit-identically)."""
-    data = {
-        "before": fleet_metrics_to_dict(result.before,
-                                        include_samples=True),
-        "hard_only": fleet_metrics_to_dict(result.hard_only,
-                                           include_samples=True),
-        "full": fleet_metrics_to_dict(result.full, include_samples=True),
-        "full_integrated": fleet_metrics_to_dict(result.full_integrated,
-                                                 include_samples=True),
-        "before_profile": profile_data_to_dict(result.before_profile),
-        "hard_profile": profile_data_to_dict(result.hard_profile),
-        "full_profile": profile_data_to_dict(result.full_profile),
-    }
-    chaos = getattr(result, "chaos", None)
-    if chaos is not None:
-        data["chaos"] = chaos_metrics_to_dict(chaos)
-    return data
+    """A rollout result in the digest form (lossless: raw samples
+    included)."""
+    return _arms_to_dict(result, _ROLLOUT_ARMS, _ROLLOUT_PROFILES,
+                         _digest_metrics)
 
 
 def rollout_result_from_dict(data: Dict):
     """Inverse of :func:`rollout_result_to_dict`."""
-    from repro.fleet.rollout import RolloutResult
+    return _rollout_from(data, fleet_metrics_from_dict)
 
-    try:
-        chaos = data.get("chaos")
-        return RolloutResult(
-            before=fleet_metrics_from_dict(data["before"]),
-            hard_only=fleet_metrics_from_dict(data["hard_only"]),
-            full=fleet_metrics_from_dict(data["full"]),
-            full_integrated=fleet_metrics_from_dict(data["full_integrated"]),
-            before_profile=profile_data_from_dict(data["before_profile"]),
-            hard_profile=profile_data_from_dict(data["hard_profile"]),
-            full_profile=profile_data_from_dict(data["full_profile"]),
-            chaos=None if chaos is None else chaos_metrics_from_dict(chaos),
-        )
-    except (KeyError, TypeError) as error:
-        raise TraceError(
-            f"malformed rollout result record: {error}") from error
+
+def rollout_result_to_payload(result) -> Dict:
+    """A rollout result in the stored form (packed samples), so a
+    checkpointed shard restores bit-identically."""
+    return _arms_to_dict(result, _ROLLOUT_ARMS, _ROLLOUT_PROFILES,
+                         fleet_metrics_to_payload)
+
+
+def rollout_result_from_payload(data: Dict):
+    """Inverse of :func:`rollout_result_to_payload`."""
+    return _rollout_from(data, fleet_metrics_from_payload)

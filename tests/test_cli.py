@@ -228,6 +228,32 @@ class TestCacheCommand:
                      "--prune", "0"]) == 0
         assert "pruned 1 entry" in capsys.readouterr().out
 
+    def test_negative_prune_rejected(self, tmp_path, capsys):
+        """``-1`` marks the bare flag inside the parser; a user's
+        negative cap is a usage error, not the default cap."""
+        for value in ("-1", "-5"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["cache", "--cache-dir", str(tmp_path),
+                      "--prune", value])
+            assert exit_info.value.code == 2
+            assert "must be >= 0" in capsys.readouterr().err
+        assert not tmp_path.joinpath("_stats").exists()
+
+    def test_tables_report_stale_entries(self, tmp_path, capsys):
+        from repro.fleet import StudyResultCache
+        from repro.fleet.result_cache import SCHEMA_VERSION
+
+        path = StudyResultCache(tmp_path).store({"k": 1}, {"v": 1})
+        path.write_text(path.read_text().replace(
+            f'"schema":{SCHEMA_VERSION}', '"schema":2'))
+        for argv in (["cache", "--cache-dir", str(tmp_path)],
+                     ["queue", "--checkpoint-dir", str(tmp_path)]):
+            assert main(argv) == 0
+            rows = dict(line.split() for line in
+                        capsys.readouterr().out.splitlines()
+                        if line.strip().startswith(("stale", "corrupt")))
+            assert rows == {"stale": "1", "corrupt": "0"}
+
     def test_cache_without_directory_fails_fast(self, monkeypatch):
         from repro.fleet.result_cache import CACHE_ENV_VAR
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)

@@ -36,6 +36,7 @@ from repro.fleet.queue import (
 )
 from repro.serialization import (
     ablation_result_to_dict,
+    canonical_json,
     rollout_result_to_dict,
 )
 
@@ -246,14 +247,15 @@ class TestAblationKillAndResume:
               shard_size=4)
 
     def test_resumed_result_matches_fresh_run(self, tmp_path, monkeypatch):
-        fresh = ablation_result_to_dict(AblationStudy(**self.KW).run())
+        fresh = canonical_json(ablation_result_to_dict(
+            AblationStudy(**self.KW).run()))
         monkeypatch.setenv(ABORT_ENV_VAR, "1")
         with pytest.raises(QueueInterrupted):
             AblationStudy(**self.KW).run(checkpoint_dir=str(tmp_path))
         monkeypatch.delenv(ABORT_ENV_VAR)
         study = AblationStudy(**self.KW)
         resumed = study.run(workers=2, checkpoint_dir=str(tmp_path))
-        assert ablation_result_to_dict(resumed) == fresh
+        assert canonical_json(ablation_result_to_dict(resumed)) == fresh
         assert study.queue_stats.restored == 1
 
     def test_different_mode_does_not_hit_other_modes_journal(self, tmp_path):
@@ -285,14 +287,15 @@ class TestRolloutKillAndResume:
     KW = dict(machines=8, epochs=10, warmup_epochs=3, seed=5)
 
     def test_resumed_result_matches_fresh_run(self, tmp_path, monkeypatch):
-        fresh = rollout_result_to_dict(RolloutStudy(**self.KW).run())
+        fresh = canonical_json(rollout_result_to_dict(
+            RolloutStudy(**self.KW).run()))
         monkeypatch.setenv(ABORT_ENV_VAR, "1")
         with pytest.raises(QueueInterrupted):
             RolloutStudy(**self.KW).run(checkpoint_dir=str(tmp_path))
         monkeypatch.delenv(ABORT_ENV_VAR)
         study = RolloutStudy(**self.KW)
         resumed = study.run(checkpoint_dir=str(tmp_path))
-        assert rollout_result_to_dict(resumed) == fresh
+        assert canonical_json(rollout_result_to_dict(resumed)) == fresh
         assert study.queue_stats.restored == 1
 
 
@@ -311,6 +314,26 @@ class TestQueueStatus:
         assert status["studies"]["micro-sweep"]["shard_indexes"] == [0, 1, 2]
         assert status["studies"]["ablation"]["shards"] == 2
 
+    def test_counts_stale_entries_apart_from_corrupt(self, tmp_path):
+        """An entry written under an older entry schema is stale: it is
+        recomputed, and `repro queue` does not report it as bit-rot."""
+        from repro.fleet.result_cache import SCHEMA_VERSION
+
+        study = AblationStudy(mode="off", machines=8, epochs=10,
+                              warmup_epochs=3, seed=3, shard_size=4)
+        study.run(checkpoint_dir=str(tmp_path))
+        for entry in tmp_path.glob("*.json"):
+            entry.write_text(entry.read_text().replace(
+                f'"schema":{SCHEMA_VERSION}', '"schema":2'))
+        status = queue_status(ShardCheckpoint(tmp_path))
+        assert (status["valid"], status["stale"], status["corrupt"]) == (
+            0, 2, 0)
+        assert status["shard_tasks"] == 0
+        study.run(checkpoint_dir=str(tmp_path))
+        assert study.queue_stats.restored == 0
+        status = queue_status(ShardCheckpoint(tmp_path))
+        assert (status["valid"], status["stale"]) == (2, 0)
+
     def test_counts_corrupt_entries(self, tmp_path):
         checkpoint = ShardCheckpoint(tmp_path)
         checkpoint.journal(shard_task_material("toy", {"shard_index": 0}),
@@ -320,6 +343,7 @@ class TestQueueStatus:
         entry.write_text("garbage")
         status = queue_status(checkpoint)
         assert status["corrupt"] == 1
+        assert status["stale"] == 0
         assert status["shard_tasks"] == 0
 
 

@@ -80,6 +80,29 @@ class TestCorruptionGuard:
         assert text.count(schema) == 1
         path.write_text(text.replace(schema, '"schema":1'))
         assert cache.load(MATERIAL) is None
+        assert cache.scan()["stale"] == 1
+
+    def test_schema_2_entry_is_a_miss(self, cache):
+        """Schema 2 had today's layout but stored samples as JSON float
+        lists with the derived summaries; its entries verify under their
+        own digest, and still miss and count as stale, not corrupt."""
+        assert SCHEMA_VERSION == 3
+        payload = {"mode": "off", "control": {
+            "samples": {"socket_bandwidth": [1.5, 2.25]},
+            "bandwidth": {"p50": 1.875}}}
+        text = canonical_json(payload)
+        path = cache.path_for(MATERIAL)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"payload":' + text + "," + canonical_json({
+            "schema": 2, "key": cache.key_for(MATERIAL),
+            "digest": hashlib.sha256(text.encode()).hexdigest()})[1:])
+        assert json.loads(path.read_text())["payload"] == payload
+        assert cache.load(MATERIAL) is None
+        assert cache.scan() == {"entries": 1, "bytes": path.stat().st_size,
+                                "valid": 0, "stale": 1, "corrupt": 0}
+        cache.store(MATERIAL, PAYLOAD)
+        assert cache.load(MATERIAL) == PAYLOAD
+        assert cache.scan()["valid"] == 1
 
     def test_any_flipped_payload_byte_is_a_miss(self, cache):
         path = cache.store(MATERIAL, PAYLOAD)
@@ -197,6 +220,41 @@ class TestAblationStudyCaching:
         material = self._study().cache_key_material()
         assert cache.load(material) is not None
 
+    @pytest.mark.parametrize("arm, column, value", [
+        ("control", "socket_bandwidth", "not base64!"),
+        ("experiment", "socket_latency", "AAAAAAAAAAAAAA=="),  # 10 bytes
+        ("experiment", "socket_utilization", "AAAAAAAA"),  # 6 bytes
+        ("control", "machine_points",
+         "AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"),  # 3 floats, not 4
+    ])
+    def test_undecodable_column_is_recomputed(self, tmp_path, arm, column,
+                                              value):
+        """A packed column that fails to decode makes a stale payload:
+        the study recomputes and heals the entry instead of crashing."""
+        study = self._study()
+        first = study.run(cache_dir=tmp_path)
+        cache = StudyResultCache(tmp_path)
+        material = study.cache_key_material()
+        payload = cache.load(material)
+        payload[arm]["samples"][column] = value
+        cache.store(material, payload)  # re-digested: the entry verifies
+        assert cache.load_ablation(material) is None
+        recomputed = self._study().run(cache_dir=tmp_path)
+        assert (canonical_json(ablation_result_to_dict(recomputed))
+                == canonical_json(ablation_result_to_dict(first)))
+        assert cache.load_ablation(material) is not None
+
+    def test_typed_entry_points_use_the_stored_form(self, tmp_path):
+        study = self._study()
+        result = study.run()
+        cache = StudyResultCache(tmp_path)
+        material = study.cache_key_material()
+        cache.store_ablation(material, result)
+        assert cache.load(material) == result.to_dict()
+        restored = cache.load_ablation(material)
+        assert (canonical_json(ablation_result_to_dict(restored))
+                == canonical_json(ablation_result_to_dict(result)))
+
     def test_semantically_broken_payload_is_recomputed(self, tmp_path):
         study = self._study()
         first = study.run(cache_dir=tmp_path)
@@ -261,15 +319,30 @@ class TestStatsSidecar:
 class TestScan:
     def test_empty_directory(self, cache):
         assert cache.scan() == {"entries": 0, "bytes": 0, "valid": 0,
-                                "corrupt": 0}
+                                "stale": 0, "corrupt": 0}
+        assert not cache.root.exists()
 
     def test_counts_valid_and_corrupt(self, cache):
+        """Garbage and digest failures are corrupt; a well-formed entry
+        written under another schema, in either older layout, is stale."""
         good = cache.store(MATERIAL, PAYLOAD)
         bad = cache.store({**MATERIAL, "seed": 2}, PAYLOAD)
         bad.write_text("garbage")
+        tampered = cache.store({**MATERIAL, "seed": 3}, PAYLOAD)
+        tampered.write_text(tampered.read_text().replace("42", "41"))
+        old = cache.store({**MATERIAL, "seed": 4}, PAYLOAD)
+        old.write_text(old.read_text().replace(
+            f'"schema":{SCHEMA_VERSION}', '"schema":2'))
+        older = cache.path_for({**MATERIAL, "seed": 5})
+        older.write_text(json.dumps({"schema": 1, "key": "k",
+                                     "digest": "d", "payload": PAYLOAD}))
+        unversioned = cache.path_for({**MATERIAL, "seed": 6})
+        unversioned.write_text(json.dumps({"payload": PAYLOAD}))
         scan = cache.scan()
-        assert scan["entries"] == 2
-        assert scan["valid"] == 1 and scan["corrupt"] == 1
+        assert scan["entries"] == 6
+        assert scan["valid"] == 1
+        assert scan["stale"] == 2
+        assert scan["corrupt"] == 3
         assert scan["bytes"] >= good.stat().st_size
 
 

@@ -1,8 +1,12 @@
 """Tests for trace and result serialization."""
 
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests.hypothesis_profiles import scaled
 
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.access.trace import software_prefetch
@@ -243,3 +247,132 @@ class TestRolloutResultRoundTrip:
         from repro.serialization import rollout_result_from_dict
         with pytest.raises((TraceError, KeyError, TypeError)):
             rollout_result_from_dict({"not": "a rollout result"})
+
+
+#: Every double, by bit pattern: NaNs with any payload and sign, signed
+#: zeros, infinities and subnormals all occur.
+_any_double = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+_edge_doubles = st.sampled_from([
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"), -float("nan"),
+    5e-324, -5e-324, 2.2250738585072009e-308,
+] + [struct.unpack("<d", bytes.fromhex(bits))[0] for bits in (
+    "010000000000f87f",   # quiet NaN, payload 1
+    "010000000000f07f",   # signalling NaN
+    "efbeadde0000f8ff",   # negative NaN, payload 0xdeadbeef
+)])
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+class TestPackedColumns:
+    """The stored form packs each sample column as base64 doubles."""
+
+    @settings(max_examples=scaled(200), deadline=None)
+    @given(st.lists(st.one_of(_any_double, _edge_doubles,
+                              st.floats(allow_nan=True)), max_size=40))
+    def test_round_trip_is_bit_exact(self, values):
+        from repro.serialization import pack_floats, unpack_floats
+        restored = unpack_floats(pack_floats(values))
+        assert _bits(restored) == _bits(values)
+
+    def test_empty_column(self):
+        from repro.serialization import pack_floats, unpack_floats
+        assert pack_floats([]) == ""
+        assert unpack_floats("") == []
+
+    def test_little_endian_layout(self):
+        import base64
+
+        from repro.serialization import pack_floats
+        assert base64.b64decode(pack_floats([1.0, -2.5])) == (
+            struct.pack("<d", 1.0) + struct.pack("<d", -2.5))
+
+    @pytest.mark.parametrize("text", [
+        "not base64!",       # outside the alphabet
+        "AAAAAAAA!AAA=",     # one stray byte a lenient decoder skips
+        "AAAAAAAAAA",        # bad padding
+        "AAAAAAAA",          # 6 bytes: not a whole double
+        "AAAAAAAAAAAAAAAAAAAA",  # 15 bytes
+        "\u00e9AAA",          # not ASCII
+        ["AAAA"],            # not a string
+    ])
+    def test_malformed_column_rejected(self, text):
+        from repro.serialization import unpack_floats
+        with pytest.raises(TraceError):
+            unpack_floats(text)
+
+    def test_points_must_be_whole(self):
+        from repro.serialization import pack_floats, unpack_points
+        assert unpack_points(pack_floats([1.0, 2.0, 3.0, 4.0])) == [
+            (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(TraceError):
+            unpack_points(pack_floats([1.0, 2.0, 3.0]))
+
+
+class TestStoredForm:
+    """``to_payload`` is the cache/journal form; it rebuilds a result
+    whose digest form is byte-identical to the original's."""
+
+    @pytest.fixture(scope="class")
+    def ablation(self):
+        from repro.fleet import AblationStudy
+        return AblationStudy(mode="hard", machines=4, epochs=8,
+                             warmup_epochs=2, seed=3).run()
+
+    @pytest.fixture(scope="class")
+    def rollout(self):
+        from repro.fleet import RolloutStudy
+        return RolloutStudy(machines=4, epochs=8, warmup_epochs=2,
+                            seed=5).run()
+
+    def test_ablation_digest_survives_the_stored_form(self, ablation):
+        from repro.serialization import (ablation_result_from_payload,
+                                         ablation_result_to_dict,
+                                         ablation_result_to_payload,
+                                         canonical_json)
+        text = canonical_json(ablation_result_to_payload(ablation))
+        restored = ablation_result_from_payload(json.loads(text))
+        assert (canonical_json(ablation_result_to_dict(restored))
+                == canonical_json(ablation_result_to_dict(ablation)))
+        assert ablation.to_dict() == json.loads(text)
+
+    def test_rollout_digest_survives_the_stored_form(self, rollout):
+        from repro.fleet import rollout_digest
+        from repro.serialization import (canonical_json,
+                                         rollout_result_from_payload,
+                                         rollout_result_to_payload)
+        text = canonical_json(rollout_result_to_payload(rollout))
+        restored = rollout_result_from_payload(json.loads(text))
+        assert rollout_digest(restored) == rollout_digest(rollout)
+        assert rollout.to_dict() == json.loads(text)
+
+    def test_stored_metrics_hold_no_summaries(self, ablation):
+        from repro.serialization import fleet_metrics_to_payload
+        data = fleet_metrics_to_payload(ablation.control)
+        assert set(data) == {"epochs", "rejections", "total_qps",
+                             "ideal_qps", "samples"}
+        assert all(isinstance(column, str)
+                   for column in data["samples"].values())
+
+    def test_stored_form_is_smaller(self, ablation):
+        from repro.serialization import (ablation_result_to_dict,
+                                         ablation_result_to_payload,
+                                         canonical_json)
+        stored = canonical_json(ablation_result_to_payload(ablation))
+        digest = canonical_json(ablation_result_to_dict(ablation))
+        assert len(stored) < 0.75 * len(digest)
+
+    def test_digest_form_is_not_a_payload(self, ablation):
+        """The two forms are distinct codecs: neither decoder accepts
+        the other's samples."""
+        from repro.serialization import (ablation_result_from_dict,
+                                         ablation_result_from_payload,
+                                         ablation_result_to_dict,
+                                         ablation_result_to_payload)
+        with pytest.raises(TraceError):
+            ablation_result_from_payload(ablation_result_to_dict(ablation))
+        with pytest.raises(TraceError):
+            ablation_result_from_dict(ablation_result_to_payload(ablation))
