@@ -16,8 +16,7 @@ before prefetcher state changes. The four states map onto Figure 8:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import TelemetryError
@@ -34,12 +33,18 @@ class ControllerState(enum.Enum):
     @property
     def prefetchers_enabled(self) -> bool:
         """Whether hardware prefetchers are currently on."""
-        return self in (ControllerState.ENABLED, ControllerState.OVERLOADED)
+        return self in _ENABLED_STATES
 
 
-@dataclass(frozen=True)
-class Decision:
-    """The controller's output for one telemetry sample."""
+#: The states with prefetchers on. A tuple, not a frozenset: ``in``
+#: finds a member by identity, where a set lookup first hashes it
+#: through ``Enum.__hash__``, a Python-level call.
+_ENABLED_STATES = (ControllerState.ENABLED, ControllerState.OVERLOADED)
+
+
+class Decision(NamedTuple):
+    """The controller's output for one telemetry sample (a named tuple:
+    the controller builds one per tick)."""
 
     time_ns: float
     utilization: float

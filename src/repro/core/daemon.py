@@ -191,28 +191,36 @@ class LimoncelloDaemon:
         usable sample arrived (previous state held, pending actuations
         retried, fail-safe deadline checked).
         """
-        self.report.ticks += 1
+        report = self.report
+        report.ticks += 1
         if self._first_tick_ns is None:
             self._first_tick_ns = now_ns
         sample = self._sample(now_ns)
         if sample is None:
-            self.report.dropouts += 1
+            report.dropouts += 1
             self._on_dark_tick(now_ns)
-            self._tally_state()
-            return None
-        self.report.samples += 1
-        self._last_good_ns = now_ns
-        if self._failsafe_active:
-            self._release_failsafe(now_ns)
-        self.report.utilization.append(now_ns, sample.utilization)
-        decision = self.controller.observe(now_ns, sample.utilization)
-        if decision.changed:
-            self.report.transitions += 1
-        self._apply(decision.prefetchers_enabled, now_ns)
-        self.report.prefetcher_state.append(
-            now_ns, 1.0 if self.actuator.is_enabled() else 0.0)
-        self._tally_state()
-        return decision.state
+            state = None
+        else:
+            report.samples += 1
+            self._last_good_ns = now_ns
+            if self._failsafe_active:
+                self._release_failsafe(now_ns)
+            report.utilization.append(now_ns, sample.utilization)
+            decision = self.controller.observe(now_ns, sample.utilization)
+            if decision.changed:
+                report.transitions += 1
+            self._apply(decision.prefetchers_enabled, now_ns)
+            state = decision.state
+        # Every tick tallies the state it leaves the actuator in; a
+        # sampled tick also logs it in the prefetcher_state series.
+        enabled = self.actuator.is_enabled()
+        if enabled:
+            report.enabled_ticks += 1
+        else:
+            report.disabled_ticks += 1
+        if sample is not None:
+            report.prefetcher_state.append(now_ns, 1.0 if enabled else 0.0)
+        return state
 
     def run(self, duration_ns: float, start_ns: float = 0.0) -> DaemonReport:
         """Run ticks every ``config.sample_period_ns`` for ``duration_ns``."""
@@ -328,12 +336,6 @@ class LimoncelloDaemon:
                     detected_ns=self._blackout_incident.detected_ns,
                     recovered_ns=now_ns)
             self._blackout_incident = None
-
-    def _tally_state(self) -> None:
-        if self.actuator.is_enabled():
-            self.report.enabled_ticks += 1
-        else:
-            self.report.disabled_ticks += 1
 
     def _apply(self, desired: bool, now_ns: float) -> None:
         """Actuate toward ``desired`` under the retry policy."""

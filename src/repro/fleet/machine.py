@@ -208,12 +208,30 @@ class Machine:
 
     def _draw_noise(self, rng: random.Random) -> float:
         """Redraw every task's noise (:meth:`Task.resample_noise`,
-        inline) and the machine's demand factor, before scaling."""
-        lognormvariate = rng.lognormvariate
+        inline) and the machine's demand factor, before scaling.
+
+        A task's noise is ``rng.lognormvariate(0.0, sigma)`` with the
+        stdlib's code inline: ``exp`` of ``normalvariate``'s
+        Kinderman-Monahan ratio-of-uniforms loop, which draws the same
+        ``random()`` values in the same order (the same from CPython 3.9
+        to 3.13). ``normalvariate`` returns ``0.0 + z * sigma``; adding
+        0.0 changes only a -0.0, and ``exp`` maps both zeros to 1.0.
+        """
+        uniform, magic = rng.random, random.NV_MAGICCONST
+        exp, log = math.exp, math.log
         for socket in self.sockets:
             for task in socket.tasks:
                 sigma = task.noise_sigma
-                task.noise = lognormvariate(0.0, sigma) if sigma > 0 else 1.0
+                if sigma > 0:
+                    while True:
+                        u1 = uniform()
+                        u2 = 1.0 - uniform()
+                        z = magic * (u1 - 0.5) / u2
+                        if z * z / 4.0 <= -log(u2):
+                            break
+                    task.noise = exp(z * sigma)
+                else:
+                    task.noise = 1.0
         # Machine-level volatility, shared by co-located tasks (bursts of
         # correlated traffic are what make Figure 7's trace swing). An
         # AR(1) process in log space: persistent bursts, stationary

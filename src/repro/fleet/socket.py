@@ -13,8 +13,7 @@ Limoncello daemon actuates the socket exactly as it would real hardware.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.fleet.platform import PlatformSpec
@@ -108,9 +107,14 @@ def _compile_solve(count: int, hw_on: bool) -> Callable:
     return namespace["solve"]
 
 
-@dataclass(frozen=True)
-class SocketEpoch:
-    """One epoch's operating point for a socket."""
+class SocketEpoch(NamedTuple):
+    """One epoch's operating point for a socket.
+
+    A named tuple rather than a frozen dataclass: every socket-epoch
+    builds one, and a tuple is about half the cost to build while
+    keeping the fields, keyword construction and immutability
+    (DESIGN.md §6, "Epoch bookkeeping").
+    """
 
     time_ns: float
     #: Offered bandwidth, bytes/ns.
@@ -164,6 +168,8 @@ class SimulatedSocket:
         if dram_config.saturation_bandwidth != platform.saturation_bandwidth:
             raise ConfigError("DRAM config saturation must match the platform's")
         self._dram = DRAMModel(dram_config)
+        #: The DRAM latency at zero load, ns (the profiler's slowdown base).
+        self.unloaded_latency_ns = self.latency_at(0.0)
         self._saturation_bandwidth = (
             dram_config.max_utilization * platform.saturation_bandwidth
         )

@@ -131,7 +131,7 @@ class FleetProfiler:
             if not socket.history:
                 continue
             epoch = socket.history[-1]
-            latency_ratio = epoch.latency_ns / socket.latency_at(0.0)
+            latency_ratio = epoch.latency_ns / socket.unloaded_latency_ns
             hw_on = epoch.hw_prefetchers_on
             soft = socket.soft_deployed
             kernels = self._kernels.get((hw_on, soft))

@@ -11,15 +11,14 @@ the platform's saturation bandwidth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from repro.errors import TelemetryError
 
 
-@dataclass(frozen=True)
-class BandwidthSample:
-    """One telemetry reading for a socket."""
+class BandwidthSample(NamedTuple):
+    """One telemetry reading for a socket (a named tuple: the daemon
+    builds one per tick)."""
 
     time_ns: float
     #: Observed memory bandwidth in bytes/ns (== GB/s).

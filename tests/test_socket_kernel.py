@@ -446,19 +446,21 @@ class TestPrefetcherStateCache:
 class TestReclamation:
     def test_stepped_fleet_is_freed_without_the_cycle_collector(self):
         """No reference cycle keeps a finished fleet alive: with the
-        cyclic collector off, dropping the last reference frees it."""
+        cyclic collector off, dropping the last reference frees it,
+        its machines, their sockets and their daemons. (A socket ->
+        machine back-reference would break this.)"""
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             fleet = Fleet(machines=3, seed=4)
             fleet.deploy_hard_limoncello()
             fleet.run(4)
-            socket = fleet.machines[0].sockets[0]
-            assert socket.history
-            fleet_ref, socket_ref = weakref.ref(fleet), weakref.ref(socket)
-            del fleet, socket
-            assert fleet_ref() is None
-            assert socket_ref() is None
+            machine = fleet.machines[0]
+            socket, daemon = machine.sockets[0], machine.daemons[0]
+            assert socket.history and daemon.report.ticks == 4
+            refs = [weakref.ref(obj) for obj in (fleet, machine, socket, daemon)]
+            del fleet, machine, socket, daemon
+            assert [ref() for ref in refs] == [None] * 4
         finally:
             if was_enabled:
                 gc.enable()
