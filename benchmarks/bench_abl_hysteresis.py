@@ -32,7 +32,7 @@ def run_arm(controller_factory):
 def run_experiment():
     hysteresis_metrics, hysteresis_toggles = run_arm(None)
     naive_metrics, naive_toggles = run_arm(
-        lambda: SingleThresholdController(threshold=0.8))
+        lambda ident: SingleThresholdController(threshold=0.8))
     return (hysteresis_metrics, hysteresis_toggles,
             naive_metrics, naive_toggles)
 

@@ -4,8 +4,8 @@ The trace pipeline has three stages — generation, software-prefetch
 injection, and the hierarchy run — and each stage has two
 implementations: the columnar fast path (builder-generated traces,
 compiled injection, zero-cost ``compile()``) and the record-path oracle
-(``REPRO_SLOW_BUILDER=1`` / ``REPRO_SLOW_INJECTOR=1``). This benchmark
-times both over three arms:
+(generation and injection under ``repro.engine.reference_engine()``).
+This benchmark times both over three arms:
 
 * ``generate`` — bare fleetbench-mix generation: the builder writing
   compiled columns vs per-record dataclass construction plus the
@@ -29,9 +29,7 @@ diffs the JSON against the committed baseline.
 """
 
 import argparse
-import contextlib
 import json
-import os
 import pathlib
 import random
 import sys
@@ -44,12 +42,9 @@ except ImportError:  # CLI use without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.access import AddressSpace, Trace
-from repro.access.builder import SLOW_BUILDER_ENV
 from repro.core.soft.descriptor import PrefetchDescriptor
-from repro.core.soft.injector import (
-    SLOW_INJECTOR_ENV,
-    SoftwarePrefetchInjector,
-)
+from repro.core.soft.injector import SoftwarePrefetchInjector
+from repro.engine import reference_engine
 from repro.memsys import MemoryHierarchy, PrefetcherBank
 from repro.units import KB
 from repro.workloads.mixes import fleetbench_trace
@@ -71,22 +66,6 @@ STAT_FIELDS = (
     "prefetch_covered", "late_prefetch_hits", "dram_wait_ns",
     "late_prefetch_wait_ns",
 )
-
-
-@contextlib.contextmanager
-def forced_env(*names):
-    """Temporarily set the given env switches to "1"."""
-    saved = {name: os.environ.get(name) for name in names}
-    try:
-        for name in names:
-            os.environ[name] = "1"
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def trace_fingerprint(trace):
@@ -124,7 +103,7 @@ def generate_mix():
 
 def run_generate_arm(rounds):
     columnar_s, columnar = best_of(generate_mix, rounds)
-    with forced_env(SLOW_BUILDER_ENV):
+    with reference_engine():
         record_s, record = best_of(generate_mix, rounds)
     if trace_fingerprint(columnar) != trace_fingerprint(record):
         raise AssertionError(
@@ -159,7 +138,7 @@ def run_inject_arm(rounds):
 
     columnar_s, columnar = best_of(
         lambda: make_injector().inject(base), rounds)
-    with forced_env(SLOW_INJECTOR_ENV):
+    with reference_engine():
         record_s, record = best_of(
             lambda: make_injector().inject(record_base), rounds)
     if trace_fingerprint(columnar) != trace_fingerprint(record):
@@ -213,17 +192,21 @@ def sweep_record_path():
     ran a speedup sweep: every ``run()`` regenerated the batch trace and
     every ``speedup()`` re-ran the baseline, so one config costs two
     generations, two lowerings, a record-path injection, and two
-    simulations."""
-    with forced_env(SLOW_BUILDER_ENV, SLOW_INJECTOR_ENV):
-        results = []
-        for distance, degree in sweep_configs():
-            baseline = simulate(
-                memcpy_call_trace(AddressSpace(), list(SWEEP_CALL_SIZES)))
+    simulations. Generation and injection take the record path; the
+    simulations stay on the compiled engine, as in that benchmark."""
+    results = []
+    for distance, degree in sweep_configs():
+        with reference_engine():
+            baseline_trace = memcpy_call_trace(
+                AddressSpace(), list(SWEEP_CALL_SIZES))
+        baseline = simulate(baseline_trace)
+        with reference_engine():
             base = memcpy_call_trace(AddressSpace(), list(SWEEP_CALL_SIZES))
             injector = SoftwarePrefetchInjector([
                 sweep_descriptor(distance, degree)])
-            results.append((baseline, simulate(injector.inject(base))))
-        return results
+            injected = injector.inject(base)
+        results.append((baseline, simulate(injected)))
+    return results
 
 
 def run_sweep_arm(rounds):

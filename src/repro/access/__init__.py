@@ -15,10 +15,7 @@ from repro.access.trace import Trace, interleave
 __getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
     "record": ("AccessKind", "MemoryAccess"),
     "compiled": ("CompiledTrace", "concat_compiled"),
-    "builder": (
-        "RecordTraceBuilder", "SLOW_BUILDER_ENV", "TraceBuilder",
-        "trace_builder",
-    ),
+    "builder": ("RecordTraceBuilder", "TraceBuilder", "trace_builder"),
     "address": ("AddressSpace",),
 })
 __all__ = ["Trace", "interleave", *_lazy_names]

@@ -17,25 +17,22 @@ only if someone actually iterates them.
 :class:`RecordTraceBuilder` is the oracle twin: the same API, but it
 constructs a real ``MemoryAccess`` per ``append`` and builds a validated,
 record-backed ``Trace`` — exactly the old pipeline's cost and behaviour.
-``REPRO_SLOW_BUILDER=1`` makes :func:`trace_builder` return it, so every
-generator can be driven down the record path for equivalence testing
-(``tests/test_trace_builder.py``), the same escape-hatch pattern as
-``REPRO_SLOW_ENGINE`` for the simulator engines.
+Under the engine switch (``REPRO_SLOW_ENGINE=1``, or code run inside
+:func:`repro.engine.reference_engine`) :func:`trace_builder` returns it,
+so every generator can be driven down the record path for equivalence
+testing (``tests/test_trace_builder.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Union
 
 from repro.access.compiled import CompiledTrace
 from repro.access.record import AccessKind, KIND_CODES, MemoryAccess
 from repro.access.trace import Trace
+from repro.engine import slow_engine_requested
 from repro.errors import TraceError
 from repro.units import CACHE_LINE_BYTES
-
-#: Set to "1" (or "true"/"yes"/"on") to force the record-path builder.
-SLOW_BUILDER_ENV = "REPRO_SLOW_BUILDER"
 
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _LINE_SHIFT = CACHE_LINE_BYTES.bit_length() - 1
@@ -43,16 +40,10 @@ _KIND_LOAD = KIND_CODES[AccessKind.LOAD]
 _KIND_STORE = KIND_CODES[AccessKind.STORE]
 
 
-def slow_builder_requested() -> bool:
-    """Whether ``REPRO_SLOW_BUILDER`` forces the record-path builder."""
-    return os.environ.get(SLOW_BUILDER_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 def trace_builder() -> "Union[TraceBuilder, RecordTraceBuilder]":
-    """The builder generators should use: columnar unless the oracle
-    escape hatch (``REPRO_SLOW_BUILDER=1``) is set."""
-    if slow_builder_requested():
+    """The builder generators should use: columnar unless the engine
+    switch asks for the reference paths."""
+    if slow_engine_requested():
         return RecordTraceBuilder()
     return TraceBuilder()
 

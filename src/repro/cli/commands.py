@@ -96,18 +96,11 @@ def _check_serial(digest: str, serial_digest: str) -> None:
 
 
 def _resolve_fault_plan(args):
-    """The study's fault plan: ``--fault-plan``, else $REPRO_FAULT_PLAN,
-    else None (fault-free)."""
-    import os
-
-    from repro.faults import FAULT_PLAN_ENV_VAR, FaultPlan
+    """The study's ``--fault-plan``, or None (fault-free)."""
+    from repro.faults import FaultPlan
 
     spec = getattr(args, "fault_plan", None)
-    if spec is None:
-        spec = os.environ.get(FAULT_PLAN_ENV_VAR) or None
-    if spec is None:
-        return None
-    return FaultPlan.parse(spec)
+    return None if spec is None else FaultPlan.parse(spec)
 
 
 def _print_chaos_summary(chaos) -> None:
@@ -245,9 +238,8 @@ def run_sweep(args) -> int:
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     kwargs = dict(mode=args.mode, machines=args.machines, seed=args.seed,
-                  scale=args.scale, crash_rate=args.crash_rate,
-                  shard_size=args.shard_size, fault_plan=fault_plan,
-                  workload=args.trace)
+                  scale=args.scale, shard_size=args.shard_size,
+                  fault_plan=fault_plan, workload=args.trace)
     sweep = MicroFleetSweep(**kwargs)
     result = sweep.run(workers=args.workers, cache_dir=args.cache_dir,
                        checkpoint_dir=checkpoint_dir)
@@ -571,7 +563,7 @@ def run_scenario_callgraph(args) -> int:
     kwargs = dict(services=args.services or DEFAULT_SERVICES,
                   requests=args.requests, seed=args.seed, mode=args.mode,
                   rpc_overhead_ns=args.rpc_overhead_ns,
-                  crash_rate=args.crash_rate, fault_plan=fault_plan)
+                  fault_plan=fault_plan)
     scenario = CallGraphScenario(**kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,
@@ -644,8 +636,8 @@ def run_scenario_noisy(args) -> int:
                   machines=args.machines, epochs=args.epochs,
                   seed=args.seed, mode=args.mode, policy=policy,
                   upper=args.upper, lower=args.lower,
-                  sustain_ns=args.sustain_ns, crash_rate=args.crash_rate,
-                  shard_size=args.shard_size, fault_plan=fault_plan)
+                  sustain_ns=args.sustain_ns, shard_size=args.shard_size,
+                  fault_plan=fault_plan)
     scenario = NoisyNeighborScenario(**kwargs)
     result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
                           checkpoint_dir=checkpoint_dir,

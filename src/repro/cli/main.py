@@ -69,7 +69,7 @@ def _add_fault_plan_flag(subparser: argparse.ArgumentParser) -> None:
         "--fault-plan", type=str, default=None, metavar="SPEC",
         help="inject faults per this plan, e.g. "
              "'seed=3;telemetry-drop:rate=0.1;machine-crash:rate=0.02' "
-             "(default: $REPRO_FAULT_PLAN; unset runs fault-free)")
+             "(default: fault-free)")
 
 
 def _prune_cap(text: str) -> int:
@@ -147,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=17)
     sweep.add_argument("--scale", type=float, default=1.0,
                        help="workload scale factor for the shared trace")
-    sweep.add_argument("--crash-rate", type=float, default=0.0,
-                       help="chaos: fraction of arms marked down for the "
-                            "whole replay (deterministic per-arm draw)")
     _add_shard_size_flag(sweep)
     sweep.add_argument(
         "--trace", choices=("fleetbench", "scenario"),
@@ -248,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     callgraph.add_argument("--rpc-overhead-ns", type=float, default=500.0,
                            help="fixed per-call network/serialization "
                                 "cost on every fan-out edge")
-    callgraph.add_argument("--crash-rate", type=float, default=0.0,
-                           help="chaos: fraction of replicas marked down "
-                                "for the whole replay")
     _add_compare_serial_flag(callgraph)
     _add_execution_flags(callgraph)
     _add_checkpoint_flags(callgraph)
@@ -292,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="controller sustain duration, ns (trace "
                             "scale — the paper's seconds-scale sustain "
                             "never expires inside a microsecond replay)")
-    noisy.add_argument("--crash-rate", type=float, default=0.0,
-                       help="chaos: fraction of machines marked down")
     _add_shard_size_flag(noisy)
     noisy.add_argument(
         "--baseline", action="store_true",

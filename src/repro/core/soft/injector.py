@@ -16,13 +16,13 @@ Injection runs directly on a trace's compiled columns (run detection,
 planning, and the splice all stay in packed int tuples), so a sweep that
 re-injects one base trace per (distance, degree) config never materializes
 a record. The original record-path implementation is kept verbatim as the
-oracle: ``REPRO_SLOW_INJECTOR=1`` forces it, and the equivalence suite
-(``tests/test_injector_compiled.py``) proves both paths bit-identical.
+oracle: the engine switch (``REPRO_SLOW_ENGINE=1``) forces it, and the
+equivalence suite (``tests/test_injector_compiled.py``) proves both
+paths bit-identical.
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -35,25 +35,17 @@ from repro.access.record import (
 )
 from repro.access.trace import Trace
 from repro.core.soft.descriptor import PrefetchDescriptor
+from repro.engine import slow_engine_requested
 from repro.errors import ConfigError
 from repro.units import CACHE_LINE_BYTES
 
 #: XORed into the demand PC to form the synthetic prefetch-site PC.
 _PREFETCH_PC_TAG = 0x1
 
-#: Set to "1" (or "true"/"yes"/"on") to force the record-path injector.
-SLOW_INJECTOR_ENV = "REPRO_SLOW_INJECTOR"
-
 _KIND_PREFETCH = KIND_CODES[AccessKind.SOFTWARE_PREFETCH]
 _KIND_HINT = KIND_CODES[AccessKind.STREAM_HINT]
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _LINE_SHIFT = CACHE_LINE_BYTES.bit_length() - 1
-
-
-def slow_injector_requested() -> bool:
-    """Whether ``REPRO_SLOW_INJECTOR`` forces the record-path injector."""
-    return os.environ.get(SLOW_INJECTOR_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
 
 
 @dataclass
@@ -127,10 +119,11 @@ class SoftwarePrefetchInjector:
         """Return a copy of ``trace`` with prefetch records inserted.
 
         Runs on the trace's compiled columns (free for builder-generated
-        traces, cached otherwise) and returns a column-backed trace;
-        ``REPRO_SLOW_INJECTOR=1`` forces the original record-path oracle.
+        traces, cached otherwise) and returns a column-backed trace; the
+        engine switch (``REPRO_SLOW_ENGINE=1``) forces the original
+        record-path oracle.
         """
-        if slow_injector_requested():
+        if slow_engine_requested():
             runs = self._collect_runs(trace)
             insertions = self._plan_insertions(trace, runs)
             return self._rebuild(trace, insertions)
@@ -264,7 +257,7 @@ class SoftwarePrefetchInjector:
     # --- record-path oracle -------------------------------------------------
     #
     # The original implementation, kept verbatim (modulo the trusted
-    # constructor in _rebuild). REPRO_SLOW_INJECTOR=1 routes inject()
+    # constructor in _rebuild). REPRO_SLOW_ENGINE=1 routes inject()
     # here; the equivalence suite diffs the two paths record for record.
 
     # --- pass 1: stream detection ------------------------------------------------

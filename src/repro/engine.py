@@ -1,10 +1,12 @@
 """The engine switch: fast paths or the reference path.
 
-Two layers keep a fast path beside a reference path that is its
+Four layers keep a fast path beside a reference path that is its
 correctness oracle: the memsys timing engines (the compiled engine vs
-the record-at-a-time interpreter, DESIGN.md §5) and the fleet driver
-tape (taped arms vs every arm driving itself, DESIGN.md §6). One switch
-picks the reference path for both. This module imports nothing from
+the record-at-a-time interpreter, DESIGN.md §5), the fleet driver tape
+(taped arms vs every arm driving itself, DESIGN.md §6), the trace
+builder (columnar vs record-backed generation) and the software-prefetch
+injector (compiled columns vs the record path). One switch picks the
+reference path for all four. This module imports nothing from
 the package, so reading the switch never loads a simulator.
 """
 

@@ -21,8 +21,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "plan": (
-        "FAULT_PLAN_ENV_VAR", "RESTART_POLICIES", "FaultClause", "FaultPlan",
-        "fault_rng", "fault_seed",
+        "RESTART_POLICIES", "FaultClause", "FaultPlan", "fault_rng",
+        "fault_seed",
     ),
     "injectors": ("FaultyActuation", "FaultyTelemetry", "MachineChaos"),
     "metrics": ("ChaosMetrics", "collect_chaos_metrics"),

@@ -8,7 +8,7 @@ data — a list of fault clauses plus a seed — so a faulted study can be
 replayed bit-for-bit, sharded across workers, and keyed into the
 on-disk result cache like any other study parameter.
 
-Plans are written as compact specs, CLI- and env-var-friendly::
+Plans are written as compact specs (the CLI's ``--fault-plan``)::
 
     telemetry-blackout:start=120,duration=60;msr-transient:rate=0.3
 
@@ -35,10 +35,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.units import SECOND
-
-#: Environment override for the default fault plan, honoured by the
-#: fleet-study CLI commands when ``--fault-plan`` is not passed.
-FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: Machine restart policies: prefetcher state after a crash-reboot.
 RESTART_POLICIES = ("enabled", "disabled", "preserved")

@@ -25,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "socket": ("SimulatedSocket", "SocketEpoch"),
     "machine": ("Machine",),
     "scheduler": ("BandwidthAwareScheduler",),
-    "traffic": ("DiurnalTraffic", "VolatileTraffic"),
+    "traffic": ("DiurnalTraffic",),
     "cluster": ("Fleet", "FleetMetrics"),
     "shard": (
         "DEFAULT_SHARD_SIZE", "ShardPlan", "plan_shards", "shard_seed",

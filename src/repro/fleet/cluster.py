@@ -143,8 +143,6 @@ class Fleet:
         template: Task archetype for arriving work.
         responses: Calibration table for task behaviour.
         seed: Master seed; the fleet is fully deterministic given it.
-        telemetry_dropout: Per-sample probability a daemon's telemetry
-            read fails.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`; when
             set, every machine gets a :class:`MachineChaos` environment
             seeded from ``(plan seed, fleet seed, machine name)``, so the
@@ -163,7 +161,6 @@ class Fleet:
                  responses: ResponseTable = DEFAULT_RESPONSES,
                  scheduler: Optional[BandwidthAwareScheduler] = None,
                  seed: int = 0,
-                 telemetry_dropout: float = 0.0,
                  platform_mix: Optional[Dict[PlatformSpec, float]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer=None) -> None:
@@ -179,7 +176,6 @@ class Fleet:
         platforms = self._assign_platforms(machines, platform, platform_mix)
         self.machines: List[Machine] = [
             Machine(f"machine-{i}", spec, sockets=sockets_per_machine,
-                    telemetry_dropout=telemetry_dropout,
                     rng=random.Random(seed * 100_003 + i),
                     chaos=(MachineChaos(fault_plan, seed, f"machine-{i}")
                            if fault_plan is not None else None),

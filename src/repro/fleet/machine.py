@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import inspect
 import math
 import random
 from typing import List, Optional
@@ -43,8 +42,7 @@ class Machine:
     """
 
     def __init__(self, name: str, platform: PlatformSpec,
-                 sockets: int = 2, telemetry_dropout: float = 0.0,
-                 demand_noise_sigma: float = 0.12,
+                 sockets: int = 2, demand_noise_sigma: float = 0.12,
                  rng: Optional[random.Random] = None,
                  chaos=None, tracer=None) -> None:
         if sockets <= 0:
@@ -61,7 +59,6 @@ class Machine:
         self._log_demand_noise = 0.0
         self.sockets: List[SimulatedSocket] = [
             SimulatedSocket(platform, index=i) for i in range(sockets)]
-        self._telemetry_dropout = telemetry_dropout
         self._rng = rng or random.Random(machine_seed(name))
         #: Optional :class:`~repro.faults.injectors.MachineChaos` fault
         #: environment; when set, deployed daemons see faulted telemetry
@@ -80,35 +77,23 @@ class Machine:
                                controller_factory=None) -> None:
         """Install a per-socket control daemon (idempotent).
 
-        ``controller_factory`` may take zero arguments (the historical
-        contract) or one — the socket's ``"<machine>/<socket>"`` ident.
-        Policy controllers need the ident at construction time so
-        per-socket learning streams derive from it deterministically,
-        whether or not a tracer later attaches the same ident.
+        ``controller_factory`` is called with the socket's
+        ``"<machine>/<socket>"`` ident. Policy controllers need the ident
+        at construction time so per-socket learning streams derive from
+        it deterministically, whether or not a tracer later attaches the
+        same ident.
         """
         if self.daemons:
             return
-        factory_arity = 0
-        if controller_factory is not None:
-            try:
-                factory_arity = len(
-                    inspect.signature(controller_factory).parameters)
-            except (TypeError, ValueError):
-                factory_arity = 0
         for socket in self.sockets:
-            sampler = PerfBandwidthSampler(
-                socket, dropout_rate=self._telemetry_dropout, rng=self._rng)
+            sampler = PerfBandwidthSampler(socket)
             actuator = MSRPrefetcherActuator(socket.msrs, socket.msr_map)
             if self.chaos is not None:
                 sampler = self.chaos.wrap_sampler(sampler, socket.index)
                 actuator = self.chaos.wrap_actuator(actuator, socket)
             ident = f"{self.name}/{socket.index}"
-            if controller_factory is None:
-                controller = None
-            elif factory_arity >= 1:
-                controller = controller_factory(ident)
-            else:
-                controller = controller_factory()
+            controller = (None if controller_factory is None
+                          else controller_factory(ident))
             self.daemons.append(LimoncelloDaemon(
                 sampler, actuator, config, controller=controller,
                 tracer=self.tracer, ident=ident))

@@ -277,11 +277,11 @@ class MicroFleetSweep:
         seed: Master study seed; shard trace seeds and every per-arm
             draw derive from it deterministically.
         scale: Workload scale factor passed to the trace generator.
-        crash_rate: Fraction of arms a chaos sweep marks down (drawn
-            per-arm from the study's fault stream; 0 disables chaos).
-        fault_plan: Supplies the crash rate from its ``machine-crash``
-            clause when the explicit rate is 0; any other fault kind
-            raises :class:`ConfigError`, as the sweep runs no daemon.
+        fault_plan: Its ``machine-crash`` rate is the fraction of arms a
+            chaos sweep marks down (drawn per arm from the study's fault
+            stream; no plan or no such clause runs every arm). Any other
+            fault kind raises :class:`ConfigError`, as the sweep runs no
+            daemon.
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
         workload: Which shared trace the arms replay — ``fleetbench``
             (default) or ``scenario`` (the noisy-neighbor tenant
@@ -294,7 +294,6 @@ class MicroFleetSweep:
 
     def __init__(self, mode: str = "off", machines: int = 64,
                  seed: int = 17, scale: float = 1.0,
-                 crash_rate: float = 0.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None,
                  workload: Optional[str] = None) -> None:
@@ -311,20 +310,17 @@ class MicroFleetSweep:
             raise ConfigError("need at least one machine")
         if scale <= 0:
             raise ConfigError(f"scale must be positive, got {scale}")
-        if not 0.0 <= crash_rate < 1.0:
-            raise ConfigError(
-                f"crash rate must be in [0, 1), got {crash_rate}")
         if shard_size <= 0:
             raise ConfigError(f"shard size must be positive, got {shard_size}")
-        if fault_plan is not None:
-            plan_rate = fault_plan.crash_only_rate("the sweep")
-            if crash_rate == 0.0:
-                crash_rate = plan_rate
         self.mode = mode
         self.machines = machines
         self.seed = seed
         self.scale = scale
-        self.crash_rate = crash_rate
+        #: Derived from the plan; cache and shard-task keys hold the
+        #: rate, not the plan.
+        self.crash_rate = 0.0
+        if fault_plan is not None:
+            self.crash_rate = fault_plan.crash_only_rate("the sweep")
         self.shard_size = shard_size
         self.workload = workload
         #: Work-queue disposition of the last :meth:`run` (a

@@ -1,10 +1,7 @@
-"""Traffic models: diurnal fleet load and per-machine volatility.
+"""Traffic model: diurnal fleet load.
 
-The paper's Figure 7 shows per-machine bandwidth varying substantially
-minute to minute — the volatility that motivates the controller's
-hysteresis. :class:`DiurnalTraffic` drives the fleet-level task count
-through a day/night cycle with noise; :class:`VolatileTraffic` adds the
-short bursts that a naive single-threshold controller would chase.
+:class:`DiurnalTraffic` drives the fleet-level task count through a
+day/night cycle with noise.
 """
 
 from __future__ import annotations
@@ -55,42 +52,3 @@ class DiurnalTraffic:
             base += self._rng.gauss(0.0, self.noise)
         return min(max(base, 0.0), 1.0)
 
-
-class VolatileTraffic:
-    """A traffic shape with square bursts layered on a baseline.
-
-    Used to generate the Figure 7-style bandwidth trace and to stress the
-    controller: bursts shorter than the sustain duration must not flip
-    prefetcher state.
-    """
-
-    def __init__(self, baseline: float = 0.55, burst_height: float = 0.35,
-                 burst_probability: float = 0.15,
-                 burst_duration_ns: float = 60 * SECOND,
-                 noise: float = 0.05,
-                 rng: Optional[random.Random] = None) -> None:
-        if not 0.0 <= baseline <= 1.0:
-            raise ConfigError("baseline must be in [0, 1]")
-        if burst_height < 0 or not 0.0 <= burst_probability <= 1.0:
-            raise ConfigError("invalid burst parameters")
-        if burst_duration_ns <= 0:
-            raise ConfigError("burst duration must be positive")
-        self.baseline = baseline
-        self.burst_height = burst_height
-        self.burst_probability = burst_probability
-        self.burst_duration_ns = burst_duration_ns
-        self.noise = noise
-        self._rng = rng or random.Random(0)
-        self._burst_until = -1.0
-
-    def target(self, now_ns: float) -> float:
-        """Target load fraction at a simulation time."""
-        if now_ns > self._burst_until \
-                and self._rng.random() < self.burst_probability:
-            self._burst_until = now_ns + self.burst_duration_ns
-        level = self.baseline
-        if now_ns <= self._burst_until:
-            level += self.burst_height
-        if self.noise:
-            level += self._rng.gauss(0.0, self.noise)
-        return min(max(level, 0.0), 1.2)

@@ -333,11 +333,10 @@ class CallGraphScenario:
             streams.
         rpc_overhead_ns: Fixed per-call network/serialization cost added
             on every fan-out edge during end-to-end assembly.
-        crash_rate: Fraction of replicas a chaos run marks down for the
-            whole replay (deterministic per-replica draw). A
-            ``machine-crash`` clause in ``fault_plan`` supplies it when
-            the explicit rate is 0; any other fault kind raises
-            :class:`ConfigError`.
+        fault_plan: Its ``machine-crash`` rate is the fraction of
+            replicas a chaos run marks down for the whole replay
+            (deterministic per-replica draw); any other fault kind
+            raises :class:`ConfigError`.
     """
 
     STUDY = "scenario-callgraph"
@@ -345,7 +344,6 @@ class CallGraphScenario:
     def __init__(self, services=None, requests: int = 32,
                  seed: int = 21, mode: str = "off",
                  rpc_overhead_ns: float = 500.0,
-                 crash_rate: float = 0.0,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         if services is None:
             services = parse_services(DEFAULT_SERVICES)
@@ -361,9 +359,6 @@ class CallGraphScenario:
             raise ConfigError(f"requests must be positive, got {requests}")
         if rpc_overhead_ns < 0:
             raise ConfigError("rpc_overhead_ns cannot be negative")
-        if not 0.0 <= crash_rate < 1.0:
-            raise ConfigError(
-                f"crash rate must be in [0, 1), got {crash_rate}")
         names = [service.name for service in services]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate service names in {names}")
@@ -375,17 +370,16 @@ class CallGraphScenario:
                         f"service {service.name!r} calls unknown service "
                         f"{child!r}")
         self._check_acyclic(services, by_name)
-        if fault_plan is not None:
-            plan_rate = fault_plan.crash_only_rate("the call-graph scenario")
-            if crash_rate == 0.0:
-                crash_rate = plan_rate
         self.services = services
         self.root = services[0].name
         self.requests = requests
         self.seed = seed
         self.mode = mode
         self.rpc_overhead_ns = rpc_overhead_ns
-        self.crash_rate = crash_rate
+        self.crash_rate = 0.0
+        if fault_plan is not None:
+            self.crash_rate = fault_plan.crash_only_rate(
+                "the call-graph scenario")
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
 

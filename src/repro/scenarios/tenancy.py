@@ -429,13 +429,12 @@ class NoisyNeighborScenario:
             duration, scaled to trace time (default 80%/60% and 30 µs —
             the paper's seconds-scale sustain would never expire inside
             a microsecond-scale replay).
-        crash_rate: Fraction of machines a chaos run marks down
-            (deterministic per-machine draw; a ``machine-crash`` clause
-            in ``fault_plan`` supplies it when the explicit rate is 0;
-            any other fault kind raises :class:`ConfigError`).
         shard_size: Machines per shard. Machine identities and draws
             key off *global* indices, so the merged result is invariant
             to the shard size too (it is excluded from cache keys).
+        fault_plan: Its ``machine-crash`` rate is the fraction of
+            machines a chaos run marks down (deterministic per-machine
+            draw); any other fault kind raises :class:`ConfigError`.
     """
 
     STUDY = "scenario-noisy"
@@ -444,7 +443,6 @@ class NoisyNeighborScenario:
                  seed: int = 23, mode: str = "hard",
                  policy=None, upper: float = 0.8, lower: float = 0.6,
                  sustain_ns: float = 30_000.0,
-                 crash_rate: float = 0.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         if tenants is None:
@@ -481,16 +479,9 @@ class NoisyNeighborScenario:
                 f"need 0 < lower ({lower}) < upper ({upper}) <= 1")
         if sustain_ns <= 0:
             raise ConfigError("sustain_ns must be positive")
-        if not 0.0 <= crash_rate < 1.0:
-            raise ConfigError(
-                f"crash rate must be in [0, 1), got {crash_rate}")
         if shard_size <= 0:
             raise ConfigError(
                 f"shard size must be positive, got {shard_size}")
-        if fault_plan is not None:
-            plan_rate = fault_plan.crash_only_rate("the noisy-neighbor scenario")
-            if crash_rate == 0.0:
-                crash_rate = plan_rate
         self.tenants = tenants
         self.machines = machines
         self.epochs = epochs
@@ -500,7 +491,11 @@ class NoisyNeighborScenario:
         self.upper = upper
         self.lower = lower
         self.sustain_ns = sustain_ns
-        self.crash_rate = crash_rate
+        self.crash_rate = 0.0
+        if fault_plan is not None:
+            self.crash_rate = fault_plan.crash_only_rate(
+                "the noisy-neighbor scenario")
+        self.fault_plan = fault_plan
         self.shard_size = shard_size
         #: Work-queue disposition of the last :meth:`run`, or ``None``.
         self.queue_stats = None
@@ -602,8 +597,8 @@ class NoisyNeighborScenario:
             tenants=self.tenants, machines=self.machines,
             epochs=self.epochs, seed=self.seed, mode="enabled",
             upper=self.upper, lower=self.lower,
-            sustain_ns=self.sustain_ns, crash_rate=self.crash_rate,
-            shard_size=self.shard_size)
+            sustain_ns=self.sustain_ns, shard_size=self.shard_size,
+            fault_plan=self.fault_plan)
 
     def compare_to_baseline(self, result: NoisyNeighborResult,
                             baseline: NoisyNeighborResult) -> Dict[str, Dict]:

@@ -18,7 +18,6 @@ from repro.telemetry.percentile import (
 __getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
     "timeseries": ("TimeSeries", "TimePoint"),
     "window": ("SlidingWindow",),
-    "counters": ("CounterSet",),
     "sampler": (
         "BandwidthSample", "BandwidthSampler", "PerfBandwidthSampler",
         "ScriptedBandwidthSource",

@@ -10,8 +10,7 @@ the platform's saturation bandwidth.
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple, Optional, Protocol
+from typing import NamedTuple, Protocol
 
 from repro.errors import TelemetryError
 
@@ -46,34 +45,22 @@ class BandwidthSampler(Protocol):
 
 
 class PerfBandwidthSampler:
-    """Samples a :class:`BandwidthSource`, optionally injecting dropouts.
+    """Samples a :class:`BandwidthSource`.
+
+    Lossy telemetry (dropped, NaN, stale or late samples) is a fault:
+    wrap the sampler in :class:`~repro.faults.injectors.FaultyTelemetry`
+    or run the study under a ``telemetry-*`` fault-plan clause.
 
     Args:
         source: The socket (or stand-in) to observe.
-        dropout_rate: Probability that any given sample fails with
-            :class:`~repro.errors.TelemetryError`, modelling the profiler
-            being descheduled or a counter read failing. The controller
-            daemon must tolerate these (it holds its previous state).
-        rng: Random source for dropout decisions; supply a seeded
-            ``random.Random`` for reproducibility.
     """
 
-    def __init__(self, source: BandwidthSource, dropout_rate: float = 0.0,
-                 rng: Optional[random.Random] = None) -> None:
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ValueError(
-                f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    def __init__(self, source: BandwidthSource) -> None:
         self._source = source
-        self._dropout_rate = dropout_rate
-        self._rng = rng or random.Random(0)
         self.samples_taken = 0
-        self.samples_dropped = 0
 
     def sample(self, now_ns: float) -> BandwidthSample:
         """Take one bandwidth sample at the given time."""
-        if self._dropout_rate and self._rng.random() < self._dropout_rate:
-            self.samples_dropped += 1
-            raise TelemetryError(f"bandwidth sample dropped at t={now_ns}ns")
         bandwidth = self._source.memory_bandwidth(now_ns)
         saturation = self._source.saturation_bandwidth
         if saturation <= 0:

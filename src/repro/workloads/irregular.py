@@ -7,7 +7,7 @@ bandwidth on their behalf.
 
 Like the tax generators, these emit through
 :func:`~repro.access.builder.trace_builder`, so traces are born columnar
-(``REPRO_SLOW_BUILDER=1`` selects the record-path oracle).
+(``REPRO_SLOW_ENGINE=1`` selects the record-path oracle).
 """
 
 from __future__ import annotations

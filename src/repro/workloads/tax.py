@@ -12,7 +12,7 @@ train on them exactly as they would on the real functions.
 
 Generation is columnar-native: records go through
 :func:`~repro.access.builder.trace_builder` straight into compiled-trace
-columns (``REPRO_SLOW_BUILDER=1`` swaps in the record-path oracle), so a
+columns (``REPRO_SLOW_ENGINE=1`` swaps in the record-path oracle), so a
 generated trace is born pre-lowered for the fast engine.
 """
 

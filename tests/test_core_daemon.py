@@ -11,6 +11,7 @@ from repro.core import (
     MSRPrefetcherActuator,
     SingleThresholdController,
 )
+from repro.faults import FaultyTelemetry
 from repro.msr import FaultyMSRFile, INTEL_LIKE_MAP, MSRFile
 from repro.telemetry import PerfBandwidthSampler, ScriptedBandwidthSource
 from repro.units import SECOND
@@ -19,7 +20,10 @@ from repro.units import SECOND
 def scripted_daemon(profile, saturation=100.0, sustain=2.0 * SECOND,
                     dropout=0.0, msrs=None, rng=None):
     source = ScriptedBandwidthSource(profile, saturation_bandwidth=saturation)
-    sampler = PerfBandwidthSampler(source, dropout_rate=dropout, rng=rng)
+    sampler = PerfBandwidthSampler(source)
+    if dropout:
+        sampler = FaultyTelemetry(sampler, rng or random.Random(0),
+                                  drop_rate=dropout)
     msrs = msrs if msrs is not None else MSRFile()
     actuator = MSRPrefetcherActuator(msrs, INTEL_LIKE_MAP)
     config = LimoncelloConfig(sustain_duration_ns=sustain)

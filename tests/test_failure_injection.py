@@ -13,6 +13,7 @@ from repro.core import (
     MSRPrefetcherActuator,
 )
 from repro.errors import TelemetryError
+from repro.faults import FaultPlan, FaultyTelemetry
 from repro.fleet import Fleet
 from repro.msr import FaultyMSRFile, INTEL_LIKE_MAP
 from repro.telemetry import PerfBandwidthSampler, ScriptedBandwidthSource
@@ -23,7 +24,8 @@ class TestTelemetryDropouts:
     def test_fleet_with_dropouts_still_controls_prefetchers(self):
         """30% sample loss: the fleet's daemons still disable prefetchers
         on hot sockets and the run completes."""
-        fleet = Fleet(machines=8, seed=3, telemetry_dropout=0.3)
+        fleet = Fleet(machines=8, seed=3,
+                      fault_plan=FaultPlan.parse("telemetry-drop:rate=0.3"))
         fleet.deploy_hard_limoncello()
         fleet.run(60)
         toggled = sum(socket.toggles for machine in fleet.machines
@@ -37,8 +39,8 @@ class TestTelemetryDropouts:
         """A dropped sample leaves the actuated state untouched."""
         source = ScriptedBandwidthSource([(0.0, 90.0)],
                                          saturation_bandwidth=100.0)
-        sampler = PerfBandwidthSampler(source, dropout_rate=0.999,
-                                       rng=random.Random(1))
+        sampler = FaultyTelemetry(PerfBandwidthSampler(source),
+                                  random.Random(1), drop_rate=0.999)
         msrs = FaultyMSRFile(failure_rate=0.0)
         daemon = LimoncelloDaemon(
             sampler, MSRPrefetcherActuator(msrs, INTEL_LIKE_MAP),

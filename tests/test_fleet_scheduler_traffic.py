@@ -1,4 +1,4 @@
-"""Tests for the scheduler and the traffic models."""
+"""Tests for the scheduler and the traffic model."""
 
 import random
 
@@ -11,9 +11,7 @@ from repro.fleet import (
     Machine,
     PLATFORM_1,
     Task,
-    VolatileTraffic,
 )
-from repro.units import SECOND
 
 
 def task(cores=8.0, bandwidth=30.0, name="t"):
@@ -115,24 +113,3 @@ class TestDiurnalTraffic:
         with pytest.raises(ConfigError):
             DiurnalTraffic(period_ns=0.0)
 
-
-class TestVolatileTraffic:
-    def test_bursts_occur_and_decay(self):
-        traffic = VolatileTraffic(baseline=0.5, burst_height=0.4,
-                                  burst_probability=0.3,
-                                  burst_duration_ns=5 * SECOND,
-                                  noise=0.0, rng=random.Random(4))
-        values = [traffic.target(t * SECOND) for t in range(200)]
-        assert max(values) >= 0.85   # bursts reach baseline + height
-        assert min(values) <= 0.55   # quiet periods return to baseline
-        # Both regimes well represented.
-        high = sum(1 for v in values if v > 0.7)
-        assert 10 < high < 190
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            VolatileTraffic(baseline=1.5)
-        with pytest.raises(ConfigError):
-            VolatileTraffic(burst_probability=1.5)
-        with pytest.raises(ConfigError):
-            VolatileTraffic(burst_duration_ns=0.0)

@@ -20,6 +20,8 @@ from repro.memsys.hierarchy import reference_engine
 from repro.scenarios import CallGraphScenario, NoisyNeighborScenario
 
 SCALE = 0.05  # tiny shared traces keep each sweep run fast
+#: Downs roughly 40% of the arms (the sweep takes only this clause).
+CRASH_40 = FaultPlan.parse("machine-crash:rate=0.4")
 
 
 def small_sweep(**overrides):
@@ -60,8 +62,8 @@ class TestDeterminism:
 
 class TestChaosArms:
     def test_crash_rate_downs_deterministic_arms(self):
-        first = small_sweep(crash_rate=0.4).run(workers=1)
-        second = small_sweep(crash_rate=0.4).run(workers=1)
+        first = small_sweep(fault_plan=CRASH_40).run(workers=1)
+        second = small_sweep(fault_plan=CRASH_40).run(workers=1)
         assert sweep_digest(first) == sweep_digest(second)
         assert 0 < first.down < first.machines
         downed = [arm for arm in first.arms if arm["down"]]
@@ -73,27 +75,23 @@ class TestChaosArms:
     def test_chaos_arms_inside_batches_keep_digest(self):
         """Crashing arms out of a shard reshapes the surviving lockstep
         groups; results must not notice."""
-        batched = small_sweep(crash_rate=0.4).run(workers=1)
+        batched = small_sweep(fault_plan=CRASH_40).run(workers=1)
         with reference_engine():
-            scalar = small_sweep(crash_rate=0.4).run(workers=1)
+            scalar = small_sweep(fault_plan=CRASH_40).run(workers=1)
         assert sweep_digest(batched) == sweep_digest(scalar)
 
     def test_crash_rate_from_fault_plan(self):
         plan = FaultPlan.parse("seed=2;machine-crash:rate=0.5")
         assert small_sweep(fault_plan=plan).crash_rate == 0.5
-
-    def test_explicit_crash_rate_wins_over_plan(self):
-        plan = FaultPlan.parse("seed=2;machine-crash:rate=0.5")
-        sweep = small_sweep(crash_rate=0.25, fault_plan=plan)
-        assert sweep.crash_rate == 0.25
+        assert small_sweep().crash_rate == 0.0
 
     @pytest.mark.parametrize("crash_rate", [0.0, 0.25])
     def test_daemon_fault_kinds_are_rejected(self, crash_rate):
         """The sweep runs no daemon, so a telemetry or MSR clause would
-        silently inject nothing."""
-        plan = FaultPlan.parse("seed=2;telemetry-drop:rate=0.5;machine-crash:rate=0.5")
+        silently inject nothing, whatever the plan's crash rate."""
+        plan = FaultPlan.parse(f"seed=2;telemetry-drop:rate=0.5;machine-crash:rate={crash_rate}")
         with pytest.raises(ConfigError, match="telemetry-drop"):
-            small_sweep(crash_rate=crash_rate, fault_plan=plan)
+            small_sweep(fault_plan=plan)
 
     def test_draws_are_per_arm_stable(self):
         assert (background_load(3, 0, "m1")
@@ -135,13 +133,13 @@ class TestResultCache:
     def test_key_includes_the_physics(self):
         base = small_sweep().cache_key_material()
         assert small_sweep(seed=4).cache_key_material() != base
-        assert small_sweep(crash_rate=0.1).cache_key_material() != base
+        assert small_sweep(fault_plan=CRASH_40).cache_key_material() != base
         assert small_sweep(mode="control").cache_key_material() != base
 
 
 class TestResultObject:
     def test_roundtrip_is_digest_exact(self):
-        result = small_sweep(crash_rate=0.4).run(workers=1)
+        result = small_sweep(fault_plan=CRASH_40).run(workers=1)
         clone = MicroSweepResult.from_dict(result.to_dict())
         assert sweep_digest(clone) == sweep_digest(result)
 
@@ -172,8 +170,8 @@ class TestResultObject:
             MicroFleetSweep(machines=0)
         with pytest.raises(ConfigError):
             MicroFleetSweep(scale=0.0)
-        with pytest.raises(ConfigError):
-            MicroFleetSweep(crash_rate=1.0)
+        with pytest.raises(ConfigError):  # the plan rejects the rate
+            MicroFleetSweep(fault_plan=FaultPlan.parse("machine-crash:rate=1.0"))
 
 
 class TestBatchPlumbing:

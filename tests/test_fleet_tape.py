@@ -149,9 +149,12 @@ def paired_fleets(taped, **fleet_kwargs):
 
 class TestFleetReplay:
     def test_telemetry_dropout(self):
-        *_, taped = paired_fleets(True, telemetry_dropout=0.3)
-        *_, reference = paired_fleets(False, telemetry_dropout=0.3)
+        plan = FaultPlan.parse("telemetry-drop:rate=0.3")
+        _, experiment, taped = paired_fleets(True, fault_plan=plan)
+        *_, reference = paired_fleets(False, fault_plan=plan)
         assert taped == reference
+        daemons = [daemon for machine in experiment.machines for daemon in machine.daemons]
+        assert sum(daemon.report.dropouts for daemon in daemons) > 0
 
     def test_replay_draws_nothing_from_the_fleet_rng(self):
         control, experiment, _ = paired_fleets(True)

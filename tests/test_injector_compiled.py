@@ -1,14 +1,14 @@
 """Golden-equivalence tests: the columnar injector vs the record-path oracle.
 
 ``SoftwarePrefetchInjector.inject`` runs on compiled columns by default;
-``REPRO_SLOW_INJECTOR=1`` forces the original record-path implementation.
+the engine switch (``reference_engine()``, or ``REPRO_SLOW_ENGINE=1``)
+forces the original record-path implementation.
 Both must produce **bit-identical** traces — records, compiled columns
 (including function-interning order), and ``InjectionStats`` — across
 every injection mode: plain insertion, unclamped, size-gated, hint
 emission, sub-line-stride streams, and interleaved multi-site runs.
 """
 
-import os
 import random
 
 from tests.hypothesis_profiles import scaled
@@ -22,45 +22,27 @@ from repro.access import (
     interleave,
 )
 from repro.core.soft.descriptor import PrefetchDescriptor
-from repro.core.soft.injector import (
-    SLOW_INJECTOR_ENV,
-    SoftwarePrefetchInjector,
-)
+from repro.core.soft.injector import SoftwarePrefetchInjector
+from repro.engine import SLOW_ENGINE_ENV, reference_engine
 from repro.units import KB
 from repro.workloads import tax
 from repro.workloads.mixes import fleetbench_trace
 
 
-class _EnvPatch:
-    """monkeypatch-compatible env shim usable inside hypothesis @given
-    (the function-scoped ``monkeypatch`` fixture is not)."""
-
-    @staticmethod
-    def setenv(name, value):
-        os.environ[name] = value
-
-    @staticmethod
-    def delenv(name, raising=True):
-        os.environ.pop(name, None)
-
-
-def inject_both(monkeypatch, trace, descriptors, emit_hints=False):
+def inject_both(trace, descriptors, emit_hints=False):
     """Inject with the compiled path and the oracle; return both."""
-    monkeypatch.delenv(SLOW_INJECTOR_ENV, raising=False)
     fast_injector = SoftwarePrefetchInjector(descriptors,
                                              emit_hints=emit_hints)
     fast = fast_injector.inject(trace)
-    monkeypatch.setenv(SLOW_INJECTOR_ENV, "1")
     slow_injector = SoftwarePrefetchInjector(descriptors,
                                              emit_hints=emit_hints)
-    slow = slow_injector.inject(trace)
-    monkeypatch.delenv(SLOW_INJECTOR_ENV, raising=False)
+    with reference_engine():
+        slow = slow_injector.inject(trace)
     return fast, slow, fast_injector.last_stats, slow_injector.last_stats
 
 
-def assert_paths_agree(monkeypatch, trace, descriptors, emit_hints=False):
-    fast, slow, fast_stats, slow_stats = inject_both(
-        monkeypatch, trace, descriptors, emit_hints)
+def assert_paths_agree(trace, descriptors, emit_hints=False):
+    fast, slow, fast_stats, slow_stats = inject_both(trace, descriptors, emit_hints)
     assert list(fast) == list(slow)
     fast_compiled = fast.compile()
     slow_compiled = Trace(list(slow)).compile()
@@ -71,17 +53,17 @@ def assert_paths_agree(monkeypatch, trace, descriptors, emit_hints=False):
 
 
 class TestGoldenEquivalence:
-    def test_memcpy_batch(self, monkeypatch):
+    def test_memcpy_batch(self):
         trace = tax.memcpy_call_trace(AddressSpace(),
                                       [256, 4 * KB, 64, 300 * KB])
         out, stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("memcpy", distance_bytes=512,
                                 degree_bytes=128)])
         assert stats.prefetches_inserted > 0
         assert out.prefetch_count == stats.prefetches_inserted
 
-    def test_fleetbench_mix_all_modes(self, monkeypatch):
+    def test_fleetbench_mix_all_modes(self):
         trace = fleetbench_trace(random.Random(5), AddressSpace(),
                                  scale=0.1)
         targets = ("memcpy", "memset", "hash", "crc32", "serialize",
@@ -89,7 +71,7 @@ class TestGoldenEquivalence:
         for emit_hints in (False, True):
             for clamp in (True, False):
                 out, stats = assert_paths_agree(
-                    monkeypatch, trace,
+                    trace,
                     [PrefetchDescriptor(name, distance_bytes=512,
                                         degree_bytes=256,
                                         clamp_to_stream=clamp)
@@ -97,16 +79,16 @@ class TestGoldenEquivalence:
                     emit_hints=emit_hints)
                 assert stats.streams_seen > 0
 
-    def test_size_gate(self, monkeypatch):
+    def test_size_gate(self):
         trace = tax.memcpy_call_trace(AddressSpace(), [128, 64 * KB, 256])
         out, stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("memcpy", min_size_bytes=4 * KB)])
         assert stats.streams_gated > 0
         assert stats.streams_instrumented > 0
 
     def test_untargeted_trace_is_shared_copy(self, monkeypatch):
-        monkeypatch.delenv(SLOW_INJECTOR_ENV, raising=False)
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
         trace = tax.hashing_trace(AddressSpace(), 8 * KB)
         injector = SoftwarePrefetchInjector(
             [PrefetchDescriptor("memcpy")])
@@ -115,9 +97,8 @@ class TestGoldenEquivalence:
         assert out.compile() is trace.compile()  # no insertions: share columns
         assert list(out) == list(trace)
 
-    def test_empty_trace(self, monkeypatch):
-        out, stats = assert_paths_agree(
-            monkeypatch, Trace(), [PrefetchDescriptor("memcpy")])
+    def test_empty_trace(self):
+        out, stats = assert_paths_agree(Trace(), [PrefetchDescriptor("memcpy")])
         assert len(out) == 0
         assert stats.streams_seen == 0
 
@@ -125,40 +106,39 @@ class TestGoldenEquivalence:
 class TestEdgeCases:
     """The oracle-checked edge cases: each runs through both paths."""
 
-    def test_sub_line_stride_stream(self, monkeypatch):
+    def test_sub_line_stride_stream(self):
         # serialize reads 32-byte fields: two accesses per line. The run
         # must span the whole message, not break between fields.
         trace = tax.serialize_trace(AddressSpace(), 8 * KB)
         out, stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("serialize", distance_bytes=256,
                                 degree_bytes=64)])
         assert stats.streams_instrumented >= 1
         assert stats.prefetches_inserted > 0
 
-    def test_emit_hints_single_record_per_stream(self, monkeypatch):
+    def test_emit_hints_single_record_per_stream(self):
         trace = tax.memcpy_call_trace(AddressSpace(), [16 * KB, 32 * KB])
         out, stats = assert_paths_agree(
-            monkeypatch, trace, [PrefetchDescriptor("memcpy")],
-            emit_hints=True)
+            trace, [PrefetchDescriptor("memcpy")], emit_hints=True)
         hints = [r for r in out if r.kind is AccessKind.STREAM_HINT]
         # One hint per instrumented stream, sized to the whole stream.
         assert len(hints) == stats.streams_instrumented
         for hint in hints:
             assert hint.size % 64 == 0 and hint.size >= 16 * KB
 
-    def test_clamp_at_stream_end(self, monkeypatch):
+    def test_clamp_at_stream_end(self):
         # 8 lines with distance 4 lines: unclamped overshoots the end,
         # clamped truncates the final prefetches and skips the overshoot.
         records = [MemoryAccess(address=1 << 16 | i * 64, size=64, pc=9,
                                 function="memcpy") for i in range(8)]
         trace = Trace(records)
         clamped, clamped_stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("memcpy", distance_bytes=256,
                                 degree_bytes=128, clamp_to_stream=True)])
         unclamped, unclamped_stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("memcpy", distance_bytes=256,
                                 degree_bytes=128, clamp_to_stream=False)])
         stream_end = (1 << 16) + 8 * 64
@@ -173,7 +153,7 @@ class TestEdgeCases:
         assert clamped_stats.prefetches_inserted \
             < unclamped_stats.prefetches_inserted
 
-    def test_interleaved_multi_site_runs(self, monkeypatch):
+    def test_interleaved_multi_site_runs(self):
         # Two targeted functions plus an untargeted one, interleaved at
         # fine grain: per-site runs must survive the interleaving.
         space = AddressSpace()
@@ -183,7 +163,7 @@ class TestEdgeCases:
             tax.crc32_trace(space, 8 * KB),
         ], chunk=3)
         out, stats = assert_paths_agree(
-            monkeypatch, trace,
+            trace,
             [PrefetchDescriptor("memcpy", distance_bytes=512,
                                 degree_bytes=256),
              PrefetchDescriptor("hash", distance_bytes=256,
@@ -195,19 +175,18 @@ class TestEdgeCases:
         crc = [r for r in out if r.function == "crc32"]
         assert all(r.kind is AccessKind.LOAD for r in crc)
 
-    def test_injected_output_reinjects_identically(self, monkeypatch):
+    def test_injected_output_reinjects_identically(self):
         # Injecting an already-injected trace must skip the existing
         # SOFTWARE_PREFETCH records on both paths.
         trace = tax.memcpy_call_trace(AddressSpace(), [32 * KB])
         injector = SoftwarePrefetchInjector([PrefetchDescriptor("memcpy")])
         once = injector.inject(trace)
-        assert_paths_agree(monkeypatch, once,
-                           [PrefetchDescriptor("memcpy")])
+        assert_paths_agree(once, [PrefetchDescriptor("memcpy")])
 
 
 class TestDispatch:
     def test_env_forces_record_path(self, monkeypatch):
-        monkeypatch.setenv(SLOW_INJECTOR_ENV, "1")
+        monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
 
         def boom(self, compiled):
             raise AssertionError("compiled injector used despite env")
@@ -218,8 +197,18 @@ class TestDispatch:
         out = injector.inject(tax.memcpy_trace(0, 1 << 20, 4 * KB))
         assert out.prefetch_count > 0
 
+    def test_reference_engine_takes_the_record_path(self, monkeypatch):
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
+        trace = tax.memcpy_trace(0, 1 << 20, 4 * KB)
+        injector = SoftwarePrefetchInjector([PrefetchDescriptor("memcpy")])
+        assert injector.inject(trace)._records is None
+        with reference_engine():
+            out = injector.inject(trace)
+        assert out._records is not None  # the record path's rebuilt trace
+        assert out.prefetch_count > 0
+
     def test_default_uses_compiled_path(self, monkeypatch):
-        monkeypatch.delenv(SLOW_INJECTOR_ENV, raising=False)
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
         used = []
         original = SoftwarePrefetchInjector._inject_compiled
 
@@ -234,7 +223,7 @@ class TestDispatch:
         assert used
 
     def test_output_is_column_backed(self, monkeypatch):
-        monkeypatch.delenv(SLOW_INJECTOR_ENV, raising=False)
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
         injector = SoftwarePrefetchInjector([PrefetchDescriptor("memcpy")])
         out = injector.inject(tax.memcpy_trace(0, 1 << 20, 64 * KB))
         assert out._records is None  # stayed columnar end to end
@@ -295,5 +284,5 @@ class TestPropertyEquivalence:
            emit_hints=st.booleans())
     @settings(max_examples=scaled(80), deadline=None)
     def test_random_traces(self, trace, descriptor, emit_hints):
-        assert_paths_agree(_EnvPatch, trace, [descriptor],
+        assert_paths_agree(trace, [descriptor],
                            emit_hints=emit_hints)

@@ -218,8 +218,7 @@ class TestCallGraphSLO:
         plan = FaultPlan.parse("seed=3;machine-crash:rate=0.5")
         scenario = small_callgraph(fault_plan=plan)
         assert scenario.crash_rate == 0.5
-        explicit = small_callgraph(crash_rate=0.25, fault_plan=plan)
-        assert explicit.crash_rate == 0.25
+        assert small_callgraph().crash_rate == 0.0
 
     def test_daemon_fault_kinds_are_rejected(self):
         plan = FaultPlan.parse("seed=3;msr-transient:rate=0.5")
@@ -231,7 +230,7 @@ class TestNoisyFaultPlan:
     def test_fault_plan_supplies_crash_rate(self):
         plan = FaultPlan.parse("seed=3;machine-crash:rate=0.5")
         assert small_noisy(fault_plan=plan).crash_rate == 0.5
-        assert small_noisy(crash_rate=0.25, fault_plan=plan).crash_rate == 0.25
+        assert small_noisy().crash_rate == 0.0
 
     def test_daemon_fault_kinds_are_rejected(self):
         """The scenario injects only machine crashes, so a telemetry

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.errors import TelemetryError
+from repro.errors import ConfigError, TelemetryError
+from repro.faults import FaultPlan, FaultyTelemetry
 from repro.telemetry import PerfBandwidthSampler, ScriptedBandwidthSource
 
 
@@ -42,8 +43,8 @@ class TestPerfSampler:
 
     def test_dropouts_raise(self):
         source = ScriptedBandwidthSource([(0.0, 60.0)], saturation_bandwidth=100.0)
-        sampler = PerfBandwidthSampler(source, dropout_rate=0.5,
-                                       rng=random.Random(1))
+        inner = PerfBandwidthSampler(source)
+        sampler = FaultyTelemetry(inner, random.Random(1), drop_rate=0.5)
         outcomes = []
         for t in range(200):
             try:
@@ -53,9 +54,9 @@ class TestPerfSampler:
                 outcomes.append(False)
         dropped = outcomes.count(False)
         assert 60 < dropped < 140  # roughly half
-        assert sampler.samples_dropped == dropped
+        assert sampler.dropped == dropped
+        assert inner.samples_taken == 200 - dropped
 
     def test_bad_dropout_rate(self):
-        source = ScriptedBandwidthSource([(0.0, 1.0)], saturation_bandwidth=10.0)
-        with pytest.raises(ValueError):
-            PerfBandwidthSampler(source, dropout_rate=1.0)
+        with pytest.raises(ConfigError):
+            FaultPlan.parse("telemetry-drop:rate=1.0")

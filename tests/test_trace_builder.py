@@ -1,8 +1,8 @@
 """Golden-equivalence tests: the columnar trace builder vs the record path.
 
 Every workload generator now emits through
-:func:`repro.access.builder.trace_builder`. With ``REPRO_SLOW_BUILDER=1``
-that factory returns the record-path oracle (per-record ``MemoryAccess``
+:func:`repro.access.builder.trace_builder`. Under the engine switch
+(``reference_engine()``, or ``REPRO_SLOW_ENGINE=1``) that factory returns the record-path oracle (per-record ``MemoryAccess``
 construction plus the validating ``Trace`` constructor — the old
 pipeline); by default it returns the columnar :class:`TraceBuilder`. The
 two must be **bit-identical**: same records, same compiled columns
@@ -22,12 +22,12 @@ from repro.access import (
     AddressSpace,
     MemoryAccess,
     RecordTraceBuilder,
-    SLOW_BUILDER_ENV,
     Trace,
     TraceBuilder,
     interleave,
     trace_builder,
 )
+from repro.engine import SLOW_ENGINE_ENV, reference_engine
 from repro.errors import TraceError
 from repro.memsys import MemoryHierarchy
 from repro.workloads.functions import FUNCTION_ROSTER
@@ -53,36 +53,31 @@ def assert_bit_identical(columnar: Trace, record: Trace) -> None:
     assert columnar == record
 
 
-def generate_twice(monkeypatch, generate):
+def generate_twice(generate):
     """Run ``generate`` on the columnar backend, then on the oracle."""
-    monkeypatch.delenv(SLOW_BUILDER_ENV, raising=False)
     columnar = generate()
-    monkeypatch.setenv(SLOW_BUILDER_ENV, "1")
-    record = generate()
-    monkeypatch.delenv(SLOW_BUILDER_ENV, raising=False)
+    with reference_engine():
+        record = generate()
     return columnar, record
 
 
 class TestGeneratorEquivalence:
     @pytest.mark.parametrize("name", sorted(FUNCTION_ROSTER))
-    def test_roster_function_bit_identical(self, monkeypatch, name):
+    def test_roster_function_bit_identical(self, name):
         profile = FUNCTION_ROSTER[name]
         columnar, record = generate_twice(
-            monkeypatch,
             lambda: profile.trace(random.Random(7), AddressSpace(),
                                   scale=0.05))
         assert_bit_identical(columnar, record)
 
-    def test_fleetbench_mix_bit_identical(self, monkeypatch):
+    def test_fleetbench_mix_bit_identical(self):
         columnar, record = generate_twice(
-            monkeypatch,
             lambda: fleetbench_trace(random.Random(11), AddressSpace(),
                                      scale=0.05))
         assert_bit_identical(columnar, record)
 
-    def test_fleetbench_mix_simulator_results_identical(self, monkeypatch):
+    def test_fleetbench_mix_simulator_results_identical(self):
         columnar, record = generate_twice(
-            monkeypatch,
             lambda: fleetbench_trace(random.Random(3), AddressSpace(),
                                      scale=0.05))
         h_fast = MemoryHierarchy()
@@ -91,11 +86,10 @@ class TestGeneratorEquivalence:
         r_slow = h_slow.run(record)
         assert snapshot(h_fast, r_fast) == snapshot(h_slow, r_slow)
 
-    def test_roster_function_simulator_results_identical(self, monkeypatch):
+    def test_roster_function_simulator_results_identical(self):
         for name in ("memcpy", "serialize", "pointer_chase"):
             profile = FUNCTION_ROSTER[name]
             columnar, record = generate_twice(
-                monkeypatch,
                 lambda: profile.trace(random.Random(5), AddressSpace(),
                                       scale=0.05))
             h_fast = MemoryHierarchy()
@@ -107,16 +101,22 @@ class TestGeneratorEquivalence:
 
 class TestBuilderDispatch:
     def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(SLOW_BUILDER_ENV, raising=False)
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
         assert isinstance(trace_builder(), TraceBuilder)
 
     def test_env_forces_record_path(self, monkeypatch):
-        monkeypatch.setenv(SLOW_BUILDER_ENV, "1")
+        monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
         assert isinstance(trace_builder(), RecordTraceBuilder)
+
+    def test_reference_engine_builds_on_the_record_path(self, monkeypatch):
+        monkeypatch.delenv(SLOW_ENGINE_ENV, raising=False)
+        with reference_engine():
+            assert isinstance(trace_builder(), RecordTraceBuilder)
+        assert isinstance(trace_builder(), TraceBuilder)
 
     def test_env_off_values_stay_columnar(self, monkeypatch):
         for value in ("0", "false", "off", ""):
-            monkeypatch.setenv(SLOW_BUILDER_ENV, value)
+            monkeypatch.setenv(SLOW_ENGINE_ENV, value)
             assert isinstance(trace_builder(), TraceBuilder)
 
 
