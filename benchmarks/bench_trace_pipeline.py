@@ -23,7 +23,9 @@ This benchmark times both over three arms:
 
 Every arm first checks the two paths produce bit-identical traces (and,
 for the sweep, bit-identical simulator results) before any number is
-reported. Results go to ``benchmarks/results/BENCH_trace_pipeline.json``;
+reported. The run also records, with ``tracemalloc``, how many bytes
+per record the generated mix keeps alive (``--max-bytes-per-record``
+gates it). Results go to ``benchmarks/results/BENCH_trace_pipeline.json``;
 CI's perf-smoke job runs the CLI with ``--min-*-speedup`` gates and
 diffs the JSON against the committed baseline.
 """
@@ -34,6 +36,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 try:
@@ -71,7 +74,8 @@ STAT_FIELDS = (
 def trace_fingerprint(trace):
     """Compiled columns + interning: the bit-identity key for a trace."""
     compiled = Trace(list(trace)).compile()
-    return tuple(compiled.functions), tuple(compiled.packed)
+    return (tuple(compiled.functions),
+            tuple(tuple(column) for column in compiled.columns()))
 
 
 def result_fingerprint(result):
@@ -118,6 +122,24 @@ def run_generate_arm(rounds):
         "speedup": record_s / columnar_s,
         "target_speedup": 1.5,
         "equivalent": True,
+    }
+
+
+def measure_trace_bytes():
+    """Bytes per record of the generated mix, by ``tracemalloc``: what the
+    finished trace keeps alive (its columns and the int objects they
+    hold) and the peak while it was being built."""
+    generate_mix()  # warm every lazy import and cache first
+    tracemalloc.start()
+    try:
+        trace = generate_mix()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "records": len(trace),
+        "bytes_per_record": retained / len(trace),
+        "build_peak_bytes_per_record": peak / len(trace),
     }
 
 
@@ -244,6 +266,7 @@ def run_experiment(rounds=DEFAULT_ROUNDS):
             "inject": run_inject_arm(rounds),
             "sweep": run_sweep_arm(rounds),
         },
+        "memory": measure_trace_bytes(),
     }
 
 
@@ -265,6 +288,10 @@ def summary_lines(data):
             f"{arm['columnar_s']:8.3f}s {arm['speedup']:7.2f}x {target:>7}")
     lines.append("both paths verified bit-identical on every arm "
                  "(sweep: simulator results included)")
+    memory = data["memory"]
+    lines.append(f"generated mix: {memory['bytes_per_record']:.1f} B/record "
+                 f"retained, {memory['build_peak_bytes_per_record']:.1f} "
+                 f"B/record build peak")
     return lines
 
 
@@ -300,6 +327,9 @@ def main(argv=None):
     parser.add_argument("--min-sweep-speedup", type=float, default=0.0,
                         help="fail unless the end-to-end sweep reaches "
                              "this speedup")
+    parser.add_argument("--max-bytes-per-record", type=float, default=None,
+                        help="fail if the generated mix keeps more than "
+                             "this many bytes alive per record")
     args = parser.parse_args(argv)
 
     data = run_experiment(rounds=args.rounds)
@@ -316,6 +346,11 @@ def main(argv=None):
         if speedup < floor:
             failures.append(f"{name} speedup {speedup:.2f}x "
                             f"< required {floor:.2f}x")
+    per_record = data["memory"]["bytes_per_record"]
+    if (args.max_bytes_per_record is not None
+            and per_record > args.max_bytes_per_record):
+        failures.append(f"trace memory {per_record:.1f} B/record "
+                        f"> allowed {args.max_bytes_per_record:.1f}")
     for failure in failures:
         print(f"PERF GATE FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -11,10 +11,16 @@ call, for every record, on every run.
 records into parallel columns of plain ints — line-aligned address,
 extra-lines count (0 for the dominant single-line access), kind as a
 small int (:data:`~repro.access.record.KIND_CODES`), pc, gap cycles, and
-an interned function id — so the hot loop touches nothing but ints held
-in lists and locals. The columns are also pre-zipped into one list of
-tuples (:attr:`CompiledTrace.packed`) because a single ``UNPACK_SEQUENCE``
-per record beats eight parallel subscripts.
+an interned function id — so the hot loop touches nothing but ints,
+walking the columns with one ``zip``.
+
+The columns are the only copy of the records. Every column but
+``lines`` is a typed ``array('q')`` (8 bytes a record, no int objects).
+``lines`` stays a ``list``: its int objects are the keys that cache
+sets, in-flight tables and recent-miss histories store, so arms that
+replay one trace share them instead of each holding fresh ints. A
+value outside the signed 64-bit range raises ``OverflowError`` when the
+columns are built, never wraps.
 
 Compilation is cached on the owning :class:`~repro.access.trace.Trace`
 (traces are immutable by convention), so repeated runs of the same trace —
@@ -23,10 +29,28 @@ ablation on/off arms, threshold sweeps, calibration passes — compile once.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from array import array
+from typing import Iterable, List
 
 from repro.access.record import KIND_CODES, MemoryAccess
 from repro.units import CACHE_LINE_BYTES
+
+#: Column names in record-field order; every one but ``lines`` is an
+#: ``array('q')``.
+COLUMNS = ("kinds", "lines", "extras", "pcs", "gaps", "fids", "addrs",
+           "sizes")
+
+
+def _typed(column) -> array:
+    """``column`` as an ``array('q')`` (adopted as-is if it is one)."""
+    return column if type(column) is array else array("q", column)
+
+
+def empty_columns() -> tuple:
+    """Fresh empty columns in :data:`COLUMNS` order, for code that splices
+    traces column by column."""
+    return (array("q"), [], array("q"), array("q"), array("q"),
+            array("q"), array("q"), array("q"))
 
 
 class CompiledTrace:
@@ -35,7 +59,7 @@ class CompiledTrace:
     Attributes:
         length: Number of records.
         kinds: Kind code per record (see :data:`KIND_CODES`).
-        lines: First line-aligned address touched per record.
+        lines: First line-aligned address touched per record (a list).
         extras: Lines touched beyond the first (0 = single-line access).
         pcs: Synthetic program counter per record.
         gaps: Pure-compute gap cycles per record.
@@ -43,13 +67,9 @@ class CompiledTrace:
         addrs: Raw byte address per record (stream hints need it exact).
         sizes: Byte size per record (stream hints carry the extent).
         functions: Interned function names, id order (first-seen order).
-        packed: The columns zipped per record as
-            ``(kind, line, extra, pc, gap, fid, addr, size)`` tuples —
-            the structure the hot loop actually iterates.
     """
 
-    __slots__ = ("length", "kinds", "lines", "extras", "pcs", "gaps",
-                 "fids", "addrs", "sizes", "functions", "packed")
+    __slots__ = ("length",) + COLUMNS + ("functions",)
 
     def __init__(self, records: Iterable[MemoryAccess]) -> None:
         kinds: List[int] = []
@@ -82,59 +102,42 @@ class CompiledTrace:
             fids.append(fid)
             addrs.append(address)
             sizes.append(size)
+        self._adopt(kinds, lines, extras, pcs, gaps, fids, addrs, sizes,
+                    functions)
+
+    def _adopt(self, kinds, lines, extras, pcs, gaps, fids, addrs, sizes,
+               functions: List[str]) -> None:
         self.length = len(kinds)
-        self.kinds = kinds
+        self.kinds = _typed(kinds)
         self.lines = lines
-        self.extras = extras
-        self.pcs = pcs
-        self.gaps = gaps
-        self.fids = fids
-        self.addrs = addrs
-        self.sizes = sizes
+        self.extras = _typed(extras)
+        self.pcs = _typed(pcs)
+        self.gaps = _typed(gaps)
+        self.fids = _typed(fids)
+        self.addrs = _typed(addrs)
+        self.sizes = _typed(sizes)
         self.functions = functions
-        self.packed: List[Tuple[int, int, int, int, int, int, int, int]] = \
-            list(zip(kinds, lines, extras, pcs, gaps, fids, addrs, sizes))
 
     @classmethod
-    def from_columns(cls, kinds: List[int], lines: List[int],
-                     extras: List[int], pcs: List[int], gaps: List[int],
-                     fids: List[int], addrs: List[int], sizes: List[int],
-                     functions: List[str],
-                     packed: "List[Tuple[int, int, int, int, int, int, int, int]]" = None,
-                     ) -> "CompiledTrace":
+    def from_columns(cls, kinds, lines: List[int], extras, pcs, gaps, fids,
+                     addrs, sizes, functions: List[str]) -> "CompiledTrace":
         """Adopt already-lowered columns without re-walking records.
 
-        The caller hands over ownership: the lists are stored as-is (no
-        copies) and must not be mutated afterwards. This is how
+        Int lists or tuples become ``array('q')`` columns once; arrays,
+        and the ``lines`` list, are stored as-is (no copies), so the caller hands
+        over ownership and must not mutate them afterwards. This is how
         :class:`~repro.access.builder.TraceBuilder` and the columnar
         injector/concat/interleave paths make ``Trace.compile()`` free.
         """
         compiled = cls.__new__(cls)
-        compiled.length = len(kinds)
-        compiled.kinds = kinds
-        compiled.lines = lines
-        compiled.extras = extras
-        compiled.pcs = pcs
-        compiled.gaps = gaps
-        compiled.fids = fids
-        compiled.addrs = addrs
-        compiled.sizes = sizes
-        compiled.functions = functions
-        compiled.packed = packed if packed is not None else \
-            list(zip(kinds, lines, extras, pcs, gaps, fids, addrs, sizes))
+        compiled._adopt(kinds, lines, extras, pcs, gaps, fids, addrs, sizes,
+                        functions)
         return compiled
 
-    @classmethod
-    def from_packed(cls, packed, functions: List[str]) -> "CompiledTrace":
-        """Adopt pre-zipped per-record tuples (see :attr:`packed`)."""
-        if packed:
-            kinds, lines, extras, pcs, gaps, fids, addrs, sizes = \
-                map(list, zip(*packed))
-        else:
-            kinds, lines, extras, pcs = [], [], [], []
-            gaps, fids, addrs, sizes = [], [], [], []
-        return cls.from_columns(kinds, lines, extras, pcs, gaps, fids,
-                                addrs, sizes, functions, packed=packed)
+    def columns(self) -> tuple:
+        """The eight columns, in :data:`COLUMNS` order."""
+        return (self.kinds, self.lines, self.extras, self.pcs, self.gaps,
+                self.fids, self.addrs, self.sizes)
 
     def __len__(self) -> int:
         return self.length
@@ -166,16 +169,10 @@ def concat_compiled(first: CompiledTrace,
             functions.append(name)
         identity = identity and out == fid
         remap.append(out)
-    if identity:
-        fids = first.fids + second.fids
-        packed = first.packed + second.packed
-    else:
-        fids = first.fids + [remap[fid] for fid in second.fids]
-        packed = first.packed + [
-            (kind, line, extra, pc, gap, remap[fid], addr, size)
-            for kind, line, extra, pc, gap, fid, addr, size in second.packed]
+    fids = second.fids if identity else \
+        array("q", map(remap.__getitem__, second.fids))
     return CompiledTrace.from_columns(
         first.kinds + second.kinds, first.lines + second.lines,
         first.extras + second.extras, first.pcs + second.pcs,
-        first.gaps + second.gaps, fids, first.addrs + second.addrs,
-        first.sizes + second.sizes, functions, packed=packed)
+        first.gaps + second.gaps, first.fids + fids,
+        first.addrs + second.addrs, first.sizes + second.sizes, functions)

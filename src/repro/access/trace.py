@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.access.record import (
@@ -69,13 +70,15 @@ class Trace:
         records = self._records
         if records is None:
             kind_of = KIND_FROM_CODE
-            functions = self._compiled.functions
+            compiled = self._compiled
+            functions = compiled.functions
             records = self._records = [
                 MemoryAccess(address=addr, size=size, kind=kind_of[kind],
                              pc=pc, function=functions[fid],
                              gap_cycles=gap)
-                for kind, _line, _extra, pc, gap, fid, addr, size
-                in self._compiled.packed
+                for kind, pc, gap, fid, addr, size
+                in zip(compiled.kinds, compiled.pcs, compiled.gaps,
+                       compiled.fids, compiled.addrs, compiled.sizes)
             ]
         return records
 
@@ -110,12 +113,12 @@ class Trace:
             return NotImplemented
         if self._records is None and other._records is None:
             # Column comparison: equal records imply identical first-seen
-            # function interning, so (functions, packed) is a faithful key.
+            # function interning, so (functions, columns) is a faithful key.
             mine, theirs = self._compiled, other._compiled
             if mine is theirs:
                 return True
             return (mine.functions == theirs.functions
-                    and mine.packed == theirs.packed)
+                    and mine.columns() == theirs.columns())
         return self._materialize() == other._materialize()
 
     def __repr__(self) -> str:
@@ -244,7 +247,7 @@ def interleave(traces: Sequence[Trace], chunk: int = 64,
     prefetchers on short streams.
 
     When every input is column-backed (the builder pipeline), the merge
-    happens on compiled columns — chunk-sized slices of ``packed`` plus a
+    happens on compiled columns — chunk-sized column slices plus a
     function-id remap — and the result is column-backed too, so the whole
     generate → interleave path never touches a record object. Otherwise
     the original record path runs.
@@ -278,8 +281,8 @@ class _ColumnMerge:
 
     Function ids are re-interned *as rows are emitted*, so the output
     functions list lands in first-seen output order — the exact list
-    compiling the merged records would produce. Once every input fid is
-    resolved, chunks are emitted with C-level ``extend``/genexprs.
+    compiling the merged records would produce. Every chunk lands in the
+    output columns through C-level slices and ``extend``.
     """
 
     __slots__ = ("compiled", "position", "remap", "unresolved", "identity")
@@ -291,69 +294,73 @@ class _ColumnMerge:
         self.unresolved = len(self.remap)
         self.identity = True
 
-    def emit(self, chunk: int, packed: list, functions: List[str],
+    def emit(self, chunk: int, out: tuple, functions: List[str],
              fid_of: dict) -> int:
-        """Append up to ``chunk`` rows to ``packed``; returns rows taken."""
-        rows = self.compiled.packed[self.position:self.position + chunk]
-        self.position += len(rows)
-        if not self.unresolved:
-            if self.identity:
-                packed.extend(rows)
-            else:
-                remap = self.remap
-                packed.extend(
-                    (kind, line, extra, pc, gap, remap[fid], addr, size)
-                    for kind, line, extra, pc, gap, fid, addr, size in rows)
-            return len(rows)
+        """Append up to ``chunk`` rows to the ``out`` columns (in
+        ``COLUMNS`` order); returns rows taken."""
+        compiled = self.compiled
+        start = self.position
+        stop = min(start + chunk, compiled.length)
+        self.position = stop
         remap = self.remap
-        names = self.compiled.functions
-        for row in rows:
-            fid = row[5]
-            out = remap[fid]
-            if out is None:
-                name = names[fid]
-                out = fid_of.get(name)
-                if out is None:
-                    out = fid_of[name] = len(functions)
-                    functions.append(name)
-                remap[fid] = out
-                self.unresolved -= 1
-                if out != fid:
-                    self.identity = False
-            packed.append(row if out == row[5] else
-                          row[:5] + (out,) + row[6:])
-        return len(rows)
+        fids = compiled.fids[start:stop]
+        if self.unresolved:
+            names = compiled.functions
+            for fid in dict.fromkeys(fids):  # first-seen order
+                if remap[fid] is None:
+                    name = names[fid]
+                    new = fid_of.get(name)
+                    if new is None:
+                        new = fid_of[name] = len(functions)
+                        functions.append(name)
+                    remap[fid] = new
+                    self.unresolved -= 1
+                    if new != fid:
+                        self.identity = False
+        if not self.identity:
+            fids = array("q", map(remap.__getitem__, fids))
+        kinds, lines, extras, pcs, gaps, out_fids, addrs, sizes = out
+        kinds.extend(compiled.kinds[start:stop])
+        lines.extend(compiled.lines[start:stop])
+        extras.extend(compiled.extras[start:stop])
+        pcs.extend(compiled.pcs[start:stop])
+        gaps.extend(compiled.gaps[start:stop])
+        out_fids.extend(fids)
+        addrs.extend(compiled.addrs[start:stop])
+        sizes.extend(compiled.sizes[start:stop])
+        return stop - start
 
 
 def _interleave_columns(traces: Sequence[Trace], chunk: int,
                         limit: Optional[int]) -> Trace:
     """Columnar interleave: bit-identical output to the record path."""
-    from repro.access.compiled import CompiledTrace
+    from repro.access.compiled import CompiledTrace, empty_columns
 
     functions: List[str] = []
     fid_of: dict = {}
-    packed: list = []
+    out = empty_columns()
+    fids = out[5]
     states = [_ColumnMerge(trace.compile()) for trace in traces]
 
     def truncated() -> Trace:
-        del packed[limit:]
+        for column in out:
+            del column[limit:]
         # First-seen interning means the kept prefix uses a contiguous
         # fid range; drop names whose first use was truncated away.
-        used = max((row[5] for row in packed), default=-1)
-        del functions[used + 1:]
-        return Trace._from_compiled(CompiledTrace.from_packed(
-            packed, functions))
+        del functions[max(fids, default=-1) + 1:]
+        return Trace._from_compiled(
+            CompiledTrace.from_columns(*out, functions))
 
     while states:
         still_live = []
         for state in states:
-            taken = state.emit(chunk, packed, functions, fid_of)
-            if limit is not None and len(packed) >= limit:
+            taken = state.emit(chunk, out, functions, fid_of)
+            if limit is not None and len(fids) >= limit:
                 return truncated()
             if taken == chunk:
                 still_live.append(state)
         states = still_live
-    return Trace._from_compiled(CompiledTrace.from_packed(packed, functions))
+    return Trace._from_compiled(CompiledTrace.from_columns(*out, functions))
 
 
 def software_prefetch(address: int, size: int = 64, pc: int = 0,

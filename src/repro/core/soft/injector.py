@@ -13,7 +13,7 @@ the paper attributes to software: "we know the exact addresses we want to
 prefetch, and we also know how much data should be prefetched."
 
 Injection runs directly on a trace's compiled columns (run detection,
-planning, and the splice all stay in packed int tuples), so a sweep that
+planning, and the column-by-column splice all stay in ints), so a sweep that
 re-injects one base trace per (distance, degree) config never materializes
 a record. The original record-path implementation is kept verbatim as the
 oracle: the engine switch (``REPRO_SLOW_ENGINE=1``) forces it, and the
@@ -23,8 +23,10 @@ paths bit-identical.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.access.compiled import CompiledTrace
@@ -143,17 +145,28 @@ class SoftwarePrefetchInjector:
         insertions = self._plan_insertions_compiled(compiled, runs)
         if not insertions:
             return Trace._from_compiled(compiled)
-        in_packed = compiled.packed
-        out_packed: list = []
-        extend = out_packed.extend
+        # Each output column is one C-level gather from its input column
+        # followed by the inserted values; ``order`` names, per output
+        # row, its row in that sequence.
+        length = compiled.length
+        order: List[int] = []
+        inserted: list = []
         previous = 0
         for index in sorted(insertions):
-            extend(in_packed[previous:index])
-            extend(insertions[index])
+            rows = insertions[index]
+            order += range(previous, index)
+            start = length + len(inserted)
+            order += range(start, start + len(rows))
+            inserted += rows
             previous = index
-        extend(in_packed[previous:])
-        return Trace._from_compiled(CompiledTrace.from_packed(
-            out_packed, compiled.functions))
+        order += range(previous, length)
+        pick = itemgetter(*order)  # >= 2 rows, so it returns a tuple
+        columns = [
+            list(pick(column + list(added))) if type(column) is list
+            else pick(column + array("q", added))
+            for column, added in zip(compiled.columns(), zip(*inserted))]
+        return Trace._from_compiled(CompiledTrace.from_columns(
+            *columns, compiled.functions))
 
     def _collect_runs_compiled(self, compiled: CompiledTrace):
         """Column twin of :meth:`_collect_runs`: runs keyed ``(fid, pc)``."""
@@ -165,8 +178,9 @@ class SoftwarePrefetchInjector:
         line_bytes = CACHE_LINE_BYTES
         active: Dict[Tuple[int, int], _Run] = {}
         closed: List[Tuple[int, int, _Run]] = []
-        for index, (kind, first_line, extra, pc, _gap, fid, _addr,
-                    _size) in enumerate(compiled.packed):
+        for index, (kind, first_line, extra, pc, fid) in enumerate(zip(
+                compiled.kinds, compiled.lines, compiled.extras, compiled.pcs,
+                compiled.fids)):
             if kind == _KIND_PREFETCH or fid not in targeted:
                 continue
             key = (fid, pc)
@@ -191,7 +205,8 @@ class SoftwarePrefetchInjector:
         return closed
 
     def _plan_insertions_compiled(self, compiled: CompiledTrace, runs):
-        """Column twin of :meth:`_plan_insertions`: plans packed tuples."""
+        """Column twin of :meth:`_plan_insertions`: plans record tuples
+        (one int per column) for the splice."""
         functions = compiled.functions
         stats = InjectionStats()
         insertions: Dict[int, list] = defaultdict(list)
@@ -214,7 +229,7 @@ class SoftwarePrefetchInjector:
     def _instrument_run_compiled(self, descriptor: PrefetchDescriptor,
                                  fid: int, pc: int, run: _Run,
                                  insertions) -> int:
-        """Column twin of :meth:`_instrument_run` (packed-tuple output)."""
+        """Column twin of :meth:`_instrument_run` (record-tuple output)."""
         tagged_pc = pc ^ _PREFETCH_PC_TAG
         if self._emit_hints:
             first_index, _ = run.positions[0]

@@ -379,7 +379,9 @@ class MemoryHierarchy:
         s_instr = s_comp = s_loads = s_stores = s_swpf = 0
         s_l1m = s_l2m = s_llcm = s_cov = 0
 
-        for kind, line, extra, pc, gap, fid, addr, size in compiled.packed:
+        for kind, line, extra, pc, gap, fid, addr, size in zip(
+                compiled.kinds, compiled.lines, compiled.extras, compiled.pcs,
+                compiled.gaps, compiled.fids, compiled.addrs, compiled.sizes):
             if fid != cur_fid:
                 if ints is not None:
                     ints[:] = (s_instr, s_comp, s_loads, s_stores, s_swpf,

@@ -28,6 +28,8 @@ from repro.units import KB
 from repro.workloads import tax
 from repro.workloads.mixes import fleetbench_trace
 
+from tests.test_trace_builder import assert_same_columns
+
 
 def inject_both(trace, descriptors, emit_hints=False):
     """Inject with the compiled path and the oracle; return both."""
@@ -44,10 +46,7 @@ def inject_both(trace, descriptors, emit_hints=False):
 def assert_paths_agree(trace, descriptors, emit_hints=False):
     fast, slow, fast_stats, slow_stats = inject_both(trace, descriptors, emit_hints)
     assert list(fast) == list(slow)
-    fast_compiled = fast.compile()
-    slow_compiled = Trace(list(slow)).compile()
-    assert fast_compiled.functions == slow_compiled.functions
-    assert fast_compiled.packed == slow_compiled.packed
+    assert_same_columns(fast.compile(), Trace(list(slow)).compile())
     assert fast_stats == slow_stats
     return fast, fast_stats
 

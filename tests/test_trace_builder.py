@@ -12,6 +12,7 @@ sequences.
 """
 
 import random
+from array import array
 
 import pytest
 from tests.hypothesis_profiles import scaled
@@ -27,6 +28,7 @@ from repro.access import (
     interleave,
     trace_builder,
 )
+from repro.access.compiled import COLUMNS
 from repro.engine import SLOW_ENGINE_ENV, reference_engine
 from repro.errors import TraceError
 from repro.memsys import MemoryHierarchy
@@ -36,19 +38,29 @@ from repro.workloads.mixes import fleetbench_trace
 from tests.test_engine_equivalence import snapshot
 
 
+def assert_column_types(compiled) -> None:
+    """``lines`` is a list; every other column an ``array('q')``."""
+    assert type(compiled.lines) is list
+    for name in COLUMNS:
+        if name != "lines":
+            column = getattr(compiled, name)
+            assert type(column) is array and column.typecode == "q", name
+
+
+def assert_same_columns(fast, slow) -> None:
+    """All eight columns plus the interned functions match, typed alike."""
+    assert fast.functions == slow.functions
+    assert fast.length == slow.length
+    for name in COLUMNS:
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert_column_types(fast)
+    assert_column_types(slow)
+
+
 def assert_bit_identical(columnar: Trace, record: Trace) -> None:
     """Records, compiled columns, and interning must all match."""
     fast, slow = columnar.compile(), Trace(list(record)).compile()
-    assert fast.functions == slow.functions
-    assert fast.packed == slow.packed
-    assert fast.kinds == slow.kinds
-    assert fast.lines == slow.lines
-    assert fast.extras == slow.extras
-    assert fast.pcs == slow.pcs
-    assert fast.gaps == slow.gaps
-    assert fast.fids == slow.fids
-    assert fast.addrs == slow.addrs
-    assert fast.sizes == slow.sizes
+    assert_same_columns(fast, slow)
     assert list(columnar) == list(record)
     assert columnar == record
 

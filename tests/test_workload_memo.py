@@ -109,3 +109,38 @@ class TestWorkloadMemos:
         trace = memoized_fleet_mix(3, 0.02)
         compiled = trace.compile()
         assert memoized_fleet_mix(3, 0.02).compile() is compiled
+
+
+class TestEngineKey:
+    def test_reference_engine_regenerates_on_the_record_path(
+            self, monkeypatch):
+        """The sweep's ``--compare-serial`` oracle runs right after the
+        run it checks, in the same process: under the engine switch it
+        must build its own record-path traces, not reuse the columnar
+        ones, and still reach the same digest."""
+        from repro.access import builder
+        from repro.engine import reference_engine
+        from repro.fleet import MicroFleetSweep, sweep_digest
+
+        built = []
+
+        class CountingRecordBuilder(builder.RecordTraceBuilder):
+            __slots__ = ()
+
+            def __init__(self):
+                built.append(1)
+                super().__init__()
+
+        monkeypatch.setattr(builder, "RecordTraceBuilder",
+                            CountingRecordBuilder)
+
+        def study():
+            return MicroFleetSweep(mode="control", machines=8, seed=3,
+                                   scale=0.05)
+
+        digest = sweep_digest(study().run(workers=1))
+        assert not built
+        with reference_engine():
+            oracle = sweep_digest(study().run(workers=1))
+        assert built
+        assert oracle == digest
