@@ -24,8 +24,10 @@ runs the CLI with ``--min-stream-speedup`` as a regression gate.
 import argparse
 import contextlib
 import json
+import operator
 import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -118,6 +120,11 @@ def run_tracer_overhead(rounds=DEFAULT_ROUNDS):
     study runs in when no ``--obs-dir`` is given — and must stay within
     the CI gate of the plain time; ``enabled`` attaches a recording
     tracer (informational).
+
+    The overheads are the median of each round's paired ratio (a mode's
+    time over the plain time of the same round), so a slow stretch of
+    the host moves both sides of a ratio together. The best-of times
+    ``*_s`` are informational.
     """
     from repro.obs import NULL_TRACER, Tracer
 
@@ -147,18 +154,20 @@ def run_tracer_overhead(rounds=DEFAULT_ROUNDS):
     # best-of samples than the engine comparison does.
     tracer_rounds = max(3 * rounds, 9)
     one_run(None)
-    plain_s = disabled_s = enabled_s = float("inf")
+    plain, disabled, enabled = [], [], []
     for _ in range(tracer_rounds):
-        plain_s = min(plain_s, one_run(None))
-        disabled_s = min(disabled_s, one_run(NULL_TRACER))
-        enabled_s = min(enabled_s, one_run(Tracer()))
+        plain.append(one_run(None))
+        disabled.append(one_run(NULL_TRACER))
+        enabled.append(one_run(Tracer()))
     return {
         "accesses": STREAM_ACCESSES,
-        "plain_s": plain_s,
-        "disabled_s": disabled_s,
-        "enabled_s": enabled_s,
-        "disabled_overhead": disabled_s / plain_s - 1.0,
-        "enabled_overhead": enabled_s / plain_s - 1.0,
+        "plain_s": min(plain),
+        "disabled_s": min(disabled),
+        "enabled_s": min(enabled),
+        "disabled_overhead": statistics.median(
+            map(operator.truediv, disabled, plain)) - 1.0,
+        "enabled_overhead": statistics.median(
+            map(operator.truediv, enabled, plain)) - 1.0,
     }
 
 

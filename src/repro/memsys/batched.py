@@ -21,9 +21,9 @@ latencies and stalls.
 The scalar engine is already built on that split
 (:mod:`repro.memsys.hierarchy`): a cache pass does the dict and
 prefetcher work and records a timing tape, and a replay performs the
-tape's float operations on one arm. A batch runs the cache pass once, on
-fresh dicts and the bank's lockstep clones, then replays the tape once
-per arm, in input order. Scalar and batched arms therefore run the same
+tape's float operations on one arm. A batch runs the cache pass once,
+from its arms' common cache state and with the bank's lockstep clones,
+then replays the tape once per arm, in input order. Scalar and batched arms therefore run the same
 float operations in the same order — bit-identity (DESIGN.md §11) holds
 by construction: for every arm the :class:`~repro.memsys.stats.RunResult`
 and the post-run state (cache contents in LRU order, counters, clock,
@@ -40,35 +40,46 @@ trains the clones once in the cache pass, and every arm adopts the
 clones' training plus a shared counter delta. The only uniformity
 breaker is the scalar engine's in-flight prune (it compares the table's
 arrival times with the arm's clock): crossing its threshold in a batch's
-cache pass raises :class:`LockstepBailout` before any arm is touched,
-and :func:`~repro.memsys.hierarchy.run_many` reruns that group on the
+cache pass raises :class:`LockstepBailout`, and :func:`~repro.memsys.hierarchy.run_many` reruns that group on the
 scalar engine.
 
 Batching eligibility has two layers. :func:`lockstep_fallback_reason`
-is per-arm: the arm must be *cold* (not run since construction or
-``reset()``), every *enabled* hardware prefetcher must be lockstep-safe
+is per-arm: every *enabled* hardware prefetcher must be lockstep-safe
 (:attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.lockstep_safe`),
 the external DRAM load absent or a
-:class:`~repro.memsys.dram.ConstantExternalLoad`, and no tracer
-attached. Cold arms start with empty caches, in-flight tables,
-recent-miss histories and DRAM windows, so a batch starts from empty
-state, and :func:`config_signature` plus :func:`cached_state_fingerprint`
-(the enabled mask, with any training the bank arrived with) is the
-whole grouping key; each group runs as one :func:`run_lockstep` call.
-Warm arms (an epoch loop's second call onward) run scalar under the
-``warm-state`` reason: regrouping them by a walk of their caches, and
-copying that state into and back out of every batch, cost more than
-the scalar engine on every workload measured (DESIGN.md §11). Arms
-that fail either test — a custom prefetcher without the lockstep
-protocol, a callable load profile, a warm state — simply run the scalar
-engine inside the same call, and :class:`BatchOccupancy` reports who
-ran where and why.
+:class:`~repro.memsys.dram.ConstantExternalLoad`, no tracer attached,
+and the arm's cache state must be known to equal its group-mates'
+without looking at it. Two kinds of arm pass that test. A *cold* arm
+(not run since construction or ``reset()``) has empty caches, in-flight
+table, recent-miss history and DRAM window. A warm arm passes while its
+caches hold a *lineage*
+(:class:`~repro.memsys.cache.CacheLineage`): an exporting group hands
+every member the pass's set dicts by reference, not a copy each, and
+the members then stay identical — same caches, in-flight order, recent
+misses and prefetcher training — until one of them changes alone. So
+:func:`config_signature`, :func:`cache_lineage` and
+:func:`cached_state_fingerprint` are the whole grouping key, nothing
+walks a cache to find it, and each group runs as one
+:func:`run_lockstep` call: an epoch loop batches every epoch, its
+groups splitting as arms' enabled masks part.
+
+A group holding every live holder of its lineage passes over the shared
+dicts in place, when it can prove the pass stays short of the in-flight
+prune; any other group passes over a copy, as a cold group passes over
+fresh dicts. Sharing is copy on write: a scalar run, ``reset()`` and
+every :class:`~repro.memsys.cache.SetAssociativeCache` mutator first
+give the arm its own dicts. An arm whose warm state nobody shares runs
+scalar (reason ``warm-state``), as do arms that fail the other tests —
+a custom prefetcher without the lockstep protocol, a callable load
+profile, a tracer — inside the same call, and :class:`BatchOccupancy`
+reports who ran where and why.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.memsys.cache import CacheLineage, copy_sets
 from repro.memsys.dram import ConstantExternalLoad
 from repro.memsys.hierarchy import _Clock
 from repro.memsys.prefetchers.bank import PrefetcherBank
@@ -151,12 +162,16 @@ class BatchOccupancy:
 def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot join a lockstep batch (``None`` = it can).
 
-    Checks: the arm is cold (not run since construction or ``reset()``),
-    no tracer attached, every *enabled* hardware prefetcher
-    lockstep-safe (the enabled snapshot is kept fresh through MSR-write
-    watchers), and external DRAM load absent or constant.
+    Checks: the arm is cold (not run since construction or ``reset()``,
+    and no line installed since) or its caches hold a lineage, no tracer
+    attached, every *enabled* hardware prefetcher lockstep-safe (the
+    enabled snapshot is kept fresh through MSR-write watchers), and
+    external DRAM load absent or constant.
     """
-    if not hierarchy._cold:
+    if hierarchy._cold:
+        if hierarchy.l1._size or hierarchy.l2._size or hierarchy.llc._size:
+            return "warm-state"
+    elif cache_lineage(hierarchy) is None:
         return "warm-state"
     if hierarchy.obs is not None and hierarchy.obs:
         return "tracer"
@@ -165,6 +180,16 @@ def lockstep_fallback_reason(hierarchy) -> Optional[str]:
     external = hierarchy.dram._external_load
     if external is not None and not isinstance(external, ConstantExternalLoad):
         return "external-load"
+    return None
+
+
+def cache_lineage(hierarchy) -> Optional[CacheLineage]:
+    """The lineage all three of the arm's caches hold, or None (a cold
+    arm, or one that owns some of its caches alone)."""
+    lineage = hierarchy.l1._lineage
+    if (lineage is not None and hierarchy.l2._lineage is lineage
+            and hierarchy.llc._lineage is lineage):
+        return lineage
     return None
 
 
@@ -203,60 +228,106 @@ def cached_config_signature(hierarchy) -> Tuple:
 
 
 def cached_state_fingerprint(hierarchy) -> Tuple:
-    """The grouping key's state half: the arm's enabled mask.
+    """The grouping key's state half: the prefetcher bank's state.
 
-    Only cold arms batch, and a cold arm's caches, in-flight table,
-    recent-miss history and DRAM window are empty, so the prefetcher
-    bank is the only state that can differ between two of them. The key
-    is :meth:`~repro.memsys.prefetchers.bank.PrefetcherBank.state_fingerprint`:
-    the enabled mask, plus the enabled prefetchers' training, which is
-    empty unless the bank arrived trained. It walks no cache and is
-    cheap enough to recompute on every call, so nothing is cached.
+    For an arm of a lineage it is the enabled mask alone. Lineage-mates
+    left one group with the same training in every prefetcher — enabled
+    ones adopted the group's clones, disabled ones kept what they had,
+    equal by induction — so the mask is all that can part them. For a
+    cold arm it is
+    :meth:`~repro.memsys.prefetchers.bank.PrefetcherBank.state_fingerprint`,
+    which covers disabled prefetchers' training too: two cold arms whose
+    disabled prefetchers were handed different training must not become
+    lineage-mates. Nothing is cached: the mask costs a few attribute
+    reads, and a cold arm's training is normally empty.
     """
-    return hierarchy.prefetchers.state_fingerprint()
+    bank = hierarchy.prefetchers
+    if cache_lineage(hierarchy) is not None:
+        return tuple(p.enabled for p in bank)
+    return bank.state_fingerprint()
+
+
+def _prune_out_of_reach(hierarchy, compiled, clones) -> bool:
+    """Whether a cache pass of ``compiled`` from ``hierarchy``'s state
+    provably keeps the in-flight table at or below the prune threshold.
+
+    Each trace line (a record touches ``1 + extra``) adds at most one
+    entry per line a prefetcher proposes for it, or one software
+    prefetch, so the table can grow by at most ``lines x max(1,
+    proposals per line)``; an enabled prefetcher without
+    :attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.max_proposals`
+    gives no bound.
+    """
+    proposals = 1
+    for clone in clones:
+        if clone.max_proposals is None:
+            return False
+        proposals += clone.max_proposals
+    lines = len(compiled.kinds) + sum(compiled.extras)
+    return (len(hierarchy._in_flight) + lines * proposals
+            <= hierarchy._IN_FLIGHT_PRUNE_THRESHOLD)
 
 
 def run_lockstep(hierarchies, compiled,
                  export_state: bool = True) -> List[RunResult]:
     """Run ``compiled`` through every hierarchy in lockstep.
 
-    All hierarchies must pass :func:`lockstep_fallback_reason` (so they
-    are cold) and share one :func:`config_signature` *and* one
-    :func:`cached_state_fingerprint`
+    All hierarchies must pass :func:`lockstep_fallback_reason` and share
+    one :func:`config_signature`, one :func:`cache_lineage` (None: all
+    cold) and one :func:`cached_state_fingerprint`
     (:func:`~repro.memsys.hierarchy.run_many` groups arms so these hold).
-    One cache pass runs on fresh dicts with the bank's lockstep clones;
-    then each arm, in input order, replays the tape and takes in the
-    pass's counts. Returns per-arm results in input order; every result
-    and every arm's post-run state is bit-identical to the scalar
-    compiled engine's.
+    One cache pass runs with the bank's lockstep clones, from the
+    lineage's caches, in-flight order and recent misses (from empty
+    state for cold arms); then each arm, in input order, replays the
+    tape from its own clock, DRAM window and in-flight arrival times,
+    and takes in the pass's counts. Returns per-arm results in input
+    order; every result and every arm's post-run state is bit-identical
+    to the scalar compiled engine's.
 
-    With ``export_state``, each arm takes in the pass's cache contents
-    (a copy of each set dict; the last arm is donated the pass's dicts
-    outright, since they alias nothing once every other arm holds a
-    copy, so a batch of one exports for free) and the clones' training.
-    Without it the arms are about to be discarded, so they keep nothing:
-    the pass's dicts are emptied before the first replay, and right
-    after its replay each arm drops its caches, training, in-flight
-    table, recent misses and DRAM window, keeping its result, counters
-    and clock. Either way every arm leaves warm, so a later
-    ``run_many`` runs it scalar.
+    The pass works on the lineage's own dicts only when the group holds
+    every live holder of the lineage and :func:`_prune_out_of_reach`
+    holds; otherwise it works on a copy (or on fresh dicts, for cold
+    arms). With ``export_state``, every arm then holds the pass's dicts
+    by reference as one lineage (the same one, after an in-place pass)
+    and adopts the clones' training. Without it the arms are about to
+    be discarded, so they keep nothing: the pass's dicts are emptied
+    before the first replay, and right after its replay each arm drops
+    its caches, training, in-flight table, recent misses and DRAM
+    window, keeping its result, counters and clock. Either way every
+    arm leaves warm.
 
     Raises :class:`LockstepBailout` — with every arm untouched — if the
     in-flight table crosses the scalar prune threshold; rerun the group
     scalar.
     """
     hierarchies = list(hierarchies)
-    clones = hierarchies[0].prefetchers.clone_enabled_for_lockstep()
-    sets = ({}, {}, {})
-    tape = hierarchies[0]._cache_pass(compiled, sets, PrefetcherBank(clones),
-                                      {}, [], None)
+    first = hierarchies[0]
+    clones = first.prefetchers.clone_enabled_for_lockstep()
+    lineage = cache_lineage(first)
+    caches = (first.l1, first.l2, first.llc)
+    in_place = (lineage is not None
+                and len(lineage.holders) == 3 * len(hierarchies)
+                and _prune_out_of_reach(first, compiled, clones))
+    if in_place:
+        sets = tuple(cache._sets for cache in caches)
+    elif lineage is None:
+        sets = ({}, {}, {})
+    else:
+        sets = tuple(copy_sets(cache._sets) for cache in caches)
+    pending = first._in_flight
+    tape = first._cache_pass(compiled, sets, PrefetcherBank(clones),
+                             dict(zip(pending, range(len(pending)))),
+                             list(first._recent_miss_lines), None)
     if not export_state:
         for cache_sets in sets:
             cache_sets.clear()
-    last = len(hierarchies) - 1
+    elif not in_place:
+        lineage = CacheLineage()
 
-    def replay(hierarchy, donate: bool, result: RunResult) -> None:
-        hierarchy._replay_tape(tape, _Clock(hierarchy, []), result)
+    def replay(hierarchy, result: RunResult) -> None:
+        hierarchy._replay_tape(
+            tape, _Clock(hierarchy, list(hierarchy._in_flight.values())),
+            result)
         for target, clone in zip(hierarchy.prefetchers.enabled_prefetchers(),
                                  clones):
             target.apply_counter_delta(clone.counter_signature())
@@ -264,11 +335,10 @@ def run_lockstep(hierarchies, compiled,
                 target.adopt_training(clone)
         if not export_state:
             hierarchy._drop_state()
-            return
-        for cache, fresh in zip((hierarchy.l1, hierarchy.l2, hierarchy.llc),
-                                sets):
-            cache._sets = fresh if donate else {
-                index: dict(lines) for index, lines in fresh.items()}
+        elif not in_place:
+            for cache, shared in zip(
+                    (hierarchy.l1, hierarchy.l2, hierarchy.llc), sets):
+                cache._share(shared, lineage)
 
-    return [hierarchy._measured(replay, hierarchy, arm == last)
-            for arm, hierarchy in enumerate(hierarchies)]
+    return [hierarchy._measured(replay, hierarchy)
+            for hierarchy in hierarchies]

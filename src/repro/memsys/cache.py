@@ -8,10 +8,18 @@ prefetch usefulness: such a line evicted untouched was a wasted fetch
 (the bandwidth cost the paper blames for the latency penalty of
 aggressive prefetching), and the first demand hit on it is a covered
 miss. A line costs one dict entry and no object of its own.
+
+Several caches may hold the same set dicts by reference, as one
+:class:`CacheLineage`: the arms of a lockstep group that exports its
+state (:mod:`repro.memsys.batched`) share the group's caches instead of
+each taking a copy. Sharing is copy on write. Every mutator here first
+gives its cache its own dicts (:meth:`SetAssociativeCache._own`), and
+``flush`` simply lets go of them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -27,11 +35,35 @@ class EvictedLine:
     wasted_prefetch: bool
 
 
+def copy_sets(sets: Dict[int, Dict[int, bool]]) -> Dict[int, Dict[int, bool]]:
+    """A copy of a cache's set dicts: one ``dict`` per set, since a
+    line's state is one bool."""
+    return {index: dict(lines) for index, lines in sets.items()}
+
+
+class CacheLineage:
+    """Set dicts that the caches of several hierarchies hold by reference.
+
+    ``holders`` is every live cache that holds one of the lineage's dicts
+    (L1, L2 and LLC caches alike). It holds them weakly, so a dropped
+    hierarchy stops counting as soon as reference counting frees it. A
+    lockstep group may change the dicts in place only if it holds every
+    holder; any other change first copies them.
+    """
+
+    __slots__ = ("holders",)
+
+    def __init__(self) -> None:
+        self.holders: "weakref.WeakSet[SetAssociativeCache]" = \
+            weakref.WeakSet()
+
+
 class SetAssociativeCache:
     """A classic set-associative LRU cache over line addresses."""
 
     __slots__ = ("config", "_sets", "_set_mask", "_line_shift", "_size",
-                 "hits", "misses", "prefetch_hits", "wasted_prefetches")
+                 "hits", "misses", "prefetch_hits", "wasted_prefetches",
+                 "_lineage", "__weakref__")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -44,11 +76,33 @@ class SetAssociativeCache:
         self._line_shift = config.line_bytes.bit_length() - 1
         #: set index -> {line: untouched prefetch}, LRU order.
         self._sets: Dict[int, Dict[int, bool]] = {}
+        #: The :class:`CacheLineage` that ``_sets`` belongs to, or None
+        #: while this cache owns its dicts alone.
+        self._lineage: Optional[CacheLineage] = None
         self._size = 0
         self.hits = 0
         self.misses = 0
         self.prefetch_hits = 0
         self.wasted_prefetches = 0
+
+    def _share(self, sets: Dict[int, Dict[int, bool]],
+               lineage: CacheLineage) -> None:
+        """Hold ``sets`` by reference, as one of ``lineage``'s holders."""
+        if self._lineage is not None:
+            self._lineage.holders.discard(self)
+        self._sets = sets
+        self._lineage = lineage
+        lineage.holders.add(self)
+
+    def _own(self) -> None:
+        """Copy on write: leave the lineage, taking a copy of its dicts
+        unless no other cache still holds them."""
+        holders = self._lineage.holders
+        self._lineage = None
+        holders.discard(self)
+        sets = self._sets
+        if any(other._sets is sets for other in holders):
+            self._sets = copy_sets(sets)
 
     def _index(self, line: int) -> int:
         tag = line >> self._line_shift
@@ -59,6 +113,8 @@ class SetAssociativeCache:
     def lookup(self, line: int) -> bool:
         """Demand probe for ``line`` (line-aligned): counts a hit or a
         miss, and a hit touches the line and makes it most recent."""
+        if self._lineage is not None:
+            self._own()
         cache_set = self._sets.get(self._index(line))
         if cache_set is not None and line in cache_set:
             self.hits += 1
@@ -81,6 +137,8 @@ class SetAssociativeCache:
         position; a demand install marks it touched, a prefetch install
         leaves its flag as it was.
         """
+        if self._lineage is not None:
+            self._own()
         index = self._index(line)
         cache_set = self._sets.get(index)
         if cache_set is None:
@@ -102,6 +160,8 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns whether it was present."""
+        if self._lineage is not None:
+            self._own()
         cache_set = self._sets.get(self._index(line))
         if cache_set is not None and line in cache_set:
             del cache_set[line]
@@ -110,8 +170,14 @@ class SetAssociativeCache:
         return False
 
     def flush(self) -> None:
-        """Empty the cache (counters are preserved)."""
-        self._sets.clear()
+        """Empty the cache (counters are preserved); a shared cache lets
+        go of its lineage's dicts rather than emptying them."""
+        if self._lineage is not None:
+            self._lineage.holders.discard(self)
+            self._lineage = None
+            self._sets = {}
+        else:
+            self._sets.clear()
         self._size = 0
 
     @property

@@ -152,7 +152,9 @@ class MemoryHierarchy:
         #: Lockstep grouping state (:mod:`repro.memsys.batched`). The
         #: config signature is immutable for the hierarchy's lifetime.
         #: ``_cold`` holds from construction or :meth:`reset` until the
-        #: next run (scalar or batched); only cold arms batch.
+        #: next run (scalar or batched). Cold arms batch, and so do warm
+        #: arms whose caches hold a lineage
+        #: (:class:`~repro.memsys.cache.CacheLineage`).
         self._config_sig_cache = None
         self._cold = True
 
@@ -189,13 +191,17 @@ class MemoryHierarchy:
         Dispatches to the compiled fast engine unless ``REPRO_SLOW_ENGINE``
         requests the reference interpreter (or ``trace`` is a plain record
         iterable rather than a :class:`Trace`). Both engines produce
-        bit-identical results.
+        bit-identical results. Caches shared with other arms are copied
+        first, so the run changes this arm alone.
         """
         if start_ns is not None:
             if start_ns < self.now_ns:
                 raise ValueError(
                     f"cannot start at {start_ns}ns; clock is at {self.now_ns}ns")
             self.now_ns = start_ns
+        for cache in (self.l1, self.l2, self.llc):
+            if cache._lineage is not None:
+                cache._own()
 
         if not isinstance(trace, Trace) or _slow_engine_requested():
             return self._measured(self._run_interpreted, trace)
@@ -318,8 +324,9 @@ class MemoryHierarchy:
         :attr:`_IN_FLIGHT_PRUNE_THRESHOLD`. Given the arm's ``clock``,
         the pass replays the tape so far and prunes exactly; without one
         (a lockstep batch, whose clocks differ) it raises
-        :class:`~repro.memsys.batched.LockstepBailout`, having touched
-        only its own working state.
+        :class:`~repro.memsys.batched.LockstepBailout`. A batch only
+        passes over its arms' own dicts when it has proven that the
+        prune is out of reach; otherwise the dicts are fresh or copies.
         """
         config = self.config
         cycle_ns = config.cycle_ns
@@ -978,21 +985,26 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     """Run ``trace`` through many independent hierarchies, batching where
     it is provably safe.
 
-    The fleet's dominant shape — hundreds of fresh machine-arms
-    replaying one shared trace — goes through the lockstep engine
+    The fleet's dominant shape — many machine-arms replaying one shared
+    trace — goes through the lockstep engine
     (:mod:`repro.memsys.batched`), which does the cache pass once per
-    group and only the timing replay per arm: arms that qualify (cold,
-    every *enabled* hardware prefetcher lockstep-safe, constant or
-    absent external load, no tracer) are grouped by config signature
-    and enabled mask, and each group runs as one lockstep call. An arm
-    is cold from construction or :meth:`MemoryHierarchy.reset` until its
-    first run; a warm arm — one an earlier call already ran, as in an
-    epoch loop — runs scalar under the ``warm-state`` reason. Arms that
-    do not qualify — or everything, under ``REPRO_SLOW_ENGINE`` or for
-    an uncompiled trace — run through :meth:`MemoryHierarchy.run`
-    unchanged. Either way, every arm's result and post-run state is
-    bit-identical to a scalar ``run(trace)``; results come back in input
-    order.
+    group and only the timing replay per arm. Arms qualify when every
+    *enabled* hardware prefetcher is lockstep-safe, the external load is
+    constant or absent, no tracer is attached, and their cache state is
+    known to be shared: a *cold* arm (from construction or
+    :meth:`MemoryHierarchy.reset` until its first run) starts empty, and
+    the arms of an earlier exporting lockstep group hold that group's
+    caches as one lineage. Arms group by config signature, lineage (None
+    for cold arms) and the bank state of
+    :func:`~repro.memsys.batched.cached_state_fingerprint`, and each
+    group runs as one lockstep call, so an epoch loop batches every
+    epoch. A warm arm whose state no other arm shares — it ran scalar,
+    or discarded its state — runs scalar under the ``warm-state``
+    reason. Arms that do not qualify — or everything, under
+    ``REPRO_SLOW_ENGINE`` or for an uncompiled trace — run through
+    :meth:`MemoryHierarchy.run` unchanged. Either way, every arm's
+    result and post-run state is bit-identical to a scalar
+    ``run(trace)``; results come back in input order.
 
     Args:
         hierarchies: The arms; mutated in place exactly as ``run`` would.
@@ -1000,10 +1012,9 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
         export_state: When False, the arms are about to be discarded,
             so each keeps nothing after its run: its caches, prefetcher
             training, in-flight table, recent misses and DRAM window
-            come back empty, its counters and clock intact, and a
-            lockstep group copies no cache contents into its arms at
-            all. Results are the same either way, and every arm leaves
-            warm either way.
+            come back empty, its counters and clock intact, and no
+            lineage forms. Results are the same either way, and every
+            arm leaves warm either way.
         occupancy: Optional :class:`~repro.memsys.batched.BatchOccupancy`
             accumulating where each arm ran (lockstep vs scalar) and the
             per-reason scalar-fallback counts for this call.
@@ -1025,11 +1036,12 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     for arm, hierarchy in enumerate(hierarchies):
         reason = everyone or batched.lockstep_fallback_reason(hierarchy)
         if reason is None:
-            # Cold arms start with empty caches, in-flight tables and
-            # windows, so the config and the prefetcher bank state are
-            # all that can split them — state uniformity is what makes
-            # lockstep evolution exact.
+            # Arms of one lineage (or cold arms) hold the same caches,
+            # in-flight order and recent misses, so the config and the
+            # prefetcher bank state are all that can split them — state
+            # uniformity is what makes lockstep evolution exact.
             key = (batched.cached_config_signature(hierarchy),
+                   batched.cache_lineage(hierarchy),
                    batched.cached_state_fingerprint(hierarchy))
             groups.setdefault(key, []).append(arm)
         else:
@@ -1041,8 +1053,8 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
                 [hierarchies[arm] for arm in arms], compiled,
                 export_state=export_state)
         except batched.LockstepBailout:
-            # The group touched no arm state before export, so it reruns
-            # scalar, bit-identically.
+            # The group's pass worked on fresh or copied dicts and
+            # touched no arm, so it reruns scalar, bit-identically.
             scalar_arms.extend(arms)
             occupancy.record_scalar(len(arms), "prune-bailout")
             continue

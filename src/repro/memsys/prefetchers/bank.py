@@ -126,14 +126,16 @@ class PrefetcherBank:
     def state_fingerprint(self) -> Tuple:
         """Hashable summary of the bank state that steers proposals.
 
-        The enabled mask (bank order) plus each *enabled* prefetcher's
-        training fingerprint. Disabled prefetchers' stale training is
-        excluded: it cannot influence the run, and each arm keeps its
-        own copy untouched at export.
+        The enabled mask (bank order) plus every prefetcher's training
+        fingerprint, disabled ones included: a disabled prefetcher's
+        training steers proposals again once an MSR write enables it. A
+        member without the lockstep protocol stands for itself (by
+        identity), so no two such banks compare equal.
         """
-        return (tuple(p.enabled for p in self._prefetchers.values()),
-                tuple(p.training_fingerprint()
-                      for p in self.enabled_prefetchers()))
+        prefetchers = self._prefetchers.values()
+        return (tuple(p.enabled for p in prefetchers),
+                tuple(p.training_fingerprint() if p.lockstep_safe else p
+                      for p in prefetchers))
 
     def clone_enabled_for_lockstep(self) -> List[HardwarePrefetcher]:
         """Fresh clones of the enabled prefetchers, bank order.

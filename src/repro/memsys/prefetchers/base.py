@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class HardwarePrefetcher:
@@ -31,7 +31,8 @@ class HardwarePrefetcher:
     contract: the fingerprint must cover *every* bit of mutable training
     state that can steer future proposals, and a clone must evolve
     exactly as the original would. Subclasses that add training state
-    without extending the hooks must leave ``lockstep_safe`` False.
+    without extending the hooks must leave ``lockstep_safe`` False. A
+    model may also state :attr:`max_proposals`.
     """
 
     #: Whether the batched lockstep engine may clone this prefetcher and
@@ -39,6 +40,12 @@ class HardwarePrefetcher:
     #: subclasses default to scalar execution until they implement the
     #: lockstep protocol themselves.
     lockstep_safe = False
+
+    #: Most lines one ``observe`` call can return, or None for no stated
+    #: bound. A lockstep group passes over caches it shares with no one
+    #: else in place only when every enabled prefetcher states one: the
+    #: bound proves the pass cannot reach the in-flight prune.
+    max_proposals: Optional[int] = None
 
     def __init__(self, name: str) -> None:
         self.name = name

@@ -20,7 +20,7 @@ systems like Limoncello have less to clean up.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 
@@ -118,6 +118,10 @@ class FeedbackThrottledPrefetcher(HardwarePrefetcher):
     @property
     def lockstep_safe(self) -> bool:  # type: ignore[override]
         return self.inner.lockstep_safe
+
+    @property
+    def max_proposals(self) -> Optional[int]:  # type: ignore[override]
+        return self.inner.max_proposals
 
     def lockstep_params(self) -> Tuple:
         if not self.inner.lockstep_safe:

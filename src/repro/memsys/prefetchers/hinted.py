@@ -53,6 +53,10 @@ class HintedRegionPrefetcher(HardwarePrefetcher):
 
     lockstep_safe = True
 
+    @property
+    def max_proposals(self) -> int:  # type: ignore[override]
+        return self.degree * self.max_regions
+
     def __init__(self, name: str = "hinted_stream", degree: int = 4,
                  lead_lines: int = 16, max_regions: int = 16) -> None:
         super().__init__(name)

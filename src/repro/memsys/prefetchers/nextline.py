@@ -65,6 +65,10 @@ class NextLinePrefetcher(HardwarePrefetcher):
 
     lockstep_safe = True
 
+    @property
+    def max_proposals(self) -> int:  # type: ignore[override]
+        return self.degree
+
     def __init__(self, name: str = "l1_next_line", degree: int = 1,
                  on_miss_only: bool = True,
                  page_filter_entries: Optional[int] = 8192) -> None:
@@ -124,6 +128,7 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
     """
 
     lockstep_safe = True
+    max_proposals = 1
 
     def __init__(self, name: str = "l2_adjacent_line",
                  page_filter_entries: Optional[int] = 8192) -> None:

@@ -43,6 +43,10 @@ class StreamPrefetcher(HardwarePrefetcher):
 
     lockstep_safe = True
 
+    @property
+    def max_proposals(self) -> int:  # type: ignore[override]
+        return self.degree
+
     def __init__(self, name: str = "l2_stream", table_size: int = 32,
                  train_threshold: int = 3, distance: int = 16,
                  degree: int = 4, max_jump_lines: int = 2) -> None:

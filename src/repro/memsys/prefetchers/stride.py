@@ -31,6 +31,10 @@ class StridePrefetcher(HardwarePrefetcher):
 
     lockstep_safe = True
 
+    @property
+    def max_proposals(self) -> int:  # type: ignore[override]
+        return self.degree
+
     def __init__(self, name: str = "l1_stride", table_size: int = 256,
                  confidence_threshold: int = 2, distance: int = 4,
                  degree: int = 2) -> None:

@@ -14,12 +14,14 @@ tenant (less pollution, shorter queues) and hurts the streaming tenant
 Every machine in a shard replays the *same* epoch trace (the shared
 fleet-wide slice the paper's daemons observe), so the epoch loop runs
 all live machines through :func:`~repro.memsys.hierarchy.run_many`
-together. Epoch 0 batches the cold machines in lockstep, one call per
-enabled-mask group; from epoch 1 on every machine is warm and runs on the
-scalar engine (reason ``warm-state``), which is faster than regrouping
-warm state (``DESIGN.md`` §11). Machines differ only in their constant
-background load (a float array lane) and their controller trajectory,
-never in cache-visible traffic.
+together, and every epoch batches. Epoch 0 batches the cold machines in
+lockstep, one call per enabled-mask group; each group leaves its
+machines holding its caches by reference as one lineage, and later
+epochs regroup them by lineage and enabled mask, so a group splits only
+when controllers flip some of its machines' prefetchers (``DESIGN.md``
+§11). Machines differ only in their constant background load (a float
+array lane) and their controller trajectory, never in cache-visible
+traffic.
 
 Attribution needs no extra bookkeeping: the simulator's per-function
 statistics, keyed by tenant label, yield per-tenant per-epoch latency
@@ -293,8 +295,9 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     (tenant streams key off study seed, tenant name, and epoch — never
     the machine), so the epoch loop runs all live machines through
     :func:`~repro.memsys.hierarchy.run_many` together: epoch 0 batches
-    the cold arms by enabled mask, and later epochs run the warm arms
-    scalar, carrying the state epoch 0 exported. Controller
+    the cold arms by enabled mask, and later epochs batch the warm arms
+    by lineage and enabled mask, from the state the last epoch's groups
+    left them sharing. Controller
     modes sample DRAM utilization at epoch boundaries and actuate the
     socket-level prefetcher state for the *next* epoch (telemetry acts
     with one epoch of lag, like the daemon's sampling loop).

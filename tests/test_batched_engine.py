@@ -12,8 +12,9 @@ The scalar reference leg runs the record-at-a-time interpreter
 (:func:`~repro.memsys.hierarchy.reference_engine`, see
 :func:`run_reference`): the compiled scalar engine is the same cache
 pass and replay a batch runs, so comparing against it would compare the
-code with itself. ``run_many`` sends each group of cold eligible arms to
-one lockstep call, whole.
+code with itself. ``run_many`` sends each group of eligible arms — cold
+arms, or warm arms holding one cache lineage — to one lockstep call,
+whole.
 """
 
 import gc
@@ -21,6 +22,8 @@ import os
 import subprocess
 import sys
 import weakref
+
+import pytest
 
 import repro
 from repro.access import AccessKind, MemoryAccess, Trace
@@ -308,10 +311,11 @@ class TestDispatch:
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
 
     def test_msr_flip_regroups_one_arm(self, monkeypatch):
-        """An MSR-style prefetcher flip between runs does not bring an
-        arm back into lockstep: after the first call every arm is warm,
-        so the second call runs all of them scalar under ``warm-state``
-        — and every arm still agrees with the scalar oracle."""
+        """An MSR-style prefetcher flip between runs moves one arm out of
+        its lineage's group: the first call leaves all six arms holding
+        one lineage, and the second splits it by enabled mask into a
+        five-arm and a one-arm group — every arm still agreeing with the
+        scalar oracle."""
         records = make_records()
         traces = [Trace(records[:500]), Trace(records[500:])]
 
@@ -334,10 +338,10 @@ class TestDispatch:
         flipper.set_hardware_prefetchers(True)
         occupancy = batched.BatchOccupancy()
         batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
-        assert calls == []
+        assert calls == [5, 1]
         assert occupancy.to_dict() == {
-            "batched_arms": 0, "scalar_arms": 6, "groups": 0,
-            "fallback_reasons": {"warm-state": 6}}
+            "batched_arms": 6, "scalar_arms": 0, "groups": 2,
+            "fallback_reasons": {}}
 
         scalar_arms, scalar_flipper = fleet()
         scalar_a = run_reference(scalar_arms, traces[0])
@@ -473,7 +477,7 @@ class TestEnabledGolden:
 
     def test_warm_enabled_continuation(self):
         """After a batched first call, the trained (warm) arms continue
-        on the scalar engine and still agree."""
+        in lockstep from their shared lineage and still agree."""
         self.assert_enabled_fleet_agrees(default_prefetcher_bank, split=500)
 
     def test_enabled_small_batches(self, monkeypatch):
@@ -507,9 +511,9 @@ class TestEnabledGolden:
 class TestEligibilityEdges:
     def test_epoch_regrouping_sub_batches(self, monkeypatch):
         """Control-mode shape: daemons re-enable some arms' banks
-        between trace slices. The first call batches the cold fleet;
-        the next call finds every arm warm and runs it scalar
-        (``warm-state``) rather than regrouping by enabled mask."""
+        between trace slices. The first call batches the cold fleet into
+        one lineage; the next call regroups it by enabled mask into two
+        lockstep groups."""
         records = make_records()
         traces = [Trace(records[:400]), Trace(records[400:])]
 
@@ -528,10 +532,10 @@ class TestEligibilityEdges:
             arm.set_hardware_prefetchers(True)  # the MSR daemon acted
         occupancy = batched.BatchOccupancy()
         batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
-        assert calls == []
+        assert calls == [2, 2]
         assert occupancy.to_dict() == {
-            "batched_arms": 0, "scalar_arms": 4, "groups": 0,
-            "fallback_reasons": {"warm-state": 4}}
+            "batched_arms": 4, "scalar_arms": 0, "groups": 2,
+            "fallback_reasons": {}}
 
         scalar_arms = fleet()
         run_reference(scalar_arms, traces[0])
@@ -543,10 +547,9 @@ class TestEligibilityEdges:
                     == snapshot(scalar_arms[arm], scalar_b[arm]))
 
     def test_tracer_attached_mid_study(self, monkeypatch):
-        """An arm that gains a recording tracer between calls is warm by
-        then, like its batch-mates, so the second call runs all three
-        scalar under ``warm-state`` (the first applicable reason) — and
-        still agrees."""
+        """An arm that gains a recording tracer between calls leaves its
+        lineage's group and runs scalar under ``tracer``; its two mates
+        batch on as one group — and all three still agree."""
         from repro.obs import Tracer
 
         records = make_records()
@@ -559,8 +562,8 @@ class TestEligibilityEdges:
         arms[1].obs = Tracer()
         occupancy = batched.BatchOccupancy()
         batched_b = run_many(arms, traces[1], occupancy=occupancy)
-        assert calls == []
-        assert occupancy.to_dict()["fallback_reasons"] == {"warm-state": 3}
+        assert calls == [2]
+        assert occupancy.to_dict()["fallback_reasons"] == {"tracer": 1}
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
         run_reference(scalar_arms, traces[0])
@@ -607,9 +610,12 @@ class TestEligibilityEdges:
     def test_cold_lifecycle(self, monkeypatch):
         """Arms are cold from construction until their first run, by
         either engine and under either ``export_state``; an MSR-style
-        flip keeps a cold arm cold but moves it to another group; and
-        ``reset()`` makes a warm arm cold again, so it batches again and
-        still agrees with the scalar oracle."""
+        flip keeps a cold arm cold but moves it to another group. An
+        exporting lockstep run leaves its arm holding a lineage, which
+        keeps it eligible; a discarding or scalar run leaves it warm
+        with state no one shares (``warm-state``). ``reset()`` makes a
+        warm arm cold again, so it batches from empty state and still
+        agrees with the scalar oracle."""
         trace = Trace(make_records()[:300])
         arms = build_enabled_arms((None, 0.5, 1.0))
         assert all(arm._cold for arm in arms)
@@ -626,15 +632,19 @@ class TestEligibilityEdges:
         calls = spy_lockstep(monkeypatch)
         run_many(arms[:1], trace)
         run_many(arms[1:2], trace, export_state=False)
-        assert calls == [1, 1]  # both left warm by a lockstep export
+        assert calls == [1, 1]  # both left warm by a lockstep run
         arms[2].run(trace)  # scalar
-        for arm in arms:
-            assert not arm._cold
+        assert not any(arm._cold for arm in arms)
+        assert batched.cache_lineage(arms[0]) is not None
+        assert batched.lockstep_fallback_reason(arms[0]) is None
+        for arm in arms[1:]:
+            assert batched.cache_lineage(arm) is None
             assert batched.lockstep_fallback_reason(arm) == "warm-state"
 
         calls.clear()
         arms[0].reset()
         assert arms[0]._cold
+        assert batched.cache_lineage(arms[0]) is None
         occupancy = batched.BatchOccupancy()
         rerun = run_many(arms[:1], trace, occupancy=occupancy)
         assert calls == [1]
@@ -651,25 +661,273 @@ class TestEligibilityEdges:
         # Config is lifetime-immutable: the cache survives everything.
         assert arms[0]._config_sig_cache is sig
 
-    def test_noisy_batches_epoch_zero_only(self, monkeypatch):
+    def test_noisy_batches_every_epoch(self, monkeypatch):
         """The noisy-neighbor epoch loop hands its arms back to
-        ``run_many`` every epoch: epoch 0 batches the cold fleet in one
-        group, and every later epoch runs scalar under ``warm-state``,
-        with the scalar engine's digest."""
+        ``run_many`` every epoch, and every epoch batches: one group
+        while the three arms share a mask, two once machine 0's
+        controller disables its prefetchers (epochs 2 and 3) — with the
+        interpreter's digest."""
         from repro.scenarios import noisy_digest
 
         stores = dict(workers=1, cache_dir="", checkpoint_dir="",
                       obs_dir="")
         result = NoisyNeighborScenario(machines=3, epochs=4).run(**stores)
         assert result.occupancy.to_dict() == {
-            "batched_arms": 3, "scalar_arms": 9, "groups": 1,
-            "fallback_reasons": {"warm-state": 9}}
+            "batched_arms": 12, "scalar_arms": 0, "groups": 6,
+            "fallback_reasons": {}}
         with reference_engine():
             reference = NoisyNeighborScenario(machines=3,
                                               epochs=4).run(**stores)
         assert reference.occupancy.to_dict()["fallback_reasons"] == {
             "slow-engine": 12}
         assert noisy_digest(result) == noisy_digest(reference)
+
+
+def lineage_fleet(loads=(None, 0.5, 1.0)):
+    """Default-bank arms that one exporting ``run_many`` call left
+    holding one lineage, with that call's results."""
+    arms = build_enabled_arms(loads)
+    results = run_many(arms, Trace(make_records()[:400]))
+    return arms, results
+
+
+def line_in(cache):
+    """Some resident line of ``cache``."""
+    return next(iter(next(iter(cache._sets.values()))))
+
+
+#: Every way to change one arm's caches outside a lockstep group, with
+#: how many of the arm's three caches it takes out of the lineage (a
+#: single-cache mutator copies only that cache; the arm then runs
+#: scalar, which copies the rest).
+MUTATIONS = {
+    "compiled-run": (lambda arm: arm.run(Trace(make_records()[400:600])),
+                     3),
+    "interpreted-run": (lambda arm: run_reference(
+        [arm], Trace(make_records()[400:600])), 3),
+    "reset": (lambda arm: arm.reset(), 3),
+    "drop-state": (lambda arm: arm._drop_state(), 3),
+    "llc-flush": (lambda arm: arm.llc.flush(), 1),
+    "llc-install": (lambda arm: arm.llc.install(9 << 20), 1),
+    "l2-lookup": (lambda arm: arm.l2.lookup(line_in(arm.l2)), 1),
+    "l1-invalidate": (lambda arm: arm.l1.invalidate(line_in(arm.l1)), 1),
+}
+
+
+class TestLineage:
+    """Arms of one exporting lockstep group hold its caches by reference
+    as one lineage, batch again from it, and copy it before any change
+    of their own."""
+
+    def test_group_shares_one_lineage_by_reference(self):
+        arms, _ = lineage_fleet()
+        lineage = batched.cache_lineage(arms[0])
+        assert lineage is not None
+        assert len(lineage.holders) == 9
+        for arm in arms[1:]:
+            assert batched.cache_lineage(arm) is lineage
+            for level in ("l1", "l2", "llc"):
+                assert getattr(arm, level)._sets is getattr(arms[0],
+                                                            level)._sets
+
+    def test_whole_lineage_passes_in_place(self, monkeypatch):
+        """A group holding every holder, far from the prune, changes the
+        shared dicts in place and keeps its lineage."""
+        arms, _ = lineage_fleet()
+        lineage = batched.cache_lineage(arms[0])
+        llc_sets = arms[0].llc._sets
+        calls = spy_lockstep(monkeypatch)
+        trace = Trace(make_records()[400:])
+        results = run_many(arms, trace)
+        assert calls == [3]
+        assert all(batched.cache_lineage(arm) is lineage for arm in arms)
+        assert arms[0].llc._sets is llc_sets
+
+        scalar_arms = build_enabled_arms((None, 0.5, 1.0))
+        run_reference(scalar_arms, Trace(make_records()[:400]))
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, trace))
+
+    def test_partial_group_passes_over_a_copy(self, monkeypatch):
+        """A group that leaves a holder out (here, a tracer arm) passes
+        over a copy: the left-out arm's caches do not move."""
+        from repro.obs import Tracer
+
+        arms, results = lineage_fleet()
+        lineage = batched.cache_lineage(arms[0])
+        arms[2].obs = Tracer()
+        before = snapshot(arms[2], results[2])
+        original = batched.run_lockstep
+
+        def check_then_run(hierarchies, compiled, export_state=True):
+            out = original(hierarchies, compiled, export_state=export_state)
+            assert snapshot(arms[2], results[2]) == before
+            assert batched.cache_lineage(arms[2]) is lineage
+            return out
+
+        monkeypatch.setattr(batched, "run_lockstep", check_then_run)
+        trace = Trace(make_records()[400:])
+        batched_b = run_many(arms, trace)
+        fresh = batched.cache_lineage(arms[0])
+        assert fresh is not None and fresh is not lineage
+        assert batched.cache_lineage(arms[2]) is None
+
+        scalar_arms = build_enabled_arms((None, 0.5, 1.0))
+        run_reference(scalar_arms, Trace(make_records()[:400]))
+        assert_arms_agree(arms, batched_b, scalar_arms,
+                          run_reference(scalar_arms, trace))
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutating_one_arm_leaves_its_mates_alone(self, mutation):
+        arms, results = lineage_fleet()
+        lineage = batched.cache_lineage(arms[0])
+        before = [snapshot(arm, result)
+                  for arm, result in zip(arms[1:], results[1:])]
+        mutate, caches_left = MUTATIONS[mutation]
+        mutate(arms[0])
+        assert batched.cache_lineage(arms[0]) is None
+        if not arms[0]._cold:  # reset() makes it cold instead
+            assert (batched.lockstep_fallback_reason(arms[0])
+                    == "warm-state")
+        assert [snapshot(arm, result)
+                for arm, result in zip(arms[1:], results[1:])] == before
+        assert all(batched.cache_lineage(arm) is lineage
+                   for arm in arms[1:])
+        assert len(lineage.holders) == 9 - caches_left
+
+    def test_sole_holder_owns_without_copying(self):
+        """Once its mates are gone, an arm's copy on write takes the
+        lineage's dicts as they are."""
+        arms, _ = lineage_fleet()
+        survivor = arms[0]
+        llc_sets = survivor.llc._sets
+        del arms[1:]
+        survivor.llc.install(9 << 20)
+        assert survivor.llc._sets is llc_sets
+        assert survivor.llc._lineage is None
+
+    def test_copy_path_when_prune_is_not_provably_out_of_reach(
+            self, monkeypatch):
+        """With the prune threshold below the pass's bound, a whole
+        lineage passes over a copy: its old dicts stay as they were, the
+        arms leave with a fresh lineage, and results still agree."""
+        loads = (None, 0.5, 1.0)
+        first = Trace(make_records()[:400])
+        second = Trace([MemoryAccess(address=(7 << 20) + i * 64, size=8,
+                                     pc=1, function="scan")
+                        for i in range(64)])
+        arms = build_arms(loads)  # empty banks: nothing enters in flight
+        run_many(arms, first)
+        lineage = batched.cache_lineage(arms[0])
+        old = {level: cache_contents(getattr(arms[0], level))
+               for level in ("l1", "l2", "llc")}
+        old_sets = [getattr(arms[0], level)._sets
+                    for level in ("l1", "l2", "llc")]
+        monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD",
+                            16)
+        calls = spy_lockstep(monkeypatch)
+        results = run_many(arms, second)
+        assert calls == [3]
+        fresh = batched.cache_lineage(arms[0])
+        assert fresh is not None and fresh is not lineage
+        assert [{index: list(lines.items())
+                 for index, lines in sets.items()}
+                for sets in old_sets] == [old[level]
+                                          for level in ("l1", "l2", "llc")]
+
+        scalar_arms = build_arms(loads)
+        run_reference(scalar_arms, first)
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, second))
+
+    def test_copy_path_bailout_leaves_the_lineage_untouched(
+            self, monkeypatch):
+        """A copy-path pass that does cross the prune bails out; the
+        group reruns scalar from the lineage's unchanged state."""
+        loads = (None, 0.5, 1.0)
+        first = Trace(make_records()[:400])
+        spray = Trace([MemoryAccess(
+            address=(6 << 20) + i * 64, size=64,
+            kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
+            for i in range(64)])
+        arms = build_arms(loads)
+        run_many(arms, first)
+        monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 4)
+        occupancy = batched.BatchOccupancy()
+        results = run_many(arms, spray, occupancy=occupancy)
+        assert occupancy.to_dict() == {
+            "batched_arms": 0, "scalar_arms": 3, "groups": 0,
+            "fallback_reasons": {"prune-bailout": 3}}
+        assert all(batched.cache_lineage(arm) is None for arm in arms)
+
+        scalar_arms = build_arms(loads)
+        run_reference(scalar_arms, first)
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, spray))
+
+    def test_trained_disabled_prefetcher_splits_cold_arms(
+            self, monkeypatch):
+        """Two cold arms with the same enabled mask and untrained enabled
+        prefetchers, but a disabled streamer trained on one of them,
+        must not become lineage-mates: the training steers proposals
+        once an MSR write enables the streamer."""
+        records = make_records()
+        first, second = Trace(records[:400]), Trace(records[400:])
+
+        def trained_bank():
+            bank = default_prefetcher_bank()
+            bank.set_all(False)
+            bank["l2_stream"].enabled = True
+            MemoryHierarchy(prefetchers=bank).run(Trace(records))
+            return bank
+
+        def fleet():
+            arms = [MemoryHierarchy(prefetchers=trained_bank()),
+                    MemoryHierarchy(prefetchers=default_prefetcher_bank())]
+            for arm in arms:
+                arm.set_hardware_prefetchers(True)
+                arm.prefetchers["l2_stream"].enabled = False
+            return arms
+
+        arms = fleet()
+        assert ([p.training_fingerprint()
+                 for p in arms[0].prefetchers.enabled_prefetchers()]
+                == [p.training_fingerprint()
+                    for p in arms[1].prefetchers.enabled_prefetchers()])
+        calls = spy_lockstep(monkeypatch)
+        run_many(arms, first)
+        assert calls == [1, 1]
+        assert (batched.cache_lineage(arms[0])
+                is not batched.cache_lineage(arms[1]))
+        for arm in arms:
+            arm.prefetchers["l2_stream"].enabled = True
+        results = run_many(arms, second)
+
+        scalar_arms = fleet()
+        run_reference(scalar_arms, first)
+        for arm in scalar_arms:
+            arm.prefetchers["l2_stream"].enabled = True
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, second))
+
+    def test_cold_arm_with_installed_lines_runs_scalar(self):
+        """A never-run arm whose caches had lines installed directly is
+        not in empty state, so it cannot batch from fresh dicts."""
+        trace = Trace(make_records()[:400])
+
+        def fleet():
+            arms = build_enabled_arms((None, 0.5))
+            arms[0].llc.install(0)
+            return arms
+
+        arms = fleet()
+        assert batched.lockstep_fallback_reason(arms[0]) == "warm-state"
+        occupancy = batched.BatchOccupancy()
+        results = run_many(arms, trace, occupancy=occupancy)
+        assert occupancy.to_dict()["fallback_reasons"] == {"warm-state": 1}
+        scalar_arms = fleet()
+        assert_arms_agree(arms, results, scalar_arms,
+                          run_reference(scalar_arms, trace))
 
 
 class TestNoReferenceCycle:
@@ -825,7 +1083,7 @@ class TestExportState:
     def test_flushed_arms_can_still_run_again(self):
         """export_state=False leaves arms with empty state but usable.
 
-        The arms are warm, so the rerun is scalar. Only the
+        The arms are warm and share nothing, so the rerun is scalar. Only the
         cache-behaviour integers can match a fresh arm: caches, training
         and DRAM window are emptied, but the clock survives, and timing
         floats added at a later clock legitimately round differently.

@@ -19,6 +19,7 @@ from repro.memsys import (
 )
 
 from repro.memsys import batched
+from repro.memsys.hierarchy import reference_engine
 from tests.test_batched_engine import exotic_bank, run_reference, snapshot
 
 record_strategy = st.builds(
@@ -121,13 +122,13 @@ class TestPropertyEquivalence:
 
 #: One (load, bank-shape) pair per arm, so fleets mix ablated and
 #: enabled arms and the engine must group them correctly.
-enabled_arms_strategy = st.lists(
-    st.tuples(
-        st.one_of(st.none(),
-                  st.floats(min_value=0.0, max_value=4.0,
-                            allow_nan=False, allow_infinity=False)),
-        st.sampled_from(BANK_SHAPES)),
-    min_size=1, max_size=5)
+arm_strategy = st.tuples(
+    st.one_of(st.none(),
+              st.floats(min_value=0.0, max_value=4.0,
+                        allow_nan=False, allow_infinity=False)),
+    st.sampled_from(BANK_SHAPES))
+
+enabled_arms_strategy = st.lists(arm_strategy, min_size=1, max_size=5)
 
 
 class TestEnabledBankProperties:
@@ -155,3 +156,77 @@ class TestEnabledBankProperties:
         banks = [bank for _, bank in arms]
         assert_fleet_agrees(records, loads, split=min(split, len(records)),
                             banks=banks)
+
+
+#: What may happen to one arm between two epochs: an MSR-style write of
+#: its enabled mask, ``reset()``, a direct LLC flush or install, a
+#: scalar ``run()``, or a crash that drops it from the fleet.
+ACTIONS = ("none", "none", "flip", "reset", "flush", "install",
+           "scalar-run", "drop")
+
+epoch_strategy = st.tuples(
+    st.lists(record_strategy, max_size=40),
+    st.booleans(),  # export_state
+    st.lists(st.tuples(st.sampled_from(ACTIONS),
+                       st.integers(min_value=0, max_value=15)),
+             min_size=5, max_size=5))
+
+
+def act(arm, action, arg, trace, reference):
+    """Apply one between-epochs action; a scalar run returns its result."""
+    if action == "flip":
+        for bit, prefetcher in enumerate(arm.prefetchers):
+            prefetcher.enabled = bool(arg >> bit & 1)
+    elif action == "reset":
+        arm.reset()
+    elif action == "flush":
+        arm.llc.flush()
+    elif action == "install":
+        arm.llc.install((arg + 1) << 14, prefetched=bool(arg & 1))
+    elif action == "scalar-run":
+        if reference:
+            with reference_engine():
+                return arm.run(trace)
+        return arm.run(trace)
+    return None
+
+
+class TestEpochLoopProperty:
+    """An epoch loop's arms batch from shared lineages every epoch, and
+    whatever happens to single arms between epochs, every result and
+    post-run state equals the interpreter's."""
+
+    @given(arms=st.lists(arm_strategy, min_size=2, max_size=5),
+           epochs=st.lists(epoch_strategy, min_size=2, max_size=4),
+           threshold=st.sampled_from((None, 4, 64)))
+    @settings(max_examples=scaled(100), deadline=None)
+    def test_epoch_loop_matches_interpreter(self, arms, epochs, threshold):
+        loads = [load for load, _ in arms]
+        banks = [bank for _, bank in arms]
+        original = MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD
+        if threshold is not None:
+            MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD = threshold
+        try:
+            fleet = build_arms(loads, banks)
+            oracle = build_arms(loads, banks)
+            for records, export_state, actions in epochs:
+                trace = Trace(records)
+                for index in reversed(range(len(fleet))):
+                    action, arg = actions[index]
+                    if action == "drop":
+                        del fleet[index], oracle[index]
+                        continue
+                    got = act(fleet[index], action, arg, trace, False)
+                    want = act(oracle[index], action, arg, trace, True)
+                    if got is not None:
+                        assert (snapshot(fleet[index], got)
+                                == snapshot(oracle[index], want))
+                results = run_many(fleet, trace, export_state=export_state)
+                with reference_engine():
+                    expected = run_many(oracle, trace,
+                                        export_state=export_state)
+                for arm, result, twin, want in zip(fleet, results, oracle,
+                                                   expected):
+                    assert snapshot(arm, result) == snapshot(twin, want)
+        finally:
+            MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD = original
