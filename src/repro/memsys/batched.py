@@ -56,12 +56,13 @@ caches hold a *lineage*
 (:class:`~repro.memsys.cache.CacheLineage`): an exporting group hands
 every member the pass's set dicts by reference, not a copy each, and
 the members then stay identical — same caches, in-flight order, recent
-misses and prefetcher training — until one of them changes alone. So
-:func:`config_signature`, :func:`cache_lineage` and
-:func:`cached_state_fingerprint` are the whole grouping key, nothing
-walks a cache to find it, and each group runs as one
-:func:`run_lockstep` call: an epoch loop batches every epoch, its
-groups splitting as arms' enabled masks part.
+misses and prefetcher training — until one of them changes alone (a
+cache change copies first, a training change shows in the arm's
+:func:`cached_state_fingerprint`). So :func:`config_signature`,
+:func:`cache_lineage` and :func:`cached_state_fingerprint` are the
+whole grouping key, nothing walks a cache to find it, and each group
+runs as one :func:`run_lockstep` call: an epoch loop batches every
+epoch, its groups splitting as arms' enabled masks or training part.
 
 A group holding every live holder of its lineage passes over the shared
 dicts in place, when it can prove the pass stays short of the in-flight
@@ -228,23 +229,18 @@ def cached_config_signature(hierarchy) -> Tuple:
 
 
 def cached_state_fingerprint(hierarchy) -> Tuple:
-    """The grouping key's state half: the prefetcher bank's state.
-
-    For an arm of a lineage it is the enabled mask alone. Lineage-mates
-    left one group with the same training in every prefetcher — enabled
-    ones adopted the group's clones, disabled ones kept what they had,
-    equal by induction — so the mask is all that can part them. For a
-    cold arm it is
+    """The grouping key's state half:
     :meth:`~repro.memsys.prefetchers.bank.PrefetcherBank.state_fingerprint`,
-    which covers disabled prefetchers' training too: two cold arms whose
-    disabled prefetchers were handed different training must not become
-    lineage-mates. Nothing is cached: the mask costs a few attribute
-    reads, and a cold arm's training is normally empty.
+    the enabled mask plus every prefetcher's training, disabled ones
+    included.
+
+    Lineage-mates leave a group with equal training, but a call such as
+    ``arm.prefetchers.reset()`` or a direct ``observe`` changes one
+    mate's training without touching its caches, so every arm is keyed
+    on its full training, and a changed mate parts from its lineage's
+    group. Nothing is cached: training changes on every run.
     """
-    bank = hierarchy.prefetchers
-    if cache_lineage(hierarchy) is not None:
-        return tuple(p.enabled for p in bank)
-    return bank.state_fingerprint()
+    return hierarchy.prefetchers.state_fingerprint()
 
 
 def _prune_out_of_reach(hierarchy, compiled, clones) -> bool:

@@ -19,8 +19,7 @@ systems like Limoncello have less to clean up.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 
@@ -53,8 +52,9 @@ class FeedbackThrottledPrefetcher(HardwarePrefetcher):
         self.ungate_above = ungate_above
         self._tracker_entries = tracker_entries
         self.gated = False
-        #: Recently proposed lines (issued or shadow), awaiting a touch.
-        self._tracked: "OrderedDict[int, None]" = OrderedDict()
+        #: Recently proposed lines (issued or shadow), awaiting a touch,
+        #: oldest first.
+        self._tracked: Dict[int, None] = {}
         self._window_proposed = 0
         self._window_useful = 0
         self.gate_events = 0
@@ -80,7 +80,7 @@ class FeedbackThrottledPrefetcher(HardwarePrefetcher):
         for proposed in proposals:
             if proposed not in self._tracked:
                 if len(self._tracked) >= self._tracker_entries:
-                    self._tracked.popitem(last=False)
+                    del self._tracked[next(iter(self._tracked))]
                 self._tracked[proposed] = None
         self._window_proposed += len(proposals)
         if self._window_proposed >= self.window:
@@ -145,14 +145,14 @@ class FeedbackThrottledPrefetcher(HardwarePrefetcher):
             ungate_above=self.ungate_above,
             tracker_entries=self._tracker_entries)
         clone.gated = self.gated
-        clone._tracked = OrderedDict(self._tracked)
+        clone._tracked = self._tracked.copy()
         clone._window_proposed = self._window_proposed
         clone._window_useful = self._window_useful
         return clone
 
     def adopt_training(self, source: "FeedbackThrottledPrefetcher") -> None:
         self.gated = source.gated
-        self._tracked = OrderedDict(source._tracked)
+        self._tracked = source._tracked.copy()
         self._window_proposed = source._window_proposed
         self._window_useful = source._window_useful
         self.inner.adopt_training(source.inner)

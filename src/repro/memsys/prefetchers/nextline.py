@@ -9,8 +9,7 @@ stays silent while any spatially local pattern activates immediately.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 from repro.units import CACHE_LINE_BYTES
@@ -19,7 +18,13 @@ _PAGE_SHIFT = 12
 
 
 class _PageFilter:
-    """An LRU set of recently touched pages."""
+    """An LRU set of recently touched pages.
+
+    A plain dict in LRU order (oldest first): a touch re-inserts its
+    page at the end. Every lockstep arm copies its filter when it adopts
+    a group's training, and ``dict.copy()`` does that in one C-level
+    copy, some 20x faster than copying an ``OrderedDict``.
+    """
 
     __slots__ = ("_capacity", "_pages")
 
@@ -27,18 +32,18 @@ class _PageFilter:
         if capacity <= 0:
             raise ValueError(f"filter capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        self._pages: Dict[int, None] = {}
 
     def check_and_touch(self, line: int) -> bool:
         """True if the line's page was already present; records the touch."""
         page = line >> _PAGE_SHIFT
-        present = page in self._pages
+        pages = self._pages
+        present = page in pages
         if present:
-            self._pages.move_to_end(page)
-        else:
-            if len(self._pages) >= self._capacity:
-                self._pages.popitem(last=False)
-            self._pages[page] = None
+            del pages[page]
+        elif len(pages) >= self._capacity:
+            del pages[next(iter(pages))]
+        pages[page] = None
         return present
 
     def clear(self) -> None:
@@ -51,7 +56,7 @@ class _PageFilter:
 
     def copy_from(self, source: "_PageFilter") -> None:
         """Replace contents with a copy of ``source``'s, order included."""
-        self._pages = OrderedDict(source._pages)
+        self._pages = source._pages.copy()
 
 
 class NextLinePrefetcher(HardwarePrefetcher):

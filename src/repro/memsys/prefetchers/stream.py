@@ -16,8 +16,7 @@ paper's story and are faithfully reproduced:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 from repro.units import CACHE_LINE_BYTES
@@ -64,17 +63,20 @@ class StreamPrefetcher(HardwarePrefetcher):
         self.distance = distance
         self.degree = degree
         self.max_jump_lines = max_jump_lines
-        self._table: "OrderedDict[int, _StreamEntry]" = OrderedDict()
+        #: Page -> stream, in LRU order (oldest first; a touch
+        #: re-inserts its page at the end).
+        self._table: Dict[int, _StreamEntry] = {}
 
     def _observe(self, line: int, pc: int, was_hit: bool) -> List[int]:
         page = line >> _PAGE_SHIFT
-        entry = self._table.get(page)
+        table = self._table
+        entry = table.pop(page, None)
         if entry is None:
-            if len(self._table) >= self.table_size:
-                self._table.popitem(last=False)
-            self._table[page] = _StreamEntry(line)
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[page] = _StreamEntry(line)
             return []
-        self._table.move_to_end(page)
+        table[page] = entry
 
         delta_lines = (line - entry.last_line) // CACHE_LINE_BYTES
         if delta_lines == 0:
@@ -148,7 +150,7 @@ class StreamPrefetcher(HardwarePrefetcher):
         return clone
 
     def adopt_training(self, source: "StreamPrefetcher") -> None:
-        table: "OrderedDict[int, _StreamEntry]" = OrderedDict()
+        table: Dict[int, _StreamEntry] = {}
         for page, entry in source._table.items():
             fresh = _StreamEntry.__new__(_StreamEntry)
             fresh.last_line = entry.last_line

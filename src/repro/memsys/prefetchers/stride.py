@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.memsys.prefetchers.base import HardwarePrefetcher
 from repro.units import line_address
@@ -49,16 +48,19 @@ class StridePrefetcher(HardwarePrefetcher):
         self.confidence_threshold = confidence_threshold
         self.distance = distance
         self.degree = degree
-        self._table: "OrderedDict[int, _StrideEntry]" = OrderedDict()
+        #: PC -> entry, in LRU order (oldest first; a touch re-inserts
+        #: its PC at the end).
+        self._table: Dict[int, _StrideEntry] = {}
 
     def _observe(self, line: int, pc: int, was_hit: bool) -> List[int]:
-        entry = self._table.get(pc)
+        table = self._table
+        entry = table.pop(pc, None)
         if entry is None:
-            if len(self._table) >= self.table_size:
-                self._table.popitem(last=False)
-            self._table[pc] = _StrideEntry(line)
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[pc] = _StrideEntry(line)
             return []
-        self._table.move_to_end(pc)
+        table[pc] = entry
         observed = line - entry.last_line
         entry.last_line = line
         if observed == 0:
@@ -103,7 +105,7 @@ class StridePrefetcher(HardwarePrefetcher):
         return clone
 
     def adopt_training(self, source: "StridePrefetcher") -> None:
-        table: "OrderedDict[int, _StrideEntry]" = OrderedDict()
+        table: Dict[int, _StrideEntry] = {}
         for pc, entry in source._table.items():
             fresh = _StrideEntry.__new__(_StrideEntry)
             fresh.last_line = entry.last_line

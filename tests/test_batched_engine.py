@@ -714,6 +714,16 @@ MUTATIONS = {
 }
 
 
+#: Ways to change one arm's prefetcher training without touching its
+#: caches, so the arm stays in its lineage.
+TRAINING_CHANGES = {
+    "bank-reset": lambda arm: arm.prefetchers.reset(),
+    "direct-observe": lambda arm: [
+        arm.prefetchers["l2_stream"].observe((5 << 20) + i * 64, 1, False)
+        for i in range(40)],
+}
+
+
 class TestLineage:
     """Arms of one exporting lockstep group hold its caches by reference
     as one lineage, batch again from it, and copy it before any change
@@ -794,6 +804,27 @@ class TestLineage:
         assert all(batched.cache_lineage(arm) is lineage
                    for arm in arms[1:])
         assert len(lineage.holders) == 9 - caches_left
+
+    @pytest.mark.parametrize("change", sorted(TRAINING_CHANGES))
+    def test_training_change_parts_a_mate_from_its_group(
+            self, change, monkeypatch):
+        """A mate whose training changed alone batches apart from the
+        others, and every arm still agrees with the interpreter."""
+        arms, _ = lineage_fleet()
+        scalar_arms = build_enabled_arms((None, 0.5, 1.0))
+        run_reference(scalar_arms, Trace(make_records()[:400]))
+        TRAINING_CHANGES[change](arms[1])
+        TRAINING_CHANGES[change](scalar_arms[1])
+        assert batched.cache_lineage(arms[1]) is batched.cache_lineage(
+            arms[0])
+        calls = spy_lockstep(monkeypatch)
+        trace = Trace(make_records()[400:])
+        results = run_many(arms, trace)
+        expected = run_reference(scalar_arms, trace)
+        assert [snapshot(arm, result) == snapshot(twin, want)
+                for arm, result, twin, want
+                in zip(arms, results, scalar_arms, expected)] == [True] * 3
+        assert calls == [2, 1]
 
     def test_sole_holder_owns_without_copying(self):
         """Once its mates are gone, an arm's copy on write takes the

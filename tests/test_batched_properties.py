@@ -159,10 +159,11 @@ class TestEnabledBankProperties:
 
 
 #: What may happen to one arm between two epochs: an MSR-style write of
-#: its enabled mask, ``reset()``, a direct LLC flush or install, a
-#: scalar ``run()``, or a crash that drops it from the fleet.
-ACTIONS = ("none", "none", "flip", "reset", "flush", "install",
-           "scalar-run", "drop")
+#: its enabled mask, ``reset()``, a reset of its prefetchers alone,
+#: direct ``observe`` calls on its bank, a direct LLC flush or install,
+#: a scalar ``run()``, or a crash that drops it from the fleet.
+ACTIONS = ("none", "none", "flip", "reset", "bank-reset", "observe",
+           "flush", "install", "scalar-run", "drop")
 
 epoch_strategy = st.tuples(
     st.lists(record_strategy, max_size=40),
@@ -179,6 +180,11 @@ def act(arm, action, arg, trace, reference):
             prefetcher.enabled = bool(arg >> bit & 1)
     elif action == "reset":
         arm.reset()
+    elif action == "bank-reset":
+        arm.prefetchers.reset()
+    elif action == "observe":
+        for step in range(arg + 1):
+            arm.prefetchers.observe((arg << 16) + step * 64, arg, False)
     elif action == "flush":
         arm.llc.flush()
     elif action == "install":
