@@ -15,10 +15,8 @@ Two kinds of name stay eager imports in the package itself (DESIGN.md,
 bind the module object over the lazy name), and a name something looks
 up in ``vars(package)`` rather than through ``getattr``
 (``repro.access.interleave``). Nor may code rely on a package import's
-side effects: both policy kinds are defined in the module whose
-``policy_from_dict`` rebuilds them, and the tax-function categories are
-declared in :mod:`repro.workloads.base` rather than registered by the
-generators.
+side effects: the tax-function categories, for one, are declared in
+:mod:`repro.workloads.base` rather than registered by the generators.
 
 This module imports nothing from ``repro``, so ``import repro`` loads it
 and nothing else.

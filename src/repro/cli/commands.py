@@ -350,9 +350,8 @@ def run_queue(args) -> int:
     ])
     if status["studies"]:
         print("\njournaled shards by study:")
-        _table(("study", "shards", "policies", "indexes"), [
+        _table(("study", "shards", "indexes"), [
             (study, str(info["shards"]),
-             ",".join(info.get("policies", [])) or "-",
              ",".join(str(i) for i in info["shard_indexes"][:12])
              + ("…" if len(info["shard_indexes"]) > 12 else ""))
             for study, info in sorted(status["studies"].items())])
@@ -361,18 +360,12 @@ def run_queue(args) -> int:
 
 def run_cache(args) -> int:
     """``repro cache``: inspect or prune a result cache."""
-    import os
+    from repro.fleet.result_cache import CACHE_ENV_VAR, study_cache
 
-    from repro.fleet.result_cache import (CACHE_ENV_VAR,
-                                          StudyResultCache)
-
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR, "").strip() or None
-    if not cache_dir:
+    cache = study_cache(getattr(args, "cache_dir", None))
+    if cache is None:
         raise ReproError(
             f"no cache directory: pass --cache-dir or set ${CACHE_ENV_VAR}")
-    cache = StudyResultCache(cache_dir)
     scan = cache.scan()
     stats = cache.stats()
     total = stats["hits"] + stats["misses"]
@@ -607,21 +600,6 @@ def run_scenario_callgraph(args) -> int:
     return 0
 
 
-def _noisy_policy(args):
-    """The ``repro scenario noisy`` policy from its CLI flags."""
-    if args.policy == "hysteresis":
-        from repro.core import LimoncelloConfig
-        from repro.policy import HysteresisPolicy
-        return HysteresisPolicy(config=LimoncelloConfig(
-            lower_threshold=args.lower, upper_threshold=args.upper,
-            sustain_duration_ns=args.sustain_ns,
-            sample_period_ns=args.sustain_ns))
-    if args.policy == "single-threshold":
-        from repro.policy import SingleThresholdPolicy
-        return SingleThresholdPolicy(threshold=args.upper)
-    raise ReproError("--mode policy needs --policy NAME")
-
-
 def run_scenario_noisy(args) -> int:
     """``repro scenario noisy``: the multi-tenant interference study."""
     from repro.scenarios import (DEFAULT_TENANTS, NoisyNeighborScenario,
@@ -629,12 +607,9 @@ def run_scenario_noisy(args) -> int:
 
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    policy = _noisy_policy(args) if args.mode == "policy" else None
-    if policy is None and args.policy:
-        raise ReproError("--policy needs --mode policy")
     kwargs = dict(tenants=args.tenants or DEFAULT_TENANTS,
                   machines=args.machines, epochs=args.epochs,
-                  seed=args.seed, mode=args.mode, policy=policy,
+                  seed=args.seed, mode=args.mode,
                   upper=args.upper, lower=args.lower,
                   sustain_ns=args.sustain_ns, shard_size=args.shard_size,
                   fault_plan=fault_plan)

@@ -267,16 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "sample and actuation each)")
     noisy.add_argument("--seed", type=int, default=23)
     noisy.add_argument("--mode",
-                       choices=("enabled", "disabled", "hard", "policy"),
+                       choices=("enabled", "disabled", "hard",
+                                "single-threshold"),
                        default="hard",
                        help="fixed prefetcher state, the stock "
-                            "hysteresis controller, or a pluggable "
-                            "policy (--policy)")
-    noisy.add_argument(
-        "--policy", type=str, default="", metavar="NAME",
-        choices=("", "hysteresis", "single-threshold"),
-        help="with --mode policy: build this policy with the scenario's "
-             "thresholds (hysteresis, single-threshold)")
+                            "hysteresis controller, or the "
+                            "no-hysteresis straw man flipping at --upper")
     noisy.add_argument("--upper", type=float, default=0.8,
                        help="controller upper threshold, fraction of "
                             "DRAM saturation")

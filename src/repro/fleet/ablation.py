@@ -18,12 +18,11 @@ bit-identical results to ``run(workers=1)``.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import LimoncelloConfig, RetryPolicy
+from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError
 from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
 from repro.faults.plan import FaultPlan
@@ -35,52 +34,18 @@ from repro.fleet.tape import new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
 from repro.profiling.profile_data import ProfileData
-from repro.serialization import canonical_json
-
-if TYPE_CHECKING:
-    from repro.policy.metrics import PolicyMetrics
 
 #: Experiment-arm configurations.
 MODES = ("off", "hard", "hard+soft", "soft-only", "control")
 
-#: The arms that run Hard Limoncello daemons: the only ones a control
-#: policy or a telemetry/MSR fault has anything to act on.
+#: The arms that run Hard Limoncello daemons: the only ones a
+#: telemetry/MSR fault has anything to act on.
 DAEMON_MODES = ("hard", "hard+soft")
 
 #: Seed for the (per-shard) profilers' own random stream. Fixed rather
 #: than derived so a one-shard study reproduces the historical engine
 #: exactly; shards differ through their machine populations.
 _PROFILER_SEED = 71
-
-
-def _config_key_material(config: Optional[LimoncelloConfig]):
-    """A config's contribution to a study cache key.
-
-    The hardening knobs (retry policy, fail-safe deadline) are included
-    only when they differ from the legacy defaults, so keys — and cached
-    results — for pre-hardening configurations are unchanged.
-    """
-    if config is None:
-        return None
-    material = {
-        "lower_threshold": config.lower_threshold,
-        "upper_threshold": config.upper_threshold,
-        "sustain_duration_ns": config.sustain_duration_ns,
-        "sample_period_ns": config.sample_period_ns,
-        "actuation_retries": config.actuation_retries,
-    }
-    policy = config.retry_policy
-    if policy != RetryPolicy():
-        material["retry_policy"] = {
-            "max_attempts": policy.max_attempts,
-            "initial_backoff_ns": policy.initial_backoff_ns,
-            "backoff_multiplier": policy.backoff_multiplier,
-            "max_backoff_ns": policy.max_backoff_ns,
-        }
-    if config.telemetry_failsafe_deadline_ns is not None:
-        material["telemetry_failsafe_deadline_ns"] = \
-            config.telemetry_failsafe_deadline_ns
-    return material
 
 
 @dataclass
@@ -95,9 +60,6 @@ class AblationResult:
     #: Controller-robustness aggregate for the experiment arm; ``None``
     #: unless the study ran under a fault plan.
     chaos: Optional[ChaosMetrics] = None
-    #: Per-policy decision aggregate for the experiment arm; ``None``
-    #: unless the study ran with an injected control policy.
-    policy_metrics: Optional["PolicyMetrics"] = None
 
     def merge(self, other: "AblationResult") -> "AblationResult":
         """Fold another shard's paired result into this one (in place).
@@ -117,11 +79,6 @@ class AblationResult:
             if self.chaos is None:
                 self.chaos = ChaosMetrics()
             self.chaos.merge(other.chaos)
-        if other.policy_metrics is not None:
-            if self.policy_metrics is None:
-                from repro.policy.metrics import PolicyMetrics
-                self.policy_metrics = PolicyMetrics()
-            self.policy_metrics.merge(other.policy_metrics)
         return self
 
     def to_dict(self) -> Dict:
@@ -193,10 +150,6 @@ class AblationShardSpec:
     #: Position in the shard plan; carried so the worker can stamp its
     #: events without the parent re-deriving the mapping.
     shard_index: int = 0
-    #: Canonical JSON of the injected control policy, or ``None`` for
-    #: the stock hysteresis deployment. A string (not a Policy object)
-    #: so the spec stays hashable and picklable across pool workers.
-    policy_json: Optional[str] = None
     #: :data:`~repro.fleet.platform.PLATFORM_CATALOG` name of every
     #: machine's platform, or ``None`` for the default platform.
     platform: Optional[str] = None
@@ -211,8 +164,7 @@ def run_ablation_shard(
         mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
         warmup_epochs=spec.warmup_epochs, seed=spec.seed,
         config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, policy=spec.policy_json,
-        platform=spec.platform)
+        fault_plan=spec.fault_plan, platform=spec.platform)
     return run_traced(study, spec)
 
 
@@ -233,15 +185,10 @@ class AblationStudy(FleetStudy):
             Pair it with a ``config`` that sets ``retry_policy`` and
             ``telemetry_failsafe_deadline_ns`` to study the hardened
             controller.
-        policy: Optional control policy for the experiment arm's
-            daemons — a :class:`~repro.policy.Policy`, its serialized
-            dict, or canonical JSON. Requires a daemon-running mode
-            (``hard``/``hard+soft``). Enters cache and shard-task keys
-            only when set, so policy-free study keys are unchanged.
         platform: :data:`~repro.fleet.platform.PLATFORM_CATALOG` name of
             every machine's platform (Table 1 compares two). ``None``
-            keeps the default platform; like the policy, it enters cache
-            and shard-task keys only when set.
+            keeps the default platform; it enters cache and shard-task
+            keys only when set, so default-platform keys are unchanged.
     """
 
     STUDY = "ablation"
@@ -253,7 +200,7 @@ class AblationStudy(FleetStudy):
                  profile_sample_rate: float = 0.25,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None,
-                 policy=None, platform: Optional[str] = None) -> None:
+                 platform: Optional[str] = None) -> None:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         if epochs <= 0:
@@ -273,15 +220,6 @@ class AblationStudy(FleetStudy):
                 f"('hard' or 'hard+soft'), got {mode!r}")
         self._platform_spec = (platform_by_name(platform)
                                if platform is not None else PLATFORM_1)
-        self.policy_json: Optional[str] = None
-        if policy is not None:
-            if mode not in DAEMON_MODES:
-                raise ConfigError(
-                    "a control policy needs a daemon-running mode "
-                    f"('hard' or 'hard+soft'), got {mode!r}")
-            from repro.policy.base import policy_from_spec
-            self.policy_json = canonical_json(
-                policy_from_spec(policy).to_dict())
         self.mode = mode
         self.machines = machines
         self.epochs = epochs
@@ -308,7 +246,7 @@ class AblationStudy(FleetStudy):
                 config=self.config,
                 profile_sample_rate=self._sample_rate,
                 fault_plan=self.fault_plan, shard_index=index,
-                policy_json=self.policy_json, platform=self.platform)
+                platform=self.platform)
             for index, (size, seed)
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
         ]
@@ -322,7 +260,6 @@ class AblationStudy(FleetStudy):
         the key only when set, so fault-free study keys — and their
         cached results — are unchanged from earlier revisions.
         """
-        config = self.config
         material = {
             "study": "ablation",
             "mode": self.mode,
@@ -332,12 +269,10 @@ class AblationStudy(FleetStudy):
             "seed": self.seed,
             "shard_size": self.shard_size,
             "profile_sample_rate": self._sample_rate,
-            "config": _config_key_material(self.config),
+            "config": self.config_key_material(),
         }
         if self.fault_plan is not None:
             material["fault_plan"] = self.fault_plan.to_key_material()
-        if self.policy_json is not None:
-            material["policy"] = json.loads(self.policy_json)
         if self.platform is not None:
             material["platform"] = self.platform
         return material
@@ -355,20 +290,12 @@ class AblationStudy(FleetStudy):
         if self.mode == "off":
             fleet.force_prefetchers(False)
         elif self.mode == "hard":
-            self._deploy_controller(fleet)
+            fleet.deploy_hard_limoncello(self.config)
         elif self.mode == "hard+soft":
-            self._deploy_controller(fleet)
+            fleet.deploy_hard_limoncello(self.config)
             fleet.deploy_soft_limoncello()
         elif self.mode == "soft-only":
             fleet.deploy_soft_limoncello()
-
-    def _deploy_controller(self, fleet: Fleet) -> None:
-        """The experiment arm's control plane: the injected policy when
-        one is set, the stock hysteresis daemons otherwise."""
-        if self.policy_json is not None:
-            fleet.deploy_policy(self.policy_json, self.config)
-        else:
-            fleet.deploy_hard_limoncello(self.config)
 
     def _run_single(self, tracer=None) -> AblationResult:
         """Run the whole population as one fleet (no sharding)."""
@@ -408,11 +335,6 @@ class AblationStudy(FleetStudy):
         # collected from the experiment arm (the one running daemons).
         chaos = (collect_chaos_metrics(experiment_fleet.machines)
                  if self.fault_plan is not None else None)
-        if self.policy_json is not None:
-            from repro.policy.metrics import collect_policy_metrics
-            policy_metrics = collect_policy_metrics(experiment_fleet.machines)
-        else:
-            policy_metrics = None
         return AblationResult(
             mode=self.mode,
             control=control,
@@ -420,7 +342,6 @@ class AblationStudy(FleetStudy):
             control_profile=control_profiler.data,
             experiment_profile=experiment_profiler.data,
             chaos=chaos,
-            policy_metrics=policy_metrics,
         )
 
     def run(self, workers: Optional[int] = None,

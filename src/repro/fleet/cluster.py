@@ -227,38 +227,18 @@ class Fleet:
     def deploy_hard_limoncello(
             self, config: Optional[LimoncelloConfig] = None,
             controller_factory=None) -> None:
-        """Install per-socket control daemons fleet-wide."""
+        """Install per-socket control daemons fleet-wide.
+
+        ``controller_factory``, when given, builds each socket's
+        controller from its ``"<machine>/<socket>"`` ident (for example
+        ``lambda ident: SingleThresholdController(0.8, ident=ident)``);
+        otherwise every daemon runs the stock hysteresis controller.
+        """
         config = config or LimoncelloConfig(
             sample_period_ns=self.epoch_ns,
             sustain_duration_ns=3 * self.epoch_ns)
         for machine in self.machines:
             machine.deploy_hard_limoncello(config, controller_factory)
-
-    def deploy_policy(self, policy_spec,
-                      config: Optional[LimoncelloConfig] = None) -> None:
-        """Install per-socket daemons driven by a pluggable policy.
-
-        ``policy_spec`` is anything :func:`repro.policy.policy_from_spec`
-        accepts (a :class:`~repro.policy.Policy`, its serialized dict,
-        or canonical JSON). Every socket gets its *own* policy instance
-        wrapped in a :class:`~repro.policy.PolicyController` that
-        carries the socket ident, so a stateful policy (the hysteresis
-        timer) never shares state across sockets. The config
-        defaults match :meth:`deploy_hard_limoncello` (epoch-period
-        sampling, three-epoch sustain window).
-        """
-        from repro.policy.base import PolicyController, policy_from_spec
-
-        config = config or LimoncelloConfig(
-            sample_period_ns=self.epoch_ns,
-            sustain_duration_ns=3 * self.epoch_ns)
-
-        def factory(ident: str) -> PolicyController:
-            return PolicyController(policy_from_spec(policy_spec),
-                                    config=config, ident=ident)
-
-        for machine in self.machines:
-            machine.deploy_hard_limoncello(config, factory)
 
     def deploy_soft_limoncello(self) -> None:
         """Mark the software prefetch insertions as rolled out fleet-wide."""

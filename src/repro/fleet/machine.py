@@ -78,10 +78,9 @@ class Machine:
         """Install a per-socket control daemon (idempotent).
 
         ``controller_factory`` is called with the socket's
-        ``"<machine>/<socket>"`` ident. Policy controllers need the ident
-        at construction time so per-socket learning streams derive from
-        it deterministically, whether or not a tracer later attaches the
-        same ident.
+        ``"<machine>/<socket>"`` ident and returns that socket's
+        controller; ``None`` keeps the daemon's stock hysteresis
+        controller.
         """
         if self.daemons:
             return

@@ -317,24 +317,15 @@ def queue_status(checkpoint: ShardCheckpoint) -> Dict:
             continue
         study = str(material.get("study", "?"))
         bucket = studies.setdefault(
-            study, {"shards": 0, "shard_indexes": [], "policies": set()})
+            study, {"shards": 0, "shard_indexes": []})
         bucket["shards"] += 1
         spec = material.get("spec")
-        if isinstance(spec, dict):
-            if "shard_index" in spec:
-                bucket["shard_indexes"].append(spec["shard_index"])
-            # Policy-injected ablation shards carry the serialized
-            # policy in their key material; surface the distinct kinds
-            # so `repro queue` shows which controllers a directory's
-            # journaled policy-driven studies ran.
-            policy = spec.get("policy")
-            if isinstance(policy, dict) and "kind" in policy:
-                bucket["policies"].add(str(policy["kind"]))
+        if isinstance(spec, dict) and "shard_index" in spec:
+            bucket["shard_indexes"].append(spec["shard_index"])
         grouped += 1
     for bucket in studies.values():
         bucket["shard_indexes"] = sorted(
             i for i in bucket["shard_indexes"] if isinstance(i, int))
-        bucket["policies"] = sorted(bucket["policies"])
     return {
         "root": str(checkpoint.root),
         "entries": scan["entries"],

@@ -275,8 +275,6 @@ class RolloutStudy(FleetStudy):
         """Everything the study's result depends on, as plain data (the
         cache key and manifest ``run`` block; worker count deliberately
         excluded)."""
-        from repro.fleet.ablation import _config_key_material
-
         material = {
             "study": "rollout",
             "machines": self.machines,
@@ -285,7 +283,7 @@ class RolloutStudy(FleetStudy):
             "seed": self.seed,
             "shard_size": self.shard_size,
             "profile_sample_rate": self._sample_rate,
-            "config": _config_key_material(self.config),
+            "config": self.config_key_material(),
         }
         if self.fault_plan is not None:
             material["fault_plan"] = self.fault_plan.to_key_material()

@@ -50,8 +50,8 @@ from repro.obs.tracer import Tracer
 class FleetStudy:
     """The study surface the analytic fleet studies (ablation and
     rollout) share. Subclasses set ``STUDY``, ``machines``, ``seed``,
-    ``shard_size`` and ``fault_plan``, and provide ``shard_specs()`` and
-    ``cache_key_material()``."""
+    ``shard_size``, ``fault_plan`` and ``config``, and provide
+    ``shard_specs()`` and ``cache_key_material()``."""
 
     def shard_plan(self) -> ShardPlan:
         """How this study's machines split across shards."""
@@ -78,6 +78,38 @@ class FleetStudy:
             )
             for spec in self.shard_specs()
         ]
+
+    def config_key_material(self) -> Optional[Dict]:
+        """The daemon config's contribution to the study cache key.
+
+        The hardening knobs (retry policy, fail-safe deadline) are
+        included only when they differ from the legacy defaults, so keys
+        — and cached results — for pre-hardening configurations are
+        unchanged.
+        """
+        from repro.core.config import RetryPolicy
+
+        config = self.config
+        if config is None:
+            return None
+        material = {
+            "lower_threshold": config.lower_threshold,
+            "upper_threshold": config.upper_threshold,
+            "sustain_duration_ns": config.sustain_duration_ns,
+            "sample_period_ns": config.sample_period_ns,
+            "actuation_retries": config.actuation_retries,
+        }
+        policy = config.retry_policy
+        if policy != RetryPolicy():
+            material["retry_policy"] = {
+                "max_attempts": policy.max_attempts,
+                "initial_backoff_ns": policy.initial_backoff_ns,
+                "backoff_multiplier": policy.backoff_multiplier,
+                "max_backoff_ns": policy.max_backoff_ns,
+            }
+        if config.telemetry_failsafe_deadline_ns is not None:
+            material["telemetry_failsafe_deadline_ns"] = config.telemetry_failsafe_deadline_ns
+        return material
 
     def manifest_fields(self) -> Dict:
         """The manifest's shard seeds and fault plan."""

@@ -47,7 +47,8 @@ EVENT_TYPES: Dict[str, tuple] = {
     "cache-store": ("key",),
     # control plane (per-socket daemons)
     "controller-transition": ("ident", "state", "enabled"),
-    # a pluggable policy flipped the socket-level prefetcher state
+    # no longer emitted; kept so run directories written while the
+    # policy layer existed still pass `repro report`'s schema check
     "policy-decision": ("ident", "policy", "enabled"),
     "msr-write": ("ident", "enabled", "ok"),
     "failsafe-engaged": ("ident", "dark_since_ns"),

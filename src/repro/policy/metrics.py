@@ -1,15 +1,11 @@
-"""Aggregated per-policy decision metrics for policy-driven studies.
+"""A stub :class:`PolicyMetrics`: its fields and its merge, nothing more.
 
-A fleet running a :class:`~repro.policy.base.PolicyController` on every
-socket accumulates per-sample decision statistics. :class:`PolicyMetrics`
-reduces them — duty cycle, band-oracle mismatches, per-prefetcher
-disable counts — to the numbers a policy-injected
-:class:`~repro.fleet.ablation.AblationStudy` carries in its result.
-
-Like :class:`~repro.faults.metrics.ChaosMetrics`, every field is a plain
-additive accumulator, so :meth:`PolicyMetrics.merge` is associative and
-order-independent — merged shard metrics are bit-identical at any worker
-count or engine.
+No code in ``repro`` builds one. It stays because
+``benchmarks/e2e/spans.py::_MERGES`` probes
+``repro.policy.metrics:PolicyMetrics.merge``, and the harness tests
+(``pytest benchmarks/e2e``) fail when a probe target stops resolving.
+The next change to the benchmark drops that probe, and this package
+with it (ROADMAP, "One controller surface").
 """
 
 from __future__ import annotations
@@ -20,33 +16,27 @@ from typing import Dict
 
 @dataclass
 class PolicyMetrics:
-    """What a policy study observed across every controller in a fleet."""
+    """Per-sample decision counts of a prefetcher controller."""
 
-    #: Telemetry samples the policy decided on.
+    #: Telemetry samples decided on.
     samples: int = 0
-    #: Samples with socket-level prefetchers disabled (all prefetchers off).
+    #: Samples with socket-level prefetchers disabled.
     disabled_samples: int = 0
-    #: Samples where the decision disagreed with the threshold-band
-    #: oracle: prefetchers on while utilization sat above the upper
-    #: threshold, or off while it sat below the lower threshold.
-    #: In-band samples can never mismatch.
+    #: Out-of-band samples whose decision disagreed with the
+    #: threshold-band oracle.
     band_mismatches: int = 0
-    #: Samples that were outside the threshold band (the denominator
-    #: band_mismatches is judged against).
+    #: Samples outside the threshold band.
     band_samples: int = 0
     #: Socket-level prefetcher state flips.
     transitions: int = 0
     #: Per-prefetcher disabled-sample counts, keyed by prefetcher name.
     prefetcher_disabled: Dict[str, int] = field(default_factory=dict)
 
-    # --- combination ----------------------------------------------------------
-
     def merge(self, other: "PolicyMetrics") -> "PolicyMetrics":
-        """Fold another shard's policy metrics into this one (in place).
+        """Fold another set of counts into this one (in place).
 
-        Pure addition on every field — associative and commutative, so
-        merged shard metrics are independent of merge order. Returns
-        ``self`` for chaining.
+        Pure addition on every field, so the result is independent of
+        merge order. Returns ``self`` for chaining.
         """
         self.samples += other.samples
         self.disabled_samples += other.disabled_samples
@@ -57,38 +47,3 @@ class PolicyMetrics:
             self.prefetcher_disabled[name] = (
                 self.prefetcher_disabled.get(name, 0) + count)
         return self
-
-    # --- views ---------------------------------------------------------------
-
-    def duty_cycle_disabled(self) -> float:
-        """Fraction of decided samples with prefetchers disabled."""
-        if self.samples == 0:
-            return 0.0
-        return self.disabled_samples / self.samples
-
-    def duty_cycle_error(self) -> float:
-        """Fraction of out-of-band samples where the decision disagreed
-        with the threshold-band oracle (lower is better; the hysteresis
-        controller errs exactly while its sustain timers run)."""
-        if self.band_samples == 0:
-            return 0.0
-        return self.band_mismatches / self.band_samples
-
-
-def collect_policy_metrics(machines) -> PolicyMetrics:
-    """Reduce a fleet's policy controllers to one :class:`PolicyMetrics`.
-
-    Walks machines → daemons → controllers and folds in every controller
-    exposing a ``policy_metrics`` attribute (i.e. every
-    :class:`~repro.policy.base.PolicyController`). Iteration order is
-    fleet order; since every field is additive the result is independent
-    of that order anyway.
-    """
-    metrics = PolicyMetrics()
-    for machine in machines:
-        for daemon in getattr(machine, "daemons", []):
-            controller = getattr(daemon, "controller", None)
-            found = getattr(controller, "policy_metrics", None)
-            if found is not None:
-                metrics.merge(found)
-    return metrics

@@ -57,9 +57,9 @@ from repro.telemetry.percentile import PercentileSummary
 from repro.units import CACHE_LINE_BYTES
 
 #: Arm configurations: fixed prefetcher states (``enabled`` /
-#: ``disabled``), the stock hysteresis controller (``hard``), or a
-#: pluggable :mod:`repro.policy` policy (``policy``).
-NOISY_MODES = ("enabled", "disabled", "hard", "policy")
+#: ``disabled``), the stock hysteresis controller (``hard``), or the
+#: no-hysteresis straw man at the upper threshold (``single-threshold``).
+NOISY_MODES = ("enabled", "disabled", "hard", "single-threshold")
 
 #: Upper bound of the per-machine constant co-tenant pressure, bytes/ns
 #: (tenants beyond the ones we model explicitly). An in-order core
@@ -283,8 +283,6 @@ class NoisyShardSpec:
     lower: float
     sustain_ns: float
     shard_index: int
-    #: Serialized :mod:`repro.policy` policy (mode ``policy`` only).
-    policy: Optional[str] = None
 
 
 def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
@@ -306,7 +304,8 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     # ``repro.access.interleave`` there.
     from repro.access import AddressSpace, interleave, trace_builder
     from repro.core.config import LimoncelloConfig
-    from repro.core.controller import HardLimoncelloController
+    from repro.core.controller import (HardLimoncelloController,
+                                       SingleThresholdController)
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
@@ -355,12 +354,9 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
         elif spec.mode == "hard":
             controller = HardLimoncelloController(controller_config,
                                                   ident=ident)
-        elif spec.mode == "policy":
-            from repro.policy.base import (PolicyController,
-                                           policy_from_spec)
-            controller = PolicyController(policy_from_spec(spec.policy),
-                                          config=controller_config,
-                                          ident=ident)
+        elif spec.mode == "single-threshold":
+            controller = SingleThresholdController(threshold=spec.upper,
+                                                   ident=ident)
         live.append((row, hierarchy, controller))
 
     occupancy = BatchOccupancy()
@@ -422,12 +418,8 @@ class NoisyNeighborScenario:
         epochs: Control epochs per machine (one telemetry sample each).
         seed: Master study seed; every draw derives from it.
         mode: ``enabled`` / ``disabled`` (fixed prefetcher state),
-            ``hard`` (hysteresis controller), or ``policy`` (pluggable
-            :mod:`repro.policy` policy via ``policy``).
-        policy: A :class:`repro.policy.base.Policy`, serialized policy
-            dict, or canonical-JSON string (mode ``policy`` only).
-            Enters cache and shard-task keys only when set, so
-            policy-free keys are unchanged.
+            ``hard`` (hysteresis controller), or ``single-threshold``
+            (no-hysteresis straw man flipping at ``upper``).
         upper / lower / sustain_ns: Controller thresholds and sustain
             duration, scaled to trace time (default 80%/60% and 30 µs —
             the paper's seconds-scale sustain would never expire inside
@@ -444,7 +436,7 @@ class NoisyNeighborScenario:
 
     def __init__(self, tenants=None, machines: int = 8, epochs: int = 24,
                  seed: int = 23, mode: str = "hard",
-                 policy=None, upper: float = 0.8, lower: float = 0.6,
+                 upper: float = 0.8, lower: float = 0.6,
                  sustain_ns: float = 30_000.0,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None) -> None:
@@ -461,18 +453,6 @@ class NoisyNeighborScenario:
         if mode not in NOISY_MODES:
             raise ConfigError(
                 f"mode must be one of {NOISY_MODES}, got {mode!r}")
-        if mode == "policy":
-            if policy is None:
-                raise ConfigError("mode 'policy' needs a policy")
-            from repro.policy.base import Policy, policy_from_spec
-            if isinstance(policy, Policy):
-                policy = canonical_json(policy.to_dict())
-            elif isinstance(policy, dict):
-                policy = canonical_json(policy)
-            policy_from_spec(policy)  # validate early
-        elif policy is not None:
-            raise ConfigError(
-                f"a policy needs mode 'policy', got mode {mode!r}")
         if machines <= 0:
             raise ConfigError("need at least one machine")
         if epochs <= 0:
@@ -490,7 +470,6 @@ class NoisyNeighborScenario:
         self.epochs = epochs
         self.seed = seed
         self.mode = mode
-        self.policy = policy
         self.upper = upper
         self.lower = lower
         self.sustain_ns = sustain_ns
@@ -516,7 +495,7 @@ class NoisyNeighborScenario:
                 epochs=self.epochs, study_seed=self.seed, mode=self.mode,
                 crash_rate=self.crash_rate, upper=self.upper,
                 lower=self.lower, sustain_ns=self.sustain_ns,
-                shard_index=index, policy=self.policy))
+                shard_index=index))
             start += size
         return specs
 
@@ -524,10 +503,9 @@ class NoisyNeighborScenario:
         """Everything the result depends on, as plain data.
 
         Excludes workers, the engine, *and* shard size (machine draws
-        key off global indices). The policy payload enters only when
-        set, so policy-free keys are unchanged.
+        key off global indices).
         """
-        material = {
+        return {
             "study": self.STUDY,
             "tenants": [tenant.to_dict() for tenant in self.tenants],
             "machines": self.machines,
@@ -539,9 +517,6 @@ class NoisyNeighborScenario:
             "sustain_ns": self.sustain_ns,
             "crash_rate": self.crash_rate,
         }
-        if self.policy is not None:
-            material["policy"] = self.policy
-        return material
 
     def shard_meta(self, spec: NoisyShardSpec) -> Dict:
         """The shard's plan-order ``shard-start``/``shard-finish`` event
@@ -568,8 +543,6 @@ class NoisyNeighborScenario:
                 "sustain_ns": spec.sustain_ns,
                 "shard_index": spec.shard_index,
             }
-            if spec.policy is not None:
-                body["policy"] = spec.policy
             materials.append(shard_task_material(self.STUDY, body))
         return materials
 

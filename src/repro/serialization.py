@@ -419,40 +419,6 @@ def chaos_metrics_from_dict(data: Dict):
             f"malformed chaos metrics record: {error}") from error
 
 
-def policy_metrics_to_dict(metrics) -> Dict:
-    """A policy-study aggregate as a plain dict (lossless: every field
-    is a raw accumulator, so views like duty-cycle error recompute)."""
-    return {
-        "samples": metrics.samples,
-        "disabled_samples": metrics.disabled_samples,
-        "band_mismatches": metrics.band_mismatches,
-        "band_samples": metrics.band_samples,
-        "transitions": metrics.transitions,
-        "prefetcher_disabled": dict(
-            sorted(metrics.prefetcher_disabled.items())),
-    }
-
-
-def policy_metrics_from_dict(data: Dict):
-    """Inverse of :func:`policy_metrics_to_dict`."""
-    from repro.policy.metrics import PolicyMetrics
-
-    try:
-        return PolicyMetrics(
-            samples=int(data["samples"]),
-            disabled_samples=int(data["disabled_samples"]),
-            band_mismatches=int(data["band_mismatches"]),
-            band_samples=int(data["band_samples"]),
-            transitions=int(data["transitions"]),
-            prefetcher_disabled={str(name): int(count) for name, count
-                                 in data.get("prefetcher_disabled",
-                                             {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise TraceError(
-            f"malformed policy metrics record: {error}") from error
-
-
 # --- study results: the digest form and the stored form ----------------------
 #
 # ``*_to_dict``/``*_from_dict`` are the digest form: every sample as JSON
@@ -493,24 +459,17 @@ def _arms_from_dict(data: Dict, arms, profiles, metrics_from_dict) -> Dict:
 
 
 def _ablation_to(result, metrics_to_dict) -> Dict:
-    data = {"mode": result.mode,
+    return {"mode": result.mode,
             **_arms_to_dict(result, _ABLATION_ARMS, _ABLATION_PROFILES,
                             metrics_to_dict)}
-    policy_metrics = getattr(result, "policy_metrics", None)
-    if policy_metrics is not None:
-        data["policy_metrics"] = policy_metrics_to_dict(policy_metrics)
-    return data
 
 
 def _ablation_from(data: Dict, metrics_from_dict):
     from repro.fleet.ablation import AblationResult
 
     try:
-        policy_metrics = data.get("policy_metrics")
         return AblationResult(
             mode=data["mode"],
-            policy_metrics=(None if policy_metrics is None
-                            else policy_metrics_from_dict(policy_metrics)),
             **_arms_from_dict(data, _ABLATION_ARMS, _ABLATION_PROFILES,
                               metrics_from_dict))
     except (KeyError, TypeError, AttributeError) as error:
@@ -527,9 +486,8 @@ def ablation_result_to_dict(result) -> Dict:
 def ablation_result_from_dict(data: Dict):
     """Inverse of :func:`ablation_result_to_dict`.
 
-    Payloads written before fault plans (or policy studies) existed
-    simply lack the ``chaos``/``policy_metrics`` keys and deserialize
-    with those fields ``None``.
+    Payloads written before fault plans existed simply lack the
+    ``chaos`` key and deserialize with that field ``None``.
     """
     return _ablation_from(data, fleet_metrics_from_dict)
 

@@ -15,16 +15,15 @@ and it means the arms also share the trace's
 builder-generated traces carry from birth, so a memo hit hands every arm
 an already-lowered trace.
 
-Set ``REPRO_TRACE_MEMO=0`` to disable memoization — e.g. when profiling
-generation itself, or in long-lived processes that sweep many distinct
-``(seed, scale)`` pairs and should not retain old traces (the cache is
-bounded, and each retained trace keeps about 100 bytes per record alive:
-~5 MB for a 51,709-record fleetbench mix at scale 2.0).
+Call :func:`clear_trace_memo` to drop the retained traces — e.g. when
+profiling generation itself, or in long-lived processes that sweep many
+distinct ``(seed, scale)`` pairs and should not retain old traces (the
+cache is bounded, and each retained trace keeps about 100 bytes per
+record alive: ~5 MB for a 51,709-record fleetbench mix at scale 2.0).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import OrderedDict
 from typing import Callable, Tuple
@@ -32,19 +31,10 @@ from typing import Callable, Tuple
 from repro.access.trace import Trace
 from repro.engine import SLOW_ENGINE_ENV, slow_engine_requested
 
-#: Set to "0" (or "false"/"no"/"off") to disable the trace memo.
-MEMO_ENV = "REPRO_TRACE_MEMO"
-
 #: Retained traces; least-recently-used entries are dropped past this bound.
 MAX_MEMO_ENTRIES = 32
 
 _memo: "OrderedDict[Tuple, Trace]" = OrderedDict()
-
-
-def memo_enabled() -> bool:
-    """Whether trace memoization is active (default: yes)."""
-    return os.environ.get(MEMO_ENV, "").strip().lower() not in (
-        "0", "false", "no", "off")
 
 
 def clear_trace_memo() -> None:
@@ -57,16 +47,13 @@ def memoized_trace(key: Tuple, build: Callable[[], Trace]) -> Trace:
 
     ``key`` must capture every input that affects the generated records
     (workload name, seed, scale, and any other generation parameter);
-    ``build`` is invoked only on a miss. With ``REPRO_TRACE_MEMO=0`` the
-    memo is bypassed entirely and ``build`` runs every time.
+    ``build`` is invoked only on a miss.
 
     Traces built under the engine switch come from the record-path
     builder, so they are kept under their own key: a reference-engine
     run (the ``--compare-serial`` oracle) regenerates its traces instead
     of reusing the columnar ones it checks, and the reverse.
     """
-    if not memo_enabled():
-        return build()
     if slow_engine_requested():
         key = (SLOW_ENGINE_ENV,) + key
     trace = _memo.get(key)

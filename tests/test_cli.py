@@ -336,20 +336,19 @@ class TestScenarioCommands:
         assert "versus always-enabled twin" in out
         assert "serial-equivalence check: OK" in out
 
-    def test_noisy_policy_mode(self, capsys):
-        assert main(self.NOISY + ["--mode", "policy",
-                                  "--policy", "hysteresis"]) == 0
-        assert "mode=policy" in capsys.readouterr().out
+    def test_noisy_single_threshold_mode(self, capsys):
+        assert main(self.NOISY + ["--mode", "single-threshold"]) == 0
+        assert "mode=single-threshold" in capsys.readouterr().out
 
     def test_noisy_rejects_daemon_fault_kinds(self):
         with pytest.raises(ReproError, match="telemetry-drop"):
             main(self.NOISY + ["--fault-plan",
                                "seed=3;telemetry-drop:rate=0.5"])
 
-    def test_noisy_policy_needs_policy_mode(self):
-        with pytest.raises(ReproError):
+    def test_noisy_rejects_the_removed_policy_flags(self):
+        with pytest.raises(SystemExit):
             main(self.NOISY + ["--policy", "single-threshold"])
-        with pytest.raises(ReproError):
+        with pytest.raises(SystemExit):
             main(self.NOISY + ["--mode", "policy"])
 
     def test_callgraph_checkpoint_disposition(self, tmp_path, capsys):
@@ -376,9 +375,8 @@ OBS_STUDIES = {
     "callgraph": TestScenarioCommands.CALLGRAPH,
     "noisy": TestScenarioCommands.NOISY + ["--shard-size", "2",
                                            "--baseline"],
-    "noisy-policy": TestScenarioCommands.NOISY + [
-        "--shard-size", "2", "--mode", "policy", "--policy",
-        "single-threshold"],
+    "noisy-single-threshold": TestScenarioCommands.NOISY + [
+        "--shard-size", "2", "--mode", "single-threshold"],
     "rollout": ["rollout", "--machines", "4", "--epochs", "6", "--warmup",
                 "2", "--shard-size", "2"],
 }

@@ -29,7 +29,6 @@ from repro.core.controller import (
 from repro.faults.plan import FaultPlan
 from repro.fleet import PLATFORM_1, Fleet, Machine, SocketEpoch, Task
 from repro.fleet.scheduler import BandwidthAwareScheduler
-from repro.policy import HysteresisPolicy, PolicyController
 from repro.telemetry.sampler import BandwidthSample
 from tests.hypothesis_profiles import scaled
 
@@ -182,8 +181,7 @@ def decisions():
     config = LimoncelloConfig(sustain_duration_ns=0.0)
     hard = HardLimoncelloController(config)
     single = SingleThresholdController(threshold=0.8)
-    policy = PolicyController(HysteresisPolicy(config=config), config=config)
-    return [controller.observe(5.0, 0.99) for controller in (hard, single, policy)]
+    return [controller.observe(5.0, 0.99) for controller in (hard, single)]
 
 
 class TestRecords:

@@ -13,6 +13,7 @@ from array import array
 import pytest
 
 from repro.analysis.chaos import result_digest
+from repro.core.controller import SingleThresholdController
 from repro.engine import reference_engine
 from repro.errors import ConfigError, ReproError
 from repro.faults.plan import FaultPlan
@@ -22,7 +23,6 @@ from repro.fleet.scheduler import BandwidthAwareScheduler
 from repro.fleet.socket import SimulatedSocket
 from repro.fleet.tape import DriverTape, new_tape
 from repro.fleet.task import sample_task
-from repro.policy.base import HysteresisPolicy, SingleThresholdPolicy
 
 SMALL = dict(machines=6, epochs=8, warmup_epochs=3)
 SERIAL = dict(workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
@@ -87,17 +87,6 @@ class TestStudiesMatchTheReferencePath:
             reference = factory().run(**SERIAL)
         assert result_digest(result) == result_digest(reference)
 
-    @pytest.mark.parametrize(
-        "policy",
-        [SingleThresholdPolicy(threshold=0.6), HysteresisPolicy()],
-        ids=["single-threshold", "hysteresis"],
-    )
-    def test_ablation_with_a_policy(self, policy):
-        taped, reference = taped_and_reference(
-            lambda: AblationStudy(mode="hard", seed=11, policy=policy, **SMALL), result_digest
-        )
-        assert taped == reference
-
     def test_ablation_on_another_platform(self):
         taped, reference = taped_and_reference(
             lambda: AblationStudy(mode="hard", seed=11, platform="gen-2014", **SMALL),
@@ -134,16 +123,17 @@ class TestStudiesMatchTheReferencePath:
         assert taped == (tmp_path / "reference" / "events.jsonl").read_bytes()
 
 
-def paired_fleets(taped, **fleet_kwargs):
+def paired_fleets(taped, controller_factory=None, **fleet_kwargs):
     """A control fleet and a Hard Limoncello fleet from one seed, run
     12 epochs each; the experiment replays the control's tape when
-    ``taped``."""
+    ``taped``, and its daemons run ``controller_factory``'s controllers
+    when one is given."""
     control, experiment = (Fleet(machines=4, seed=3, **fleet_kwargs) for _ in range(2))
     if taped:
         tape = DriverTape()
         control.use_tape(tape)
         experiment.use_tape(tape, replay=True)
-    experiment.deploy_hard_limoncello()
+    experiment.deploy_hard_limoncello(controller_factory=controller_factory)
     return control, experiment, [fleet.run(12) for fleet in (control, experiment)]
 
 
@@ -155,6 +145,14 @@ class TestFleetReplay:
         assert taped == reference
         daemons = [daemon for machine in experiment.machines for daemon in machine.daemons]
         assert sum(daemon.report.dropouts for daemon in daemons) > 0
+
+    def test_a_non_stock_controller(self):
+        factory = lambda ident: SingleThresholdController(threshold=0.6)
+        _, experiment, taped = paired_fleets(True, factory)
+        *_, reference = paired_fleets(False, factory)
+        assert taped == reference
+        sockets = [socket for machine in experiment.machines for socket in machine.sockets]
+        assert sum(socket.toggles for socket in sockets) > 0
 
     def test_replay_draws_nothing_from_the_fleet_rng(self):
         control, experiment, _ = paired_fleets(True)

@@ -95,17 +95,6 @@ class TestLazyTables:
                      "print('interleave' in vars(repro.access))\n")
         assert out.split() == ["True"]
 
-    def test_policy_registry_complete_from_base_alone(self):
-        from repro.policy.base import HysteresisPolicy, SingleThresholdPolicy
-
-        payloads = [policy.to_dict() for policy in (
-            HysteresisPolicy(), SingleThresholdPolicy())]
-        out = _fresh("import json\n"
-                     "from repro.policy.base import policy_from_dict\n"
-                     f"payloads = json.loads({json.dumps(payloads)!r})\n"
-                     "print(*(policy_from_dict(p).kind for p in payloads))\n")
-        assert out.split() == ["hysteresis", "single-threshold"]
-
     def test_tax_categories_without_the_generators(self):
         out = _fresh("import sys\n"
                      "from repro.workloads.base import category_of_function\n"

@@ -9,6 +9,7 @@ than recompute.
 """
 
 import copy
+import hashlib
 
 import pytest
 from tests.hypothesis_profiles import scaled
@@ -24,6 +25,7 @@ from repro.scenarios import (CallGraphResult, CallGraphScenario,
                              noisy_digest, parse_services, parse_tenants,
                              run_noisy_shard, scenario_mix_trace,
                              scenario_seed)
+from repro.serialization import canonical_json
 
 #: A small two-level graph cheap enough for determinism legs.
 SMALL_SERVICES = "edge:mixed:2:8>leaf*2;leaf:random:1:6"
@@ -296,25 +298,38 @@ class TestNoisyDeterminism:
         assert twin.seed == scenario.seed
         assert twin.tenants == scenario.tenants
 
-    def test_policy_requires_mode_and_vice_versa(self):
-        from repro.policy import SingleThresholdPolicy
+    def test_the_removed_policy_mode_is_unknown(self):
         with pytest.raises(ConfigError):
             small_noisy(mode="policy")
-        with pytest.raises(ConfigError):
-            small_noisy(policy=SingleThresholdPolicy())
-        scenario = small_noisy(mode="policy",
-                               policy=SingleThresholdPolicy(threshold=0.8))
-        assert scenario.policy is not None
-        assert "policy" in scenario.cache_key_material()
-        assert "policy" not in small_noisy().cache_key_material()
+        material = small_noisy(mode="single-threshold").cache_key_material()
+        assert material["mode"] == "single-threshold"
+        assert "policy" not in material
 
-    def test_policy_mode_runs_and_flips(self):
-        from repro.policy import SingleThresholdPolicy
-        scenario = small_noisy(mode="policy",
-                               policy=SingleThresholdPolicy(threshold=0.7))
-        result = scenario.run()
-        assert result.machines == 3
-        assert 0.0 <= result.duty_cycle_disabled() <= 1.0
+    def test_single_threshold_mode_flips_where_hysteresis_holds(self):
+        straw_man = small_noisy(mode="single-threshold", upper=0.5,
+                                lower=0.25).run()
+        hysteresis = small_noisy(upper=0.5, lower=0.25).run()
+        assert straw_man.machines == 3
+        assert straw_man.transitions() > hysteresis.transitions()
+        assert 0.0 < straw_man.duty_cycle_disabled() <= 1.0
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        (dict(seed=23, machines=6, epochs=12, shard_size=3),
+         "c7be1cb1c4630d8c1401d754d61fbf9b37901393d3f5216df57c2a02d48e531f"),
+        (dict(machines=4, epochs=8, shard_size=2,
+              fault_plan=FaultPlan.parse("machine-crash:rate=0.25")),
+         "7e6587b2701d3461102630fbb5fb2bdc42bbc249c04f2d7bec6a0a970473c4bc"),
+    ], ids=["default", "crashes"])
+    def test_single_threshold_rows_are_pinned(self, kwargs, expected):
+        """Pinned from the pre-removal policy path (a single-threshold
+        policy behind its daemon adapter), so the direct controller
+        reproduces the rows it gave; only ``mode`` differs."""
+        result = NoisyNeighborScenario(mode="single-threshold",
+                                       **kwargs).run()
+        data = result.to_dict()
+        data.pop("mode")
+        assert hashlib.sha256(
+            canonical_json(data).encode()).hexdigest() == expected
 
 
 class TestNoisyInterference:

@@ -8,7 +8,6 @@ from repro.access import AddressSpace
 from repro.workloads import memo
 from repro.workloads.memo import (
     MAX_MEMO_ENTRIES,
-    MEMO_ENV,
     clear_trace_memo,
     memoized_fleet_mix,
     memoized_function_trace,
@@ -46,13 +45,6 @@ class TestMemoizedTrace:
             ("k", 2), lambda: fleetbench_trace(random.Random(2),
                                                AddressSpace(), scale=0.02))
         assert first is not second
-
-    def test_env_disables(self, monkeypatch):
-        monkeypatch.setenv(MEMO_ENV, "0")
-        build = lambda: fleetbench_trace(random.Random(1), AddressSpace(),
-                                         scale=0.02)
-        assert memoized_trace(("k", 1), build) \
-            is not memoized_trace(("k", 1), build)
 
     def test_bounded(self):
         from repro.access import Trace
