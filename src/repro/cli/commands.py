@@ -524,7 +524,7 @@ def run_report(args) -> int:
 
     text = "\n".join(sections) + "\n"
     if args.out:
-        from repro.serialization import atomic_write_text
+        from repro.jsonio import atomic_write_text
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}")
     else:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError
-from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
-from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.platform import PLATFORM_1, platform_by_name
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
@@ -34,6 +32,10 @@ from repro.fleet.tape import new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
 from repro.profiling.profile_data import ProfileData
+
+if TYPE_CHECKING:  # the fault modules load only when a plan is given
+    from repro.faults.metrics import ChaosMetrics
+    from repro.faults.plan import FaultPlan
 
 #: Experiment-arm configurations.
 MODES = ("off", "hard", "hard+soft", "soft-only", "control")
@@ -77,6 +79,8 @@ class AblationResult:
         self.experiment_profile.merge(other.experiment_profile)
         if other.chaos is not None:
             if self.chaos is None:
+                from repro.faults.metrics import ChaosMetrics
+
                 self.chaos = ChaosMetrics()
             self.chaos.merge(other.chaos)
         return self
@@ -166,6 +170,14 @@ def run_ablation_shard(
         config=spec.config, profile_sample_rate=spec.profile_sample_rate,
         fault_plan=spec.fault_plan, platform=spec.platform)
     return run_traced(study, spec)
+
+
+def _result_from_payload(data: Dict) -> AblationResult:
+    """Rebuild a stored result; the decoder loads only when a cache or
+    journal hands one back."""
+    from repro.serialization import ablation_result_from_payload
+
+    return ablation_result_from_payload(data)
 
 
 class AblationStudy(FleetStudy):
@@ -333,8 +345,11 @@ class AblationStudy(FleetStudy):
                 self.epochs, observers=[experiment_profiler])
         # Chaos metrics describe the controller under fault, so they are
         # collected from the experiment arm (the one running daemons).
-        chaos = (collect_chaos_metrics(experiment_fleet.machines)
-                 if self.fault_plan is not None else None)
+        chaos = None
+        if self.fault_plan is not None:
+            from repro.faults.metrics import collect_chaos_metrics
+
+            chaos = collect_chaos_metrics(experiment_fleet.machines)
         return AblationResult(
             mode=self.mode,
             control=control,
@@ -358,10 +373,8 @@ class AblationStudy(FleetStudy):
         After the call, :attr:`queue_stats` holds the work-queue
         disposition (``None`` on a whole-study cache hit).
         """
-        from repro.serialization import ablation_result_from_payload
-
         result, self.queue_stats = run_study(
-            self, run_ablation_shard, ablation_result_from_payload,
+            self, run_ablation_shard, _result_from_payload,
             workers=workers, cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result

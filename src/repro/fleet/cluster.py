@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError
-from repro.faults.injectors import MachineChaos
-from repro.faults.plan import FaultPlan
 from repro.fleet.machine import Machine
 from repro.fleet.platform import PLATFORM_1, PlatformSpec
 from repro.fleet.scheduler import BandwidthAwareScheduler
@@ -19,6 +17,9 @@ from repro.fleet.traffic import DiurnalTraffic
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
 from repro.telemetry.percentile import PercentileSummary
 from repro.units import SECOND
+
+if TYPE_CHECKING:  # the fault modules load only when a plan is given
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass
@@ -144,7 +145,8 @@ class Fleet:
         responses: Calibration table for task behaviour.
         seed: Master seed; the fleet is fully deterministic given it.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`; when
-            set, every machine gets a :class:`MachineChaos` environment
+            set, every machine gets a
+            :class:`~repro.faults.injectors.MachineChaos` environment
             seeded from ``(plan seed, fleet seed, machine name)``, so the
             same plan over the same fleet replays identically — whether
             machines are simulated serially or across shard workers.
@@ -173,6 +175,8 @@ class Fleet:
         self.platform = platform
         self.epoch_ns = epoch_ns
         self.fault_plan = fault_plan
+        if fault_plan is not None:
+            from repro.faults.injectors import MachineChaos
         platforms = self._assign_platforms(machines, platform, platform_mix)
         self.machines: List[Machine] = [
             Machine(f"machine-{i}", spec, sockets=sockets_per_machine,

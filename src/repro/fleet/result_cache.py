@@ -23,7 +23,7 @@ them from the samples. Digests hash a different form, the one
 :func:`repro.serialization.ablation_result_to_dict` gives, so the
 stored layout can change without moving a digest. Writes are atomic
 (temp-file + ``os.replace`` via
-:func:`repro.serialization.atomic_write_text`) so concurrent study
+:func:`repro.jsonio.atomic_write_text`) so concurrent study
 processes can share one cache directory and a process killed mid-store
 can never leave a torn entry.
 
@@ -45,7 +45,7 @@ import os
 import pathlib
 from typing import Dict, Optional, Tuple, Union
 
-from repro.serialization import atomic_write_text, canonical_json
+from repro.jsonio import atomic_write_text, canonical_json
 
 #: Environment override for the default cache directory; unset or empty
 #: disables caching.

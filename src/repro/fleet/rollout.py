@@ -5,9 +5,11 @@ over a period of a few weeks. [Figures] provide a comparison of average
 fleetwide performance metrics before the rollout [...] and after the
 rollout, when both Hard and Soft Limoncello were in full effect."
 
-:class:`RolloutStudy` runs three arms from the same seed — before
-(prefetchers always on), Hard-only, and full Limoncello — which is enough
-to regenerate Figures 16 through 20.
+:class:`RolloutStudy` runs four arms from the same seed — before
+(prefetchers always on), Hard-only, full Limoncello, and full Limoncello
+under a prefetch-aware scheduler (``full+scheduler``, which backs
+Figure 19 and :meth:`RolloutResult.cpu_utilization_gain`) — which is
+enough to regenerate Figures 16 through 20.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError
-from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
-from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
 from repro.fleet.study import FleetStudy, run_study, run_traced
@@ -29,6 +29,10 @@ from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.profiler import FleetProfiler
 from repro.workloads.base import FunctionCategory, TAX_CATEGORIES
+
+if TYPE_CHECKING:  # the fault modules load only when a plan is given
+    from repro.faults.metrics import ChaosMetrics
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass
@@ -72,6 +76,8 @@ class RolloutResult:
         self.full_profile.merge(other.full_profile)
         if other.chaos is not None:
             if self.chaos is None:
+                from repro.faults.metrics import ChaosMetrics
+
                 self.chaos = ChaosMetrics()
             self.chaos.merge(other.chaos)
         return self
@@ -139,7 +145,8 @@ class RolloutResult:
     # --- Figure 20 ---------------------------------------------------------------
 
     def tax_cycle_shares(self) -> Dict[str, Dict[str, float]]:
-        """Fleet cycle share per tax category under the three arms."""
+        """Fleet cycle share per tax category under the three profiled arms
+        (before, Hard-only, full)."""
         out: Dict[str, Dict[str, float]] = {}
         for arm, profile in (("none", self.before_profile),
                              ("hard", self.hard_profile),
@@ -195,8 +202,16 @@ def run_rollout_shard(
     return run_traced(study, spec)
 
 
+def _result_from_payload(data: Dict) -> RolloutResult:
+    """Rebuild a stored result; the decoder loads only when a cache or
+    journal hands one back."""
+    from repro.serialization import rollout_result_from_payload
+
+    return rollout_result_from_payload(data)
+
+
 class RolloutStudy(FleetStudy):
-    """Runs the before / Hard-only / full-Limoncello arms.
+    """Runs the before / Hard-only / full-Limoncello / full+scheduler arms.
 
     Populations above ``shard_size`` machines split into deterministic
     sub-fleets that can run on parallel workers; the shard plan (and so
@@ -240,22 +255,33 @@ class RolloutStudy(FleetStudy):
 
     def _run_arm(self, deploy, prefetch_aware: bool = False, tracer=None,
                  tape: Optional[DriverTape] = None, replay: bool = False,
-                 profile: bool = True) -> tuple:
+                 profile: bool = True, chaos: bool = False) -> tuple:
         """Build, deploy and run one arm; returns ``(metrics, profile,
-        fleet)``. With a ``tape`` the arm records its driver there, or
+        chaos)``. With a ``tape`` the arm records its driver there, or
         (``replay``) drives from it; with ``profile`` off it runs no
-        profiler and returns ``None`` for the profile."""
+        profiler and returns ``None`` for the profile. With ``chaos`` and
+        a fault plan it aggregates its machines' chaos counters, else
+        returns ``None`` for them. The fleet itself is never returned, so
+        it goes when the arm ends."""
         fleet = self._build(prefetch_aware, tracer)
         if tape is not None:
             fleet.use_tape(tape, replay)
         deploy(fleet)
         if self.warmup_epochs:
             fleet.run(self.warmup_epochs)
-        if not profile:
-            return fleet.run(self.epochs), None, fleet
-        profiler = FleetProfiler(self._sample_rate, rng=random.Random(37))
-        metrics = fleet.run(self.epochs, observers=[profiler])
-        return metrics, profiler.data, fleet
+        profiler = None
+        if profile:
+            profiler = FleetProfiler(self._sample_rate, rng=random.Random(37))
+            metrics = fleet.run(self.epochs, observers=[profiler])
+        else:
+            metrics = fleet.run(self.epochs)
+        aggregate = None
+        if chaos and self.fault_plan is not None:
+            from repro.faults.metrics import collect_chaos_metrics
+
+            aggregate = collect_chaos_metrics(fleet.machines)
+        return (metrics, profiler.data if profiler is not None else None,
+                aggregate)
 
     def shard_specs(self) -> list:
         """Per-shard specs (plan order), ready for any worker."""
@@ -300,10 +326,8 @@ class RolloutStudy(FleetStudy):
         :attr:`queue_stats` holds the work-queue disposition (``None``
         on a whole-study cache hit).
         """
-        from repro.serialization import rollout_result_from_payload
-
         result, self.queue_stats = run_study(
-            self, run_rollout_shard, rollout_result_from_payload,
+            self, run_rollout_shard, _result_from_payload,
             workers=workers, cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir, obs_dir=obs_dir)
         return result
@@ -330,15 +354,14 @@ class RolloutStudy(FleetStudy):
         with tracer.context(arm="hard"):
             hard_metrics, hard_profile, _ = self._run_arm(
                 hard, tracer=tracer, tape=tape, replay=True)
-        with tracer.context(arm="full"):
-            full_metrics, full_profile, full_fleet = self._run_arm(
-                full, tracer=tracer, tape=tape, replay=True)
         # Chaos metrics track the controller under fault, so they come
-        # from the full-Limoncello arm (the deployment end-state). Then
-        # the arm's fleet and the tape go before the last arm runs.
-        chaos = (collect_chaos_metrics(full_fleet.machines)
-                 if self.fault_plan is not None else None)
-        tape = full_fleet = None
+        # from the full-Limoncello arm (the deployment end-state).
+        with tracer.context(arm="full"):
+            full_metrics, full_profile, chaos = self._run_arm(
+                full, tracer=tracer, tape=tape, replay=True, chaos=True)
+        # Each arm's fleet went when its arm ended; the tape goes before
+        # the last arm runs.
+        tape = None
         # The prefetch-aware scheduler places differently, so this arm
         # drives itself; its profile would be discarded, so it runs none.
         with tracer.context(arm="full+scheduler"):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.parallel import resolve_workers
 from repro.fleet.queue import (
@@ -43,8 +43,10 @@ from repro.fleet.queue import (
 )
 from repro.fleet.result_cache import study_cache
 from repro.fleet.shard import ShardPlan, plan_shards
-from repro.obs.session import ObsSession, resolve_obs_dir
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, resolve_obs_dir
+
+if TYPE_CHECKING:  # the run-directory writer loads only when obs is on
+    from repro.obs.session import ObsSession
 
 
 class FleetStudy:
@@ -202,8 +204,11 @@ def run_study(
     """
     workers = resolve_workers(workers)
     obs_dir = resolve_obs_dir(obs_dir)
-    session = ObsSession(obs_dir, study.STUDY, workers=workers) if obs_dir is not None else None
-    if session is not None:
+    session = None
+    if obs_dir is not None:
+        from repro.obs.session import ObsSession
+
+        session = ObsSession(obs_dir, study.STUDY, workers=workers)
         session.event("study-start", study=study.STUDY)
     cache = study_cache(cache_dir)
     checkpoint = shard_checkpoint(checkpoint_dir)

@@ -42,7 +42,7 @@ from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 from repro.fleet.study import run_study
-from repro.serialization import canonical_json
+from repro.jsonio import canonical_json
 
 #: Sweep arm configurations: ``off`` ablates every hardware prefetcher;
 #: ``control`` leaves the default aggressive bank enabled (the paired

@@ -136,20 +136,15 @@ class TaskTemplate:
     noise_sigma: float = 0.10
 
 
-_FLEET_SHARES: Dict[str, float] = {}
+#: A generic fleet service's cycle mix: the roster's fleet profile, read
+#: from the response table, which lists the same functions in the same
+#: order with the same shares (``tests/test_fleet_task.py`` pins the two
+#: together), so the fleet never loads the trace generators.
+_FLEET_SHARES: Dict[str, float] = {
+    response.name: response.cycle_share for response in DEFAULT_RESPONSES}
 
-
-#: A generic fleet service, shares taken from the roster's fleet profile.
-def _fleet_shares() -> Dict[str, float]:
-    if not _FLEET_SHARES:
-        from repro.workloads.functions import FUNCTION_ROSTER
-        _FLEET_SHARES.update((name, profile.cycle_share)
-                             for name, profile in FUNCTION_ROSTER.items())
-    return _FLEET_SHARES
-
-
-DEFAULT_TEMPLATE = TaskTemplate(name="fleet_service",
-                                function_shares=None)  # filled lazily
+#: A generic fleet service, with :data:`_FLEET_SHARES`.
+DEFAULT_TEMPLATE = TaskTemplate(name="fleet_service", function_shares=None)
 
 
 def sample_task(rng: random.Random,
@@ -157,7 +152,7 @@ def sample_task(rng: random.Random,
                 responses: ResponseTable = DEFAULT_RESPONSES) -> Task:
     """Draw one task from a template's parameter ranges."""
     template = template or DEFAULT_TEMPLATE
-    shares = template.function_shares or _fleet_shares()
+    shares = template.function_shares or _FLEET_SHARES
     cores = rng.uniform(*template.cores_range)
     median, sigma, low, high = template.bandwidth_per_core
     per_core = min(max(rng.lognormvariate(math.log(median), sigma), low),

@@ -23,9 +23,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "validate_event", "write_events_jsonl",
     ),
     "session": (
-        "MANIFEST_NAME", "EVENTS_NAME", "OBS_ENV_VAR", "ObsSession",
+        "MANIFEST_NAME", "EVENTS_NAME", "ObsSession",
         "manifest_run_digest", "read_manifest",
     ),
-    "tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+    "tracer": ("NULL_TRACER", "NullTracer", "Tracer", "OBS_ENV_VAR"),
     "report": ("build_report", "render_report"),
 })

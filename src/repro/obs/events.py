@@ -24,7 +24,7 @@ import pathlib
 from typing import Dict, Iterable, List, Union
 
 from repro.errors import TraceError
-from repro.serialization import canonical_json
+from repro.jsonio import atomic_write_text, canonical_json
 
 #: Bumped whenever an event's meaning or required fields change.
 EVENT_SCHEMA_VERSION = 1
@@ -104,8 +104,6 @@ def canonical_event_line(event: Dict) -> str:
 def write_events_jsonl(events: Iterable[Dict], path: _PathLike) -> None:
     """Write events as canonical JSON Lines (atomically: temp file +
     ``os.replace``, so a crash mid-finalize never leaves a torn log)."""
-    from repro.serialization import atomic_write_text
-
     lines = [canonical_event_line(event) + "\n" for event in events]
     atomic_write_text(pathlib.Path(path), "".join(lines))
 

@@ -23,23 +23,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import TraceError
-from repro.serialization import atomic_write_text
+from repro.jsonio import atomic_write_text
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     canonical_event_line,
     write_events_jsonl,
 )
-
-#: Environment override for the default run-directory location; unset or
-#: empty leaves observability off.
-OBS_ENV_VAR = "REPRO_OBS_DIR"
+# Re-exported: the run-directory switch lives beside the tracers.
+from repro.obs.tracer import OBS_ENV_VAR as OBS_ENV_VAR
+from repro.obs.tracer import resolve_obs_dir as resolve_obs_dir
 
 #: Bumped whenever the manifest layout changes meaning.
 MANIFEST_SCHEMA_VERSION = 1
@@ -48,14 +46,6 @@ MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"
 
 _PathLike = Union[str, pathlib.Path]
-
-
-def resolve_obs_dir(obs_dir: Optional[str] = None) -> Optional[str]:
-    """The run directory to write: explicit arg, else ``$REPRO_OBS_DIR``,
-    else ``None`` (observability off)."""
-    if obs_dir is None:
-        obs_dir = os.environ.get(OBS_ENV_VAR, "").strip() or None
-    return obs_dir or None
 
 
 def engine_choice() -> str:

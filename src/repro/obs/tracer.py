@@ -19,9 +19,10 @@ daemon tick performs a single branch and allocates nothing.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.events import EVENT_SCHEMA_VERSION
 
@@ -108,3 +109,17 @@ class Tracer:
             yield
         finally:
             self.phases.append((name, time.monotonic() - start))
+
+
+#: Environment override for the default run-directory location; unset or
+#: empty leaves observability off.
+OBS_ENV_VAR = "REPRO_OBS_DIR"
+
+
+def resolve_obs_dir(obs_dir: Optional[str] = None) -> Optional[str]:
+    """The run directory to write: explicit arg, else ``$REPRO_OBS_DIR``,
+    else ``None`` (observability off). Lives beside the tracers so a
+    study driver can tell whether to load :mod:`repro.obs.session`."""
+    if obs_dir is None:
+        obs_dir = os.environ.get(OBS_ENV_VAR, "").strip() or None
+    return obs_dir or None

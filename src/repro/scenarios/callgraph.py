@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.scenarios.workload import (check_kind, emit_request,
                                       request_label, scenario_rng)
-from repro.serialization import canonical_json
+from repro.jsonio import canonical_json
 from repro.telemetry.percentile import PercentileSummary
 
 #: Arm configurations, mirroring the sweep: ``off`` ablates every

@@ -52,7 +52,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, plan_shards
 from repro.scenarios.workload import (check_kind, emit_request,
                                       scenario_rng)
-from repro.serialization import canonical_json
+from repro.jsonio import canonical_json
 from repro.telemetry.percentile import PercentileSummary
 from repro.units import CACHE_LINE_BYTES
 

@@ -12,10 +12,8 @@ section below).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
-import tempfile
 from array import array
 from base64 import b64decode, b64encode
 from itertools import chain
@@ -24,47 +22,12 @@ from typing import Callable, Dict, Iterable, List, Tuple, Union
 from repro.access.record import AccessKind, MemoryAccess
 from repro.access.trace import Trace
 from repro.errors import TraceError
+from repro.jsonio import atomic_write_text
+# Re-exported: the helper's home before it moved to the leaf module.
+from repro.jsonio import canonical_json as canonical_json
 from repro.memsys.stats import FunctionStats, RunResult
 
 _PathLike = Union[str, pathlib.Path]
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON encoding: sorted keys, no whitespace.
-
-    The one encoding shared by everything that content-hashes or
-    byte-compares JSON — result-cache keys and payload digests, the
-    observability event log, manifest run digests. Two equal values
-    always encode to identical bytes.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def atomic_write_text(path: _PathLike, text: str) -> pathlib.Path:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The one write discipline shared by everything that persists results
-    — the result cache, the shard checkpoint journal, observability
-    output, archived metrics. A reader can never observe a torn file: it
-    sees either the previous complete content or the new complete
-    content, even if the writer is SIGKILLed mid-write, because the data
-    lands under a temporary name in the same directory first and the
-    final ``os.replace`` is atomic on POSIX.
-    """
-    path = pathlib.Path(path)
-    fd, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 # --- traces -----------------------------------------------------------------

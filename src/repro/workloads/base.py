@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from repro.access.address import AddressSpace
-from repro.access.trace import Trace
+if TYPE_CHECKING:  # the fleet reads the categories, never a trace
+    from repro.access.address import AddressSpace
+    from repro.access.trace import Trace
 
 
 class FunctionCategory(enum.Enum):

@@ -287,3 +287,30 @@ class TestReclamation:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("faults", [None, FAULTS])
+    def test_each_rollout_arm_frees_its_fleet_before_the_next_starts(
+            self, monkeypatch, faults):
+        """Refcounting alone frees an arm's fleet when the arm ends, so a
+        serial rollout never holds two arms' fleets at once."""
+        build = RolloutStudy._build
+        refs = []
+        alive = []
+
+        def tracked(study, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            fleet = build(study, *args, **kwargs)
+            refs.append(weakref.ref(fleet))
+            return fleet
+
+        monkeypatch.setattr(RolloutStudy, "_build", tracked)
+        plan = FaultPlan.parse(faults) if faults else None
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = RolloutStudy(seed=5, fault_plan=plan, **SMALL).run(**SERIAL)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == [0, 0, 0, 0]
+        assert (result.chaos is not None) == (plan is not None)

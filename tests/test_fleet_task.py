@@ -111,6 +111,19 @@ class TestSampling:
         assert "memcpy" in task.function_shares
         assert "pointer_chase" in task.function_shares
 
+    def test_default_shares_are_the_roster_cycle_shares(self):
+        """The fleet reads the roster's shares off the response table, so
+        the two tables must agree in names, order and values."""
+        from repro.fleet.task import _FLEET_SHARES, DEFAULT_TEMPLATE
+        from repro.workloads.functions import FUNCTION_ROSTER
+
+        roster = [(name, profile.cycle_share)
+                  for name, profile in FUNCTION_ROSTER.items()]
+        assert list(_FLEET_SHARES.items()) == roster
+        assert DEFAULT_TEMPLATE.function_shares is None
+        task = sample_task(random.Random(1))
+        assert list(task.function_shares) == [name for name, _ in roster]
+
     def test_names_unique(self):
         rng = random.Random(1)
         names = {sample_task(rng).name for _ in range(20)}

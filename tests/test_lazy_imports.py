@@ -152,6 +152,15 @@ def _loaded_after_study(workload: str, modules) -> dict:
     return json.loads(_fresh(probe))
 
 
+#: Never needed to import or run a serial analytic fleet study without a
+#: fault plan, result cache, shard journal or obs dir: the trace
+#: machinery, the payload decoder, the fault model, the trace generators
+#: and the run-directory writer.
+_FLEET_NEVER_LOADS = ("repro.serialization", "repro.access", "repro.faults",
+                      "repro.workloads.functions", "repro.workloads.tax",
+                      "repro.obs.session")
+
+
 class TestImportBudget:
     def test_import_repro_loads_only_the_helper(self):
         out = _fresh("import sys\n"
@@ -178,3 +187,27 @@ class TestImportBudget:
                                      ["repro.memsys.hierarchy", "repro.engine"])
         assert loaded == {"repro.memsys.hierarchy": False,
                           "repro.engine": True}
+
+    @pytest.mark.parametrize("module", ["repro.fleet.rollout",
+                                        "repro.fleet.ablation"])
+    def test_fleet_study_import_stays_in_budget(self, module):
+        out = _fresh("import json, sys\n"
+                     f"import {module}\n"
+                     f"print(json.dumps([m for m in {list(_FLEET_NEVER_LOADS)!r}\n"
+                     "                  if m in sys.modules]))\n")
+        assert json.loads(out) == []
+
+    def test_serial_rollout_stays_in_budget(self):
+        loaded = _loaded_after_study("fleet-rollout", _FLEET_NEVER_LOADS)
+        assert not any(loaded.values()), loaded
+
+    def test_old_import_paths_still_resolve(self):
+        from repro import jsonio, serialization
+        from repro.fleet.queue import ShardCheckpoint
+        from repro.obs import session, tracer
+
+        assert serialization.canonical_json is jsonio.canonical_json
+        assert serialization.atomic_write_text is jsonio.atomic_write_text
+        assert session.resolve_obs_dir is tracer.resolve_obs_dir
+        assert session.OBS_ENV_VAR == "REPRO_OBS_DIR"
+        assert ShardCheckpoint.__module__ == "repro.fleet.queue"
