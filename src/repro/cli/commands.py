@@ -30,76 +30,73 @@ def _parse_profile(text: str):
     return points
 
 
-def _resolve_checkpoint(args) -> tuple:
-    """``(checkpoint_dir_arg, resolved_dir)`` for a study subcommand.
+#: How every ``--compare-serial`` oracle runs: one worker and no result
+#: cache, shard journal or run directory, so the oracle recomputes the
+#: study instead of replaying the requested run or overwriting its
+#: manifest. :func:`_run_study_command` runs it under
+#: :func:`~repro.engine.reference_engine` (the interpreter, every fleet
+#: arm driving itself).
+SERIAL_ORACLE = dict(workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
 
-    Enforces the ``--resume`` contract: resuming demands a configured
-    checkpoint directory, because silently running from scratch is
-    exactly the failure mode the flag exists to catch.
+
+def _run_study_command(args, build, digest, report, after=None) -> int:
+    """The frame every study command runs in.
+
+    Resolves ``--fault-plan`` and the checkpoint directory (``--resume``
+    demands one, because silently running from scratch is exactly the
+    failure mode the flag exists to catch), runs ``build(fault_plan)``,
+    prints ``report(study, result)``, then the footer: the
+    batched-engine disposition (silent when no engine ran, including
+    results restored from a cache or checkpoint payload), ``result
+    digest:`` and the work-queue disposition. ``after(study, result)``
+    runs next; last, ``--compare-serial`` checks the digest against the
+    serial oracle and raises :class:`ReproError` on a mismatch.
     """
     from repro.fleet.queue import CHECKPOINT_ENV_VAR, resolve_checkpoint_dir
 
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    resolved = resolve_checkpoint_dir(checkpoint_dir)
-    if getattr(args, "resume", False) and resolved is None:
+    fault_plan = _resolve_fault_plan(args)
+    resolved_ckpt = resolve_checkpoint_dir(args.checkpoint_dir)
+    if args.resume and resolved_ckpt is None:
         raise ReproError(
             "--resume needs a checkpoint directory: pass "
             f"--checkpoint-dir or set ${CHECKPOINT_ENV_VAR}")
-    return checkpoint_dir, resolved
-
-
-def _print_queue_stats(stats, resolved_dir) -> None:
-    """One-line work-queue disposition after a checkpointed study."""
-    if stats is None or resolved_dir is None:
-        return
-    print(f"\nqueue: {stats.restored}/{stats.total} shards restored, "
-          f"{stats.computed} computed (journal: {resolved_dir})")
-
-
-def _print_digest_footer(result, digest, queue_stats, resolved_dir) -> None:
-    """The closing lines of a digested study: the batched-engine
-    disposition, ``result digest:`` and the work-queue disposition.
-
-    The engine line is silent for studies without an engine (rollout)
-    and for results restored from a cache or checkpoint payload (no
-    engine ran, so there is nothing to report).
-    """
-    occupancy = getattr(result, "occupancy", None)
+    study = build(fault_plan)
+    result = study.run(workers=args.workers, cache_dir=args.cache_dir,
+                       checkpoint_dir=args.checkpoint_dir,
+                       obs_dir=args.obs_dir)
+    report(study, result)
+    value = digest(result)
+    occupancy = result.occupancy
     line = occupancy and occupancy.summary(occupancy.to_dict())
     if line:
         print(line)
-    print(f"\nresult digest: {digest}")
-    _print_queue_stats(queue_stats, resolved_dir)
+    print(f"\nresult digest: {value}")
+    stats = study.queue_stats
+    if stats is not None and resolved_ckpt is not None:
+        print(f"\nqueue: {stats.restored}/{stats.total} shards restored, "
+              f"{stats.computed} computed (journal: {resolved_ckpt})")
+    if after is not None:
+        after(study, result)
+    if args.compare_serial:
+        from repro.engine import reference_engine
 
-
-#: How every ``--compare-serial`` oracle runs: one worker, and neither
-#: the result cache nor the shard journal, so the oracle recomputes the
-#: study instead of replaying the requested run. Trace-driven studies,
-#: and the fleet studies whose arms share a driver tape, rerun under
-#: :func:`~repro.engine.reference_engine` (the interpreter; every arm
-#: driving itself); studies whose ``run()`` can write a run directory
-#: also pass ``obs_dir=""``, so the oracle never overwrites the
-#: requested run's manifest.
-SERIAL_ORACLE = dict(workers=1, cache_dir="", checkpoint_dir="")
-
-
-def _check_serial(digest: str, serial_digest: str) -> None:
-    """Print the ``--compare-serial`` verdict for a study digest against
-    its serial oracle's; raise :class:`ReproError` on a mismatch."""
-    match = digest == serial_digest
-    print(f"\nserial-equivalence check: "
-          f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-    if not match:
-        raise ReproError(
-            f"result diverged from the serial oracle: "
-            f"{digest} != {serial_digest}")
+        with reference_engine():
+            serial = digest(build(fault_plan).run(**SERIAL_ORACLE))
+        match = value == serial
+        print(f"\nserial-equivalence check: "
+              f"{'OK' if match else 'MISMATCH'} (digest {value[:16]}…)")
+        if not match:
+            raise ReproError(
+                f"result diverged from the serial oracle: "
+                f"{value} != {serial}")
+    return 0
 
 
 def _resolve_fault_plan(args):
     """The study's ``--fault-plan``, or None (fault-free)."""
     from repro.faults import FaultPlan
 
-    spec = getattr(args, "fault_plan", None)
+    spec = args.fault_plan
     return None if spec is None else FaultPlan.parse(spec)
 
 
@@ -174,7 +171,7 @@ def run_latency_curve(args) -> int:
              f"{p_off.latency_ns:.1f}")
             for p_on, p_off in zip(on.points, off.points)]
     _table(("util", "HW on (ns)", "HW off (ns)"), rows)
-    if getattr(args, "chart", False):
+    if args.chart:
         from repro.telemetry.ascii_chart import line_chart
         print()
         print(line_chart(
@@ -191,128 +188,96 @@ def run_ablation(args) -> int:
     from repro.analysis import result_digest
     from repro.fleet import AblationStudy
 
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    kwargs = dict(mode=args.mode, machines=args.machines,
-                  epochs=args.epochs, warmup_epochs=args.warmup,
-                  seed=args.seed, shard_size=args.shard_size,
-                  fault_plan=fault_plan)
-    study = AblationStudy(**kwargs)
-    result = study.run(workers=args.workers,
-                       cache_dir=args.cache_dir,
-                       obs_dir=getattr(args, "obs_dir", None),
-                       checkpoint_dir=checkpoint_dir)
-    bandwidth = result.bandwidth_reduction()
-    latency = result.latency_reduction()
-    print(f"experiment arm: {args.mode}")
-    _table(("metric", "change"), [
-        ("socket bandwidth (mean)", _pct(bandwidth['mean'])),
-        ("socket bandwidth (P99)", _pct(bandwidth['p99'])),
-        ("memory latency (P50)", _pct(latency['p50'])),
-        ("memory latency (P99)", _pct(latency['p99'])),
-        ("fleet throughput", f"{result.throughput_change():+.2%}"),
-    ])
-    print("\nper-function cycle deltas (top regressions first):")
-    deltas = result.function_cycle_deltas()
-    rows = [(name, f"{delta:+.1%}")
-            for name, delta in sorted(deltas.items(), key=lambda kv: -kv[1])]
-    _table(("function", "Δcycles"), rows)
-    if result.chaos is not None:
-        print(f"\nfault plan: {fault_plan.spec()}")
-        _print_chaos_summary(result.chaos)
-    digest = result_digest(result)
-    _print_digest_footer(result, digest, study.queue_stats, resolved_ckpt)
-    if args.compare_serial:
-        from repro.engine import reference_engine
+    def build(fault_plan):
+        return AblationStudy(
+            mode=args.mode, machines=args.machines, epochs=args.epochs,
+            warmup_epochs=args.warmup, seed=args.seed,
+            shard_size=args.shard_size, fault_plan=fault_plan)
 
-        with reference_engine():
-            serial = AblationStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
-        _check_serial(digest, result_digest(serial))
-    return 0
+    def report(study, result) -> None:
+        bandwidth = result.bandwidth_reduction()
+        latency = result.latency_reduction()
+        print(f"experiment arm: {args.mode}")
+        _table(("metric", "change"), [
+            ("socket bandwidth (mean)", _pct(bandwidth['mean'])),
+            ("socket bandwidth (P99)", _pct(bandwidth['p99'])),
+            ("memory latency (P50)", _pct(latency['p50'])),
+            ("memory latency (P99)", _pct(latency['p99'])),
+            ("fleet throughput", f"{result.throughput_change():+.2%}"),
+        ])
+        print("\nper-function cycle deltas (top regressions first):")
+        deltas = result.function_cycle_deltas()
+        rows = [(name, f"{delta:+.1%}") for name, delta
+                in sorted(deltas.items(), key=lambda kv: -kv[1])]
+        _table(("function", "Δcycles"), rows)
+        if result.chaos is not None:
+            print(f"\nfault plan: {study.fault_plan.spec()}")
+            _print_chaos_summary(result.chaos)
+
+    return _run_study_command(args, build, result_digest, report)
 
 
 def run_sweep(args) -> int:
     """``repro sweep``: the trace-driven micro-fleet sweep."""
     from repro.fleet import MicroFleetSweep, sweep_digest
 
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    kwargs = dict(mode=args.mode, machines=args.machines, seed=args.seed,
-                  scale=args.scale, shard_size=args.shard_size,
-                  fault_plan=fault_plan, workload=args.trace)
-    sweep = MicroFleetSweep(**kwargs)
-    result = sweep.run(workers=args.workers, cache_dir=args.cache_dir,
-                       checkpoint_dir=checkpoint_dir)
+    def build(fault_plan):
+        return MicroFleetSweep(
+            mode=args.mode, machines=args.machines, seed=args.seed,
+            scale=args.scale, shard_size=args.shard_size,
+            fault_plan=fault_plan, workload=args.trace)
 
-    live = result.machines - result.down
-    print(f"sweep arm: {args.mode}  "
-          f"(machines={result.machines}, down={result.down})")
-    rows = [
-        ("mean elapsed", f"{result.mean_elapsed_ns() / 1e6:.3f} ms"),
-        ("total stall cycles", f"{result.total('stall_cycles'):.0f}"),
-        ("total LLC misses", f"{int(result.total('llc_misses'))}"),
-        ("total DRAM demand fills",
-         f"{int(result.total('dram_demand_fills'))}"),
-        ("total DRAM wait", f"{result.total('dram_wait_ns') / 1e6:.3f} ms"),
-    ]
-    if live:
-        _table(("sweep metric", "value"), rows)
-    digest = sweep_digest(result)
-    _print_digest_footer(result, digest, sweep.queue_stats, resolved_ckpt)
-    if args.compare_serial:
-        from repro.engine import reference_engine
+    def report(sweep, result) -> None:
+        print(f"sweep arm: {args.mode}  "
+              f"(machines={result.machines}, down={result.down})")
+        if result.machines > result.down:
+            _table(("sweep metric", "value"), [
+                ("mean elapsed", f"{result.mean_elapsed_ns() / 1e6:.3f} ms"),
+                ("total stall cycles", f"{result.total('stall_cycles'):.0f}"),
+                ("total LLC misses", f"{int(result.total('llc_misses'))}"),
+                ("total DRAM demand fills",
+                 f"{int(result.total('dram_demand_fills'))}"),
+                ("total DRAM wait",
+                 f"{result.total('dram_wait_ns') / 1e6:.3f} ms"),
+            ])
 
-        # MicroFleetSweep.run writes no run directory.
-        with reference_engine():
-            serial = MicroFleetSweep(**kwargs).run(**SERIAL_ORACLE)
-        _check_serial(digest, sweep_digest(serial))
-    return 0
+    return _run_study_command(args, build, sweep_digest, report)
 
 
 def run_rollout(args) -> int:
     """``repro rollout``: the Figures 16-20 study."""
     from repro.fleet import RolloutStudy, rollout_digest
 
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    kwargs = dict(machines=args.machines, epochs=args.epochs,
-                  warmup_epochs=args.warmup, seed=args.seed,
-                  shard_size=args.shard_size, fault_plan=fault_plan)
-    study = RolloutStudy(**kwargs)
-    result = study.run(workers=args.workers,
-                       obs_dir=getattr(args, "obs_dir", None),
-                       cache_dir=args.cache_dir,
-                       checkpoint_dir=checkpoint_dir)
-    print("Figure 16 — throughput gain by CPU band")
-    _table(("band", "gain"), [(band, f"{gain:+.1%}") for band, gain
-                              in result.throughput_gain_by_band().items()])
-    latency = result.latency_reduction()
-    bandwidth = result.bandwidth_reduction()
-    print("\nFigures 17/18 — latency / bandwidth")
-    _table(("metric", "change"), [
-        ("latency P50", _pct(latency['p50'])),
-        ("latency P99", _pct(latency['p99'])),
-        ("bandwidth mean", _pct(bandwidth['mean'])),
-    ])
-    print(f"\nFigure 19 — CPU utilization gain: "
-          f"{result.cpu_utilization_gain():+.1%}")
-    print("\nFigure 20 — targeted tax cycle share")
-    shares = result.tax_cycle_shares()
-    _table(("arm", "tax share"), [
-        (arm, f"{data['all targeted DC tax']:.1%}")
-        for arm, data in shares.items()])
-    if result.chaos is not None:
-        print(f"\nfault plan: {fault_plan.spec()}")
-        _print_chaos_summary(result.chaos)
-    digest = rollout_digest(result)
-    _print_digest_footer(result, digest, study.queue_stats, resolved_ckpt)
-    if args.compare_serial:
-        from repro.engine import reference_engine
+    def build(fault_plan):
+        return RolloutStudy(
+            machines=args.machines, epochs=args.epochs,
+            warmup_epochs=args.warmup, seed=args.seed,
+            shard_size=args.shard_size, fault_plan=fault_plan)
 
-        with reference_engine():
-            serial = RolloutStudy(**kwargs).run(obs_dir="", **SERIAL_ORACLE)
-        _check_serial(digest, rollout_digest(serial))
-    return 0
+    def report(study, result) -> None:
+        print("Figure 16 — throughput gain by CPU band")
+        _table(("band", "gain"), [(band, f"{gain:+.1%}") for band, gain
+                                  in result.throughput_gain_by_band().items()])
+        latency = result.latency_reduction()
+        bandwidth = result.bandwidth_reduction()
+        print("\nFigures 17/18 — latency / bandwidth")
+        _table(("metric", "change"), [
+            ("latency P50", _pct(latency['p50'])),
+            ("latency P99", _pct(latency['p99'])),
+            ("bandwidth mean", _pct(bandwidth['mean'])),
+        ])
+        print(f"\nFigure 19 — CPU utilization gain: "
+              f"{result.cpu_utilization_gain():+.1%}")
+        print("\nFigure 20 — targeted tax cycle share")
+        shares = result.tax_cycle_shares()
+        _table(("arm", "tax share"), [
+            (arm, f"{data['all targeted DC tax']:.1%}")
+            for arm, data in shares.items()])
+        if result.chaos is not None:
+            print(f"\nfault plan: {study.fault_plan.spec()}")
+            _print_chaos_summary(result.chaos)
+
+    return _run_study_command(args, build, rollout_digest, report)
 
 
 def _human_bytes(count: int) -> str:
@@ -331,7 +296,7 @@ def run_queue(args) -> int:
     from repro.fleet.queue import (CHECKPOINT_ENV_VAR, ShardCheckpoint,
                                    queue_status, resolve_checkpoint_dir)
 
-    resolved = resolve_checkpoint_dir(getattr(args, "checkpoint_dir", None))
+    resolved = resolve_checkpoint_dir(args.checkpoint_dir)
     if resolved is None:
         raise ReproError(
             "no checkpoint directory: pass --checkpoint-dir or set "
@@ -362,7 +327,7 @@ def run_cache(args) -> int:
     """``repro cache``: inspect or prune a result cache."""
     from repro.fleet.result_cache import CACHE_ENV_VAR, study_cache
 
-    cache = study_cache(getattr(args, "cache_dir", None))
+    cache = study_cache(args.cache_dir)
     if cache is None:
         raise ReproError(
             f"no cache directory: pass --cache-dir or set ${CACHE_ENV_VAR}")
@@ -382,7 +347,7 @@ def run_cache(args) -> int:
         ("stores", str(stats["stores"])),
         ("hit rate", hit_rate),
     ])
-    prune = getattr(args, "prune", None)
+    prune = args.prune
     if prune is not None:
         removed = cache.prune() if prune < 0 else cache.prune(prune)
         print(f"\npruned {removed} "
@@ -438,7 +403,7 @@ def _run_obs_report(args, run_dir: str) -> int:
     """``repro report <run-dir>``: render an observability run directory."""
     from repro.obs import build_report, render_report
 
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         print(json.dumps(build_report(run_dir), indent=2, sort_keys=True))
@@ -449,7 +414,7 @@ def _run_obs_report(args, run_dir: str) -> int:
 
 def run_report(args) -> int:
     """``repro report``: one-shot markdown report of the headline results."""
-    run_dir = getattr(args, "run_dir", None)
+    run_dir = args.run_dir
     if run_dir:
         return _run_obs_report(args, run_dir)
 
@@ -460,8 +425,8 @@ def run_report(args) -> int:
         machines, epochs, warmup, hops = 8, 30, 10, 120
     else:
         machines, epochs, warmup, hops = 20, 70, 25, 300
-    workers = getattr(args, "workers", None)
-    cache_dir = getattr(args, "cache_dir", None)
+    workers = args.workers
+    cache_dir = args.cache_dir
 
     sections = ["# Limoncello reproduction report", ""]
 
@@ -551,53 +516,41 @@ def run_scenario_callgraph(args) -> int:
     from repro.scenarios import (CallGraphScenario, DEFAULT_SERVICES,
                                  callgraph_digest)
 
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    kwargs = dict(services=args.services or DEFAULT_SERVICES,
-                  requests=args.requests, seed=args.seed, mode=args.mode,
-                  rpc_overhead_ns=args.rpc_overhead_ns,
-                  fault_plan=fault_plan)
-    scenario = CallGraphScenario(**kwargs)
-    result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
-                          checkpoint_dir=checkpoint_dir,
-                          obs_dir=getattr(args, "obs_dir", None))
+    def build(fault_plan):
+        return CallGraphScenario(
+            services=args.services or DEFAULT_SERVICES,
+            requests=args.requests, seed=args.seed, mode=args.mode,
+            rpc_overhead_ns=args.rpc_overhead_ns, fault_plan=fault_plan)
 
-    print(f"call graph: {len(scenario.services)} services, "
-          f"{scenario.machines} replicas ({result.down} down), "
-          f"{scenario.requests} requests, mode={scenario.mode}")
-    rows = []
-    for service in scenario.services:
-        summary = result.service_summary(service.name)
-        fanout = "+".join(f"{child}*{calls}"
-                          for child, calls in service.calls) or "-"
-        if summary is None:
-            rows.append((service.name, service.kind,
-                         str(service.replicas), fanout, "down", "down",
-                         "down"))
-        else:
-            rows.append((service.name, service.kind,
-                         str(service.replicas), fanout,
-                         f"{summary.p50:.0f}", f"{summary.p90:.0f}",
-                         f"{summary.p99:.0f}"))
-    _table(("service", "kind", "replicas", "fan-out", "p50 ns", "p90 ns",
-            "p99 ns"), rows)
-    slo = scenario.slo_summary(result)
-    print(f"\nend-to-end SLO at {scenario.root!r}: "
-          f"p50={slo.p50:.0f} ns  p90={slo.p90:.0f} ns  "
-          f"p99={slo.p99:.0f} ns  (peak {slo.peak:.0f} ns over "
-          f"{slo.count} requests)")
-    if fault_plan is not None:
-        print(f"\nfault plan: {fault_plan.spec()}")
-    digest = callgraph_digest(result)
-    _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
-    if args.compare_serial:
-        from repro.engine import reference_engine
+    def report(scenario, result) -> None:
+        print(f"call graph: {len(scenario.services)} services, "
+              f"{scenario.machines} replicas ({result.down} down), "
+              f"{scenario.requests} requests, mode={scenario.mode}")
+        rows = []
+        for service in scenario.services:
+            summary = result.service_summary(service.name)
+            fanout = "+".join(f"{child}*{calls}"
+                              for child, calls in service.calls) or "-"
+            if summary is None:
+                rows.append((service.name, service.kind,
+                             str(service.replicas), fanout, "down", "down",
+                             "down"))
+            else:
+                rows.append((service.name, service.kind,
+                             str(service.replicas), fanout,
+                             f"{summary.p50:.0f}", f"{summary.p90:.0f}",
+                             f"{summary.p99:.0f}"))
+        _table(("service", "kind", "replicas", "fan-out", "p50 ns",
+                "p90 ns", "p99 ns"), rows)
+        slo = scenario.slo_summary(result)
+        print(f"\nend-to-end SLO at {scenario.root!r}: "
+              f"p50={slo.p50:.0f} ns  p90={slo.p90:.0f} ns  "
+              f"p99={slo.p99:.0f} ns  (peak {slo.peak:.0f} ns over "
+              f"{slo.count} requests)")
+        if scenario.fault_plan is not None:
+            print(f"\nfault plan: {scenario.fault_plan.spec()}")
 
-        with reference_engine():
-            serial = CallGraphScenario(**kwargs).run(obs_dir="",
-                                                     **SERIAL_ORACLE)
-        _check_serial(digest, callgraph_digest(serial))
-    return 0
+    return _run_study_command(args, build, callgraph_digest, report)
 
 
 def run_scenario_noisy(args) -> int:
@@ -605,62 +558,50 @@ def run_scenario_noisy(args) -> int:
     from repro.scenarios import (DEFAULT_TENANTS, NoisyNeighborScenario,
                                  noisy_digest)
 
-    fault_plan = _resolve_fault_plan(args)
-    checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
-    kwargs = dict(tenants=args.tenants or DEFAULT_TENANTS,
-                  machines=args.machines, epochs=args.epochs,
-                  seed=args.seed, mode=args.mode,
-                  upper=args.upper, lower=args.lower,
-                  sustain_ns=args.sustain_ns, shard_size=args.shard_size,
-                  fault_plan=fault_plan)
-    scenario = NoisyNeighborScenario(**kwargs)
-    result = scenario.run(workers=args.workers, cache_dir=args.cache_dir,
-                          checkpoint_dir=checkpoint_dir,
-                          obs_dir=getattr(args, "obs_dir", None))
+    def build(fault_plan):
+        return NoisyNeighborScenario(
+            tenants=args.tenants or DEFAULT_TENANTS, machines=args.machines,
+            epochs=args.epochs, seed=args.seed, mode=args.mode,
+            upper=args.upper, lower=args.lower, sustain_ns=args.sustain_ns,
+            shard_size=args.shard_size, fault_plan=fault_plan)
 
-    print(f"noisy neighbors: {len(scenario.tenants)} tenants on "
-          f"{result.machines} machines ({result.down} down), "
-          f"{scenario.epochs} epochs, mode={scenario.mode}")
-    shares = result.bandwidth_shares()
-    rows = []
-    for tenant in scenario.tenants:
-        summary = result.tenant_summary(tenant.name)
-        throttle = (f"{tenant.throttle:.2f}"
-                    if tenant.throttle != 1.0 else "-")
-        if summary is None:
-            rows.append((tenant.name, tenant.kind, throttle,
-                         f"{shares[tenant.name]:.1%}", "down", "down",
-                         "down"))
-        else:
-            rows.append((tenant.name, tenant.kind, throttle,
-                         f"{shares[tenant.name]:.1%}",
-                         f"{summary.p50:.2f}", f"{summary.p90:.2f}",
-                         f"{summary.p99:.2f}"))
-    _table(("tenant", "kind", "throttle", "bw share", "p50 ns/acc",
-            "p90 ns/acc", "p99 ns/acc"), rows)
-    print(f"\nprefetchers-disabled duty cycle: "
-          f"{result.duty_cycle_disabled():.2%}  "
-          f"(controller flips: {result.transitions()})")
-    if fault_plan is not None:
-        print(f"\nfault plan: {fault_plan.spec()}")
-    digest = noisy_digest(result)
-    _print_digest_footer(result, digest, scenario.queue_stats, resolved_ckpt)
+    def report(scenario, result) -> None:
+        print(f"noisy neighbors: {len(scenario.tenants)} tenants on "
+              f"{result.machines} machines ({result.down} down), "
+              f"{scenario.epochs} epochs, mode={scenario.mode}")
+        shares = result.bandwidth_shares()
+        rows = []
+        for tenant in scenario.tenants:
+            summary = result.tenant_summary(tenant.name)
+            throttle = (f"{tenant.throttle:.2f}"
+                        if tenant.throttle != 1.0 else "-")
+            if summary is None:
+                rows.append((tenant.name, tenant.kind, throttle,
+                             f"{shares[tenant.name]:.1%}", "down", "down",
+                             "down"))
+            else:
+                rows.append((tenant.name, tenant.kind, throttle,
+                             f"{shares[tenant.name]:.1%}",
+                             f"{summary.p50:.2f}", f"{summary.p90:.2f}",
+                             f"{summary.p99:.2f}"))
+        _table(("tenant", "kind", "throttle", "bw share", "p50 ns/acc",
+                "p90 ns/acc", "p99 ns/acc"), rows)
+        print(f"\nprefetchers-disabled duty cycle: "
+              f"{result.duty_cycle_disabled():.2%}  "
+              f"(controller flips: {result.transitions()})")
+        if scenario.fault_plan is not None:
+            print(f"\nfault plan: {scenario.fault_plan.spec()}")
 
-    if args.baseline:
-        baseline = scenario.baseline_twin().run(
+    def baseline(scenario, result) -> None:
+        if not args.baseline:
+            return
+        twin = scenario.baseline_twin().run(
             workers=args.workers, cache_dir=args.cache_dir, obs_dir="")
-        comparison = scenario.compare_to_baseline(result, baseline)
+        comparison = scenario.compare_to_baseline(result, twin)
         print("\nversus always-enabled twin (negative = faster):")
         _table(("tenant", "p50", "p90", "p99", "mean"), [
             (name, _pct(change["p50"]), _pct(change["p90"]),
              _pct(change["p99"]), _pct(change["mean"]))
             for name, change in comparison.items()])
 
-    if args.compare_serial:
-        from repro.engine import reference_engine
-
-        with reference_engine():
-            serial = NoisyNeighborScenario(**kwargs).run(obs_dir="",
-                                                         **SERIAL_ORACLE)
-        _check_serial(digest, noisy_digest(serial))
-    return 0
+    return _run_study_command(args, build, noisy_digest, report, after=baseline)

@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_flags(sweep)
     _add_checkpoint_flags(sweep)
     _add_fault_plan_flag(sweep)
-    sweep.set_defaults(run=commands.run_sweep)
+    # No --obs-dir: the sweep writes no run directory.
+    sweep.set_defaults(run=commands.run_sweep, obs_dir=None)
 
     rollout = subparsers.add_parser(
         "rollout", help="before/after rollout study (Figures 16-20)")

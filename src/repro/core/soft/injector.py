@@ -79,11 +79,6 @@ class _Run:
         self.next_line = last_line + CACHE_LINE_BYTES
 
     @property
-    def length_lines(self) -> int:
-        """Run length in cache lines."""
-        return (self.next_line - self.start_line) // CACHE_LINE_BYTES
-
-    @property
     def length_bytes(self) -> int:
         """Run length in bytes."""
         return self.next_line - self.start_line

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import List, Optional
@@ -14,6 +13,7 @@ from repro.errors import ConfigError, ReproError
 from repro.fleet.platform import PlatformSpec
 from repro.fleet.socket import SimulatedSocket, SocketEpoch
 from repro.fleet.task import Task
+from repro.seeds import stable_seed
 from repro.telemetry.sampler import PerfBandwidthSampler
 from repro.units import SECOND
 
@@ -21,16 +21,12 @@ from repro.units import SECOND
 def machine_seed(name: str) -> int:
     """Stable 63-bit RNG seed for a machine, derived from its name.
 
-    BLAKE2b over the name, in the same style as
-    :func:`repro.fleet.shard.shard_seed` — independent of
-    ``PYTHONHASHSEED``, process, and platform. The previous
-    ``hash(name) & 0xFFFF`` fallback silently changed per interpreter
-    invocation under salted string hashing, making directly-constructed
-    machines non-reproducible across runs.
+    :func:`~repro.seeds.stable_seed` in the ``machine`` namespace. The
+    previous ``hash(name) & 0xFFFF`` fallback silently changed per
+    interpreter invocation under salted string hashing, making
+    directly-constructed machines non-reproducible across runs.
     """
-    digest = hashlib.blake2b(
-        f"limoncello-machine:{name}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") & 0x7FFF_FFFF_FFFF_FFFF
+    return stable_seed("machine", name)
 
 
 class Machine:

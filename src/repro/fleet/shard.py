@@ -23,11 +23,11 @@ shard is byte-for-byte the original unsharded study.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigError
+from repro.seeds import stable_seed
 from repro.units import DEFAULT_SHARD_SIZE
 
 
@@ -35,18 +35,14 @@ def shard_seed(master_seed: int, index: int) -> int:
     """Stable per-shard seed derived from the master seed.
 
     Shard 0 keeps the master seed (a one-shard plan *is* the unsharded
-    study); later shards draw 63-bit seeds from a BLAKE2b stream over
-    ``(master_seed, index)``. Independent of ``PYTHONHASHSEED``, process,
-    and platform.
+    study); later shards take :func:`~repro.seeds.stable_seed` over
+    ``(master_seed, index)`` in the ``shard`` namespace.
     """
     if index < 0:
         raise ConfigError(f"shard index cannot be negative, got {index}")
     if index == 0:
         return master_seed
-    digest = hashlib.blake2b(
-        f"limoncello-shard:{master_seed}:{index}".encode(),
-        digest_size=8).digest()
-    return int.from_bytes(digest, "big") & 0x7FFF_FFFF_FFFF_FFFF
+    return stable_seed("shard", master_seed, index)
 
 
 @dataclass(frozen=True)

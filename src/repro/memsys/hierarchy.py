@@ -973,11 +973,6 @@ class MemoryHierarchy:
         """Software-prefetch lines actually fetched (post-dedup)."""
         return self._sw_issued
 
-    @property
-    def in_flight_prefetches(self) -> int:
-        """Prefetched lines whose data has not been demanded yet."""
-        return len(self._in_flight)
-
 
 def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
              export_state: bool = True,

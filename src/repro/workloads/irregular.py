@@ -12,7 +12,6 @@ Like the tax generators, these emit through
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import List, Optional
 
@@ -20,23 +19,22 @@ from repro.access.address import AddressSpace
 from repro.access.builder import trace_builder
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
+from repro.seeds import stable_seed
 from repro.units import CACHE_LINE_BYTES
 
 
 def workload_seed(name: str) -> int:
     """Stable 63-bit default-RNG seed for a workload generator.
 
-    BLAKE2b over a namespaced generator name, in the same style as
-    :func:`repro.fleet.machine.machine_seed`. Every generator in this
-    module used to default to ``random.Random(0)``, so distinct
-    workloads emitted *correlated* address streams whenever a caller
-    omitted ``rng`` — a pointer chase and a hash-map probe would land on
-    the same "random" lines. Namespacing by generator name keeps each
-    default stream deterministic while decorrelating the generators.
+    :func:`~repro.seeds.stable_seed` in the ``workload`` namespace.
+    Every generator in this module used to default to
+    ``random.Random(0)``, so distinct workloads emitted *correlated*
+    address streams whenever a caller omitted ``rng`` — a pointer chase
+    and a hash-map probe would land on the same "random" lines.
+    Namespacing by generator name keeps each default stream
+    deterministic while decorrelating the generators.
     """
-    digest = hashlib.blake2b(
-        f"limoncello-workload:{name}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") & 0x7FFF_FFFF_FFFF_FFFF
+    return stable_seed("workload", name)
 
 
 def _default_rng(rng: Optional[random.Random],

@@ -15,8 +15,10 @@ import pytest
 
 from repro.cli.commands import _resolve_fault_plan
 from repro.cli.main import build_parser
+from repro.core.config import LimoncelloConfig, RetryPolicy
 from repro.faults import FaultPlan
-from repro.fleet import Fleet, Machine, MicroFleetSweep, PLATFORM_1, sweep_digest
+from repro.fleet import (AblationStudy, Fleet, Machine, MicroFleetSweep,
+                         PLATFORM_1, RolloutStudy, sweep_digest)
 from repro.scenarios import (CallGraphScenario, NoisyNeighborScenario,
                              callgraph_digest, noisy_digest)
 from repro.serialization import canonical_json
@@ -66,6 +68,50 @@ PINNED = {
         "2085b12ca2ed986689d276d4f243d9951d4c9229953b7ecd346263ee1c8c237e",
         1),
 }
+
+
+#: The paper studies' journal keys: ``(study, faulted) -> (cache-key sha,
+#: shard-task sha)``. Faulted runs pair a plan with a non-default retry
+#: policy, so both optional key blocks are covered.
+PAPER_KEYS = {
+    ("ablation", False): (
+        "51d2979b1e1983adbeac0b4d568883396639a445e5678f9a4688b0ff6ca7ccb0",
+        "5ebfc4221951fbf3896ff3d994a95f3aa878687c7e26f025a9fd3bd82e113e5a"),
+    ("ablation", True): (
+        "0e1bf7e26b039393aff8ae05cf13bbde6ab5d49dc692e860cd2b78a91b996cef",
+        "d6d7fa9c64f44a26eafc4b4bd895ac8f9b6e190b2870e7bd76430916556dc7c4"),
+    ("rollout", False): (
+        "cb5b1877085e5aa2fe9da2193813888f1dd9410abf2babb49cc6d39d753086ba",
+        "e493c99c1a34611bc009f48484cf301803f6076fb8a243db5111629622ab06cd"),
+    ("rollout", True): (
+        "eb76db5edb996d2f322ba60d2e736cad1570dda46ef35c1911f2cb5713578275",
+        "4b2327924a863cbe474095a0c3839101f85050113314f176d2a89d1298a79d87"),
+}
+
+PAPER_STUDIES = {
+    "ablation": lambda **extra: AblationStudy(
+        mode="hard", machines=10, epochs=8, warmup_epochs=2, seed=4,
+        shard_size=4, **extra),
+    "rollout": lambda **extra: RolloutStudy(
+        machines=10, epochs=8, warmup_epochs=2, seed=6, shard_size=4,
+        **extra),
+}
+
+
+@pytest.mark.parametrize("name, faulted", sorted(PAPER_KEYS))
+def test_paper_study_keys_are_pinned(name, faulted):
+    extra = {}
+    if faulted:
+        extra = dict(
+            fault_plan=FaultPlan.parse(
+                "seed=2;telemetry-blackout:start=200,duration=80;"
+                "machine-crash:rate=0.05"),
+            config=LimoncelloConfig(retry_policy=RetryPolicy(
+                max_attempts=3, initial_backoff_ns=2e9)))
+    study = PAPER_STUDIES[name](**extra)
+    key_sha, tasks_sha = PAPER_KEYS[name, faulted]
+    assert sha(study.cache_key_material()) == key_sha
+    assert sha(study.shard_task_materials()) == tasks_sha
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -133,7 +133,8 @@ class TestLazyTables:
 
 #: Never needed by a ``workers=1`` study of the four end-to-end kinds.
 _STUDY_NEVER_LOADS = ("concurrent.futures", "multiprocessing", "repro.policy",
-                      "repro.analysis", "repro.microbench", "repro.core.soft")
+                      "repro.analysis", "repro.microbench", "repro.core.soft",
+                      "repro.faults")
 
 
 def _loaded_after_study(workload: str, modules) -> dict:
