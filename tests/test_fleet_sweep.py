@@ -102,20 +102,16 @@ class TestChaosArms:
 
 
 class TestResultCache:
-    def test_cache_roundtrip(self, tmp_path):
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
         first = small_sweep().run(workers=1, cache_dir=str(tmp_path))
-        # A cached re-run must not recompute: poison the shard runner.
-        import repro.fleet.sweep as sweep_mod
-
+        # A cached re-run must not recompute: poison the study's worker.
         def boom(spec):
             raise AssertionError("cache miss: shard recomputed")
 
-        original = sweep_mod.run_sweep_shard
-        sweep_mod.run_sweep_shard = boom
-        try:
-            second = small_sweep().run(workers=1, cache_dir=str(tmp_path))
-        finally:
-            sweep_mod.run_sweep_shard = original
+        monkeypatch.setattr(MicroFleetSweep, "worker", staticmethod(boom))
+        study = small_sweep()
+        second = study.run(workers=1, cache_dir=str(tmp_path))
+        assert study.queue_stats is None  # a whole-study cache hit
         assert sweep_digest(first) == sweep_digest(second)
 
     def test_key_excludes_batch_size_and_workers(self, tmp_path):
