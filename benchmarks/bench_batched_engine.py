@@ -50,16 +50,30 @@ MIXED_SCALE = 1.0
 DEFAULT_ROUNDS = 2
 
 STAT_FIELDS = (
-    "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
-    "software_prefetches", "l1_misses", "l2_misses", "llc_misses",
-    "prefetch_covered", "late_prefetch_hits", "dram_wait_ns",
+    "instructions",
+    "compute_cycles",
+    "stall_cycles",
+    "loads",
+    "stores",
+    "software_prefetches",
+    "l1_misses",
+    "l2_misses",
+    "llc_misses",
+    "prefetch_covered",
+    "late_prefetch_hits",
+    "dram_wait_ns",
     "late_prefetch_wait_ns",
 )
 
 RESULT_FIELDS = (
-    "elapsed_ns", "dram_demand_fills", "dram_prefetch_fills",
-    "dram_demand_bytes", "dram_prefetch_bytes", "hw_prefetches_issued",
-    "useful_prefetches", "wasted_prefetches",
+    "elapsed_ns",
+    "dram_demand_fills",
+    "dram_prefetch_fills",
+    "dram_demand_bytes",
+    "dram_prefetch_bytes",
+    "hw_prefetches_issued",
+    "useful_prefetches",
+    "wasted_prefetches",
 )
 
 
@@ -76,8 +90,8 @@ def arm_load(index):
 
 def build_arm(index):
     return MemoryHierarchy(
-        prefetchers=PrefetcherBank([]),
-        external_load=ConstantExternalLoad(arm_load(index)))
+        prefetchers=PrefetcherBank([]), external_load=ConstantExternalLoad(arm_load(index))
+    )
 
 
 def fingerprint(result):
@@ -85,9 +99,12 @@ def fingerprint(result):
     return (
         tuple(getattr(result, field) for field in RESULT_FIELDS),
         tuple(getattr(result.total, field) for field in STAT_FIELDS),
-        tuple(sorted(
-            (name, tuple(getattr(stats, field) for field in STAT_FIELDS))
-            for name, stats in result.functions.items())),
+        tuple(
+            sorted(
+                (name, tuple(getattr(stats, field) for field in STAT_FIELDS))
+                for name, stats in result.functions.items()
+            )
+        ),
     )
 
 
@@ -122,12 +139,12 @@ def time_scalar_sample(trace, sample_indices, rounds):
     return best, results
 
 
-def run_experiment(arm_count=ARMS, rounds=DEFAULT_ROUNDS,
-                   sample=SCALAR_SAMPLE):
+def run_experiment(arm_count=ARMS, rounds=DEFAULT_ROUNDS, sample=SCALAR_SAMPLE):
     if os.environ.get(SLOW_ENGINE_ENV):
         raise SystemExit(
             f"{SLOW_ENGINE_ENV} is set; it disables the batched engine, "
-            "so this benchmark would measure nothing — unset it first")
+            "so this benchmark would measure nothing — unset it first"
+        )
     trace = memoized_fleet_mix(MIXED_SEED, MIXED_SCALE)
     compiled = trace.compile()
 
@@ -137,14 +154,14 @@ def run_experiment(arm_count=ARMS, rounds=DEFAULT_ROUNDS,
     sample_indices = list(range(0, arm_count, step))[:sample]
 
     batched_s, batched_results = time_batched(trace, arm_count, rounds)
-    scalar_s, scalar_results = time_scalar_sample(trace, sample_indices,
-                                                  rounds)
+    scalar_s, scalar_results = time_scalar_sample(trace, sample_indices, rounds)
 
     for index, scalar_result in zip(sample_indices, scalar_results):
         if fingerprint(batched_results[index]) != fingerprint(scalar_result):
             raise AssertionError(
                 f"batched and scalar engines disagree on arm {index}; "
-                "refusing to report throughput for a broken fast path")
+                "refusing to report throughput for a broken fast path"
+            )
 
     scalar_s_per_arm = scalar_s / len(sample_indices)
     scalar_s_extrapolated = scalar_s_per_arm * arm_count
@@ -184,15 +201,13 @@ def write_output(data, path=OUTPUT_PATH):
 def summary_lines(data):
     arm = data["arms"]["sweep"]
     return [
-        f"{data['machines']} arms x {data['accesses_per_arm']} accesses "
-        f"(one lockstep group)",
+        f"{data['machines']} arms x {data['accesses_per_arm']} accesses (one lockstep group)",
         f"scalar (compiled engine): {arm['scalar_s_per_arm']:.3f} s/arm "
         f"-> {arm['scalar_s_extrapolated']:.1f} s extrapolated "
         f"({data['scalar_sample']}-arm sample)",
         f"batched lockstep sweep:   {arm['batched_s']:.1f} s total "
         f"({arm['batched_arms_per_s']:.1f} arms/s)",
-        f"speedup: {arm['speedup']:.2f}x (target "
-        f"{arm['target_speedup']:.1f}x)",
+        f"speedup: {arm['speedup']:.2f}x (target {arm['target_speedup']:.1f}x)",
         "sampled arms verified bit-identical between engines",
     ]
 
@@ -206,39 +221,50 @@ def test_batched_engine(benchmark, report):
     # runners do not flake the suite.
     assert data["arms"]["sweep"]["speedup"] >= 2.0
 
-    report("BENCH_batched_engine",
-           "Batched lockstep engine - 256-arm sweep vs scalar",
-           summary_lines(data))
+    report(
+        "BENCH_batched_engine",
+        "Batched lockstep engine - 256-arm sweep vs scalar",
+        summary_lines(data),
+    )
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Benchmark the batched lockstep engine on the "
-                    "sweep-path shape against the scalar engine.")
-    parser.add_argument("--arms", type=int, default=ARMS,
-                        help="machine-arms in the sweep")
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
-                        help="timing rounds per engine (best-of)")
-    parser.add_argument("--sample", type=int, default=SCALAR_SAMPLE,
-                        help="arms to run on the scalar engine for the "
-                             "baseline and equivalence check")
-    parser.add_argument("--output", default=str(OUTPUT_PATH),
-                        help="where to write the JSON results")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail unless the sweep reaches this "
-                             "batched/scalar speedup")
+        "sweep-path shape against the scalar engine."
+    )
+    parser.add_argument("--arms", type=int, default=ARMS, help="machine-arms in the sweep")
+    parser.add_argument(
+        "--rounds", type=int, default=DEFAULT_ROUNDS, help="timing rounds per engine (best-of)"
+    )
+    parser.add_argument(
+        "--sample",
+        type=int,
+        default=SCALAR_SAMPLE,
+        help="arms to run on the scalar engine for the baseline and equivalence check",
+    )
+    parser.add_argument(
+        "--output", default=str(OUTPUT_PATH), help="where to write the JSON results"
+    )
+    parser.add_argument(
+        "--min-speedup",
+        type=float,
+        default=0.0,
+        help="fail unless the sweep reaches this batched/scalar speedup",
+    )
     args = parser.parse_args(argv)
 
-    data = run_experiment(arm_count=args.arms, rounds=args.rounds,
-                          sample=args.sample)
+    data = run_experiment(arm_count=args.arms, rounds=args.rounds, sample=args.sample)
     path = write_output(data, args.output)
     print("\n".join(summary_lines(data)))
     print(f"wrote {path}")
 
     speedup = data["arms"]["sweep"]["speedup"]
     if speedup < args.min_speedup:
-        print(f"PERF GATE FAILED: sweep speedup {speedup:.2f}x "
-              f"< required {args.min_speedup:.2f}x", file=sys.stderr)
+        print(
+            f"PERF GATE FAILED: sweep speedup {speedup:.2f}x < required {args.min_speedup:.2f}x",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -21,19 +21,25 @@ This benchmark times both over three arms:
   and two simulations. This is the shape of Figure 13/15 sweeps, the
   tuner, and fleet calibration. Target: >= 2x.
 
-Every arm first checks the two paths produce bit-identical traces (and,
-for the sweep, bit-identical simulator results) before any number is
-reported. The run also records, with ``tracemalloc``, how many bytes
-per record the generated mix keeps alive (``--max-bytes-per-record``
-gates it). Results go to ``benchmarks/results/BENCH_trace_pipeline.json``;
-CI's perf-smoke job runs the CLI with ``--min-*-speedup`` gates and
-diffs the JSON against the committed baseline.
+Each round times the columnar path and then the record path, and an
+arm's speedup is the median of the per-round time ratios, so a slow
+stretch of a shared host moves both sides of a ratio together (the
+best times are reported too, as information). Every arm first checks
+the two paths produce bit-identical traces (and, for the sweep,
+bit-identical simulator results) before any number is reported. The
+run also records, with ``tracemalloc``, how many bytes per record the
+generated mix keeps alive (``--max-bytes-per-record`` gates it).
+Results go to ``benchmarks/results/BENCH_trace_pipeline.json``; CI's
+perf-smoke job runs the CLI with ``--min-*-speedup`` gates and diffs
+the JSON against the committed baseline.
 """
 
 import argparse
 import json
+import operator
 import pathlib
 import random
+import statistics
 import sys
 import time
 import tracemalloc
@@ -61,7 +67,7 @@ MIX_SCALE = 2.0
 SWEEP_CALL_SIZES = tuple([64 * KB] * 6 + [16 * KB] * 8 + [256] * 20)
 SWEEP_DISTANCES = (256, 1024)
 SWEEP_DEGREES = (128, 256)
-DEFAULT_ROUNDS = 3
+DEFAULT_ROUNDS = 5
 
 STAT_FIELDS = (
     "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
@@ -88,14 +94,44 @@ def result_fingerprint(result):
     )
 
 
-def best_of(fn, rounds):
-    best = float("inf")
-    value = None
+def paired(columnar_fn, record_fn, rounds):
+    """Time the columnar and the record path back to back in each round.
+
+    Returns ``(columnar_s, record_s, speedup, columnar, record)``: each
+    path's best time (informational), the median of the per-round
+    record/columnar time ratios (the gated speedup), and each path's
+    last output. Pairing the paths inside a round lets host drift cancel
+    in the ratio; on a shared host, best-of-N unpaired timings of these
+    0.05-1.5 s legs swung by more than the regression gate's 20% band.
+    """
+    columnar_times, record_times = [], []
+    columnar = record = None
     for _ in range(rounds):
         start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
+        columnar = columnar_fn()
+        columnar_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        record = record_fn()
+        record_times.append(time.perf_counter() - start)
+    speedup = statistics.median(
+        map(operator.truediv, record_times, columnar_times))
+    return min(columnar_times), min(record_times), speedup, columnar, record
+
+
+def short_arm_rounds(rounds):
+    """Paired rounds for the generate and inject arms. Their legs take
+    only 0.04-0.2 s, so scheduler noise on a shared host moves a single
+    round's ratio by 20% or more; they take three times the rounds of
+    the sweep arm, and at least 9."""
+    return max(3 * rounds, 9)
+
+
+def on_record_path(fn):
+    """``fn`` run under the record-path oracle (``reference_engine()``)."""
+    def run():
+        with reference_engine():
+            return fn()
+    return run
 
 
 # --- arm: generate -----------------------------------------------------------
@@ -106,9 +142,8 @@ def generate_mix():
 
 
 def run_generate_arm(rounds):
-    columnar_s, columnar = best_of(generate_mix, rounds)
-    with reference_engine():
-        record_s, record = best_of(generate_mix, rounds)
+    columnar_s, record_s, speedup, columnar, record = paired(
+        generate_mix, on_record_path(generate_mix), rounds)
     if trace_fingerprint(columnar) != trace_fingerprint(record):
         raise AssertionError(
             "builder backends disagree on the fleetbench mix; refusing to "
@@ -119,7 +154,7 @@ def run_generate_arm(rounds):
         "columnar_s": columnar_s,
         "record_path_records_per_s": len(record) / record_s,
         "columnar_records_per_s": len(columnar) / columnar_s,
-        "speedup": record_s / columnar_s,
+        "speedup": speedup,
         "target_speedup": 1.5,
         "equivalent": True,
     }
@@ -158,11 +193,9 @@ def run_inject_arm(rounds):
     # so the timing compares injection work, not lazy materialization.
     record_base = Trace(list(base))
 
-    columnar_s, columnar = best_of(
-        lambda: make_injector().inject(base), rounds)
-    with reference_engine():
-        record_s, record = best_of(
-            lambda: make_injector().inject(record_base), rounds)
+    columnar_s, record_s, speedup, columnar, record = paired(
+        lambda: make_injector().inject(base),
+        on_record_path(lambda: make_injector().inject(record_base)), rounds)
     if trace_fingerprint(columnar) != trace_fingerprint(record):
         raise AssertionError(
             "injector paths disagree; refusing to report throughput for "
@@ -172,7 +205,7 @@ def run_inject_arm(rounds):
         "prefetches_inserted": len(columnar) - len(base),
         "record_path_s": record_s,
         "columnar_s": columnar_s,
-        "speedup": record_s / columnar_s,
+        "speedup": speedup,
         "target_speedup": None,
         "equivalent": True,
     }
@@ -232,8 +265,8 @@ def sweep_record_path():
 
 
 def run_sweep_arm(rounds):
-    columnar_s, columnar = best_of(sweep_columnar, rounds)
-    record_s, record = best_of(sweep_record_path, rounds)
+    columnar_s, record_s, speedup, columnar, record = paired(
+        sweep_columnar, sweep_record_path, rounds)
     fast_prints = [(result_fingerprint(baseline), result_fingerprint(out))
                    for baseline, out in columnar]
     slow_prints = [(result_fingerprint(baseline), result_fingerprint(out))
@@ -249,7 +282,7 @@ def run_sweep_arm(rounds):
         "baseline_runs_columnar": 1,
         "record_path_s": record_s,
         "columnar_s": columnar_s,
-        "speedup": record_s / columnar_s,
+        "speedup": speedup,
         "target_speedup": 2.0,
         "equivalent": True,
     }
@@ -262,8 +295,8 @@ def run_experiment(rounds=DEFAULT_ROUNDS):
         "mix_seed": MIX_SEED,
         "mix_scale": MIX_SCALE,
         "arms": {
-            "generate": run_generate_arm(rounds),
-            "inject": run_inject_arm(rounds),
+            "generate": run_generate_arm(short_arm_rounds(rounds)),
+            "inject": run_inject_arm(short_arm_rounds(rounds)),
             "sweep": run_sweep_arm(rounds),
         },
         "memory": measure_trace_bytes(),
@@ -316,7 +349,9 @@ def main(argv=None):
         description="Benchmark the columnar trace pipeline against the "
                     "record-path oracle.")
     parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
-                        help="timing rounds per path (best-of)")
+                        help="paired timing rounds of the sweep arm; the "
+                             "short arms take three times as many (the "
+                             "speedup is the median per-round ratio)")
     parser.add_argument("--output", default=str(OUTPUT_PATH),
                         help="where to write the JSON results")
     parser.add_argument("--min-generate-speedup", type=float, default=0.0,

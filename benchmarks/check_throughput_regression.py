@@ -39,8 +39,14 @@ import sys
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 RESULTS_DIR = BENCH_DIR / "results"
 BASELINES_DIR = BENCH_DIR / "baselines"
-KNOWN_BENCHMARKS = ("sim_throughput", "trace_pipeline", "batched_engine",
-                    "batched_enabled", "resume_overhead", "scenarios")
+KNOWN_BENCHMARKS = (
+    "sim_throughput",
+    "trace_pipeline",
+    "batched_engine",
+    "batched_enabled",
+    "resume_overhead",
+    "scenarios",
+)
 METRIC = "speedup"
 DEFAULT_TOLERANCE = 0.20
 
@@ -77,17 +83,14 @@ def load(path, role):
 
 def compare(name, current, baseline, tolerance):
     """Per-arm verdict lines plus the list of failure descriptions."""
-    lines = [f"{'arm':>10} {'baseline':>9} {'current':>8} "
-             f"{'change':>8} {'verdict':>8}"]
+    lines = [f"{'arm':>10} {'baseline':>9} {'current':>8} {'change':>8} {'verdict':>8}"]
     failures = []
     for arm_name, base_arm in sorted(baseline["arms"].items()):
         base = base_arm[METRIC]
         arm = current["arms"].get(arm_name)
         if arm is None:
-            failures.append(
-                f"{name}: arm {arm_name!r} missing from current results")
-            lines.append(f"{arm_name:>10} {base:8.2f}x {'-':>8} {'-':>8} "
-                         f"{'MISSING':>8}")
+            failures.append(f"{name}: arm {arm_name!r} missing from current results")
+            lines.append(f"{arm_name:>10} {base:8.2f}x {'-':>8} {'-':>8} {'MISSING':>8}")
             continue
         observed = arm[METRIC]
         change = (observed - base) / base
@@ -96,11 +99,12 @@ def compare(name, current, baseline, tolerance):
             failures.append(
                 f"{name}: arm {arm_name!r} metric {METRIC!r} observed "
                 f"{observed:.2f}x vs baseline {base:.2f}x "
-                f"(ratio {observed / base:.2f}, allowed >= "
-                f"{1.0 - tolerance:.2f})")
+                f"(ratio {observed / base:.2f}, allowed >= {1.0 - tolerance:.2f})"
+            )
         lines.append(
             f"{arm_name:>10} {base:8.2f}x {observed:7.2f}x {change:+7.1%} "
-            f"{'REGRESS' if regressed else 'ok':>8}")
+            f"{'REGRESS' if regressed else 'ok':>8}"
+        )
     for key in sorted(baseline):
         if not key.endswith("_digest") or key not in current:
             continue
@@ -108,7 +112,8 @@ def compare(name, current, baseline, tolerance):
         if not same:
             failures.append(
                 f"{name}: {key} {str(current[key])[:16]}... differs from "
-                f"baseline {str(baseline[key])[:16]}...")
+                f"baseline {str(baseline[key])[:16]}..."
+            )
         lines.append(f"{key:>18} {'ok' if same else 'DIFFERS':>8}")
     return lines, failures
 
@@ -116,38 +121,53 @@ def compare(name, current, baseline, tolerance):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Fail when engine speedups regressed past the "
-                    "tolerance vs the committed baselines.")
-    parser.add_argument("--benchmarks", default=",".join(KNOWN_BENCHMARKS),
-                        help="comma-separated benchmark names to gate "
-                             "(default: all known)")
-    parser.add_argument("--current", default=None,
-                        help="gate one explicit results JSON instead of "
-                             "the named benchmarks")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON for --current (required "
-                             "together)")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE,
-                        help="allowed fractional speedup regression "
-                             "(default 0.20 = 20%%)")
-    parser.add_argument("--update", action="store_true",
-                        help="overwrite the baselines with the current "
-                             "results instead of gating")
-    parser.add_argument("--list", action="store_true",
-                        help="print the known benchmarks and per-file "
-                             "status (results present / baseline "
-                             "committed), then exit 0")
+        "tolerance vs the committed baselines."
+    )
+    parser.add_argument(
+        "--benchmarks",
+        default=",".join(KNOWN_BENCHMARKS),
+        help="comma-separated benchmark names to gate (default: all known)",
+    )
+    parser.add_argument(
+        "--current",
+        default=None,
+        help="gate one explicit results JSON instead of the named benchmarks",
+    )
+    parser.add_argument(
+        "--baseline", default=None, help="baseline JSON for --current (required together)"
+    )
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=DEFAULT_TOLERANCE,
+        help="allowed fractional speedup regression (default 0.20 = 20%%)",
+    )
+    parser.add_argument(
+        "--update",
+        action="store_true",
+        help="overwrite the baselines with the current results instead of gating",
+    )
+    parser.add_argument(
+        "--list",
+        action="store_true",
+        help="print the known benchmarks and per-file "
+        "status (results present / baseline committed), then exit 0",
+    )
     args = parser.parse_args(argv)
 
     if args.list:
         print(f"{'benchmark':>18} {'results':>8} {'baseline':>9}")
         for name in KNOWN_BENCHMARKS:
-            print(f"{name:>18} "
-                  f"{'yes' if current_path(name).exists() else 'no':>8} "
-                  f"{'yes' if baseline_path(name).exists() else 'no':>9}")
-        print(f"\nexit codes: {EXIT_OK} = all gates pass, "
-              f"{EXIT_REGRESSION} = regression past tolerance, "
-              f"{EXIT_MISSING} = missing/malformed results or baseline")
+            print(
+                f"{name:>18} "
+                f"{'yes' if current_path(name).exists() else 'no':>8} "
+                f"{'yes' if baseline_path(name).exists() else 'no':>9}"
+            )
+        print(
+            f"\nexit codes: {EXIT_OK} = all gates pass, "
+            f"{EXIT_REGRESSION} = regression past tolerance, "
+            f"{EXIT_MISSING} = missing/malformed results or baseline"
+        )
         return EXIT_OK
 
     if not 0.0 < args.tolerance < 1.0:
@@ -156,8 +176,7 @@ def main(argv=None):
         raise SystemExit("--current and --baseline go together")
 
     if args.current is not None:
-        pairs = [("explicit", pathlib.Path(args.current),
-                  pathlib.Path(args.baseline))]
+        pairs = [("explicit", pathlib.Path(args.current), pathlib.Path(args.baseline))]
     else:
         names = [n for n in args.benchmarks.split(",") if n]
         pairs = [(n, current_path(n), baseline_path(n)) for n in names]
@@ -172,8 +191,7 @@ def main(argv=None):
                 print(f"baseline updated: {base_path}")
                 continue
             baseline = load(base_path, "baseline")
-            lines, gate_failures = compare(name, current, baseline,
-                                           args.tolerance)
+            lines, gate_failures = compare(name, current, baseline, args.tolerance)
             print(f"== {name} ==")
             print("\n".join(lines))
             failures.extend(gate_failures)

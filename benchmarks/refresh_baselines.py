@@ -34,39 +34,48 @@ def run_benchmark(name, rounds):
     script = BENCHMARK_SCRIPTS[name]
     print(f"== running {script.name} (rounds={rounds}) ==")
     subprocess.run(
-        [sys.executable, str(script), "--rounds", str(rounds)],
-        check=True, cwd=str(REPO_ROOT))
+        [sys.executable, str(script), "--rounds", str(rounds)], check=True, cwd=str(REPO_ROOT)
+    )
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Re-run the gated benchmarks and overwrite the "
-                    "committed baselines with the fresh results.")
-    parser.add_argument("--benchmarks",
-                        default=",".join(BENCHMARK_SCRIPTS),
-                        help="comma-separated benchmark names to refresh "
-                             "(default: all gated)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timing rounds per benchmark (best-of); "
-                             "more rounds give a steadier baseline")
+        "committed baselines with the fresh results."
+    )
+    parser.add_argument(
+        "--benchmarks",
+        default=",".join(BENCHMARK_SCRIPTS),
+        help="comma-separated benchmark names to refresh (default: all gated)",
+    )
+    parser.add_argument(
+        "--rounds",
+        type=int,
+        default=3,
+        help="timing rounds per benchmark (best-of); more rounds give a steadier baseline",
+    )
     args = parser.parse_args(argv)
 
     names = [n for n in args.benchmarks.split(",") if n]
     unknown = sorted(set(names) - set(BENCHMARK_SCRIPTS))
     if unknown:
-        raise SystemExit(f"unknown benchmarks: {', '.join(unknown)} "
-                         f"(known: {', '.join(BENCHMARK_SCRIPTS)})")
+        raise SystemExit(
+            f"unknown benchmarks: {', '.join(unknown)} (known: {', '.join(BENCHMARK_SCRIPTS)})"
+        )
 
     for name in names:
         run_benchmark(name, args.rounds)
 
     gate = BENCH_DIR / "check_throughput_regression.py"
     subprocess.run(
-        [sys.executable, str(gate), "--benchmarks", ",".join(names),
-         "--update"],
-        check=True, cwd=str(REPO_ROOT))
-    print("baselines refreshed; review the diff and commit the updated "
-          "files under benchmarks/baselines/")
+        [sys.executable, str(gate), "--benchmarks", ",".join(names), "--update"],
+        check=True,
+        cwd=str(REPO_ROOT),
+    )
+    print(
+        "baselines refreshed; review the diff and commit the updated "
+        "files under benchmarks/baselines/"
+    )
     return 0
 
 

@@ -40,8 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MicroFleetSweep", "MicroSweepResult", "MicroSweepShardSpec",
         "SWEEP_WORKLOADS", "sweep_digest",
     ),
-    "ablation": ("AblationResult", "AblationShardSpec", "AblationStudy"),
-    "rollout": (
-        "RolloutResult", "RolloutShardSpec", "RolloutStudy", "rollout_digest",
-    ),
+    "ablation": ("AblationResult", "AblationStudy"),
+    "rollout": ("RolloutResult", "RolloutStudy", "rollout_digest"),
 })

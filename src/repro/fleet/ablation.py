@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError
 from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.platform import PLATFORM_1, platform_by_name
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
-from repro.fleet.study import AnalyticFleetStudy, run_traced
+from repro.fleet.study import AnalyticFleetStudy
 from repro.fleet.tape import new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
@@ -94,6 +94,14 @@ class AblationResult:
 
         return ablation_result_to_payload(self)
 
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "AblationResult":
+        """Rebuild a result from its :meth:`to_dict` form; the decoder
+        loads only when a cache or journal hands one back."""
+        from repro.serialization import ablation_result_from_payload
+
+        return ablation_result_from_payload(payload)
+
     def bandwidth_reduction(self) -> Dict[str, float]:
         """Fractional socket-bandwidth change, experiment vs control —
         negative values are reductions (Table 1 / Figure 18)."""
@@ -140,48 +148,6 @@ class AblationResult:
         return deltas
 
 
-@dataclass(frozen=True)
-class AblationShardSpec:
-    """One shard's worth of an ablation study — plain data, picklable,
-    so it can cross a process boundary to a pool worker."""
-
-    mode: str
-    machines: int
-    epochs: int
-    warmup_epochs: int
-    seed: int
-    config: Optional[LimoncelloConfig]
-    profile_sample_rate: float
-    fault_plan: Optional[FaultPlan] = None
-    #: Position in the shard plan; carried so the worker can stamp its
-    #: events without the parent re-deriving the mapping.
-    shard_index: int = 0
-    #: :data:`~repro.fleet.platform.PLATFORM_CATALOG` name of every
-    #: machine's platform, or ``None`` for the default platform.
-    platform: Optional[str] = None
-
-
-def run_ablation_shard(
-        spec: AblationShardSpec) -> Tuple[AblationResult, List[Dict], float]:
-    """Run one shard (both arms) to completion under an in-process
-    tracer; returns ``(result, events, wall_seconds)``. Pure function of
-    the spec — the process-pool worker entry point."""
-    study = AblationStudy(
-        mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
-        warmup_epochs=spec.warmup_epochs, seed=spec.seed,
-        config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, platform=spec.platform)
-    return run_traced(study, spec)
-
-
-def _result_from_payload(data: Dict) -> AblationResult:
-    """Rebuild a stored result; the decoder loads only when a cache or
-    journal hands one back."""
-    from repro.serialization import ablation_result_from_payload
-
-    return ablation_result_from_payload(data)
-
-
 class AblationStudy(AnalyticFleetStudy):
     """Builds and runs a paired control/experiment fleet comparison.
 
@@ -206,8 +172,7 @@ class AblationStudy(AnalyticFleetStudy):
     """
 
     STUDY = "ablation"
-    worker = staticmethod(run_ablation_shard)
-    from_payload = staticmethod(_result_from_payload)
+    from_payload = staticmethod(AblationResult.from_dict)
 
     def __init__(self, mode: str = "off", machines: int = 30,
                  epochs: int = 100, seed: int = 11,
@@ -219,12 +184,8 @@ class AblationStudy(AnalyticFleetStudy):
                  platform: Optional[str] = None) -> None:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if epochs <= 0:
-            raise ConfigError("epochs must be positive")
-        if warmup_epochs < 0:
-            raise ConfigError("warmup cannot be negative")
-        if shard_size <= 0:
-            raise ConfigError("shard size must be positive")
+        super().__init__(machines, epochs, seed, warmup_epochs, config,
+                         profile_sample_rate, shard_size, fault_plan)
         daemon_faults = (list(fault_plan.daemon_kinds)
                          if fault_plan is not None else [])
         if daemon_faults and mode not in DAEMON_MODES:
@@ -237,58 +198,14 @@ class AblationStudy(AnalyticFleetStudy):
         self._platform_spec = (platform_by_name(platform)
                                if platform is not None else PLATFORM_1)
         self.mode = mode
-        self.machines = machines
-        self.epochs = epochs
-        self.warmup_epochs = warmup_epochs
-        self.seed = seed
-        self.config = config
-        self.shard_size = shard_size
-        self.fault_plan = fault_plan
         self.platform = platform
-        self._sample_rate = profile_sample_rate
 
-    # --- sharding -----------------------------------------------------------
-
-    def shard_specs(self) -> List[AblationShardSpec]:
-        """Per-shard specs (plan order), ready for any worker."""
-        plan = self.shard_plan()
-        return [
-            AblationShardSpec(
-                mode=self.mode, machines=size, epochs=self.epochs,
-                warmup_epochs=self.warmup_epochs, seed=seed,
-                config=self.config,
-                profile_sample_rate=self._sample_rate,
-                fault_plan=self.fault_plan, shard_index=index,
-                platform=self.platform)
-            for index, (size, seed)
-            in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
-        ]
-
-    def cache_key_material(self) -> Dict:
-        """Everything the study's result depends on, as plain data.
-
-        Deliberately excludes the worker count (results are identical at
-        any parallelism) and includes the shard size (the plan shapes the
-        machine populations). Fault plans and the hardening knobs enter
-        the key only when set, so fault-free study keys — and their
-        cached results — are unchanged from earlier revisions.
-        """
-        material = {
-            "study": "ablation",
-            "mode": self.mode,
-            "machines": self.machines,
-            "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed,
-            "shard_size": self.shard_size,
-            "profile_sample_rate": self._sample_rate,
-            "config": self.config_key_material(),
-        }
-        if self.fault_plan is not None:
-            material["fault_plan"] = self.fault_plan.to_key_material()
-        if self.platform is not None:
-            material["platform"] = self.platform
-        return material
+    def study_key_material(self) -> Dict:
+        """The mode, and the platform only when set, so default-platform
+        keys are unchanged."""
+        if self.platform is None:
+            return {"mode": self.mode}
+        return {"mode": self.mode, "platform": self.platform}
 
     # --- execution -----------------------------------------------------------
 
@@ -325,9 +242,9 @@ class AblationStudy(AnalyticFleetStudy):
         self._apply_mode(experiment_fleet)
 
         control_profiler = FleetProfiler(
-            self._sample_rate, rng=random.Random(_PROFILER_SEED))
+            self.profile_sample_rate, rng=random.Random(_PROFILER_SEED))
         experiment_profiler = FleetProfiler(
-            self._sample_rate, rng=random.Random(_PROFILER_SEED))
+            self.profile_sample_rate, rng=random.Random(_PROFILER_SEED))
 
         # Warm both arms past scheduler ramp-up and controller sustain
         # timers before measuring (the paper measures a steady-state

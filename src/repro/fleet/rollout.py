@@ -17,13 +17,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import LimoncelloConfig
-from repro.errors import ConfigError
 from repro.fleet.cluster import Fleet, FleetMetrics
 from repro.fleet.shard import DEFAULT_SHARD_SIZE
-from repro.fleet.study import AnalyticFleetStudy, run_traced
+from repro.fleet.study import AnalyticFleetStudy
 from repro.fleet.tape import DriverTape, new_tape
 from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profile_data import ProfileData
@@ -90,6 +89,14 @@ class RolloutResult:
         from repro.serialization import rollout_result_to_payload
 
         return rollout_result_to_payload(self)
+
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "RolloutResult":
+        """Rebuild a result from its :meth:`to_dict` form; the decoder
+        loads only when a cache or journal hands one back."""
+        from repro.serialization import rollout_result_from_payload
+
+        return rollout_result_from_payload(payload)
 
     # --- Figure 16 ------------------------------------------------------------
 
@@ -176,42 +183,6 @@ def rollout_digest(result: RolloutResult) -> str:
         canonical_json(rollout_result_to_dict(result)).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RolloutShardSpec:
-    """One shard's worth of a rollout study (picklable pool payload)."""
-
-    machines: int
-    epochs: int
-    warmup_epochs: int
-    seed: int
-    config: Optional[LimoncelloConfig]
-    profile_sample_rate: float
-    fault_plan: Optional[FaultPlan] = None
-    #: Position in the shard plan, for stamping the worker's events.
-    shard_index: int = 0
-
-
-def run_rollout_shard(
-        spec: RolloutShardSpec) -> Tuple[RolloutResult, List[Dict], float]:
-    """Run one shard's four arms under an in-process tracer; returns
-    ``(result, events, wall_seconds)``. Pure function of the spec — the
-    process-pool worker entry point."""
-    study = RolloutStudy(
-        machines=spec.machines, epochs=spec.epochs,
-        warmup_epochs=spec.warmup_epochs, seed=spec.seed,
-        config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan)
-    return run_traced(study, spec)
-
-
-def _result_from_payload(data: Dict) -> RolloutResult:
-    """Rebuild a stored result; the decoder loads only when a cache or
-    journal hands one back."""
-    from repro.serialization import rollout_result_from_payload
-
-    return rollout_result_from_payload(data)
-
-
 class RolloutStudy(AnalyticFleetStudy):
     """Runs the before / Hard-only / full-Limoncello / full+scheduler arms.
 
@@ -222,8 +193,7 @@ class RolloutStudy(AnalyticFleetStudy):
     """
 
     STUDY = "rollout"
-    worker = staticmethod(run_rollout_shard)
-    from_payload = staticmethod(_result_from_payload)
+    from_payload = staticmethod(RolloutResult.from_dict)
 
     def __init__(self, machines: int = 30, epochs: int = 100, seed: int = 5,
                  warmup_epochs: int = 20,
@@ -231,20 +201,8 @@ class RolloutStudy(AnalyticFleetStudy):
                  profile_sample_rate: float = 0.25,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None) -> None:
-        if epochs <= 0:
-            raise ConfigError("epochs must be positive")
-        if warmup_epochs < 0:
-            raise ConfigError("warmup cannot be negative")
-        if shard_size <= 0:
-            raise ConfigError("shard size must be positive")
-        self.machines = machines
-        self.epochs = epochs
-        self.warmup_epochs = warmup_epochs
-        self.seed = seed
-        self.config = config
-        self.shard_size = shard_size
-        self.fault_plan = fault_plan
-        self._sample_rate = profile_sample_rate
+        super().__init__(machines, epochs, seed, warmup_epochs, config,
+                         profile_sample_rate, shard_size, fault_plan)
 
     def _build(self, prefetch_aware: bool = False, tracer=None) -> Fleet:
         from repro.fleet.scheduler import BandwidthAwareScheduler
@@ -272,7 +230,7 @@ class RolloutStudy(AnalyticFleetStudy):
             fleet.run(self.warmup_epochs)
         profiler = None
         if profile:
-            profiler = FleetProfiler(self._sample_rate, rng=random.Random(37))
+            profiler = FleetProfiler(self.profile_sample_rate, rng=random.Random(37))
             metrics = fleet.run(self.epochs, observers=[profiler])
         else:
             metrics = fleet.run(self.epochs)
@@ -283,38 +241,6 @@ class RolloutStudy(AnalyticFleetStudy):
             aggregate = collect_chaos_metrics(fleet.machines)
         return (metrics, profiler.data if profiler is not None else None,
                 aggregate)
-
-    def shard_specs(self) -> list:
-        """Per-shard specs (plan order), ready for any worker."""
-        plan = self.shard_plan()
-        return [
-            RolloutShardSpec(
-                machines=size, epochs=self.epochs,
-                warmup_epochs=self.warmup_epochs, seed=seed,
-                config=self.config,
-                profile_sample_rate=self._sample_rate,
-                fault_plan=self.fault_plan, shard_index=index)
-            for index, (size, seed)
-            in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
-        ]
-
-    def cache_key_material(self) -> Dict:
-        """Everything the study's result depends on, as plain data (the
-        cache key and manifest ``run`` block; worker count deliberately
-        excluded)."""
-        material = {
-            "study": "rollout",
-            "machines": self.machines,
-            "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed,
-            "shard_size": self.shard_size,
-            "profile_sample_rate": self._sample_rate,
-            "config": self.config_key_material(),
-        }
-        if self.fault_plan is not None:
-            material["fault_plan"] = self.fault_plan.to_key_material()
-        return material
 
     def _run_single(self, tracer=None) -> RolloutResult:
         """Run the whole population as one fleet (no sharding)."""

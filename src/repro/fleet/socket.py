@@ -170,9 +170,7 @@ class SimulatedSocket:
         self._dram = DRAMModel(dram_config)
         #: The DRAM latency at zero load, ns (the profiler's slowdown base).
         self.unloaded_latency_ns = self.latency_at(0.0)
-        self._saturation_bandwidth = (
-            dram_config.max_utilization * platform.saturation_bandwidth
-        )
+        self._saturation_bandwidth = dram_config.max_utilization * platform.saturation_bandwidth
         #: The solve kernel's socket constants (see ``_compile_solve``).
         self._curve = (
             dram_config.unloaded_latency_ns,

@@ -5,7 +5,8 @@
 :class:`~repro.fleet.rollout.RolloutStudy`,
 :class:`~repro.fleet.sweep.MicroFleetSweep` and both scenario studies.
 The two analytic fleet studies share :class:`AnalyticFleetStudy`'s
-shard plan, shard key, config key and manifest fields. The base's
+constructor checks, shards (each a copy of the study), worker
+(:func:`run_traced`), keys and manifest fields. The base's
 :meth:`FleetStudy.run` hands the study to :func:`run_study`, which
 resolves the worker count, result cache, shard journal and observability
 run directory; probes the whole-study cache; maps the shard worker
@@ -15,9 +16,10 @@ writes the run directory. Everything it records depends only on the
 study parameters, so results and event logs are bit-identical at any
 worker count.
 
-Shard results provide ``to_dict()``, ``merge()`` and ``occupancy`` (the
-merged :class:`~repro.memsys.batched.BatchOccupancy`, or ``None`` when
-no memsys engine ran). A worker returns a shard result, or ``(result,
+Shard results provide ``to_dict()``, its inverse ``from_dict()``,
+``merge()`` and ``occupancy`` (the merged
+:class:`~repro.memsys.batched.BatchOccupancy`, or ``None`` when no
+memsys engine ran). A worker returns a shard result, or ``(result,
 events, wall_s)`` when it traces.
 
 Importing this module loads none of the queue, cache, pool or tracer
@@ -26,13 +28,17 @@ modules: :func:`run_study` imports them when a study runs.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.fleet.shard import ShardPlan, plan_shards
 
 if TYPE_CHECKING:  # the run-directory writer loads only when obs is on
+    from repro.core.config import LimoncelloConfig
+    from repro.faults.plan import FaultPlan
     from repro.obs.session import ObsSession
 
 
@@ -41,11 +47,12 @@ class FleetStudy:
 
     A subclass sets ``STUDY`` (the kind, for the manifest and the study
     events), ``worker`` (the pure shard worker, the process-pool entry
-    point) and ``from_payload`` (rebuilds a shard or merged result from
-    its dict), and provides ``shard_specs()`` (plan-order specs, each
-    with a ``shard_index``), ``shard_key(spec)`` (one shard's work-queue
-    key body) and ``cache_key_material()`` (the whole-study cache key
-    and the manifest's ``run`` material). Every base method works on
+    point) and ``from_payload`` (``staticmethod(<Result>.from_dict)``,
+    which rebuilds a shard or merged result from its dict), and provides
+    ``shard_specs()`` (plan-order specs, each with a ``shard_index``),
+    ``shard_key(spec)`` (one shard's work-queue key body) and
+    ``cache_key_material()`` (the whole-study cache key and the
+    manifest's ``run`` material). Every base method works on
     every subclass: none reads a study parameter.
     """
 
@@ -104,16 +111,83 @@ class FleetStudy:
         return result
 
 
+def run_traced(shard) -> Tuple:
+    """Run one analytic fleet shard under a fresh in-process tracer;
+    returns ``(result, events, wall_s)``. The pool worker of both
+    analytic studies.
+
+    The run is bracketed by ``shard-start``/``shard-finish`` events. The
+    finish timestamp is the latest simulated time any event observed, a
+    pure function of the shard parameters like every other ``t_ns``.
+    Tracers never cross process boundaries; only their plain-dict
+    events do.
+    """
+    from repro.obs.tracer import Tracer
+
+    start = time.monotonic()
+    tracer = Tracer()
+    tracer.event(
+        "shard-start", 0.0, index=shard.shard_index, machines=shard.machines, seed=shard.seed
+    )
+    result = shard._run_single(tracer)
+    t_end = max((event["t_ns"] for event in tracer.events), default=0.0)
+    tracer.event("shard-finish", t_end, index=shard.shard_index, epochs=shard.epochs)
+    return result, tracer.events, time.monotonic() - start
+
+
 class AnalyticFleetStudy(FleetStudy):
     """The base of the two analytic fleet studies (ablation, rollout).
 
-    Reads ``machines``, ``seed``, ``shard_size``, ``fault_plan`` and
-    ``config`` (the daemon config, or ``None``).
+    One shard is a shallow copy of its study with the shard's own
+    ``machines``, ``seed`` and ``shard_index`` (see :meth:`shard_specs`),
+    so the copy runs in a pool worker through :func:`run_traced`. Every
+    field a copy shares with its study is an immutable value: numbers,
+    strings, and the frozen config, fault plan and platform.
     """
+
+    worker = staticmethod(run_traced)
+    #: Position in the shard plan: a whole study is shard 0 of itself.
+    shard_index = 0
+
+    def __init__(
+        self,
+        machines: int,
+        epochs: int,
+        seed: int,
+        warmup_epochs: int,
+        config: Optional[LimoncelloConfig],
+        profile_sample_rate: float,
+        shard_size: int,
+        fault_plan: Optional[FaultPlan],
+    ) -> None:
+        if epochs <= 0:
+            raise ConfigError("epochs must be positive")
+        if warmup_epochs < 0:
+            raise ConfigError("warmup cannot be negative")
+        if shard_size <= 0:
+            raise ConfigError("shard size must be positive")
+        self.machines = machines
+        self.epochs = epochs
+        self.seed = seed
+        self.warmup_epochs = warmup_epochs
+        self.config = config
+        self.profile_sample_rate = profile_sample_rate
+        self.shard_size = shard_size
+        self.fault_plan = fault_plan
 
     def shard_plan(self) -> ShardPlan:
         """How this study's machines split across shards."""
         return plan_shards(self.machines, self.shard_size)
+
+    def shard_specs(self) -> List[AnalyticFleetStudy]:
+        """The shards in plan order, each a copy of this study."""
+        plan = self.shard_plan()
+        shards = []
+        for index, (size, seed) in enumerate(zip(plan.sizes, plan.seeds(self.seed))):
+            shard = copy.copy(self)
+            shard.machines, shard.seed, shard.shard_index = size, seed, index
+            shards.append(shard)
+        return shards
 
     def shard_key(self, spec) -> Dict:
         """One shard's work-queue key body.
@@ -129,6 +203,31 @@ class AnalyticFleetStudy(FleetStudy):
             "shard_seed": spec.seed,
             "shard_index": spec.shard_index,
         }
+
+    def cache_key_material(self) -> Dict:
+        """Everything the result depends on, as plain data (the cache key
+        and the manifest's ``run`` block). The worker count is left out:
+        results are identical at any parallelism. The fault plan enters
+        only when set, so fault-free keys match earlier revisions."""
+        material = {
+            "study": self.STUDY,
+            "machines": self.machines,
+            "epochs": self.epochs,
+            "warmup_epochs": self.warmup_epochs,
+            "seed": self.seed,
+            "shard_size": self.shard_size,
+            "profile_sample_rate": self.profile_sample_rate,
+            "config": self.config_key_material(),
+            **self.study_key_material(),
+        }
+        if self.fault_plan is not None:
+            material["fault_plan"] = self.fault_plan.to_key_material()
+        return material
+
+    def study_key_material(self) -> Dict:
+        """The subclass's own parameters in :meth:`cache_key_material`;
+        by default none."""
+        return {}
 
     def config_key_material(self) -> Optional[Dict]:
         """The daemon config's contribution to the study cache key.
@@ -169,27 +268,6 @@ class AnalyticFleetStudy(FleetStudy):
             "shard_seeds": self.shard_plan().seeds(self.seed),
             "fault_plan": faults.spec() if faults is not None else None,
         }
-
-
-def run_traced(study, spec) -> Tuple:
-    """Run an analytic fleet study's single-fleet path under a fresh
-    in-process tracer; returns ``(result, events, wall_s)``.
-
-    The run is bracketed by ``shard-start``/``shard-finish`` events. The
-    finish timestamp is the latest simulated time any event observed, a
-    pure function of the shard parameters like every other ``t_ns``.
-    Tracers never cross process boundaries; only their plain-dict
-    events do.
-    """
-    from repro.obs.tracer import Tracer
-
-    start = time.monotonic()
-    tracer = Tracer()
-    tracer.event("shard-start", 0.0, index=spec.shard_index, machines=spec.machines, seed=spec.seed)
-    result = study._run_single(tracer)
-    t_end = max((event["t_ns"] for event in tracer.events), default=0.0)
-    tracer.event("shard-finish", t_end, index=spec.shard_index, epochs=spec.epochs)
-    return result, tracer.events, time.monotonic() - start
 
 
 def shard_output(output) -> Tuple:

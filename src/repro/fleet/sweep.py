@@ -64,13 +64,19 @@ SWEEP_WORKLOADS = ("fleetbench", "scenario")
 _MAX_BACKGROUND_LOAD = 2.0
 
 #: Fields every per-arm summary row carries, in serialization order.
-_ARM_FIELDS = ("machine", "external_load", "down", "elapsed_ns",
-               "stall_cycles", "llc_misses", "dram_demand_fills",
-               "dram_wait_ns")
+_ARM_FIELDS = (
+    "machine",
+    "external_load",
+    "down",
+    "elapsed_ns",
+    "stall_cycles",
+    "llc_misses",
+    "dram_demand_fills",
+    "dram_wait_ns",
+)
 
 
-def background_load(study_seed: int, shard_index: int,
-                    machine: str) -> float:
+def background_load(study_seed: int, shard_index: int, machine: str) -> float:
     """The arm's constant background DRAM pressure, bytes/ns.
 
     A pure function of ``(study seed, shard index, machine name)`` via a
@@ -81,8 +87,7 @@ def background_load(study_seed: int, shard_index: int,
     return rng.uniform(0.0, _MAX_BACKGROUND_LOAD)
 
 
-def crashed(study_seed: int, shard_index: int, machine: str,
-            rate: float) -> bool:
+def crashed(study_seed: int, shard_index: int, machine: str, rate: float) -> bool:
     """Whether a chaos sweep marks this arm down for the whole replay.
 
     The trace-driven sweep has no epoch axis, so the analytic studies'
@@ -114,14 +119,12 @@ class MicroSweepResult:
     #: restored from a cache/checkpoint payload. Deliberately excluded
     #: from :meth:`to_dict` so digests — the equivalence proof — cover
     #: results only, never how they were computed.
-    occupancy: Optional[object] = field(default=None, compare=False,
-                                        repr=False)
+    occupancy: Optional[object] = field(default=None, compare=False, repr=False)
 
     def merge(self, other: "MicroSweepResult") -> "MicroSweepResult":
         """Fold the next shard's rows in (in place; plan order)."""
         if other.mode != self.mode:
-            raise ConfigError(
-                f"cannot merge mode {other.mode!r} into {self.mode!r}")
+            raise ConfigError(f"cannot merge mode {other.mode!r} into {self.mode!r}")
         self.machines += other.machines
         self.down += other.down
         self.arms.extend(other.arms)
@@ -150,15 +153,17 @@ class MicroSweepResult:
             "mode": self.mode,
             "machines": self.machines,
             "down": self.down,
-            "arms": [{name: arm[name] for name in _ARM_FIELDS}
-                     for arm in self.arms],
+            "arms": [{name: arm[name] for name in _ARM_FIELDS} for arm in self.arms],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "MicroSweepResult":
-        return cls(mode=payload["mode"], machines=payload["machines"],
-                   down=payload["down"],
-                   arms=[dict(arm) for arm in payload["arms"]])
+        return cls(
+            mode=payload["mode"],
+            machines=payload["machines"],
+            down=payload["down"],
+            arms=[dict(arm) for arm in payload["arms"]],
+        )
 
 
 def sweep_digest(result: MicroSweepResult) -> str:
@@ -170,8 +175,7 @@ def sweep_digest(result: MicroSweepResult) -> str:
     ``--compare-serial`` and the CI batched-equivalence job diff digests
     across worker counts and against the reference interpreter.
     """
-    return hashlib.sha256(
-        canonical_json(result.to_dict()).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -231,29 +235,29 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
             "dram_wait_ns": 0.0,
         }
         rows.append(row)
-        if crashed(spec.study_seed, spec.shard_index, machine,
-                   spec.crash_rate):
+        if crashed(spec.study_seed, spec.shard_index, machine, spec.crash_rate):
             row["down"] = True
             down += 1
             continue
         arm = MemoryHierarchy(
             prefetchers=PrefetcherBank([]) if spec.mode == "off" else None,
-            external_load=ConstantExternalLoad(load))
+            external_load=ConstantExternalLoad(load),
+        )
         live_arms.append(arm)
         live_rows.append(row)
 
     occupancy = BatchOccupancy()
     if live_arms:
-        results = run_many(live_arms, trace, export_state=False,
-                           occupancy=occupancy)
+        results = run_many(live_arms, trace, export_state=False, occupancy=occupancy)
         for row, result in zip(live_rows, results):
             row["elapsed_ns"] = result.elapsed_ns
             row["stall_cycles"] = result.total.stall_cycles
             row["llc_misses"] = result.total.llc_misses
             row["dram_demand_fills"] = result.dram_demand_fills
             row["dram_wait_ns"] = result.total.dram_wait_ns
-    return MicroSweepResult(mode=spec.mode, machines=spec.machines,
-                            down=down, arms=rows, occupancy=occupancy)
+    return MicroSweepResult(
+        mode=spec.mode, machines=spec.machines, down=down, arms=rows, occupancy=occupancy
+    )
 
 
 class MicroFleetSweep(FleetStudy):
@@ -286,18 +290,20 @@ class MicroFleetSweep(FleetStudy):
     worker = staticmethod(run_sweep_shard)
     from_payload = staticmethod(MicroSweepResult.from_dict)
 
-    def __init__(self, mode: str = "off", machines: int = 64,
-                 seed: int = 17, scale: float = 1.0,
-                 shard_size: int = DEFAULT_SHARD_SIZE,
-                 fault_plan: Optional[FaultPlan] = None,
-                 workload: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        mode: str = "off",
+        machines: int = 64,
+        seed: int = 17,
+        scale: float = 1.0,
+        shard_size: int = DEFAULT_SHARD_SIZE,
+        fault_plan: Optional[FaultPlan] = None,
+        workload: Optional[str] = None,
+    ) -> None:
         if mode not in SWEEP_MODES:
-            raise ConfigError(
-                f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+            raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
         if workload is not None and workload not in SWEEP_WORKLOADS:
-            raise ConfigError(
-                f"workload must be one of {SWEEP_WORKLOADS}, "
-                f"got {workload!r}")
+            raise ConfigError(f"workload must be one of {SWEEP_WORKLOADS}, got {workload!r}")
         if workload == "fleetbench":
             workload = None  # the default; keep keys unchanged
         if machines <= 0:
@@ -325,12 +331,16 @@ class MicroFleetSweep(FleetStudy):
         plan = plan_shards(self.machines, self.shard_size)
         return [
             MicroSweepShardSpec(
-                mode=self.mode, machines=size, study_seed=self.seed,
-                trace_seed=trace_seed, scale=self.scale,
-                crash_rate=self.crash_rate, shard_index=index,
-                workload=self.workload)
-            for index, (size, trace_seed)
-            in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
+                mode=self.mode,
+                machines=size,
+                study_seed=self.seed,
+                trace_seed=trace_seed,
+                scale=self.scale,
+                crash_rate=self.crash_rate,
+                shard_index=index,
+                workload=self.workload,
+            )
+            for index, (size, trace_seed) in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
         ]
 
     def cache_key_material(self) -> Dict:
@@ -363,22 +373,29 @@ class MicroFleetSweep(FleetStudy):
         compiled engine, and does."""
         body = asdict(spec)
         del body["workload"]
-        body["trace"] = ["scenario_mix" if spec.workload == "scenario"
-                         else "fleetbench_mix", spec.trace_seed, spec.scale]
+        body["trace"] = [
+            "scenario_mix" if spec.workload == "scenario" else "fleetbench_mix",
+            spec.trace_seed,
+            spec.scale,
+        ]
         return body
 
     # --- execution ---------------------------------------------------------------
 
-    def run(self, *, workers: Optional[int] = None,
-            cache_dir: Optional[str] = None,
-            checkpoint_dir: Optional[str] = None,
-            obs_dir: Optional[str] = None) -> MicroSweepResult:
+    def run(
+        self,
+        *,
+        workers: Optional[int] = None,
+        cache_dir: Optional[str] = None,
+        checkpoint_dir: Optional[str] = None,
+        obs_dir: Optional[str] = None,
+    ) -> MicroSweepResult:
         """Run every shard and merge the rows in plan order, as
         :meth:`FleetStudy.run <repro.fleet.study.FleetStudy.run>` does,
         except that the sweep writes no run directory: ``obs_dir`` must
         be unset or empty, and ``$REPRO_OBS_DIR`` is ignored."""
         if obs_dir:
-            raise ConfigError("the sweep writes no run directory; "
-                              f"got obs_dir={obs_dir!r}")
-        return super().run(workers=workers, cache_dir=cache_dir,
-                           checkpoint_dir=checkpoint_dir, obs_dir="")
+            raise ConfigError(f"the sweep writes no run directory; got obs_dir={obs_dir!r}")
+        return super().run(
+            workers=workers, cache_dir=cache_dir, checkpoint_dir=checkpoint_dir, obs_dir=""
+        )

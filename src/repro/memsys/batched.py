@@ -139,8 +139,7 @@ class BatchOccupancy:
             "batched_arms": self.batched_arms,
             "scalar_arms": self.scalar_arms,
             "groups": self.groups,
-            "fallback_reasons": {reason: self.reasons[reason]
-                                 for reason in sorted(self.reasons)},
+            "fallback_reasons": {reason: self.reasons[reason] for reason in sorted(self.reasons)},
         }
 
     @staticmethod
@@ -151,11 +150,14 @@ class BatchOccupancy:
         total = stats and stats["batched_arms"] + stats["scalar_arms"]
         if not total:
             return None
-        line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
-                f"({stats['groups']} lockstep groups)")
+        line = (
+            f"engine: {stats['batched_arms']}/{total} arm-runs batched "
+            f"({stats['groups']} lockstep groups)"
+        )
         if stats["scalar_arms"]:
-            reasons = ", ".join(f"{reason}={count}" for reason, count
-                                in stats["fallback_reasons"].items())
+            reasons = ", ".join(
+                f"{reason}={count}" for reason, count in stats["fallback_reasons"].items()
+            )
             line += f"; {stats['scalar_arms']} scalar: {reasons}"
         return line
 
@@ -188,8 +190,11 @@ def cache_lineage(hierarchy) -> Optional[CacheLineage]:
     """The lineage all three of the arm's caches hold, or None (a cold
     arm, or one that owns some of its caches alone)."""
     lineage = hierarchy.l1._lineage
-    if (lineage is not None and hierarchy.l2._lineage is lineage
-            and hierarchy.llc._lineage is lineage):
+    if (
+        lineage is not None
+        and hierarchy.l2._lineage is lineage
+        and hierarchy.llc._lineage is lineage
+    ):
         return lineage
     return None
 
@@ -202,16 +207,25 @@ def config_signature(hierarchy) -> Tuple:
     dram = config.dram
 
     def cache_sig(c):
-        return (c.line_bytes, c.num_sets, c.associativity,
-                c.hit_latency_cycles)
+        return (c.line_bytes, c.num_sets, c.associativity, c.hit_latency_cycles)
 
     return (
-        config.cycle_ns, config.software_prefetch_cost_cycles,
-        config.store_stall_fraction, config.sequential_mlp,
-        cache_sig(config.l1), cache_sig(config.l2), cache_sig(config.llc),
-        (dram.saturation_bandwidth, dram.unloaded_latency_ns,
-         dram.queue_gain, dram.queue_exponent, dram.max_utilization,
-         dram.overload_gain, dram.window_ns),
+        config.cycle_ns,
+        config.software_prefetch_cost_cycles,
+        config.store_stall_fraction,
+        config.sequential_mlp,
+        cache_sig(config.l1),
+        cache_sig(config.l2),
+        cache_sig(config.llc),
+        (
+            dram.saturation_bandwidth,
+            dram.unloaded_latency_ns,
+            dram.queue_gain,
+            dram.queue_exponent,
+            dram.max_utilization,
+            dram.overload_gain,
+            dram.window_ns,
+        ),
         hierarchy.prefetchers.config_signature(),
     )
 
@@ -260,12 +274,10 @@ def _prune_out_of_reach(hierarchy, compiled, clones) -> bool:
             return False
         proposals += clone.max_proposals
     lines = len(compiled.kinds) + sum(compiled.extras)
-    return (len(hierarchy._in_flight) + lines * proposals
-            <= hierarchy._IN_FLIGHT_PRUNE_THRESHOLD)
+    return len(hierarchy._in_flight) + lines * proposals <= hierarchy._IN_FLIGHT_PRUNE_THRESHOLD
 
 
-def run_lockstep(hierarchies, compiled,
-                 export_state: bool = True) -> List[RunResult]:
+def run_lockstep(hierarchies, compiled, export_state: bool = True) -> List[RunResult]:
     """Run ``compiled`` through every hierarchy in lockstep.
 
     All hierarchies must pass :func:`lockstep_fallback_reason` and share
@@ -301,9 +313,11 @@ def run_lockstep(hierarchies, compiled,
     clones = first.prefetchers.clone_enabled_for_lockstep()
     lineage = cache_lineage(first)
     caches = (first.l1, first.l2, first.llc)
-    in_place = (lineage is not None
-                and len(lineage.holders) == 3 * len(hierarchies)
-                and _prune_out_of_reach(first, compiled, clones))
+    in_place = (
+        lineage is not None
+        and len(lineage.holders) == 3 * len(hierarchies)
+        and _prune_out_of_reach(first, compiled, clones)
+    )
     if in_place:
         sets = tuple(cache._sets for cache in caches)
     elif lineage is None:
@@ -311,9 +325,14 @@ def run_lockstep(hierarchies, compiled,
     else:
         sets = tuple(copy_sets(cache._sets) for cache in caches)
     pending = first._in_flight
-    tape = first._cache_pass(compiled, sets, PrefetcherBank(clones),
-                             dict(zip(pending, range(len(pending)))),
-                             list(first._recent_miss_lines), None)
+    tape = first._cache_pass(
+        compiled,
+        sets,
+        PrefetcherBank(clones),
+        dict(zip(pending, range(len(pending)))),
+        list(first._recent_miss_lines),
+        None,
+    )
     if not export_state:
         for cache_sets in sets:
             cache_sets.clear()
@@ -321,20 +340,15 @@ def run_lockstep(hierarchies, compiled,
         lineage = CacheLineage()
 
     def replay(hierarchy, result: RunResult) -> None:
-        hierarchy._replay_tape(
-            tape, _Clock(hierarchy, list(hierarchy._in_flight.values())),
-            result)
-        for target, clone in zip(hierarchy.prefetchers.enabled_prefetchers(),
-                                 clones):
+        hierarchy._replay_tape(tape, _Clock(hierarchy, list(hierarchy._in_flight.values())), result)
+        for target, clone in zip(hierarchy.prefetchers.enabled_prefetchers(), clones):
             target.apply_counter_delta(clone.counter_signature())
             if export_state:
                 target.adopt_training(clone)
         if not export_state:
             hierarchy._drop_state()
         elif not in_place:
-            for cache, shared in zip(
-                    (hierarchy.l1, hierarchy.l2, hierarchy.llc), sets):
+            for cache, shared in zip((hierarchy.l1, hierarchy.l2, hierarchy.llc), sets):
                 cache._share(shared, lineage)
 
-    return [hierarchy._measured(replay, hierarchy)
-            for hierarchy in hierarchies]
+    return [hierarchy._measured(replay, hierarchy) for hierarchy in hierarchies]

@@ -45,23 +45,35 @@ from repro.memsys.prefetchers.stream import StreamPrefetcher
 from repro.scenarios import NoisyNeighborScenario
 
 STAT_FIELDS = (
-    "instructions", "compute_cycles", "stall_cycles", "loads", "stores",
-    "software_prefetches", "l1_misses", "l2_misses", "llc_misses",
-    "prefetch_covered", "late_prefetch_hits", "dram_wait_ns",
+    "instructions",
+    "compute_cycles",
+    "stall_cycles",
+    "loads",
+    "stores",
+    "software_prefetches",
+    "l1_misses",
+    "l2_misses",
+    "llc_misses",
+    "prefetch_covered",
+    "late_prefetch_hits",
+    "dram_wait_ns",
     "late_prefetch_wait_ns",
 )
 
 RESULT_FIELDS = (
-    "elapsed_ns", "dram_demand_fills", "dram_prefetch_fills",
-    "dram_demand_bytes", "dram_prefetch_bytes", "hw_prefetches_issued",
-    "useful_prefetches", "wasted_prefetches",
+    "elapsed_ns",
+    "dram_demand_fills",
+    "dram_prefetch_fills",
+    "dram_demand_bytes",
+    "dram_prefetch_bytes",
+    "hw_prefetches_issued",
+    "useful_prefetches",
+    "wasted_prefetches",
 )
 
-CACHE_COUNTERS = ("hits", "misses", "prefetch_hits", "wasted_prefetches",
-                  "occupancy")
+CACHE_COUNTERS = ("hits", "misses", "prefetch_hits", "wasted_prefetches", "occupancy")
 
-ARM_LOADS = (None, 0.0, 0.25, 0.5, 1.0, 1.75, 0.125,
-             0.25, None, 3.0, 0.5, 0.75, 1.5)
+ARM_LOADS = (None, 0.0, 0.25, 0.5, 1.0, 1.75, 0.125, 0.25, None, 3.0, 0.5, 0.75, 1.5)
 
 
 def stat_tuple(stats):
@@ -71,10 +83,7 @@ def stat_tuple(stats):
 def cache_contents(cache):
     """Every line in every set, LRU order, with its untouched-prefetch
     flag — state equality, not just counters."""
-    return {
-        index: list(lines.items())
-        for index, lines in cache._sets.items()
-    }
+    return {index: list(lines.items()) for index, lines in cache._sets.items()}
 
 
 def bank_state(hierarchy):
@@ -91,18 +100,22 @@ def snapshot(hierarchy, result):
     return {
         "result": tuple(getattr(result, field) for field in RESULT_FIELDS),
         "total": stat_tuple(result.total),
-        "functions": {name: stat_tuple(stats)
-                      for name, stats in result.functions.items()},
+        "functions": {name: stat_tuple(stats) for name, stats in result.functions.items()},
         "function_order": list(result.functions),
         "caches": {
-            level: (tuple(getattr(getattr(hierarchy, level), counter)
-                          for counter in CACHE_COUNTERS),
-                    cache_contents(getattr(hierarchy, level)))
+            level: (
+                tuple(getattr(getattr(hierarchy, level), counter) for counter in CACHE_COUNTERS),
+                cache_contents(getattr(hierarchy, level)),
+            )
             for level in ("l1", "l2", "llc")
         },
-        "dram": (hierarchy.dram.demand_fills, hierarchy.dram.prefetch_fills,
-                 hierarchy.dram.demand_bytes, hierarchy.dram.prefetch_bytes,
-                 hierarchy.dram._window._sum),
+        "dram": (
+            hierarchy.dram.demand_fills,
+            hierarchy.dram.prefetch_fills,
+            hierarchy.dram.demand_bytes,
+            hierarchy.dram.prefetch_bytes,
+            hierarchy.dram._window._sum,
+        ),
         "now_ns": hierarchy.now_ns,
         "sw_issued": hierarchy.software_prefetches_issued,
         "in_flight": dict(hierarchy._in_flight),
@@ -117,8 +130,8 @@ def build_arms(loads=ARM_LOADS):
     return [
         MemoryHierarchy(
             prefetchers=PrefetcherBank([]),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=None if load is None else ConstantExternalLoad(load),
+        )
         for load in loads
     ]
 
@@ -127,33 +140,50 @@ def make_records():
     """A deterministic trace exercising every record kind and edge."""
     records = []
     for i in range(400):
-        records.append(MemoryAccess(address=i * 8, size=8, pc=1,
-                                    function="stream"))
+        records.append(MemoryAccess(address=i * 8, size=8, pc=1, function="stream"))
     for i in range(120):
-        records.append(MemoryAccess(
-            address=1 << 20 | i * 256, size=256, kind=AccessKind.STORE,
-            pc=2, function="writer", gap_cycles=3))
+        records.append(
+            MemoryAccess(
+                address=1 << 20 | i * 256,
+                size=256,
+                kind=AccessKind.STORE,
+                pc=2,
+                function="writer",
+                gap_cycles=3,
+            )
+        )
     for i in range(120):
-        records.append(MemoryAccess(
-            address=(2 << 20) + (i + 8) * 64, size=64,
-            kind=AccessKind.SOFTWARE_PREFETCH, pc=3, function="reader"))
-        records.append(MemoryAccess(
-            address=(2 << 20) + i * 64, size=64, pc=4, function="reader"))
-    records.append(MemoryAccess(
-        address=3 << 20, size=64 * 64, kind=AccessKind.STREAM_HINT,
-        pc=5, function="hinted"))
+        records.append(
+            MemoryAccess(
+                address=(2 << 20) + (i + 8) * 64,
+                size=64,
+                kind=AccessKind.SOFTWARE_PREFETCH,
+                pc=3,
+                function="reader",
+            )
+        )
+        records.append(MemoryAccess(address=(2 << 20) + i * 64, size=64, pc=4, function="reader"))
+    records.append(
+        MemoryAccess(
+            address=3 << 20, size=64 * 64, kind=AccessKind.STREAM_HINT, pc=5, function="hinted"
+        )
+    )
     for i in range(64):
-        records.append(MemoryAccess(address=(3 << 20) + i * 64, size=64,
-                                    pc=6, function="hinted"))
+        records.append(MemoryAccess(address=(3 << 20) + i * 64, size=64, pc=6, function="hinted"))
     base = 5 << 20
     for i in range(150):
-        records.append(MemoryAccess(
-            address=base + (i * 7919 % 4096) * 64, size=8, pc=7,
-            function="chase", gap_cycles=i % 5))
+        records.append(
+            MemoryAccess(
+                address=base + (i * 7919 % 4096) * 64,
+                size=8,
+                pc=7,
+                function="chase",
+                gap_cycles=i % 5,
+            )
+        )
     # Adjacent-line pairs in both directions (sequential-MLP edges).
     for offset in (0, 64, 128):
-        records.append(MemoryAccess(address=base + offset, size=8, pc=7,
-                                    function="chase"))
+        records.append(MemoryAccess(address=base + offset, size=8, pc=7, function="chase"))
     return records
 
 
@@ -179,17 +209,16 @@ def assert_batched_matches_scalar(records, loads=ARM_LOADS, split=None):
     for trace in traces:
         scalar_results = run_reference(scalar_arms, trace)
         batched_results = run_many(batched_arms, trace)
-        assert_arms_agree(batched_arms, batched_results, scalar_arms,
-                          scalar_results)
+        assert_arms_agree(batched_arms, batched_results, scalar_arms, scalar_results)
 
 
 def assert_arms_agree(arms, results, scalar_arms, scalar_results):
     """Every arm's result and post-run state equals the oracle's."""
     assert len(results) == len(scalar_results)
     for arm in range(len(scalar_arms)):
-        assert (snapshot(arms[arm], results[arm])
-                == snapshot(scalar_arms[arm], scalar_results[arm])), (
-            f"arm {arm} diverged")
+        assert snapshot(arms[arm], results[arm]) == snapshot(
+            scalar_arms[arm], scalar_results[arm]
+        ), f"arm {arm} diverged"
 
 
 def spy_lockstep(monkeypatch):
@@ -218,20 +247,18 @@ class TestGoldenEquivalence:
         results = [run_many([arm], trace)[0] for arm in arms]
         assert calls == [1] * len(ARM_LOADS)
         scalar_arms = build_arms()
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, trace))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, trace))
 
     def test_one_arm_run_lockstep_matches_interpreter(self):
         """``run_lockstep`` called directly on one enabled-bank arm: one
         cache pass, one replay, and the arm donated the pass's state."""
         trace = Trace(make_records())
-        arm = MemoryHierarchy(prefetchers=exotic_bank(),
-                              external_load=ConstantExternalLoad(0.5))
+        arm = MemoryHierarchy(prefetchers=exotic_bank(), external_load=ConstantExternalLoad(0.5))
         result = batched.run_lockstep([arm], trace.compile())[0]
-        scalar_arm = MemoryHierarchy(prefetchers=exotic_bank(),
-                                     external_load=ConstantExternalLoad(0.5))
-        assert_arms_agree([arm], [result], [scalar_arm],
-                          run_reference([scalar_arm], trace))
+        scalar_arm = MemoryHierarchy(
+            prefetchers=exotic_bank(), external_load=ConstantExternalLoad(0.5)
+        )
+        assert_arms_agree([arm], [result], [scalar_arm], run_reference([scalar_arm], trace))
 
     def test_batch_larger_than_fleet(self, monkeypatch):
         """However large the group, it runs as one lockstep call."""
@@ -261,8 +288,9 @@ class TestDispatch:
 
         def fleet():
             arms = build_arms(loads)
-            hot = MemoryHierarchy(prefetchers=default_prefetcher_bank(),
-                                  external_load=ConstantExternalLoad(0.5))
+            hot = MemoryHierarchy(
+                prefetchers=default_prefetcher_bank(), external_load=ConstantExternalLoad(0.5)
+            )
             arms.insert(2, hot)
             return arms
 
@@ -274,8 +302,9 @@ class TestDispatch:
         scalar_arms = fleet()
         scalar_results = run_reference(scalar_arms, trace)
         for arm in range(len(scalar_arms)):
-            assert (snapshot(batched_arms[arm], batched_results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(batched_arms[arm], batched_results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
     def test_unsafe_prefetcher_falls_back_to_scalar(self, monkeypatch):
         """A custom prefetcher without the lockstep protocol keeps its
@@ -291,8 +320,9 @@ class TestDispatch:
 
         def fleet():
             arms = build_arms(loads)
-            arms.insert(1, MemoryHierarchy(
-                prefetchers=PrefetcherBank([OpaquePrefetcher("opaque")])))
+            arms.insert(
+                1, MemoryHierarchy(prefetchers=PrefetcherBank([OpaquePrefetcher("opaque")]))
+            )
             return arms
 
         trace = Trace(make_records())
@@ -307,8 +337,9 @@ class TestDispatch:
         scalar_arms = fleet()
         scalar_results = run_reference(scalar_arms, trace)
         for arm in range(len(scalar_arms)):
-            assert (snapshot(batched_arms[arm], batched_results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(batched_arms[arm], batched_results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
     def test_msr_flip_regroups_one_arm(self, monkeypatch):
         """An MSR-style prefetcher flip between runs moves one arm out of
@@ -324,8 +355,8 @@ class TestDispatch:
             for load in (None, 0.5, 1.0, 0.25, 1.5, 0.5):
                 arm = MemoryHierarchy(
                     prefetchers=default_prefetcher_bank(),
-                    external_load=None if load is None
-                    else ConstantExternalLoad(load))
+                    external_load=None if load is None else ConstantExternalLoad(load),
+                )
                 arm.set_hardware_prefetchers(False)  # co-batched for now
                 arms.append(arm)
             return arms, arms[2]
@@ -340,18 +371,23 @@ class TestDispatch:
         batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
         assert calls == [5, 1]
         assert occupancy.to_dict() == {
-            "batched_arms": 6, "scalar_arms": 0, "groups": 2,
-            "fallback_reasons": {}}
+            "batched_arms": 6,
+            "scalar_arms": 0,
+            "groups": 2,
+            "fallback_reasons": {},
+        }
 
         scalar_arms, scalar_flipper = fleet()
         scalar_a = run_reference(scalar_arms, traces[0])
         scalar_flipper.set_hardware_prefetchers(True)
         scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(len(scalar_arms)):
-            assert (snapshot(batched_arms[arm], batched_a[arm])
-                    == snapshot(scalar_arms[arm], scalar_a[arm]))
-            assert (snapshot(batched_arms[arm], batched_b[arm])
-                    == snapshot(scalar_arms[arm], scalar_b[arm]))
+            assert snapshot(batched_arms[arm], batched_a[arm]) == snapshot(
+                scalar_arms[arm], scalar_a[arm]
+            )
+            assert snapshot(batched_arms[arm], batched_b[arm]) == snapshot(
+                scalar_arms[arm], scalar_b[arm]
+            )
 
     def test_tracer_arm_ineligible_null_tracer_is_not(self, monkeypatch):
         from repro.obs import NULL_TRACER, Tracer
@@ -367,20 +403,24 @@ class TestDispatch:
         scalar_arms = build_arms((None, 0.5, 1.0))
         scalar_results = run_reference(scalar_arms, trace)
         for arm in range(3):
-            assert (snapshot(arms[arm], batched_results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(arms[arm], batched_results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
     def test_sweep_group_is_one_lockstep_call(self, monkeypatch):
         """A 40-arm one-shard sweep is one group, so it makes exactly one
         ``run_lockstep`` call of 40 arms — no chunking."""
         calls = spy_lockstep(monkeypatch)
-        result = MicroFleetSweep(machines=40, shard_size=40,
-                                 scale=0.05).run(workers=1, cache_dir="",
-                                                 checkpoint_dir="")
+        result = MicroFleetSweep(machines=40, shard_size=40, scale=0.05).run(
+            workers=1, cache_dir="", checkpoint_dir=""
+        )
         assert calls == [40]
         assert result.occupancy.to_dict() == {
-            "batched_arms": 40, "scalar_arms": 0, "groups": 1,
-            "fallback_reasons": {}}
+            "batched_arms": 40,
+            "scalar_arms": 0,
+            "groups": 1,
+            "fallback_reasons": {},
+        }
 
     def test_run_many_ignores_batch_env(self, monkeypatch):
         """memsys has no batch size: a stale ``$REPRO_BATCH`` export,
@@ -404,23 +444,33 @@ class TestDispatch:
         arm scalar under ``prune-bailout`` — still agreeing."""
         monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 4)
         calls = spy_lockstep(monkeypatch)
-        records = [MemoryAccess(
-            address=(6 << 20) + i * 64, size=64,
-            kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
-            for i in range(64)]
+        records = [
+            MemoryAccess(
+                address=(6 << 20) + i * 64,
+                size=64,
+                kind=AccessKind.SOFTWARE_PREFETCH,
+                pc=1,
+                function="spray",
+            )
+            for i in range(64)
+        ]
         loads = (None, 0.5, 1.0)
         occupancy = batched.BatchOccupancy()
         arms = build_arms(loads)
         results = run_many(arms, Trace(records), occupancy=occupancy)
         assert calls == [3]
         assert occupancy.to_dict() == {
-            "batched_arms": 0, "scalar_arms": 3, "groups": 0,
-            "fallback_reasons": {"prune-bailout": 3}}
+            "batched_arms": 0,
+            "scalar_arms": 3,
+            "groups": 0,
+            "fallback_reasons": {"prune-bailout": 3},
+        }
         scalar_arms = build_arms(loads)
         scalar_results = run_reference(scalar_arms, Trace(records))
         for arm in range(len(loads)):
-            assert (snapshot(arms[arm], results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(arms[arm], results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
 
 def build_enabled_arms(loads=(None, 0.5, 1.0, 0.25)):
@@ -428,23 +478,27 @@ def build_enabled_arms(loads=(None, 0.5, 1.0, 0.25)):
     return [
         MemoryHierarchy(
             prefetchers=default_prefetcher_bank(),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=None if load is None else ConstantExternalLoad(load),
+        )
         for load in loads
     ]
 
 
 def exotic_bank():
     """Hinted + feedback-wrapped engines: every lockstep hook in play."""
-    return PrefetcherBank([
-        HintedRegionPrefetcher(name="hinted_stream", degree=2,
-                               lead_lines=8, max_regions=4),
-        FeedbackThrottledPrefetcher(
-            NextLinePrefetcher(name="l1_next_line", degree=2),
-            window=32, gate_below=0.4, ungate_above=0.7,
-            tracker_entries=256),
-        StreamPrefetcher(distance=8, degree=2),
-    ])
+    return PrefetcherBank(
+        [
+            HintedRegionPrefetcher(name="hinted_stream", degree=2, lead_lines=8, max_regions=4),
+            FeedbackThrottledPrefetcher(
+                NextLinePrefetcher(name="l1_next_line", degree=2),
+                window=32,
+                gate_below=0.4,
+                ungate_above=0.7,
+                tracker_entries=256,
+            ),
+            StreamPrefetcher(distance=8, degree=2),
+        ]
+    )
 
 
 class TestEnabledGolden:
@@ -466,8 +520,7 @@ class TestEnabledGolden:
         for trace in traces:
             scalar_results = run_reference(scalar_arms, trace)
             batched_results = run_many(batched_arms, trace)
-            assert_arms_agree(batched_arms, batched_results, scalar_arms,
-                              scalar_results)
+            assert_arms_agree(batched_arms, batched_results, scalar_arms, scalar_results)
 
     def test_default_banks_match_scalar(self):
         self.assert_enabled_fleet_agrees(default_prefetcher_bank)
@@ -484,12 +537,15 @@ class TestEnabledGolden:
         """Two-arm groups: a pair of exotic banks and a pair of default
         banks each run as one small lockstep call."""
         def fleet():
-            return [MemoryHierarchy(prefetchers=factory(),
-                                    external_load=ConstantExternalLoad(load))
-                    for factory, load in ((exotic_bank, 0.5),
-                                          (default_prefetcher_bank, 0.25),
-                                          (exotic_bank, 1.0),
-                                          (default_prefetcher_bank, 1.5))]
+            return [
+                MemoryHierarchy(prefetchers=factory(), external_load=ConstantExternalLoad(load))
+                for factory, load in (
+                    (exotic_bank, 0.5),
+                    (default_prefetcher_bank, 0.25),
+                    (exotic_bank, 1.0),
+                    (default_prefetcher_bank, 1.5),
+                )
+            ]
 
         calls = spy_lockstep(monkeypatch)
         trace = Trace(make_records())
@@ -497,15 +553,13 @@ class TestEnabledGolden:
         results = run_many(arms, trace)
         assert calls == [2, 2]
         scalar_arms = fleet()
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, trace))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, trace))
 
     def test_hw_prefetches_issued_reported(self):
         arms = build_enabled_arms((None, 0.5))
         results = run_many(arms, Trace(make_records()))
         assert results[0].hw_prefetches_issued > 0
-        assert (results[0].hw_prefetches_issued
-                == sum(p.issued for p in arms[0].prefetchers))
+        assert results[0].hw_prefetches_issued == sum(p.issued for p in arms[0].prefetchers)
 
 
 class TestEligibilityEdges:
@@ -534,8 +588,11 @@ class TestEligibilityEdges:
         batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
         assert calls == [2, 2]
         assert occupancy.to_dict() == {
-            "batched_arms": 4, "scalar_arms": 0, "groups": 2,
-            "fallback_reasons": {}}
+            "batched_arms": 4,
+            "scalar_arms": 0,
+            "groups": 2,
+            "fallback_reasons": {},
+        }
 
         scalar_arms = fleet()
         run_reference(scalar_arms, traces[0])
@@ -543,8 +600,9 @@ class TestEligibilityEdges:
             arm.set_hardware_prefetchers(True)
         scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(4):
-            assert (snapshot(batched_arms[arm], batched_b[arm])
-                    == snapshot(scalar_arms[arm], scalar_b[arm]))
+            assert snapshot(batched_arms[arm], batched_b[arm]) == snapshot(
+                scalar_arms[arm], scalar_b[arm]
+            )
 
     def test_tracer_attached_mid_study(self, monkeypatch):
         """An arm that gains a recording tracer between calls leaves its
@@ -569,22 +627,22 @@ class TestEligibilityEdges:
         run_reference(scalar_arms, traces[0])
         scalar_b = run_reference(scalar_arms, traces[1])
         for arm in range(3):
-            assert (snapshot(arms[arm], batched_b[arm])
-                    == snapshot(scalar_arms[arm], scalar_b[arm]))
+            assert snapshot(arms[arm], batched_b[arm]) == snapshot(scalar_arms[arm], scalar_b[arm])
 
     def test_callable_external_load_is_scalar(self, monkeypatch):
         """A non-constant external DRAM load (per-arm utilization feeds
         per-arm latency) keeps its arm on the scalar engine."""
         calls = spy_lockstep(monkeypatch)
         arms = build_enabled_arms((None, 0.5))
-        arms.append(MemoryHierarchy(
-            prefetchers=default_prefetcher_bank(),
-            external_load=lambda now_ns: 0.25))
+        arms.append(
+            MemoryHierarchy(
+                prefetchers=default_prefetcher_bank(), external_load=lambda now_ns: 0.25
+            )
+        )
         occupancy = batched.BatchOccupancy()
         run_many(arms, Trace(make_records()[:300]), occupancy=occupancy)
         assert sum(calls) == 2
-        assert occupancy.to_dict()["fallback_reasons"] == {
-            "external-load": 1}
+        assert occupancy.to_dict()["fallback_reasons"] == {"external-load": 1}
 
     def test_prune_bailout_reruns_scalar(self, monkeypatch):
         """Hardware-issue volume crossing the prune threshold mid-batch
@@ -604,8 +662,9 @@ class TestEligibilityEdges:
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
         scalar_results = run_reference(scalar_arms, trace)
         for arm in range(3):
-            assert (snapshot(arms[arm], results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(arms[arm], results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
     def test_cold_lifecycle(self, monkeypatch):
         """Arms are cold from construction until their first run, by
@@ -619,15 +678,15 @@ class TestEligibilityEdges:
         trace = Trace(make_records()[:300])
         arms = build_enabled_arms((None, 0.5, 1.0))
         assert all(arm._cold for arm in arms)
-        assert all(batched.lockstep_fallback_reason(arm) is None
-                   for arm in arms)
+        assert all(batched.lockstep_fallback_reason(arm) is None for arm in arms)
         sig = batched.cached_config_signature(arms[0])
         key = batched.cached_state_fingerprint(arms[0])
         arms[0].set_hardware_prefetchers(False)  # MSR-style flip
         assert arms[0]._cold
         assert batched.cached_state_fingerprint(arms[0]) != key
-        assert (batched.cached_state_fingerprint(arms[0])
-                != batched.cached_state_fingerprint(arms[1]))
+        assert batched.cached_state_fingerprint(arms[0]) != batched.cached_state_fingerprint(
+            arms[1]
+        )
 
         calls = spy_lockstep(monkeypatch)
         run_many(arms[:1], trace)
@@ -656,8 +715,7 @@ class TestEligibilityEdges:
         run_reference([scalar_arm], trace)
         scalar_arm.reset()
         scalar_rerun = run_reference([scalar_arm], trace)[0]
-        assert (snapshot(arms[0], rerun[0])
-                == snapshot(scalar_arm, scalar_rerun))
+        assert snapshot(arms[0], rerun[0]) == snapshot(scalar_arm, scalar_rerun)
         # Config is lifetime-immutable: the cache survives everything.
         assert arms[0]._config_sig_cache is sig
 
@@ -669,17 +727,17 @@ class TestEligibilityEdges:
         interpreter's digest."""
         from repro.scenarios import noisy_digest
 
-        stores = dict(workers=1, cache_dir="", checkpoint_dir="",
-                      obs_dir="")
+        stores = dict(workers=1, cache_dir="", checkpoint_dir="", obs_dir="")
         result = NoisyNeighborScenario(machines=3, epochs=4).run(**stores)
         assert result.occupancy.to_dict() == {
-            "batched_arms": 12, "scalar_arms": 0, "groups": 6,
-            "fallback_reasons": {}}
+            "batched_arms": 12,
+            "scalar_arms": 0,
+            "groups": 6,
+            "fallback_reasons": {},
+        }
         with reference_engine():
-            reference = NoisyNeighborScenario(machines=3,
-                                              epochs=4).run(**stores)
-        assert reference.occupancy.to_dict()["fallback_reasons"] == {
-            "slow-engine": 12}
+            reference = NoisyNeighborScenario(machines=3, epochs=4).run(**stores)
+        assert reference.occupancy.to_dict()["fallback_reasons"] == {"slow-engine": 12}
         assert noisy_digest(result) == noisy_digest(reference)
 
 
@@ -701,10 +759,8 @@ def line_in(cache):
 #: single-cache mutator copies only that cache; the arm then runs
 #: scalar, which copies the rest).
 MUTATIONS = {
-    "compiled-run": (lambda arm: arm.run(Trace(make_records()[400:600])),
-                     3),
-    "interpreted-run": (lambda arm: run_reference(
-        [arm], Trace(make_records()[400:600])), 3),
+    "compiled-run": (lambda arm: arm.run(Trace(make_records()[400:600])), 3),
+    "interpreted-run": (lambda arm: run_reference([arm], Trace(make_records()[400:600])), 3),
     "reset": (lambda arm: arm.reset(), 3),
     "drop-state": (lambda arm: arm._drop_state(), 3),
     "llc-flush": (lambda arm: arm.llc.flush(), 1),
@@ -719,8 +775,8 @@ MUTATIONS = {
 TRAINING_CHANGES = {
     "bank-reset": lambda arm: arm.prefetchers.reset(),
     "direct-observe": lambda arm: [
-        arm.prefetchers["l2_stream"].observe((5 << 20) + i * 64, 1, False)
-        for i in range(40)],
+        arm.prefetchers["l2_stream"].observe((5 << 20) + i * 64, 1, False) for i in range(40)
+    ],
 }
 
 
@@ -737,8 +793,7 @@ class TestLineage:
         for arm in arms[1:]:
             assert batched.cache_lineage(arm) is lineage
             for level in ("l1", "l2", "llc"):
-                assert getattr(arm, level)._sets is getattr(arms[0],
-                                                            level)._sets
+                assert getattr(arm, level)._sets is getattr(arms[0], level)._sets
 
     def test_whole_lineage_passes_in_place(self, monkeypatch):
         """A group holding every holder, far from the prune, changes the
@@ -755,8 +810,7 @@ class TestLineage:
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
         run_reference(scalar_arms, Trace(make_records()[:400]))
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, trace))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, trace))
 
     def test_partial_group_passes_over_a_copy(self, monkeypatch):
         """A group that leaves a holder out (here, a tracer arm) passes
@@ -784,30 +838,24 @@ class TestLineage:
 
         scalar_arms = build_enabled_arms((None, 0.5, 1.0))
         run_reference(scalar_arms, Trace(make_records()[:400]))
-        assert_arms_agree(arms, batched_b, scalar_arms,
-                          run_reference(scalar_arms, trace))
+        assert_arms_agree(arms, batched_b, scalar_arms, run_reference(scalar_arms, trace))
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutating_one_arm_leaves_its_mates_alone(self, mutation):
         arms, results = lineage_fleet()
         lineage = batched.cache_lineage(arms[0])
-        before = [snapshot(arm, result)
-                  for arm, result in zip(arms[1:], results[1:])]
+        before = [snapshot(arm, result) for arm, result in zip(arms[1:], results[1:])]
         mutate, caches_left = MUTATIONS[mutation]
         mutate(arms[0])
         assert batched.cache_lineage(arms[0]) is None
         if not arms[0]._cold:  # reset() makes it cold instead
-            assert (batched.lockstep_fallback_reason(arms[0])
-                    == "warm-state")
-        assert [snapshot(arm, result)
-                for arm, result in zip(arms[1:], results[1:])] == before
-        assert all(batched.cache_lineage(arm) is lineage
-                   for arm in arms[1:])
+            assert batched.lockstep_fallback_reason(arms[0]) == "warm-state"
+        assert [snapshot(arm, result) for arm, result in zip(arms[1:], results[1:])] == before
+        assert all(batched.cache_lineage(arm) is lineage for arm in arms[1:])
         assert len(lineage.holders) == 9 - caches_left
 
     @pytest.mark.parametrize("change", sorted(TRAINING_CHANGES))
-    def test_training_change_parts_a_mate_from_its_group(
-            self, change, monkeypatch):
+    def test_training_change_parts_a_mate_from_its_group(self, change, monkeypatch):
         """A mate whose training changed alone batches apart from the
         others, and every arm still agrees with the interpreter."""
         arms, _ = lineage_fleet()
@@ -815,15 +863,15 @@ class TestLineage:
         run_reference(scalar_arms, Trace(make_records()[:400]))
         TRAINING_CHANGES[change](arms[1])
         TRAINING_CHANGES[change](scalar_arms[1])
-        assert batched.cache_lineage(arms[1]) is batched.cache_lineage(
-            arms[0])
+        assert batched.cache_lineage(arms[1]) is batched.cache_lineage(arms[0])
         calls = spy_lockstep(monkeypatch)
         trace = Trace(make_records()[400:])
         results = run_many(arms, trace)
         expected = run_reference(scalar_arms, trace)
-        assert [snapshot(arm, result) == snapshot(twin, want)
-                for arm, result, twin, want
-                in zip(arms, results, scalar_arms, expected)] == [True] * 3
+        assert [
+            snapshot(arm, result) == snapshot(twin, want)
+            for arm, result, twin, want in zip(arms, results, scalar_arms, expected)
+        ] == [True] * 3
         assert calls == [2, 1]
 
     def test_sole_holder_owns_without_copying(self):
@@ -837,67 +885,72 @@ class TestLineage:
         assert survivor.llc._sets is llc_sets
         assert survivor.llc._lineage is None
 
-    def test_copy_path_when_prune_is_not_provably_out_of_reach(
-            self, monkeypatch):
+    def test_copy_path_when_prune_is_not_provably_out_of_reach(self, monkeypatch):
         """With the prune threshold below the pass's bound, a whole
         lineage passes over a copy: its old dicts stay as they were, the
         arms leave with a fresh lineage, and results still agree."""
         loads = (None, 0.5, 1.0)
         first = Trace(make_records()[:400])
-        second = Trace([MemoryAccess(address=(7 << 20) + i * 64, size=8,
-                                     pc=1, function="scan")
-                        for i in range(64)])
+        second = Trace(
+            [
+                MemoryAccess(address=(7 << 20) + i * 64, size=8, pc=1, function="scan")
+                for i in range(64)
+            ]
+        )
         arms = build_arms(loads)  # empty banks: nothing enters in flight
         run_many(arms, first)
         lineage = batched.cache_lineage(arms[0])
-        old = {level: cache_contents(getattr(arms[0], level))
-               for level in ("l1", "l2", "llc")}
-        old_sets = [getattr(arms[0], level)._sets
-                    for level in ("l1", "l2", "llc")]
-        monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD",
-                            16)
+        old = {level: cache_contents(getattr(arms[0], level)) for level in ("l1", "l2", "llc")}
+        old_sets = [getattr(arms[0], level)._sets for level in ("l1", "l2", "llc")]
+        monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 16)
         calls = spy_lockstep(monkeypatch)
         results = run_many(arms, second)
         assert calls == [3]
         fresh = batched.cache_lineage(arms[0])
         assert fresh is not None and fresh is not lineage
-        assert [{index: list(lines.items())
-                 for index, lines in sets.items()}
-                for sets in old_sets] == [old[level]
-                                          for level in ("l1", "l2", "llc")]
+        assert [
+            {index: list(lines.items()) for index, lines in sets.items()} for sets in old_sets
+        ] == [old[level] for level in ("l1", "l2", "llc")]
 
         scalar_arms = build_arms(loads)
         run_reference(scalar_arms, first)
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, second))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, second))
 
-    def test_copy_path_bailout_leaves_the_lineage_untouched(
-            self, monkeypatch):
+    def test_copy_path_bailout_leaves_the_lineage_untouched(self, monkeypatch):
         """A copy-path pass that does cross the prune bails out; the
         group reruns scalar from the lineage's unchanged state."""
         loads = (None, 0.5, 1.0)
         first = Trace(make_records()[:400])
-        spray = Trace([MemoryAccess(
-            address=(6 << 20) + i * 64, size=64,
-            kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
-            for i in range(64)])
+        spray = Trace(
+            [
+                MemoryAccess(
+                    address=(6 << 20) + i * 64,
+                    size=64,
+                    kind=AccessKind.SOFTWARE_PREFETCH,
+                    pc=1,
+                    function="spray",
+                )
+                for i in range(64)
+            ]
+        )
         arms = build_arms(loads)
         run_many(arms, first)
         monkeypatch.setattr(MemoryHierarchy, "_IN_FLIGHT_PRUNE_THRESHOLD", 4)
         occupancy = batched.BatchOccupancy()
         results = run_many(arms, spray, occupancy=occupancy)
         assert occupancy.to_dict() == {
-            "batched_arms": 0, "scalar_arms": 3, "groups": 0,
-            "fallback_reasons": {"prune-bailout": 3}}
+            "batched_arms": 0,
+            "scalar_arms": 3,
+            "groups": 0,
+            "fallback_reasons": {"prune-bailout": 3},
+        }
         assert all(batched.cache_lineage(arm) is None for arm in arms)
 
         scalar_arms = build_arms(loads)
         run_reference(scalar_arms, first)
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, spray))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, spray))
 
-    def test_trained_disabled_prefetcher_splits_cold_arms(
-            self, monkeypatch):
+    def test_trained_disabled_prefetcher_splits_cold_arms(self, monkeypatch):
         """Two cold arms with the same enabled mask and untrained enabled
         prefetchers, but a disabled streamer trained on one of them,
         must not become lineage-mates: the training steers proposals
@@ -913,23 +966,23 @@ class TestLineage:
             return bank
 
         def fleet():
-            arms = [MemoryHierarchy(prefetchers=trained_bank()),
-                    MemoryHierarchy(prefetchers=default_prefetcher_bank())]
+            arms = [
+                MemoryHierarchy(prefetchers=trained_bank()),
+                MemoryHierarchy(prefetchers=default_prefetcher_bank()),
+            ]
             for arm in arms:
                 arm.set_hardware_prefetchers(True)
                 arm.prefetchers["l2_stream"].enabled = False
             return arms
 
         arms = fleet()
-        assert ([p.training_fingerprint()
-                 for p in arms[0].prefetchers.enabled_prefetchers()]
-                == [p.training_fingerprint()
-                    for p in arms[1].prefetchers.enabled_prefetchers()])
+        assert [p.training_fingerprint() for p in arms[0].prefetchers.enabled_prefetchers()] == [
+            p.training_fingerprint() for p in arms[1].prefetchers.enabled_prefetchers()
+        ]
         calls = spy_lockstep(monkeypatch)
         run_many(arms, first)
         assert calls == [1, 1]
-        assert (batched.cache_lineage(arms[0])
-                is not batched.cache_lineage(arms[1]))
+        assert batched.cache_lineage(arms[0]) is not batched.cache_lineage(arms[1])
         for arm in arms:
             arm.prefetchers["l2_stream"].enabled = True
         results = run_many(arms, second)
@@ -938,8 +991,7 @@ class TestLineage:
         run_reference(scalar_arms, first)
         for arm in scalar_arms:
             arm.prefetchers["l2_stream"].enabled = True
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, second))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, second))
 
     def test_cold_arm_with_installed_lines_runs_scalar(self):
         """A never-run arm whose caches had lines installed directly is
@@ -957,8 +1009,7 @@ class TestLineage:
         results = run_many(arms, trace, occupancy=occupancy)
         assert occupancy.to_dict()["fallback_reasons"] == {"warm-state": 1}
         scalar_arms = fleet()
-        assert_arms_agree(arms, results, scalar_arms,
-                          run_reference(scalar_arms, trace))
+        assert_arms_agree(arms, results, scalar_arms, run_reference(scalar_arms, trace))
 
 
 class TestNoReferenceCycle:
@@ -973,8 +1024,7 @@ class TestNoReferenceCycle:
         try:
             hierarchy = MemoryHierarchy()  # the default bank
             run(hierarchy)
-            refs = [weakref.ref(hierarchy),
-                    weakref.ref(hierarchy.prefetchers)]
+            refs = [weakref.ref(hierarchy), weakref.ref(hierarchy.prefetchers)]
             refs.extend(weakref.ref(p) for p in hierarchy.prefetchers)
             del hierarchy
             assert [ref() for ref in refs] == [None] * len(refs)
@@ -986,14 +1036,13 @@ class TestNoReferenceCycle:
 
     def test_after_run_many(self):
         trace = Trace(make_records()[:300])
-        self.assert_freed_without_gc(
-            lambda hierarchy: run_many([hierarchy], trace))
+        self.assert_freed_without_gc(lambda hierarchy: run_many([hierarchy], trace))
 
     def test_after_discarding_run_many(self):
         trace = Trace(make_records()[:300])
         self.assert_freed_without_gc(
-            lambda hierarchy: run_many([hierarchy], trace,
-                                       export_state=False))
+            lambda hierarchy: run_many([hierarchy], trace, export_state=False)
+        )
 
     def test_msr_bound_bank(self):
         """The MSR file outlives the arm and still takes writes."""
@@ -1049,21 +1098,21 @@ class TestExportState:
         results = run_many(arms, trace, export_state=False)
         for arm in range(len(arms)):
             got, want = results[arm], scalar_results[arm]
-            assert (tuple(getattr(got, f) for f in RESULT_FIELDS)
-                    == tuple(getattr(want, f) for f in RESULT_FIELDS))
+            assert tuple(getattr(got, f) for f in RESULT_FIELDS) == tuple(
+                getattr(want, f) for f in RESULT_FIELDS
+            )
             assert stat_tuple(got.total) == stat_tuple(want.total)
-            assert ({n: stat_tuple(s) for n, s in got.functions.items()}
-                    == {n: stat_tuple(s) for n, s in want.functions.items()})
+            assert {n: stat_tuple(s) for n, s in got.functions.items()} == {
+                n: stat_tuple(s) for n, s in want.functions.items()
+            }
             # Counters and clock survive; cache contents do not.
             assert arms[arm].now_ns == scalar_arms[arm].now_ns
-            assert (arms[arm].dram.demand_fills
-                    == scalar_arms[arm].dram.demand_fills)
+            assert arms[arm].dram.demand_fills == scalar_arms[arm].dram.demand_fills
             for level in ("l1", "l2", "llc"):
                 cache = getattr(arms[arm], level)
                 assert cache.occupancy == 0
                 assert not cache._sets
-                assert (cache.misses
-                        == getattr(scalar_arms[arm], level).misses)
+                assert cache.misses == getattr(scalar_arms[arm], level).misses
 
     def test_discarded_arms_keep_nothing(self):
         """``export_state=False``, lockstep and scalar arms alike: every
@@ -1081,27 +1130,28 @@ class TestExportState:
         kept_results = run_many(kept, trace)
         arms = fleet()
         occupancy = batched.BatchOccupancy()
-        results = run_many(arms, trace, export_state=False,
-                           occupancy=occupancy)
-        assert occupancy.to_dict()["fallback_reasons"] == {
-            "external-load": 1}
+        results = run_many(arms, trace, export_state=False, occupancy=occupancy)
+        assert occupancy.to_dict()["fallback_reasons"] == {"external-load": 1}
         fresh_training = default_prefetcher_bank().state_fingerprint()[1]
         for arm, keeper, got, want in zip(arms, kept, results, kept_results):
-            assert snapshot(arm, got)["result"] == \
-                snapshot(keeper, want)["result"]
-            assert ({n: stat_tuple(s) for n, s in got.functions.items()}
-                    == {n: stat_tuple(s) for n, s in want.functions.items()})
+            assert snapshot(arm, got)["result"] == snapshot(keeper, want)["result"]
+            assert {n: stat_tuple(s) for n, s in got.functions.items()} == {
+                n: stat_tuple(s) for n, s in want.functions.items()
+            }
             assert arm.now_ns == keeper.now_ns
             assert bank_state(arm)[0] == bank_state(keeper)[0]
             assert (arm.dram.demand_fills, arm.dram.prefetch_fills) == (
-                keeper.dram.demand_fills, keeper.dram.prefetch_fills)
+                keeper.dram.demand_fills,
+                keeper.dram.prefetch_fills,
+            )
             for level in ("l1", "l2", "llc"):
-                cache, kept_cache = getattr(arm, level), getattr(keeper,
-                                                                 level)
-                assert (cache.hits, cache.misses, cache.prefetch_hits,
-                        cache.wasted_prefetches) == (
-                    kept_cache.hits, kept_cache.misses,
-                    kept_cache.prefetch_hits, kept_cache.wasted_prefetches)
+                cache, kept_cache = getattr(arm, level), getattr(keeper, level)
+                assert (cache.hits, cache.misses, cache.prefetch_hits, cache.wasted_prefetches) == (
+                    kept_cache.hits,
+                    kept_cache.misses,
+                    kept_cache.prefetch_hits,
+                    kept_cache.wasted_prefetches,
+                )
                 assert cache._sets == {} and cache.occupancy == 0
                 assert kept_cache.occupancy > 0
             assert arm._in_flight == {}
@@ -1119,9 +1169,15 @@ class TestExportState:
         and DRAM window are emptied, but the clock survives, and timing
         floats added at a later clock legitimately round differently.
         """
-        count_stats = ("instructions", "loads", "stores",
-                       "software_prefetches", "l1_misses", "l2_misses",
-                       "llc_misses")
+        count_stats = (
+            "instructions",
+            "loads",
+            "stores",
+            "software_prefetches",
+            "l1_misses",
+            "l2_misses",
+            "llc_misses",
+        )
         trace = Trace(make_records()[:300])
         arms = build_arms((None, 0.5))
         run_many(arms, trace, export_state=False)
@@ -1129,9 +1185,9 @@ class TestExportState:
         cold = build_arms((None, 0.5))
         cold_results = run_reference(cold, trace)
         for arm in range(2):
-            assert (tuple(getattr(rerun[arm].total, f) for f in count_stats)
-                    == tuple(getattr(cold_results[arm].total, f)
-                             for f in count_stats))
+            assert tuple(getattr(rerun[arm].total, f) for f in count_stats) == tuple(
+                getattr(cold_results[arm].total, f) for f in count_stats
+            )
 
 
 #: Imports ``repro``, runs a 2-machine rollout, and prints whether NumPy
@@ -1142,8 +1198,7 @@ ROLLOUT_PROBE = (
     "print('numpy' in sys.modules)\n"
     "from repro.fleet import RolloutStudy\n"
     "RolloutStudy(machines=2, epochs=4, warmup_epochs=1, seed=5).run(\n"
-    "    workers=1, cache_dir='', checkpoint_dir='', obs_dir='')\n"
-    "print('numpy' in sys.modules)\n"
+    "    workers=1, cache_dir='', checkpoint_dir='', obs_dir='')\nprint('numpy' in sys.modules)\n"
 )
 
 
@@ -1152,13 +1207,15 @@ class TestNumpyStaysLazy:
     free of NumPy's memory footprint."""
 
     def test_import_and_rollout_leave_numpy_unloaded(self):
-        env = {name: value for name, value in os.environ.items()
-               if not name.startswith("REPRO_")}
-        env["PYTHONPATH"] = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         out = subprocess.run(
-            [sys.executable, "-c", ROLLOUT_PROBE], env=env,
-            capture_output=True, text=True, check=True)
+            [sys.executable, "-c", ROLLOUT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
         assert out.stdout.split() == ["False", "False"]
 
 
@@ -1174,8 +1231,7 @@ NO_NUMPY_PROBE = (
     "                                          checkpoint_dir='')\n"
     "NoisyNeighborScenario(machines=2, epochs=4).run(\n"
     "    workers=1, cache_dir='', checkpoint_dir='', obs_dir='')\n"
-    "print(sweep.occupancy.batched_arms > 0)\n"
-    "print(sys.modules['numpy'] is None)\n"
+    "print(sweep.occupancy.batched_arms > 0)\nprint(sys.modules['numpy'] is None)\n"
 )
 
 
@@ -1184,12 +1240,10 @@ class TestRuntimeWithoutNumpy:
     the lockstep engine batches in plain floats."""
 
     def test_sweep_and_noisy_run_with_numpy_blocked(self):
-        env = {name: value for name, value in os.environ.items()
-               if not name.startswith("REPRO_")}
-        env["PYTHONPATH"] = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         out = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_PROBE], env=env,
-            capture_output=True, text=True)
+            [sys.executable, "-c", NO_NUMPY_PROBE], env=env, capture_output=True, text=True
+        )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["True", "True"]

@@ -26,9 +26,9 @@ record_strategy = st.builds(
     MemoryAccess,
     address=st.integers(min_value=0, max_value=1 << 22),
     size=st.integers(min_value=1, max_value=512),
-    kind=st.sampled_from((AccessKind.LOAD, AccessKind.STORE,
-                          AccessKind.SOFTWARE_PREFETCH,
-                          AccessKind.STREAM_HINT)),
+    kind=st.sampled_from(
+        (AccessKind.LOAD, AccessKind.STORE, AccessKind.SOFTWARE_PREFETCH, AccessKind.STREAM_HINT)
+    ),
     pc=st.integers(min_value=0, max_value=9),
     function=st.sampled_from(("alpha", "beta", "gamma")),
     gap_cycles=st.integers(min_value=0, max_value=30),
@@ -40,10 +40,12 @@ records_strategy = st.lists(record_strategy, max_size=100)
 # co-batch (an absent load is bit-equal to a zero-rate one only in the
 # formula's limit, so the engine carries the distinction per arm).
 loads_strategy = st.lists(
-    st.one_of(st.none(),
-              st.floats(min_value=0.0, max_value=4.0,
-                        allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=7)
+    st.one_of(
+        st.none(), st.floats(min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+    ),
+    min_size=1,
+    max_size=7,
+)
 
 
 #: Per-arm hardware-bank shapes the property fleets mix: ablated,
@@ -64,8 +66,8 @@ def build_arms(loads, banks=None):
     return [
         MemoryHierarchy(
             prefetchers=_build_bank(banks[index] if banks else "empty"),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=None if load is None else ConstantExternalLoad(load),
+        )
         for index, load in enumerate(loads)
     ]
 
@@ -81,8 +83,9 @@ def assert_fleet_agrees(records, loads, split=None, banks=None):
         scalar_results = run_reference(scalar_arms, trace)
         batched_results = run_many(batched_arms, trace)
         for arm in range(len(loads)):
-            assert (snapshot(batched_arms[arm], batched_results[arm])
-                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert snapshot(batched_arms[arm], batched_results[arm]) == snapshot(
+                scalar_arms[arm], scalar_results[arm]
+            )
 
 
 class TestPropertyEquivalence:
@@ -91,16 +94,23 @@ class TestPropertyEquivalence:
     def test_random_fleets(self, records, loads):
         assert_fleet_agrees(records, loads)
 
-    @given(records=records_strategy, loads=loads_strategy,
-           split=st.integers(min_value=0, max_value=100))
+    @given(
+        records=records_strategy,
+        loads=loads_strategy,
+        split=st.integers(min_value=0, max_value=100),
+    )
     @settings(max_examples=scaled(25), deadline=None)
     def test_warm_continuation(self, records, loads, split):
         assert_fleet_agrees(records, loads, split=min(split, len(records)))
 
-    @given(records=records_strategy,
-           loads=st.lists(st.floats(min_value=0.0, max_value=2.0,
-                                    allow_nan=False, allow_infinity=False),
-                          min_size=2, max_size=5))
+    @given(
+        records=records_strategy,
+        loads=st.lists(
+            st.floats(min_value=0.0, max_value=2.0, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=5,
+        ),
+    )
     @settings(max_examples=scaled(20), deadline=None)
     def test_env_default_batch(self, records, loads):
         """The default dispatch batches a constant-load fleet whole: one
@@ -123,10 +133,11 @@ class TestPropertyEquivalence:
 #: One (load, bank-shape) pair per arm, so fleets mix ablated and
 #: enabled arms and the engine must group them correctly.
 arm_strategy = st.tuples(
-    st.one_of(st.none(),
-              st.floats(min_value=0.0, max_value=4.0,
-                        allow_nan=False, allow_infinity=False)),
-    st.sampled_from(BANK_SHAPES))
+    st.one_of(
+        st.none(), st.floats(min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+    ),
+    st.sampled_from(BANK_SHAPES),
+)
 
 enabled_arms_strategy = st.lists(arm_strategy, min_size=1, max_size=5)
 
@@ -146,31 +157,46 @@ class TestEnabledBankProperties:
         banks = [bank for _, bank in arms]
         assert_fleet_agrees(records, loads, banks=banks)
 
-    @given(records=records_strategy, arms=enabled_arms_strategy,
-           split=st.integers(min_value=0, max_value=100))
+    @given(
+        records=records_strategy,
+        arms=enabled_arms_strategy,
+        split=st.integers(min_value=0, max_value=100),
+    )
     @settings(max_examples=scaled(20), deadline=None)
     def test_warm_enabled_continuation(self, records, arms, split):
         """Epoch two regroups on *trained* fingerprints; warm prefetcher
         state exported from epoch one must still match scalar."""
         loads = [load for load, _ in arms]
         banks = [bank for _, bank in arms]
-        assert_fleet_agrees(records, loads, split=min(split, len(records)),
-                            banks=banks)
+        assert_fleet_agrees(records, loads, split=min(split, len(records)), banks=banks)
 
 
 #: What may happen to one arm between two epochs: an MSR-style write of
 #: its enabled mask, ``reset()``, a reset of its prefetchers alone,
 #: direct ``observe`` calls on its bank, a direct LLC flush or install,
 #: a scalar ``run()``, or a crash that drops it from the fleet.
-ACTIONS = ("none", "none", "flip", "reset", "bank-reset", "observe",
-           "flush", "install", "scalar-run", "drop")
+ACTIONS = (
+    "none",
+    "none",
+    "flip",
+    "reset",
+    "bank-reset",
+    "observe",
+    "flush",
+    "install",
+    "scalar-run",
+    "drop",
+)
 
 epoch_strategy = st.tuples(
     st.lists(record_strategy, max_size=40),
     st.booleans(),  # export_state
-    st.lists(st.tuples(st.sampled_from(ACTIONS),
-                       st.integers(min_value=0, max_value=15)),
-             min_size=5, max_size=5))
+    st.lists(
+        st.tuples(st.sampled_from(ACTIONS), st.integers(min_value=0, max_value=15)),
+        min_size=5,
+        max_size=5,
+    ),
+)
 
 
 def act(arm, action, arg, trace, reference):
@@ -202,9 +228,11 @@ class TestEpochLoopProperty:
     whatever happens to single arms between epochs, every result and
     post-run state equals the interpreter's."""
 
-    @given(arms=st.lists(arm_strategy, min_size=2, max_size=5),
-           epochs=st.lists(epoch_strategy, min_size=2, max_size=4),
-           threshold=st.sampled_from((None, 4, 64)))
+    @given(
+        arms=st.lists(arm_strategy, min_size=2, max_size=5),
+        epochs=st.lists(epoch_strategy, min_size=2, max_size=4),
+        threshold=st.sampled_from((None, 4, 64)),
+    )
     @settings(max_examples=scaled(100), deadline=None)
     def test_epoch_loop_matches_interpreter(self, arms, epochs, threshold):
         loads = [load for load, _ in arms]
@@ -225,14 +253,11 @@ class TestEpochLoopProperty:
                     got = act(fleet[index], action, arg, trace, False)
                     want = act(oracle[index], action, arg, trace, True)
                     if got is not None:
-                        assert (snapshot(fleet[index], got)
-                                == snapshot(oracle[index], want))
+                        assert snapshot(fleet[index], got) == snapshot(oracle[index], want)
                 results = run_many(fleet, trace, export_state=export_state)
                 with reference_engine():
-                    expected = run_many(oracle, trace,
-                                        export_state=export_state)
-                for arm, result, twin, want in zip(fleet, results, oracle,
-                                                   expected):
+                    expected = run_many(oracle, trace, export_state=export_state)
+                for arm, result, twin, want in zip(fleet, results, oracle, expected):
                     assert snapshot(arm, result) == snapshot(twin, want)
         finally:
             MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD = original

@@ -3,18 +3,22 @@ runner, and — the engine's core guarantee — parallel results identical
 to serial results for the same seed."""
 
 import concurrent.futures
+import dataclasses
+import pickle
 
 import pytest
 
+from repro.core.config import LimoncelloConfig, RetryPolicy
 from repro.errors import ConfigError, QueueInterrupted
+from repro.faults.plan import FaultPlan
 from repro.analysis import result_digest
 from repro.fleet import AblationStudy, RolloutStudy, StudyResultCache
-from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.parallel import (
     WORKERS_ENV_VAR,
     resolve_workers,
     run_sharded,
 )
+from repro.fleet.study import run_traced
 from repro.serialization import (
     ablation_result_to_dict,
     fleet_metrics_to_dict,
@@ -193,7 +197,7 @@ class TestShardedAblation:
         study = AblationStudy(mode="off", machines=24, epochs=8,
                               warmup_epochs=2, seed=7, shard_size=8)
         merged = study.run()
-        parts = [run_ablation_shard(spec)[0] for spec in study.shard_specs()]
+        parts = [run_traced(shard)[0] for shard in study.shard_specs()]
         total_epochs = sum(part.control.epochs for part in parts)
         assert merged.control.epochs == total_epochs
         assert len(merged.control.socket_bandwidth) == sum(
@@ -241,9 +245,37 @@ class TestShardedAblation:
         with pytest.raises(ConfigError):
             AblationStudy(platform="gen-1999")
 
-    def test_shard_size_validation(self):
-        with pytest.raises(ConfigError):
-            AblationStudy(shard_size=0)
+    def test_shards_cross_the_pool_whole(self):
+        """A shard is a copy of its study: every field a hardened,
+        faulted, non-default-platform study holds must survive the trip
+        to a pool worker, and no copy may share mutable state with it."""
+        config = LimoncelloConfig(
+            lower_threshold=0.5, upper_threshold=0.7,
+            retry_policy=RetryPolicy(max_attempts=3, initial_backoff_ns=2e9),
+            telemetry_failsafe_deadline_ns=4e9)
+        plan = FaultPlan.parse("seed=2;telemetry-blackout:start=3,duration=4;"
+                               "machine-crash:rate=0.05")
+        make = lambda: AblationStudy(
+            mode="hard", platform="gen-2022", config=config, fault_plan=plan,
+            machines=8, epochs=10, warmup_epochs=3, seed=4, shard_size=3)
+        study = make()
+        shards = study.shard_specs()
+        assert [shard.shard_index for shard in shards] == [0, 1, 2]
+        for shard in shards:
+            assert type(shard) is AblationStudy
+            restored = pickle.loads(pickle.dumps(shard))
+            assert type(restored) is AblationStudy
+            assert vars(restored) == vars(shard)
+            for name, value in vars(shard).items():
+                if value is vars(study).get(name):
+                    assert value is None or isinstance(
+                        value, (int, float, str)) or (
+                        dataclasses.is_dataclass(value)
+                        and value.__dataclass_params__.frozen), name
+        serial = make().run(workers=1, cache_dir="")
+        assert serial.chaos is not None and serial.chaos.ticks > 0
+        assert result_digest(make().run(workers=2, cache_dir="")) == (
+            result_digest(serial))
 
 
 class TestShardedRollout:
@@ -265,6 +297,13 @@ class TestShardedRollout:
         assert (shares["hard"]["all targeted DC tax"]
                 > shares["none"]["all targeted DC tax"])
 
-    def test_shard_size_validation(self):
-        with pytest.raises(ConfigError):
-            RolloutStudy(shard_size=-1)
+
+@pytest.mark.parametrize("study", [AblationStudy, RolloutStudy],
+                         ids=["ablation", "rollout"])
+@pytest.mark.parametrize("bad", [
+    dict(shard_size=0), dict(shard_size=-1), dict(epochs=0),
+    dict(warmup_epochs=-1),
+], ids=["shard_size=0", "shard_size=-1", "epochs=0", "warmup=-1"])
+def test_analytic_study_validation(study, bad):
+    with pytest.raises(ConfigError):
+        study(**bad)

@@ -26,7 +26,6 @@ from repro.fleet import (
     shard_task_material,
     sweep_digest,
 )
-from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.queue import (
     ABORT_ENV_VAR,
     CHECKPOINT_ENV_VAR,
@@ -34,6 +33,7 @@ from repro.fleet.queue import (
     resolve_abort_after,
     resolve_checkpoint_dir,
 )
+from repro.fleet.study import run_traced
 from repro.serialization import (
     ablation_result_to_dict,
     canonical_json,
@@ -275,7 +275,7 @@ class TestAblationKillAndResume:
         for spec, material in zip(study.shard_specs(), materials):
             old = {**material, "queue_schema": 1,
                    "spec": {**material["spec"], "traced": False}}
-            journal.journal(old, run_ablation_shard(spec)[0].to_dict())
+            journal.journal(old, run_traced(spec)[0].to_dict())
         study.run(checkpoint_dir=str(tmp_path))
         assert study.queue_stats.restored == 0
         assert study.queue_stats.computed == len(materials)

@@ -111,9 +111,3 @@ class TestRollout:
         def top_bucket(curve):
             return max(int(k.split("-")[0]) for k in curve)
         assert top_bucket(curves["after"]) >= top_bucket(curves["before"])
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RolloutStudy(epochs=0)
-        with pytest.raises(ConfigError):
-            RolloutStudy(warmup_epochs=-1)

@@ -25,8 +25,7 @@ CRASH_40 = FaultPlan.parse("machine-crash:rate=0.4")
 
 
 def small_sweep(**overrides):
-    kwargs = dict(mode="off", machines=9, seed=3, scale=SCALE,
-                  shard_size=4)
+    kwargs = dict(mode="off", machines=9, seed=3, scale=SCALE, shard_size=4)
     kwargs.update(overrides)
     return MicroFleetSweep(**kwargs)
 
@@ -57,7 +56,8 @@ class TestDeterminism:
         assert [arm["machine"] for arm in result.arms] == (
             [f"s0/m{i}" for i in range(3)]
             + [f"s1/m{i}" for i in range(3)]
-            + [f"s2/m{i}" for i in range(3)])
+            + [f"s2/m{i}" for i in range(3)]
+        )
 
 
 class TestChaosArms:
@@ -94,10 +94,8 @@ class TestChaosArms:
             small_sweep(fault_plan=plan)
 
     def test_draws_are_per_arm_stable(self):
-        assert (background_load(3, 0, "m1")
-                == background_load(3, 0, "m1"))
-        assert (background_load(3, 0, "m1")
-                != background_load(3, 1, "m1"))
+        assert background_load(3, 0, "m1") == background_load(3, 0, "m1")
+        assert background_load(3, 0, "m1") != background_load(3, 1, "m1")
         assert crashed(3, 0, "m1", 0.0) is False
 
 
@@ -140,14 +138,21 @@ class TestResultObject:
         assert sweep_digest(clone) == sweep_digest(result)
 
     def test_merge_concatenates(self):
-        a = MicroSweepResult(mode="off", machines=1, down=0,
-                             arms=[{"machine": "s0/m0", "down": False,
-                                    "elapsed_ns": 2.0}])
-        b = MicroSweepResult(mode="off", machines=2, down=1,
-                             arms=[{"machine": "s1/m0", "down": True,
-                                    "elapsed_ns": 0.0},
-                                   {"machine": "s1/m1", "down": False,
-                                    "elapsed_ns": 4.0}])
+        a = MicroSweepResult(
+            mode="off",
+            machines=1,
+            down=0,
+            arms=[{"machine": "s0/m0", "down": False, "elapsed_ns": 2.0}],
+        )
+        b = MicroSweepResult(
+            mode="off",
+            machines=2,
+            down=1,
+            arms=[
+                {"machine": "s1/m0", "down": True, "elapsed_ns": 0.0},
+                {"machine": "s1/m1", "down": False, "elapsed_ns": 4.0},
+            ],
+        )
         merged = a.merge(b)
         assert merged is a
         assert merged.machines == 3 and merged.down == 1
@@ -176,12 +181,10 @@ class TestBatchPlumbing:
     def test_resolve_explicit(self):
         """No trace-driven study takes a batch size, and no shard spec
         carries one."""
-        for study in (MicroFleetSweep, CallGraphScenario,
-                      NoisyNeighborScenario):
+        for study in (MicroFleetSweep, CallGraphScenario, NoisyNeighborScenario):
             with pytest.raises(TypeError):
                 study(batch_size=4)
-            assert not any(hasattr(spec, "batch_size")
-                           for spec in study().shard_specs())
+            assert not any(hasattr(spec, "batch_size") for spec in study().shard_specs())
 
     def test_resolve_env(self, monkeypatch):
         """A stale ``$REPRO_BATCH`` — even junk, even the old ``0`` — is
@@ -191,6 +194,9 @@ class TestBatchPlumbing:
             monkeypatch.setenv("REPRO_BATCH", value)
             result = small_sweep().run(workers=1)
             assert result.occupancy.to_dict() == {
-                "batched_arms": 9, "scalar_arms": 0, "groups": 3,
-                "fallback_reasons": {}}
+                "batched_arms": 9,
+                "scalar_arms": 0,
+                "groups": 3,
+                "fallback_reasons": {},
+            }
             assert sweep_digest(result) == sweep_digest(baseline)

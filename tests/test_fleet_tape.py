@@ -78,8 +78,14 @@ class TestStudiesMatchTheReferencePath:
         plan = FaultPlan.parse(BLACKOUT_FAULTS)
 
         def factory():
-            return AblationStudy(mode="hard", seed=11, shard_size=3, fault_plan=plan,
-                                 config=hardened_config, **HARDENED)
+            return AblationStudy(
+                mode="hard",
+                seed=11,
+                shard_size=3,
+                fault_plan=plan,
+                config=hardened_config,
+                **HARDENED,
+            )
 
         result = factory().run(**SERIAL)
         assert result.chaos.failsafe_engagements > 0
@@ -112,8 +118,13 @@ class TestStudiesMatchTheReferencePath:
 
     def test_hardened_event_logs_are_byte_identical(self, hardened_config, tmp_path):
         def factory():
-            return AblationStudy(mode="hard", seed=11, fault_plan=FaultPlan.parse(BLACKOUT_FAULTS),
-                                 config=hardened_config, **HARDENED)
+            return AblationStudy(
+                mode="hard",
+                seed=11,
+                fault_plan=FaultPlan.parse(BLACKOUT_FAULTS),
+                config=hardened_config,
+                **HARDENED,
+            )
 
         factory().run(**{**SERIAL, "obs_dir": str(tmp_path / "taped")})
         with reference_engine():
@@ -289,8 +300,7 @@ class TestReclamation:
                 gc.enable()
 
     @pytest.mark.parametrize("faults", [None, FAULTS])
-    def test_each_rollout_arm_frees_its_fleet_before_the_next_starts(
-            self, monkeypatch, faults):
+    def test_each_rollout_arm_frees_its_fleet_before_the_next_starts(self, monkeypatch, faults):
         """Refcounting alone frees an arm's fleet when the arm ends, so a
         serial rollout never holds two arms' fleets at once."""
         build = RolloutStudy._build
