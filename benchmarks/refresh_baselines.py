@@ -30,12 +30,13 @@ BENCHMARK_SCRIPTS = {
 }
 
 
-def run_benchmark(name, rounds):
+def run_benchmark(name, rounds=None):
+    """Run one gated benchmark at ``rounds``, or at its own default round
+    count (the one the CI gate runs) when ``rounds`` is ``None``."""
     script = BENCHMARK_SCRIPTS[name]
-    print(f"== running {script.name} (rounds={rounds}) ==")
-    subprocess.run(
-        [sys.executable, str(script), "--rounds", str(rounds)], check=True, cwd=str(REPO_ROOT)
-    )
+    extra = [] if rounds is None else ["--rounds", str(rounds)]
+    print(f"== running {script.name} (rounds={rounds or 'default'}) ==")
+    subprocess.run([sys.executable, str(script), *extra], check=True, cwd=str(REPO_ROOT))
 
 
 def main(argv=None):
@@ -51,8 +52,9 @@ def main(argv=None):
     parser.add_argument(
         "--rounds",
         type=int,
-        default=3,
-        help="timing rounds per benchmark (best-of); more rounds give a steadier baseline",
+        default=None,
+        help="timing rounds per benchmark (best-of); default: each benchmark's own "
+        "default, the round count its CI gate runs",
     )
     args = parser.parse_args(argv)
 

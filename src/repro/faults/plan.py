@@ -85,7 +85,7 @@ class FaultClause:
 
     kind: str
     #: Sorted (name, value) pairs — a tuple so clauses stay hashable
-    #: and picklable for shard specs crossing process boundaries.
+    #: and picklable for shards crossing process boundaries.
     params: Tuple[Tuple[str, Union[float, str]], ...]
 
     def param(self, name: str) -> Union[float, str]:

@@ -4,7 +4,7 @@ Shards are mapped across processes with
 :class:`concurrent.futures.ProcessPoolExecutor`. The contract that keeps
 parallel output bit-identical to serial output:
 
-* the task list (shard specs) is fixed before any worker starts, and
+* the task list (one shard per task) is fixed before any worker starts, and
 * results are collected *positionally*, so the merge downstream always
   folds shards in plan order no matter which worker finished first.
 
@@ -88,8 +88,8 @@ def run_sharded(
 
     With ``workers <= 1`` (or a single spec) this is a plain serial loop.
     Otherwise the specs are fanned out over a process pool — ``worker``
-    and every spec must be picklable (module-level function, dataclass
-    spec).
+    and every spec must be picklable (a module-level function; a shard,
+    which is a copy of its study).
 
     ``on_result(index, result)``, when given, fires exactly once per
     spec, in *completion* order (which under a pool differs from spec

@@ -6,10 +6,11 @@ The studies (:class:`~repro.fleet.ablation.AblationStudy`,
 sweep killed at shard 412/500 restarted from zero, because the result
 cache only keyed *whole studies*. This module drops the granularity to
 the shard. Every shard becomes a content-addressed task — key material
-is the full shard spec (which embeds the config signature, trace
-fingerprint or generation seed, and fault plan) plus the study kind and
-a queue schema version — and each completed shard's serialized result is
-journaled atomically to a checkpoint directory the moment it finishes.
+is the shard's key body (its study's ``shard_key``, which embeds the
+config signature, trace fingerprint or generation seed, and fault plan)
+plus the study kind and a queue schema version — and each completed
+shard's serialized result is journaled atomically to a checkpoint
+directory the moment it finishes.
 Re-running the same study against the same directory restores finished
 shards from the journal and computes only the rest.
 
@@ -165,12 +166,14 @@ def shard_checkpoint(
 def shard_task_material(study: str, spec_material: Dict) -> Dict:
     """Key material for one shard task.
 
-    ``spec_material`` must capture everything the shard result depends
-    on — the shard spec itself (machines, seed, epochs, config
-    signature, fault plan, shard index) and, for trace-driven studies,
-    the trace fingerprint. The study kind and the queue schema version
-    are mixed in here so an ablation shard and a sweep shard can never
-    collide and journals from older code never resolve.
+    ``spec_material`` is the shard's key body, from its study's
+    ``shard_key``. It must capture everything the shard result depends
+    on — the shard's own fields (machines, seed, shard index), the
+    study fields its run reads (epochs, config signature, fault plan)
+    and, for trace-driven studies, the trace fingerprint. It sits under
+    the key's ``"spec"`` entry. The study kind and the queue schema
+    version are mixed in here so an ablation shard and a sweep shard can
+    never collide and journals from older code never resolve.
     """
     return {
         "kind": "shard-task",

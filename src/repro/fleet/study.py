@@ -4,8 +4,9 @@
 :class:`~repro.fleet.ablation.AblationStudy`,
 :class:`~repro.fleet.rollout.RolloutStudy`,
 :class:`~repro.fleet.sweep.MicroFleetSweep` and both scenario studies.
-The two analytic fleet studies share :class:`AnalyticFleetStudy`'s
-constructor checks, shards (each a copy of the study), worker
+Every shard is a shallow copy of its study
+(:meth:`FleetStudy.shard_specs`). The two analytic fleet studies share
+:class:`AnalyticFleetStudy`'s constructor checks, worker
 (:func:`run_traced`), keys and manifest fields. The base's
 :meth:`FleetStudy.run` hands the study to :func:`run_study`, which
 resolves the worker count, result cache, shard journal and observability
@@ -47,13 +48,19 @@ class FleetStudy:
 
     A subclass sets ``STUDY`` (the kind, for the manifest and the study
     events), ``worker`` (the pure shard worker, the process-pool entry
-    point) and ``from_payload`` (``staticmethod(<Result>.from_dict)``,
-    which rebuilds a shard or merged result from its dict), and provides
-    ``shard_specs()`` (plan-order specs, each with a ``shard_index``),
-    ``shard_key(spec)`` (one shard's work-queue key body) and
+    point, which takes one shard) and ``from_payload``
+    (``staticmethod(<Result>.from_dict)``, which rebuilds a shard or
+    merged result from its dict), and provides ``shard_fields()`` (what
+    each shard's copy carries in place of the study's own fields) and
     ``cache_key_material()`` (the whole-study cache key and the
-    manifest's ``run`` material). Every base method works on
-    every subclass: none reads a study parameter.
+    manifest's ``run`` material). Every base method works on every
+    subclass: none reads a study parameter beyond ``machines`` and
+    ``seed``, which every study has.
+
+    A shard is a shallow copy of its study (see :meth:`shard_specs`), so
+    it keeps the study's class and pickles to a pool worker as it is.
+    Every field a copy shares with its study is an immutable value:
+    numbers, strings, ``None``, frozen dataclasses and tuples of these.
     """
 
     STUDY: str
@@ -63,16 +70,43 @@ class FleetStudy:
     #: :class:`~repro.fleet.queue.QueueStats`), or ``None`` before the
     #: first run and on a whole-study cache hit.
     queue_stats = None
+    #: Position in the shard plan: a whole study is shard 0 of itself.
+    shard_index = 0
+
+    def shard_specs(self) -> List[FleetStudy]:
+        """The shards in plan order, each a copy of this study with its
+        :meth:`shard_fields` and its ``shard_index``."""
+        shards = []
+        for index, fields in enumerate(self.shard_fields()):
+            shard = copy.copy(self)
+            vars(shard).update(fields, shard_index=index)
+            shards.append(shard)
+        return shards
+
+    def shard_key(self, shard) -> Dict:
+        """One shard's work-queue key body.
+
+        By default the whole study identity (``cache_key_material()``)
+        plus the shard's own population, seed and plan position, so a
+        shard journaled by one study can never be restored into a
+        different one.
+        """
+        return {
+            **self.cache_key_material(),
+            "shard_machines": shard.machines,
+            "shard_seed": shard.seed,
+            "shard_index": shard.shard_index,
+        }
 
     def shard_task_materials(self) -> List[Dict]:
         """Work-queue key material per shard (plan order)."""
         from repro.fleet.queue import shard_task_material
 
         return [
-            shard_task_material(self.STUDY, self.shard_key(spec)) for spec in self.shard_specs()
+            shard_task_material(self.STUDY, self.shard_key(shard)) for shard in self.shard_specs()
         ]
 
-    def shard_meta(self, spec) -> Optional[Dict]:
+    def shard_meta(self, shard) -> Optional[Dict]:
         """``{"machines", "seed", "epochs"}`` for the study-level
         ``shard-start``/``shard-finish`` events of one shard, or ``None``
         (the default) when the shard worker traces its own."""
@@ -138,16 +172,13 @@ def run_traced(shard) -> Tuple:
 class AnalyticFleetStudy(FleetStudy):
     """The base of the two analytic fleet studies (ablation, rollout).
 
-    One shard is a shallow copy of its study with the shard's own
-    ``machines``, ``seed`` and ``shard_index`` (see :meth:`shard_specs`),
-    so the copy runs in a pool worker through :func:`run_traced`. Every
-    field a copy shares with its study is an immutable value: numbers,
-    strings, and the frozen config, fault plan and platform.
+    One shard is a copy of its study with the shard's own ``machines``
+    and ``seed`` (see :meth:`shard_fields`), so the copy runs in a pool
+    worker through :func:`run_traced`. The fields it shares with its
+    study include the frozen config, fault plan and platform.
     """
 
     worker = staticmethod(run_traced)
-    #: Position in the shard plan: a whole study is shard 0 of itself.
-    shard_index = 0
 
     def __init__(
         self,
@@ -179,30 +210,13 @@ class AnalyticFleetStudy(FleetStudy):
         """How this study's machines split across shards."""
         return plan_shards(self.machines, self.shard_size)
 
-    def shard_specs(self) -> List[AnalyticFleetStudy]:
-        """The shards in plan order, each a copy of this study."""
+    def shard_fields(self) -> List[Dict]:
+        """Each shard's population and seed, in plan order."""
         plan = self.shard_plan()
-        shards = []
-        for index, (size, seed) in enumerate(zip(plan.sizes, plan.seeds(self.seed))):
-            shard = copy.copy(self)
-            shard.machines, shard.seed, shard.shard_index = size, seed, index
-            shards.append(shard)
-        return shards
-
-    def shard_key(self, spec) -> Dict:
-        """One shard's work-queue key body.
-
-        The whole study identity (``cache_key_material()``) plus the
-        shard's own population, seed and plan position, so a shard
-        journaled by one study can never be restored into a different
-        one.
-        """
-        return {
-            **self.cache_key_material(),
-            "shard_machines": spec.machines,
-            "shard_seed": spec.seed,
-            "shard_index": spec.shard_index,
-        }
+        return [
+            {"machines": size, "seed": seed}
+            for size, seed in zip(plan.sizes, plan.seeds(self.seed))
+        ]
 
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data (the cache key
@@ -361,11 +375,11 @@ def run_study(
             session.cache_probe(result is not None, cache.key_for(material))
 
     if result is None:
-        specs = study.shard_specs()
+        shards = study.shard_specs()
         with _phase(session, "execute"):
             outputs, stats = run_checkpointed(
                 worker,
-                specs,
+                shards,
                 study.shard_task_materials(),
                 workers,
                 checkpoint=checkpoint,
@@ -374,13 +388,13 @@ def run_study(
             )
         outputs = [shard_output(output) for output in outputs]
         if session is not None:
-            _log_shards(session, study, specs, outputs, stats if checkpoint is not None else None)
+            _log_shards(session, study, shards, outputs, stats if checkpoint is not None else None)
         with _phase(session, "merge"):
             result = outputs[0][0]
-            for index, (shard, _, _) in enumerate(outputs[1:], start=1):
+            for index, (part, _, _) in enumerate(outputs[1:], start=1):
                 if session is not None:
                     session.event("merge-step", index=index)
-                result.merge(shard)
+                result.merge(part)
         if cache is not None:
             cache.store(material, result.to_dict())
             if session is not None:
@@ -392,22 +406,22 @@ def run_study(
     return result, stats
 
 
-def _log_shards(session: ObsSession, study, specs, outputs, stats) -> None:
+def _log_shards(session: ObsSession, study, shards, outputs, stats) -> None:
     """Record the executed shards in plan order: spliced shard events,
     then journal markers (``stats`` is ``None`` without a journal), then
     study-level shard events for studies whose workers do not trace."""
     if stats is not None:
         session.queue_stats(stats)
-    for spec, (_, events, wall) in zip(specs, outputs):
-        session.add_shard(spec.shard_index, events, wall)
+    for shard, (_, events, wall) in zip(shards, outputs):
+        session.add_shard(shard.shard_index, events, wall)
     if stats is not None:
         restored = set(stats.restored_indexes)
-        for spec in specs:
-            kind = "shard-restored" if spec.shard_index in restored else "shard-checkpoint"
-            session.event(kind, index=spec.shard_index)
-    for spec in specs:
-        meta = study.shard_meta(spec)
+        for shard in shards:
+            kind = "shard-restored" if shard.shard_index in restored else "shard-checkpoint"
+            session.event(kind, index=shard.shard_index)
+    for shard in shards:
+        meta = study.shard_meta(shard)
         if meta is not None:
-            index = spec.shard_index
+            index = shard.shard_index
             session.event("shard-start", index=index, machines=meta["machines"], seed=meta["seed"])
             session.event("shard-finish", index=index, epochs=meta["epochs"])

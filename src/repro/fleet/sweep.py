@@ -35,7 +35,7 @@ Determinism mirrors the other fleet studies:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -178,34 +178,18 @@ def sweep_digest(result: MicroSweepResult) -> str:
     return hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class MicroSweepShardSpec:
-    """One shard's worth of a micro-fleet sweep (picklable pool payload)."""
-
-    mode: str
-    machines: int
-    study_seed: int
-    trace_seed: int
-    scale: float
-    crash_rate: float
-    shard_index: int
-    #: Shared-trace workload; ``None`` means the default fleetbench mix
-    #: (kept ``None`` rather than ``"fleetbench"`` so plain-sweep shard
-    #: keys are unchanged).
-    workload: Optional[str] = None
-
-
-def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
+def run_sweep_shard(shard: MicroFleetSweep) -> MicroSweepResult:
     """Replay the shard's trace through its machine-arms.
 
-    Pure function of the spec — the process-pool worker entry point.
-    Arms are built cold, run through
-    :func:`~repro.memsys.hierarchy.run_many` (which batches the eligible
-    ones), and discarded; only their result rows survive, so the engine
-    runs with ``export_state=False``: no arm takes in cache contents, and
-    each drops its caches, training, in-flight table and DRAM window
-    right after its run, so a shard holds one arm's replay state at a
-    time.
+    Pure function of the shard — the process-pool worker entry point.
+    The shard is a copy of its sweep with the shard's own ``machines``
+    and ``trace_seed``; its ``seed`` stays the study seed. Arms are built
+    cold, run through :func:`~repro.memsys.hierarchy.run_many` (which
+    batches the eligible ones), and discarded; only their result rows
+    survive, so the engine runs with ``export_state=False``: no arm takes
+    in cache contents, and each drops its caches, training, in-flight
+    table and DRAM window right after its run, so a shard holds one
+    arm's replay state at a time.
     """
     from repro.memsys.batched import BatchOccupancy
     from repro.memsys.dram import ConstantExternalLoad
@@ -213,19 +197,19 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
     from repro.memsys.prefetchers.bank import PrefetcherBank
     from repro.workloads.memo import memoized_fleet_mix, memoized_scenario_mix
 
-    if spec.workload == "scenario":
-        trace = memoized_scenario_mix(spec.trace_seed, spec.scale)
+    if shard.workload == "scenario":
+        trace = memoized_scenario_mix(shard.trace_seed, shard.scale)
     else:
-        trace = memoized_fleet_mix(spec.trace_seed, spec.scale)
+        trace = memoized_fleet_mix(shard.trace_seed, shard.scale)
     rows: List[Dict] = []
     live_arms: List[MemoryHierarchy] = []
     live_rows: List[Dict] = []
     down = 0
-    for index in range(spec.machines):
+    for index in range(shard.machines):
         machine = f"m{index}"
-        load = background_load(spec.study_seed, spec.shard_index, machine)
+        load = background_load(shard.seed, shard.shard_index, machine)
         row = {
-            "machine": f"s{spec.shard_index}/{machine}",
+            "machine": f"s{shard.shard_index}/{machine}",
             "external_load": load,
             "down": False,
             "elapsed_ns": 0.0,
@@ -235,12 +219,12 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
             "dram_wait_ns": 0.0,
         }
         rows.append(row)
-        if crashed(spec.study_seed, spec.shard_index, machine, spec.crash_rate):
+        if crashed(shard.seed, shard.shard_index, machine, shard.crash_rate):
             row["down"] = True
             down += 1
             continue
         arm = MemoryHierarchy(
-            prefetchers=PrefetcherBank([]) if spec.mode == "off" else None,
+            prefetchers=PrefetcherBank([]) if shard.mode == "off" else None,
             external_load=ConstantExternalLoad(load),
         )
         live_arms.append(arm)
@@ -256,7 +240,7 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
             row["dram_demand_fills"] = result.dram_demand_fills
             row["dram_wait_ns"] = result.total.dram_wait_ns
     return MicroSweepResult(
-        mode=spec.mode, machines=spec.machines, down=down, arms=rows, occupancy=occupancy
+        mode=shard.mode, machines=shard.machines, down=down, arms=rows, occupancy=occupancy
     )
 
 
@@ -326,21 +310,12 @@ class MicroFleetSweep(FleetStudy):
 
     # --- sharding ----------------------------------------------------------------
 
-    def shard_specs(self) -> List[MicroSweepShardSpec]:
-        """Per-shard specs (plan order), ready for any worker."""
+    def shard_fields(self) -> List[Dict]:
+        """Each shard's population and trace seed, in plan order."""
         plan = plan_shards(self.machines, self.shard_size)
         return [
-            MicroSweepShardSpec(
-                mode=self.mode,
-                machines=size,
-                study_seed=self.seed,
-                trace_seed=trace_seed,
-                scale=self.scale,
-                crash_rate=self.crash_rate,
-                shard_index=index,
-                workload=self.workload,
-            )
-            for index, (size, trace_seed) in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
+            {"machines": size, "trace_seed": trace_seed}
+            for size, trace_seed in zip(plan.sizes, plan.seeds(self.seed))
         ]
 
     def cache_key_material(self) -> Dict:
@@ -364,21 +339,24 @@ class MicroFleetSweep(FleetStudy):
             material["workload"] = self.workload
         return material
 
-    def shard_key(self, spec: MicroSweepShardSpec) -> Dict:
-        """The shard spec plus the trace fingerprint — the trace memo's
-        own content key, ``("fleetbench_mix", trace_seed, scale)`` — in
-        place of the workload name. Like the study cache key, it
+    def shard_key(self, shard: MicroFleetSweep) -> Dict:
+        """The shard's own fields plus the trace fingerprint — the trace
+        memo's own content key, ``("fleetbench_mix", trace_seed, scale)``
+        — in place of the workload name. Like the study cache key, it
         excludes the engine: every engine is bit-identical, so a shard
         journaled under ``REPRO_SLOW_ENGINE=1`` must restore under the
         compiled engine, and does."""
-        body = asdict(spec)
-        del body["workload"]
-        body["trace"] = [
-            "scenario_mix" if spec.workload == "scenario" else "fleetbench_mix",
-            spec.trace_seed,
-            spec.scale,
-        ]
-        return body
+        trace = "scenario_mix" if shard.workload == "scenario" else "fleetbench_mix"
+        return {
+            "mode": shard.mode,
+            "machines": shard.machines,
+            "study_seed": shard.seed,
+            "trace_seed": shard.trace_seed,
+            "scale": shard.scale,
+            "crash_rate": shard.crash_rate,
+            "shard_index": shard.shard_index,
+            "trace": [trace, shard.trace_seed, shard.scale],
+        }
 
     # --- execution ---------------------------------------------------------------
 

@@ -13,12 +13,12 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "callgraph": (
         "CALLGRAPH_MODES", "CallGraphResult", "CallGraphScenario",
-        "CallGraphShardSpec", "DEFAULT_SERVICES", "ServiceSpec",
+        "DEFAULT_SERVICES", "ServiceSpec",
         "callgraph_digest", "parse_services", "run_callgraph_shard",
     ),
     "tenancy": (
         "DEFAULT_TENANTS", "NOISY_MODES", "NoisyNeighborResult",
-        "NoisyNeighborScenario", "NoisyShardSpec", "TenantSpec",
+        "NoisyNeighborScenario", "TenantSpec",
         "noisy_digest", "parse_tenants", "run_noisy_shard",
     ),
     "workload": (

@@ -34,7 +34,7 @@ batched runs are bit-identical and :func:`callgraph_digest` proves it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -135,7 +135,11 @@ def parse_services(text: str) -> Tuple[ServiceSpec, ...]:
                 if not star:
                     raise ConfigError(
                         f"fan-out edge {edge!r} must be child*calls")
-                calls.append((child.strip(), int(count)))
+                try:
+                    calls.append((child.strip(), int(count)))
+                except ValueError:
+                    raise ConfigError(f"fan-out edge {edge!r} needs an "
+                                      "integer call count") from None
         try:
             services.append(ServiceSpec(
                 name=name, kind=kind, replicas=int(replicas),
@@ -230,29 +234,16 @@ def callgraph_digest(result: CallGraphResult) -> str:
         canonical_json(result.to_dict()).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CallGraphShardSpec:
-    """One service's worth of a call-graph run (picklable pool payload)."""
-
-    service: str
-    kind: str
-    replicas: int
-    request_lines: int
-    requests: int
-    study_seed: int
-    mode: str
-    crash_rate: float
-    shard_index: int
-
-
-def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
+def run_callgraph_shard(shard: CallGraphScenario) -> CallGraphResult:
     """Replay one service's request stream through its replicas.
 
-    Pure function of the spec — the process-pool worker entry point.
-    The request stream is lowered once into a concatenated columnar
-    trace; replicas (differing only in constant background load) replay
-    it through :func:`~repro.memsys.hierarchy.run_many`, so arms in both
-    modes batch through the lockstep engine.
+    Pure function of the shard — the process-pool worker entry point.
+    The shard is a copy of its scenario whose ``services`` hold the
+    shard's one service; its ``seed`` stays the study seed. The request
+    stream is lowered once into a concatenated columnar trace; replicas
+    (differing only in constant background load) replay it through
+    :func:`~repro.memsys.hierarchy.run_many`, so arms in both modes
+    batch through the lockstep engine.
     """
     from repro.access.address import AddressSpace
     from repro.access.builder import trace_builder
@@ -261,13 +252,14 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
     from repro.memsys.prefetchers.bank import PrefetcherBank
 
+    service = shard.services[0]
     space = AddressSpace()
     builder = trace_builder()
-    for index in range(spec.requests):
-        emit_request(builder, spec.kind,
-                     scenario_rng(spec.study_seed, "request", spec.service,
+    for index in range(shard.requests):
+        emit_request(builder, service.kind,
+                     scenario_rng(shard.seed, "request", service.name,
                                   index),
-                     space, spec.request_lines,
+                     space, service.request_lines,
                      function=request_label(index))
     trace = builder.build()
 
@@ -275,12 +267,12 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
     live_arms: List = []
     live_rows: List[Dict] = []
     down = 0
-    for replica in range(spec.replicas):
-        load = scenario_rng(spec.study_seed, "load", spec.service,
+    for replica in range(service.replicas):
+        load = scenario_rng(shard.seed, "load", service.name,
                             replica).uniform(0.0, _MAX_BACKGROUND_LOAD)
         row = {
-            "service": spec.service,
-            "replica": f"{spec.service}/r{replica}",
+            "service": service.name,
+            "replica": f"{service.name}/r{replica}",
             "external_load": load,
             "down": False,
             "elapsed_ns": 0.0,
@@ -290,13 +282,13 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
             "request_latency_ns": [],
         }
         rows.append(row)
-        if spec.crash_rate > 0.0 and scenario_rng(
-                spec.study_seed, "crash", spec.service,
-                replica).random() < spec.crash_rate:
+        if shard.crash_rate > 0.0 and scenario_rng(
+                shard.seed, "crash", service.name,
+                replica).random() < shard.crash_rate:
             row["down"] = True
             down += 1
             continue
-        prefetchers = PrefetcherBank([]) if spec.mode == "off" else None
+        prefetchers = PrefetcherBank([]) if shard.mode == "off" else None
         arm = MemoryHierarchy(prefetchers=prefetchers,
                               external_load=ConstantExternalLoad(load))
         live_arms.append(arm)
@@ -314,9 +306,9 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
             row["dram_wait_ns"] = result.total.dram_wait_ns
             row["request_latency_ns"] = [
                 result.function(request_label(index)).cycles * cycle_ns
-                for index in range(spec.requests)]
-    return CallGraphResult(mode=spec.mode, requests=spec.requests,
-                           replicas=spec.replicas, down=down, rows=rows,
+                for index in range(shard.requests)]
+    return CallGraphResult(mode=shard.mode, requests=shard.requests,
+                           replicas=service.replicas, down=down, rows=rows,
                            occupancy=occupancy)
 
 
@@ -412,18 +404,9 @@ class CallGraphScenario(FleetStudy):
 
     # --- sharding ----------------------------------------------------------------
 
-    def shard_specs(self) -> List[CallGraphShardSpec]:
+    def shard_fields(self) -> List[Dict]:
         """One shard per service, in listed (plan) order."""
-        return [
-            CallGraphShardSpec(
-                service=service.name, kind=service.kind,
-                replicas=service.replicas,
-                request_lines=service.request_lines,
-                requests=self.requests, study_seed=self.seed,
-                mode=self.mode, crash_rate=self.crash_rate,
-                shard_index=index)
-            for index, service in enumerate(self.services)
-        ]
+        return [{"services": (service,)} for service in self.services]
 
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data.
@@ -443,15 +426,21 @@ class CallGraphScenario(FleetStudy):
             "crash_rate": self.crash_rate,
         }
 
-    def shard_key(self, spec: CallGraphShardSpec) -> Dict:
-        """The shard spec's own fields (it carries the whole shard)."""
-        return asdict(spec)
+    def shard_key(self, shard: "CallGraphScenario") -> Dict:
+        """The shard's service and the scenario fields its run reads."""
+        service = shard.services[0]
+        return {"service": service.name, "kind": service.kind,
+                "replicas": service.replicas,
+                "request_lines": service.request_lines,
+                "requests": shard.requests, "study_seed": shard.seed,
+                "mode": shard.mode, "crash_rate": shard.crash_rate,
+                "shard_index": shard.shard_index}
 
-    def shard_meta(self, spec: CallGraphShardSpec) -> Dict:
+    def shard_meta(self, shard: "CallGraphScenario") -> Dict:
         """The shard's plan-order ``shard-start``/``shard-finish`` event
         fields; the worker does not trace."""
-        return {"machines": spec.replicas, "seed": spec.study_seed,
-                "epochs": spec.requests}
+        return {"machines": shard.machines, "seed": shard.seed,
+                "epochs": shard.requests}
 
     # --- end-to-end assembly -----------------------------------------------------
 

@@ -44,7 +44,7 @@ sizes, and engines.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -271,37 +271,22 @@ def noisy_digest(result: NoisyNeighborResult) -> str:
         canonical_json(result.to_dict()).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class NoisyShardSpec:
-    """One shard's worth of machines (picklable pool payload)."""
-
-    tenants: Tuple[TenantSpec, ...]
-    start: int
-    machines: int
-    epochs: int
-    study_seed: int
-    mode: str
-    crash_rate: float
-    upper: float
-    lower: float
-    sustain_ns: float
-    shard_index: int
-
-
-def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
+def run_noisy_shard(shard: NoisyNeighborScenario) -> NoisyNeighborResult:
     """Simulate this shard's machines epoch by epoch.
 
-    Pure function of the spec — the process-pool worker entry point.
-    Every machine replays the *same* interleaved tenant trace each epoch
-    (tenant streams key off study seed, tenant name, and epoch — never
-    the machine), so the epoch loop runs all live machines through
-    :func:`~repro.memsys.hierarchy.run_many` together: epoch 0 batches
-    the cold arms by enabled mask, and later epochs batch the warm arms
-    by lineage and enabled mask, from the state the last epoch's groups
-    left them sharing. Controller
-    modes sample DRAM utilization at epoch boundaries and actuate the
-    socket-level prefetcher state for the *next* epoch (telemetry acts
-    with one epoch of lag, like the daemon's sampling loop).
+    Pure function of the shard — the process-pool worker entry point.
+    The shard is a copy of its scenario with the shard's own
+    ``machines`` and global ``start`` index; its ``seed`` stays the
+    study seed. Every machine replays the *same* interleaved tenant
+    trace each epoch (tenant streams key off study seed, tenant name,
+    and epoch — never the machine), so the epoch loop runs all live
+    machines through :func:`~repro.memsys.hierarchy.run_many` together:
+    epoch 0 batches the cold arms by enabled mask, and later epochs
+    batch the warm arms by lineage and enabled mask, from the state the
+    last epoch's groups left them sharing. Controller modes sample DRAM
+    utilization at epoch boundaries and actuate the socket-level
+    prefetcher state for the *next* epoch (telemetry acts with one
+    epoch of lag, like the daemon's sampling loop).
     """
     # Through the package: the end-to-end benchmark's span probes wrap
     # ``repro.access.interleave`` there.
@@ -313,16 +298,16 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
 
-    tenant_names = [tenant.name for tenant in spec.tenants]
+    tenant_names = [tenant.name for tenant in shard.tenants]
     controller_config = LimoncelloConfig(
-        lower_threshold=spec.lower, upper_threshold=spec.upper,
-        sustain_duration_ns=spec.sustain_ns,
-        sample_period_ns=spec.sustain_ns)
+        lower_threshold=shard.lower, upper_threshold=shard.upper,
+        sustain_duration_ns=shard.sustain_ns,
+        sample_period_ns=shard.sustain_ns)
     rows: List[Dict] = []
     live: List[Tuple[Dict, MemoryHierarchy, Optional[object]]] = []
     down = 0
-    for local in range(spec.machines):
-        machine = spec.start + local
+    for local in range(shard.machines):
+        machine = shard.start + local
         ident = f"m{machine}"
         row = {
             "machine": ident,
@@ -339,40 +324,40 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
                         for name in tenant_names},
         }
         rows.append(row)
-        if spec.crash_rate > 0.0 and scenario_rng(
-                spec.study_seed, "noisy-crash",
-                ident).random() < spec.crash_rate:
+        if shard.crash_rate > 0.0 and scenario_rng(
+                shard.seed, "noisy-crash",
+                ident).random() < shard.crash_rate:
             row["down"] = True
             down += 1
             continue
 
-        load = scenario_rng(spec.study_seed, "noisy-load",
+        load = scenario_rng(shard.seed, "noisy-load",
                             ident).uniform(0.0, _MAX_BACKGROUND_LOAD)
         row["external_load"] = load
         hierarchy = MemoryHierarchy(
             external_load=ConstantExternalLoad(load))
         controller = None
-        if spec.mode == "disabled":
+        if shard.mode == "disabled":
             hierarchy.set_hardware_prefetchers(False)
-        elif spec.mode == "hard":
+        elif shard.mode == "hard":
             controller = HardLimoncelloController(controller_config,
                                                   ident=ident)
-        elif spec.mode == "single-threshold":
-            controller = SingleThresholdController(threshold=spec.upper,
+        elif shard.mode == "single-threshold":
+            controller = SingleThresholdController(threshold=shard.upper,
                                                    ident=ident)
         live.append((row, hierarchy, controller))
 
     occupancy = BatchOccupancy()
     space = AddressSpace()
-    for epoch in range(spec.epochs):
+    for epoch in range(shard.epochs):
         if not live:
             break
         traces = []
-        for tenant in spec.tenants:
+        for tenant in shard.tenants:
             builder = trace_builder()
             emit_request(
                 builder, tenant.kind,
-                scenario_rng(spec.study_seed, "tenant", tenant.name,
+                scenario_rng(shard.seed, "tenant", tenant.name,
                              epoch),
                 space, tenant.effective_lines, function=tenant.name)
             traces.append(builder.build())
@@ -406,8 +391,8 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
         if controller is not None:
             row["transitions"] = controller.transitions
     return NoisyNeighborResult(
-        mode=spec.mode, epochs=spec.epochs, tenant_names=tenant_names,
-        machines=spec.machines, down=down, rows=rows,
+        mode=shard.mode, epochs=shard.epochs, tenant_names=tenant_names,
+        machines=shard.machines, down=down, rows=rows,
         occupancy=occupancy)
 
 
@@ -487,20 +472,15 @@ class NoisyNeighborScenario(FleetStudy):
 
     # --- sharding ----------------------------------------------------------------
 
-    def shard_specs(self) -> List[NoisyShardSpec]:
-        """Per-shard specs (plan order), carrying global start indices."""
-        plan = plan_shards(self.machines, self.shard_size)
-        specs = []
+    def shard_fields(self) -> List[Dict]:
+        """Each shard's population and global start index, in plan
+        order."""
+        fields = []
         start = 0
-        for index, size in enumerate(plan.sizes):
-            specs.append(NoisyShardSpec(
-                tenants=self.tenants, start=start, machines=size,
-                epochs=self.epochs, study_seed=self.seed, mode=self.mode,
-                crash_rate=self.crash_rate, upper=self.upper,
-                lower=self.lower, sustain_ns=self.sustain_ns,
-                shard_index=index))
+        for size in plan_shards(self.machines, self.shard_size).sizes:
+            fields.append({"machines": size, "start": start})
             start += size
-        return specs
+        return fields
 
     def cache_key_material(self) -> Dict:
         """Everything the result depends on, as plain data.
@@ -521,15 +501,22 @@ class NoisyNeighborScenario(FleetStudy):
             "crash_rate": self.crash_rate,
         }
 
-    def shard_key(self, spec: NoisyShardSpec) -> Dict:
-        """The shard spec's own fields (it carries the whole shard)."""
-        return asdict(spec)
+    def shard_key(self, shard: "NoisyNeighborScenario") -> Dict:
+        """The shard's own population and start plus the scenario fields
+        its run reads."""
+        return {"tenants": [tenant.to_dict() for tenant in shard.tenants],
+                "start": shard.start, "machines": shard.machines,
+                "epochs": shard.epochs, "study_seed": shard.seed,
+                "mode": shard.mode, "crash_rate": shard.crash_rate,
+                "upper": shard.upper, "lower": shard.lower,
+                "sustain_ns": shard.sustain_ns,
+                "shard_index": shard.shard_index}
 
-    def shard_meta(self, spec: NoisyShardSpec) -> Dict:
+    def shard_meta(self, shard: "NoisyNeighborScenario") -> Dict:
         """The shard's plan-order ``shard-start``/``shard-finish`` event
         fields; the worker does not trace."""
-        return {"machines": spec.machines, "seed": spec.study_seed,
-                "epochs": spec.epochs}
+        return {"machines": shard.machines, "seed": shard.seed,
+                "epochs": shard.epochs}
 
     def baseline_twin(self) -> "NoisyNeighborScenario":
         """The paired always-``enabled`` arm over identical traffic —

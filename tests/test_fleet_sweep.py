@@ -179,12 +179,12 @@ class TestBatchPlumbing:
     """The lockstep batch size is gone: every cold group runs whole."""
 
     def test_resolve_explicit(self):
-        """No trace-driven study takes a batch size, and no shard spec
+        """No trace-driven study takes a batch size, and no shard
         carries one."""
         for study in (MicroFleetSweep, CallGraphScenario, NoisyNeighborScenario):
             with pytest.raises(TypeError):
                 study(batch_size=4)
-            assert not any(hasattr(spec, "batch_size") for spec in study().shard_specs())
+            assert not any(hasattr(shard, "batch_size") for shard in study().shard_specs())
 
     def test_resolve_env(self, monkeypatch):
         """A stale ``$REPRO_BATCH`` — even junk, even the old ``0`` — is

@@ -10,6 +10,7 @@ than recompute.
 
 import copy
 import hashlib
+import re
 
 import pytest
 from tests.hypothesis_profiles import scaled
@@ -72,6 +73,13 @@ class TestParseServices:
     def test_bad_fanout_edge_rejected(self):
         with pytest.raises(ConfigError):
             parse_services("a:stream:1:8>b")
+
+    @pytest.mark.parametrize("text", ["a:stream:1:4>b*x;b:stream:1:4",
+                                      "a:stream:1:4>b*;b:stream:1:4"])
+    def test_non_integer_fanout_count_rejected(self, text):
+        edge = text.split(">")[1].split(";")[0]
+        with pytest.raises(ConfigError, match=re.escape(repr(edge))):
+            parse_services(text)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
