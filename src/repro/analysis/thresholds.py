@@ -90,45 +90,3 @@ class ThresholdStudy:
             raise ConfigError("no outcomes to rank")
         return max(outcomes, key=lambda o: o.throughput_change)
 
-
-def derive_thresholds_from_curve(curve, knee_ratio: float = 1.5,
-                                 hysteresis_gap: float = 0.2
-                                 ) -> LimoncelloConfig:
-    """Derive controller thresholds from a measured latency curve.
-
-    Section 3: "The thresholds for disabling and enabling hardware
-    prefetchers were determined through fleetwide experimentation and
-    analysis of last-level cache (LLC) miss latency curves." This is the
-    curve-analysis half: the upper threshold is placed where loaded
-    latency first exceeds ``knee_ratio`` times the unloaded latency (past
-    the knee, running with prefetchers on costs more than their hit-rate
-    is worth); the lower threshold sits ``hysteresis_gap`` below it.
-
-    Args:
-        curve: A prefetchers-on :class:`~repro.analysis.LatencyCurve`.
-        knee_ratio: Loaded/unloaded latency ratio defining the knee.
-        hysteresis_gap: Upper minus lower threshold, in utilization.
-    """
-    if knee_ratio <= 1.0:
-        raise ConfigError("knee ratio must exceed 1")
-    if hysteresis_gap <= 0.0:
-        raise ConfigError("hysteresis gap must be positive")
-    if not curve.points:
-        raise ConfigError("cannot derive thresholds from an empty curve")
-    unloaded = curve.points[0].latency_ns
-    upper = None
-    for point in curve.points:
-        if point.latency_ns >= knee_ratio * unloaded:
-            upper = point.utilization
-            break
-    if upper is None:
-        raise ConfigError(
-            f"curve never reaches {knee_ratio}x unloaded latency; "
-            "measure further into saturation")
-    upper = min(upper, 0.95)
-    lower = upper - hysteresis_gap
-    if lower <= 0.0:
-        raise ConfigError(
-            f"knee at {upper:.2f} leaves no room for a {hysteresis_gap} "
-            "hysteresis gap")
-    return LimoncelloConfig(lower_threshold=lower, upper_threshold=upper)

@@ -225,7 +225,7 @@ def run_sweep(args) -> int:
         return MicroFleetSweep(
             mode=args.mode, machines=args.machines, seed=args.seed,
             scale=args.scale, shard_size=args.shard_size,
-            fault_plan=fault_plan, workload=args.trace)
+            fault_plan=fault_plan)
 
     def report(sweep, result) -> None:
         print(f"sweep arm: {args.mode}  "
@@ -465,7 +465,8 @@ def run_report(args) -> int:
 
     rollout = RolloutStudy(machines=machines, epochs=epochs,
                            warmup_epochs=warmup,
-                           seed=5).run(workers=workers)
+                           seed=5).run(workers=workers,
+                                       cache_dir=cache_dir)
     latency = rollout.latency_reduction()
     shares = rollout.tax_cycle_shares()
     sections += [
@@ -596,7 +597,8 @@ def run_scenario_noisy(args) -> int:
         if not args.baseline:
             return
         twin = scenario.baseline_twin().run(
-            workers=args.workers, cache_dir=args.cache_dir, obs_dir="")
+            workers=args.workers, cache_dir=args.cache_dir,
+            checkpoint_dir=args.checkpoint_dir, obs_dir="")
         comparison = scenario.compare_to_baseline(result, twin)
         print("\nversus always-enabled twin (negative = faster):")
         _table(("tenant", "p50", "p90", "p99", "mean"), [

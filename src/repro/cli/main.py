@@ -148,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", type=float, default=1.0,
                        help="workload scale factor for the shared trace")
     _add_shard_size_flag(sweep)
-    sweep.add_argument(
-        "--trace", choices=("fleetbench", "scenario"),
-        default="fleetbench",
-        help="shared trace every arm replays: the fleetbench-style mix "
-             "(default) or the scenario subsystem's two-tenant "
-             "noisy-neighbor interleave")
     _add_compare_serial_flag(sweep)
     _add_execution_flags(sweep)
     _add_checkpoint_flags(sweep)

@@ -37,8 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "shard_checkpoint", "shard_task_material",
     ),
     "sweep": (
-        "MicroFleetSweep", "MicroSweepResult", "SWEEP_WORKLOADS",
-        "sweep_digest",
+        "MicroFleetSweep", "MicroSweepResult", "sweep_digest",
     ),
     "ablation": ("AblationResult", "AblationStudy"),
     "rollout": ("RolloutResult", "RolloutStudy", "rollout_digest"),

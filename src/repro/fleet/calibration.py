@@ -119,15 +119,6 @@ class ResponseTable:
         """All known names, in insertion order."""
         return list(self._responses)
 
-    def weighted_penalty(self, shares: Dict[str, float],
-                         soft_deployed: bool) -> float:
-        """Cycle-share-weighted prefetchers-off penalty for a share mix."""
-        return self.weighted(tuple(shares.items()))[1 if soft_deployed else 0]
-
-    def weighted_overfetch(self, shares: Dict[str, float]) -> float:
-        """Cycle-share-weighted hardware-prefetch traffic overhead."""
-        return self.weighted(tuple(shares.items()))[2]
-
     def weighted(self, key: Tuple[Tuple[str, float], ...]
                  ) -> Tuple[float, float, float]:
         """``(plain penalty, soft penalty, overfetch)`` for a share mix

@@ -19,9 +19,12 @@ the compact form of their results
 (:func:`repro.serialization.ablation_result_to_payload` and its rollout
 twin): each sample column is one base64 string of little-endian
 doubles, and the derived summaries are left out because a load rebuilds
-them from the samples. Digests hash a different form, the one
+them from the samples; ``Result.to_dict()``/``Result.from_dict()``
+reach this stored form. Digests hash a different form, the one
 :func:`repro.serialization.ablation_result_to_dict` gives, so the
-stored layout can change without moving a digest. Writes are atomic
+stored layout can change without moving a digest; that digest form is
+only ever encoded, never read back, and ``AblationResult.to_dict()`` is
+not ``ablation_result_to_dict()``. Writes are atomic
 (temp-file + ``os.replace`` via
 :func:`repro.jsonio.atomic_write_text`) so concurrent study
 processes can share one cache directory and a process killed mid-store

@@ -191,6 +191,8 @@ class AnalyticFleetStudy(FleetStudy):
         shard_size: int,
         fault_plan: Optional[FaultPlan],
     ) -> None:
+        if machines <= 0:
+            raise ConfigError("need at least one machine")
         if epochs <= 0:
             raise ConfigError("epochs must be positive")
         if warmup_epochs < 0:

@@ -53,11 +53,6 @@ if TYPE_CHECKING:  # a plan is only read, never built, here
 #: group by bank configuration and training fingerprint.
 SWEEP_MODES = ("off", "control")
 
-#: Shared-trace workloads the sweep can replay: the fleetbench-style
-#: mixed trace (default) or the scenario subsystem's two-tenant
-#: co-location interleave (the noisy-neighbor bridge).
-SWEEP_WORKLOADS = ("fleetbench", "scenario")
-
 #: Upper bound of the per-machine background-load draw, bytes/ns. Spans
 #: idle co-tenants up to roughly two thirds of the DRAM saturation
 #: bandwidth, the paper's busy-fleet regime.
@@ -195,12 +190,9 @@ def run_sweep_shard(shard: MicroFleetSweep) -> MicroSweepResult:
     from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
     from repro.memsys.prefetchers.bank import PrefetcherBank
-    from repro.workloads.memo import memoized_fleet_mix, memoized_scenario_mix
+    from repro.workloads.memo import memoized_fleet_mix
 
-    if shard.workload == "scenario":
-        trace = memoized_scenario_mix(shard.trace_seed, shard.scale)
-    else:
-        trace = memoized_fleet_mix(shard.trace_seed, shard.scale)
+    trace = memoized_fleet_mix(shard.trace_seed, shard.scale)
     rows: List[Dict] = []
     live_arms: List[MemoryHierarchy] = []
     live_rows: List[Dict] = []
@@ -263,11 +255,6 @@ class MicroFleetSweep(FleetStudy):
             fault kind raises :class:`ConfigError`, as the sweep runs no
             daemon.
         shard_size: Machines per shard (see :mod:`repro.fleet.shard`).
-        workload: Which shared trace the arms replay — ``fleetbench``
-            (default) or ``scenario`` (the noisy-neighbor tenant
-            interleave from :mod:`repro.scenarios`). Enters cache and
-            shard-task keys only when non-default, so existing keys are
-            unchanged.
     """
 
     STUDY = "micro-sweep"
@@ -282,14 +269,9 @@ class MicroFleetSweep(FleetStudy):
         scale: float = 1.0,
         shard_size: int = DEFAULT_SHARD_SIZE,
         fault_plan: Optional[FaultPlan] = None,
-        workload: Optional[str] = None,
     ) -> None:
         if mode not in SWEEP_MODES:
             raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
-        if workload is not None and workload not in SWEEP_WORKLOADS:
-            raise ConfigError(f"workload must be one of {SWEEP_WORKLOADS}, got {workload!r}")
-        if workload == "fleetbench":
-            workload = None  # the default; keep keys unchanged
         if machines <= 0:
             raise ConfigError("need at least one machine")
         if scale <= 0:
@@ -306,7 +288,6 @@ class MicroFleetSweep(FleetStudy):
         if fault_plan is not None:
             self.crash_rate = fault_plan.crash_only_rate("the sweep")
         self.shard_size = shard_size
-        self.workload = workload
 
     # --- sharding ----------------------------------------------------------------
 
@@ -326,7 +307,7 @@ class MicroFleetSweep(FleetStudy):
         written under ``REPRO_SLOW_ENGINE=1`` must hit when read back by
         the compiled engine, and does.
         """
-        material = {
+        return {
             "study": self.STUDY,
             "mode": self.mode,
             "machines": self.machines,
@@ -335,18 +316,13 @@ class MicroFleetSweep(FleetStudy):
             "crash_rate": self.crash_rate,
             "shard_size": self.shard_size,
         }
-        if self.workload is not None:
-            material["workload"] = self.workload
-        return material
 
     def shard_key(self, shard: MicroFleetSweep) -> Dict:
         """The shard's own fields plus the trace fingerprint — the trace
-        memo's own content key, ``("fleetbench_mix", trace_seed, scale)``
-        — in place of the workload name. Like the study cache key, it
-        excludes the engine: every engine is bit-identical, so a shard
-        journaled under ``REPRO_SLOW_ENGINE=1`` must restore under the
-        compiled engine, and does."""
-        trace = "scenario_mix" if shard.workload == "scenario" else "fleetbench_mix"
+        memo's own content key, ``("fleetbench_mix", trace_seed, scale)``.
+        Like the study cache key, it excludes the engine: every engine is
+        bit-identical, so a shard journaled under ``REPRO_SLOW_ENGINE=1``
+        must restore under the compiled engine, and does."""
         return {
             "mode": shard.mode,
             "machines": shard.machines,
@@ -355,7 +331,7 @@ class MicroFleetSweep(FleetStudy):
             "scale": shard.scale,
             "crash_rate": shard.crash_rate,
             "shard_index": shard.shard_index,
-            "trace": [trace, shard.trace_seed, shard.scale],
+            "trace": ["fleetbench_mix", shard.trace_seed, shard.scale],
         }
 
     # --- execution ---------------------------------------------------------------

@@ -1,15 +1,11 @@
-"""Span/event tracing primitives for deterministic run observability.
+"""Event tracing primitives for deterministic run observability.
 
-Two clocks, deliberately separated:
-
-* **Simulated time** (``t_ns``) is deterministic — a pure function of the
-  study parameters — and is the only clock that enters the structured
-  event log, so serial and sharded runs of the same study can produce
-  byte-identical logs.
-* **Wall-clock** timings (phases, spans) come from ``time.monotonic()``
-  and are kept on the tracer as a separate overlay; they end up in the
-  manifest's ``execution`` block, which is outside the determinism
-  contract.
+Events carry only **simulated time** (``t_ns``), which is deterministic —
+a pure function of the study parameters — so serial and sharded runs of
+the same study can produce byte-identical logs. The tracer keeps no wall
+clock: the manifest's wall-clock phases come from
+:meth:`repro.obs.session.ObsSession.phase`, outside the determinism
+contract.
 
 Disabled tracing must cost nothing on hot paths, so call sites guard
 with truthiness (``if tracer: tracer.event(...)``): :data:`NULL_TRACER`
@@ -20,9 +16,8 @@ daemon tick performs a single branch and allocates nothing.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.events import EVENT_SCHEMA_VERSION
 
@@ -37,8 +32,6 @@ class NullTracer:
 
     __slots__ = ()
 
-    enabled = False
-
     def __bool__(self) -> bool:
         return False
 
@@ -50,19 +43,14 @@ class NullTracer:
         """No-op context scope."""
         yield
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """No-op wall-clock phase."""
-        yield
-
 
 #: The shared disabled tracer.
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects structured events (simulated time) and phase timings
-    (wall clock) for one execution scope — a study or a single shard.
+    """Collects structured events (simulated time) for one execution
+    scope — a study or a single shard.
 
     Events are plain dicts carrying the schema version, the kind, the
     simulated timestamp, any fields pushed by enclosing
@@ -70,13 +58,8 @@ class Tracer:
     the deterministic merge order within the scope.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.events: List[Dict] = []
-        #: (name, wall_seconds) per completed :meth:`phase`, in
-        #: completion order. Wall clock only — never merged into logs.
-        self.phases: List[Tuple[str, float]] = []
         self._ctx: Dict = {}
 
     def __bool__(self) -> bool:
@@ -100,15 +83,6 @@ class Tracer:
             yield
         finally:
             self._ctx = saved
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a wall-clock phase; recorded on :attr:`phases`."""
-        start = time.monotonic()
-        try:
-            yield
-        finally:
-            self.phases.append((name, time.monotonic() - start))
 
 
 #: Environment override for the default run-directory location; unset or

@@ -23,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "workload": (
         "WORKLOAD_KINDS", "emit_request", "request_label",
-        "scenario_mix_trace", "scenario_rng", "scenario_seed",
+        "scenario_rng", "scenario_seed",
     ),
 })

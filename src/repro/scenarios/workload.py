@@ -106,42 +106,6 @@ def _emit_lookups(builder, rng: random.Random, space, count: int,
         size=size, pc=pc, function=function, gap_cycles=gap_cycles)
 
 
-def scenario_mix_trace(seed: int, scale: float = 1.0):
-    """The default tenant mix as one interleaved, column-backed trace.
-
-    The bridge from the scenario subsystem into the trace-driven
-    micro-fleet sweep: the :data:`~repro.scenarios.tenancy.DEFAULT_TENANTS`
-    co-location (a streaming latency tenant against a random-lookup batch
-    antagonist) emitted round by round and round-robin interleaved, the
-    same lowering :func:`~repro.scenarios.tenancy.run_noisy_shard` uses
-    per epoch. ``scale`` multiplies the round count. Deterministic for
-    ``(seed, scale)``; memoize via
-    :func:`repro.workloads.memo.memoized_scenario_mix`.
-    """
-    # Imported lazily: tenancy imports this module at load time.
-    # Through the package: the end-to-end benchmark's span probes wrap
-    # ``repro.access.interleave`` there.
-    from repro.access import AddressSpace, interleave, trace_builder
-    from repro.scenarios.tenancy import (DEFAULT_TENANTS, _INTERLEAVE_CHUNK,
-                                         parse_tenants)
-
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    tenants = parse_tenants(DEFAULT_TENANTS)
-    rounds = max(1, int(8 * scale))
-    space = AddressSpace()
-    traces = []
-    for tenant in tenants:
-        builder = trace_builder()
-        for index in range(rounds):
-            emit_request(builder, tenant.kind,
-                         scenario_rng(seed, "mix", tenant.name, index),
-                         space, tenant.effective_lines,
-                         function=tenant.name)
-        traces.append(builder.build())
-    return interleave(traces, chunk=_INTERLEAVE_CHUNK)
-
-
 def request_label(index: int) -> str:
     """The per-request function label (``req0042``) used for per-request
     latency attribution inside one service's concatenated trace."""

@@ -17,7 +17,7 @@ import sys
 from array import array
 from base64 import b64decode, b64encode
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.access.record import AccessKind, MemoryAccess
 from repro.access.trace import Trace
@@ -58,11 +58,6 @@ def access_from_dict(data: Dict) -> MemoryAccess:
         )
     except (KeyError, ValueError, TypeError) as error:
         raise TraceError(f"malformed trace record {data!r}: {error}") from error
-
-
-def trace_to_dicts(trace: Trace) -> List[Dict]:
-    """A whole trace as a list of plain dicts."""
-    return [access_to_dict(record) for record in trace]
 
 
 def save_trace_jsonl(trace: Trace, path: _PathLike) -> None:
@@ -203,41 +198,6 @@ def save_fleet_metrics(metrics, path: _PathLike,
         fleet_metrics_to_dict(metrics, include_samples), indent=2) + "\n")
 
 
-def fleet_metrics_from_dict(data: Dict):
-    """Inverse of ``fleet_metrics_to_dict(..., include_samples=True)``.
-
-    Raw samples are required — summaries alone cannot rebuild the metric
-    object — so dicts written without ``include_samples`` are rejected.
-    JSON round-trips floats exactly, so a reloaded object reproduces
-    every percentile bit-for-bit.
-    """
-    return _fleet_metrics_from(
-        data, lambda values: [float(x) for x in values],
-        lambda points: [tuple(float(v) for v in point) for point in points])
-
-
-def _fleet_metrics_from(data: Dict, column: Callable, points: Callable):
-    """A :class:`~repro.fleet.cluster.FleetMetrics` from the digest or
-    the stored form; ``column`` and ``points`` decode its samples."""
-    from repro.fleet.cluster import FleetMetrics
-
-    try:
-        samples = data["samples"]
-        return FleetMetrics(
-            socket_bandwidth=column(samples["socket_bandwidth"]),
-            socket_utilization=column(samples["socket_utilization"]),
-            socket_latency=column(samples["socket_latency"]),
-            machine_points=points(samples["machine_points"]),
-            total_qps=float(data["total_qps"]),
-            ideal_qps=float(data["ideal_qps"]),
-            rejections=int(data["rejections"]),
-            epochs=int(data["epochs"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise TraceError(
-            f"malformed fleet metrics record: {error}") from error
-
-
 # --- packed sample columns (cache and journal payloads) ---------------------
 
 #: Floats per :attr:`~repro.fleet.cluster.FleetMetrics.machine_points`
@@ -301,7 +261,23 @@ def fleet_metrics_to_payload(metrics) -> Dict:
 
 def fleet_metrics_from_payload(data: Dict):
     """Inverse of :func:`fleet_metrics_to_payload`, bit for bit."""
-    return _fleet_metrics_from(data, unpack_floats, unpack_points)
+    from repro.fleet.cluster import FleetMetrics
+
+    try:
+        samples = data["samples"]
+        return FleetMetrics(
+            socket_bandwidth=unpack_floats(samples["socket_bandwidth"]),
+            socket_utilization=unpack_floats(samples["socket_utilization"]),
+            socket_latency=unpack_floats(samples["socket_latency"]),
+            machine_points=unpack_points(samples["machine_points"]),
+            total_qps=float(data["total_qps"]),
+            ideal_qps=float(data["ideal_qps"]),
+            rejections=int(data["rejections"]),
+            epochs=int(data["epochs"]),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise TraceError(
+            f"malformed fleet metrics record: {error}") from error
 
 
 def profile_data_to_dict(profile) -> Dict:
@@ -384,11 +360,14 @@ def chaos_metrics_from_dict(data: Dict):
 
 # --- study results: the digest form and the stored form ----------------------
 #
-# ``*_to_dict``/``*_from_dict`` are the digest form: every sample as JSON
-# floats plus the derived summaries, hashed by ``result_digest`` and
-# ``rollout_digest``. ``*_to_payload``/``*_from_payload`` are the stored
-# form the result cache and the shard journal hold: the same fields with
-# packed sample columns and no summaries. Both rebuild the same result.
+# ``ablation_result_to_dict``/``rollout_result_to_dict`` give the digest
+# form: every sample as JSON floats plus the derived summaries, hashed by
+# ``result_digest`` and ``rollout_digest``. It is only ever encoded; no
+# decoder reads it back. ``*_to_payload``/``*_from_payload`` are the
+# stored form the result cache and the shard journal hold, reached
+# through ``Result.to_dict()``/``Result.from_dict()``: the same fields
+# with packed sample columns and no summaries. So
+# ``AblationResult.to_dict()`` is not ``ablation_result_to_dict()``.
 
 _ABLATION_ARMS = ("control", "experiment")
 _ABLATION_PROFILES = ("control_profile", "experiment_profile")
@@ -411,9 +390,10 @@ def _arms_to_dict(result, arms, profiles, metrics_to_dict) -> Dict:
     return data
 
 
-def _arms_from_dict(data: Dict, arms, profiles, metrics_from_dict) -> Dict:
-    """Inverse of :func:`_arms_to_dict`, as result constructor fields."""
-    fields = {arm: metrics_from_dict(data[arm]) for arm in arms}
+def _arms_from_dict(data: Dict, arms, profiles) -> Dict:
+    """Inverse of :func:`_arms_to_dict` for the stored form, as result
+    constructor fields."""
+    fields = {arm: fleet_metrics_from_payload(data[arm]) for arm in arms}
     for name in profiles:
         fields[name] = profile_data_from_dict(data[name])
     chaos = data.get("chaos")
@@ -427,32 +407,10 @@ def _ablation_to(result, metrics_to_dict) -> Dict:
                             metrics_to_dict)}
 
 
-def _ablation_from(data: Dict, metrics_from_dict):
-    from repro.fleet.ablation import AblationResult
-
-    try:
-        return AblationResult(
-            mode=data["mode"],
-            **_arms_from_dict(data, _ABLATION_ARMS, _ABLATION_PROFILES,
-                              metrics_from_dict))
-    except (KeyError, TypeError, AttributeError) as error:
-        raise TraceError(
-            f"malformed ablation result record: {error}") from error
-
-
 def ablation_result_to_dict(result) -> Dict:
     """A paired ablation result in the digest form (lossless: includes
     the raw samples needed to rebuild every view)."""
     return _ablation_to(result, _digest_metrics)
-
-
-def ablation_result_from_dict(data: Dict):
-    """Inverse of :func:`ablation_result_to_dict`.
-
-    Payloads written before fault plans existed simply lack the
-    ``chaos`` key and deserialize with that field ``None``.
-    """
-    return _ablation_from(data, fleet_metrics_from_dict)
 
 
 def ablation_result_to_payload(result) -> Dict:
@@ -461,19 +419,20 @@ def ablation_result_to_payload(result) -> Dict:
 
 
 def ablation_result_from_payload(data: Dict):
-    """Inverse of :func:`ablation_result_to_payload`."""
-    return _ablation_from(data, fleet_metrics_from_payload)
+    """Inverse of :func:`ablation_result_to_payload`.
 
-
-def _rollout_from(data: Dict, metrics_from_dict):
-    from repro.fleet.rollout import RolloutResult
+    Payloads written before fault plans existed simply lack the
+    ``chaos`` key and deserialize with that field ``None``.
+    """
+    from repro.fleet.ablation import AblationResult
 
     try:
-        return RolloutResult(**_arms_from_dict(
-            data, _ROLLOUT_ARMS, _ROLLOUT_PROFILES, metrics_from_dict))
+        return AblationResult(
+            mode=data["mode"],
+            **_arms_from_dict(data, _ABLATION_ARMS, _ABLATION_PROFILES))
     except (KeyError, TypeError, AttributeError) as error:
         raise TraceError(
-            f"malformed rollout result record: {error}") from error
+            f"malformed ablation result record: {error}") from error
 
 
 def rollout_result_to_dict(result) -> Dict:
@@ -481,11 +440,6 @@ def rollout_result_to_dict(result) -> Dict:
     included)."""
     return _arms_to_dict(result, _ROLLOUT_ARMS, _ROLLOUT_PROFILES,
                          _digest_metrics)
-
-
-def rollout_result_from_dict(data: Dict):
-    """Inverse of :func:`rollout_result_to_dict`."""
-    return _rollout_from(data, fleet_metrics_from_dict)
 
 
 def rollout_result_to_payload(result) -> Dict:
@@ -497,4 +451,11 @@ def rollout_result_to_payload(result) -> Dict:
 
 def rollout_result_from_payload(data: Dict):
     """Inverse of :func:`rollout_result_to_payload`."""
-    return _rollout_from(data, fleet_metrics_from_payload)
+    from repro.fleet.rollout import RolloutResult
+
+    try:
+        return RolloutResult(**_arms_from_dict(
+            data, _ROLLOUT_ARMS, _ROLLOUT_PROFILES))
+    except (KeyError, TypeError, AttributeError) as error:
+        raise TraceError(
+            f"malformed rollout result record: {error}") from error

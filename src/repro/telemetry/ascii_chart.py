@@ -1,8 +1,7 @@
 """Tiny dependency-free ASCII charts for CLI output.
 
 Just enough plotting to eyeball the paper's curves in a terminal: an XY
-line chart (Figure 1's latency curves) and a horizontal bar chart
-(Figures 16-18's deltas).
+line chart (Figure 1's latency curves).
 """
 
 from __future__ import annotations
@@ -66,24 +65,3 @@ def line_chart(series: Dict[str, Sequence[Tuple[float, float]]],
     lines.append(" " * (gutter + 1) + legend)
     return "\n".join(lines)
 
-
-def bar_chart(values: Dict[str, float], width: int = 50,
-              unit: str = "") -> str:
-    """Render labelled values as horizontal bars (negatives point left)."""
-    if not values:
-        raise ValueError("need at least one value")
-    if width < 10:
-        raise ValueError("chart too small to draw")
-    label_width = max(len(label) for label in values)
-    magnitude = max(abs(value) for value in values.values()) or 1.0
-    half = width // 2
-    lines = []
-    for label, value in values.items():
-        length = round(abs(value) / magnitude * half)
-        if value >= 0:
-            bar = " " * half + "|" + "#" * length
-        else:
-            bar = " " * (half - length) + "#" * length + "|"
-        lines.append(f"{label.rjust(label_width)} {bar.ljust(width + 1)} "
-                     f"{value:+.2%}{unit}")
-    return "\n".join(lines)

@@ -86,20 +86,6 @@ def memoized_fleet_mix(seed: int, scale: float) -> Trace:
                                  scale=scale))
 
 
-def memoized_scenario_mix(seed: int, scale: float) -> Trace:
-    """The scenario subsystem's default tenant co-location mix for
-    ``(seed, scale)``.
-
-    The sweep's ``--trace scenario`` bridge: every machine-arm replays
-    the noisy-neighbor tenant interleave instead of the fleetbench mix.
-    """
-    from repro.scenarios.workload import scenario_mix_trace
-
-    return memoized_trace(
-        ("scenario_mix", seed, scale),
-        lambda: scenario_mix_trace(seed, scale=scale))
-
-
 def memoized_function_trace(name: str, seed: int, scale: float) -> Trace:
     """The roster function ``name``'s trace for ``(seed, scale)``.
 

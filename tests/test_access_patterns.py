@@ -1,19 +1,11 @@
-"""Tests for the access-pattern analyzer and descriptor proposer (§8.2),
-plus curve-derived thresholds (§3)."""
+"""Tests for the access-pattern analyzer and descriptor proposer (§8.2)."""
 
 import random
 
 import pytest
 
 from repro.access import AddressSpace, MemoryAccess, Trace
-from repro.analysis import (
-    analyze_trace,
-    measure_latency_curve,
-    propose_descriptors,
-)
-from repro.analysis.latency_curves import LatencyCurve, LatencyPoint
-from repro.analysis.thresholds import derive_thresholds_from_curve
-from repro.errors import ConfigError
+from repro.analysis import analyze_trace, propose_descriptors
 from repro.units import KB
 from repro.workloads import (
     hashing_trace,
@@ -117,47 +109,3 @@ class TestProposeDescriptors:
         plain = MemoryHierarchy(prefetchers=PrefetcherBank([])).run(trace)
         tuned = MemoryHierarchy(prefetchers=PrefetcherBank([])).run(injected)
         assert tuned.elapsed_ns < plain.elapsed_ns
-
-
-class TestDerivedThresholds:
-    def synthetic_curve(self):
-        points = [LatencyPoint(u / 10, 90.0 * (1 + (u / 10) ** 3 * 3))
-                  for u in range(11)]
-        return LatencyCurve(True, tuple(points))
-
-    def test_upper_at_knee(self):
-        config = derive_thresholds_from_curve(self.synthetic_curve(),
-                                              knee_ratio=1.5)
-        # 1.5x unloaded is crossed between u=0.5 and u=0.6.
-        assert 0.5 <= config.upper_threshold <= 0.7
-        assert config.lower_threshold == pytest.approx(
-            config.upper_threshold - 0.2)
-
-    def test_higher_knee_ratio_raises_thresholds(self):
-        low = derive_thresholds_from_curve(self.synthetic_curve(),
-                                           knee_ratio=1.3)
-        high = derive_thresholds_from_curve(self.synthetic_curve(),
-                                            knee_ratio=2.5)
-        assert high.upper_threshold > low.upper_threshold
-
-    def test_measured_curve_yields_valid_config(self):
-        curve = measure_latency_curve(True, [x / 10 for x in range(11)],
-                                      probe_hops=80)
-        config = derive_thresholds_from_curve(curve)
-        assert 0.0 < config.lower_threshold < config.upper_threshold <= 0.95
-
-    def test_flat_curve_rejected(self):
-        flat = LatencyCurve(True, tuple(
-            LatencyPoint(u / 10, 90.0) for u in range(11)))
-        with pytest.raises(ConfigError):
-            derive_thresholds_from_curve(flat)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            derive_thresholds_from_curve(self.synthetic_curve(),
-                                         knee_ratio=1.0)
-        with pytest.raises(ConfigError):
-            derive_thresholds_from_curve(self.synthetic_curve(),
-                                         hysteresis_gap=0.0)
-        with pytest.raises(ConfigError):
-            derive_thresholds_from_curve(LatencyCurve(True, ()))

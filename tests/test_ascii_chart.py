@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry.ascii_chart import bar_chart, line_chart
+from repro.telemetry.ascii_chart import line_chart
 
 
 class TestLineChart:
@@ -42,33 +42,6 @@ class TestLineChart:
             line_chart({"s": []})
         with pytest.raises(ValueError):
             line_chart({"s": [(0, 0)]}, width=2)
-
-
-class TestBarChart:
-    def test_positive_bars_point_right(self):
-        chart = bar_chart({"a": 0.5}, width=20)
-        bar = chart.splitlines()[0]
-        assert "|#" in bar
-
-    def test_negative_bars_point_left(self):
-        chart = bar_chart({"a": -0.5}, width=20)
-        bar = chart.splitlines()[0]
-        assert "#|" in bar
-
-    def test_values_annotated(self):
-        chart = bar_chart({"a": 0.123})
-        assert "+12.30%" in chart
-
-    def test_relative_lengths(self):
-        chart = bar_chart({"big": 1.0, "small": 0.5}, width=40)
-        big, small = chart.splitlines()
-        assert big.count("#") > small.count("#")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart({})
-        with pytest.raises(ValueError):
-            bar_chart({"a": 1.0}, width=3)
 
 
 class TestCLIChartFlag:

@@ -7,9 +7,8 @@ import pytest
 from repro.analysis.chaos import result_digest
 from repro.errors import ConfigError, TraceError
 from repro.faults import ChaosMetrics, FaultPlan
-from repro.fleet import AblationStudy
+from repro.fleet import AblationResult, AblationStudy
 from repro.serialization import (
-    ablation_result_from_dict,
     ablation_result_to_dict,
     chaos_metrics_from_dict,
     chaos_metrics_to_dict,
@@ -172,15 +171,16 @@ class TestChaosSerialization:
     def test_ablation_result_roundtrip_with_chaos(self, hardened_config):
         result = faulted_run("seed=2;telemetry-drop:rate=0.2",
                              config=hardened_config)
-        payload = ablation_result_to_dict(result)
+        payload = result.to_dict()
         assert "chaos" in payload
-        restored = ablation_result_from_dict(payload)
+        assert "chaos" in ablation_result_to_dict(result)
+        restored = AblationResult.from_dict(payload)
         assert result_digest(restored) == result_digest(result)
 
     def test_ablation_result_roundtrip_without_chaos(self, hardened_config):
         result = faulted_run("seed=2;telemetry-drop:rate=0.2",
                              config=hardened_config)
-        payload = ablation_result_to_dict(result)
+        payload = result.to_dict()
         del payload["chaos"]
-        restored = ablation_result_from_dict(payload)
+        restored = AblationResult.from_dict(payload)
         assert restored.chaos is None

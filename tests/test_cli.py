@@ -111,6 +111,22 @@ class TestReport:
         assert "Loaded latency" in target.read_text()
         assert "wrote" in capsys.readouterr().out
 
+    def test_cache_dir_covers_every_study(self, tmp_path, capsys):
+        """A second report over one ``--cache-dir`` loads every study
+        from it, the rollout's included, and recomputes none."""
+        from repro.fleet import RolloutStudy, StudyResultCache
+
+        argv = ["report", "--quick", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cache = StudyResultCache(tmp_path)
+        entries = cache.scan()["valid"]
+        rollout = RolloutStudy(machines=8, epochs=30, warmup_epochs=10,
+                               seed=5)
+        assert cache.path_for(rollout.cache_key_material()).exists()
+        assert main(argv) == 0
+        assert cache.stats() == {"hits": entries, "misses": entries,
+                                 "stores": entries}
+
 
 class TestRolloutCompareSerial:
     ROLLOUT = ["rollout", "--machines", "6", "--epochs", "6", "--warmup", "2",
@@ -359,10 +375,23 @@ class TestScenarioCommands:
                                       "--resume"]) == 0
         assert "2/2 shards restored, 0 computed" in capsys.readouterr().out
 
-    def test_sweep_scenario_trace(self, capsys):
-        assert main(["sweep", "--machines", "2", "--scale", "0.25",
-                     "--trace", "scenario", "--compare-serial"]) == 0
-        assert "serial-equivalence check: OK" in capsys.readouterr().out
+    def test_noisy_baseline_twin_journals_under_the_flag(
+            self, tmp_path, monkeypatch, capsys):
+        """``--checkpoint-dir`` reaches the ``--baseline`` twin, so the
+        flag journals the twin's shards as ``$REPRO_CHECKPOINT`` does."""
+        from repro.fleet.queue import CHECKPOINT_ENV_VAR, ShardCheckpoint
+        from repro.fleet.result_cache import CACHE_ENV_VAR
+
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
+        argv = self.NOISY + ["--shard-size", "2", "--baseline"]
+        assert main(argv + ["--checkpoint-dir", str(tmp_path / "flag")]) == 0
+        monkeypatch.setenv(CHECKPOINT_ENV_VAR, str(tmp_path / "env"))
+        assert main(argv) == 0
+        journaled = [len(ShardCheckpoint(tmp_path / name).materials())
+                     for name in ("flag", "env")]
+        assert journaled == [4, 4]  # two shards each, run and twin
+
 
 
 #: One small sharded run per study command that writes a run directory.

@@ -51,10 +51,10 @@ class TestDefaultTable:
         assert memcpy.mpki_on <= soft < 0.2 * memcpy.mpki_off
 
     def test_weighted_helpers(self):
-        shares = {"memcpy": 0.5, "pointer_chase": 0.5}
-        penalty = DEFAULT_RESPONSES.weighted_penalty(shares, False)
+        shares = (("memcpy", 0.5), ("pointer_chase", 0.5))
+        penalty, soft_penalty, overfetch = DEFAULT_RESPONSES.weighted(shares)
         assert 0 < penalty < DEFAULT_RESPONSES["memcpy"].cycle_penalty_off
-        overfetch = DEFAULT_RESPONSES.weighted_overfetch(shares)
+        assert soft_penalty < penalty
         assert overfetch > 0
 
     def test_unknown_function_raises(self):

@@ -351,8 +351,9 @@ class TestShardedRollout:
                          ids=["ablation", "rollout"])
 @pytest.mark.parametrize("bad", [
     dict(shard_size=0), dict(shard_size=-1), dict(epochs=0),
-    dict(warmup_epochs=-1),
-], ids=["shard_size=0", "shard_size=-1", "epochs=0", "warmup=-1"])
+    dict(warmup_epochs=-1), dict(machines=0), dict(machines=-1),
+], ids=["shard_size=0", "shard_size=-1", "epochs=0", "warmup=-1",
+        "machines=0", "machines=-1"])
 def test_analytic_study_validation(study, bad):
     with pytest.raises(ConfigError):
         study(**bad)

@@ -24,8 +24,7 @@ from repro.scenarios import (CallGraphResult, CallGraphScenario,
                              NoisyNeighborScenario, ServiceSpec,
                              TenantSpec, WORKLOAD_KINDS, callgraph_digest,
                              noisy_digest, parse_services, parse_tenants,
-                             run_noisy_shard, scenario_mix_trace,
-                             scenario_seed)
+                             run_noisy_shard, scenario_seed)
 from repro.serialization import canonical_json
 
 #: A small two-level graph cheap enough for determinism legs.
@@ -443,58 +442,3 @@ class TestNoisyMergeProperties:
         for shard in noisy_shards[1:]:
             flat.merge(copy.deepcopy(shard))
         assert noisy_digest(scenario.run()) == noisy_digest(flat)
-
-
-class TestScenarioMixBridge:
-    def test_trace_is_deterministic(self):
-        first = scenario_mix_trace(3, scale=0.5)
-        second = scenario_mix_trace(3, scale=0.5)
-        assert [record.address for record in first] == [
-            record.address for record in second]
-        assert len(first) > 0
-
-    def test_scale_and_seed_change_trace(self):
-        base = scenario_mix_trace(3, scale=0.5)
-        assert len(scenario_mix_trace(3, scale=1.0)) > len(base)
-        other = scenario_mix_trace(4, scale=0.5)
-        assert ([record.address for record in base]
-                != [record.address for record in other])
-
-    def test_memoized(self):
-        from repro.workloads.memo import (clear_trace_memo,
-                                          memoized_scenario_mix)
-        clear_trace_memo()
-        try:
-            first = memoized_scenario_mix(3, 0.5)
-            assert memoized_scenario_mix(3, 0.5) is first
-        finally:
-            clear_trace_memo()
-
-    def test_sweep_workload_bridge(self):
-        from repro.fleet import MicroFleetSweep, sweep_digest
-        scenario = MicroFleetSweep(machines=2, seed=3, scale=0.25,
-                                   workload="scenario")
-        fleet = MicroFleetSweep(machines=2, seed=3, scale=0.25)
-        digest = sweep_digest(scenario.run())
-        assert digest != sweep_digest(fleet.run())
-        again = MicroFleetSweep(machines=2, seed=3, scale=0.25,
-                                workload="scenario")
-        assert sweep_digest(again.run(workers=2)) == digest
-
-    def test_workload_in_keys_only_when_set(self):
-        from repro.fleet import MicroFleetSweep
-        plain = MicroFleetSweep(machines=2, seed=3)
-        bridged = MicroFleetSweep(machines=2, seed=3, workload="scenario")
-        default = MicroFleetSweep(machines=2, seed=3,
-                                  workload="fleetbench")
-        assert "workload" not in plain.cache_key_material()
-        assert bridged.cache_key_material()["workload"] == "scenario"
-        # "fleetbench" normalizes to the default so keys are unchanged.
-        assert default.cache_key_material() == plain.cache_key_material()
-        assert (bridged.shard_task_materials()
-                != plain.shard_task_materials())
-
-    def test_unknown_workload_rejected(self):
-        from repro.fleet import MicroFleetSweep
-        with pytest.raises(ConfigError):
-            MicroFleetSweep(machines=2, workload="swizzle")

@@ -19,7 +19,6 @@ from repro.serialization import (
     run_result_to_dict,
     save_run_result,
     save_trace_jsonl,
-    trace_to_dicts,
 )
 from repro.workloads import memcpy_trace
 
@@ -55,11 +54,6 @@ class TestAccessRoundTrip:
 
 
 class TestTraceRoundTrip:
-    def test_dicts_round_trip(self):
-        trace = sample_trace()
-        assert Trace(access_from_dict(record)
-                     for record in trace_to_dicts(trace)) == trace
-
     def test_jsonl_round_trip(self, tmp_path):
         trace = sample_trace()
         path = tmp_path / "trace.jsonl"
@@ -139,21 +133,22 @@ class TestFleetMetricsSerialization:
         assert loaded["epochs"] == 10
 
     def test_round_trip_is_lossless(self, metrics):
-        from repro.serialization import (fleet_metrics_from_dict,
-                                         fleet_metrics_to_dict)
-        data = fleet_metrics_to_dict(metrics, include_samples=True)
-        restored = fleet_metrics_from_dict(json.loads(json.dumps(data)))
+        from repro.serialization import (fleet_metrics_from_payload,
+                                         fleet_metrics_to_dict,
+                                         fleet_metrics_to_payload)
+        payload = json.loads(json.dumps(fleet_metrics_to_payload(metrics)))
+        restored = fleet_metrics_from_payload(payload)
         assert restored.socket_bandwidth == metrics.socket_bandwidth
         assert restored.machine_points == metrics.machine_points
         assert restored.total_qps == metrics.total_qps
         assert (fleet_metrics_to_dict(restored, include_samples=True)
-                == data)
+                == fleet_metrics_to_dict(metrics, include_samples=True))
 
     def test_summary_only_dict_rejected(self, metrics):
-        from repro.serialization import (fleet_metrics_from_dict,
+        from repro.serialization import (fleet_metrics_from_payload,
                                          fleet_metrics_to_dict)
         with pytest.raises(TraceError):
-            fleet_metrics_from_dict(fleet_metrics_to_dict(metrics))
+            fleet_metrics_from_payload(fleet_metrics_to_dict(metrics))
 
 
 class TestStudyResultSerialization:
@@ -181,24 +176,25 @@ class TestStudyResultSerialization:
         assert restored.as_mapping() == result.control_profile.as_mapping()
 
     def test_ablation_result_round_trip(self, result):
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
-        data = json.loads(json.dumps(ablation_result_to_dict(result)))
-        restored = ablation_result_from_dict(data)
+        from repro.fleet import AblationResult
+        from repro.serialization import ablation_result_to_dict
+        payload = json.loads(json.dumps(result.to_dict()))
+        restored = AblationResult.from_dict(payload)
         assert restored.mode == result.mode
         assert (restored.bandwidth_reduction()
                 == result.bandwidth_reduction())
         assert (restored.function_cycle_deltas()
                 == result.function_cycle_deltas())
-        assert ablation_result_to_dict(restored) == data
+        assert (ablation_result_to_dict(restored)
+                == ablation_result_to_dict(result))
 
     def test_malformed_records_rejected(self):
-        from repro.serialization import (ablation_result_from_dict,
-                                         profile_data_from_dict)
+        from repro.fleet import AblationResult
+        from repro.serialization import profile_data_from_dict
         with pytest.raises(TraceError):
             profile_data_from_dict({"functions": "nope"})
         with pytest.raises(TraceError):
-            ablation_result_from_dict({"mode": "off"})
+            AblationResult.from_dict({"mode": "off"})
 
 
 class TestAtomicWriteText:
@@ -234,19 +230,19 @@ class TestAtomicWriteText:
 
 class TestRolloutResultRoundTrip:
     def test_round_trip_is_lossless(self):
-        from repro.fleet import RolloutStudy
-        from repro.serialization import (rollout_result_from_dict,
-                                         rollout_result_to_dict)
+        from repro.fleet import RolloutResult, RolloutStudy
+        from repro.serialization import rollout_result_to_dict
         result = RolloutStudy(machines=4, epochs=8, warmup_epochs=2,
                               seed=5).run()
-        data = rollout_result_to_dict(result)
-        restored = rollout_result_from_dict(data)
-        assert rollout_result_to_dict(restored) == data
+        restored = RolloutResult.from_dict(
+            json.loads(json.dumps(result.to_dict())))
+        assert (rollout_result_to_dict(restored)
+                == rollout_result_to_dict(result))
 
     def test_malformed_dict_rejected(self):
-        from repro.serialization import rollout_result_from_dict
-        with pytest.raises((TraceError, KeyError, TypeError)):
-            rollout_result_from_dict({"not": "a rollout result"})
+        from repro.fleet import RolloutResult
+        with pytest.raises(TraceError):
+            RolloutResult.from_dict({"not": "a rollout result"})
 
 
 #: Every double, by bit pattern: NaNs with any payload and sign, signed
@@ -366,13 +362,12 @@ class TestStoredForm:
         assert len(stored) < 0.75 * len(digest)
 
     def test_digest_form_is_not_a_payload(self, ablation):
-        """The two forms are distinct codecs: neither decoder accepts
-        the other's samples."""
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_from_payload,
-                                         ablation_result_to_dict,
-                                         ablation_result_to_payload)
+        """The two forms are distinct: ``to_dict()`` is the stored form,
+        not :func:`ablation_result_to_dict`, and the stored-form decoder
+        rejects the digest form's samples."""
+        from repro.fleet import AblationResult
+        from repro.serialization import ablation_result_to_dict
+        digest_form = ablation_result_to_dict(ablation)
+        assert ablation.to_dict() != digest_form
         with pytest.raises(TraceError):
-            ablation_result_from_payload(ablation_result_to_dict(ablation))
-        with pytest.raises(TraceError):
-            ablation_result_from_dict(ablation_result_to_payload(ablation))
+            AblationResult.from_dict(digest_form)
